@@ -7,7 +7,7 @@ visible as exactly one birth or death event, at its own height.
 
 from fractions import Fraction
 
-from apdrec import build_complex, compute_apd, count_at, format_diagram
+from apdrec import build_complex, compute_apd, format_diagram
 
 F = Fraction
 
@@ -31,7 +31,7 @@ dgm = compute_apd(K, direction)
 print("simplex-count identity in direction (1, 0):")
 for k in range(3):
     for c in sorted({p.birth for p in dgm.points}):
-        got = count_at(dgm.restrict(k), dgm.restrict(k - 1), c)
+        got = dgm.count_at(k, c)
         if got:
             print(f"  {got} simplices of dim {k} enter at height {c}")
 

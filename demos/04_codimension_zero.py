@@ -8,7 +8,7 @@ and the same predicate then decides the top-dimensional simplices.
 
 from fractions import Fraction
 
-from apdrec import Oracle, build_complex, lift, reconstruct_codim_zero
+from apdrec import Oracle, build_complex, lift, reconstruct
 
 F = Fraction
 
@@ -26,7 +26,7 @@ for vid in sorted(truth.vertices):
     print(f"  {truth.vertices[vid]} -> {lifted.vertices[vid]}")
 
 oracle = Oracle(truth)
-recovered = reconstruct_codim_zero(oracle)
+recovered = reconstruct(oracle, codim_zero=True)
 print("\nrecovered 2-simplices:", recovered.simplices_of_dim(2))
 assert recovered.simplices == truth.simplices
 print("exact recovery, including both filled triangles")

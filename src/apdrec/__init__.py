@@ -57,9 +57,7 @@ from .higher import (
     ReconstructionStats,
     compute_indegree,
     is_simplex,
-    is_simplex_lifted,
     reconstruct,
-    reconstruct_codim_zero,
 )
 from .oracle import (
     INF,
@@ -68,14 +66,10 @@ from .oracle import (
     Oracle,
     QueryLog,
     compute_apd,
-    compute_apd_with_order,
-    count_at,
     format_diagram,
     index_filtration,
     lift,
     lower_star_heights,
-    query,
-    query_lifted,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .complexes import parse_complex, serialize_complex, validate_general_position
 from .descriptors import betti_curve_from_apd, euler_curve_direct
-from .errors import ApdrecError
+from .errors import ApdrecError, ParseError
 from .geometry import format_rational
 from .harness import GeneratorConfig, generate_complex, verify_config
 from .higher import ReconstructionStats, reconstruct
@@ -22,7 +22,10 @@ def _load_complex(path: str):
 
 
 def _parse_direction(text: str):
-    return tuple(Fraction(tok) for tok in text.replace(",", " ").split())
+    try:
+        return tuple(Fraction(tok) for tok in text.replace(",", " ").split())
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad direction {text!r}")
 
 
 def _cmd_apd(args) -> int:

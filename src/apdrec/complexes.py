@@ -196,18 +196,20 @@ def parse_complex(text: str) -> SimplicialComplex:
         cursor += 1
         return row
 
-    lineno, tokens = take("dim")
-    if len(tokens) != 2 or tokens[0] != "dim":
-        raise ParseError("expected 'dim <d>'", lineno)
-    try:
-        ambient_dim = int(tokens[1])
-    except ValueError:
-        raise ParseError(f"bad dimension {tokens[1]!r}", lineno)
+    def header(keyword: str, minimum: int) -> int:
+        lineno, tokens = take(keyword)
+        if len(tokens) != 2 or tokens[0] != keyword:
+            raise ParseError(f"expected '{keyword} <n>'", lineno)
+        try:
+            value = int(tokens[1])
+        except ValueError:
+            raise ParseError(f"bad {keyword} value {tokens[1]!r}", lineno)
+        if value < minimum:
+            raise ParseError(f"{keyword} must be at least {minimum}", lineno)
+        return value
 
-    lineno, tokens = take("vertices")
-    if len(tokens) != 2 or tokens[0] != "vertices":
-        raise ParseError("expected 'vertices <n0>'", lineno)
-    n0 = int(tokens[1])
+    ambient_dim = header("dim", 1)
+    n0 = header("vertices", 0)
 
     vertex_points: Dict[int, Vector] = {}
     for _ in range(n0):
@@ -225,10 +227,7 @@ def parse_complex(text: str) -> SimplicialComplex:
             raise ParseError(f"duplicate vertex id {vid}", lineno)
         vertex_points[vid] = coords
 
-    lineno, tokens = take("simplices")
-    if len(tokens) != 2 or tokens[0] != "simplices":
-        raise ParseError("expected 'simplices <m>'", lineno)
-    m = int(tokens[1])
+    m = header("simplices", 0)
 
     maximal: List[Simplex] = []
     for _ in range(m):

@@ -82,7 +82,7 @@ def split_wedge(
     v_point = points[interval.vertex]
     height = dot(direction, v_point)
     dgm = oracle.query(direction)
-    indegree = dgm.deaths_at(0, height) + dgm.births_at(1, height)
+    indegree = dgm.count_at(1, height)
     below_known = sum(1 for u in known_edges if dot(direction, points[u]) < height)
 
     left_count = indegree - below_known
@@ -125,9 +125,7 @@ def find_up_edges(
     else is split.
     """
     height_neg = -frame.height(points[vertex])
-    indegree = sweep_diagram.deaths_at(0, height_neg) + sweep_diagram.births_at(
-        1, height_neg
-    )
+    indegree = sweep_diagram.count_at(1, height_neg)
     candidates = _above_slice(order)
 
     found: List[int] = []

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .complexes import Simplex, SimplicialComplex, build_complex, proper_faces
@@ -37,23 +36,11 @@ from .vertices import vertex_stage
 IndegreeMemo = Dict[Simplex, int]
 
 
-@dataclass(frozen=True)
-class Wedge:
-    """Closure of the symmetric difference of two lower half-spaces.
-
-    Both boundary directions are orthogonal to the affine hull of the
-    anchoring simplex, whose common height under each is stored alongside.
-    """
-
-    lower: Tuple[Direction, Fraction]
-    upper: Tuple[Direction, Fraction]
-
-
 def compute_indegree(
     sigma: Simplex,
     direction: Direction,
     k: int,
-    memo: Dict[Simplex, int],
+    memo: IndegreeMemo,
     oracle: Oracle,
     points: Sequence[Vector],
     _depth: int = 0,
@@ -65,7 +52,8 @@ def compute_indegree(
     births of the queried diagram).  One logged query here plus one per
     proper face; faces are processed in non-descending dimension, so the
     memo table fills bottom-up and recursive calls never go more than one
-    level deep.
+    level deep.  A recursive call (``_depth`` > 0) whose memo lacks one of
+    its faces raises PreconditionViolated.
     """
     if k <= len(sigma) - 1:
         raise PreconditionViolated("k must exceed the simplex dimension")
@@ -78,13 +66,16 @@ def compute_indegree(
             "another vertex shares the simplex height in this direction"
         )
 
-    delta = dgm.deaths_at(k - 1, height) + dgm.births_at(k, height)
+    delta = dgm.count_at(k, height)
     double_counts = 0
     sigma_points = [points[v] for v in sigma]
     all_heights = None
     for tau in proper_faces(sigma):
         if tau not in memo:
-            assert _depth == 0, "memo must already cover faces of a recursive call"
+            if _depth:
+                raise PreconditionViolated(
+                    "memo must already cover the faces of a recursive call"
+                )
             tau_points = [points[v] for v in tau]
             s_prime = second_perpendicular_direction(
                 points, sigma_points, tau_points, direction
@@ -162,23 +153,10 @@ def is_simplex(
     s_lower = primitive_direction(tilt(star_heights, third_heights, s_star, s3))
     flipped = tilt([-h for h in star_heights], third_heights, vneg(s_star), s3)
     s_upper = primitive_direction(vneg(flipped))
-    anchor = points[sigma[0]]
-    wedge = Wedge((s_lower, dot(s_lower, anchor)), (s_upper, dot(s_upper, anchor)))
 
-    upper = compute_indegree(sigma, wedge.upper[0], k, {}, oracle, points)
-    lower = compute_indegree(sigma, wedge.lower[0], k, {}, oracle, points)
+    upper = compute_indegree(sigma, s_upper, k, {}, oracle, points)
+    lower = compute_indegree(sigma, s_lower, k, {}, oracle, points)
     return abs(upper - lower) == 1
-
-
-def is_simplex_lifted(
-    sigma: Simplex,
-    vertex: int,
-    oracle_lifted: Oracle,
-    points: Sequence[Vector],
-) -> bool:
-    """Simplex predicate for codimension zero, run on the parabolic lift."""
-    lifted_points = [lift_point(p) for p in points]
-    return is_simplex(sigma, vertex, oracle_lifted, lifted_points)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +178,34 @@ class ReconstructionStats:
         return sum(q for _, q in self.predicate_calls)
 
 
+def _cofaces(
+    previous: Sequence[Simplex],
+    oracle: Oracle,
+    points: Sequence[Vector],
+    calls: Optional[List[Tuple[int, int]]],
+) -> Set[Simplex]:
+    """Every sigma + v, for sigma in ``previous``, that the predicate confirms.
+
+    Appends (k, queries) per predicate call to ``calls`` when one is given.
+    """
+    found: Set[Simplex] = set()
+    for sigma in previous:
+        for vertex in range(len(points)):
+            if vertex in sigma:
+                continue
+            mark = oracle.log.count
+            hit = is_simplex(sigma, vertex, oracle, points)
+            if calls is not None:
+                calls.append((len(sigma), oracle.log.count - mark))
+            if hit:
+                found.add(tuple(sorted(sigma + (vertex,))))
+    return found
+
+
 def reconstruct(
     oracle: Oracle,
     strict: bool = True,
     codim_zero: bool = False,
-    oracle_lifted: Optional[Oracle] = None,
     stats: Optional[ReconstructionStats] = None,
 ) -> SimplicialComplex:
     """Recover the full unknown complex from oracle queries alone.
@@ -212,8 +213,8 @@ def reconstruct(
     Vertices, then edges, then each higher dimension i while the previous
     one is nonempty and i <= d - 1 (emptiness propagates upward by face
     closure, so the top dimension needs no prior knowledge).  With
-    ``codim_zero`` the d-simplices are tested afterwards through the lifted
-    oracle.
+    ``codim_zero`` the d-simplices are tested afterwards through
+    ``oracle.lifted()`` on the lifted vertex points.
     """
     d = oracle.ambient_dim
     mark = oracle.log.count
@@ -231,53 +232,18 @@ def reconstruct(
     simplices.update(edges)
     previous: List[Simplex] = sorted(edges)
 
+    calls = stats.predicate_calls if stats is not None else None
     dim = 2
     while previous and dim <= d - 1:
-        found: Set[Simplex] = set()
-        for sigma in previous:
-            for vertex in range(len(points)):
-                if vertex in sigma:
-                    continue
-                mark = oracle.log.count
-                hit = is_simplex(sigma, vertex, oracle, points)
-                if stats is not None:
-                    stats.predicate_calls.append((dim, oracle.log.count - mark))
-                if hit:
-                    found.add(tuple(sorted(sigma + (vertex,))))
+        found = _cofaces(previous, oracle, points, calls)
         simplices.update(found)
         previous = sorted(found)
         dim += 1
 
     if codim_zero and previous and dim == d:
-        lifted = oracle_lifted if oracle_lifted is not None else oracle.lifted()
-        found = set()
-        for sigma in previous:
-            for vertex in range(len(points)):
-                if vertex in sigma:
-                    continue
-                mark = lifted.log.count
-                hit = is_simplex_lifted(sigma, vertex, lifted, points)
-                if stats is not None:
-                    stats.lifted_predicate_calls.append((d, lifted.log.count - mark))
-                if hit:
-                    found.add(tuple(sorted(sigma + (vertex,))))
-        simplices.update(found)
+        calls = stats.lifted_predicate_calls if stats is not None else None
+        lifted_points = [lift_point(p) for p in points]
+        simplices.update(_cofaces(previous, oracle.lifted(), lifted_points, calls))
 
     vertex_map = {i: points[i] for i in range(len(points))}
     return build_complex(d, vertex_map, simplices)
-
-
-def reconstruct_codim_zero(
-    oracle: Oracle,
-    oracle_lifted: Optional[Oracle] = None,
-    strict: bool = True,
-    stats: Optional[ReconstructionStats] = None,
-) -> SimplicialComplex:
-    """Reconstruction allowing simplices of full ambient dimension."""
-    return reconstruct(
-        oracle,
-        strict=strict,
-        codim_zero=True,
-        oracle_lifted=oracle_lifted,
-        stats=stats,
-    )

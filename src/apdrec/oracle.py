@@ -5,11 +5,8 @@ the complex shows up as exactly one birth or death event.  Pairing is plain
 left-to-right boundary-matrix reduction over Z/2 on a compatible index
 filtration; columns are bitmask integers.
 
-The oracle memoizes per direction: directions are canonicalized to primitive
-integer form (divide out the gcd, orientation kept), so positively scaled
-duplicates share one reduction, with the returned heights rescaled exactly.
-Every call still counts as one logged query; a request that is restricted to
-one dimension is the same logical query as the full diagram.
+The oracle answers every query from scratch and logs it once; a request that
+is restricted to one dimension is the same logical query as the full diagram.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import Simplex, SimplicialComplex, facets
 from .errors import InvalidInput
-from .geometry import Direction, Vector, dot, format_rational, is_zero, primitive_direction
+from .geometry import Direction, Vector, dot, format_rational, is_zero
 
 INF = math.inf
 
@@ -66,6 +63,14 @@ class AugmentedDiagram:
             1 for p in self.points if p.dim == dim and not p.essential and p.death == height
         )
 
+    def count_at(self, k: int, height: Fraction) -> int:
+        """Deaths at the height in dimension k-1 plus births there in dimension k.
+
+        By the simplex-count correspondence this equals the number of
+        k-simplices whose lower-star height is exactly the given value.
+        """
+        return self.deaths_at(k - 1, height) + self.births_at(k, height)
+
     def multiset(self) -> Dict[DiagramPoint, int]:
         out: Dict[DiagramPoint, int] = {}
         for p in self.points:
@@ -80,22 +85,27 @@ class AugmentedDiagram:
 def lower_star_heights(
     complex_: SimplicialComplex, direction: Direction
 ) -> Dict[Simplex, Fraction]:
-    """Height of each simplex: the maximum vertex height in the direction."""
+    """Height of each simplex: the maximum vertex height in the direction.
+
+    Raises InvalidInput for a zero direction or one whose length is not the
+    ambient dimension of the complex.
+    """
+    if is_zero(direction):
+        raise InvalidInput("query direction must be nonzero")
+    if len(direction) != complex_.ambient_dim:
+        raise InvalidInput("direction has wrong ambient dimension")
     vh = {v: dot(direction, p) for v, p in complex_.vertices.items()}
     return {s: max(vh[v] for v in s) for s in complex_.simplices}
 
 
-def index_filtration(
-    complex_: SimplicialComplex, direction: Direction
-) -> List[Simplex]:
-    """Total order compatible with the lower-star filtration.
+def index_filtration(heights: Dict[Simplex, Fraction]) -> List[Simplex]:
+    """Total order compatible with the lower-star filtration of the heights.
 
     Sorted by (height, dimension, vertex tuple); the dimension tie-break puts
     faces before cofaces within one height class.  Any other compatible
     choice yields the same augmented diagram.
     """
-    heights = lower_star_heights(complex_, direction)
-    return sorted(complex_.simplices, key=lambda s: (heights[s], len(s), s))
+    return sorted(heights, key=lambda s: (heights[s], len(s), s))
 
 
 def _reduce_pairs(
@@ -146,46 +156,25 @@ def _emit_points(
     return tuple(pts)
 
 
-def compute_apd(complex_: SimplicialComplex, direction: Direction) -> AugmentedDiagram:
-    """Augmented persistence diagram of the lower-star filtration."""
-    direction = tuple(Fraction(x) for x in direction)
-    order = index_filtration(complex_, direction)
-    heights = lower_star_heights(complex_, direction)
-    pairs, essentials = _reduce_pairs(order)
-    return AugmentedDiagram(direction, _emit_points(order, pairs, essentials, heights))
-
-
-def compute_apd_with_order(
-    complex_: SimplicialComplex, direction: Direction, order: Sequence[Simplex]
+def compute_apd(
+    complex_: SimplicialComplex,
+    direction: Direction,
+    order: Optional[Sequence[Simplex]] = None,
 ) -> AugmentedDiagram:
-    """APD over an explicitly supplied compatible index filtration.
+    """Augmented persistence diagram of the lower-star filtration.
 
-    Exists so tests can exercise the tie-break invariance: any face-respecting
-    permutation of equal-height simplices must give the identical multiset.
+    ``order`` replaces the default index filtration by another compatible
+    one; any face-respecting permutation of equal-height simplices gives the
+    identical multiset, which is what the tie-break tests check.
     """
-    if len(order) != complex_.n or set(order) != set(complex_.simplices):
-        raise InvalidInput("order is not a permutation of the complex")
     direction = tuple(Fraction(x) for x in direction)
     heights = lower_star_heights(complex_, direction)
+    if order is None:
+        order = index_filtration(heights)
+    elif len(order) != complex_.n or set(order) != set(complex_.simplices):
+        raise InvalidInput("order is not a permutation of the complex")
     pairs, essentials = _reduce_pairs(order)
     return AugmentedDiagram(direction, _emit_points(order, pairs, essentials, heights))
-
-
-def count_at(dgm_k, dgm_km1, height: Fraction) -> int:
-    """Births at the height in dimension k plus deaths there in dimension k-1.
-
-    By the simplex-count correspondence this equals the number of k-simplices
-    whose lower-star height is exactly the given value.
-    """
-
-    def _points(dgm):
-        return dgm.points if isinstance(dgm, AugmentedDiagram) else dgm
-
-    births = sum(1 for p in _points(dgm_k) if p.birth == height)
-    deaths = sum(
-        1 for p in _points(dgm_km1) if not p.essential and p.death == height
-    )
-    return births + deaths
 
 
 # ---------------------------------------------------------------------------
@@ -225,71 +214,24 @@ class QueryLog:
         self.directions.append(tuple(direction))
 
 
-def query(
-    log: QueryLog,
-    complex_: SimplicialComplex,
-    direction: Direction,
-    dim_filter: Optional[int] = None,
-) -> AugmentedDiagram:
-    """Log one query and answer it; dimension restriction is free."""
-    direction = tuple(Fraction(x) for x in direction)
-    if is_zero(direction):
-        raise InvalidInput("query direction must be nonzero")
-    log.record(direction)
-    dgm = compute_apd(complex_, direction)
-    return dgm if dim_filter is None else dgm.restrict(dim_filter)
-
-
-def query_lifted(
-    log: QueryLog,
-    complex_: SimplicialComplex,
-    direction: Direction,
-    dim_filter: Optional[int] = None,
-) -> AugmentedDiagram:
-    """Query against the parabolic lift; same counting rule."""
-    return query(log, lift(complex_), direction, dim_filter)
-
-
 class Oracle:
     """Black box answering directional APD queries for a fixed complex.
 
-    Reconstruction code only ever sees this interface.  Results are cached by
-    the primitive form of the direction; heights are rescaled exactly for the
-    requested representative, so the cache never changes observable answers.
+    Reconstruction code only ever sees this interface.  Every answered query
+    is logged once; an invalid direction raises before it is logged.
     """
 
     def __init__(self, complex_: SimplicialComplex):
         self._complex = complex_
         self.log = QueryLog()
-        self._cache: Dict[Direction, tuple] = {}
 
     @property
     def ambient_dim(self) -> int:
         return self._complex.ambient_dim
 
     def query(self, direction, dim_filter: Optional[int] = None) -> AugmentedDiagram:
-        direction = tuple(Fraction(x) for x in direction)
-        if is_zero(direction):
-            raise InvalidInput("query direction must be nonzero")
-        if len(direction) != self._complex.ambient_dim:
-            raise InvalidInput("direction has wrong ambient dimension")
-        self.log.record(direction)
-
-        canon = primitive_direction(direction)
-        entry = self._cache.get(canon)
-        if entry is None:
-            order = index_filtration(self._complex, canon)
-            heights = lower_star_heights(self._complex, canon)
-            pairs, essentials = _reduce_pairs(order)
-            entry = (order, pairs, essentials, heights)
-            self._cache[canon] = entry
-        order, pairs, essentials, heights = entry
-
-        k = next(i for i, x in enumerate(canon) if x != 0)
-        scale = direction[k] / canon[k]
-        if scale != 1:
-            heights = {s: scale * h for s, h in heights.items()}
-        dgm = AugmentedDiagram(direction, _emit_points(order, pairs, essentials, heights))
+        dgm = compute_apd(self._complex, direction)
+        self.log.record(dgm.direction)
         return dgm if dim_filter is None else dgm.restrict(dim_filter)
 
     def lifted(self) -> "Oracle":

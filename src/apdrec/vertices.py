@@ -70,19 +70,18 @@ def find_coordinate(
     ]
 
 
-def create_unique_height_basis(oracle: Oracle) -> List[Direction]:
+def create_unique_height_basis(
+    births1: List[Fraction], births2: List[Fraction], d: int
+) -> List[Direction]:
     """Orthogonal rational basis whose first vector separates all vertices.
 
-    b1 is the tilt of e1 towards e2 built from their dimension-0 births, so
-    e1 ties are broken by e2 heights (distinct projected vertices); b2 is the
-    exact -90 degree rotation of b1 inside the (e1, e2) plane; the remaining
-    axes stay standard.  Two logged queries.
+    ``births1`` and ``births2`` are the dimension-0 births in e1 and e2.  b1
+    is the tilt of e1 towards e2 built from them, so e1 ties are broken by
+    e2 heights (distinct projected vertices); b2 is the exact -90 degree
+    rotation of b1 inside the (e1, e2) plane; the remaining axes stay
+    standard.  Pure: it issues no query.
     """
-    d = oracle.ambient_dim
-    e1, e2 = basis_vector(d, 0), basis_vector(d, 1)
-    h1 = oracle.query(e1, 0).births(0)
-    h2 = oracle.query(e2, 0).births(0)
-    b1 = tilt(h1, h2, e1, e2)
+    b1 = tilt(births1, births2, basis_vector(d, 0), basis_vector(d, 1))
     b2 = (b1[1], -b1[0]) + tuple(Fraction(0) for _ in range(d - 2))
     return [b1, b2] + [basis_vector(d, j) for j in range(2, d)]
 
@@ -96,6 +95,7 @@ def vertex_stage(
     standard run).  With ``strict`` a first-axis height collision raises
     GeneralPositionViolated; otherwise the run switches to the tilted basis
     of create_unique_height_basis, reusing the diagrams already queried.
+    Issues 2d - 1 logged queries, plus 2 on the fallback.
     """
     d = oracle.ambient_dim
     e1 = basis_vector(d, 0)
@@ -111,10 +111,8 @@ def vertex_stage(
     if strict:
         raise GeneralPositionViolated("duplicate vertex heights in direction e1")
 
-    e2 = basis_vector(d, 1)
-    births2 = oracle.query(e2, 0).births(0)
-    b1 = tilt(births1, births2, e1, e2)
-    b2 = (b1[1], -b1[0]) + tuple(Fraction(0) for _ in range(d - 2))
+    births2 = oracle.query(basis_vector(d, 1), 0).births(0)
+    b1, b2 = create_unique_height_basis(births1, births2, d)[:2]
     base_births = oracle.query(b1, 0).births(0)
     if len(set(base_births)) != len(base_births):
         raise GeneralPositionViolated(
@@ -129,9 +127,3 @@ def vertex_stage(
         )
     points = [tuple(col[j] for col in columns) for j in range(len(base_births))]
     return points, SweepFrame(b1, b2)
-
-
-def find_vertices(oracle: Oracle, strict: bool = True) -> List[Vector]:
-    """All vertex locations, sorted by sweep height; 2d - 1 logged queries."""
-    points, _ = vertex_stage(oracle, strict)
-    return points

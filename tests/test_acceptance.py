@@ -15,9 +15,7 @@ from apdrec import (
     Oracle,
     betti_curve_from_apd,
     compute_apd,
-    compute_apd_with_order,
     compute_indegree,
-    count_at,
     ecc_value,
     euler_curve_direct,
     euler_curve_from_apd,
@@ -25,7 +23,6 @@ from apdrec import (
     leftmost_crossing,
     orthogonal_to_affine_hull,
     reconstruct,
-    reconstruct_codim_zero,
     tilt,
     verify_roundtrip,
 )
@@ -182,7 +179,7 @@ def test_criterion_5_oracle_correctness(trials):
         reference = compute_apd(K, direction).multiset()
         for _ in range(20):
             order = random_compatible_order(K, direction, rng)
-            got = compute_apd_with_order(K, direction, order).multiset()
+            got = compute_apd(K, direction, order=order).multiset()
             assert got == reference
             reorder_checks += 1
 
@@ -199,9 +196,9 @@ def test_criterion_5_oracle_correctness(trials):
             }
             for k in range(K.kappa + 2):
                 for c in heights:
-                    assert count_at(
-                        dgm.restrict(k), dgm.restrict(k - 1), c
-                    ) == count_simplices_at(K, direction, k, c)
+                    assert dgm.count_at(k, c) == count_simplices_at(
+                        K, direction, k, c
+                    )
                     count_checks += 1
 
     # (c) infinite bars match an independent Z/2 Betti computation
@@ -258,7 +255,7 @@ def test_criterion_6_indegree_oracle_equivalence(trials):
     memo = {}
     value = compute_indegree((0, 1, 2), direction, 3, memo, oracle, points)
     figure_ok = (
-        count_at(raw.restrict(3), raw.restrict(2), F(0)) == 3
+        raw.count_at(3, F(0)) == 3
         and sorted(v for v in memo.values() if v) == [1, 1]
         and value == 3 - 1 - 1 == 1
     )
@@ -284,7 +281,7 @@ def test_criterion_7_codimension_zero():
                             lift_general_position=True)
         )
         standard = reconstruct(Oracle(K))
-        lifted_run = reconstruct_codim_zero(Oracle(K))
+        lifted_run = reconstruct(Oracle(K), codim_zero=True)
         assert standard.simplices == lifted_run.simplices
         agreements += 1
 

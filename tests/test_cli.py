@@ -113,3 +113,42 @@ def test_cli_error_reporting(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dim 2\nvertices x\nsimplices 0\n",
+        "dim 2\nvertices 1\n0 0 0\nsimplices x\n",
+        "dim 2\nvertices -1\nsimplices 0\n",
+        "dim 2\nvertices 1\n0 0 0\nsimplices -1\n",
+        "dim 0\nvertices 1\n0\nsimplices 0\n",
+        "dim -2\nvertices 0\nsimplices 0\n",
+    ],
+    ids=["vertices-x", "simplices-x", "vertices-neg", "simplices-neg", "dim-0", "dim-neg"],
+)
+def test_cli_rejects_bad_header_counts(capsys, tmp_path, text):
+    bad = tmp_path / "bad.cx"
+    bad.write_text(text)
+    code = main(["stats", "--complex", str(bad)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apd", "--dir", "1,x"],
+        ["apd", "--dir", "1/0,1"],
+        ["apd", "--dir", "0,0"],
+        ["apd", "--dir", "1,0,0"],
+        ["curves", "--kind", "euler", "--dir", "0,0"],
+        ["curves", "--kind", "betti", "--dir", "0,0"],
+    ],
+    ids=["apd-not-rational", "apd-zero-denominator", "apd-zero", "apd-wrong-length",
+         "euler-zero", "betti-zero"],
+)
+def test_cli_rejects_bad_directions(capsys, triangle_file, argv):
+    code = main(argv + ["--complex", triangle_file])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

@@ -9,13 +9,10 @@ from apdrec import (
     PreconditionViolated,
     complexes_match,
     compute_indegree,
-    count_at,
     generate_complex,
     is_simplex,
-    is_simplex_lifted,
     lift,
     reconstruct,
-    reconstruct_codim_zero,
 )
 from apdrec.complexes import proper_faces
 from apdrec.higher import ReconstructionStats, _isolating_direction
@@ -55,7 +52,7 @@ def test_kindegree_figure_three_minus_one_minus_one():
     direction = (0, 0, 0, 1)
 
     raw = oracle.query(direction)
-    assert count_at(raw.restrict(3), raw.restrict(2), F(0)) == 3  # three tetrahedra
+    assert raw.count_at(3, F(0)) == 3  # three tetrahedra
 
     memo = {}
     assert compute_indegree(sigma, direction, 3, memo, oracle, points) == 1
@@ -93,6 +90,15 @@ def test_indegree_query_budget_and_memo():
     sigma = (0, 1, 2)
     compute_indegree(sigma, (0, 0, 0, 1), 3, {}, oracle, id_points(K))
     assert oracle.log.count == 2 ** len(sigma) - 1  # one per face plus the root
+
+
+def test_indegree_recursive_call_needs_a_covering_memo():
+    K = cx(3, [(0, 0, 0), (1, 2, 1), (2, 1, -1)], [(0, 1, 2)])
+    oracle = Oracle(K)
+    points = id_points(K)
+    direction = _isolating_direction((0, 1), oracle, points)
+    with pytest.raises(PreconditionViolated):
+        compute_indegree((0, 1), direction, 2, {}, oracle, points, _depth=1)
 
 
 def test_indegree_rejects_unisolated_height():
@@ -229,14 +235,18 @@ def test_indegree_recursion_isolates_faces(monkeypatch):
 # lifted predicate and drivers
 
 
+def lifted_points(K):
+    return [lift_point(p) for p in id_points(K)]
+
+
 def test_is_simplex_lifted_filled_vs_hollow(filled_triangle_r2, hollow_triangle_r2):
     filled = filled_triangle_r2
     assert (
-        is_simplex_lifted((0, 1), 2, Oracle(lift(filled)), id_points(filled)) is True
+        is_simplex((0, 1), 2, Oracle(lift(filled)), lifted_points(filled)) is True
     )
     hollow = hollow_triangle_r2
     assert (
-        is_simplex_lifted((0, 1), 2, Oracle(lift(hollow)), id_points(hollow)) is False
+        is_simplex((0, 1), 2, Oracle(lift(hollow)), lifted_points(hollow)) is False
     )
 
 
@@ -263,13 +273,13 @@ def test_reconstruct_point_cloud_stops_after_edges():
 
 
 def test_reconstruct_codim_zero_filled_triangle(filled_triangle_r2):
-    recovered = reconstruct_codim_zero(Oracle(filled_triangle_r2))
+    recovered = reconstruct(Oracle(filled_triangle_r2), codim_zero=True)
     assert complexes_match(recovered, filled_triangle_r2)
 
 
 def test_reconstruct_codim_zero_glued_triangles():
     K = cx(2, [(0, 0), (1, 2), (2, 1), (3, 3)], [(0, 1, 2), (1, 2, 3)])
-    recovered = reconstruct_codim_zero(Oracle(K))
+    recovered = reconstruct(Oracle(K), codim_zero=True)
     assert complexes_match(recovered, K)
     assert len(recovered.simplices_of_dim(2)) == 2
 
@@ -282,6 +292,6 @@ def test_codim_zero_driver_matches_standard_when_kappa_small():
             )
         )
         standard = reconstruct(Oracle(K))
-        lifted_run = reconstruct_codim_zero(Oracle(K))
+        lifted_run = reconstruct(Oracle(K), codim_zero=True)
         assert standard.simplices == lifted_run.simplices
         assert standard.vertices == lifted_run.vertices

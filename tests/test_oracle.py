@@ -1,20 +1,19 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+import apdrec.oracle as oracle_mod
 from apdrec import (
     INF,
     GeneratorConfig,
+    InvalidInput,
     Oracle,
-    QueryLog,
     compute_apd,
-    compute_apd_with_order,
-    count_at,
     generate_complex,
     index_filtration,
     lift,
     lower_star_heights,
-    query,
-    query_lifted,
 )
 
 from bruteforce import betti_numbers_gf2, count_simplices_at, random_compatible_order
@@ -67,13 +66,13 @@ def test_lower_star_monotone_random():
 
 def test_index_filtration_triangle_order():
     K = full_triangle_heights_012()
-    order = index_filtration(K, E1)
+    order = index_filtration(lower_star_heights(K, E1))
     assert order == [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
 
 
 def test_index_filtration_faces_before_cofaces():
     K = generate_complex(GeneratorConfig(3, 7, 2, densities=[0.6, 0.7], seed=5))
-    order = index_filtration(K, (1, 1, -2))
+    order = index_filtration(lower_star_heights(K, (1, 1, -2)))
     position = {s: i for i, s in enumerate(order)}
     for s in K.simplices:
         for v in s:
@@ -132,7 +131,7 @@ def test_apd_tiebreak_invariance_small():
     reference = compute_apd(K, direction).multiset()
     for _ in range(10):
         order = random_compatible_order(K, direction, rng)
-        assert compute_apd_with_order(K, direction, order).multiset() == reference
+        assert compute_apd(K, direction, order=order).multiset() == reference
 
 
 def test_infinite_bars_match_betti_numbers():
@@ -151,17 +150,17 @@ def test_infinite_bars_match_betti_numbers():
 
 def test_count_at_edge():
     dgm = compute_apd(edge_complex(), E1)
-    assert count_at(dgm.restrict(1), dgm.restrict(0), F(1)) == 1
+    assert dgm.count_at(1, F(1)) == 1
 
 
 def test_count_at_hollow_triangle():
     dgm = compute_apd(hollow_triangle_heights_012(), E1)
-    assert count_at(dgm.restrict(1), dgm.restrict(0), F(2)) == 2
+    assert dgm.count_at(1, F(2)) == 2
 
 
 def test_count_at_empty_height():
     dgm = compute_apd(edge_complex(), E1)
-    assert count_at(dgm.restrict(1), dgm.restrict(0), F(17)) == 0
+    assert dgm.count_at(1, F(17)) == 0
 
 
 def test_count_at_matches_direct_count_random():
@@ -175,7 +174,7 @@ def test_count_at_matches_direct_count_random():
         heights = {h for p in dgm.points for h in (p.birth, p.death) if h != INF}
         for k in range(K.kappa + 2):
             for c in heights:
-                got = count_at(dgm.restrict(k), dgm.restrict(k - 1), c)
+                got = dgm.count_at(k, c)
                 assert got == count_simplices_at(K, direction, k, c)
 
 
@@ -185,23 +184,54 @@ def test_count_at_matches_direct_count_random():
 
 def test_query_log_counts_one_per_logical_request():
     K = edge_complex()
-    log = QueryLog()
-    full = query(log, K, E1)  # dims 0 and 1 in one request
-    assert full.in_dim(0) and log.count == 1
-    query(log, K, (0, 1))
-    assert log.count == 2
-    empty = query(log, K, E1, dim_filter=5)
-    assert empty.points == () and log.count == 3
+    oracle = Oracle(K)
+    full = oracle.query(E1)  # dims 0 and 1 in one request
+    assert full.in_dim(0) and oracle.log.count == 1
+    oracle.query((0, 1))
+    assert oracle.log.count == 2
+    empty = oracle.query(E1, dim_filter=5)
+    assert empty.points == () and oracle.log.count == 3
 
 
-def test_oracle_cache_serves_scaled_duplicates():
+def test_oracle_rescales_scaled_duplicates_exactly():
     K = hollow_triangle_heights_012()
     oracle = Oracle(K)
     a = oracle.query((1, 0))
     b = oracle.query((2, 0))
-    assert oracle.log.count == 2  # count is per request, cache or not
-    assert len(oracle._cache) == 1
+    assert oracle.log.count == 2  # one count per request
     assert [p.birth * 2 for p in a.in_dim(0)] == [p.birth for p in b.in_dim(0)]
+
+
+def test_oracle_query_computes_heights_once(monkeypatch):
+    calls = []
+    real = oracle_mod.lower_star_heights
+
+    def counting(complex_, direction):
+        calls.append(direction)
+        return real(complex_, direction)
+
+    monkeypatch.setattr(oracle_mod, "lower_star_heights", counting)
+    Oracle(hollow_triangle_heights_012()).query((1, 0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("direction", [(0, 0), (1, 0, 0), ()])
+def test_invalid_directions_raise_unlogged(direction):
+    K = edge_complex()
+    oracle = Oracle(K)
+    with pytest.raises(InvalidInput):
+        oracle.query(direction)
+    assert oracle.log.count == 0
+    with pytest.raises(InvalidInput):
+        compute_apd(K, direction)
+    with pytest.raises(InvalidInput):
+        lower_star_heights(K, direction)
+
+
+def test_compute_apd_rejects_non_permutation_order():
+    K = edge_complex()
+    with pytest.raises(InvalidInput):
+        compute_apd(K, E1, order=[(0,), (1,)])
 
 
 def test_lift_examples():
@@ -215,10 +245,10 @@ def test_lift_examples():
 
 def test_query_lifted_matches_manual_lift():
     K = cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1), (1, 2)])
-    log = QueryLog()
+    oracle = Oracle(K).lifted()
     direction = (1, 1, -1)
-    via_helper = query_lifted(log, K, direction)
+    via_helper = oracle.query(direction)
     direct = compute_apd(lift(K), direction)
     assert via_helper.multiset() == direct.multiset()
-    assert log.count == 1
-    assert query_lifted(log, K, direction, dim_filter=5).points == ()
+    assert oracle.log.count == 1
+    assert oracle.query(direction, dim_filter=5).points == ()

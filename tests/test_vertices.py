@@ -9,13 +9,8 @@ from apdrec import (
     Oracle,
     generate_complex,
 )
-from apdrec.geometry import dot
-from apdrec.vertices import (
-    create_unique_height_basis,
-    find_coordinate,
-    find_vertices,
-    vertex_stage,
-)
+from apdrec.geometry import basis_vector, dot
+from apdrec.vertices import create_unique_height_basis, find_coordinate, vertex_stage
 
 from conftest import cx
 
@@ -53,14 +48,14 @@ def test_find_coordinate_with_target_ties():
 def test_find_vertices_two_points():
     K = cx(2, [(0, 0), (1, 2)], [])
     oracle = Oracle(K)
-    points = find_vertices(oracle)
+    points, _ = vertex_stage(oracle)
     assert points == [(0, 0), (1, 2)]
     assert oracle.log.count == 2 * 2 - 1
 
 
 def test_find_vertices_order_follows_e1():
     K = cx(3, [(2, 0, 1), (0, 5, -1), (1, -3, 2)], [])
-    points = find_vertices(Oracle(K))
+    points, _ = vertex_stage(Oracle(K))
     assert [p[0] for p in points] == [0, 1, 2]
     assert set(points) == set(K.vertices.values())
 
@@ -69,7 +64,7 @@ def test_find_vertices_single_point_query_count():
     for d in (2, 3, 5):
         K = cx(d, [tuple(range(1, d + 1))], [])
         oracle = Oracle(K)
-        assert find_vertices(oracle) == [tuple(range(1, d + 1))]
+        assert vertex_stage(oracle)[0] == [tuple(range(1, d + 1))]
         assert oracle.log.count == 2 * d - 1
 
 
@@ -80,7 +75,7 @@ def test_find_vertices_random_exact():
             GeneratorConfig(d, 4 + seed % 7, 0, densities=[], seed=seed)
         )
         oracle = Oracle(K)
-        points = find_vertices(oracle)
+        points, _ = vertex_stage(oracle)
         assert set(points) == set(K.vertices.values())
         assert oracle.log.count == 2 * d - 1
 
@@ -88,7 +83,7 @@ def test_find_vertices_random_exact():
 def test_find_vertices_strict_rejects_e1_ties():
     K = cx(2, [(0, 0), (0, 1)], [])
     with pytest.raises(GeneralPositionViolated):
-        find_vertices(Oracle(K))
+        vertex_stage(Oracle(K))
 
 
 def test_fallback_basis_recovers_despite_ties():
@@ -102,11 +97,17 @@ def test_fallback_basis_recovers_despite_ties():
     assert heights == sorted(heights)
 
 
+def axis_births(oracle):
+    """Dimension-0 births in e1 and e2: two logged queries."""
+    e1, e2 = (basis_vector(oracle.ambient_dim, j) for j in (0, 1))
+    return oracle.query(e1, 0).births(0), oracle.query(e2, 0).births(0)
+
+
 def test_create_unique_height_basis_separates_ties():
     K = cx(2, [(0, 0), (0, 1)], [])
     oracle = Oracle(K)
-    basis = create_unique_height_basis(oracle)
-    assert oracle.log.count == 2
+    basis = create_unique_height_basis(*axis_births(oracle), 2)
+    assert oracle.log.count == 2  # the e1 and e2 diagrams; the helper adds none
     b1, b2 = basis[0], basis[1]
     assert dot(b1, (0, 0)) != dot(b1, (0, 1))
     assert dot(b1, b2) == 0
@@ -116,7 +117,7 @@ def test_create_unique_height_basis_separates_ties():
 def test_create_unique_height_basis_on_unique_heights():
     K = cx(3, [(0, 2, 1), (1, 0, 0), (2, 1, 5)], [])
     oracle = Oracle(K)
-    basis = create_unique_height_basis(oracle)
+    basis = create_unique_height_basis(*axis_births(oracle), 3)
     b1 = basis[0]
     heights = sorted(dot(b1, p) for p in K.vertices.values())
     assert len(set(heights)) == 3

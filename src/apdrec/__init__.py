@@ -50,7 +50,6 @@ from .harness import (
     complexes_match,
     edge_query_bound,
     generate_complex,
-    verify_config,
     verify_roundtrip,
 )
 from .higher import (

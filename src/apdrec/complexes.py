@@ -68,12 +68,6 @@ class SimplicialComplex:
     def n_k(self, k: int) -> int:
         return sum(1 for s in self.simplices if len(s) == k + 1)
 
-    def point(self, vertex_id: int) -> Vector:
-        return self.vertices[vertex_id]
-
-    def points(self, simplex: Simplex) -> List[Vector]:
-        return [self.vertices[v] for v in simplex]
-
     def maximal_simplices(self) -> List[Simplex]:
         maximal = []
         for s in self.simplices:
@@ -239,7 +233,12 @@ def parse_complex(text: str) -> SimplicialComplex:
         for v in ids:
             if v not in vertex_points:
                 raise ParseError(f"simplex references unknown vertex {v}", lineno)
-        maximal.append(make_simplex(ids))
+        if len(ids) > ambient_dim + 1:
+            raise ParseError(f"simplex exceeds ambient dimension {ambient_dim}", lineno)
+        try:
+            maximal.append(make_simplex(ids))
+        except InvalidInput as exc:
+            raise ParseError(str(exc), lineno)
 
     if cursor != len(rows):
         raise ParseError("trailing content", rows[cursor][0])

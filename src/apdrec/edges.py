@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .errors import NegativeCount, OracleInconsistency
+from .errors import NegativeCount
 from .geometry import (
     RadialOrder,
     SweepFrame,
@@ -96,17 +96,6 @@ def split_wedge(
     return left, right
 
 
-def _above_slice(order: RadialOrder) -> Tuple[int, ...]:
-    """Vertices above the center; a contiguous run of the radial order."""
-    flags = [off[0] > 0 for _, off in order.ordered]
-    ids = [vid for (vid, off), above in zip(order.ordered, flags) if above]
-    if ids:
-        first = flags.index(True)
-        if any(not f for f in flags[first : first + len(ids)]):
-            raise OracleInconsistency("above-vertices not contiguous in radial order")
-    return tuple(ids)
-
-
 def find_up_edges(
     vertex: int,
     known_below_edges: Sequence[int],
@@ -126,7 +115,7 @@ def find_up_edges(
     """
     height_neg = -frame.height(points[vertex])
     indegree = sweep_diagram.count_at(1, height_neg)
-    candidates = _above_slice(order)
+    candidates = tuple(vid for vid, _ in order.ordered)
 
     found: List[int] = []
     neighbors: List[int] = list(known_below_edges)

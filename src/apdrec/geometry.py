@@ -7,16 +7,16 @@ invariant under positive scaling.  This keeps the whole pipeline inside the
 rationals (no square roots).
 
 Vectors and directions are plain tuples of Fractions, which makes them
-hashable (useful for caching) and trivially immutable.
+hashable and trivially immutable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DegeneratePosition,
@@ -48,16 +48,8 @@ def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vneg(a: Vector) -> Vector:
     return tuple(-x for x in a)
-
-
-def vscale(t: Fraction, a: Vector) -> Vector:
-    return tuple(t * x for x in a)
 
 
 def basis_vector(dim: int, index: int) -> Direction:
@@ -277,8 +269,9 @@ class SweepFrame:
 
     The default frame is (e1, e2), matching projection onto coordinates
     (1, 2); the fallback basis built when e1 heights collide swaps in the
-    tilted pair (b1, b2).  Offsets are measured by dot products with the two
-    frame vectors, which preserves all sign-of-cross-product reasoning.
+    tilted pair (b1, b2).  Offsets (x, y) are measured by dot products with
+    the two frame vectors, and ``embed(a, b)`` gives an offset the height
+    ``a * x + b * y``.
     """
 
     u1: Direction
@@ -300,41 +293,22 @@ def standard_frame(dim: int) -> SweepFrame:
     return SweepFrame(basis_vector(dim, 0), basis_vector(dim, 1))
 
 
-def _angle_group(u: Tuple[Fraction, Fraction]) -> int:
-    # group 0: angle in (0, pi]; group 1: angle in (-pi, 0]
-    x, y = u
-    return 0 if (y > 0 or (y == 0 and x < 0)) else 1
-
-
-def _cross2(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _clockwise_cmp(a: Tuple[Fraction, Fraction], b: Tuple[Fraction, Fraction]) -> int:
-    """Order by strictly descending angle over (-pi, pi]."""
-    ga, gb = _angle_group(a), _angle_group(b)
-    if ga != gb:
-        return -1 if ga < gb else 1
-    c = _cross2(a, b)
-    if c < 0:
-        return -1
-    if c > 0:
-        return 1
-    return 0
-
-
 @dataclass(frozen=True)
 class RadialOrder:
-    """Vertices sorted clockwise about a center in the sweep plane.
+    """Vertices above a center, sorted clockwise in the sweep plane.
 
-    ``ordered`` holds (vertex id, projected offset) pairs, sorted by
-    descending angle over (-pi, pi]; the first entry is the upper-left-most
-    offset.  Offsets are pairwise non-parallel (no three projected collinear
-    points), so the order is strict.
+    ``ordered`` holds (vertex id, projected offset) pairs of the vertices
+    strictly above the center in the sweep direction (positive first offset
+    coordinate), sorted by strictly descending slope, the second offset
+    coordinate over the first; in that open half-plane this is clockwise
+    order.  ``slopes`` holds the slopes of every other vertex, above and
+    below, in ascending order.  No two slopes are equal (no three projected
+    collinear points), so the order is strict.
     """
 
     center: Vector
     ordered: Tuple[Tuple[int, Tuple[Fraction, Fraction]], ...]
+    slopes: Tuple[Fraction, ...]
     frame: SweepFrame = field(compare=False)
 
     def position(self, vertex_id: int) -> int:
@@ -350,73 +324,52 @@ def radial_order(
     ids: Optional[Sequence[int]] = None,
     frame: Optional[SweepFrame] = None,
 ) -> RadialOrder:
-    """Sort vertices clockwise around the projected center, exactly.
+    """Sort the vertices above the projected center clockwise, exactly.
 
-    Comparisons use quadrant tests plus sign-of-cross-product only.  Raises
-    DegeneratePosition when two projected offsets are parallel (which covers
-    coincident projections).
+    Each vertex's slope is computed once as an exact rational.  Raises
+    DegeneratePosition when a vertex has the center's sweep height (which
+    covers coincident projections) or when two vertices share a slope (their
+    projected offsets are parallel).
     """
     if frame is None:
         frame = standard_frame(len(center))
     if ids is None:
         ids = list(range(len(others)))
-    c2 = frame.project(center)
-    offsets = []
+    c1, c2 = frame.project(center)
+    owner: Dict[Fraction, int] = {}
+    above = []
     for vid, p in zip(ids, others):
-        p2 = frame.project(p)
-        off = (p2[0] - c2[0], p2[1] - c2[1])
-        if off == (0, 0):
-            raise DegeneratePosition(f"vertex {vid} projects onto the center")
-        offsets.append((vid, off))
-    for i in range(len(offsets)):
-        for j in range(i + 1, len(offsets)):
-            if _cross2(offsets[i][1], offsets[j][1]) == 0:
-                raise DegeneratePosition(
-                    f"projected offsets of {offsets[i][0]} and {offsets[j][0]} are parallel"
-                )
-    ordered = sorted(offsets, key=cmp_to_key(lambda a, b: _clockwise_cmp(a[1], b[1])))
-    return RadialOrder(tuple(center), tuple(ordered), frame)
+        p1, p2 = frame.project(p)
+        off = (p1 - c1, p2 - c2)
+        if off[0] == 0:
+            raise DegeneratePosition(f"vertex {vid} has the center's sweep height")
+        slope = off[1] / off[0]
+        if slope in owner:
+            raise DegeneratePosition(
+                f"projected offsets of {owner[slope]} and {vid} are parallel"
+            )
+        owner[slope] = vid
+        if off[0] > 0:
+            above.append((slope, vid, off))
+    above.sort(key=lambda entry: entry[0], reverse=True)
+    ordered = tuple((vid, off) for _, vid, off in above)
+    return RadialOrder(tuple(center), ordered, tuple(sorted(owner)), frame)
 
 
 def separating_direction(order: RadialOrder, after_index: int) -> Direction:
     """Direction of the sweep plane splitting the order after ``after_index``.
 
-    Works over the signed offsets (each u and -u), picking the angular gap
-    immediately clockwise of the offset at ``after_index``; a strictly
-    interior rational direction of that gap is rotated by exactly -90 degrees
-    and sign-fixed so the offset at ``after_index`` lands strictly below the
-    center.  No vertex of the order can tie with the center because the gap
-    contains no signed offset.
+    The line through the center with slope m misses every vertex, where m is
+    halfway between the slope at ``after_index`` and the next lower slope of
+    any vertex (that slope minus one when there is none).  The returned
+    ``m * u1 - u2`` gives an offset (x, y) the height ``m * x - y``, so
+    ``ordered[:after_index + 1]`` lands strictly below the center and the
+    rest of ``ordered`` strictly above.
     """
-    if not order.ordered:
-        raise InvalidInput("empty radial order")
     if not 0 <= after_index < len(order.ordered):
         raise InvalidInput("after_index out of range")
-
-    signed: List[Tuple[Tuple[Fraction, Fraction], int, int]] = []
-    for i, (_, off) in enumerate(order.ordered):
-        signed.append((off, i, +1))
-        signed.append(((-off[0], -off[1]), i, -1))
-    signed.sort(key=cmp_to_key(lambda a, b: _clockwise_cmp(a[0], b[0])))
-
-    pos = next(
-        i for i, (_, idx, sign) in enumerate(signed) if idx == after_index and sign == +1
-    )
-    u_a = signed[pos][0]
-    u_b = signed[(pos + 1) % len(signed)][0]
-
-    c = _cross2(u_a, u_b)
-    if c < 0:  # gap < pi
-        interior = (u_a[0] + u_b[0], u_a[1] + u_b[1])
-    elif c > 0:  # gap > pi (cannot happen once offsets are doubled)
-        interior = (-(u_a[0] + u_b[0]), -(u_a[1] + u_b[1]))
-    else:  # gap == pi: u_b is the antipode of u_a
-        interior = (u_a[1], -u_a[0])
-
-    s2 = (interior[1], -interior[0])
-    below = u_a[0] * s2[0] + u_a[1] * s2[1]
-    if below == 0:
-        raise DegeneratePosition("separating direction degenerate")  # unreachable
-    if below > 0:
-        s2 = (-s2[0], -s2[1])
-    return order.frame.embed(s2[0], s2[1])
+    x, y = order.ordered[after_index][1]
+    slope = y / x
+    lower = bisect_left(order.slopes, slope)
+    m = (slope + order.slopes[lower - 1]) / 2 if lower else slope - 1
+    return order.frame.embed(m, Fraction(-1))

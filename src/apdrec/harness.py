@@ -236,11 +236,3 @@ def verify_roundtrip(
         extra=extra,
         used_fallback_basis=stats.used_fallback_basis,
     )
-
-
-def verify_config(
-    config: GeneratorConfig, strict: bool = True, codim_zero: bool = False
-) -> VerificationReport:
-    return verify_roundtrip(
-        generate_complex(config), strict=strict, codim_zero=codim_zero
-    )

@@ -106,6 +106,15 @@ def test_cli_verify_exit_code(capsys):
     assert "2/2 trials passed" in out
 
 
+def test_cli_verify_has_no_strict_flag(capsys):
+    # Generated complexes never tie on e1, so verify is always strict.
+    for flag in ("--strict", "--no-strict"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag])
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_error_reporting(capsys, tmp_path):
     bad = tmp_path / "bad.cx"
     bad.write_text("dim 2\nvertices 1\n0 x y\nsimplices 0\n")
@@ -152,3 +161,19 @@ def test_cli_rejects_bad_directions(capsys, triangle_file, argv):
     code = main(argv + ["--complex", triangle_file])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("dim 2\nvertices 2\n0 0 0\n1 1 1\nsimplices 1\n0 0\n", 6),
+        ("dim 1\nvertices 3\n0 0\n1 1\n2 2\nsimplices 1\n0 1 2\n", 7),
+    ],
+    ids=["repeated-vertex", "too-many-vertices"],
+)
+def test_cli_rejects_bad_simplex_records_with_line(capsys, tmp_path, text, line):
+    bad = tmp_path / "bad.cx"
+    bad.write_text(text)
+    code = main(["stats", "--complex", str(bad)])
+    assert code == 2
+    assert f"line {line}" in capsys.readouterr().err

@@ -3,11 +3,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apdrec import (
     GeneratorConfig,
     InvalidInput,
     ParseError,
+    SimplicialComplex,
     build_complex,
     generate_complex,
     parse_complex,
@@ -131,6 +134,41 @@ def test_parse_ignores_comments_and_blanks():
     text = "# a comment\n\ndim 2\nvertices 1\n0 3 4  # trailing\n\nsimplices 0\n"
     K = parse_complex(text)
     assert K.vertices[0] == (3, 4)
+
+
+numbers = st.integers(-2, 4).map(str)
+junk = st.sampled_from(["x", "1/2", "-3/4", "1/0", "1.5", "dim", "vertices", "#", "0 0"])
+tokens = st.one_of(numbers, numbers, numbers, junk)
+records = st.lists(tokens, max_size=5).map(" ".join)
+id_records = st.lists(numbers, min_size=1, max_size=5).map(" ".join)
+headers = st.tuples(st.sampled_from(["dim", "vertices", "simplices"]), tokens).map(" ".join)
+
+
+@st.composite
+def complex_texts(draw):
+    """Header/record skeletons of the text format with junk spliced in."""
+    dim = draw(st.integers(0, 3))
+    n0 = draw(st.integers(-1, 4))
+    lines = [f"dim {dim}", f"vertices {n0}"]
+    coords = st.lists(tokens, min_size=max(dim, 0), max_size=max(dim, 0))
+    for vid in range(max(n0, 0)):
+        vertex = coords.map(lambda c, vid=vid: " ".join([str(vid)] + c))
+        lines.append(draw(st.one_of(vertex, vertex, records)))
+    m = draw(st.integers(-1, 3))
+    lines.append(f"simplices {m}")
+    lines.extend(draw(st.one_of(id_records, id_records, records)) for _ in range(max(m, 0)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.one_of(headers, records)))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(complex_texts())
+def test_parse_fuzz_returns_complex_or_parse_error(text):
+    try:
+        assert isinstance(parse_complex(text), SimplicialComplex)
+    except ParseError:
+        pass
 
 
 def test_roundtrip_random_complexes():

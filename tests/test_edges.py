@@ -135,8 +135,8 @@ def test_find_edges_random_graphs_with_split_instrumentation(monkeypatch):
     """Loop invariants observed at every split of every run.
 
     The halves partition the interval, their counts equal the true adjacency
-    inside each half, and every true edge endpoint radially before the
-    interval is already known.
+    inside each half, and every true edge endpoint below the vertex or
+    radially before the interval is already known.
     """
     real_split = split_wedge
 
@@ -146,6 +146,10 @@ def test_find_edges_random_graphs_with_split_instrumentation(monkeypatch):
         points = ordered_points(K)
 
         def checked(interval, known, order, oracle, pts):
+            below = [u for u in range(len(pts)) if pts[u][0] < pts[interval.vertex][0]]
+            for vid in below:
+                if tuple(sorted((interval.vertex, vid))) in truth:
+                    assert vid in known
             first = order.position(interval.candidates[0])
             for vid, _ in order.ordered[:first]:
                 if tuple(sorted((interval.vertex, vid))) in truth:

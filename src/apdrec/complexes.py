@@ -174,7 +174,10 @@ def serialize_complex(complex_: SimplicialComplex) -> str:
 
 
 def parse_complex(text: str) -> SimplicialComplex:
-    """Inverse of serialize_complex; applies downward closure on load."""
+    """Inverse of serialize_complex; applies downward closure on load.
+
+    The vertex records must use the ids 0..n0-1, each once.
+    """
     rows: List[Tuple[int, List[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -217,6 +220,8 @@ def parse_complex(text: str) -> SimplicialComplex:
             coords = tuple(parse_rational(t) for t in tokens[1:])
         except (ValueError, InvalidInput) as exc:
             raise ParseError(str(exc), lineno)
+        if not 0 <= vid < n0:
+            raise ParseError(f"vertex id {vid} outside 0..{n0 - 1}", lineno)
         if vid in vertex_points:
             raise ParseError(f"duplicate vertex id {vid}", lineno)
         vertex_points[vid] = coords

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .complexes import Simplex, SimplicialComplex, build_complex, proper_faces
+from .complexes import Simplex, SimplicialComplex, build_complex, facets, proper_faces
 from .edges import find_edges
 from .errors import DegeneratePosition, PreconditionViolated
 from .geometry import (
@@ -184,21 +184,30 @@ def _cofaces(
     points: Sequence[Vector],
     calls: Optional[List[Tuple[int, int]]],
 ) -> Set[Simplex]:
-    """Every sigma + v, for sigma in ``previous``, that the predicate confirms.
+    """The (k+1)-simplices whose k-facets are all in ``previous``, confirmed.
+
+    ``previous`` holds every k-simplex of the complex as a sorted tuple.  By
+    face closure a candidate with a facet missing from ``previous`` cannot
+    be a simplex, so it is never tested.  Every other candidate has
+    ``cand[:-1]`` in ``previous``, so extending each sigma only by vertices
+    above ``sigma[-1]`` reaches each candidate exactly once, as
+    ``is_simplex(cand[:-1], cand[-1], ...)``.
 
     Appends (k, queries) per predicate call to ``calls`` when one is given.
     """
+    known = set(previous)
     found: Set[Simplex] = set()
     for sigma in previous:
-        for vertex in range(len(points)):
-            if vertex in sigma:
+        for vertex in range(sigma[-1] + 1, len(points)):
+            candidate = sigma + (vertex,)
+            if not all(f in known for f in facets(candidate)):
                 continue
             mark = oracle.log.count
             hit = is_simplex(sigma, vertex, oracle, points)
             if calls is not None:
                 calls.append((len(sigma), oracle.log.count - mark))
             if hit:
-                found.add(tuple(sorted(sigma + (vertex,))))
+                found.add(candidate)
     return found
 
 
@@ -215,6 +224,13 @@ def reconstruct(
     closure, so the top dimension needs no prior knowledge).  With
     ``codim_zero`` the d-simplices are tested afterwards through
     ``oracle.lifted()`` on the lifted vertex points.
+
+    Within a dimension only closure-eligible candidates are tested: those
+    whose facets were all found one dimension down.  This is sound because
+    a complex is face-closed, so a simplex with an absent facet cannot
+    exist, and because the previous dimension was recovered exactly.  Each
+    eligible candidate is tested once, so the higher stage costs
+    2(2^k - 1) queries per eligible (k+1)-vertex candidate.
     """
     d = oracle.ambient_dim
     mark = oracle.log.count

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apdrec import parse_complex, serialize_complex
 from apdrec.cli import main
 
 from conftest import cx
+from test_complexes import complex_texts
 
 
 @pytest.fixture
@@ -177,3 +180,80 @@ def test_cli_rejects_bad_simplex_records_with_line(capsys, tmp_path, text, line)
     code = main(["stats", "--complex", str(bad)])
     assert code == 2
     assert f"line {line}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("dim 1\nvertices 3\n5 0\n7 1\n9 2\nsimplices 1\n5 7\n", 3),
+        ("dim 1\nvertices 2\n0 0\n-1 1\nsimplices 0\n", 4),
+    ],
+    ids=["sparse-id", "negative-id"],
+)
+def test_cli_rejects_vertex_ids_outside_dense_range(capsys, tmp_path, text, line):
+    bad = tmp_path / "bad.cx"
+    bad.write_text(text)
+    for command in ("stats", "reconstruct"):
+        code = main([command, "--complex", str(bad)])
+        assert code == 2
+        assert f"line {line}" in capsys.readouterr().err
+
+
+@st.composite
+def well_formed_texts(draw, dim):
+    """Files that parse, with coordinate ties and collinear points allowed."""
+    n0 = draw(st.integers(0, 5))
+    lines = [f"dim {dim}", f"vertices {n0}"]
+    coord = st.integers(-3, 3).map(str)
+    for vid in range(n0):
+        lines.append(" ".join([str(vid)] + draw(st.lists(coord, min_size=dim, max_size=dim))))
+    records = []
+    if n0:
+        simplex = st.sets(st.integers(0, n0 - 1), min_size=1, max_size=min(dim + 1, n0))
+        records = draw(st.lists(simplex, max_size=3))
+    lines.append(f"simplices {len(records)}")
+    lines.extend(" ".join(map(str, sorted(r))) for r in records)
+    return "\n".join(lines) + "\n"
+
+
+rational_tokens = st.one_of(
+    st.integers(-3, 3).map(str), st.sampled_from(["1/2", "-3/4", "1/0", "x", "", "1.5"])
+)
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(["stats", "apd", "curves"]))
+    dim = draw(st.integers(1, 3))
+    text = draw(st.one_of(well_formed_texts(dim), well_formed_texts(dim), complex_texts()))
+    direction = draw(st.one_of(
+        st.lists(st.integers(-3, 3).map(str), min_size=dim, max_size=dim).map(",".join),
+        st.lists(rational_tokens, max_size=4).map(",".join),
+        st.text(alphabet="0123456789/-,. ex", max_size=8),
+    ))
+    options = []
+    if command != "stats":
+        options.append(f"--dir={direction}")
+    if command == "curves":
+        options += ["--kind", draw(st.sampled_from(["betti", "euler"]))]
+    filtration_dim = draw(st.none() | st.integers(-1, 4))
+    if command != "stats" and filtration_dim is not None:
+        options += ["--dim", str(filtration_dim)]
+    return command, text, options
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.cx"
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_calls())
+def test_cli_fuzz_exits_zero_or_two(fuzz_file, call):
+    command, text, options = call
+    fuzz_file.write_text(text)
+    try:
+        code = main([command, "--complex", str(fuzz_file)] + options)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2)

@@ -166,9 +166,11 @@ def complex_texts(draw):
 @given(complex_texts())
 def test_parse_fuzz_returns_complex_or_parse_error(text):
     try:
-        assert isinstance(parse_complex(text), SimplicialComplex)
+        K = parse_complex(text)
     except ParseError:
-        pass
+        return
+    assert isinstance(K, SimplicialComplex)
+    assert sorted(K.vertices) == list(range(len(K.vertices)))
 
 
 def test_roundtrip_random_complexes():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -295,3 +296,84 @@ def test_codim_zero_driver_matches_standard_when_kappa_small():
         lifted_run = reconstruct(Oracle(K), codim_zero=True)
         assert standard.simplices == lifted_run.simplices
         assert standard.vertices == lifted_run.vertices
+
+
+# ---------------------------------------------------------------------------
+# closure pruning of the higher stage
+
+
+def closure_eligible(K, size):
+    """Vertex sets of the given size whose facets are all in K, by position."""
+    return {
+        frozenset(K.vertices[v] for v in cand)
+        for cand in combinations(sorted(K.vertices), size)
+        if all(f in K.simplices for f in combinations(cand, size - 1))
+    }
+
+
+def record_candidates(monkeypatch, K, **kwargs):
+    """Run reconstruct, recording each candidate the predicate is asked about.
+
+    The stages number vertices in their own order, so a candidate is
+    recorded as its set of vertex positions (lifted points cut back to R^d).
+    """
+    import apdrec.higher as higher_mod
+
+    real = higher_mod.is_simplex
+    d = K.ambient_dim
+    tested = []
+
+    def recording(sigma, vertex, oracle, points):
+        tested.append(frozenset(tuple(points[v][:d]) for v in sigma + (vertex,)))
+        return real(sigma, vertex, oracle, points)
+
+    monkeypatch.setattr(higher_mod, "is_simplex", recording)
+    stats = ReconstructionStats()
+    recovered = reconstruct(Oracle(K), stats=stats, **kwargs)
+    monkeypatch.undo()
+    assert complexes_match(recovered, K)
+    assert len(tested) == len(set(tested)), "a candidate was tested twice"
+    return tested, stats
+
+
+def test_higher_stage_tests_exactly_the_closure_eligible_candidates(monkeypatch):
+    from test_acceptance import _trial_configs
+
+    configs = [c for c in _trial_configs() if c.max_dim >= 2][::4]
+    assert {c.ambient_dim for c in configs} == {3, 4, 5}
+    for cfg in configs:
+        K = generate_complex(cfg)
+        tested, stats = record_candidates(monkeypatch, K)
+        eligible = set()
+        for k in range(2, cfg.ambient_dim):
+            by_k = closure_eligible(K, k + 1)
+            assert sum(1 for j, _ in stats.predicate_calls if j == k) == len(by_k)
+            eligible |= by_k
+        assert set(tested) == eligible
+        assert stats.lifted_predicate_calls == []
+
+
+def test_lifted_pass_tests_exactly_the_closure_eligible_candidates(monkeypatch):
+    K = generate_complex(
+        GeneratorConfig(
+            2, 7, 2, densities=[0.6, 0.6], seed=5, lift_general_position=True
+        )
+    )
+    tested, stats = record_candidates(monkeypatch, K, codim_zero=True)
+    eligible = closure_eligible(K, 3)
+    assert eligible and len(stats.lifted_predicate_calls) == len(eligible)
+    assert set(tested) == eligible
+    assert stats.predicate_calls == []
+
+
+def test_hollow_facet_tetrahedron_is_never_tested(monkeypatch):
+    # Triangle [1,2,3] is missing, so [0,1,2,3] has an absent facet;
+    # [0,1,2,4] is the one tetrahedron left for the k=3 predicate.
+    K = cx(
+        4,
+        [(0, 0, 0, 0), (1, 3, 1, 2), (2, 1, -1, 3), (3, 4, 2, -1), (4, -2, 3, 1)],
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 2, 4)],
+    )
+    tested, _ = record_candidates(monkeypatch, K)
+    tetrahedra = [c for c in tested if len(c) == 4]
+    assert tetrahedra == [frozenset(K.vertices[v] for v in (0, 1, 2, 4))]

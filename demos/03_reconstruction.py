@@ -10,7 +10,6 @@ budgets.
 from apdrec import (
     GeneratorConfig,
     Oracle,
-    ReconstructionStats,
     complexes_match,
     edge_query_bound,
     generate_complex,
@@ -26,17 +25,17 @@ print("hidden complex:",
       {k: truth.n_k(k) for k in range(truth.kappa + 1)}, "simplices by dim\n")
 
 oracle = Oracle(truth)
-stats = ReconstructionStats()
-recovered = reconstruct(oracle, stats=stats)
+recovered = reconstruct(oracle)  # each stage accounts for itself in oracle.log
 
 print("exact reconstruction:", complexes_match(recovered, truth))
 
 d, n0 = config.ambient_dim, config.vertex_count
-print(f"\nvertex stage:  {stats.vertex_queries} diagrams (budget: exactly {2*d-1})")
-print(f"edge stage:    {stats.edge_queries} diagrams "
+print(f"\nvertex stage:  {oracle.log.queries('vertices')} diagrams "
+      f"(budget: exactly {2*d-1})")
+print(f"edge stage:    {oracle.log.queries('edges')} diagrams "
       f"(budget: <= {edge_query_bound(truth, n0)})")
 by_k = {}
-for k, q in stats.predicate_calls:
+for k, q in oracle.log.predicate_calls:
     by_k.setdefault(k, []).append(q)
 for k, qs in sorted(by_k.items()):
     assert set(qs) == {2 * (2**k - 1)}

@@ -52,12 +52,7 @@ from .harness import (
     generate_complex,
     verify_roundtrip,
 )
-from .higher import (
-    ReconstructionStats,
-    compute_indegree,
-    is_simplex,
-    reconstruct,
-)
+from .higher import compute_indegree, is_simplex, reconstruct
 from .oracle import (
     INF,
     AugmentedDiagram,

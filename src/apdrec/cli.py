@@ -8,10 +8,11 @@ from fractions import Fraction
 
 from .complexes import parse_complex, serialize_complex, validate_general_position
 from .descriptors import betti_curve_from_apd, euler_curve_direct
+from .edges import find_edges
 from .errors import ApdrecError, ParseError
 from .geometry import format_rational
 from .harness import GeneratorConfig, generate_complex, verify_roundtrip
-from .higher import ReconstructionStats, reconstruct
+from .higher import reconstruct
 from .oracle import Oracle, compute_apd, format_diagram
 from .vertices import vertex_stage
 
@@ -61,37 +62,35 @@ def _cmd_curves(args) -> int:
 def _cmd_reconstruct(args) -> int:
     truth = _load_complex(args.complex)
     oracle = Oracle(truth)
-    stats = ReconstructionStats()
+    log = oracle.log
     if args.stage == "vertices":
         points, _ = vertex_stage(oracle, strict=args.strict)
         for p in points:
             print(" ".join(format_rational(x) for x in p))
-        print(f"# vertex queries: {oracle.log.count}")
+        print(f"# vertex queries: {log.queries('vertices')}")
         return 0
     if args.stage == "edges":
-        from .edges import find_edges
-
-        mark_points, frame = vertex_stage(oracle, strict=args.strict)
-        vertex_queries = oracle.log.count
-        edges = find_edges(mark_points, oracle, frame)
-        for a, b in sorted(edges):
+        points, frame = vertex_stage(oracle, strict=args.strict)
+        for a, b in sorted(find_edges(points, oracle, frame)):
             print(f"{a} {b}")
-        print(f"# vertex queries: {vertex_queries}")
-        print(f"# edge queries: {oracle.log.count - vertex_queries}")
+        print(f"# vertex queries: {log.queries('vertices')}")
+        print(f"# edge queries: {log.queries('edges')}")
         return 0
-    recovered = reconstruct(
-        oracle, strict=args.strict, codim_zero=args.codim_zero, stats=stats
-    )
+    recovered = reconstruct(oracle, strict=args.strict, codim_zero=args.codim_zero)
     sys.stdout.write(serialize_complex(recovered))
-    print(f"# vertex queries: {stats.vertex_queries}")
-    print(f"# edge queries: {stats.edge_queries}")
-    print(f"# higher-stage queries: {stats.higher_queries}")
-    if stats.lifted_predicate_calls:
-        print(f"# lifted queries: {sum(q for _, q in stats.lifted_predicate_calls)}")
+    # the lifted pass is the only one that calls the predicate with k == d
+    d = truth.ambient_dim
+    calls = [c for c in log.predicate_calls if c[0] < d]
+    lifted_calls = [c for c in log.predicate_calls if c[0] == d]
+    print(f"# vertex queries: {log.queries('vertices')}")
+    print(f"# edge queries: {log.queries('edges')}")
+    print(f"# higher-stage queries: {sum(q for _, q in calls)}")
+    if lifted_calls:
+        print(f"# lifted queries: {sum(q for _, q in lifted_calls)}")
     if args.stats:
-        for k, q in stats.predicate_calls:
+        for k, q in calls:
             print(f"# predicate dim={k} queries={q}")
-        for k, q in stats.lifted_predicate_calls:
+        for k, q in lifted_calls:
             print(f"# lifted predicate dim={k} queries={q}")
     return 0
 

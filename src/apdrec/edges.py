@@ -147,8 +147,10 @@ def find_edges(
     """All edges of the unknown complex, given the vertex locations.
 
     One shared query in the negated sweep direction feeds every vertex's
-    initial indegree; all remaining queries come from interval splits.
+    initial indegree; all remaining queries come from interval splits.  The
+    queries are logged in an "edges" span.
     """
+    oracle.log.open("edges")
     if frame is None:
         frame = standard_frame(oracle.ambient_dim)
     sweep_diagram = oracle.query(vneg(frame.u1))

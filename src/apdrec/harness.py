@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .complexes import Simplex, SimplicialComplex, build_complex
 from .errors import GenerationFailure, InvalidInput
 from .geometry import Vector, _rref, vsub
-from .higher import ReconstructionStats, reconstruct
+from .higher import reconstruct
 from .oracle import Oracle, lift_point
 
 
@@ -145,7 +145,6 @@ class VerificationReport:
     vertex_queries: int
     edge_queries: int
     predicate_calls: List[Tuple[int, int]]
-    lifted_predicate_calls: List[Tuple[int, int]]
     total_queries: int
     vertex_bound_ok: bool
     edge_bound: int
@@ -195,12 +194,15 @@ def verify_roundtrip(
     strict: bool = True,
     codim_zero: bool = False,
 ) -> VerificationReport:
-    """Reconstruct from a fresh oracle over the truth and audit everything."""
+    """Reconstruct from a fresh oracle over the truth and audit everything.
+
+    The query counts come from the oracle's log.  Whether the vertex stage
+    needed the tilted basis is read off the truth (first coordinates not all
+    distinct), not from the code under audit.
+    """
     oracle = Oracle(truth)
-    stats = ReconstructionStats()
-    recovered = reconstruct(
-        oracle, strict=strict, codim_zero=codim_zero, stats=stats
-    )
+    recovered = reconstruct(oracle, strict=strict, codim_zero=codim_zero)
+    log = oracle.log
 
     mapping = _relabel(recovered, truth)
     if mapping is None:
@@ -216,23 +218,23 @@ def verify_roundtrip(
 
     d = truth.ambient_dim
     n0 = len(truth.vertices)
-    expected_vertex = 2 * d - 1 + (2 if stats.used_fallback_basis else 0)
+    first = {p[0] for p in truth.vertices.values()}
+    used_fallback = len(first) != n0
+    vertex_queries = log.queries("vertices")
+    edge_queries = log.queries("edges")
+    predicate_calls = log.predicate_calls
     bound = edge_query_bound(truth, n0)
-    predicate_ok = all(q == 2 * (2**k - 1) for k, q in stats.predicate_calls) and all(
-        q == 2 * (2**k - 1) for k, q in stats.lifted_predicate_calls
-    )
     return VerificationReport(
         exact_match=exact,
-        vertex_queries=stats.vertex_queries,
-        edge_queries=stats.edge_queries,
-        predicate_calls=stats.predicate_calls,
-        lifted_predicate_calls=stats.lifted_predicate_calls,
-        total_queries=oracle.log.count,
-        vertex_bound_ok=stats.vertex_queries == expected_vertex,
+        vertex_queries=vertex_queries,
+        edge_queries=edge_queries,
+        predicate_calls=predicate_calls,
+        total_queries=log.count,
+        vertex_bound_ok=vertex_queries == 2 * d - 1 + (2 if used_fallback else 0),
         edge_bound=bound,
-        edge_bound_ok=stats.edge_queries <= bound,
-        predicate_bound_ok=predicate_ok,
+        edge_bound_ok=edge_queries <= bound,
+        predicate_bound_ok=all(q == 2 * (2**k - 1) for k, q in predicate_calls),
         missing=missing,
         extra=extra,
-        used_fallback_basis=stats.used_fallback_basis,
+        used_fallback_basis=used_fallback,
     )

@@ -11,9 +11,7 @@ counts differ by one precisely when the candidate simplex exists.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from .complexes import Simplex, SimplicialComplex, build_complex, facets, proper_faces
 from .edges import find_edges
@@ -21,7 +19,6 @@ from .errors import DegeneratePosition, PreconditionViolated
 from .geometry import (
     Direction,
     Vector,
-    basis_vector,
     dot,
     orthogonal_to_affine_hull,
     primitive_direction,
@@ -129,20 +126,15 @@ def is_simplex(
     Builds the wedge anchored at sigma whose two boundary directions place
     the candidate vertex below respectively above sigma while every other
     vertex stays on one fixed side, then compares the two k-indegrees.
-    Exactly 2 * (2^k - 1) logged queries for a k-simplex test.
+    Exactly 2 * (2^k - 1) logged queries for a k-simplex test, in one span
+    of the log labelled k.  An affinely dependent candidate raises
+    DegeneratePosition before any query.
     """
     if vertex in sigma:
         raise PreconditionViolated("candidate vertex already in the simplex")
     k = len(sigma)
     candidate = tuple(sorted(sigma + (vertex,)))
     cand_points = [points[v] for v in candidate]
-    try:
-        orthogonal_to_affine_hull(cand_points)
-    except DegeneratePosition:
-        warnings.warn(
-            f"candidate {candidate} is affinely dependent; not a geometric simplex"
-        )
-        return False
     s_star = _isolating_direction(candidate, oracle, points)
 
     sigma_points = [points[v] for v in sigma]
@@ -154,6 +146,7 @@ def is_simplex(
     flipped = tilt([-h for h in star_heights], third_heights, vneg(s_star), s3)
     s_upper = primitive_direction(vneg(flipped))
 
+    oracle.log.open(k)
     upper = compute_indegree(sigma, s_upper, k, {}, oracle, points)
     lower = compute_indegree(sigma, s_lower, k, {}, oracle, points)
     return abs(upper - lower) == 1
@@ -163,26 +156,10 @@ def is_simplex(
 # drivers
 
 
-@dataclass
-class ReconstructionStats:
-    """Query accounting per stage, filled in by the drivers."""
-
-    vertex_queries: int = 0
-    edge_queries: int = 0
-    predicate_calls: List[Tuple[int, int]] = field(default_factory=list)
-    lifted_predicate_calls: List[Tuple[int, int]] = field(default_factory=list)
-    used_fallback_basis: bool = False
-
-    @property
-    def higher_queries(self) -> int:
-        return sum(q for _, q in self.predicate_calls)
-
-
 def _cofaces(
     previous: Sequence[Simplex],
     oracle: Oracle,
     points: Sequence[Vector],
-    calls: Optional[List[Tuple[int, int]]],
 ) -> Set[Simplex]:
     """The (k+1)-simplices whose k-facets are all in ``previous``, confirmed.
 
@@ -192,8 +169,6 @@ def _cofaces(
     ``cand[:-1]`` in ``previous``, so extending each sigma only by vertices
     above ``sigma[-1]`` reaches each candidate exactly once, as
     ``is_simplex(cand[:-1], cand[-1], ...)``.
-
-    Appends (k, queries) per predicate call to ``calls`` when one is given.
     """
     known = set(previous)
     found: Set[Simplex] = set()
@@ -202,11 +177,7 @@ def _cofaces(
             candidate = sigma + (vertex,)
             if not all(f in known for f in facets(candidate)):
                 continue
-            mark = oracle.log.count
-            hit = is_simplex(sigma, vertex, oracle, points)
-            if calls is not None:
-                calls.append((len(sigma), oracle.log.count - mark))
-            if hit:
+            if is_simplex(sigma, vertex, oracle, points):
                 found.add(candidate)
     return found
 
@@ -215,7 +186,6 @@ def reconstruct(
     oracle: Oracle,
     strict: bool = True,
     codim_zero: bool = False,
-    stats: Optional[ReconstructionStats] = None,
 ) -> SimplicialComplex:
     """Recover the full unknown complex from oracle queries alone.
 
@@ -231,35 +201,29 @@ def reconstruct(
     exist, and because the previous dimension was recovered exactly.  Each
     eligible candidate is tested once, so the higher stage costs
     2(2^k - 1) queries per eligible (k+1)-vertex candidate.
+
+    The stages account for their queries in ``oracle.log``: the spans
+    "vertices" and "edges", then one span per predicate call labelled k.
+    The lifted calls share that log and are the ones with k == d.
     """
     d = oracle.ambient_dim
-    mark = oracle.log.count
     points, frame = vertex_stage(oracle, strict)
-    if stats is not None:
-        stats.vertex_queries = oracle.log.count - mark
-        stats.used_fallback_basis = frame.u1 != basis_vector(d, 0)
-
-    mark = oracle.log.count
     edges = find_edges(points, oracle, frame)
-    if stats is not None:
-        stats.edge_queries = oracle.log.count - mark
 
     simplices: Set[Simplex] = {(v,) for v in range(len(points))}
     simplices.update(edges)
     previous: List[Simplex] = sorted(edges)
 
-    calls = stats.predicate_calls if stats is not None else None
     dim = 2
     while previous and dim <= d - 1:
-        found = _cofaces(previous, oracle, points, calls)
+        found = _cofaces(previous, oracle, points)
         simplices.update(found)
         previous = sorted(found)
         dim += 1
 
     if codim_zero and previous and dim == d:
-        calls = stats.lifted_predicate_calls if stats is not None else None
         lifted_points = [lift_point(p) for p in points]
-        simplices.update(_cofaces(previous, oracle.lifted(), lifted_points, calls))
+        simplices.update(_cofaces(previous, oracle.lifted(), lifted_points))
 
     vertex_map = {i: points[i] for i in range(len(points))}
     return build_complex(d, vertex_map, simplices)

@@ -5,8 +5,10 @@ the complex shows up as exactly one birth or death event.  Pairing is plain
 left-to-right boundary-matrix reduction over Z/2 on a compatible index
 filtration; columns are bitmask integers.
 
-The oracle answers every query from scratch and logs it once; a request that
-is restricted to one dimension is the same logical query as the full diagram.
+The oracle answers every query from scratch and logs it once.  The log is
+the one accounting object of a reconstruction: each stage opens a labelled
+span, and every answered query counts in the latest span.  The lifted oracle
+of the codimension-zero pass shares the log of the oracle it came from.
 """
 
 from __future__ import annotations
@@ -197,21 +199,40 @@ def lift_point(point: Vector) -> Vector:
 
 @dataclass
 class QueryLog:
-    """Per-direction accounting: one increment per logical diagram request.
+    """Every answered query, in order, attributed to the span open at the time.
+
+    ``spans`` is the ordered list of [label, queries] pairs.  ``open`` starts
+    a span, and each later query counts in it until the next one opens.  The
+    vertex and edge stages open "vertices" and "edges"; each simplex
+    predicate call opens one span labelled with its k.
 
     Diagram computation itself is pure; concurrent querying is safe exactly
-    when these increments are serialized or atomic (default use is
-    single-threaded).
+    when the records are serialized (default use is single-threaded).
     """
 
     directions: List[Direction] = field(default_factory=list)
+    spans: List[list] = field(default_factory=list)
 
     @property
     def count(self) -> int:
         return len(self.directions)
 
+    def open(self, label) -> None:
+        self.spans.append([label, 0])
+
     def record(self, direction: Direction) -> None:
         self.directions.append(tuple(direction))
+        if self.spans:
+            self.spans[-1][1] += 1
+
+    def queries(self, label) -> int:
+        """Queries answered in all spans with the given label."""
+        return sum(q for span_label, q in self.spans if span_label == label)
+
+    @property
+    def predicate_calls(self) -> List[Tuple[int, int]]:
+        """(k, queries) of each simplex predicate call, in call order."""
+        return [(k, q) for k, q in self.spans if isinstance(k, int)]
 
 
 class Oracle:
@@ -229,14 +250,16 @@ class Oracle:
     def ambient_dim(self) -> int:
         return self._complex.ambient_dim
 
-    def query(self, direction, dim_filter: Optional[int] = None) -> AugmentedDiagram:
+    def query(self, direction) -> AugmentedDiagram:
         dgm = compute_apd(self._complex, direction)
         self.log.record(dgm.direction)
-        return dgm if dim_filter is None else dgm.restrict(dim_filter)
+        return dgm
 
     def lifted(self) -> "Oracle":
-        """Oracle answering for the parabolic lift, with its own log."""
-        return Oracle(lift(self._complex))
+        """Oracle answering for the parabolic lift; it shares this log."""
+        lifted = Oracle(lift(self._complex))
+        lifted.log = self.log
+        return lifted
 
 
 # ---------------------------------------------------------------------------

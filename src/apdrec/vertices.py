@@ -54,7 +54,7 @@ def find_coordinate(
     if base_direction is None:
         base_direction = basis_vector(d, 0)
     if target_births is None:
-        target_births = oracle.query(e_i, 0).births(0)
+        target_births = oracle.query(e_i).births(0)
     if len(target_births) != len(base_heights):
         raise OracleInconsistency("birth counts differ between directions")
 
@@ -62,7 +62,7 @@ def find_coordinate(
     eps = Fraction(1, 2) if crossing is None else crossing / 2
     s_t = tuple((1 - eps) * a + eps * b for a, b in zip(base_direction, e_i))
 
-    tilted_births = oracle.query(s_t, 0).births(0)
+    tilted_births = oracle.query(s_t).births(0)
     if len(tilted_births) != len(base_heights):
         raise OracleInconsistency("birth counts differ between directions")
     return [
@@ -95,11 +95,13 @@ def vertex_stage(
     standard run).  With ``strict`` a first-axis height collision raises
     GeneralPositionViolated; otherwise the run switches to the tilted basis
     of create_unique_height_basis, reusing the diagrams already queried.
-    Issues 2d - 1 logged queries, plus 2 on the fallback.
+    Issues 2d - 1 logged queries, plus 2 on the fallback, all in a
+    "vertices" span of the log.
     """
+    oracle.log.open("vertices")
     d = oracle.ambient_dim
     e1 = basis_vector(d, 0)
-    births1 = oracle.query(e1, 0).births(0)
+    births1 = oracle.query(e1).births(0)
 
     if len(set(births1)) == len(births1):
         columns: CoordinateTable = [births1]
@@ -111,9 +113,9 @@ def vertex_stage(
     if strict:
         raise GeneralPositionViolated("duplicate vertex heights in direction e1")
 
-    births2 = oracle.query(basis_vector(d, 1), 0).births(0)
+    births2 = oracle.query(basis_vector(d, 1)).births(0)
     b1, b2 = create_unique_height_basis(births1, births2, d)[:2]
-    base_births = oracle.query(b1, 0).births(0)
+    base_births = oracle.query(b1).births(0)
     if len(set(base_births)) != len(base_births):
         raise GeneralPositionViolated(
             "two vertices share a projection onto the (e1, e2) plane"

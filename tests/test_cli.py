@@ -103,6 +103,39 @@ def test_cli_reconstruct_stages(capsys, triangle_file):
     assert "# lifted queries:" in out
 
 
+def counts_after(out, prefix):
+    """The integers ending the output lines that start with the prefix."""
+    return [int(l.split()[-1].split("=")[-1]) for l in out.splitlines()
+            if l.startswith(prefix)]
+
+
+def test_cli_reconstruct_ledger_agrees_across_stages(capsys, triangle_file):
+    counts = {}
+    for stage in ("vertices", "edges", "full"):
+        code, out = run(
+            capsys, "reconstruct", "--complex", triangle_file,
+            "--stage", stage, "--stats",
+        )
+        assert code == 0
+        counts[stage] = (
+            counts_after(out, "# vertex queries:"),
+            counts_after(out, "# edge queries:"),
+        )
+    assert counts["vertices"][0] == counts["edges"][0] == counts["full"][0] == [3]
+    assert counts["edges"][1] == counts["full"][1] != []
+    assert counts["vertices"][1] == []
+
+    code, out = run(
+        capsys,
+        "reconstruct", "--complex", triangle_file, "--codim-zero", "--stats",
+    )
+    assert code == 0
+    lifted = counts_after(out, "# lifted queries:")
+    per_call = counts_after(out, "# lifted predicate dim=")
+    assert lifted == [sum(per_call)] and per_call == [6]
+    assert counts_after(out, "# higher-stage queries:") == [0]
+
+
 def test_cli_verify_exit_code(capsys):
     code, out = run(capsys, "verify", "--trials", "2", "--seed", "7")
     assert code == 0

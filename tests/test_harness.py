@@ -77,7 +77,34 @@ def test_verify_tetrahedron_boundary_in_r4():
 def test_verify_codim_zero_filled_triangle(filled_triangle_r2):
     report = verify_roundtrip(filled_triangle_r2, codim_zero=True)
     assert report.exact_match
-    assert report.lifted_predicate_calls  # the d-stage actually ran
+    assert any(k == 2 for k, _ in report.predicate_calls)  # the d-stage ran
+
+
+def assert_ledger_adds_up(report):
+    predicate_queries = sum(q for _, q in report.predicate_calls)
+    assert report.total_queries == (
+        report.vertex_queries + report.edge_queries + predicate_queries
+    )
+
+
+def test_accounting_identity_standard_run():
+    from test_acceptance import _trial_configs
+
+    cfg = next(c for c in _trial_configs() if c.max_dim >= 2)
+    report = verify_roundtrip(generate_complex(cfg))
+    assert report.exact_match and report.all_bounds_ok
+    assert report.predicate_calls
+    assert_ledger_adds_up(report)
+
+
+def test_accounting_identity_codim_zero_counts_lifted_queries(filled_triangle_r2):
+    report = verify_roundtrip(filled_triangle_r2, codim_zero=True)
+    assert report.exact_match and report.all_bounds_ok
+    # 3 vertex diagrams, 2 edge diagrams, one k=2 predicate call of 6 diagrams
+    assert report.vertex_queries == 3 and report.edge_queries == 2
+    assert report.predicate_calls == [(2, 6)]
+    assert report.total_queries == 11
+    assert_ledger_adds_up(report)
 
 
 def test_verify_adversarial_e1_ties():

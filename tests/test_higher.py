@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from apdrec import (
+    DegeneratePosition,
     GeneratorConfig,
     Oracle,
     PreconditionViolated,
@@ -16,7 +17,7 @@ from apdrec import (
     reconstruct,
 )
 from apdrec.complexes import proper_faces
-from apdrec.higher import ReconstructionStats, _isolating_direction
+from apdrec.higher import _isolating_direction
 from apdrec.oracle import lift_point
 
 from bruteforce import brute_coface_count
@@ -168,6 +169,24 @@ def test_is_simplex_query_budget():
         assert oracle.log.count == 2 * (2**k - 1)
 
 
+def test_is_simplex_logs_one_span_per_call():
+    K = kindegree_figure_complex()
+    points = id_points(K)
+    oracle = Oracle(K)
+    is_simplex((0, 1), 2, oracle, points)
+    is_simplex((0, 1, 2), 3, oracle, points)
+    assert oracle.log.predicate_calls == [(2, 6), (3, 14)]
+
+
+def test_is_simplex_raises_on_affinely_dependent_candidate():
+    K = cx(3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)], [(0, 1)])
+    oracle = Oracle(K)
+    with pytest.raises(DegeneratePosition):
+        is_simplex((0, 1), 2, oracle, id_points(K))
+    assert oracle.log.count == 0
+    assert oracle.log.predicate_calls == []
+
+
 def test_is_simplex_agrees_with_membership_random():
     for seed in range(3):
         K = generate_complex(
@@ -267,10 +286,10 @@ def test_reconstruct_filled_triangle_in_r3():
 
 def test_reconstruct_point_cloud_stops_after_edges():
     K = generate_complex(GeneratorConfig(3, 5, 0, densities=[], seed=3))
-    stats = ReconstructionStats()
-    recovered = reconstruct(Oracle(K), stats=stats)
+    oracle = Oracle(K)
+    recovered = reconstruct(oracle)
     assert complexes_match(recovered, K)
-    assert stats.predicate_calls == []
+    assert oracle.log.predicate_calls == []
 
 
 def test_reconstruct_codim_zero_filled_triangle(filled_triangle_r2):
@@ -328,12 +347,12 @@ def record_candidates(monkeypatch, K, **kwargs):
         return real(sigma, vertex, oracle, points)
 
     monkeypatch.setattr(higher_mod, "is_simplex", recording)
-    stats = ReconstructionStats()
-    recovered = reconstruct(Oracle(K), stats=stats, **kwargs)
+    oracle = Oracle(K)
+    recovered = reconstruct(oracle, **kwargs)
     monkeypatch.undo()
     assert complexes_match(recovered, K)
     assert len(tested) == len(set(tested)), "a candidate was tested twice"
-    return tested, stats
+    return tested, oracle.log.predicate_calls
 
 
 def test_higher_stage_tests_exactly_the_closure_eligible_candidates(monkeypatch):
@@ -343,14 +362,14 @@ def test_higher_stage_tests_exactly_the_closure_eligible_candidates(monkeypatch)
     assert {c.ambient_dim for c in configs} == {3, 4, 5}
     for cfg in configs:
         K = generate_complex(cfg)
-        tested, stats = record_candidates(monkeypatch, K)
+        tested, calls = record_candidates(monkeypatch, K)
         eligible = set()
         for k in range(2, cfg.ambient_dim):
             by_k = closure_eligible(K, k + 1)
-            assert sum(1 for j, _ in stats.predicate_calls if j == k) == len(by_k)
+            assert sum(1 for j, _ in calls if j == k) == len(by_k)
             eligible |= by_k
         assert set(tested) == eligible
-        assert stats.lifted_predicate_calls == []
+        assert all(k < cfg.ambient_dim for k, _ in calls)  # no lifted call
 
 
 def test_lifted_pass_tests_exactly_the_closure_eligible_candidates(monkeypatch):
@@ -359,11 +378,12 @@ def test_lifted_pass_tests_exactly_the_closure_eligible_candidates(monkeypatch):
             2, 7, 2, densities=[0.6, 0.6], seed=5, lift_general_position=True
         )
     )
-    tested, stats = record_candidates(monkeypatch, K, codim_zero=True)
+    tested, calls = record_candidates(monkeypatch, K, codim_zero=True)
     eligible = closure_eligible(K, 3)
-    assert eligible and len(stats.lifted_predicate_calls) == len(eligible)
+    # d = 2 has no standard higher stage: every call is a lifted one
+    assert all(k == 2 for k, _ in calls)
+    assert eligible and len(calls) == len(eligible)
     assert set(tested) == eligible
-    assert stats.predicate_calls == []
 
 
 def test_hollow_facet_tetrahedron_is_never_tested(monkeypatch):

@@ -189,8 +189,28 @@ def test_query_log_counts_one_per_logical_request():
     assert full.in_dim(0) and oracle.log.count == 1
     oracle.query((0, 1))
     assert oracle.log.count == 2
-    empty = oracle.query(E1, dim_filter=5)
+    empty = oracle.query(E1).restrict(5)
     assert empty.points == () and oracle.log.count == 3
+
+
+def test_query_log_attributes_queries_to_the_latest_span():
+    oracle = Oracle(edge_complex())
+    log = oracle.log
+    oracle.query(E1)  # before any span: counted, attributed to none
+    log.open("vertices")
+    oracle.query(E1)
+    oracle.query((0, 1))
+    log.open(2)
+    oracle.query((1, 1))
+    log.open("vertices")
+    oracle.query((1, 2))
+    assert log.count == 5
+    assert log.spans == [["vertices", 2], [2, 1], ["vertices", 1]]
+    assert log.queries("vertices") == 3 and log.queries("edges") == 0
+    assert log.predicate_calls == [(2, 1)]
+    log.open(2)
+    oracle.lifted().query((1, 1, -1))  # the lifted oracle shares the log
+    assert log.count == 6 and log.predicate_calls == [(2, 1), (2, 1)]
 
 
 def test_oracle_rescales_scaled_duplicates_exactly():
@@ -251,4 +271,4 @@ def test_query_lifted_matches_manual_lift():
     direct = compute_apd(lift(K), direction)
     assert via_helper.multiset() == direct.multiset()
     assert oracle.log.count == 1
-    assert oracle.query(direction, dim_filter=5).points == ()
+    assert oracle.query(direction).restrict(5).points == ()

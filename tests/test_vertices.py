@@ -21,7 +21,7 @@ def test_find_coordinate_hand_trace():
     # vertices (0,0) and (1,2): eps = 1/6, tilt (5/6, 1/6), births [0, 7/6]
     K = cx(2, [(0, 0), (1, 2)], [])
     oracle = Oracle(K)
-    base = oracle.query((1, 0), 0).births(0)
+    base = oracle.query((1, 0)).births(0)
     assert base == [0, 1]
     xs = find_coordinate(2, base, oracle)
     assert xs == [0, 2]
@@ -32,7 +32,7 @@ def test_find_coordinate_hand_trace():
 def test_find_coordinate_single_vertex():
     K = cx(3, [(4, -2, F(1, 3))], [])
     oracle = Oracle(K)
-    base = oracle.query((1, 0, 0), 0).births(0)
+    base = oracle.query((1, 0, 0)).births(0)
     assert find_coordinate(2, base, oracle) == [-2]
     assert find_coordinate(3, base, oracle) == [F(1, 3)]
 
@@ -41,7 +41,7 @@ def test_find_coordinate_with_target_ties():
     # equal second coordinates: ties in the target direction are fine
     K = cx(2, [(0, 5), (1, 5)], [])
     oracle = Oracle(K)
-    base = oracle.query((1, 0), 0).births(0)
+    base = oracle.query((1, 0)).births(0)
     assert find_coordinate(2, base, oracle) == [5, 5]
 
 
@@ -100,7 +100,7 @@ def test_fallback_basis_recovers_despite_ties():
 def axis_births(oracle):
     """Dimension-0 births in e1 and e2: two logged queries."""
     e1, e2 = (basis_vector(oracle.ambient_dim, j) for j in (0, 1))
-    return oracle.query(e1, 0).births(0), oracle.query(e2, 0).births(0)
+    return oracle.query(e1).births(0), oracle.query(e2).births(0)
 
 
 def test_create_unique_height_basis_separates_ties():

@@ -9,7 +9,7 @@ from fractions import Fraction
 from .complexes import parse_complex, serialize_complex, validate_general_position
 from .descriptors import betti_curve_from_apd, euler_curve_direct
 from .edges import find_edges
-from .errors import ApdrecError, ParseError
+from .errors import ApdrecError, InvalidInput, ParseError
 from .geometry import format_rational
 from .harness import GeneratorConfig, generate_complex, verify_roundtrip
 from .higher import reconstruct
@@ -64,19 +64,19 @@ def _cmd_reconstruct(args) -> int:
     oracle = Oracle(truth)
     log = oracle.log
     if args.stage == "vertices":
-        points, _ = vertex_stage(oracle, strict=args.strict)
+        points, _, _ = vertex_stage(oracle)
         for p in points:
             print(" ".join(format_rational(x) for x in p))
         print(f"# vertex queries: {log.queries('vertices')}")
         return 0
     if args.stage == "edges":
-        points, frame = vertex_stage(oracle, strict=args.strict)
+        points, frame, _ = vertex_stage(oracle)
         for a, b in sorted(find_edges(points, oracle, frame)):
             print(f"{a} {b}")
         print(f"# vertex queries: {log.queries('vertices')}")
         print(f"# edge queries: {log.queries('edges')}")
         return 0
-    recovered = reconstruct(oracle, strict=args.strict, codim_zero=args.codim_zero)
+    recovered = reconstruct(oracle)
     sys.stdout.write(serialize_complex(recovered))
     # the lifted pass is the only one that calls the predicate with k == d
     d = truth.ambient_dim
@@ -96,7 +96,10 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    densities = [float(x) for x in args.density.split(",")] if args.density else [0.5]
+    try:
+        densities = [float(x) for x in (args.density or "0.5").split(",")]
+    except ValueError:
+        raise ParseError(f"bad density list {args.density!r}")
     config = GeneratorConfig(
         ambient_dim=args.dim,
         vertex_count=args.n0,
@@ -104,13 +107,15 @@ def _cmd_generate(args) -> int:
         densities=densities,
         seed=args.seed,
         coordinate_denominator_bound=args.denominator_bound,
-        lift_general_position=args.codim_zero,
+        lift_general_position=args.lift_general_position,
     )
     sys.stdout.write(serialize_complex(generate_complex(config)))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise InvalidInput("--trials must be nonnegative")
     failures = 0
     for trial in range(args.trials):
         seed = args.seed + trial
@@ -122,9 +127,8 @@ def _cmd_verify(args) -> int:
             max_dim=kappa,
             densities=[0.5, 0.6, 0.6],
             seed=seed,
-            lift_general_position=args.codim_zero,
         )
-        report = verify_roundtrip(generate_complex(config), codim_zero=args.codim_zero)
+        report = verify_roundtrip(generate_complex(config))
         ok = report.exact_match and report.all_bounds_ok
         failures += 0 if ok else 1
         print(
@@ -174,11 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="reconstruct a complex from its oracle")
     p.add_argument("--complex", required=True)
-    p.add_argument("--codim-zero", action="store_true")
     p.add_argument("--stage", choices=["vertices", "edges", "full"], default="full")
     p.add_argument("--stats", action="store_true")
-    p.add_argument("--no-strict", dest="strict", action="store_false")
-    p.set_defaults(func=_cmd_reconstruct, strict=True)
+    p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("generate", help="random general-position complex")
     p.add_argument("--seed", type=int, default=0)
@@ -187,14 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--density", default=None, help="comma separated per dimension")
     p.add_argument("--denominator-bound", type=int, default=64)
-    p.add_argument("--codim-zero", action="store_true")
+    p.add_argument("--codim-zero", dest="lift_general_position", action="store_true")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="seeded round-trip verification")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kappa", type=int, default=3)
-    p.add_argument("--codim-zero", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="complex statistics and position report")

@@ -85,6 +85,8 @@ def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
         raise InvalidInput("simplices cannot exceed the ambient dimension")
     if any(not 0 <= float(x) <= 1 for x in config.densities):
         raise InvalidInput("densities must lie in [0, 1]")
+    if config.coordinate_denominator_bound < 1:
+        raise InvalidInput("coordinate denominator bound must be at least 1")
     rng = random.Random(config.seed)
     bound = config.coordinate_denominator_bound
     span = 4 * bound
@@ -189,11 +191,7 @@ def complexes_match(recovered: SimplicialComplex, truth: SimplicialComplex) -> b
     return remapped == set(truth.simplices)
 
 
-def verify_roundtrip(
-    truth: SimplicialComplex,
-    strict: bool = True,
-    codim_zero: bool = False,
-) -> VerificationReport:
+def verify_roundtrip(truth: SimplicialComplex) -> VerificationReport:
     """Reconstruct from a fresh oracle over the truth and audit everything.
 
     The query counts come from the oracle's log.  Whether the vertex stage
@@ -201,7 +199,7 @@ def verify_roundtrip(
     distinct), not from the code under audit.
     """
     oracle = Oracle(truth)
-    recovered = reconstruct(oracle, strict=strict, codim_zero=codim_zero)
+    recovered = reconstruct(oracle)
     log = oracle.log
 
     mapping = _relabel(recovered, truth)

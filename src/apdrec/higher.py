@@ -33,6 +33,15 @@ from .vertices import vertex_stage
 IndegreeMemo = Dict[Simplex, int]
 
 
+def _tilt_over(
+    points: Sequence[Vector], s: Direction, s_prime: Direction
+) -> Direction:
+    """Primitive tilt from s towards s_prime, with heights over all points."""
+    heights = [dot(s, p) for p in points]
+    heights_prime = [dot(s_prime, p) for p in points]
+    return primitive_direction(tilt(heights, heights_prime, s, s_prime))
+
+
 def compute_indegree(
     sigma: Simplex,
     direction: Direction,
@@ -66,7 +75,6 @@ def compute_indegree(
     delta = dgm.count_at(k, height)
     double_counts = 0
     sigma_points = [points[v] for v in sigma]
-    all_heights = None
     for tau in proper_faces(sigma):
         if tau not in memo:
             if _depth:
@@ -77,12 +85,7 @@ def compute_indegree(
             s_prime = second_perpendicular_direction(
                 points, sigma_points, tau_points, direction
             )
-            if all_heights is None:
-                all_heights = [dot(direction, p) for p in points]
-            prime_heights = [dot(s_prime, p) for p in points]
-            tilted = primitive_direction(
-                tilt(all_heights, prime_heights, direction, s_prime)
-            )
+            tilted = _tilt_over(points, direction, s_prime)
             memo[tau] = compute_indegree(
                 tau, tilted, k, memo, oracle, points, _depth + 1
             )
@@ -113,9 +116,7 @@ def _isolating_direction(
         )
     level_points = [points[u] for u in level_ids]
     s2 = second_perpendicular_direction(points, level_points, cand_points, s1)
-    h1 = [dot(s1, p) for p in points]
-    h2 = [dot(s2, p) for p in points]
-    return primitive_direction(tilt(h1, h2, s1, s2))
+    return _tilt_over(points, s1, s2)
 
 
 def is_simplex(
@@ -140,11 +141,8 @@ def is_simplex(
     sigma_points = [points[v] for v in sigma]
     s3 = second_perpendicular_direction(points, cand_points, sigma_points, s_star)
 
-    star_heights = [dot(s_star, p) for p in points]
-    third_heights = [dot(s3, p) for p in points]
-    s_lower = primitive_direction(tilt(star_heights, third_heights, s_star, s3))
-    flipped = tilt([-h for h in star_heights], third_heights, vneg(s_star), s3)
-    s_upper = primitive_direction(vneg(flipped))
+    s_lower = _tilt_over(points, s_star, s3)
+    s_upper = _tilt_over(points, s_star, vneg(s3))
 
     oracle.log.open(k)
     upper = compute_indegree(sigma, s_upper, k, {}, oracle, points)
@@ -182,18 +180,16 @@ def _cofaces(
     return found
 
 
-def reconstruct(
-    oracle: Oracle,
-    strict: bool = True,
-    codim_zero: bool = False,
-) -> SimplicialComplex:
+def reconstruct(oracle: Oracle) -> SimplicialComplex:
     """Recover the full unknown complex from oracle queries alone.
 
     Vertices, then edges, then each higher dimension i while the previous
     one is nonempty and i <= d - 1 (emptiness propagates upward by face
-    closure, so the top dimension needs no prior knowledge).  With
-    ``codim_zero`` the d-simplices are tested afterwards through
-    ``oracle.lifted()`` on the lifted vertex points.
+    closure, so the top dimension needs no prior knowledge).  When the
+    vertex stage's sweep diagram counts a d-simplex, the d-simplices are
+    tested afterwards through ``oracle.lifted()`` on the lifted vertex
+    points; by face closure the loop has then reached dimension d with the
+    (d-1)-simplices in hand.
 
     Within a dimension only closure-eligible candidates are tested: those
     whose facets were all found one dimension down.  This is sound because
@@ -207,7 +203,7 @@ def reconstruct(
     The lifted calls share that log and are the ones with k == d.
     """
     d = oracle.ambient_dim
-    points, frame = vertex_stage(oracle, strict)
+    points, frame, sweep = vertex_stage(oracle)
     edges = find_edges(points, oracle, frame)
 
     simplices: Set[Simplex] = {(v,) for v in range(len(points))}
@@ -221,7 +217,7 @@ def reconstruct(
         previous = sorted(found)
         dim += 1
 
-    if codim_zero and previous and dim == d:
+    if sweep.simplex_count(d):
         lifted_points = [lift_point(p) for p in points]
         simplices.update(_cofaces(previous, oracle.lifted(), lifted_points))
 

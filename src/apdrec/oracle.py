@@ -73,6 +73,11 @@ class AugmentedDiagram:
         """
         return self.deaths_at(k - 1, height) + self.births_at(k, height)
 
+    def simplex_count(self, k: int) -> int:
+        """Number of k-simplices: the height-free form of count_at."""
+        finite_deaths = sum(1 for p in self.in_dim(k - 1) if not p.essential)
+        return len(self.in_dim(k)) + finite_deaths
+
     def multiset(self) -> Dict[DiagramPoint, int]:
         out: Dict[DiagramPoint, int] = {}
         for p in self.points:

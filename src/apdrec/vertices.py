@@ -3,9 +3,11 @@
 The oracle's dimension-0 births in a direction are exactly the vertex
 heights there.  Tilting the sweep axis towards each remaining coordinate
 axis keeps the vertex order fixed, so sorted birth lists can be matched
-index by index and solved for one coordinate at a time.  The standard run
-uses 2d - 1 queries; when first-axis heights collide, a tilted basis is
-built first at the cost of 2 extra queries.
+index by index and solved for one coordinate at a time.  The first
+diagram, in e1, decides the basis: the standard run uses 2d - 1 queries,
+and when first-axis heights collide a tilted basis is built from the e1 and
+e2 births at the cost of 2 extra queries.  One coordinate loop serves both
+bases, and the sweep diagram is returned for the later stages.
 """
 
 from __future__ import annotations
@@ -23,10 +25,7 @@ from .geometry import (
     standard_frame,
     tilt,
 )
-from .oracle import Oracle
-
-# one recovered column per coordinate axis, rows aligned by sweep order
-CoordinateTable = List[List[Fraction]]
+from .oracle import AugmentedDiagram, Oracle
 
 
 def find_coordinate(
@@ -72,60 +71,53 @@ def find_coordinate(
 
 def create_unique_height_basis(
     births1: List[Fraction], births2: List[Fraction], d: int
-) -> List[Direction]:
-    """Orthogonal rational basis whose first vector separates all vertices.
+) -> SweepFrame:
+    """Sweep frame (b1, b2) whose first vector separates all vertices.
 
     ``births1`` and ``births2`` are the dimension-0 births in e1 and e2.  b1
     is the tilt of e1 towards e2 built from them, so e1 ties are broken by
     e2 heights (distinct projected vertices); b2 is the exact -90 degree
-    rotation of b1 inside the (e1, e2) plane; the remaining axes stay
-    standard.  Pure: it issues no query.
+    rotation of b1 inside the (e1, e2) plane.  Pure: it issues no query.
     """
     b1 = tilt(births1, births2, basis_vector(d, 0), basis_vector(d, 1))
     b2 = (b1[1], -b1[0]) + tuple(Fraction(0) for _ in range(d - 2))
-    return [b1, b2] + [basis_vector(d, j) for j in range(2, d)]
+    return SweepFrame(b1, b2)
 
 
-def vertex_stage(
-    oracle: Oracle, strict: bool = True
-) -> Tuple[List[Vector], SweepFrame]:
+def vertex_stage(oracle: Oracle) -> Tuple[List[Vector], SweepFrame, AugmentedDiagram]:
     """Recover all vertex locations plus the sweep frame for later stages.
 
-    Returns points sorted by increasing sweep height (first axis in the
-    standard run).  With ``strict`` a first-axis height collision raises
-    GeneralPositionViolated; otherwise the run switches to the tilted basis
-    of create_unique_height_basis, reusing the diagrams already queried.
-    Issues 2d - 1 logged queries, plus 2 on the fallback, all in a
-    "vertices" span of the log.
+    The e1 births decide the basis: the standard frame when they are
+    distinct, otherwise the tilted frame of create_unique_height_basis,
+    which costs the e2 and b1 diagrams.  Returns the points sorted by
+    increasing sweep height, the frame, and the sweep diagram (the one in
+    ``frame.u1``: e1, or b1 on a tie).  Two vertices with the same
+    projection onto the (e1, e2) plane raise GeneralPositionViolated.
+    Issues 2d - 1 logged queries, plus 2 on a tie, all in a "vertices" span
+    of the log.
     """
     oracle.log.open("vertices")
     d = oracle.ambient_dim
-    e1 = basis_vector(d, 0)
-    births1 = oracle.query(e1).births(0)
-
+    sweep = oracle.query(basis_vector(d, 0))
+    births1 = sweep.births(0)
+    known = {1: births1}
     if len(set(births1)) == len(births1):
-        columns: CoordinateTable = [births1]
-        for i in range(2, d + 1):
-            columns.append(find_coordinate(i, births1, oracle))
-        points = [tuple(col[j] for col in columns) for j in range(len(births1))]
-        return points, standard_frame(d)
-
-    if strict:
-        raise GeneralPositionViolated("duplicate vertex heights in direction e1")
-
-    births2 = oracle.query(basis_vector(d, 1)).births(0)
-    b1, b2 = create_unique_height_basis(births1, births2, d)[:2]
-    base_births = oracle.query(b1).births(0)
-    if len(set(base_births)) != len(base_births):
+        frame = standard_frame(d)
+    else:
+        known[2] = oracle.query(basis_vector(d, 1)).births(0)
+        frame = create_unique_height_basis(births1, known[2], d)
+        sweep = oracle.query(frame.u1)
+    base = sweep.births(0)
+    if len(set(base)) != len(base):
         raise GeneralPositionViolated(
             "two vertices share a projection onto the (e1, e2) plane"
         )
 
     columns = []
     for i in range(1, d + 1):
-        known = births1 if i == 1 else births2 if i == 2 else None
-        columns.append(
-            find_coordinate(i, base_births, oracle, base_direction=b1, target_births=known)
-        )
-    points = [tuple(col[j] for col in columns) for j in range(len(base_births))]
-    return points, SweepFrame(b1, b2)
+        if frame.u1 == basis_vector(d, i - 1):
+            columns.append(base)
+        else:
+            columns.append(find_coordinate(i, base, oracle, frame.u1, known.get(i)))
+    points = [tuple(col[j] for col in columns) for j in range(len(base))]
+    return points, frame, sweep

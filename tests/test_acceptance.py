@@ -22,7 +22,6 @@ from apdrec import (
     generate_complex,
     leftmost_crossing,
     orthogonal_to_affine_hull,
-    reconstruct,
     tilt,
     verify_roundtrip,
 )
@@ -269,9 +268,14 @@ def test_criterion_6_indegree_oracle_equivalence(trials):
 def test_criterion_7_codimension_zero():
     filled = cx(2, [(0, 0), (F(1, 2), 1), (1, 0)], [(0, 1, 2)])
     glued = cx(2, [(0, 0), (1, 2), (2, 1), (3, 3)], [(0, 1, 2), (1, 2, 3)])
+    mixed = cx(
+        2,
+        [(0, 0), (1, 2), (2, 1), (3, 3), (4, 0)],
+        [(0, 1, 2), (1, 3), (2, 3), (2, 4), (3, 4)],
+    )
     ok = True
-    for K in (filled, glued):
-        report = verify_roundtrip(K, codim_zero=True)
+    for K in (filled, glued, mixed):
+        report = verify_roundtrip(K)
         ok = ok and report.exact_match
 
     agreements = 0
@@ -280,16 +284,16 @@ def test_criterion_7_codimension_zero():
             GeneratorConfig(3, 6, 1, densities=[0.5], seed=seed,
                             lift_general_position=True)
         )
-        standard = reconstruct(Oracle(K))
-        lifted_run = reconstruct(Oracle(K), codim_zero=True)
-        assert standard.simplices == lifted_run.simplices
+        report = verify_roundtrip(K)
+        assert report.exact_match
+        assert all(k < 3 for k, _ in report.predicate_calls)
         agreements += 1
 
     _report(
         7,
         ok and agreements == 3,
-        "filled and glued triangles recovered via the lift; "
-        f"lifted driver matched the standard one on {agreements} small-kappa runs",
+        "filled, glued and mixed triangles recovered via the lift; "
+        f"no lifted call on {agreements} small-kappa runs",
     )
 
 

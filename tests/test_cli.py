@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apdrec import parse_complex, serialize_complex
+from apdrec import complexes_match, parse_complex, serialize_complex
 from apdrec.cli import main
 
 from conftest import cx
@@ -91,16 +91,13 @@ def test_cli_reconstruct_stages(capsys, triangle_file):
     assert code == 0
     assert "0 1" in out and "# edge queries:" in out
 
-    code, out = run(
-        capsys,
-        "reconstruct", "--complex", triangle_file, "--codim-zero", "--stats",
-    )
+    code, out = run(capsys, "reconstruct", "--complex", triangle_file)
     assert code == 0
     recovered = parse_complex(
         "\n".join(l for l in out.splitlines() if not l.startswith("#"))
     )
     assert recovered == parse_complex(open(triangle_file).read())
-    assert "# lifted queries:" in out
+    assert "# lifted queries: 6" in out.splitlines()  # no flag asked for it
 
 
 def counts_after(out, prefix):
@@ -127,7 +124,7 @@ def test_cli_reconstruct_ledger_agrees_across_stages(capsys, triangle_file):
 
     code, out = run(
         capsys,
-        "reconstruct", "--complex", triangle_file, "--codim-zero", "--stats",
+        "reconstruct", "--complex", triangle_file, "--stats",
     )
     assert code == 0
     lifted = counts_after(out, "# lifted queries:")
@@ -149,6 +146,56 @@ def test_cli_verify_has_no_strict_flag(capsys):
             main(["verify", flag])
         assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_reconstruct_e1_ties(capsys, tmp_path):
+    K = cx(2, [(0, 0), (0, 1), (1, -1)], [(0, 1), (1, 2)])
+    path = tmp_path / "ties.cx"
+    path.write_text(serialize_complex(K))
+    code, out = run(capsys, "reconstruct", "--complex", str(path))
+    assert code == 0
+    assert "# vertex queries: 5" in out.splitlines()
+    body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
+    assert complexes_match(parse_complex(body), K)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "--complex", "k.cx", "--no-strict"],
+        ["reconstruct", "--complex", "k.cx", "--codim-zero"],
+        ["verify", "--codim-zero"],
+    ],
+    ids=["reconstruct-no-strict", "reconstruct-codim-zero", "verify-codim-zero"],
+)
+def test_cli_deleted_reconstruction_flags_exit_two(capsys, argv):
+    # reconstruct decides the lifted pass and the basis from the diagrams
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n0", "4", "--dim", "3", "--kappa", "2", "--density", "abc"],
+        ["generate", "--n0", "4", "--dim", "3", "--kappa", "2", "--density", ","],
+        ["generate", "--n0", "4", "--dim", "3", "--kappa", "2",
+         "--denominator-bound", "0"],
+        ["generate", "--n0", "4", "--dim", "3", "--kappa", "2",
+         "--denominator-bound", "-3"],
+        ["verify", "--trials", "-2"],
+    ],
+    ids=["density-abc", "density-comma", "bound-zero", "bound-negative",
+         "negative-trials"],
+)
+def test_cli_generate_and_verify_reject_bad_input(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_error_reporting(capsys, tmp_path):

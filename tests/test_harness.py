@@ -1,7 +1,6 @@
 import pytest
 
 from apdrec import (
-    GeneralPositionViolated,
     GenerationFailure,
     GeneratorConfig,
     edge_query_bound,
@@ -75,7 +74,7 @@ def test_verify_tetrahedron_boundary_in_r4():
 
 
 def test_verify_codim_zero_filled_triangle(filled_triangle_r2):
-    report = verify_roundtrip(filled_triangle_r2, codim_zero=True)
+    report = verify_roundtrip(filled_triangle_r2)
     assert report.exact_match
     assert any(k == 2 for k, _ in report.predicate_calls)  # the d-stage ran
 
@@ -98,7 +97,7 @@ def test_accounting_identity_standard_run():
 
 
 def test_accounting_identity_codim_zero_counts_lifted_queries(filled_triangle_r2):
-    report = verify_roundtrip(filled_triangle_r2, codim_zero=True)
+    report = verify_roundtrip(filled_triangle_r2)
     assert report.exact_match and report.all_bounds_ok
     # 3 vertex diagrams, 2 edge diagrams, one k=2 predicate call of 6 diagrams
     assert report.vertex_queries == 3 and report.edge_queries == 2
@@ -109,9 +108,7 @@ def test_accounting_identity_codim_zero_counts_lifted_queries(filled_triangle_r2
 
 def test_verify_adversarial_e1_ties():
     K = cx(2, [(0, 0), (0, 1), (1, -1)], [(0, 1), (1, 2)])
-    with pytest.raises(GeneralPositionViolated):
-        verify_roundtrip(K, strict=True)
-    report = verify_roundtrip(K, strict=False)
+    report = verify_roundtrip(K)
     assert report.exact_match
     assert report.used_fallback_basis
     assert report.vertex_queries == 2 * 2 - 1 + 2
@@ -125,7 +122,7 @@ def test_fallback_basis_through_all_stages():
         [(0, 0, 1), (0, 3, -1), (1, 1, 2), (2, 0, 0), (3, 4, 3)],
         [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3)],
     )
-    report = verify_roundtrip(K, strict=False)
+    report = verify_roundtrip(K)
     assert report.exact_match and report.used_fallback_basis
     assert report.vertex_queries == 2 * 3 - 1 + 2
     assert report.predicate_bound_ok

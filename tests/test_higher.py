@@ -293,15 +293,29 @@ def test_reconstruct_point_cloud_stops_after_edges():
 
 
 def test_reconstruct_codim_zero_filled_triangle(filled_triangle_r2):
-    recovered = reconstruct(Oracle(filled_triangle_r2), codim_zero=True)
+    recovered = reconstruct(Oracle(filled_triangle_r2))
     assert complexes_match(recovered, filled_triangle_r2)
 
 
 def test_reconstruct_codim_zero_glued_triangles():
     K = cx(2, [(0, 0), (1, 2), (2, 1), (3, 3)], [(0, 1, 2), (1, 2, 3)])
-    recovered = reconstruct(Oracle(K), codim_zero=True)
+    recovered = reconstruct(Oracle(K))
     assert complexes_match(recovered, K)
     assert len(recovered.simplices_of_dim(2)) == 2
+
+
+def test_reconstruct_mixed_complex_lifts_only_where_needed(monkeypatch):
+    # one filled triangle [0,1,2]; [1,2,3] and [2,3,4] are hollow cycles
+    K = cx(
+        2,
+        [(0, 0), (1, 2), (2, 1), (3, 3), (4, 0)],
+        [(0, 1, 2), (1, 3), (2, 3), (2, 4), (3, 4)],
+    )
+    tested, calls = record_candidates(monkeypatch, K)
+    assert K.simplices_of_dim(2) == [(0, 1, 2)]
+    assert calls == [(2, 6)] * 3
+    triangles = {frozenset(K.vertices[v] for v in t) for t in K.simplices_of_dim(2)}
+    assert len([c for c in tested if c not in triangles]) == 2
 
 
 def test_codim_zero_driver_matches_standard_when_kappa_small():
@@ -311,10 +325,10 @@ def test_codim_zero_driver_matches_standard_when_kappa_small():
                 3, 6, 1, densities=[0.5], seed=seed, lift_general_position=True
             )
         )
-        standard = reconstruct(Oracle(K))
-        lifted_run = reconstruct(Oracle(K), codim_zero=True)
-        assert standard.simplices == lifted_run.simplices
-        assert standard.vertices == lifted_run.vertices
+        oracle = Oracle(K)
+        assert complexes_match(reconstruct(oracle), K)
+        # no 3-simplex in the sweep diagram, so no lifted call
+        assert all(k < 3 for k, _ in oracle.log.predicate_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +344,7 @@ def closure_eligible(K, size):
     }
 
 
-def record_candidates(monkeypatch, K, **kwargs):
+def record_candidates(monkeypatch, K):
     """Run reconstruct, recording each candidate the predicate is asked about.
 
     The stages number vertices in their own order, so a candidate is
@@ -348,7 +362,7 @@ def record_candidates(monkeypatch, K, **kwargs):
 
     monkeypatch.setattr(higher_mod, "is_simplex", recording)
     oracle = Oracle(K)
-    recovered = reconstruct(oracle, **kwargs)
+    recovered = reconstruct(oracle)
     monkeypatch.undo()
     assert complexes_match(recovered, K)
     assert len(tested) == len(set(tested)), "a candidate was tested twice"
@@ -378,7 +392,7 @@ def test_lifted_pass_tests_exactly_the_closure_eligible_candidates(monkeypatch):
             2, 7, 2, densities=[0.6, 0.6], seed=5, lift_general_position=True
         )
     )
-    tested, calls = record_candidates(monkeypatch, K, codim_zero=True)
+    tested, calls = record_candidates(monkeypatch, K)
     eligible = closure_eligible(K, 3)
     # d = 2 has no standard higher stage: every call is a lifted one
     assert all(k == 2 for k, _ in calls)

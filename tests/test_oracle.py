@@ -111,6 +111,7 @@ def test_apd_events_cover_every_simplex():
     births = len(dgm.points)
     deaths = sum(1 for p in dgm.points if not p.essential)
     assert births + deaths == K.n
+    assert all(dgm.simplex_count(k) == K.n_k(k) for k in range(K.ambient_dim + 2))
 
 
 def test_apd_positive_scaling_invariance():

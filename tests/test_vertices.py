@@ -48,14 +48,15 @@ def test_find_coordinate_with_target_ties():
 def test_find_vertices_two_points():
     K = cx(2, [(0, 0), (1, 2)], [])
     oracle = Oracle(K)
-    points, _ = vertex_stage(oracle)
+    points, frame, sweep = vertex_stage(oracle)
     assert points == [(0, 0), (1, 2)]
+    assert sweep.direction == frame.u1 == (1, 0)
     assert oracle.log.count == 2 * 2 - 1
 
 
 def test_find_vertices_order_follows_e1():
     K = cx(3, [(2, 0, 1), (0, 5, -1), (1, -3, 2)], [])
-    points, _ = vertex_stage(Oracle(K))
+    points, _, _ = vertex_stage(Oracle(K))
     assert [p[0] for p in points] == [0, 1, 2]
     assert set(points) == set(K.vertices.values())
 
@@ -75,21 +76,25 @@ def test_find_vertices_random_exact():
             GeneratorConfig(d, 4 + seed % 7, 0, densities=[], seed=seed)
         )
         oracle = Oracle(K)
-        points, _ = vertex_stage(oracle)
+        points, _, _ = vertex_stage(oracle)
         assert set(points) == set(K.vertices.values())
         assert oracle.log.count == 2 * d - 1
 
 
-def test_find_vertices_strict_rejects_e1_ties():
-    K = cx(2, [(0, 0), (0, 1)], [])
+def test_vertex_stage_rejects_coincident_projections():
+    # (0,0,0) and (0,0,1) tie on e1 and on e2: b1 cannot separate them
+    K = cx(3, [(0, 0, 0), (0, 0, 1), (1, 2, 0)], [])
+    oracle = Oracle(K)
     with pytest.raises(GeneralPositionViolated):
-        vertex_stage(Oracle(K))
+        vertex_stage(oracle)
+    assert oracle.log.count == 3  # e1, e2 and b1
 
 
 def test_fallback_basis_recovers_despite_ties():
     K = cx(2, [(0, 0), (0, 1), (1, -1)], [(0, 1), (1, 2)])
     oracle = Oracle(K)
-    points, frame = vertex_stage(oracle, strict=False)
+    points, frame, sweep = vertex_stage(oracle)
+    assert sweep.direction == frame.u1 != (1, 0)  # the b1 diagram
     assert set(points) == set(K.vertices.values())
     assert oracle.log.count == 2 * 2 - 1 + 2  # two extra diagrams for the basis
     # recovered order follows the tilted sweep direction
@@ -106,9 +111,9 @@ def axis_births(oracle):
 def test_create_unique_height_basis_separates_ties():
     K = cx(2, [(0, 0), (0, 1)], [])
     oracle = Oracle(K)
-    basis = create_unique_height_basis(*axis_births(oracle), 2)
+    frame = create_unique_height_basis(*axis_births(oracle), 2)
     assert oracle.log.count == 2  # the e1 and e2 diagrams; the helper adds none
-    b1, b2 = basis[0], basis[1]
+    b1, b2 = frame.u1, frame.u2
     assert dot(b1, (0, 0)) != dot(b1, (0, 1))
     assert dot(b1, b2) == 0
     assert b2 == (b1[1], -b1[0])
@@ -117,11 +122,11 @@ def test_create_unique_height_basis_separates_ties():
 def test_create_unique_height_basis_on_unique_heights():
     K = cx(3, [(0, 2, 1), (1, 0, 0), (2, 1, 5)], [])
     oracle = Oracle(K)
-    basis = create_unique_height_basis(*axis_births(oracle), 3)
-    b1 = basis[0]
+    frame = create_unique_height_basis(*axis_births(oracle), 3)
+    b1 = frame.u1
     heights = sorted(dot(b1, p) for p in K.vertices.values())
     assert len(set(heights)) == 3
-    assert basis[2] == (0, 0, 1)
+    assert dot(b1, frame.u2) == 0
     # order under b1 matches order under e1 (tilt preserves it)
     e1_sorted = sorted(K.vertices.values(), key=lambda p: p[0])
     b1_sorted = sorted(K.vertices.values(), key=lambda p: dot(b1, p))
@@ -149,5 +154,5 @@ def test_fallback_matches_random_complexes():
             pts.append(cand)
         pts[1] = (pts[0][0],) + pts[1][1:]  # force the tie
         K = cx(d, pts, [])
-        points, _ = vertex_stage(Oracle(K), strict=False)
+        points, _, _ = vertex_stage(Oracle(K))
         assert set(points) == set(K.vertices.values())

@@ -70,8 +70,8 @@ def _cmd_reconstruct(args) -> int:
         print(f"# vertex queries: {log.queries('vertices')}")
         return 0
     if args.stage == "edges":
-        points, frame, _ = vertex_stage(oracle)
-        for a, b in sorted(find_edges(points, oracle, frame)):
+        points, frame, sweep = vertex_stage(oracle)
+        for a, b in sorted(find_edges(points, oracle, frame, sweep)):
             print(f"{a} {b}")
         print(f"# vertex queries: {log.queries('vertices')}")
         print(f"# edge queries: {log.queries('edges')}")
@@ -150,7 +150,9 @@ def _cmd_stats(args) -> int:
     print(f"total simplices: {complex_.n}")
     report = validate_general_position(complex_)
     print(f"unique e1 heights: {report.unique_e1_heights}")
+    print(f"distinct (e1, e2) projections: {report.distinct_projections}")
     print(f"no projected collinear triple: {report.no_three_projected_collinear}")
+    print(f"affinely independent: {report.affinely_independent}")
     for witness in report.violations:
         print(f"violation: {witness}")
     return 0

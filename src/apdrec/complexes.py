@@ -9,12 +9,17 @@ canonical and set equality is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import InvalidInput, ParseError
-from .geometry import Vector, as_vector, format_rational, parse_rational
+from .geometry import (
+    Vector,
+    affinely_independent,
+    as_vector,
+    format_rational,
+    parse_rational,
+)
 
 Simplex = Tuple[int, ...]
 
@@ -114,37 +119,51 @@ def build_complex(
 class GeneralPositionReport:
     """Outcome of the checkable general position assumptions.
 
-    Affine independence of every d+1 points is not checked here; rank
-    failures surface as DegeneratePosition wherever affine hulls are built.
+    ``ok`` needs distinct projections onto the (e1, e2) plane, no projected
+    collinear triple, and affinely independent vertices: every d+1 of them,
+    or all of them when there are at most d.  ``unique_e1_heights`` is
+    informational only: reconstruction recovers first-axis ties with a
+    tilted basis at 2 extra queries, so a tie is not a violation.
     """
 
     unique_e1_heights: bool
+    distinct_projections: bool
     no_three_projected_collinear: bool
+    affinely_independent: bool
     violations: List[tuple] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.unique_e1_heights and self.no_three_projected_collinear
+        return (
+            self.distinct_projections
+            and self.no_three_projected_collinear
+            and self.affinely_independent
+        )
 
 
 def validate_general_position(complex_: SimplicialComplex) -> GeneralPositionReport:
-    """Check unique first-axis heights and no projected collinear triple."""
+    """Check the general position assumptions that reconstruction relies on.
+
+    Violations are listed as ("projection", a, b), ("collinear", a, b, c)
+    and ("affine-dependent", *ids) witnesses.
+    """
     ids = sorted(complex_.vertices)
-    unique = True
-    collinear_free = True
+    points = complex_.vertices
     violations: List[tuple] = []
 
-    by_height: Dict[Fraction, int] = {}
-    for vid in ids:
-        h = complex_.vertices[vid][0]
-        if h in by_height:
-            unique = False
-            violations.append(("e1-tie", by_height[h], vid))
-        else:
-            by_height[h] = vid
+    unique = len({points[vid][0] for vid in ids}) == len(ids)
 
+    proj = {vid: points[vid][:2] for vid in ids}
+    owner: Dict[tuple, int] = {}
+    for vid in ids:
+        if proj[vid] in owner:
+            violations.append(("projection", owner[proj[vid]], vid))
+        else:
+            owner[proj[vid]] = vid
+    distinct = not violations
+
+    collinear_free = True
     if complex_.ambient_dim >= 2:
-        proj = {vid: (complex_.vertices[vid][0], complex_.vertices[vid][1]) for vid in ids}
         for a, b, c in combinations(ids, 3):
             ax, ay = proj[a]
             bx, by = proj[b]
@@ -153,7 +172,16 @@ def validate_general_position(complex_: SimplicialComplex) -> GeneralPositionRep
             if orient == 0:
                 collinear_free = False
                 violations.append(("collinear", a, b, c))
-    return GeneralPositionReport(unique, collinear_free, violations)
+
+    independent = True
+    size = min(len(ids), complex_.ambient_dim + 1)
+    for subset in combinations(ids, size):
+        if subset and not affinely_independent([points[vid] for vid in subset]):
+            independent = False
+            violations.append(("affine-dependent",) + subset)
+    return GeneralPositionReport(
+        unique, distinct, collinear_free, independent, violations
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ characteristic is their difference.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from .complexes import SimplicialComplex
@@ -33,8 +34,7 @@ class StepCurve:
     zero: object = 0
 
     def value_at(self, p: Fraction):
-        heights = [h for h, _ in self.breakpoints]
-        i = bisect_right(heights, p)
+        i = bisect_right(self.breakpoints, p, key=itemgetter(0))
         return self.zero if i == 0 else self.breakpoints[i - 1][1]
 
     def heights(self) -> List[Fraction]:
@@ -57,23 +57,32 @@ def betti_curve_from_apd(apd: AugmentedDiagram, k: int) -> StepCurve:
 
     Step value at p counts points with birth <= p < death.  A zero
     persistence pair never steps; it decorates its height with the momentary
-    count of classes alive there (birth <= c <= death).
+    count of classes alive there (birth <= c <= death).  Since no point dies
+    before it is born, that count is the number of births at or below c
+    minus the number of finite deaths strictly below c, two bisections into
+    the sorted lists.
     """
-    pts = apd.in_dim(k)
+    births: List[Fraction] = []
+    finite_deaths: List[Fraction] = []
     deltas: Dict[Fraction, int] = {}
     decoration_heights = set()
-    for p in pts:
+    for p in apd.in_dim(k):
+        births.append(p.birth)
+        if not p.essential:
+            finite_deaths.append(p.death)
         if p.zero_persistence:
             decoration_heights.add(p.birth)
             continue
         deltas[p.birth] = deltas.get(p.birth, 0) + 1
         if not p.essential:
             deltas[p.death] = deltas.get(p.death, 0) - 1
-    decorations = []
-    for c in sorted(decoration_heights):
-        momentary = sum(1 for p in pts if p.birth <= c and p.death >= c)
-        decorations.append((c, momentary))
-    return StepCurve(_steps_from_deltas(deltas), tuple(decorations), 0)
+    births.sort()
+    finite_deaths.sort()
+    decorations = tuple(
+        (c, bisect_right(births, c) - bisect_left(finite_deaths, c))
+        for c in sorted(decoration_heights)
+    )
+    return StepCurve(_steps_from_deltas(deltas), decorations, 0)
 
 
 def _pair_steps(deltas: Dict[Fraction, Tuple[int, int]]) -> Tuple:

@@ -2,20 +2,23 @@
 
 A sweep in the first frame direction visits vertices bottom to top, so every
 edge below the current vertex is already known.  The edges above it are found
-by binary search over an *edge interval*: a clockwise-contiguous slice of the
-radial order around the vertex together with the count of true edges whose
+by binary search over an *edge interval*: a clockwise slice of the radial
+order around the vertex together with the count of true edges whose
 endpoints lie in the slice.  Splitting an interval costs one diagram: the
 1-indegree of the vertex in an exact separating direction counts all edges
 below that direction, and subtracting the already-known ones leaves the count
-for the left half; the right half follows by subtraction.
+for the left half; the right half follows by subtraction.  Only undecided
+intervals are split: a count of zero drops the slice, a count equal to its
+size takes it whole, and a vertex whose edges to lower vertices are all
+known is left out of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Sequence, Set, Tuple
 
-from .errors import NegativeCount
+from .errors import InvalidInput, NegativeCount
 from .geometry import (
     RadialOrder,
     SweepFrame,
@@ -23,7 +26,6 @@ from .geometry import (
     dot,
     radial_order,
     separating_direction,
-    standard_frame,
     vneg,
 )
 from .oracle import AugmentedDiagram, Oracle
@@ -34,8 +36,9 @@ class EdgeInterval:
     """Radial wedge record: candidate endpoints plus an edge count.
 
     ``candidates`` is a contiguous slice of the global radial order about
-    ``vertex``, all strictly above it in the sweep direction; ``edge_count``
-    of them are true edge endpoints.
+    ``vertex``, all strictly above it in the sweep direction, less any
+    vertices known not to be endpoints; ``edge_count`` of them are true edge
+    endpoints.
     """
 
     vertex: int
@@ -104,18 +107,20 @@ def find_up_edges(
     oracle: Oracle,
     points: Sequence[Vector],
     frame: SweepFrame,
+    excluded: Collection[int],
 ) -> List[int]:
     """Endpoints of all edges adjacent to and above the vertex.
 
     The initial indegree is read from the shared diagram in the negated sweep
     direction (deaths in dimension 0 plus births in dimension 1 at the
-    vertex's height there).  Intervals are processed left first; a zero-count
-    interval is dropped, a singleton with count one emits an edge, anything
-    else is split.
+    vertex's height there).  The ``excluded`` vertices are known not to be
+    endpoints and are left out of the candidates.  Intervals are processed
+    left first; a zero-count interval is dropped, one whose count equals its
+    number of candidates emits them all, anything else is split.
     """
     height_neg = -frame.height(points[vertex])
     indegree = sweep_diagram.count_at(1, height_neg)
-    candidates = tuple(vid for vid, _ in order.ordered)
+    candidates = tuple(vid for vid, _ in order.ordered if vid not in excluded)
 
     found: List[int] = []
     neighbors: List[int] = list(known_below_edges)
@@ -126,12 +131,9 @@ def find_up_edges(
         interval = stack.pop()
         if interval.edge_count == 0:
             continue
-        if len(interval.candidates) == 1:
-            if interval.edge_count != 1:
-                raise NegativeCount("singleton interval with count != 1")
-            endpoint = interval.candidates[0]
-            found.append(endpoint)
-            neighbors.append(endpoint)
+        if interval.edge_count == len(interval.candidates):
+            found.extend(interval.candidates)
+            neighbors.extend(interval.candidates)
             continue
         left, right = split_wedge(interval, neighbors, order, oracle, points)
         stack.append(right)
@@ -142,18 +144,27 @@ def find_up_edges(
 def find_edges(
     points: Sequence[Vector],
     oracle: Oracle,
-    frame: SweepFrame = None,
+    frame: SweepFrame,
+    sweep: AugmentedDiagram,
 ) -> Set[Tuple[int, int]]:
     """All edges of the unknown complex, given the vertex locations.
 
     One shared query in the negated sweep direction feeds every vertex's
     initial indegree; all remaining queries come from interval splits.  The
     queries are logged in an "edges" span.
+
+    ``sweep`` is the vertex stage's diagram in ``frame.u1``.  Its edge count
+    at a vertex's height is the number of edges from that vertex down to
+    lower ones.  Once that many are known, the vertex has no edge to the
+    current sweep vertex, so it is left out of the current vertex's
+    candidates.  This costs no query.  A diagram in any other direction
+    raises InvalidInput.
     """
+    if tuple(sweep.direction) != tuple(frame.u1):
+        raise InvalidInput("sweep diagram is not in the frame's first direction")
     oracle.log.open("edges")
-    if frame is None:
-        frame = standard_frame(oracle.ambient_dim)
     sweep_diagram = oracle.query(vneg(frame.u1))
+    down_degree = [sweep.count_at(1, frame.height(p)) for p in points]
 
     ids_by_height = sorted(range(len(points)), key=lambda i: frame.height(points[i]))
     edges: Set[Tuple[int, int]] = set()
@@ -163,8 +174,10 @@ def find_edges(
         order = radial_order(
             points[vid], [points[u] for u in others], ids=others, frame=frame
         )
+        # every neighbour known so far of a vertex above vid lies below vid
+        excluded = {u for u in others if len(adjacency[u]) == down_degree[u]}
         ups = find_up_edges(
-            vid, adjacency[vid], order, sweep_diagram, oracle, points, frame
+            vid, adjacency[vid], order, sweep_diagram, oracle, points, frame, excluded
         )
         for u in ups:
             edges.add(tuple(sorted((vid, u))))

@@ -149,6 +149,13 @@ def _solve_particular(
 # direction constructions
 
 
+def affinely_independent(points: Sequence[Vector]) -> bool:
+    """True iff no point lies in the affine hull of the others."""
+    diffs = [list(vsub(p, points[0])) for p in points[1:]]
+    _, pivots = _rref(diffs)
+    return len(pivots) == len(points) - 1
+
+
 def orthogonal_to_affine_hull(points: Sequence[Vector]) -> Direction:
     """A direction with equal dot product against every input point.
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .complexes import Simplex, SimplicialComplex, build_complex
 from .errors import GenerationFailure, InvalidInput
-from .geometry import Vector, _rref, vsub
+from .geometry import Vector, affinely_independent
 from .higher import reconstruct
 from .oracle import Oracle, lift_point
 
@@ -42,12 +42,6 @@ class GeneratorConfig:
         return float(self.densities[idx])
 
 
-def _affinely_independent(points: Sequence[Vector]) -> bool:
-    diffs = [list(vsub(p, points[0])) for p in points[1:]]
-    _, pivots = _rref(diffs)
-    return len(pivots) == len(points) - 1
-
-
 def _vertex_ok(
     candidate: Vector, accepted: List[Vector], config: GeneratorConfig
 ) -> bool:
@@ -63,13 +57,13 @@ def _vertex_ok(
             return False
     if len(accepted) >= d:
         for subset in combinations(accepted, d):
-            if not _affinely_independent(list(subset) + [candidate]):
+            if not affinely_independent(list(subset) + [candidate]):
                 return False
     if config.lift_general_position and len(accepted) >= d + 1:
         lifted = [lift_point(p) for p in accepted]
         lifted_candidate = lift_point(candidate)
         for subset in combinations(lifted, d + 1):
-            if not _affinely_independent(list(subset) + [lifted_candidate]):
+            if not affinely_independent(list(subset) + [lifted_candidate]):
                 return False
     return True
 

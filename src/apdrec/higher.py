@@ -11,6 +11,7 @@ counts differ by one precisely when the candidate simplex exists.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, List, Sequence, Set
 
 from .complexes import Simplex, SimplicialComplex, build_complex, facets, proper_faces
@@ -33,13 +34,9 @@ from .vertices import vertex_stage
 IndegreeMemo = Dict[Simplex, int]
 
 
-def _tilt_over(
-    points: Sequence[Vector], s: Direction, s_prime: Direction
-) -> Direction:
-    """Primitive tilt from s towards s_prime, with heights over all points."""
-    heights = [dot(s, p) for p in points]
-    heights_prime = [dot(s_prime, p) for p in points]
-    return primitive_direction(tilt(heights, heights_prime, s, s_prime))
+def _heights(points: Sequence[Vector], s: Direction) -> List[Fraction]:
+    """Heights of all points under s, computed once per direction by callers."""
+    return [dot(s, p) for p in points]
 
 
 def compute_indegree(
@@ -75,17 +72,22 @@ def compute_indegree(
     delta = dgm.count_at(k, height)
     double_counts = 0
     sigma_points = [points[v] for v in sigma]
+    heights = None
     for tau in proper_faces(sigma):
         if tau not in memo:
             if _depth:
                 raise PreconditionViolated(
                     "memo must already cover the faces of a recursive call"
                 )
+            if heights is None:
+                heights = _heights(points, direction)
             tau_points = [points[v] for v in tau]
             s_prime = second_perpendicular_direction(
                 points, sigma_points, tau_points, direction
             )
-            tilted = _tilt_over(points, direction, s_prime)
+            tilted = primitive_direction(
+                tilt(heights, _heights(points, s_prime), direction, s_prime)
+            )
             memo[tau] = compute_indegree(
                 tau, tilted, k, memo, oracle, points, _depth + 1
             )
@@ -106,8 +108,9 @@ def _isolating_direction(
     """
     cand_points = [points[v] for v in candidate]
     s1 = orthogonal_to_affine_hull(cand_points)
-    height = dot(s1, cand_points[0])
-    level_ids = [u for u in range(len(points)) if dot(s1, points[u]) == height]
+    heights = _heights(points, s1)
+    height = heights[candidate[0]]
+    level_ids = [u for u, h in enumerate(heights) if h == height]
     if set(level_ids) == set(candidate):
         return s1
     if len(level_ids) > oracle.ambient_dim:
@@ -116,7 +119,7 @@ def _isolating_direction(
         )
     level_points = [points[u] for u in level_ids]
     s2 = second_perpendicular_direction(points, level_points, cand_points, s1)
-    return _tilt_over(points, s1, s2)
+    return primitive_direction(tilt(heights, _heights(points, s2), s1, s2))
 
 
 def is_simplex(
@@ -141,8 +144,12 @@ def is_simplex(
     sigma_points = [points[v] for v in sigma]
     s3 = second_perpendicular_direction(points, cand_points, sigma_points, s_star)
 
-    s_lower = _tilt_over(points, s_star, s3)
-    s_upper = _tilt_over(points, s_star, vneg(s3))
+    star_heights = _heights(points, s_star)
+    heights3 = _heights(points, s3)
+    s_lower = primitive_direction(tilt(star_heights, heights3, s_star, s3))
+    s_upper = primitive_direction(
+        tilt(star_heights, [-h for h in heights3], s_star, vneg(s3))
+    )
 
     oracle.log.open(k)
     upper = compute_indegree(sigma, s_upper, k, {}, oracle, points)
@@ -204,7 +211,7 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     """
     d = oracle.ambient_dim
     points, frame, sweep = vertex_stage(oracle)
-    edges = find_edges(points, oracle, frame)
+    edges = find_edges(points, oracle, frame, sweep)
 
     simplices: Set[Simplex] = {(v,) for v in range(len(points))}
     simplices.update(edges)

@@ -5,6 +5,15 @@ the complex shows up as exactly one birth or death event.  Pairing is plain
 left-to-right boundary-matrix reduction over Z/2 on a compatible index
 filtration; columns are bitmask integers.
 
+The kernel runs on integers.  A BoundaryTable, built once per complex,
+holds the coordinates scaled by their common denominator, the simplices in
+(dimension, vertex tuple) order and each simplex's facets as indices into
+that order.  A query scales its direction to integers too, so every height
+is an exact integer multiple of one positive rational.  Only the order and
+the equality of heights decide the filtration and the pairing, and a
+positive scale keeps both, so the integer run gives the same pairs; the
+emitted heights are divided back exactly, one Fraction per distinct height.
+
 The oracle answers every query from scratch and logs it once.  The log is
 the one accounting object of a reconstruction: each stage opens a labelled
 span, and every answered query counts in the latest span.  The lifted oracle
@@ -14,6 +23,7 @@ of the codimension-zero pass shares the log of the oracle it came from.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -94,13 +104,11 @@ def lower_star_heights(
 ) -> Dict[Simplex, Fraction]:
     """Height of each simplex: the maximum vertex height in the direction.
 
-    Raises InvalidInput for a zero direction or one whose length is not the
-    ambient dimension of the complex.
+    The definition, in rationals; the kernel computes the same heights as
+    integers.  Raises InvalidInput for a zero direction or one whose length
+    is not the ambient dimension of the complex.
     """
-    if is_zero(direction):
-        raise InvalidInput("query direction must be nonzero")
-    if len(direction) != complex_.ambient_dim:
-        raise InvalidInput("direction has wrong ambient dimension")
+    _check_direction(direction, complex_.ambient_dim)
     vh = {v: dot(direction, p) for v, p in complex_.vertices.items()}
     return {s: max(vh[v] for v in s) for s in complex_.simplices}
 
@@ -110,57 +118,119 @@ def index_filtration(heights: Dict[Simplex, Fraction]) -> List[Simplex]:
 
     Sorted by (height, dimension, vertex tuple); the dimension tie-break puts
     faces before cofaces within one height class.  Any other compatible
-    choice yields the same augmented diagram.
+    choice yields the same augmented diagram.  The kernel sorts in this
+    order too, by (integer height, static index).
     """
     return sorted(heights, key=lambda s: (heights[s], len(s), s))
 
 
+def _check_direction(direction: Direction, ambient_dim: int) -> None:
+    if is_zero(direction):
+        raise InvalidInput("query direction must be nonzero")
+    if len(direction) != ambient_dim:
+        raise InvalidInput("direction has wrong ambient dimension")
+
+
+class BoundaryTable:
+    """The static part of the kernel for one complex, built once.
+
+    ``simplices`` lists the simplices in (dimension, vertex tuple) order, the
+    vertices first; a simplex's position there is its static index.
+    ``facets[j]`` holds the static indices of the facets of simplex j (empty
+    for a vertex), and ``dims[j]`` its dimension.  ``coords`` holds each
+    vertex's coordinates times ``scale``, the common denominator L of all
+    coordinates, so every entry is an int.
+    """
+
+    def __init__(self, complex_: SimplicialComplex):
+        self.ambient_dim = complex_.ambient_dim
+        self.simplices = sorted(complex_.simplices, key=lambda s: (len(s), s))
+        index = {s: i for i, s in enumerate(self.simplices)}
+        self.facets = [
+            tuple(index[f] for f in facets(s)) if len(s) > 1 else ()
+            for s in self.simplices
+        ]
+        self.dims = [len(s) - 1 for s in self.simplices]
+        rows = [complex_.vertices[s[0]] for s in self.simplices if len(s) == 1]
+        self.scale = math.lcm(*(x.denominator for row in rows for x in row))
+        self.coords = [
+            tuple(x.numerator * (self.scale // x.denominator) for x in row)
+            for row in rows
+        ]
+
+
+def _heights(table: BoundaryTable, direction: Sequence[int]) -> List[int]:
+    """Integer lower-star height of every simplex, in static order.
+
+    A vertex's height is its dot product with the direction.  The vertex of
+    largest height in a simplex of two or more vertices lies in at least one
+    of any two of its facets, so the maximum over the first two facets
+    is the simplex's height; the facets come earlier in static order.
+    """
+    heights = [sum(map(operator.mul, direction, row)) for row in table.coords]
+    for f in table.facets[len(heights) :]:
+        a, b = heights[f[0]], heights[f[1]]
+        heights.append(a if a > b else b)
+    return heights
+
+
 def _reduce_pairs(
-    order: Sequence[Simplex],
+    order: Sequence[int], table: BoundaryTable
 ) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Z/2 column reduction; returns (birth, death) index pairs and essentials."""
-    index_of = {s: i for i, s in enumerate(order)}
+    """Z/2 column reduction over the filtration ``order`` of static indices.
+
+    Columns are bitmask integers over filtration positions, built from the
+    table's facet indices.  Returns (birth, death) position pairs and the
+    essential positions.
+    """
+    position = [0] * len(order)
+    for i, s in enumerate(order):
+        position[s] = i
+    facet_table = table.facets
     pairs: List[Tuple[int, int]] = []
-    pivot: Dict[int, int] = {}
-    reduced: List[int] = [0] * len(order)
-    paired = set()
-    for j, simplex in enumerate(order):
+    reduced_by_low: Dict[int, int] = {}
+    paired = bytearray(len(order))
+    for j, s in enumerate(order):
         col = 0
-        if len(simplex) > 1:
-            for f in facets(simplex):
-                col ^= 1 << index_of[f]
+        for f in facet_table[s]:
+            col ^= 1 << position[f]
         while col:
             low = col.bit_length() - 1
-            k = pivot.get(low)
-            if k is None:
+            other = reduced_by_low.get(low)
+            if other is None:
+                reduced_by_low[low] = col
+                pairs.append((low, j))
+                paired[low] = paired[j] = 1
                 break
-            col ^= reduced[k]
-        if col:
-            low = col.bit_length() - 1
-            pivot[low] = j
-            reduced[j] = col
-            pairs.append((low, j))
-            paired.add(low)
-            paired.add(j)
-    essentials = [i for i in range(len(order)) if i not in paired]
+            col ^= other
+    essentials = [i for i in range(len(order)) if not paired[i]]
     return pairs, essentials
 
 
 def _emit_points(
-    order: Sequence[Simplex],
+    order: Sequence[int],
     pairs: Iterable[Tuple[int, int]],
     essentials: Iterable[int],
-    heights: Dict[Simplex, Fraction],
+    heights: Sequence[int],
+    table: BoundaryTable,
+    denominator: int,
 ) -> Tuple[DiagramPoint, ...]:
-    pts = []
-    for i, j in pairs:
-        si, sj = order[i], order[j]
-        pts.append(DiagramPoint(len(si) - 1, heights[si], heights[sj]))
-    for i in essentials:
-        si = order[i]
-        pts.append(DiagramPoint(len(si) - 1, heights[si], INF))
-    pts.sort(key=lambda p: (p.dim, p.birth, p.death))
-    return tuple(pts)
+    """Diagram points sorted by (dim, birth, death), from integer heights.
+
+    The points are sorted by integer keys, an essential class keyed by a
+    death above every height, and each distinct height becomes one
+    ``Fraction(h, denominator)``.
+    """
+    dims = table.dims
+    top = max(heights, default=0) + 1
+    keys = [
+        (dims[order[i]], heights[order[i]], heights[order[j]]) for i, j in pairs
+    ]
+    keys.extend((dims[order[i]], heights[order[i]], top) for i in essentials)
+    keys.sort()
+    value = {h: Fraction(h, denominator) for h in set(heights)}
+    value[top] = INF
+    return tuple(DiagramPoint(k, value[b], value[d]) for k, b, d in keys)
 
 
 def compute_apd(
@@ -173,15 +243,42 @@ def compute_apd(
     ``order`` replaces the default index filtration by another compatible
     one; any face-respecting permutation of equal-height simplices gives the
     identical multiset, which is what the tie-break tests check.
+
+    The kernel works in integers.  With L the common denominator of the
+    coordinates and D that of the direction, every height is an integer
+    divided by D * L.  Multiplying all heights by the positive D * L keeps
+    their order and their ties, and the filtration order and the reduction
+    depend on nothing else, so the integer run pairs the same simplices as
+    a run on the rational heights.  Each emitted height is divided back by
+    D * L exactly, so the diagram is the one of the rational heights.
     """
+    return _apd(BoundaryTable(complex_), direction, order)
+
+
+def _apd(
+    table: BoundaryTable,
+    direction: Direction,
+    order: Optional[Sequence[Simplex]] = None,
+) -> AugmentedDiagram:
+    """compute_apd on a complex's BoundaryTable, which the Oracle keeps."""
     direction = tuple(Fraction(x) for x in direction)
-    heights = lower_star_heights(complex_, direction)
+    _check_direction(direction, table.ambient_dim)
+    d_scale = math.lcm(*(x.denominator for x in direction))
+    heights = _heights(
+        table, [x.numerator * (d_scale // x.denominator) for x in direction]
+    )
     if order is None:
-        order = index_filtration(heights)
-    elif len(order) != complex_.n or set(order) != set(complex_.simplices):
+        filtration = sorted(range(len(heights)), key=heights.__getitem__)
+    elif len(order) != len(table.simplices) or set(order) != set(table.simplices):
         raise InvalidInput("order is not a permutation of the complex")
-    pairs, essentials = _reduce_pairs(order)
-    return AugmentedDiagram(direction, _emit_points(order, pairs, essentials, heights))
+    else:
+        index = {s: i for i, s in enumerate(table.simplices)}
+        filtration = [index[s] for s in order]
+    pairs, essentials = _reduce_pairs(filtration, table)
+    points = _emit_points(
+        filtration, pairs, essentials, heights, table, d_scale * table.scale
+    )
+    return AugmentedDiagram(direction, points)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +346,7 @@ class Oracle:
 
     def __init__(self, complex_: SimplicialComplex):
         self._complex = complex_
+        self._table = BoundaryTable(complex_)
         self.log = QueryLog()
 
     @property
@@ -256,7 +354,7 @@ class Oracle:
         return self._complex.ambient_dim
 
     def query(self, direction) -> AugmentedDiagram:
-        dgm = compute_apd(self._complex, direction)
+        dgm = _apd(self._table, direction)
         self.log.record(dgm.direction)
         return dgm
 

@@ -7,6 +7,7 @@ with the library internals it checks.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -73,6 +74,40 @@ def brute_coface_count(complex_, sigma, direction, k: int) -> int:
         for s in complex_.simplices
         if len(s) == k + 1 and sigma_set < set(s) and simplex_height(s, hs) == target
     )
+
+
+def reference_apd(complex_, direction, order=None) -> List[tuple]:
+    """Augmented diagram points from the definition, sorted.
+
+    Fraction heights; the (height, dimension, vertex tuple) filtration unless
+    an ``order`` is given; Z/2 column reduction with each column a sorted
+    list of row indices, adding the column that owns its lowest row until
+    that row is unowned or the column is empty.  Returns (dim, birth, death)
+    tuples, death ``math.inf`` for an essential class.
+    """
+    hs = vertex_heights(complex_.vertices, direction)
+    height = {s: simplex_height(s, hs) for s in complex_.simplices}
+    if order is None:
+        order = sorted(complex_.simplices, key=lambda s: (height[s], len(s) - 1, s))
+    index = {s: i for i, s in enumerate(order)}
+    columns: List[List[int]] = []
+    owner: Dict[int, int] = {}
+    points = []
+    for j, s in enumerate(order):
+        col = sorted(index[s[:i] + s[i + 1 :]] for i in range(len(s))) if len(s) > 1 else []
+        while col and col[-1] in owner:
+            other = columns[owner[col[-1]]]
+            col = sorted(set(col).symmetric_difference(other))
+        columns.append(col)
+        if col:
+            owner[col[-1]] = j
+            birth = order[col[-1]]
+            points.append((len(birth) - 1, height[birth], height[s]))
+    paired = set(owner) | set(owner.values())
+    for i, s in enumerate(order):
+        if i not in paired:
+            points.append((len(s) - 1, height[s], math.inf))
+    return sorted(points)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,8 @@ def test_cli_generate_stats_roundtrip(capsys, tmp_path):
     assert code == 0
     assert f"vertices: {len(K.vertices)}" in out
     assert "unique e1 heights: True" in out
+    assert "distinct (e1, e2) projections: True" in out
+    assert "affinely independent: True" in out
 
 
 def test_cli_reconstruct_stages(capsys, triangle_file):

@@ -16,6 +16,7 @@ from apdrec import (
     parse_complex,
     serialize_complex,
     validate_general_position,
+    verify_roundtrip,
 )
 
 from conftest import cx
@@ -88,10 +89,39 @@ def test_general_position_ok():
 
 
 def test_general_position_e1_tie():
-    K = cx(2, [(0, 0), (0, 1)], [])
+    # a first-axis tie is informational: reconstruction recovers it
+    K = cx(2, [(0, 0), (0, 1), (1, -1)], [(0, 1), (1, 2)])
     report = validate_general_position(K)
     assert not report.unique_e1_heights
-    assert ("e1-tie", 0, 1) in report.violations
+    assert report.ok and report.violations == []
+    assert verify_roundtrip(K).exact_match
+
+
+def test_general_position_coincident_projections():
+    K = cx(3, [(0, 0, 0), (0, 0, 1)], [])
+    report = validate_general_position(K)
+    assert not report.distinct_projections and not report.ok
+    assert report.violations == [("projection", 0, 1)]
+
+
+def test_general_position_affine_dependence():
+    # four coplanar points of R^3 whose projections are in general position
+    points = [(0, 0, 0), (1, 2, 0), (2, 1, 0), (3, 3, 0)]
+    report = validate_general_position(cx(3, points, []))
+    assert report.distinct_projections and report.no_three_projected_collinear
+    assert not report.affinely_independent and not report.ok
+    assert report.violations == [("affine-dependent", 0, 1, 2, 3)]
+    # at most d vertices: the whole set is checked
+    lifted = [p + (0,) for p in points]
+    report = validate_general_position(cx(4, lifted, []))
+    assert report.violations == [("affine-dependent", 0, 1, 2, 3)]
+    assert validate_general_position(cx(4, lifted[:3], [])).ok
+
+
+def test_general_position_generated_complexes_ok():
+    for seed in range(3):
+        K = generate_complex(GeneratorConfig(3, 7, 2, densities=[0.5, 0.5], seed=seed))
+        assert validate_general_position(K).ok
 
 
 def test_general_position_collinear():

@@ -117,3 +117,30 @@ def test_euler_poincare_alternating_sum():
         for p in _probe_heights(euler):
             alternating = sum((-1) ** k * betti[k].value_at(p) for k in range(len(betti)))
             assert alternating == ecc_value(euler.value_at(p))
+
+
+def test_betti_curves_match_the_definition_random():
+    """Decorations equal the quadratic count from the definition, and
+    value_at equals both a linear scan of the breakpoints and the count of
+    points with birth <= p < death."""
+    rng = random.Random(21)
+    for seed in range(6):
+        K = generate_complex(GeneratorConfig(3, 8, 3, densities=[0.8, 0.8, 0.7], seed=seed))
+        direction = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
+        if all(x == 0 for x in direction):
+            direction = (1, 0, 0)
+        dgm = compute_apd(K, direction)
+        for k in range(K.kappa + 1):
+            pts = dgm.in_dim(k)
+            curve = betti_curve_from_apd(dgm, k)
+            zero_heights = sorted({p.birth for p in pts if p.zero_persistence})
+            assert curve.decorations == tuple(
+                (c, sum(1 for p in pts if p.birth <= c <= p.death)) for c in zero_heights
+            )
+            for p in _probe_heights(curve) + zero_heights:
+                scan = curve.zero
+                for h, value in curve.breakpoints:
+                    if h <= p:
+                        scan = value
+                assert curve.value_at(p) == scan
+                assert scan == sum(1 for q in pts if q.birth <= p < q.death)

@@ -6,6 +6,7 @@ import apdrec.edges as edges_mod
 from apdrec import (
     EdgeInterval,
     GeneratorConfig,
+    InvalidInput,
     NegativeCount,
     Oracle,
     generate_complex,
@@ -14,6 +15,7 @@ from apdrec import (
 )
 from apdrec.edges import find_edges, find_up_edges, split_wedge
 from apdrec.geometry import standard_frame, vneg
+from apdrec.vertices import vertex_stage
 
 from conftest import cx
 
@@ -33,6 +35,14 @@ def figure_complex():
 
 def ordered_points(K):
     return [K.vertices[i] for i in sorted(K.vertices)]
+
+
+def sweep_inputs(K):
+    """Points in vertex-id order, an oracle, the standard frame, and the
+    diagram in its first direction, as the vertex stage hands them on."""
+    oracle = Oracle(K)
+    frame = standard_frame(K.ambient_dim)
+    return ordered_points(K), oracle, frame, oracle.query(frame.u1)
 
 
 def global_order(K, vertex):
@@ -85,7 +95,7 @@ def test_find_up_edges_figure():
     points = ordered_points(K)
     frame = standard_frame(2)
     sweep = oracle.query(vneg(frame.u1))
-    ups = find_up_edges(0, [5], global_order(K, 0), sweep, oracle, points, frame)
+    ups = find_up_edges(0, [5], global_order(K, 0), sweep, oracle, points, frame, ())
     assert sorted(ups) == [1, 3]
 
 
@@ -95,7 +105,8 @@ def test_find_up_edges_isolated_top_vertex():
     points = ordered_points(K)
     frame = standard_frame(2)
     sweep = oracle.query(vneg(frame.u1))
-    assert find_up_edges(0, [], global_order(K, 0), sweep, oracle, points, frame) == []
+    order = global_order(K, 0)
+    assert find_up_edges(0, [], order, sweep, oracle, points, frame, ()) == []
     assert oracle.log.count == 1  # nothing beyond the shared diagram
 
 
@@ -105,13 +116,13 @@ def test_find_up_edges_star():
     points = ordered_points(K)
     frame = standard_frame(2)
     sweep = oracle.query(vneg(frame.u1))
-    ups = find_up_edges(0, [], global_order(K, 0), sweep, oracle, points, frame)
+    ups = find_up_edges(0, [], global_order(K, 0), sweep, oracle, points, frame, ())
     assert sorted(ups) == [1, 2, 3, 4]
 
 
 def test_find_edges_path():
     K = cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1), (1, 2)])
-    assert find_edges(ordered_points(K), Oracle(K)) == {(0, 1), (1, 2)}
+    assert find_edges(*sweep_inputs(K)) == {(0, 1), (1, 2)}
 
 
 def test_find_edges_complete_graph():
@@ -121,14 +132,14 @@ def test_find_edges_complete_graph():
         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
     )
     assert validate_general_position(K).ok
-    assert len(find_edges(ordered_points(K), Oracle(K))) == 6
+    assert len(find_edges(*sweep_inputs(K))) == 6
 
 
 def test_find_edges_point_cloud_queries_once():
     K = generate_complex(GeneratorConfig(3, 6, 0, densities=[], seed=8))
-    oracle = Oracle(K)
-    assert find_edges(ordered_points(K), oracle) == set()
-    assert oracle.log.count == 1
+    points, oracle, frame, sweep = sweep_inputs(K)
+    assert find_edges(points, oracle, frame, sweep) == set()
+    assert oracle.log.queries("edges") == 1
 
 
 def test_find_edges_random_graphs_with_split_instrumentation(monkeypatch):
@@ -143,7 +154,7 @@ def test_find_edges_random_graphs_with_split_instrumentation(monkeypatch):
     for seed in range(6):
         K = generate_complex(GeneratorConfig(3, 8, 1, densities=[0.5], seed=seed))
         truth = set(K.simplices_of_dim(1))
-        points = ordered_points(K)
+        points, oracle, frame, sweep = sweep_inputs(K)
 
         def checked(interval, known, order, oracle, pts):
             below = [u for u in range(len(pts)) if pts[u][0] < pts[interval.vertex][0]]
@@ -166,6 +177,56 @@ def test_find_edges_random_graphs_with_split_instrumentation(monkeypatch):
             return left, right
 
         monkeypatch.setattr(edges_mod, "split_wedge", checked)
-        oracle = Oracle(K)
-        assert find_edges(points, oracle) == truth
+        assert find_edges(points, oracle, frame, sweep) == truth
         monkeypatch.setattr(edges_mod, "split_wedge", real_split)
+
+
+def test_find_edges_splits_only_undecided_intervals(monkeypatch):
+    """Every split_wedge call gets 1 <= edge_count < len(candidates)."""
+    real_split = split_wedge
+    sizes = []
+
+    def checked(interval, known, order, oracle, pts):
+        assert 1 <= interval.edge_count < len(interval.candidates)
+        sizes.append(len(interval.candidates))
+        return real_split(interval, known, order, oracle, pts)
+
+    for seed in range(8):
+        K = generate_complex(GeneratorConfig(2, 12, 1, densities=[0.35], seed=seed))
+        truth = {frozenset(K.vertices[v] for v in e) for e in K.simplices_of_dim(1)}
+
+        oracle = Oracle(K)
+        points, frame, sweep = vertex_stage(oracle)
+        monkeypatch.setattr(edges_mod, "split_wedge", checked)
+        found = find_edges(points, oracle, frame, sweep)
+        monkeypatch.setattr(edges_mod, "split_wedge", real_split)
+        assert {frozenset(points[v] for v in e) for e in found} == truth
+    assert sizes  # the random graphs do need splits
+
+
+def test_find_edges_leaves_out_vertices_whose_down_edges_are_known(monkeypatch):
+    # sweep order 0, 1, 2, 3; edges 0-3 and 1-2.  At vertex 0, vertex 1 has
+    # no edge down and drops out, so one split of {2, 3} decides it; at
+    # vertex 1, vertex 3's one edge down (to 0) is known and it drops out,
+    # so vertex 2 is taken without a split.  Without the counts the search
+    # would split three times.
+    K = cx(2, [(0, 0), (1, 5), (2, -1), (3, 2)], [(0, 3), (1, 2)])
+    real_split = split_wedge
+    splits = []
+
+    def recording(interval, known, order, oracle, pts):
+        splits.append((interval.vertex, set(interval.candidates)))
+        return real_split(interval, known, order, oracle, pts)
+
+    monkeypatch.setattr(edges_mod, "split_wedge", recording)
+    points, oracle, frame, sweep = sweep_inputs(K)
+    assert find_edges(points, oracle, frame, sweep) == {(0, 3), (1, 2)}
+    assert splits == [(0, {2, 3})]
+    assert oracle.log.queries("edges") == 2
+
+
+def test_find_edges_rejects_a_sweep_in_another_direction():
+    K = cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1), (1, 2)])
+    points, oracle, frame, _ = sweep_inputs(K)
+    with pytest.raises(InvalidInput):
+        find_edges(points, oracle, frame, oracle.query(frame.u2))

@@ -99,10 +99,11 @@ def test_accounting_identity_standard_run():
 def test_accounting_identity_codim_zero_counts_lifted_queries(filled_triangle_r2):
     report = verify_roundtrip(filled_triangle_r2)
     assert report.exact_match and report.all_bounds_ok
-    # 3 vertex diagrams, 2 edge diagrams, one k=2 predicate call of 6 diagrams
-    assert report.vertex_queries == 3 and report.edge_queries == 2
+    # 3 vertex diagrams, 1 edge diagram (the lowest vertex's count equals its
+    # two candidates, so no split), one k=2 predicate call of 6 diagrams
+    assert report.vertex_queries == 3 and report.edge_queries == 1
     assert report.predicate_calls == [(2, 6)]
-    assert report.total_queries == 11
+    assert report.total_queries == 10
     assert_ledger_adds_up(report)
 
 

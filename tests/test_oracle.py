@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apdrec.oracle as oracle_mod
 from apdrec import (
@@ -16,7 +19,12 @@ from apdrec import (
     lower_star_heights,
 )
 
-from bruteforce import betti_numbers_gf2, count_simplices_at, random_compatible_order
+from bruteforce import (
+    betti_numbers_gf2,
+    count_simplices_at,
+    random_compatible_order,
+    reference_apd,
+)
 from conftest import cx
 
 F = Fraction
@@ -225,13 +233,13 @@ def test_oracle_rescales_scaled_duplicates_exactly():
 
 def test_oracle_query_computes_heights_once(monkeypatch):
     calls = []
-    real = oracle_mod.lower_star_heights
+    real = oracle_mod._heights
 
-    def counting(complex_, direction):
+    def counting(table, direction):
         calls.append(direction)
-        return real(complex_, direction)
+        return real(table, direction)
 
-    monkeypatch.setattr(oracle_mod, "lower_star_heights", counting)
+    monkeypatch.setattr(oracle_mod, "_heights", counting)
     Oracle(hollow_triangle_heights_012()).query((1, 0))
     assert len(calls) == 1
 
@@ -273,3 +281,59 @@ def test_query_lifted_matches_manual_lift():
     assert via_helper.multiset() == direct.multiset()
     assert oracle.log.count == 1
     assert oracle.query(direction).restrict(5).points == ()
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the definition
+
+# few values, so coordinates and heights tie often; large coprime
+# denominators, so the common denominators of the kernel get large
+VALUES = [
+    F(0), F(1), F(-1), F(2), F(1, 3), F(-5, 7),
+    F(10**9 + 7, 10**12 + 39), F(-(10**15), 999_999_937), F(3, 2**40),
+]
+
+
+@st.composite
+def complexes_and_directions(draw):
+    d = draw(st.integers(2, 3))
+    n0 = draw(st.integers(1, 6))
+    value = st.sampled_from(VALUES)
+    points = [tuple(draw(value) for _ in range(d)) for _ in range(n0)]
+    candidates = [c for size in range(2, d + 2) for c in combinations(range(n0), size)]
+    maximal = draw(st.lists(st.sampled_from(candidates), max_size=6)) if candidates else []
+    direction = draw(
+        st.tuples(*[value] * d).filter(lambda x: any(c != 0 for c in x))
+    )
+    return cx(d, points, maximal), direction
+
+
+def points_of(dgm):
+    return [tuple(p) for p in dgm.points]
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_and_directions(), st.integers(0, 2**32))
+def test_compute_apd_matches_the_definition(case, seed):
+    K, direction = case
+    assert points_of(compute_apd(K, direction)) == reference_apd(K, direction)
+    # an Oracle keeps its boundary table across queries
+    oracle = Oracle(K)
+    for scale in (1, F(7, 3)):
+        scaled = tuple(scale * x for x in direction)
+        assert points_of(oracle.query(scaled)) == reference_apd(K, scaled)
+    # any compatible order reduces to the same points
+    order = random_compatible_order(K, direction, random.Random(seed))
+    got = compute_apd(K, direction, order=order)
+    assert points_of(got) == reference_apd(K, direction, order=order)
+    assert got.multiset() == compute_apd(K, direction).multiset()
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes_and_directions(), st.sampled_from(VALUES))
+def test_lifted_queries_match_the_definition(case, last):
+    K, direction = case
+    lifted_direction = direction + (last,)
+    expected = reference_apd(lift(K), lifted_direction)
+    assert points_of(Oracle(K).lifted().query(lifted_direction)) == expected
+    assert points_of(compute_apd(lift(K), lifted_direction)) == expected

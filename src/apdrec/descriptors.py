@@ -3,15 +3,17 @@
 Both are decorated step functions of the filtration height.  The augmented
 Euler curve is integer-pair valued: (count of even-dimensional simplices,
 count of odd-dimensional simplices) in the sublevel set; the classical Euler
-characteristic is their difference.
+characteristic is their difference.  The curves of a diagram are one pass
+over its event table, so they cost its number of distinct heights, not its
+number of points.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from .complexes import SimplicialComplex
@@ -34,55 +36,36 @@ class StepCurve:
     zero: object = 0
 
     def value_at(self, p: Fraction):
-        i = bisect_right(self.breakpoints, p, key=itemgetter(0))
+        i = bisect_right(self.breakpoints, p, key=operator.itemgetter(0))
         return self.zero if i == 0 else self.breakpoints[i - 1][1]
 
     def heights(self) -> List[Fraction]:
         return [h for h, _ in self.breakpoints]
 
 
-def _steps_from_deltas(deltas: Dict[Fraction, int], zero: int = 0) -> Tuple:
-    value = zero
-    out = []
-    for h in sorted(deltas):
-        if deltas[h] == 0:
-            continue
-        value += deltas[h]
-        out.append((h, value))
-    return tuple(out)
-
-
 def betti_curve_from_apd(apd: AugmentedDiagram, k: int) -> StepCurve:
-    """k-th augmented Betti curve read off the diagram.
+    """k-th augmented Betti curve read off the diagram's event table.
 
-    Step value at p counts points with birth <= p < death.  A zero
-    persistence pair never steps; it decorates its height with the momentary
-    count of classes alive there (birth <= c <= death).  Since no point dies
-    before it is born, that count is the number of births at or below c
-    minus the number of finite deaths strictly below c, two bisections into
-    the sorted lists.
+    Step value at p counts points with birth <= p < death: one pass over the
+    levels, stepping by births minus finite deaths, since a zero-persistence
+    pair adds one of each and cancels.  Such a pair decorates its level with
+    the momentary count of classes alive there (birth <= c <= death): the
+    value below the level plus the births at it.
     """
-    births: List[Fraction] = []
-    finite_deaths: List[Fraction] = []
-    deltas: Dict[Fraction, int] = {}
-    decoration_heights = set()
-    for p in apd.in_dim(k):
-        births.append(p.birth)
-        if not p.essential:
-            finite_deaths.append(p.death)
-        if p.zero_persistence:
-            decoration_heights.add(p.birth)
-            continue
-        deltas[p.birth] = deltas.get(p.birth, 0) + 1
-        if not p.essential:
-            deltas[p.death] = deltas.get(p.death, 0) - 1
-    births.sort()
-    finite_deaths.sort()
-    decorations = tuple(
-        (c, bisect_right(births, c) - bisect_left(finite_deaths, c))
-        for c in sorted(decoration_heights)
-    )
-    return StepCurve(_steps_from_deltas(deltas), decorations, 0)
+    events = apd.events
+    row = events.rows.get(k)
+    if row is None:
+        return StepCurve((), (), 0)
+    value = 0
+    steps = []
+    decorations = []
+    for h, born, died, zeros in zip(events.levels, *row):
+        if zeros:
+            decorations.append((h, value + born))
+        if born != died:
+            value += born - died
+            steps.append((h, value))
+    return StepCurve(tuple(steps), tuple(decorations), 0)
 
 
 def _pair_steps(deltas: Dict[Fraction, Tuple[int, int]]) -> Tuple:
@@ -102,22 +85,24 @@ def euler_curve_from_apd(apd: AugmentedDiagram) -> StepCurve:
     """Augmented Euler characteristic curve from the diagram alone.
 
     Every k-simplex is exactly one diagram event: a birth in dimension k or a
-    death in dimension k-1, at its lower-star height.  Counting those events
-    by parity of the simplex dimension reproduces the sublevel counts.
+    death in dimension k-1, at its lower-star height.  So at each level the
+    births of dimension k and the deaths of dimension k-1 count toward the
+    parity of k, and one pass over the levels sums them into the sublevel
+    counts.
     """
-    deltas: Dict[Fraction, List[int]] = {}
-
-    def bump(height: Fraction, dim: int) -> None:
-        cell = deltas.setdefault(height, [0, 0])
-        cell[dim % 2] += 1
-
-    for p in apd.points:
-        bump(p.birth, p.dim)
-        if not p.essential:
-            bump(p.death, p.dim + 1)
-    return StepCurve(
-        _pair_steps({h: (c[0], c[1]) for h, c in deltas.items()}), (), (0, 0)
-    )
+    events = apd.events
+    counts = [[0] * len(events.levels), [0] * len(events.levels)]
+    for k, row in events.rows.items():
+        counts[k % 2] = list(map(operator.add, counts[k % 2], row.births))
+        counts[1 - k % 2] = list(map(operator.add, counts[1 - k % 2], row.deaths))
+    even = odd = 0
+    steps = []
+    for h, de, do in zip(events.levels, *counts):
+        if de or do:
+            even += de
+            odd += do
+            steps.append((h, (even, odd)))
+    return StepCurve(tuple(steps), (), (0, 0))
 
 
 def euler_curve_direct(complex_: SimplicialComplex, direction: Direction) -> StepCurve:

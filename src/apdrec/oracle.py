@@ -1,9 +1,18 @@
 """Directional augmented persistence diagrams and the query oracle.
 
 The augmented diagram keeps every zero-persistence pair, so each simplex of
-the complex shows up as exactly one birth or death event.  Pairing is plain
-left-to-right boundary-matrix reduction over Z/2 on a compatible index
-filtration; columns are bitmask integers.
+the complex shows up as exactly one birth or death event.  Pairing is
+boundary-matrix reduction over Z/2 on a compatible index filtration, with
+clearing: dimensions are reduced top first, each in filtration order, and a
+column whose simplex is already the lowest row of a reduced higher column is
+a birth and is skipped, since it would reduce to zero.  Columns are bitmask
+integers.  The pairing of a filtration is unique, so clearing leaves the
+points as they are.
+
+Every diagram carries an EventTable: its events counted per dimension over
+the sorted distinct heights, built from the kernel's integer keys.  All
+height-indexed reads (births_at, deaths_at, count_at, simplex_count, births)
+and both curves of ``descriptors`` are answered from that table.
 
 The kernel runs on integers.  A BoundaryTable, built once per complex,
 holds the coordinates scaled by their common denominator, the simplices in
@@ -24,8 +33,10 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import Simplex, SimplicialComplex, facets
@@ -49,31 +60,73 @@ class DiagramPoint(NamedTuple):
         return self.death == self.birth
 
 
+class EventRow(NamedTuple):
+    """One dimension's event counts, one entry per level."""
+
+    births: List[int]
+    deaths: List[int]  # finite deaths only
+    zeros: List[int]  # zero-persistence pairs
+
+
+class EventTable(NamedTuple):
+    """A diagram's events counted per dimension over its distinct heights.
+
+    ``levels`` are the distinct heights of the events, increasing, and
+    ``rows[k]`` counts the events of dimension k at each level.  A
+    dimension without a row has no events.
+    """
+
+    levels: List[Fraction]
+    rows: Dict[int, EventRow]
+
+    def level(self, height) -> Optional[int]:
+        """Index of the level equal to the height, or None off the grid."""
+        i = bisect_left(self.levels, height)
+        if i < len(self.levels) and self.levels[i] == height:
+            return i
+        return None
+
+
 @dataclass(frozen=True)
 class AugmentedDiagram:
-    """Multiset of (dim, birth, death) points for one query direction."""
+    """Multiset of (dim, birth, death) points for one query direction.
+
+    ``events`` is the same multiset counted per height; it takes no part in
+    equality, hashing or the text form.
+    """
 
     direction: Direction
     points: Tuple[DiagramPoint, ...]
+    events: EventTable = field(compare=False, repr=False)
 
     def restrict(self, dim: int) -> "AugmentedDiagram":
+        rows = self.events.rows
         return AugmentedDiagram(
-            self.direction, tuple(p for p in self.points if p.dim == dim)
+            self.direction,
+            tuple(p for p in self.points if p.dim == dim),
+            EventTable(self.events.levels, {dim: rows[dim]} if dim in rows else {}),
         )
 
     def in_dim(self, dim: int) -> List[DiagramPoint]:
         return [p for p in self.points if p.dim == dim]
 
     def births(self, dim: int) -> List[Fraction]:
-        return sorted(p.birth for p in self.points if p.dim == dim)
+        """Birth heights of dimension dim, increasing, with multiplicity."""
+        row = self.events.rows.get(dim)
+        if row is None:
+            return []
+        return list(chain.from_iterable(map(repeat, self.events.levels, row.births)))
 
     def births_at(self, dim: int, height: Fraction) -> int:
-        return sum(1 for p in self.points if p.dim == dim and p.birth == height)
+        row = self.events.rows.get(dim)
+        i = self.events.level(height)
+        return 0 if row is None or i is None else row.births[i]
 
     def deaths_at(self, dim: int, height: Fraction) -> int:
-        return sum(
-            1 for p in self.points if p.dim == dim and not p.essential and p.death == height
-        )
+        """Finite deaths of dimension dim at the height."""
+        row = self.events.rows.get(dim)
+        i = self.events.level(height)
+        return 0 if row is None or i is None else row.deaths[i]
 
     def count_at(self, k: int, height: Fraction) -> int:
         """Deaths at the height in dimension k-1 plus births there in dimension k.
@@ -81,12 +134,18 @@ class AugmentedDiagram:
         By the simplex-count correspondence this equals the number of
         k-simplices whose lower-star height is exactly the given value.
         """
-        return self.deaths_at(k - 1, height) + self.births_at(k, height)
+        i = self.events.level(height)
+        if i is None:
+            return 0
+        lower, upper = self.events.rows.get(k - 1), self.events.rows.get(k)
+        deaths = lower.deaths[i] if lower else 0
+        return deaths + (upper.births[i] if upper else 0)
 
     def simplex_count(self, k: int) -> int:
         """Number of k-simplices: the height-free form of count_at."""
-        finite_deaths = sum(1 for p in self.in_dim(k - 1) if not p.essential)
-        return len(self.in_dim(k)) + finite_deaths
+        lower, upper = self.events.rows.get(k - 1), self.events.rows.get(k)
+        deaths = sum(lower.deaths) if lower else 0
+        return deaths + (sum(upper.births) if upper else 0)
 
     def multiset(self) -> Dict[DiagramPoint, int]:
         out: Dict[DiagramPoint, int] = {}
@@ -177,32 +236,44 @@ def _heights(table: BoundaryTable, direction: Sequence[int]) -> List[int]:
 def _reduce_pairs(
     order: Sequence[int], table: BoundaryTable
 ) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Z/2 column reduction over the filtration ``order`` of static indices.
+    """Z/2 column reduction with clearing over the filtration ``order``.
 
-    Columns are bitmask integers over filtration positions, built from the
-    table's facet indices.  Returns (birth, death) position pairs and the
+    ``order`` lists static indices and must be a filtration: every facet
+    before its cofaces.  Columns are bitmask integers over filtration
+    positions, built from the table's facet indices.  Dimensions are reduced
+    top first, each in filtration order; a column is only ever added to one
+    of its own dimension, so within a dimension this is the left-to-right
+    reduction.  A position that is already the lowest row of a reduced
+    column one dimension up is a birth, whose column would reduce to zero,
+    so it is skipped.  Returns (birth, death) position pairs and the
     essential positions.
     """
     position = [0] * len(order)
     for i, s in enumerate(order):
         position[s] = i
+    dims = table.dims
     facet_table = table.facets
     pairs: List[Tuple[int, int]] = []
     reduced_by_low: Dict[int, int] = {}
     paired = bytearray(len(order))
-    for j, s in enumerate(order):
-        col = 0
-        for f in facet_table[s]:
-            col ^= 1 << position[f]
-        while col:
-            low = col.bit_length() - 1
-            other = reduced_by_low.get(low)
-            if other is None:
-                reduced_by_low[low] = col
-                pairs.append((low, j))
-                paired[low] = paired[j] = 1
-                break
-            col ^= other
+    for k in range(dims[-1] if dims else 0, 0, -1):
+        # the static indices of dimension k form one range
+        lo, hi = bisect_left(dims, k), bisect_left(dims, k + 1)
+        for j in sorted(position[lo:hi]):
+            if paired[j]:
+                continue
+            col = 0
+            for f in facet_table[order[j]]:
+                col ^= 1 << position[f]
+            while col:
+                low = col.bit_length() - 1
+                other = reduced_by_low.get(low)
+                if other is None:
+                    reduced_by_low[low] = col
+                    pairs.append((low, j))
+                    paired[low] = paired[j] = 1
+                    break
+                col ^= other
     essentials = [i for i in range(len(order)) if not paired[i]]
     return pairs, essentials
 
@@ -214,12 +285,14 @@ def _emit_points(
     heights: Sequence[int],
     table: BoundaryTable,
     denominator: int,
-) -> Tuple[DiagramPoint, ...]:
-    """Diagram points sorted by (dim, birth, death), from integer heights.
+) -> Tuple[Tuple[DiagramPoint, ...], EventTable]:
+    """Diagram points sorted by (dim, birth, death), and their event table.
 
     The points are sorted by integer keys, an essential class keyed by a
     death above every height, and each distinct height becomes one
-    ``Fraction(h, denominator)``.
+    ``Fraction(h, denominator)``.  The table is counted on the integer keys
+    too; its levels are the distinct heights, since every simplex is one
+    event at its own height.
     """
     dims = table.dims
     top = max(heights, default=0) + 1
@@ -228,9 +301,25 @@ def _emit_points(
     ]
     keys.extend((dims[order[i]], heights[order[i]], top) for i in essentials)
     keys.sort()
-    value = {h: Fraction(h, denominator) for h in set(heights)}
+    grid = sorted(set(heights))
+    value = {h: Fraction(h, denominator) for h in grid}
+    rank = {h: i for i, h in enumerate(grid)}
+    rows = {
+        k: EventRow([0] * len(grid), [0] * len(grid), [0] * len(grid))
+        for k in range(keys[-1][0] + 1 if keys else 0)
+    }
+    for k, b, d in keys:
+        births, deaths, zeros = rows[k]
+        i = rank[b]
+        births[i] += 1
+        if d != top:
+            deaths[rank[d]] += 1
+            if d == b:
+                zeros[i] += 1
+    events = EventTable([value[h] for h in grid], rows)
     value[top] = INF
-    return tuple(DiagramPoint(k, value[b], value[d]) for k, b, d in keys)
+    points = tuple(DiagramPoint(k, value[b], value[d]) for k, b, d in keys)
+    return points, events
 
 
 def compute_apd(
@@ -242,7 +331,9 @@ def compute_apd(
 
     ``order`` replaces the default index filtration by another compatible
     one; any face-respecting permutation of equal-height simplices gives the
-    identical multiset, which is what the tie-break tests check.
+    identical multiset, which is what the tie-break tests check.  An order
+    that is not a filtration (heights decreasing somewhere, or a coface
+    before one of its facets) raises InvalidInput.
 
     The kernel works in integers.  With L the common denominator of the
     coordinates and D that of the direction, every height is an integer
@@ -274,11 +365,29 @@ def _apd(
     else:
         index = {s: i for i, s in enumerate(table.simplices)}
         filtration = [index[s] for s in order]
+        _check_filtration(filtration, heights, table)
     pairs, essentials = _reduce_pairs(filtration, table)
-    points = _emit_points(
+    points, events = _emit_points(
         filtration, pairs, essentials, heights, table, d_scale * table.scale
     )
-    return AugmentedDiagram(direction, points)
+    return AugmentedDiagram(direction, points, events)
+
+
+def _check_filtration(
+    filtration: Sequence[int], heights: Sequence[int], table: BoundaryTable
+) -> None:
+    """Raise InvalidInput unless heights never decrease along the order and
+    every facet comes before its cofaces."""
+    ordered = [heights[s] for s in filtration]
+    if any(a > b for a, b in zip(ordered, ordered[1:])):
+        raise InvalidInput("order is not a filtration: a height decreases")
+    position = [0] * len(filtration)
+    for i, s in enumerate(filtration):
+        position[s] = i
+    if any(
+        position[f] > position[s] for s, fs in enumerate(table.facets) for f in fs
+    ):
+        raise InvalidInput("order is not a filtration: a coface precedes a facet")
 
 
 # ---------------------------------------------------------------------------

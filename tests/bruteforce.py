@@ -180,3 +180,81 @@ def random_compatible_order(complex_, direction, rng: random.Random) -> List[tup
             placed.add(choice)
             order.append(choice)
     return order
+
+
+# ---------------------------------------------------------------------------
+# diagram reads and curves by scanning the points
+#
+# Each takes a diagram's points, (dim, birth, death) with death math.inf for
+# an essential class, and counts from the definition.
+
+
+def births_by_scan(points, dim: int) -> List[Fraction]:
+    return sorted(p[1] for p in points if p[0] == dim)
+
+
+def births_at_by_scan(points, dim: int, height) -> int:
+    return sum(1 for p in points if p[0] == dim and p[1] == height)
+
+
+def deaths_at_by_scan(points, dim: int, height) -> int:
+    """Finite deaths of dimension dim at the height."""
+    return sum(
+        1 for p in points if p[0] == dim and p[2] != math.inf and p[2] == height
+    )
+
+
+def count_at_by_scan(points, k: int, height) -> int:
+    """k-simplices at the height: deaths in k-1 plus births in k."""
+    return deaths_at_by_scan(points, k - 1, height) + births_at_by_scan(points, k, height)
+
+
+def simplex_count_by_scan(points, k: int) -> int:
+    finite_deaths = sum(1 for p in points if p[0] == k - 1 and p[2] != math.inf)
+    return sum(1 for p in points if p[0] == k) + finite_deaths
+
+
+def betti_curve_by_scan(points, k: int) -> Tuple[tuple, tuple]:
+    """(breakpoints, decorations) of the k-th augmented Betti curve.
+
+    Each point with birth < death steps +1 at its birth and -1 at a finite
+    death; heights whose steps sum to zero are no breakpoint.  A
+    zero-persistence pair decorates its height c with the number of points
+    with birth <= c <= death.
+    """
+    pts = [p for p in points if p[0] == k]
+    deltas: Dict = {}
+    for _, birth, death in pts:
+        if birth == death:
+            continue
+        deltas[birth] = deltas.get(birth, 0) + 1
+        if death != math.inf:
+            deltas[death] = deltas.get(death, 0) - 1
+    value = 0
+    breakpoints = []
+    for h in sorted(deltas):
+        if deltas[h]:
+            value += deltas[h]
+            breakpoints.append((h, value))
+    decorations = tuple(
+        (c, sum(1 for p in pts if p[1] <= c <= p[2]))
+        for c in sorted({p[1] for p in pts if p[1] == p[2]})
+    )
+    return tuple(breakpoints), decorations
+
+
+def euler_curve_by_scan(points) -> tuple:
+    """Breakpoints (h, (even, odd)) of the augmented Euler curve: a birth in
+    dimension k counts toward the parity of k, a finite death toward k+1."""
+    deltas: Dict = {}
+    for dim, birth, death in points:
+        deltas.setdefault(birth, [0, 0])[dim % 2] += 1
+        if death != math.inf:
+            deltas.setdefault(death, [0, 0])[(dim + 1) % 2] += 1
+    even = odd = 0
+    breakpoints = []
+    for h in sorted(deltas):
+        even += deltas[h][0]
+        odd += deltas[h][1]
+        breakpoints.append((h, (even, odd)))
+    return tuple(breakpoints)

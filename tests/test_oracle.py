@@ -12,7 +12,9 @@ from apdrec import (
     GeneratorConfig,
     InvalidInput,
     Oracle,
+    betti_curve_from_apd,
     compute_apd,
+    euler_curve_from_apd,
     generate_complex,
     index_filtration,
     lift,
@@ -20,10 +22,19 @@ from apdrec import (
 )
 
 from bruteforce import (
+    betti_curve_by_scan,
     betti_numbers_gf2,
+    births_at_by_scan,
+    births_by_scan,
+    count_at_by_scan,
     count_simplices_at,
+    deaths_at_by_scan,
+    euler_curve_by_scan,
     random_compatible_order,
     reference_apd,
+    simplex_count_by_scan,
+    simplex_height,
+    vertex_heights,
 )
 from conftest import cx
 
@@ -263,6 +274,20 @@ def test_compute_apd_rejects_non_permutation_order():
         compute_apd(K, E1, order=[(0,), (1,)])
 
 
+def test_compute_apd_rejects_orders_that_are_not_filtrations():
+    # heights in e1: vertex i at height i, each simplex at its largest id
+    K = full_triangle_heights_012()
+    by_dim_reversed = sorted(K.simplices, key=lambda s: (len(s), s), reverse=True)
+    face_respecting_descending = [(2,), (1,), (0,), (0, 2), (1, 2), (0, 1), (0, 1, 2)]
+    ascending_coface_first = [(0,), (1,), (0, 1), (0, 2), (2,), (1, 2), (0, 1, 2)]
+    for order in (by_dim_reversed, face_respecting_descending, ascending_coface_first):
+        with pytest.raises(InvalidInput, match="not a filtration"):
+            compute_apd(K, E1, order=order)
+    # the same heights in a filtration order are accepted
+    valid = [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
+    assert compute_apd(K, E1, order=valid) == compute_apd(K, E1)
+
+
 def test_lift_examples():
     K = cx(2, [(1, 2), (0, 0), (F(1, 2), F(1, 3))], [])
     lifted = lift(K)
@@ -337,3 +362,52 @@ def test_lifted_queries_match_the_definition(case, last):
     expected = reference_apd(lift(K), lifted_direction)
     assert points_of(Oracle(K).lifted().query(lifted_direction)) == expected
     assert points_of(compute_apd(lift(K), lifted_direction)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_and_directions(), st.sampled_from([None] + VALUES))
+def test_event_table_reads_match_the_point_scans(case, last):
+    """Every table-backed read and both curves equal a scan of the points,
+    on plain and lifted diagrams and on each restriction, at every level, off
+    the grid and for dimensions on both sides of the complex's."""
+    K, direction = case
+    if last is not None:
+        K, direction = lift(K), direction + (last,)
+    dgm = compute_apd(K, direction)
+    hs = vertex_heights(K.vertices, direction)
+    assert list(dgm.events.levels) == sorted({simplex_height(s, hs) for s in K.simplices})
+    top = max((len(s) - 1 for s in K.simplices), default=0)
+    for view in [dgm] + [dgm.restrict(d) for d in range(-1, 4)]:
+        pts = [tuple(p) for p in view.points]
+        grid = sorted({h for p in pts for h in p[1:] if h != INF} | set(view.events.levels))
+        off_grid = [a + (b - a) / 3 for a, b in zip(grid, grid[1:])]
+        if grid:
+            off_grid += [grid[0] - 1, grid[-1] + F(1, 7)]
+        for k in range(-1, top + 3):
+            assert view.births(k) == births_by_scan(pts, k)
+            assert view.simplex_count(k) == simplex_count_by_scan(pts, k)
+            for h in grid + off_grid + [F(0), INF]:
+                assert view.births_at(k, h) == births_at_by_scan(pts, k, h)
+                assert view.deaths_at(k, h) == deaths_at_by_scan(pts, k, h)
+                assert view.count_at(k, h) == count_at_by_scan(pts, k, h)
+            curve = betti_curve_from_apd(view, k)
+            assert (curve.breakpoints, curve.decorations) == betti_curve_by_scan(pts, k)
+        assert euler_curve_from_apd(view).breakpoints == euler_curve_by_scan(pts)
+
+
+def test_clearing_on_the_dense_stream_complex():
+    """The benchmark's dense complex, where clearing skips hundreds of
+    columns, reduces to the definition's points in tie and rational
+    directions."""
+    K = generate_complex(GeneratorConfig(3, 24, 3, densities=[0.8], seed=0))
+    assert len(K.simplices) == 2016
+    rng = random.Random(2011)
+    directions = [(0, 0, 1), (1, 1, 0), (0, 1, -1)] + [
+        tuple(F(rng.randint(-1000, 1000), rng.randint(1, 60)) for _ in range(3))
+        for _ in range(6)
+    ]
+    for direction in directions:
+        dgm = compute_apd(K, direction)
+        assert points_of(dgm) == reference_apd(K, direction)
+        # every finite pair born in dimension >= 1 is a column clearing skips
+        assert sum(1 for p in dgm.points if p.dim >= 1 and not p.essential) > 500

@@ -1,8 +1,9 @@
 """Exact reconstruction of embedded simplicial complexes from directional
 augmented persistence diagrams, plus the diagram/curve machinery itself.
 
-Everything is computed over arbitrary-precision rationals; see the README
-for a tour and ``demos/`` for narrative walkthroughs.
+Everything is computed exactly, over arbitrary-precision rationals or, on
+the hot paths, over integer-scaled coordinates; see the README for a tour
+and ``demos/`` for narrative walkthroughs.
 """
 
 from .complexes import (

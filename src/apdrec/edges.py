@@ -120,7 +120,7 @@ def find_up_edges(
     """
     height_neg = -frame.height(points[vertex])
     indegree = sweep_diagram.count_at(1, height_neg)
-    candidates = tuple(vid for vid, _ in order.ordered if vid not in excluded)
+    candidates = tuple([vid for vid, _ in order.ordered if vid not in excluded])
 
     found: List[int] = []
     neighbors: List[int] = list(known_below_edges)

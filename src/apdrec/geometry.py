@@ -1,21 +1,29 @@
 """Exact rational linear algebra and direction construction.
 
-All coordinates, heights and directions are ``fractions.Fraction`` values, so
-every predicate in the library is exact.  Directions are *not* normalized:
-only the ordering and equality of dot products ever matters, and both are
-invariant under positive scaling.  This keeps the whole pipeline inside the
-rationals (no square roots).
+Coordinates and heights are exact: ``fractions.Fraction`` values where they
+come from or go to a diagram, ``int`` values where a caller has scaled its
+points by a common denominator.  Directions are *not* normalized: only the
+ordering and equality of dot products ever matters, and both are invariant
+under positive scaling.  This keeps the whole pipeline inside the rationals
+(no square roots), and lets the reconstruction geometry run on integers.
 
-Vectors and directions are plain tuples of Fractions, which makes them
-hashable and trivially immutable.
+Every kernel has one code path that is exact on ``int`` input and stays
+exact on ``Fraction`` input: a quotient is built as ``Fraction(p, q)``, never
+as ``p / q``, which would give a float for two ints.  ``dot`` of two integer
+vectors is an int, ``primitive_direction`` returns ints, and ``_rref``
+eliminates fraction-free.
+
+Vectors and directions are plain tuples, which makes them hashable and
+trivially immutable.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -26,6 +34,7 @@ from .errors import (
 )
 
 Vector = Tuple[Fraction, ...]
+IntVector = Tuple[int, ...]
 Direction = Tuple[Fraction, ...]
 
 
@@ -39,9 +48,25 @@ def as_vector(coords: Iterable) -> Vector:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """Exact dot product; an int when both vectors hold ints."""
     if len(a) != len(b):
         raise InvalidInput(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum(map(operator.mul, a, b))
+
+
+def scale_to_integers(
+    rows: Sequence[Sequence[Fraction]],
+) -> Tuple[List[IntVector], int]:
+    """(rows times L, L) for L the common denominator of every entry.
+
+    Each scaled row is a tuple of ints.  L > 0, so every dot product with a
+    scaled row is L times the rational one: order and ties are kept.
+    """
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    scaled = [
+        tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows
+    ]
+    return scaled, scale
 
 
 def vsub(a: Vector, b: Vector) -> Vector:
@@ -70,21 +95,18 @@ def parallel(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     return True
 
 
-def primitive_direction(d: Sequence[Fraction]) -> Direction:
+def primitive_direction(d: Sequence[Fraction]) -> IntVector:
     """Scale a direction by a positive rational to primitive integer form.
 
-    The orientation is preserved; scaled duplicates map to the same tuple.
+    The orientation is preserved; scaled duplicates map to the same tuple of
+    ints.
     """
     if is_zero(d):
         raise InvalidInput("zero vector has no direction")
-    denom_lcm = 1
-    for x in d:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in d]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(Fraction(v // g) for v in ints)
+    denom_lcm = math.lcm(*(x.denominator for x in d))
+    ints = [x.numerator * (denom_lcm // x.denominator) for x in d]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
 
 
 def format_rational(x: Fraction) -> str:
@@ -103,29 +125,49 @@ def parse_rational(token: str) -> Fraction:
 # exact linear solving (internal)
 
 
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free reduced row echelon form; returns (rows, pivot columns).
+
+    Each row is first scaled to ints by the lcm of its denominators, a
+    positive scale that changes neither the row space nor any solution.
+    Elimination then follows Bareiss: with p the new pivot and q the one
+    before it, every other row becomes ``(p * row - row[col] * pivot_row) /
+    q``, and Sylvester's identity makes that division exact.  Every pivot
+    entry ends as the same integer D, made positive at the end, and each row
+    is D times the matching row of the rational reduced form; rows past the
+    rank are zero.  Returns new lists; the input is not modified.
+    """
     if not rows:
-        return rows, []
-    ncols = len(rows[0])
+        return [], []
+    reduced = []
+    for row in rows:
+        m = math.lcm(*(x.denominator for x in row))
+        reduced.append([x.numerator * (m // x.denominator) for x in row])
+    ncols = len(reduced[0])
     pivots: List[int] = []
+    previous = 1
     r = 0
     for col in range(ncols):
-        if r == len(rows):
+        if r == len(reduced):
             break
-        pr = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        pr = next((i for i in range(r, len(reduced)) if reduced[i][col]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        reduced[r], reduced[pr] = reduced[pr], reduced[r]
+        pivot_row = reduced[r]
+        p = pivot_row[col]
+        for i, row in enumerate(reduced):
+            if i != r:
+                f = row[col]
+                reduced[i] = [
+                    (p * a - f * b) // previous for a, b in zip(row, pivot_row)
+                ]
+        previous = p
         pivots.append(col)
         r += 1
-    return rows, pivots
+    if previous < 0:
+        reduced = [[-x for x in row] for row in reduced]
+    return reduced, pivots
 
 
 def _solve_particular(
@@ -135,13 +177,13 @@ def _solve_particular(
 
     Free variables are set to zero, so the result is deterministic.
     """
-    aug = [list(coeffs) + [Fraction(rhs)] for coeffs, rhs in equations]
+    aug = [list(coeffs) + [rhs] for coeffs, rhs in equations]
     aug, pivots = _rref(aug)
-    if any(p == dim for p in pivots):  # pivot in the rhs column
+    if pivots and pivots[-1] == dim:  # pivot in the rhs column
         return None
     x = [Fraction(0)] * dim
     for row, col in zip(aug, pivots):
-        x[col] = row[dim]
+        x[col] = Fraction(row[dim], row[col])
     return x
 
 
@@ -174,9 +216,10 @@ def orthogonal_to_affine_hull(points: Sequence[Vector]) -> Direction:
     free = [c for c in range(dim) if c not in pivots]
     if not free:
         raise DegeneratePosition("points affinely span the whole space")
+    # the rows are D times the rational ones, so this kernel vector is too
     j = free[0]
-    z = [Fraction(0)] * dim
-    z[j] = Fraction(1)
+    z = [0] * dim
+    z[j] = diffs[0][pivots[0]] if pivots else 1
     for row, col in zip(diffs, pivots):
         z[col] = -row[j]
     return primitive_direction(z)
@@ -213,13 +256,13 @@ def second_perpendicular_direction(
             raise PreconditionViolated("s does not height-separate V from the rest")
 
     w0 = subset_w[0]
-    equations: List[Tuple[Sequence[Fraction], Fraction]] = []
+    equations: List[Tuple[Sequence[Fraction], int]] = []
     for w in subset_w[1:]:
-        equations.append((vsub(w, w0), Fraction(0)))
-    equations.append((s, Fraction(0)))
+        equations.append((vsub(w, w0), 0))
+    equations.append((s, 0))
     for x in subset_v:
         if tuple(x) not in w_set:
-            equations.append((vsub(x, w0), Fraction(1)))
+            equations.append((vsub(x, w0), 1))
     solution = _solve_particular(equations, dim)
     if solution is None or is_zero(solution):
         raise DegeneratePosition("V u {v - s} is affinely dependent")
@@ -244,7 +287,7 @@ def leftmost_crossing(
         return None
     min_gap = min(b - a for a, b in zip(distinct, distinct[1:]))
     spread = max(heights_prime) - min(heights_prime)
-    return min_gap / (min_gap + spread)
+    return Fraction(min_gap, min_gap + spread)
 
 
 def tilt(
@@ -257,13 +300,17 @@ def tilt(
 
     eps is half the leftmost segment crossing of the two height lists (1/2
     when there is none), so heights that are distinct under s keep their
-    order, while ties under s are broken by the s' order.
+    order, while ties under s are broken by the s' order.  With eps = n / q
+    each coordinate is ``((q - n) * a + n * b) / q``, one exact division.
     """
     if parallel(s, s_prime):
         raise ParallelDirections("tilt requires linearly independent directions")
     crossing = leftmost_crossing(heights, heights_prime)
-    eps = Fraction(1, 2) if crossing is None else crossing / 2
-    return tuple((1 - eps) * a + eps * b for a, b in zip(s, s_prime))
+    if crossing is None:
+        n, q = 1, 2
+    else:
+        n, q = crossing.numerator, 2 * crossing.denominator
+    return tuple(Fraction((q - n) * a + n * b, q) for a, b in zip(s, s_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +397,7 @@ def radial_order(
         off = (p1 - c1, p2 - c2)
         if off[0] == 0:
             raise DegeneratePosition(f"vertex {vid} has the center's sweep height")
-        slope = off[1] / off[0]
+        slope = Fraction(off[1], off[0])
         if slope in owner:
             raise DegeneratePosition(
                 f"projected offsets of {owner[slope]} and {vid} are parallel"
@@ -359,7 +406,7 @@ def radial_order(
         if off[0] > 0:
             above.append((slope, vid, off))
     above.sort(key=lambda entry: entry[0], reverse=True)
-    ordered = tuple((vid, off) for _, vid, off in above)
+    ordered = tuple([(vid, off) for _, vid, off in above])
     return RadialOrder(tuple(center), ordered, tuple(sorted(owner)), frame)
 
 
@@ -376,7 +423,7 @@ def separating_direction(order: RadialOrder, after_index: int) -> Direction:
     if not 0 <= after_index < len(order.ordered):
         raise InvalidInput("after_index out of range")
     x, y = order.ordered[after_index][1]
-    slope = y / x
+    slope = Fraction(y, x)
     lower = bisect_left(order.slopes, slope)
     m = (slope + order.slopes[lower - 1]) / 2 if lower else slope - 1
     return order.frame.embed(m, Fraction(-1))

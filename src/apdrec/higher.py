@@ -7,6 +7,15 @@ recursion over the proper faces (each isolated by a tilted direction)
 removes the double counting.  The simplex predicate then compares the two
 k-indegrees across a wedge that isolates exactly one candidate vertex: the
 counts differ by one precisely when the candidate simplex exists.
+
+The stage runs on integers.  ``reconstruct`` scales the recovered points
+once by L, the common denominator of their coordinates (the lifted points by
+their own), so every height is an int, L times the rational one.  The
+predicates only compare heights, and a positive scale keeps their order and
+their ties; every solved or tilted direction scales by a positive factor
+too, and ``primitive_direction`` removes it.  So the oracle is asked the
+same directions in the same order as on the rational points, and a diagram
+is read at ``Fraction(h, L)``, the only place a height becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -19,10 +28,11 @@ from .edges import find_edges
 from .errors import DegeneratePosition, PreconditionViolated
 from .geometry import (
     Direction,
-    Vector,
+    IntVector,
     dot,
     orthogonal_to_affine_hull,
     primitive_direction,
+    scale_to_integers,
     second_perpendicular_direction,
     tilt,
     vneg,
@@ -34,8 +44,14 @@ from .vertices import vertex_stage
 IndegreeMemo = Dict[Simplex, int]
 
 
-def _heights(points: Sequence[Vector], s: Direction) -> List[Fraction]:
-    """Heights of all points under s, computed once per direction by callers."""
+def _heights(points: Sequence[IntVector], s: Direction) -> List[int]:
+    """Heights of all points under s, computed once per direction by callers.
+
+    The points are integer-scaled by L > 0 and s is an integer direction, so
+    each height is an int, L times the rational height.  Scaling by L > 0
+    keeps the order and the ties of heights, which is all that tilt and the
+    level tests compare.
+    """
     return [dot(s, p) for p in points]
 
 
@@ -45,11 +61,13 @@ def compute_indegree(
     k: int,
     memo: IndegreeMemo,
     oracle: Oracle,
-    points: Sequence[Vector],
+    points: Sequence[IntVector],
+    scale: int,
     _depth: int = 0,
 ) -> int:
     """k-indegree of sigma in a direction that height-isolates it.
 
+    ``points`` are the vertex points times ``scale`` (see the module notes).
     Precondition: every vertex of sigma has the same height under the
     direction and no other vertex does (verified against the dimension-0
     births of the queried diagram).  One logged query here plus one per
@@ -64,12 +82,13 @@ def compute_indegree(
     height = dot(direction, points[sigma[0]])
     if any(dot(direction, points[v]) != height for v in sigma[1:]):
         raise PreconditionViolated("direction is not constant on the simplex")
-    if dgm.births_at(0, height) != len(sigma):
+    level = Fraction(height, scale)
+    if dgm.births_at(0, level) != len(sigma):
         raise PreconditionViolated(
             "another vertex shares the simplex height in this direction"
         )
 
-    delta = dgm.count_at(k, height)
+    delta = dgm.count_at(k, level)
     double_counts = 0
     sigma_points = [points[v] for v in sigma]
     heights = None
@@ -89,14 +108,14 @@ def compute_indegree(
                 tilt(heights, _heights(points, s_prime), direction, s_prime)
             )
             memo[tau] = compute_indegree(
-                tau, tilted, k, memo, oracle, points, _depth + 1
+                tau, tilted, k, memo, oracle, points, scale, _depth + 1
             )
         double_counts += memo[tau]
     return delta - double_counts
 
 
 def _isolating_direction(
-    candidate: Sequence[int], oracle: Oracle, points: Sequence[Vector]
+    candidate: Sequence[int], oracle: Oracle, points: Sequence[IntVector]
 ) -> Direction:
     """Direction orthogonal to the candidate's hull giving it a unique height.
 
@@ -123,9 +142,15 @@ def _isolating_direction(
 
 
 def is_simplex(
-    sigma: Simplex, vertex: int, oracle: Oracle, points: Sequence[Vector]
+    sigma: Simplex,
+    vertex: int,
+    oracle: Oracle,
+    points: Sequence[IntVector],
+    scale: int,
 ) -> bool:
     """Does sigma plus one more vertex form a simplex of the complex?
+
+    ``points`` are the vertex points times ``scale`` (see the module notes).
 
     Builds the wedge anchored at sigma whose two boundary directions place
     the candidate vertex below respectively above sigma while every other
@@ -152,8 +177,8 @@ def is_simplex(
     )
 
     oracle.log.open(k)
-    upper = compute_indegree(sigma, s_upper, k, {}, oracle, points)
-    lower = compute_indegree(sigma, s_lower, k, {}, oracle, points)
+    upper = compute_indegree(sigma, s_upper, k, {}, oracle, points, scale)
+    lower = compute_indegree(sigma, s_lower, k, {}, oracle, points, scale)
     return abs(upper - lower) == 1
 
 
@@ -164,7 +189,8 @@ def is_simplex(
 def _cofaces(
     previous: Sequence[Simplex],
     oracle: Oracle,
-    points: Sequence[Vector],
+    points: Sequence[IntVector],
+    scale: int,
 ) -> Set[Simplex]:
     """The (k+1)-simplices whose k-facets are all in ``previous``, confirmed.
 
@@ -182,7 +208,7 @@ def _cofaces(
             candidate = sigma + (vertex,)
             if not all(f in known for f in facets(candidate)):
                 continue
-            if is_simplex(sigma, vertex, oracle, points):
+            if is_simplex(sigma, vertex, oracle, points, scale):
                 found.add(candidate)
     return found
 
@@ -217,16 +243,17 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     simplices.update(edges)
     previous: List[Simplex] = sorted(edges)
 
+    scaled, scale = scale_to_integers(points)
     dim = 2
     while previous and dim <= d - 1:
-        found = _cofaces(previous, oracle, points)
+        found = _cofaces(previous, oracle, scaled, scale)
         simplices.update(found)
         previous = sorted(found)
         dim += 1
 
     if sweep.simplex_count(d):
-        lifted_points = [lift_point(p) for p in points]
-        simplices.update(_cofaces(previous, oracle.lifted(), lifted_points))
+        lifted, lifted_scale = scale_to_integers([lift_point(p) for p in points])
+        simplices.update(_cofaces(previous, oracle.lifted(), lifted, lifted_scale))
 
     vertex_map = {i: points[i] for i in range(len(points))}
     return build_complex(d, vertex_map, simplices)

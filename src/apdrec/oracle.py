@@ -41,7 +41,14 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import Simplex, SimplicialComplex, facets
 from .errors import InvalidInput
-from .geometry import Direction, Vector, dot, format_rational, is_zero
+from .geometry import (
+    Direction,
+    Vector,
+    dot,
+    format_rational,
+    is_zero,
+    scale_to_integers,
+)
 
 INF = math.inf
 
@@ -211,11 +218,7 @@ class BoundaryTable:
         ]
         self.dims = [len(s) - 1 for s in self.simplices]
         rows = [complex_.vertices[s[0]] for s in self.simplices if len(s) == 1]
-        self.scale = math.lcm(*(x.denominator for row in rows for x in row))
-        self.coords = [
-            tuple(x.numerator * (self.scale // x.denominator) for x in row)
-            for row in rows
-        ]
+        self.coords, self.scale = scale_to_integers(rows)
 
 
 def _heights(table: BoundaryTable, direction: Sequence[int]) -> List[int]:

@@ -258,3 +258,47 @@ def euler_curve_by_scan(points) -> tuple:
         odd += deltas[h][1]
         breakpoints.append((h, (even, odd)))
     return tuple(breakpoints)
+
+
+def reference_rref(
+    rows: List[List[Fraction]],
+) -> Tuple[List[List[Fraction]], List[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots: List[int] = []
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows, pivots
+
+
+def reference_solve_particular(
+    equations: List[Tuple[Sequence[Fraction], Fraction]], dim: int
+) -> Optional[List[Fraction]]:
+    """One exact solution of ``coeffs . x = rhs`` rows, or None if inconsistent.
+
+    Free variables are set to zero, so the result is deterministic.
+    """
+    aug = [list(coeffs) + [Fraction(rhs)] for coeffs, rhs in equations]
+    aug, pivots = reference_rref(aug)
+    if any(p == dim for p in pivots):  # pivot in the rhs column
+        return None
+    x = [Fraction(0)] * dim
+    for row, col in zip(aug, pivots):
+        x[col] = row[dim]
+    return x

@@ -25,6 +25,7 @@ from apdrec import (
     tilt,
     verify_roundtrip,
 )
+from apdrec.geometry import scale_to_integers
 from apdrec.higher import _isolating_direction
 from apdrec.oracle import INF
 
@@ -228,13 +229,13 @@ def test_criterion_6_indegree_oracle_equivalence(trials):
         if cfg.ambient_dim < 4 or K.kappa < 1:
             continue
         oracle = Oracle(K)
-        points = [K.vertices[i] for i in sorted(K.vertices)]
+        points, scale = scale_to_integers([K.vertices[i] for i in sorted(K.vertices)])
         for sigma in K.simplices_of_dim(0) + K.simplices_of_dim(1):
             for k in range(len(sigma), len(sigma) + 2):
                 if k > cfg.ambient_dim - 1:
                     continue
                 direction = _isolating_direction(sigma, oracle, points)
-                got = compute_indegree(sigma, direction, k, {}, oracle, points)
+                got = compute_indegree(sigma, direction, k, {}, oracle, points, scale)
                 assert got == brute_coface_count(K, sigma, direction, k), (
                     cfg.seed, sigma, k)
                 checked += 1
@@ -248,11 +249,11 @@ def test_criterion_6_indegree_oracle_equivalence(trials):
         (0, 2, 1, -4), (1, 2, F(1, 2), -5), (2, 3, F(1, 4), -6),
     ], [(0, 1, 2, 3), (0, 1, 4, 5), (2, 6, 7, 8)])
     oracle = Oracle(K)
-    points = [K.vertices[i] for i in sorted(K.vertices)]
+    points, scale = scale_to_integers([K.vertices[i] for i in sorted(K.vertices)])
     direction = (0, 0, 0, 1)
     raw = oracle.query(direction)
     memo = {}
-    value = compute_indegree((0, 1, 2), direction, 3, memo, oracle, points)
+    value = compute_indegree((0, 1, 2), direction, 3, memo, oracle, points, scale)
     figure_ok = (
         raw.count_at(3, F(0)) == 3
         and sorted(v for v in memo.values() if v) == [1, 1]

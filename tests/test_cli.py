@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -98,7 +99,7 @@ def test_cli_reconstruct_stages(capsys, triangle_file):
     recovered = parse_complex(
         "\n".join(l for l in out.splitlines() if not l.startswith("#"))
     )
-    assert recovered == parse_complex(open(triangle_file).read())
+    assert recovered == parse_complex(Path(triangle_file).read_text())
     assert "# lifted queries: 6" in out.splitlines()  # no flag asked for it
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apdrec import (
+    ApdrecError,
     DegeneratePosition,
     ParallelDirections,
     leftmost_crossing,
@@ -16,9 +17,21 @@ from apdrec import (
     separating_direction,
     tilt,
 )
-from apdrec.geometry import basis_vector, dot, vsub
+from apdrec.geometry import (
+    SweepFrame,
+    _rref,
+    _solve_particular,
+    affinely_independent,
+    basis_vector,
+    dot,
+    vsub,
+)
 
-from bruteforce import brute_leftmost_crossing
+from bruteforce import (
+    brute_leftmost_crossing,
+    reference_rref,
+    reference_solve_particular,
+)
 
 F = Fraction
 
@@ -281,3 +294,162 @@ def test_separating_direction_properties_random():
             assert all(dot(s, p) != 0 for p in pts)
             for pos, (_, off) in enumerate(order.ordered):
                 assert (dot(s, off) < 0) == (pos <= after)
+
+
+# ---------------------------------------------------------------------------
+# integer input: exact results, equal to the Fraction-input ones
+
+
+def as_fractions(value):
+    """The same value with every int (at any depth of tuples/lists) a Fraction."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(as_fractions(x) for x in value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return F(value)
+    return value
+
+
+def has_float(value) -> bool:
+    if isinstance(value, (tuple, list)):
+        return any(has_float(x) for x in value)
+    return isinstance(value, float)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the ApdrecError it raises."""
+    try:
+        return fn(*args)
+    except ApdrecError as exc:
+        return type(exc)
+
+
+def assert_exact_and_equal(fn, *args):
+    """fn gives no float on int input, and the same outcome as on Fractions."""
+    got = outcome(fn, *args)
+    want = outcome(fn, *as_fractions(args))
+    assert not has_float(got) and not has_float(want)
+    assert got == want, (fn.__name__, args)
+    return got
+
+
+small_ints = st.integers(min_value=-6, max_value=6)
+
+
+def int_vectors(dim):
+    return st.tuples(*[small_ints] * dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_are_exact_on_integer_input(data):
+    d = data.draw(st.integers(min_value=2, max_value=4), label="d")
+    points = data.draw(st.lists(int_vectors(d), min_size=1, max_size=d + 2))
+    s = data.draw(int_vectors(d), label="s")
+    s_prime = data.draw(int_vectors(d), label="s_prime")
+    heights = data.draw(st.lists(small_ints, min_size=1, max_size=6))
+    heights_prime = data.draw(st.lists(small_ints, min_size=1, max_size=6))
+
+    assert type(dot(s, s_prime)) is int
+    assert_exact_and_equal(dot, s, s_prime)
+    assert_exact_and_equal(leftmost_crossing, heights, heights_prime)
+    if any(s) and any(s_prime):
+        assert_exact_and_equal(tilt, heights, heights_prime, s, s_prime)
+    assert_exact_and_equal(affinely_independent, points)
+    hull = assert_exact_and_equal(orthogonal_to_affine_hull, points)
+    if isinstance(hull, tuple):
+        assert all(type(x) is int for x in hull)
+
+    size_v = data.draw(st.integers(min_value=1, max_value=len(points)), label="|V|")
+    size_w = data.draw(st.integers(min_value=0, max_value=size_v), label="|W|")
+    subset_v = points[:size_v]
+    normal = outcome(orthogonal_to_affine_hull, subset_v)
+    if not isinstance(normal, tuple):
+        normal = s
+    if any(normal):
+        assert_exact_and_equal(
+            second_perpendicular_direction,
+            points,
+            subset_v,
+            subset_v[:size_w],
+            normal,
+        )
+
+    # an integer frame, so that the projected offsets are ints too
+    center = data.draw(int_vectors(d), label="center")
+    int_frame = SweepFrame(*(tuple(int(i == j) for i in range(d)) for j in (0, 1)))
+    order = outcome(radial_order, center, points, None, int_frame)
+    fraction_order = outcome(radial_order, *as_fractions((center, points)))
+    assert order == fraction_order
+    if isinstance(order, type):
+        return
+    assert not has_float((order.ordered, order.slopes))
+    if order.ordered:
+        after = data.draw(st.integers(0, len(order.ordered) - 1), label="after")
+        got = separating_direction(order, after)
+        assert not has_float(got)
+        assert got == separating_direction(fraction_order, after)
+
+
+def test_tilt_and_hull_on_integer_input_examples():
+    assert tilt([0, 3], [1, 0], (1, 0), (0, 1)) == (F(5, 8), F(3, 8))
+    assert orthogonal_to_affine_hull([(0, 0, 0), (1, 2, 3), (2, 1, 7)]) == (
+        -11,
+        1,
+        3,
+    )
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination against the rational reference
+
+
+@st.composite
+def rational_systems(draw):
+    """(dim, rows of dim + 1 entries): full rank, rank deficient (with or
+    without a consistent right-hand side), with zero rows and zero columns."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    width = dim + 1
+    base = draw(
+        st.lists(st.lists(rationals, min_size=width, max_size=width), max_size=5)
+    )
+    if base and draw(st.booleans()):
+        col = draw(st.integers(0, width - 1))
+        base = [row[:col] + [F(0)] + row[col + 1 :] for row in base]
+    rows = [list(row) for row in base]
+    for _ in range(draw(st.integers(0, 2)) if base else 0):
+        coefs = draw(st.lists(rationals, min_size=len(base), max_size=len(base)))
+        combo = [sum(c * row[j] for c, row in zip(coefs, base)) for j in range(width)]
+        if draw(st.booleans()):
+            combo[dim] += draw(rationals)  # inconsistent unless this adds 0
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * width)
+    return dim, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_systems())
+def test_fraction_free_rref_matches_the_rational_reference(system):
+    dim, rows = system
+    got, pivots = _rref([list(row) for row in rows])
+    want, want_pivots = reference_rref([list(row) for row in rows])
+    assert pivots == want_pivots
+    assert len(got) == len(want)
+    assert all(type(x) is int for row in got for x in row)
+    pivot_entries = {got[i][col] for i, col in enumerate(pivots)}
+    assert len(pivot_entries) <= 1 and all(p > 0 for p in pivot_entries)
+    for i, (row, ref) in enumerate(zip(got, want)):
+        p = got[i][pivots[i]] if i < len(pivots) else 0
+        assert row == [p * x for x in ref]
+
+    equations = [(row[:dim], row[dim]) for row in rows]
+    solution = _solve_particular(equations, dim)
+    assert solution == reference_solve_particular(equations, dim)
+    if solution is not None:
+        assert all(dot(coeffs, solution) == rhs for coeffs, rhs in equations)
+
+
+def test_solve_particular_reports_inconsistent_systems():
+    equations = [((F(1), F(2)), F(1)), ((F(2), F(4)), F(3))]
+    assert _solve_particular(equations, 2) is None
+    assert reference_solve_particular(equations, 2) is None

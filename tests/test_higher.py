@@ -17,6 +17,7 @@ from apdrec import (
     reconstruct,
 )
 from apdrec.complexes import proper_faces
+from apdrec.geometry import scale_to_integers
 from apdrec.higher import _isolating_direction
 from apdrec.oracle import lift_point
 
@@ -28,6 +29,11 @@ F = Fraction
 
 def id_points(K):
     return [K.vertices[i] for i in sorted(K.vertices)]
+
+
+def scaled_points(K):
+    """(points times L, L) in vertex id order: the higher stage's input."""
+    return scale_to_integers(id_points(K))
 
 
 def kindegree_figure_complex():
@@ -49,7 +55,7 @@ def kindegree_figure_complex():
 def test_kindegree_figure_three_minus_one_minus_one():
     K = kindegree_figure_complex()
     oracle = Oracle(K)
-    points = id_points(K)
+    points, scale = scaled_points(K)
     sigma = (0, 1, 2)
     direction = (0, 0, 0, 1)
 
@@ -57,7 +63,7 @@ def test_kindegree_figure_three_minus_one_minus_one():
     assert raw.count_at(3, F(0)) == 3  # three tetrahedra
 
     memo = {}
-    assert compute_indegree(sigma, direction, 3, memo, oracle, points) == 1
+    assert compute_indegree(sigma, direction, 3, memo, oracle, points, scale) == 1
     assert set(memo) == set(proper_faces(sigma))
     # the two unit corrections come from the [A,B] and [C] faces
     assert memo[(0, 1)] == 1 and memo[(2,)] == 1
@@ -68,13 +74,13 @@ def test_kindegree_figure_three_minus_one_minus_one():
 def test_indegree_vertex_without_cofaces():
     K = cx(2, [(0, 0), (1, 3)], [])
     oracle = Oracle(K)
-    assert compute_indegree((1,), (1, 0), 1, {}, oracle, id_points(K)) == 0
+    assert compute_indegree((1,), (1, 0), 1, {}, oracle, *scaled_points(K)) == 0
 
 
 def test_indegree_full_triangle_edge():
     K = cx(3, [(0, 0, 0), (1, 2, 1), (2, 1, -1)], [(0, 1, 2)])
     oracle = Oracle(K)
-    points = id_points(K)
+    points, scale = scaled_points(K)
     sigma = (0, 1)
     direction = _isolating_direction(sigma, oracle, points)
     # flip if the third vertex sits above the edge
@@ -82,7 +88,7 @@ def test_indegree_full_triangle_edge():
 
     if dot(direction, points[2]) > dot(direction, points[0]):
         direction = vneg(direction)
-    got = compute_indegree(sigma, direction, 2, {}, oracle, points)
+    got = compute_indegree(sigma, direction, 2, {}, oracle, points, scale)
     assert got == brute_coface_count(K, sigma, direction, 2) == 1
 
 
@@ -90,24 +96,24 @@ def test_indegree_query_budget_and_memo():
     K = kindegree_figure_complex()
     oracle = Oracle(K)
     sigma = (0, 1, 2)
-    compute_indegree(sigma, (0, 0, 0, 1), 3, {}, oracle, id_points(K))
+    compute_indegree(sigma, (0, 0, 0, 1), 3, {}, oracle, *scaled_points(K))
     assert oracle.log.count == 2 ** len(sigma) - 1  # one per face plus the root
 
 
 def test_indegree_recursive_call_needs_a_covering_memo():
     K = cx(3, [(0, 0, 0), (1, 2, 1), (2, 1, -1)], [(0, 1, 2)])
     oracle = Oracle(K)
-    points = id_points(K)
+    points, scale = scaled_points(K)
     direction = _isolating_direction((0, 1), oracle, points)
     with pytest.raises(PreconditionViolated):
-        compute_indegree((0, 1), direction, 2, {}, oracle, points, _depth=1)
+        compute_indegree((0, 1), direction, 2, {}, oracle, points, scale, _depth=1)
 
 
 def test_indegree_rejects_unisolated_height():
     K = cx(2, [(0, 0), (1, 0)], [])  # both at height 0 under e2
     oracle = Oracle(K)
     with pytest.raises(PreconditionViolated):
-        compute_indegree((0,), (0, 1), 1, {}, oracle, id_points(K))
+        compute_indegree((0,), (0, 1), 1, {}, oracle, *scaled_points(K))
 
 
 def test_indegree_matches_bruteforce_random():
@@ -118,12 +124,12 @@ def test_indegree_matches_bruteforce_random():
             GeneratorConfig(4, 6, 2, densities=[0.7, 0.7], seed=seed)
         )
         oracle = Oracle(K)
-        points = id_points(K)
+        points, scale = scaled_points(K)
         sigmas = K.simplices_of_dim(0) + K.simplices_of_dim(1)
         for sigma in sigmas:
             k = len(sigma)  # test the coface dimension one above
             direction = _isolating_direction(sigma, oracle, points)
-            got = compute_indegree(sigma, direction, k, {}, oracle, points)
+            got = compute_indegree(sigma, direction, k, {}, oracle, points, scale)
             assert got == brute_coface_count(K, sigma, direction, k)
             checked += 1
     assert checked >= 40
@@ -137,13 +143,13 @@ def test_indegree_matches_bruteforce_random():
 def test_is_simplex_full_triangle():
     K = cx(3, [(0, 0, 0), (1, 2, 1), (2, 1, -1)], [(0, 1, 2)])
     oracle = Oracle(K)
-    assert is_simplex((0, 1), 2, oracle, id_points(K)) is True
+    assert is_simplex((0, 1), 2, oracle, *scaled_points(K)) is True
 
 
 def test_is_simplex_hollow_triangle():
     K = cx(3, [(0, 0, 0), (1, 2, 1), (2, 1, -1)], [(0, 1), (0, 2), (1, 2)])
     oracle = Oracle(K)
-    assert is_simplex((0, 1), 2, oracle, id_points(K)) is False
+    assert is_simplex((0, 1), 2, oracle, *scaled_points(K)) is False
 
 
 def test_is_simplex_wedge_discriminates():
@@ -154,27 +160,27 @@ def test_is_simplex_wedge_discriminates():
         [(0, 1, 3), (0, 2), (1, 2), (2, 4)],
     )
     oracle = Oracle(K)
-    points = id_points(K)
-    assert is_simplex((0, 1), 2, oracle, points) is False
-    assert is_simplex((0, 1), 3, oracle, points) is True
-    assert is_simplex((0, 2), 4, oracle, points) is False
+    points, scale = scaled_points(K)
+    assert is_simplex((0, 1), 2, oracle, points, scale) is False
+    assert is_simplex((0, 1), 3, oracle, points, scale) is True
+    assert is_simplex((0, 2), 4, oracle, points, scale) is False
 
 
 def test_is_simplex_query_budget():
     K = kindegree_figure_complex()
-    points = id_points(K)
+    points, scale = scaled_points(K)
     for sigma, v, k in [((0, 1), 2, 2), ((0, 1, 2), 3, 3)]:
         oracle = Oracle(K)
-        is_simplex(sigma, v, oracle, points)
+        is_simplex(sigma, v, oracle, points, scale)
         assert oracle.log.count == 2 * (2**k - 1)
 
 
 def test_is_simplex_logs_one_span_per_call():
     K = kindegree_figure_complex()
-    points = id_points(K)
+    points, scale = scaled_points(K)
     oracle = Oracle(K)
-    is_simplex((0, 1), 2, oracle, points)
-    is_simplex((0, 1, 2), 3, oracle, points)
+    is_simplex((0, 1), 2, oracle, points, scale)
+    is_simplex((0, 1, 2), 3, oracle, points, scale)
     assert oracle.log.predicate_calls == [(2, 6), (3, 14)]
 
 
@@ -182,7 +188,7 @@ def test_is_simplex_raises_on_affinely_dependent_candidate():
     K = cx(3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)], [(0, 1)])
     oracle = Oracle(K)
     with pytest.raises(DegeneratePosition):
-        is_simplex((0, 1), 2, oracle, id_points(K))
+        is_simplex((0, 1), 2, oracle, *scaled_points(K))
     assert oracle.log.count == 0
     assert oracle.log.predicate_calls == []
 
@@ -193,13 +199,13 @@ def test_is_simplex_agrees_with_membership_random():
             GeneratorConfig(4, 6, 2, densities=[0.6, 0.6], seed=seed + 40)
         )
         oracle = Oracle(K)
-        points = id_points(K)
+        points, scale = scaled_points(K)
         for sigma in K.simplices_of_dim(1):
             for v in range(len(points)):
                 if v in sigma:
                     continue
                 expected = tuple(sorted(sigma + (v,))) in K.simplices
-                assert is_simplex(sigma, v, oracle, points) is expected
+                assert is_simplex(sigma, v, oracle, points, scale) is expected
 
 
 def test_indegree_recursion_isolates_faces(monkeypatch):
@@ -216,8 +222,8 @@ def test_indegree_recursion_isolates_faces(monkeypatch):
     def run_instrumented(K, exercise):
         captured = []
 
-        def checked(sigma, direction, k, memo, oracle, points, _depth=0):
-            value = real(sigma, direction, k, memo, oracle, points, _depth)
+        def checked(sigma, direction, k, memo, oracle, points, scale, _depth=0):
+            value = real(sigma, direction, k, memo, oracle, points, scale, _depth)
             captured.append((sigma, direction, k, value))
             return value
 
@@ -231,22 +237,24 @@ def test_indegree_recursion_isolates_faces(monkeypatch):
 
     K = kindegree_figure_complex()
     oracle = Oracle(K)
-    points = id_points(K)
+    points, scale = scaled_points(K)
     calls = run_instrumented(
         K,
-        lambda: higher_mod.compute_indegree((0, 1, 2), (0, 0, 0, 1), 3, {}, oracle, points),
+        lambda: higher_mod.compute_indegree(
+            (0, 1, 2), (0, 0, 0, 1), 3, {}, oracle, points, scale
+        ),
     )
     assert calls == 7  # the root plus one call per proper face
 
     K2 = generate_complex(GeneratorConfig(4, 6, 2, densities=[0.7, 0.7], seed=50))
     oracle2 = Oracle(K2)
-    points2 = id_points(K2)
+    points2, scale2 = scaled_points(K2)
     edge = K2.simplices_of_dim(1)[0]
 
     def exercise_predicates():
         for v in range(len(points2)):
             if v not in edge:
-                higher_mod.is_simplex(edge, v, oracle2, points2)
+                higher_mod.is_simplex(edge, v, oracle2, points2, scale2)
 
     assert run_instrumented(K2, exercise_predicates) > 10
 
@@ -256,17 +264,17 @@ def test_indegree_recursion_isolates_faces(monkeypatch):
 
 
 def lifted_points(K):
-    return [lift_point(p) for p in id_points(K)]
+    return scale_to_integers([lift_point(p) for p in id_points(K)])
 
 
 def test_is_simplex_lifted_filled_vs_hollow(filled_triangle_r2, hollow_triangle_r2):
     filled = filled_triangle_r2
     assert (
-        is_simplex((0, 1), 2, Oracle(lift(filled)), lifted_points(filled)) is True
+        is_simplex((0, 1), 2, Oracle(lift(filled)), *lifted_points(filled)) is True
     )
     hollow = hollow_triangle_r2
     assert (
-        is_simplex((0, 1), 2, Oracle(lift(hollow)), lifted_points(hollow)) is False
+        is_simplex((0, 1), 2, Oracle(lift(hollow)), *lifted_points(hollow)) is False
     )
 
 
@@ -348,7 +356,8 @@ def record_candidates(monkeypatch, K):
     """Run reconstruct, recording each candidate the predicate is asked about.
 
     The stages number vertices in their own order, so a candidate is
-    recorded as its set of vertex positions (lifted points cut back to R^d).
+    recorded as its set of vertex positions (lifted points cut back to R^d),
+    divided back by the scale of the integer points the predicate gets.
     """
     import apdrec.higher as higher_mod
 
@@ -356,9 +365,13 @@ def record_candidates(monkeypatch, K):
     d = K.ambient_dim
     tested = []
 
-    def recording(sigma, vertex, oracle, points):
-        tested.append(frozenset(tuple(points[v][:d]) for v in sigma + (vertex,)))
-        return real(sigma, vertex, oracle, points)
+    def recording(sigma, vertex, oracle, points, scale):
+        tested.append(
+            frozenset(
+                tuple(F(x, scale) for x in points[v][:d]) for v in sigma + (vertex,)
+            )
+        )
+        return real(sigma, vertex, oracle, points, scale)
 
     monkeypatch.setattr(higher_mod, "is_simplex", recording)
     oracle = Oracle(K)
@@ -411,3 +424,47 @@ def test_hollow_facet_tetrahedron_is_never_tested(monkeypatch):
     tested, _ = record_candidates(monkeypatch, K)
     tetrahedra = [c for c in tested if len(c) == 4]
     assert tetrahedra == [frozenset(K.vertices[v] for v in (0, 1, 2, 4))]
+
+
+# ---------------------------------------------------------------------------
+# the query log, pinned
+
+
+# acceptance-corpus positions: d = 3 (2, 8, 17), d = 4 (20, 27, 32 with two
+# k = 3 calls), d = 5 (36, 39 and 45 with k = 3 calls)
+PINNED_SLICE = [2, 8, 17, 20, 27, 32, 36, 39, 45]
+# the slice plus the lifted config, reconstructed with the rational geometry
+PINNED_LOG_SHA256 = "6840d4dada4ff8b83f8b14ffb2b1ce5d165a6651b976060ade6edd4575e234b4"
+
+
+def test_query_log_of_a_corpus_slice_is_pinned():
+    """Same queries, in the same spans and order, as the rational geometry.
+
+    The digest covers every span and every direction asked while
+    reconstructing nine acceptance configs and one lifted d = 3 config, in
+    that order; it was recorded when the higher stage still computed on
+    Fraction coordinates.
+    """
+    import hashlib
+
+    from test_acceptance import _trial_configs
+
+    corpus = _trial_configs()
+    lifted = GeneratorConfig(
+        3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2, lift_general_position=True
+    )
+    configs = [corpus[i] for i in PINNED_SLICE] + [lifted]
+    digest = hashlib.sha256()
+    calls = []
+    for cfg in configs:
+        K = generate_complex(cfg)
+        oracle = Oracle(K)
+        assert complexes_match(reconstruct(oracle), K)
+        calls += [(cfg.ambient_dim, k) for k, _ in oracle.log.predicate_calls]
+        digest.update(repr(oracle.log.spans).encode())
+        for direction in oracle.log.directions:
+            digest.update((" ".join(str(x) for x in direction) + "\n").encode())
+    assert {d for d, _ in calls} == {3, 4, 5}
+    assert (3, 3) in calls  # the lifted pass, k == d
+    assert any(k == 3 and d > 3 for d, k in calls)
+    assert digest.hexdigest() == PINNED_LOG_SHA256

@@ -120,6 +120,7 @@ def find_up_edges(
     """
     height_neg = -frame.height(points[vertex])
     indegree = sweep_diagram.count_at(1, height_neg)
+    # from a list: a short tuple(genexpr) is freed into another size's free list
     candidates = tuple([vid for vid, _ in order.ordered if vid not in excluded])
 
     found: List[int] = []

@@ -406,6 +406,7 @@ def radial_order(
         if off[0] > 0:
             above.append((slope, vid, off))
     above.sort(key=lambda entry: entry[0], reverse=True)
+    # from a list: a short tuple(genexpr) is freed into another size's free list
     ordered = tuple([(vid, off) for _, vid, off in above])
     return RadialOrder(tuple(center), ordered, tuple(sorted(owner)), frame)
 

@@ -116,6 +116,8 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 0:
         raise InvalidInput("--trials must be nonnegative")
+    if args.kappa < 0:
+        raise InvalidInput("--kappa must be nonnegative")
     failures = 0
     for trial in range(args.trials):
         seed = args.seed + trial

@@ -25,7 +25,9 @@ from .geometry import (
     Vector,
     dot,
     radial_order,
+    scale_to_integers,
     separating_direction,
+    separating_slope,
     vneg,
 )
 from .oracle import AugmentedDiagram, Oracle
@@ -68,7 +70,9 @@ def split_wedge(
     the 1-indegree of the vertex in that direction (dimension-0 deaths plus
     dimension-1 births at the vertex height: the k = 1 indegree formula,
     one logged query) minus the known edges falling below; the right count
-    is what remains of the interval's count.
+    is what remains of the interval's count.  A known neighbour falls below
+    when its offset (x, y) in the order lies below the separating line of
+    slope m = p / q, q > 0: the integer sign test ``p * x < q * y``.
 
     ``known_edges`` must contain every neighbor already confirmed adjacent
     to the vertex: all below-edges plus the up-edges found so far (the loop
@@ -80,13 +84,16 @@ def split_wedge(
         raise NegativeCount("split requires >= 2 candidates and >= 1 edge")
     mid = k // 2
     after_id = interval.candidates[mid - 1]
-    direction = separating_direction(order, order.position(after_id))
+    position = order.position(after_id)
+    direction = separating_direction(order, position)
+    slope = separating_slope(order, position)
 
-    v_point = points[interval.vertex]
-    height = dot(direction, v_point)
+    height = dot(direction, points[interval.vertex])
     dgm = oracle.query(direction)
     indegree = dgm.count_at(1, height)
-    below_known = sum(1 for u in known_edges if dot(direction, points[u]) < height)
+    p, q = slope.numerator, slope.denominator
+    offsets = order.offsets
+    below_known = sum(1 for u in known_edges if p * offsets[u][0] < q * offsets[u][1])
 
     left_count = indegree - below_known
     right_count = interval.edge_count - left_count
@@ -154,6 +161,10 @@ def find_edges(
     initial indegree; all remaining queries come from interval splits.  The
     queries are logged in an "edges" span.
 
+    The radial orders are taken on the points scaled to integers by their
+    common denominator, so every projected offset is a pair of ints; the
+    heights read off diagrams stay rational.
+
     ``sweep`` is the vertex stage's diagram in ``frame.u1``.  Its edge count
     at a vertex's height is the number of edges from that vertex down to
     lower ones.  Once that many are known, the vertex has no edge to the
@@ -167,13 +178,14 @@ def find_edges(
     sweep_diagram = oracle.query(vneg(frame.u1))
     down_degree = [sweep.count_at(1, frame.height(p)) for p in points]
 
+    scaled, _ = scale_to_integers(points)
     ids_by_height = sorted(range(len(points)), key=lambda i: frame.height(points[i]))
     edges: Set[Tuple[int, int]] = set()
     adjacency: Dict[int, List[int]] = {i: [] for i in range(len(points))}
     for vid in ids_by_height:
         others = [u for u in range(len(points)) if u != vid]
         order = radial_order(
-            points[vid], [points[u] for u in others], ids=others, frame=frame
+            scaled[vid], [scaled[u] for u in others], ids=others, frame=frame
         )
         # every neighbour known so far of a vertex above vid lies below vid
         excluded = {u for u in others if len(adjacency[u]) == down_degree[u]}

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -334,9 +333,6 @@ class SweepFrame:
     def height(self, v: Vector) -> Fraction:
         return dot(self.u1, v)
 
-    def project(self, v: Vector) -> Tuple[Fraction, Fraction]:
-        return (dot(self.u1, v), dot(self.u2, v))
-
     def embed(self, a: Fraction, b: Fraction) -> Direction:
         return tuple(a * x + b * y for x, y in zip(self.u1, self.u2))
 
@@ -357,13 +353,22 @@ class RadialOrder:
     coordinate over the first; in that open half-plane this is clockwise
     order.  ``slopes`` holds the slopes of every other vertex, above and
     below, in ascending order.  No two slopes are equal (no three projected
-    collinear points), so the order is strict.
+    collinear points), so the order is strict.  ``ranks[i]`` is the index in
+    ``slopes`` of the slope of ``ordered[i]``, and ``offsets`` maps every
+    other vertex, above and below, to its offset.
+
+    An offset is measured through the frame vectors times one common
+    positive factor, so it is a positive multiple of the frame's own offset:
+    its slope, its side of the center and its side of any line through the
+    center are those of the frame's offset.
     """
 
     center: Vector
     ordered: Tuple[Tuple[int, Tuple[Fraction, Fraction]], ...]
     slopes: Tuple[Fraction, ...]
     frame: SweepFrame = field(compare=False)
+    ranks: Tuple[int, ...] = field(compare=False, repr=False)
+    offsets: Dict[int, Tuple[Fraction, Fraction]] = field(compare=False, repr=False)
 
     def position(self, vertex_id: int) -> int:
         for i, (vid, _) in enumerate(self.ordered):
@@ -380,51 +385,63 @@ def radial_order(
 ) -> RadialOrder:
     """Sort the vertices above the projected center clockwise, exactly.
 
-    Each vertex's slope is computed once as an exact rational.  Raises
-    DegeneratePosition when a vertex has the center's sweep height (which
-    covers coincident projections) or when two vertices share a slope (their
-    projected offsets are parallel).
+    The frame vectors are scaled to integers by their common denominator, so
+    on integer points every offset is a pair of ints, and each vertex's
+    slope is one exact ``Fraction`` of them, equal to the slope through the
+    frame itself.  Raises DegeneratePosition when a vertex has the center's
+    sweep height (which covers coincident projections) or when two vertices
+    share a slope (their projected offsets are parallel), found as equal
+    neighbours once the slopes are sorted.
     """
     if frame is None:
         frame = standard_frame(len(center))
     if ids is None:
         ids = list(range(len(others)))
-    c1, c2 = frame.project(center)
-    owner: Dict[Fraction, int] = {}
-    above = []
+    (u1, u2), _ = scale_to_integers([frame.u1, frame.u2])
+    c1, c2 = dot(u1, center), dot(u2, center)
+    offsets = {}
+    entries = []
     for vid, p in zip(ids, others):
-        p1, p2 = frame.project(p)
-        off = (p1 - c1, p2 - c2)
+        off = (dot(u1, p) - c1, dot(u2, p) - c2)
         if off[0] == 0:
             raise DegeneratePosition(f"vertex {vid} has the center's sweep height")
-        slope = Fraction(off[1], off[0])
-        if slope in owner:
-            raise DegeneratePosition(
-                f"projected offsets of {owner[slope]} and {vid} are parallel"
-            )
-        owner[slope] = vid
-        if off[0] > 0:
-            above.append((slope, vid, off))
-    above.sort(key=lambda entry: entry[0], reverse=True)
-    # from a list: a short tuple(genexpr) is freed into another size's free list
-    ordered = tuple([(vid, off) for _, vid, off in above])
-    return RadialOrder(tuple(center), ordered, tuple(sorted(owner)), frame)
+        offsets[vid] = off
+        entries.append((Fraction(off[1], off[0]), vid, off))
+    entries.sort(key=operator.itemgetter(0))
+    for (slope, a, _), (next_slope, b, _) in zip(entries, entries[1:]):
+        if slope == next_slope:
+            raise DegeneratePosition(f"projected offsets of {a} and {b} are parallel")
+    # descending slopes; from lists, as a short tuple(genexpr) is freed into
+    # another size's free list
+    ranks = [i for i in range(len(entries) - 1, -1, -1) if entries[i][2][0] > 0]
+    ordered = tuple([entries[i][1:] for i in ranks])
+    slopes = tuple([slope for slope, _, _ in entries])
+    return RadialOrder(tuple(center), ordered, slopes, frame, tuple(ranks), offsets)
+
+
+def separating_slope(order: RadialOrder, after_index: int) -> Fraction:
+    """Slope m of a line through the center splitting the order after
+    ``after_index``.
+
+    m is halfway between the slope at ``after_index`` and the next lower
+    slope of any vertex (that slope minus one when there is none), so the
+    line misses every vertex.  An offset (x, y) lies below it when
+    ``m * x < y``: ``ordered[:after_index + 1]`` does and the rest of
+    ``ordered`` does not.
+    """
+    if not 0 <= after_index < len(order.ordered):
+        raise InvalidInput("after_index out of range")
+    i = order.ranks[after_index]
+    slope = order.slopes[i]
+    return (slope + order.slopes[i - 1]) / 2 if i else slope - 1
 
 
 def separating_direction(order: RadialOrder, after_index: int) -> Direction:
     """Direction of the sweep plane splitting the order after ``after_index``.
 
-    The line through the center with slope m misses every vertex, where m is
-    halfway between the slope at ``after_index`` and the next lower slope of
-    any vertex (that slope minus one when there is none).  The returned
-    ``m * u1 - u2`` gives an offset (x, y) the height ``m * x - y``, so
-    ``ordered[:after_index + 1]`` lands strictly below the center and the
-    rest of ``ordered`` strictly above.
+    The returned ``m * u1 - u2``, for m the ``separating_slope``, gives an
+    offset (x, y) the height ``m * x - y``, so ``ordered[:after_index + 1]``
+    lands strictly below the center and the rest of ``ordered`` strictly
+    above.
     """
-    if not 0 <= after_index < len(order.ordered):
-        raise InvalidInput("after_index out of range")
-    x, y = order.ordered[after_index][1]
-    slope = Fraction(y, x)
-    lower = bisect_left(order.slopes, slope)
-    m = (slope + order.slopes[lower - 1]) / 2 if lower else slope - 1
-    return order.frame.embed(m, Fraction(-1))
+    return order.frame.embed(separating_slope(order, after_index), Fraction(-1))

@@ -75,8 +75,8 @@ def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
         raise InvalidInput("generator needs ambient dimension >= 2")
     if n0 < 1:
         raise InvalidInput("need at least one vertex")
-    if config.max_dim > d:
-        raise InvalidInput("simplices cannot exceed the ambient dimension")
+    if not 0 <= config.max_dim <= d:
+        raise InvalidInput("simplex dimension must lie in 0..ambient dimension")
     if any(not 0 <= float(x) <= 1 for x in config.densities):
         raise InvalidInput("densities must lie in [0, 1]")
     if config.coordinate_denominator_bound < 1:

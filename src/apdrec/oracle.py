@@ -12,7 +12,10 @@ points as they are.
 Every diagram carries an EventTable: its events counted per dimension over
 the sorted distinct heights, built from the kernel's integer keys.  All
 height-indexed reads (births_at, deaths_at, count_at, simplex_count, births)
-and both curves of ``descriptors`` are answered from that table.
+and both curves of ``descriptors`` are answered from that table.  The
+diagram's points are built from the same keys on first read, one
+DiagramPoint each; the reconstruction stages read only the table, so they
+build none.
 
 The kernel runs on integers.  A BoundaryTable, built once per complex,
 holds the coordinates scaled by their common denominator, the simplices in
@@ -21,7 +24,7 @@ that order.  A query scales its direction to integers too, so every height
 is an exact integer multiple of one positive rational.  Only the order and
 the equality of heights decide the filtration and the pairing, and a
 positive scale keeps both, so the integer run gives the same pairs; the
-emitted heights are divided back exactly, one Fraction per distinct height.
+heights are divided back exactly, one Fraction per distinct height.
 
 The oracle answers every query from scratch and logs it once.  The log is
 the one accounting object of a reconstruction: each stage opens a labelled
@@ -94,23 +97,56 @@ class EventTable(NamedTuple):
         return None
 
 
-@dataclass(frozen=True)
 class AugmentedDiagram:
     """Multiset of (dim, birth, death) points for one query direction.
 
-    ``events`` is the same multiset counted per height; it takes no part in
-    equality, hashing or the text form.
+    A diagram is built from integer keys, one (dim, birth level, death level)
+    triple per point, where a level indexes ``events.levels`` and an
+    essential class has the level ``len(events.levels)``.  ``points`` is
+    built from them on first read, sorted by (dim, birth, death), and kept;
+    the reconstruction stages read only the event table, so they never build
+    it.  Equality, hashing and the text form use the direction and the
+    points; ``events`` is the same multiset counted per height.
     """
 
-    direction: Direction
-    points: Tuple[DiagramPoint, ...]
-    events: EventTable = field(compare=False, repr=False)
+    __slots__ = ("direction", "events", "_keys", "_points")
+
+    def __init__(
+        self,
+        direction: Direction,
+        keys: Sequence[Tuple[int, int, int]],
+        events: EventTable,
+    ):
+        self.direction = direction
+        self.events = events
+        self._keys = keys
+        self._points: Optional[Tuple[DiagramPoint, ...]] = None
+
+    @property
+    def points(self) -> Tuple[DiagramPoint, ...]:
+        if self._points is None:
+            value = [*self.events.levels, INF]
+            self._points = tuple(
+                [DiagramPoint(k, value[b], value[d]) for k, b, d in sorted(self._keys)]
+            )
+        return self._points
+
+    def __eq__(self, other):
+        if not isinstance(other, AugmentedDiagram):
+            return NotImplemented
+        return self.direction == other.direction and self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash((self.direction, self.points))
+
+    def __repr__(self) -> str:
+        return f"AugmentedDiagram(direction={self.direction!r}, points={self.points!r})"
 
     def restrict(self, dim: int) -> "AugmentedDiagram":
         rows = self.events.rows
         return AugmentedDiagram(
             self.direction,
-            tuple(p for p in self.points if p.dim == dim),
+            [key for key in self._keys if key[0] == dim],
             EventTable(self.events.levels, {dim: rows[dim]} if dim in rows else {}),
         )
 
@@ -288,41 +324,41 @@ def _emit_points(
     heights: Sequence[int],
     table: BoundaryTable,
     denominator: int,
-) -> Tuple[Tuple[DiagramPoint, ...], EventTable]:
-    """Diagram points sorted by (dim, birth, death), and their event table.
+) -> Tuple[List[Tuple[int, int, int]], EventTable]:
+    """The diagram's integer point keys and its event table.
 
-    The points are sorted by integer keys, an essential class keyed by a
-    death above every height, and each distinct height becomes one
-    ``Fraction(h, denominator)``.  The table is counted on the integer keys
-    too; its levels are the distinct heights, since every simplex is one
-    event at its own height.
+    Heights never decrease along the filtration ``order``, so one pass over
+    it numbers the distinct heights and gives each position its level, and
+    each level becomes one ``Fraction(h, denominator)``.  A point's key is
+    (dim, birth level, death level), the death level of an essential class
+    one past the last.  The table's levels are the distinct heights, since
+    every simplex is one event at its own height.
     """
     dims = table.dims
-    top = max(heights, default=0) + 1
-    keys = [
-        (dims[order[i]], heights[order[i]], heights[order[j]]) for i, j in pairs
-    ]
-    keys.extend((dims[order[i]], heights[order[i]], top) for i in essentials)
-    keys.sort()
-    grid = sorted(set(heights))
-    value = {h: Fraction(h, denominator) for h in grid}
-    rank = {h: i for i, h in enumerate(grid)}
+    levels: List[Fraction] = []
+    level = [0] * len(order)
+    previous = None
+    for i, s in enumerate(order):
+        h = heights[s]
+        if h != previous:
+            levels.append(Fraction(h, denominator))
+            previous = h
+        level[i] = len(levels) - 1
+    top = len(levels)
+    keys = [(dims[order[i]], level[i], level[j]) for i, j in pairs]
+    keys.extend([(dims[order[i]], level[i], top) for i in essentials])
     rows = {
-        k: EventRow([0] * len(grid), [0] * len(grid), [0] * len(grid))
-        for k in range(keys[-1][0] + 1 if keys else 0)
+        k: EventRow([0] * top, [0] * top, [0] * top)
+        for k in range(max(keys)[0] + 1 if keys else 0)
     }
     for k, b, d in keys:
         births, deaths, zeros = rows[k]
-        i = rank[b]
-        births[i] += 1
+        births[b] += 1
         if d != top:
-            deaths[rank[d]] += 1
+            deaths[d] += 1
             if d == b:
-                zeros[i] += 1
-    events = EventTable([value[h] for h in grid], rows)
-    value[top] = INF
-    points = tuple(DiagramPoint(k, value[b], value[d]) for k, b, d in keys)
-    return points, events
+                zeros[b] += 1
+    return keys, EventTable(levels, rows)
 
 
 def compute_apd(
@@ -370,10 +406,10 @@ def _apd(
         filtration = [index[s] for s in order]
         _check_filtration(filtration, heights, table)
     pairs, essentials = _reduce_pairs(filtration, table)
-    points, events = _emit_points(
+    keys, events = _emit_points(
         filtration, pairs, essentials, heights, table, d_scale * table.scale
     )
-    return AugmentedDiagram(direction, points, events)
+    return AugmentedDiagram(direction, keys, events)
 
 
 def _check_filtration(

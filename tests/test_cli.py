@@ -189,9 +189,11 @@ def test_cli_deleted_reconstruction_flags_exit_two(capsys, argv):
         ["generate", "--n0", "4", "--dim", "3", "--kappa", "2",
          "--denominator-bound", "-3"],
         ["verify", "--trials", "-2"],
+        ["generate", "--n0", "3", "--dim", "2", "--kappa", "-1"],
+        ["verify", "--trials", "2", "--kappa", "-3"],
     ],
     ids=["density-abc", "density-comma", "bound-zero", "bound-negative",
-         "negative-trials"],
+         "negative-trials", "generate-negative-kappa", "verify-negative-kappa"],
 )
 def test_cli_generate_and_verify_reject_bad_input(capsys, argv):
     code = main(argv)

@@ -1,6 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apdrec.edges as edges_mod
 from apdrec import (
@@ -9,13 +12,22 @@ from apdrec import (
     InvalidInput,
     NegativeCount,
     Oracle,
+    complexes_match,
     generate_complex,
     radial_order,
     validate_general_position,
 )
 from apdrec.edges import find_edges, find_up_edges, split_wedge
-from apdrec.geometry import standard_frame, vneg
-from apdrec.vertices import vertex_stage
+from apdrec.errors import DegeneratePosition
+from apdrec.geometry import (
+    dot,
+    scale_to_integers,
+    separating_direction,
+    standard_frame,
+    vneg,
+)
+from apdrec.higher import reconstruct
+from apdrec.vertices import create_unique_height_basis, vertex_stage
 
 from conftest import cx
 
@@ -230,3 +242,89 @@ def test_find_edges_rejects_a_sweep_in_another_direction():
     points, oracle, frame, _ = sweep_inputs(K)
     with pytest.raises(InvalidInput):
         find_edges(points, oracle, frame, oracle.query(frame.u2))
+
+
+# ---------------------------------------------------------------------------
+# the integer radial order
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_radial_order_matches_the_rational_one(data):
+    """On points scaled to integers, in the standard frame and in tilted
+    frames of the vertex stage's fallback, the radial order has the same ids,
+    slopes and separating directions as on the rational points, its offsets
+    are ints, and split_wedge's count of known neighbours below the
+    separating line is the rational dot-product count."""
+    d = data.draw(st.integers(2, 3), label="d")
+    coordinate = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+    points = data.draw(
+        st.lists(st.tuples(*[coordinate] * d), min_size=3, max_size=8, unique=True),
+        label="points",
+    )
+    if data.draw(st.booleans(), label="tilted"):
+        frame = create_unique_height_basis(
+            sorted(p[0] for p in points), sorted(p[1] for p in points), d
+        )
+    else:
+        frame = standard_frame(d)
+    # the center, vertex 0, has at least two vertices above it in the sweep,
+    # and one below once there are four
+    points.sort(key=frame.height)
+    points.insert(0, points.pop(len(points) // 2 - 1))
+    scaled, _ = scale_to_integers(points)
+    ids = list(range(1, len(points)))
+    try:
+        rational = radial_order(points[0], points[1:], ids=ids, frame=frame)
+    except DegeneratePosition:
+        with pytest.raises(DegeneratePosition):
+            radial_order(scaled[0], scaled[1:], ids=ids, frame=frame)
+        return
+    order = radial_order(scaled[0], scaled[1:], ids=ids, frame=frame)
+    assert [vid for vid, _ in order.ordered] == [vid for vid, _ in rational.ordered]
+    assert order.slopes == rational.slopes
+    assert all(type(x) is int for off in order.offsets.values() for x in off)
+    for after in range(len(order.ordered)):
+        assert separating_direction(order, after) == separating_direction(
+            rational, after
+        )
+
+    # vertex 0 joined to a drawn set of the others; the known neighbours are
+    # those below it in the sweep, and the split is of all those above
+    joined = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    neighbours = {u for u, j in zip(ids, joined) if j}
+    candidates = tuple(vid for vid, _ in order.ordered)
+    count = len(neighbours & set(candidates))
+    if len(candidates) < 2 or count < 1:
+        return
+    known = sorted(neighbours - set(candidates))
+    K = cx(d, points, [(0, u) for u in sorted(neighbours)])
+    left, right = split_wedge(
+        EdgeInterval(0, candidates, count), known, order, Oracle(K), points
+    )
+    mid = len(candidates) // 2
+    direction = separating_direction(order, mid - 1)
+    height = dot(direction, points[0])
+    below = sum(1 for u in known if dot(direction, points[u]) < height)
+    indegree = Oracle(K).query(direction).count_at(1, height)
+    assert left.edge_count == indegree - below
+    assert left.edge_count == len(neighbours & set(candidates[:mid]))
+    assert right.edge_count == len(neighbours & set(candidates[mid:]))
+
+
+FALLBACK_LOG_SHA256 = "020f198680fae7633421cf7c3dc10cc43f545c602c0ef01770d071a6ca3ba947"
+
+
+def test_query_log_of_the_fallback_basis_complex_is_pinned():
+    """The edge stage in a tilted frame asks the same directions, in the same
+    spans, as it did on rational offsets; the digest was recorded on those."""
+    from test_harness import fallback_basis_complex
+
+    K = fallback_basis_complex()
+    oracle = Oracle(K)
+    assert complexes_match(reconstruct(oracle), K)
+    assert oracle.log.queries("edges") > 1  # the tilted frame splits wedges
+    digest = hashlib.sha256(repr(oracle.log.spans).encode())
+    for direction in oracle.log.directions:
+        digest.update((" ".join(str(x) for x in direction) + "\n").encode())
+    assert digest.hexdigest() == FALLBACK_LOG_SHA256

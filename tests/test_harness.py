@@ -48,6 +48,8 @@ def test_generator_validates_config():
         generate_complex(GeneratorConfig(3, 5, 4, densities=[0.5], seed=0))
     with pytest.raises(InvalidInput):
         generate_complex(GeneratorConfig(3, 5, 2, densities=[1.5], seed=0))
+    with pytest.raises(InvalidInput):
+        generate_complex(GeneratorConfig(3, 5, -1, densities=[0.5], seed=0))
 
 
 def test_generator_fails_when_grid_exhausted():
@@ -116,13 +118,17 @@ def test_verify_adversarial_e1_ties():
     assert report.vertex_bound_ok  # bound accounts for the two extra diagrams
 
 
-def test_fallback_basis_through_all_stages():
-    # e1 tie between vertices 0 and 1, triangles present
-    K = cx(
+def fallback_basis_complex():
+    """An e1 tie between vertices 0 and 1, with triangles."""
+    return cx(
         3,
         [(0, 0, 1), (0, 3, -1), (1, 1, 2), (2, 0, 0), (3, 4, 3)],
         [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3)],
     )
+
+
+def test_fallback_basis_through_all_stages():
+    K = fallback_basis_complex()
     report = verify_roundtrip(K)
     assert report.exact_match and report.used_fallback_basis
     assert report.vertex_queries == 2 * 3 - 1 + 2

@@ -468,3 +468,39 @@ def test_query_log_of_a_corpus_slice_is_pinned():
     assert (3, 3) in calls  # the lifted pass, k == d
     assert any(k == 3 and d > 3 for d, k in calls)
     assert digest.hexdigest() == PINNED_LOG_SHA256
+
+
+def test_reconstruction_builds_no_diagram_point(monkeypatch):
+    """The stages read diagrams only through their event tables, so a full
+    reconstruction never constructs a DiagramPoint: not on acceptance
+    configs with k = 2 and k = 3 predicate calls, not in the lifted pass and
+    not on the fallback basis."""
+    import apdrec.oracle as oracle_mod
+
+    from test_acceptance import _trial_configs
+    from test_harness import fallback_basis_complex
+
+    built = []
+    real_point = oracle_mod.DiagramPoint
+
+    def counting_point(*args):
+        built.append(args)
+        return real_point(*args)
+
+    monkeypatch.setattr(oracle_mod, "DiagramPoint", counting_point)
+    corpus = _trial_configs()
+    lifted = GeneratorConfig(
+        3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2, lift_general_position=True
+    )
+    complexes = [generate_complex(corpus[i]) for i in (2, 20, 45)]
+    complexes += [generate_complex(lifted), fallback_basis_complex()]
+    calls = []
+    for K in complexes:
+        oracle = Oracle(K)
+        assert complexes_match(reconstruct(oracle), K)
+        calls += [k for k, _ in oracle.log.predicate_calls]
+        assert built == []
+    assert {2, 3} <= set(calls)
+    # reading the points of one of those diagrams goes through the counter
+    dgm = oracle.query(oracle.log.directions[-1])
+    assert len(dgm.points) == len(built) > 0

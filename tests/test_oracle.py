@@ -15,6 +15,7 @@ from apdrec import (
     betti_curve_from_apd,
     compute_apd,
     euler_curve_from_apd,
+    format_diagram,
     generate_complex,
     index_filtration,
     lift,
@@ -362,6 +363,43 @@ def test_lifted_queries_match_the_definition(case, last):
     expected = reference_apd(lift(K), lifted_direction)
     assert points_of(Oracle(K).lifted().query(lifted_direction)) == expected
     assert points_of(compute_apd(lift(K), lifted_direction)) == expected
+
+
+def reference_text(direction, points) -> str:
+    """The diagram text format, written out for reference points."""
+    lines = ["direction " + " ".join(str(F(x)) for x in direction)]
+    lines += [f"{k} {b} {'inf' if d == INF else d}" for k, b, d in points]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_and_directions(), st.sampled_from([None] + VALUES))
+def test_points_built_on_first_read_match_the_definition(case, last):
+    """Points are built from the kernel's keys on first read.  Read or not, a
+    diagram equals and hashes like one whose points were read and like
+    compute_apd's, on plain and lifted oracles; its points, restrictions and
+    text are the definition's."""
+    K, direction = case
+    if last is None:
+        oracle, truth = Oracle(K), K
+    else:
+        oracle, truth = Oracle(K).lifted(), lift(K)
+        direction = direction + (last,)
+    expected = reference_apd(truth, direction)
+    read = oracle.query(direction)
+    assert points_of(read) == expected
+    assert read.points is read.points
+    for unread in (oracle.query(direction), compute_apd(truth, direction)):
+        assert hash(unread) == hash(read)
+        assert unread == read and read == unread
+    text = format_diagram(oracle.query(direction))
+    assert text == format_diagram(read) == reference_text(read.direction, expected)
+    for dim in range(-1, 4):
+        want = [p for p in expected if p[0] == dim]
+        view = oracle.query(direction).restrict(dim)
+        assert format_diagram(view) == reference_text(read.direction, want)
+        assert points_of(view) == want
+        assert view == read.restrict(dim)
 
 
 @settings(max_examples=150, deadline=None)

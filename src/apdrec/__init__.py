@@ -11,6 +11,7 @@ from .complexes import (
     SimplicialComplex,
     build_complex,
     parse_complex,
+    position_violations,
     serialize_complex,
     validate_general_position,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import InvalidInput, ParseError
 from .geometry import (
@@ -19,6 +19,7 @@ from .geometry import (
     as_vector,
     format_rational,
     parse_rational,
+    scale_to_integers,
 )
 
 Simplex = Tuple[int, ...]
@@ -115,73 +116,76 @@ def build_complex(
     return SimplicialComplex(ambient_dim, vertices, frozenset(closed))
 
 
+def position_violations(
+    points: Sequence[Sequence], i: int, dim: int
+) -> Iterator[tuple]:
+    """Witnesses by which points[i] breaks general position with points[:i].
+
+    In order: ("projection", j, i) for each earlier point with the same
+    (e1, e2) projection, ("collinear", a, b, i) for each earlier pair whose
+    projections are collinear with its own, and ("affine-dependent", *js, i)
+    for each min(i, dim) earlier points affinely dependent with it.  Over all
+    i this covers every dim+1 points, or all when there are fewer.  A common
+    positive scale of the points changes no witness.
+    """
+    p = points[i]
+    for j in range(i):
+        if points[j][:2] == p[:2]:
+            yield ("projection", j, i)
+    if dim >= 2:
+        px, py = p[0], p[1]
+        for a, b in combinations(range(i), 2):
+            (ax, ay), (bx, by) = points[a][:2], points[b][:2]
+            if (bx - ax) * (py - ay) == (by - ay) * (px - ax):
+                yield ("collinear", a, b, i)
+    for subset in combinations(range(i), min(i, dim)):
+        if not affinely_independent([points[j] for j in subset] + [p]):
+            yield ("affine-dependent",) + subset + (i,)
+
+
+def _free_of(kind: str) -> property:
+    """A report flag: true when no witness is of the given kind."""
+    return property(lambda report: all(w[0] != kind for w in report.violations))
+
+
 @dataclass
 class GeneralPositionReport:
     """Outcome of the checkable general position assumptions.
 
-    ``ok`` needs distinct projections onto the (e1, e2) plane, no projected
-    collinear triple, and affinely independent vertices: every d+1 of them,
-    or all of them when there are at most d.  ``unique_e1_heights`` is
+    ``violations`` holds the ``position_violations`` witnesses, listed by
+    their last vertex; ``ok`` means there are none.  A shared projection is
+    reported against every earlier vertex, and a dependent set of fewer than
+    d+1 vertices adds a shorter witness of its own.  ``unique_e1_heights`` is
     informational only: reconstruction recovers first-axis ties with a
     tilted basis at 2 extra queries, so a tie is not a violation.
     """
 
     unique_e1_heights: bool
-    distinct_projections: bool
-    no_three_projected_collinear: bool
-    affinely_independent: bool
     violations: List[tuple] = field(default_factory=list)
+    distinct_projections = _free_of("projection")
+    no_three_projected_collinear = _free_of("collinear")
+    affinely_independent = _free_of("affine-dependent")
 
     @property
     def ok(self) -> bool:
-        return (
-            self.distinct_projections
-            and self.no_three_projected_collinear
-            and self.affinely_independent
-        )
+        return not self.violations
 
 
 def validate_general_position(complex_: SimplicialComplex) -> GeneralPositionReport:
     """Check the general position assumptions that reconstruction relies on.
 
-    Violations are listed as ("projection", a, b), ("collinear", a, b, c)
-    and ("affine-dependent", *ids) witnesses.
+    One pass of ``position_violations`` over the integer-scaled vertices in
+    id order; witnesses name vertex ids.
     """
     ids = sorted(complex_.vertices)
-    points = complex_.vertices
-    violations: List[tuple] = []
-
-    unique = len({points[vid][0] for vid in ids}) == len(ids)
-
-    proj = {vid: points[vid][:2] for vid in ids}
-    owner: Dict[tuple, int] = {}
-    for vid in ids:
-        if proj[vid] in owner:
-            violations.append(("projection", owner[proj[vid]], vid))
-        else:
-            owner[proj[vid]] = vid
-    distinct = not violations
-
-    collinear_free = True
-    if complex_.ambient_dim >= 2:
-        for a, b, c in combinations(ids, 3):
-            ax, ay = proj[a]
-            bx, by = proj[b]
-            cx, cy = proj[c]
-            orient = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if orient == 0:
-                collinear_free = False
-                violations.append(("collinear", a, b, c))
-
-    independent = True
-    size = min(len(ids), complex_.ambient_dim + 1)
-    for subset in combinations(ids, size):
-        if subset and not affinely_independent([points[vid] for vid in subset]):
-            independent = False
-            violations.append(("affine-dependent",) + subset)
-    return GeneralPositionReport(
-        unique, distinct, collinear_free, independent, violations
-    )
+    points, _ = scale_to_integers([complex_.vertices[vid] for vid in ids])
+    violations = [
+        (w[0],) + tuple(ids[j] for j in w[1:])
+        for i in range(len(ids))
+        for w in position_violations(points, i, complex_.ambient_dim)
+    ]
+    unique = len({p[0] for p in points}) == len(points)
+    return GeneralPositionReport(unique, violations)
 
 
 # ---------------------------------------------------------------------------

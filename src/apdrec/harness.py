@@ -1,11 +1,13 @@
 """Random general-position complexes and round-trip verification.
 
-The generator rejection-samples vertices until the checkable general
-position properties hold (unique first-axis heights, no projected collinear
-triple, affine independence of every d+1 points), then grows the simplex set
-dimension by dimension: a candidate is eligible only once all its facets
-were accepted, and is kept with the configured per-dimension probability.
-The output is face-closed by construction and byte-reproducible per seed.
+The generator draws vertices as integer numerators over the coordinate
+denominator bound.  It rejects a candidate on a first-axis tie or on any
+witness of ``complexes.position_violations`` (with ``lift_general_position``,
+also of its lifted numerators in dimension d+1); neither a common scale nor
+the linear map between the two lifts changes a witness.  It then grows the
+simplex set dimension by dimension: a candidate is eligible only once all
+its facets were accepted, and is kept with the configured per-dimension
+probability.  The output is face-closed and byte-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .complexes import Simplex, SimplicialComplex, build_complex
+from .complexes import Simplex, SimplicialComplex, build_complex, position_violations
 from .errors import GenerationFailure, InvalidInput
-from .geometry import Vector, affinely_independent
+from .geometry import IntVector, dot
 from .higher import reconstruct
-from .oracle import Oracle, lift_point
+from .oracle import Oracle
 
 
 @dataclass
@@ -42,32 +44,6 @@ class GeneratorConfig:
         return float(self.densities[idx])
 
 
-def _vertex_ok(
-    candidate: Vector, accepted: List[Vector], config: GeneratorConfig
-) -> bool:
-    d = config.ambient_dim
-    for p in accepted:
-        if p[0] == candidate[0]:
-            return False
-    for a, b in combinations(accepted, 2):
-        cross = (b[0] - a[0]) * (candidate[1] - a[1]) - (b[1] - a[1]) * (
-            candidate[0] - a[0]
-        )
-        if cross == 0:
-            return False
-    if len(accepted) >= d:
-        for subset in combinations(accepted, d):
-            if not affinely_independent(list(subset) + [candidate]):
-                return False
-    if config.lift_general_position and len(accepted) >= d + 1:
-        lifted = [lift_point(p) for p in accepted]
-        lifted_candidate = lift_point(candidate)
-        for subset in combinations(lifted, d + 1):
-            if not affinely_independent(list(subset) + [lifted_candidate]):
-                return False
-    return True
-
-
 def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
     """Deterministic random complex satisfying the general position checks."""
     d, n0 = config.ambient_dim, config.vertex_count
@@ -85,13 +61,22 @@ def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
     bound = config.coordinate_denominator_bound
     span = 4 * bound
 
-    points: List[Vector] = []
+    points: List[IntVector] = []
+    lifted: List[IntVector] = []
     rejections = 0
     while len(points) < n0:
-        candidate = tuple(Fraction(rng.randint(-span, span), bound) for _ in range(d))
-        if _vertex_ok(candidate, points, config):
-            points.append(candidate)
-        else:
+        p = tuple(rng.randint(-span, span) for _ in range(d))
+        i = len(points)
+        points.append(p)
+        lifted.append(p + (dot(p, p),))
+        if (
+            any(q[0] == p[0] for q in points[:i])
+            or any(position_violations(points, i, d))
+            or config.lift_general_position
+            and any(position_violations(lifted, i, d + 1))
+        ):
+            points.pop()
+            lifted.pop()
             rejections += 1
             if rejections > config.rejection_limit:
                 raise GenerationFailure(
@@ -112,7 +97,9 @@ def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
                     accepted[dim].add(candidate)
 
     simplices = set().union(*accepted.values())
-    vertex_map = {i: points[i] for i in range(n0)}
+    vertex_map = {
+        i: tuple(Fraction(x, bound) for x in p) for i, p in enumerate(points)
+    }
     return build_complex(d, vertex_map, simplices)
 
 

@@ -69,8 +69,8 @@ def compute_indegree(
 
     ``points`` are the vertex points times ``scale`` (see the module notes).
     Precondition: every vertex of sigma has the same height under the
-    direction and no other vertex does (verified against the dimension-0
-    births of the queried diagram).  One logged query here plus one per
+    direction and no other vertex does (verified against the queried
+    diagram's vertex count at that height).  One logged query here plus one per
     proper face; faces are processed in non-descending dimension, so the
     memo table fills bottom-up and recursive calls never go more than one
     level deep.  A recursive call (``_depth`` > 0) whose memo lacks one of
@@ -83,7 +83,7 @@ def compute_indegree(
     if any(dot(direction, points[v]) != height for v in sigma[1:]):
         raise PreconditionViolated("direction is not constant on the simplex")
     level = Fraction(height, scale)
-    if dgm.births_at(0, level) != len(sigma):
+    if dgm.count_at(0, level) != len(sigma):
         raise PreconditionViolated(
             "another vertex shares the simplex height in this direction"
         )

@@ -11,11 +11,10 @@ points as they are.
 
 Every diagram carries an EventTable: its events counted per dimension over
 the sorted distinct heights, built from the kernel's integer keys.  All
-height-indexed reads (births_at, deaths_at, count_at, simplex_count, births)
-and both curves of ``descriptors`` are answered from that table.  The
-diagram's points are built from the same keys on first read, one
-DiagramPoint each; the reconstruction stages read only the table, so they
-build none.
+height-indexed reads (count_at, simplex_count, births) and both curves of
+``descriptors`` are answered from that table.  The diagram's points are
+built from the same keys on first read, one DiagramPoint each; the
+reconstruction stages read only the table, so they build none.
 
 The kernel runs on integers.  A BoundaryTable, built once per complex,
 holds the coordinates scaled by their common denominator, the simplices in
@@ -159,17 +158,6 @@ class AugmentedDiagram:
         if row is None:
             return []
         return list(chain.from_iterable(map(repeat, self.events.levels, row.births)))
-
-    def births_at(self, dim: int, height: Fraction) -> int:
-        row = self.events.rows.get(dim)
-        i = self.events.level(height)
-        return 0 if row is None or i is None else row.births[i]
-
-    def deaths_at(self, dim: int, height: Fraction) -> int:
-        """Finite deaths of dimension dim at the height."""
-        row = self.events.rows.get(dim)
-        i = self.events.level(height)
-        return 0 if row is None or i is None else row.deaths[i]
 
     def count_at(self, k: int, height: Fraction) -> int:
         """Deaths at the height in dimension k-1 plus births there in dimension k.

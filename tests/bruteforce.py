@@ -302,3 +302,26 @@ def reference_solve_particular(
     for row, col in zip(aug, pivots):
         x[col] = row[dim]
     return x
+
+
+def reference_general_position(
+    points: Sequence[Sequence], dim: int
+) -> Tuple[bool, bool, bool]:
+    """(distinct projections, no projected collinear triple, affinely
+    independent) of a point set, from the definitions: every pair of (e1, e2)
+    projections, every projected triple, and every dim+1 points by the exact
+    rank of their differences (the whole set when there are at most dim)."""
+    points = [[Fraction(x) for x in p] for p in points]
+    proj = [tuple(p[:2]) for p in points]
+    distinct = all(a != b for a, b in combinations(proj, 2))
+    collinear_free = dim < 2 or all(
+        (b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0])
+        for a, b, c in combinations(proj, 3)
+    )
+    independent = True
+    for subset in combinations(points, min(len(points), dim + 1)):
+        if subset:
+            diffs = [[x - y for x, y in zip(p, subset[0])] for p in subset[1:]]
+            _, pivots = reference_rref(diffs)
+            independent = independent and len(pivots) == len(subset) - 1
+    return distinct, collinear_free, independent

@@ -7,18 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apdrec import (
+    DegeneratePosition,
     GeneratorConfig,
+    Oracle,
     InvalidInput,
     ParseError,
     SimplicialComplex,
     build_complex,
     generate_complex,
     parse_complex,
+    position_violations,
+    reconstruct,
     serialize_complex,
     validate_general_position,
     verify_roundtrip,
 )
 
+from bruteforce import reference_general_position
 from conftest import cx
 
 F = Fraction
@@ -116,6 +121,41 @@ def test_general_position_affine_dependence():
     report = validate_general_position(cx(4, lifted, []))
     assert report.violations == [("affine-dependent", 0, 1, 2, 3)]
     assert validate_general_position(cx(4, lifted[:3], [])).ok
+
+
+def test_general_position_catches_a_dependent_set_of_at_most_d_points():
+    """Four coplanar points of R^4: no d+1 points exist, so the whole set must
+    be independent.  The generator rejects such a fourth point through the
+    same check; reconstruction cannot recover their 3-simplex."""
+    points = [(0, 0, 0, 0), (1, 2, 0, 0), (2, 1, 0, 0), (3, 5, 0, 0)]
+    assert [list(position_violations(points, i, 4)) for i in range(4)] == [
+        [], [], [], [("affine-dependent", 0, 1, 2, 3)]
+    ]
+    K = cx(4, points, [(0, 1, 2, 3)])
+    report = validate_general_position(K)
+    assert report.violations == [("affine-dependent", 0, 1, 2, 3)]
+    assert report.distinct_projections and report.no_three_projected_collinear
+    with pytest.raises(DegeneratePosition):
+        reconstruct(Oracle(K))
+
+
+def test_general_position_report_matches_the_definitions():
+    """The report's flags equal a batch check from the definitions on small
+    random sets dense in degeneracies: repeated points, shared projections,
+    collinear projections and dependent subsets."""
+    rng = random.Random(11)
+    values = [F(p, q) for p in range(-3, 4) for q in (1, 2)]
+    for _ in range(600):
+        d, n = rng.randint(1, 4), rng.randint(1, 8)
+        points = [tuple(rng.choice(values) for _ in range(d)) for _ in range(n)]
+        report = validate_general_position(cx(d, points, []))
+        flags = reference_general_position(points, d)
+        assert (
+            report.distinct_projections,
+            report.no_three_projected_collinear,
+            report.affinely_independent,
+        ) == flags
+        assert report.ok == all(flags)
 
 
 def test_general_position_generated_complexes_ok():

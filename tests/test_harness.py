@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from apdrec import (
@@ -39,6 +41,37 @@ def test_generator_deterministic_per_seed():
         generate_complex(GeneratorConfig(3, 7, 2, densities=[0.6, 0.5], seed=124))
     )
     assert a != c
+
+
+def pinned_generator_configs():
+    """The acceptance corpus, the 40 benchmark graphs and the lifted test configs."""
+    from test_acceptance import _trial_configs
+
+    graphs = [
+        GeneratorConfig(2, 14 + i % 10, 1, densities=[0.3], seed=4000 + i)
+        for i in range(40)
+    ]
+    lifted = [
+        GeneratorConfig(3, 6, 1, densities=[0.5], seed=s, lift_general_position=True)
+        for s in (0, 1, 2, 70, 71, 72)
+    ]
+    lifted += [
+        GeneratorConfig(2, 7, 2, densities=[0.6, 0.6], seed=5, lift_general_position=True),
+        GeneratorConfig(
+            3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2, lift_general_position=True
+        ),
+    ]
+    return _trial_configs() + graphs + lifted
+
+
+def test_generator_output_bytes_are_pinned():
+    """The generator's serialized output over 98 configs, hashed; the digest
+    was recorded from the Fraction-checking generator the integer one
+    replaced."""
+    digest = hashlib.sha256()
+    for cfg in pinned_generator_configs():
+        digest.update(serialize_complex(generate_complex(cfg)).encode())
+    assert digest.hexdigest() == "ba34520a33b153e55ad6a4a6a8a6b087af1949e2f06b6293458ac0b51de17742"
 
 
 def test_generator_validates_config():

@@ -25,11 +25,9 @@ from apdrec import (
 from bruteforce import (
     betti_curve_by_scan,
     betti_numbers_gf2,
-    births_at_by_scan,
     births_by_scan,
     count_at_by_scan,
     count_simplices_at,
-    deaths_at_by_scan,
     euler_curve_by_scan,
     random_compatible_order,
     reference_apd,
@@ -425,8 +423,6 @@ def test_event_table_reads_match_the_point_scans(case, last):
             assert view.births(k) == births_by_scan(pts, k)
             assert view.simplex_count(k) == simplex_count_by_scan(pts, k)
             for h in grid + off_grid + [F(0), INF]:
-                assert view.births_at(k, h) == births_at_by_scan(pts, k, h)
-                assert view.deaths_at(k, h) == deaths_at_by_scan(pts, k, h)
                 assert view.count_at(k, h) == count_at_by_scan(pts, k, h)
             curve = betti_curve_from_apd(view, k)
             assert (curve.breakpoints, curve.decorations) == betti_curve_by_scan(pts, k)

@@ -18,8 +18,14 @@ from .vertices import vertex_stage
 
 
 def _load_complex(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_complex(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+    return parse_complex(text)
 
 
 def _parse_direction(text: str):
@@ -71,7 +77,8 @@ def _cmd_reconstruct(args) -> int:
         return 0
     if args.stage == "edges":
         points, frame, sweep = vertex_stage(oracle)
-        for a, b in sorted(find_edges(points, oracle, frame, sweep)):
+        edges, _ = find_edges(points, oracle, frame, sweep)
+        for a, b in sorted(edges):
             print(f"{a} {b}")
         print(f"# vertex queries: {log.queries('vertices')}")
         print(f"# edge queries: {log.queries('edges')}")

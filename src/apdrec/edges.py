@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Dict, List, Sequence, Set, Tuple
 
-from .errors import InvalidInput, NegativeCount
+from .errors import InvalidInput, NegativeCount, OracleInconsistency
 from .geometry import (
     RadialOrder,
     SweepFrame,
@@ -154,12 +154,15 @@ def find_edges(
     oracle: Oracle,
     frame: SweepFrame,
     sweep: AugmentedDiagram,
-) -> Set[Tuple[int, int]]:
+) -> Tuple[Set[Tuple[int, int]], AugmentedDiagram]:
     """All edges of the unknown complex, given the vertex locations.
 
     One shared query in the negated sweep direction feeds every vertex's
     initial indegree; all remaining queries come from interval splits.  The
-    queries are logged in an "edges" span.
+    queries are logged in an "edges" span.  Returns the edges and that
+    shared diagram: its k-simplex count at a vertex's negated height is the
+    number of k-simplices whose lowest vertex it is, which the higher stage
+    reads at no query.
 
     The radial orders are taken on the points scaled to integers by their
     common denominator, so every projected offset is a pair of ints; the
@@ -169,8 +172,10 @@ def find_edges(
     at a vertex's height is the number of edges from that vertex down to
     lower ones.  Once that many are known, the vertex has no edge to the
     current sweep vertex, so it is left out of the current vertex's
-    candidates.  This costs no query.  A diagram in any other direction
-    raises InvalidInput.
+    candidates.  This costs no query.  When the sweep reaches a vertex, the
+    edges found down from it must number exactly that count, or
+    OracleInconsistency is raised.  A diagram in any other direction raises
+    InvalidInput.
     """
     if tuple(sweep.direction) != tuple(frame.u1):
         raise InvalidInput("sweep diagram is not in the frame's first direction")
@@ -183,6 +188,12 @@ def find_edges(
     edges: Set[Tuple[int, int]] = set()
     adjacency: Dict[int, List[int]] = {i: [] for i in range(len(points))}
     for vid in ids_by_height:
+        # vid's edges down were all found from the vertices below it
+        if len(adjacency[vid]) != down_degree[vid]:
+            raise OracleInconsistency(
+                f"vertex {vid} has {len(adjacency[vid])} edges down, "
+                f"the sweep diagram counts {down_degree[vid]}"
+            )
         others = [u for u in range(len(points)) if u != vid]
         order = radial_order(
             scaled[vid], [scaled[u] for u in others], ids=others, frame=frame
@@ -196,4 +207,4 @@ def find_edges(
             edges.add(tuple(sorted((vid, u))))
             adjacency[vid].append(u)
             adjacency[u].append(vid)
-    return edges
+    return edges, sweep_diagram

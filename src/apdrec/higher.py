@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Set
 
 from .complexes import Simplex, SimplicialComplex, build_complex, facets, proper_faces
 from .edges import find_edges
-from .errors import DegeneratePosition, PreconditionViolated
+from .errors import DegeneratePosition, OracleInconsistency, PreconditionViolated
 from .geometry import (
     Direction,
     IntVector,
@@ -191,6 +191,8 @@ def _cofaces(
     oracle: Oracle,
     points: Sequence[IntVector],
     scale: int,
+    top: Sequence[int],
+    bottom: Sequence[int],
 ) -> Set[Simplex]:
     """The (k+1)-simplices whose k-facets are all in ``previous``, confirmed.
 
@@ -200,16 +202,41 @@ def _cofaces(
     ``cand[:-1]`` in ``previous``, so extending each sigma only by vertices
     above ``sigma[-1]`` reaches each candidate exactly once, as
     ``is_simplex(cand[:-1], cand[-1], ...)``.
+
+    Vertex ids follow the sweep order, so ``cand[-1]`` is a candidate's
+    highest vertex and ``cand[0]`` its lowest.  ``top[v]`` and ``bottom[v]``
+    are the numbers of (k+1)-simplices whose highest and whose lowest vertex
+    is v, read off the sweep diagrams.  A candidate is not tested once
+    either its top or its bottom vertex has all its simplices found.  After
+    the pass the found simplices must meet both counts at every vertex, or
+    OracleInconsistency is raised: a candidate the counts reject has no
+    test of its own, and this check is its guard.
     """
     known = set(previous)
     found: Set[Simplex] = set()
+    tops = [0] * len(points)
+    bottoms = [0] * len(points)
     for sigma in previous:
+        low = sigma[0]
         for vertex in range(sigma[-1] + 1, len(points)):
+            if bottoms[low] == bottom[low]:
+                break  # every later candidate of sigma has the same bottom
+            if tops[vertex] == top[vertex]:
+                continue
             candidate = sigma + (vertex,)
             if not all(f in known for f in facets(candidate)):
                 continue
             if is_simplex(sigma, vertex, oracle, points, scale):
                 found.add(candidate)
+                tops[vertex] += 1
+                bottoms[low] += 1
+    for v in range(len(points)):
+        if (tops[v], bottoms[v]) != (top[v], bottom[v]):
+            raise OracleInconsistency(
+                f"vertex {v} is the top of {tops[v]} and the bottom of "
+                f"{bottoms[v]} simplices found; the sweep diagrams count "
+                f"{top[v]} and {bottom[v]}"
+            )
     return found
 
 
@@ -218,18 +245,24 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
 
     Vertices, then edges, then each higher dimension i while the previous
     one is nonempty and i <= d - 1 (emptiness propagates upward by face
-    closure, so the top dimension needs no prior knowledge).  When the
-    vertex stage's sweep diagram counts a d-simplex, the d-simplices are
-    tested afterwards through ``oracle.lifted()`` on the lifted vertex
-    points; by face closure the loop has then reached dimension d with the
-    (d-1)-simplices in hand.
+    closure, so the top dimension needs no prior knowledge).  When one of
+    the two sweep diagrams below counts a d-simplex at a vertex, the
+    d-simplices are tested afterwards through ``oracle.lifted()`` on the
+    lifted vertex points; by face closure the loop has then reached
+    dimension d with the (d-1)-simplices in hand.
 
-    Within a dimension only closure-eligible candidates are tested: those
-    whose facets were all found one dimension down.  This is sound because
-    a complex is face-closed, so a simplex with an absent facet cannot
-    exist, and because the previous dimension was recovered exactly.  Each
-    eligible candidate is tested once, so the higher stage costs
-    2(2^k - 1) queries per eligible (k+1)-vertex candidate.
+    Within a dimension i a candidate is tested only when its facets were all
+    found one dimension down (a complex is face-closed, and the previous
+    dimension was recovered exactly), and only while its highest and its
+    lowest vertex still miss some of their i-simplices.  Both counts cost
+    no query: every i-simplex is one event at the height of its highest
+    vertex, so the vertex stage's diagram in ``frame.u1`` counts the
+    i-simplices each vertex tops, and the edge stage's diagram in
+    ``-frame.u1`` counts those it bottoms.  The lifted pass reads the
+    d-simplex counts off the same two diagrams, since lifting keeps the
+    combinatorics.  Each candidate is tested at most once, so the higher
+    stage costs at most 2(2^k - 1) queries per closure-eligible
+    (k+1)-vertex candidate.
 
     The stages account for their queries in ``oracle.log``: the spans
     "vertices" and "edges", then one span per predicate call labelled k.
@@ -237,7 +270,14 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     """
     d = oracle.ambient_dim
     points, frame, sweep = vertex_stage(oracle)
-    edges = find_edges(points, oracle, frame, sweep)
+    edges, sweep_down = find_edges(points, oracle, frame, sweep)
+
+    heights = [frame.height(p) for p in points]
+
+    def counts(dim: int):
+        """Per vertex, the dim-simplices it tops and those it bottoms."""
+        top = [sweep.count_at(dim, h) for h in heights]
+        return top, [sweep_down.count_at(dim, -h) for h in heights]
 
     simplices: Set[Simplex] = {(v,) for v in range(len(points))}
     simplices.update(edges)
@@ -246,14 +286,17 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     scaled, scale = scale_to_integers(points)
     dim = 2
     while previous and dim <= d - 1:
-        found = _cofaces(previous, oracle, scaled, scale)
+        found = _cofaces(previous, oracle, scaled, scale, *counts(dim))
         simplices.update(found)
         previous = sorted(found)
         dim += 1
 
-    if sweep.simplex_count(d):
+    top, bottom = counts(d)
+    if any(top) or any(bottom):
         lifted, lifted_scale = scale_to_integers([lift_point(p) for p in points])
-        simplices.update(_cofaces(previous, oracle.lifted(), lifted, lifted_scale))
+        simplices.update(
+            _cofaces(previous, oracle.lifted(), lifted, lifted_scale, top, bottom)
+        )
 
     vertex_map = {i: points[i] for i in range(len(points))}
     return build_complex(d, vertex_map, simplices)

@@ -76,6 +76,48 @@ def brute_coface_count(complex_, sigma, direction, k: int) -> int:
     )
 
 
+def count_rejection_replay(complex_, direction) -> List[Tuple[int, frozenset]]:
+    """The higher stage's predicate calls, replayed over the true complex.
+
+    Vertices are numbered by height in the sweep direction.  For each
+    dimension i that reconstruction visits (2..d-1 while dimension i-1 is
+    nonempty, and d when the complex has a d-simplex), every sigma of
+    dimension i-1 in sorted order is extended by each vertex v above its
+    top.  The candidate is tested when all its facets are simplices and
+    both its top vertex v and its bottom vertex sigma[0] still top and
+    bottom some i-simplex not yet confirmed, counted straight from the
+    complex.  Returns (i, candidate as a set of vertex positions) per test,
+    in order.
+    """
+    heights = vertex_heights(complex_.vertices, direction)
+    ids = sorted(heights, key=heights.get)
+    assert len(set(heights.values())) == len(ids), "sweep heights must be distinct"
+    rank = {v: r for r, v in enumerate(ids)}
+    by_dim: Dict[int, set] = {}
+    for s in complex_.simplices:
+        by_dim.setdefault(len(s) - 1, set()).add(tuple(sorted(rank[v] for v in s)))
+    d, n = complex_.ambient_dim, len(ids)
+    tested = []
+    for i in range(2, d + 1):
+        below, truth = by_dim.get(i - 1, set()), by_dim.get(i, set())
+        if not below or (i == d and not truth):
+            continue
+        tops_left = [sum(1 for s in truth if s[-1] == v) for v in range(n)]
+        bottoms_left = [sum(1 for s in truth if s[0] == v) for v in range(n)]
+        for sigma in sorted(below):
+            for v in range(sigma[-1] + 1, n):
+                cand = sigma + (v,)
+                if any(f not in below for f in combinations(cand, i)):
+                    continue
+                if not tops_left[v] or not bottoms_left[sigma[0]]:
+                    continue
+                tested.append((i, frozenset(complex_.vertices[ids[u]] for u in cand)))
+                if cand in truth:
+                    tops_left[v] -= 1
+                    bottoms_left[sigma[0]] -= 1
+    return tested
+
+
 def reference_apd(complex_, direction, order=None) -> List[tuple]:
     """Augmented diagram points from the definition, sorted.
 

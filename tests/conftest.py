@@ -6,13 +6,46 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from apdrec import build_complex
+from apdrec import AugmentedDiagram, Oracle, build_complex
+from apdrec.oracle import EventRow, EventTable
 
 
 def cx(ambient_dim, points, maximal):
     """Shorthand complex constructor for tests."""
     vertex_map = {i: tuple(Fraction(c) for c in p) for i, p in enumerate(points)}
     return build_complex(ambient_dim, vertex_map, maximal)
+
+
+def shifted_count(dgm, k, height, delta):
+    """The diagram with its k-simplex count at the height moved by delta.
+
+    A positive delta adds dimension-k births there, a negative one takes
+    dimension-(k-1) deaths away.  Only the event table changes, which is all
+    the reconstruction stages read.
+    """
+    levels, rows = dgm.events.levels, dict(dgm.events.rows)
+    dim, field = (k, "births") if delta > 0 else (k - 1, "deaths")
+    row = rows.get(dim) or EventRow(*([0] * len(levels) for _ in range(3)))
+    values = list(getattr(row, field))
+    values[dgm.events.level(height)] += delta
+    rows[dim] = row._replace(**{field: values})
+    return AugmentedDiagram(dgm.direction, dgm._keys, EventTable(levels, rows))
+
+
+class TamperedOracle(Oracle):
+    """An Oracle whose answer in one direction counts delta more k-simplices
+    at one height (see shifted_count); every other answer is true."""
+
+    def __init__(self, complex_, direction, k, height, delta):
+        super().__init__(complex_)
+        self._tamper = (tuple(Fraction(x) for x in direction), k, height, delta)
+
+    def query(self, direction):
+        dgm = super().query(direction)
+        target, k, height, delta = self._tamper
+        if dgm.direction == target:
+            return shifted_count(dgm, k, height, delta)
+        return dgm
 
 
 @pytest.fixture

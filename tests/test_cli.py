@@ -212,6 +212,31 @@ def test_cli_error_reporting(capsys, tmp_path):
     assert "error:" in err
 
 
+UNREADABLE_CALLS = {
+    "apd": ["apd", "--dir", "1,0"],
+    "curves": ["curves", "--dir", "1,0", "--kind", "euler"],
+    "reconstruct": ["reconstruct"],
+    "stats": ["stats"],
+}
+
+
+@pytest.mark.parametrize("argv", UNREADABLE_CALLS.values(), ids=UNREADABLE_CALLS.keys())
+@pytest.mark.parametrize(
+    "content",
+    [None, b"dim 2\nvertices 1\n0 \xff 0\nsimplices 0\n"],
+    ids=["missing", "not-utf8"],
+)
+def test_cli_unreadable_complex_file_exits_two(capsys, tmp_path, argv, content):
+    path = tmp_path / "K.cx"
+    if content is not None:
+        path.write_bytes(content)
+    code = main(argv + ["--complex", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and str(path) in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 import apdrec.edges as edges_mod
 from apdrec import (
+    ApdrecError,
     EdgeInterval,
     GeneratorConfig,
     InvalidInput,
     NegativeCount,
     Oracle,
+    OracleInconsistency,
     complexes_match,
     generate_complex,
     radial_order,
@@ -29,7 +31,7 @@ from apdrec.geometry import (
 from apdrec.higher import reconstruct
 from apdrec.vertices import create_unique_height_basis, vertex_stage
 
-from conftest import cx
+from conftest import cx, shifted_count
 
 F = Fraction
 
@@ -134,7 +136,8 @@ def test_find_up_edges_star():
 
 def test_find_edges_path():
     K = cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1), (1, 2)])
-    assert find_edges(*sweep_inputs(K)) == {(0, 1), (1, 2)}
+    edges, _ = find_edges(*sweep_inputs(K))
+    assert edges == {(0, 1), (1, 2)}
 
 
 def test_find_edges_complete_graph():
@@ -144,14 +147,19 @@ def test_find_edges_complete_graph():
         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
     )
     assert validate_general_position(K).ok
-    assert len(find_edges(*sweep_inputs(K))) == 6
+    edges, _ = find_edges(*sweep_inputs(K))
+    assert len(edges) == 6
 
 
 def test_find_edges_point_cloud_queries_once():
     K = generate_complex(GeneratorConfig(3, 6, 0, densities=[], seed=8))
     points, oracle, frame, sweep = sweep_inputs(K)
-    assert find_edges(points, oracle, frame, sweep) == set()
+    edges, sweep_down = find_edges(points, oracle, frame, sweep)
+    assert edges == set()
     assert oracle.log.queries("edges") == 1
+    # the one edge-stage query is the shared diagram, handed back
+    assert sweep_down.direction == vneg(frame.u1)
+    assert oracle.log.directions[-1] == sweep_down.direction
 
 
 def test_find_edges_random_graphs_with_split_instrumentation(monkeypatch):
@@ -189,7 +197,7 @@ def test_find_edges_random_graphs_with_split_instrumentation(monkeypatch):
             return left, right
 
         monkeypatch.setattr(edges_mod, "split_wedge", checked)
-        assert find_edges(points, oracle, frame, sweep) == truth
+        assert find_edges(points, oracle, frame, sweep)[0] == truth
         monkeypatch.setattr(edges_mod, "split_wedge", real_split)
 
 
@@ -210,7 +218,7 @@ def test_find_edges_splits_only_undecided_intervals(monkeypatch):
         oracle = Oracle(K)
         points, frame, sweep = vertex_stage(oracle)
         monkeypatch.setattr(edges_mod, "split_wedge", checked)
-        found = find_edges(points, oracle, frame, sweep)
+        found, _ = find_edges(points, oracle, frame, sweep)
         monkeypatch.setattr(edges_mod, "split_wedge", real_split)
         assert {frozenset(points[v] for v in e) for e in found} == truth
     assert sizes  # the random graphs do need splits
@@ -232,7 +240,7 @@ def test_find_edges_leaves_out_vertices_whose_down_edges_are_known(monkeypatch):
 
     monkeypatch.setattr(edges_mod, "split_wedge", recording)
     points, oracle, frame, sweep = sweep_inputs(K)
-    assert find_edges(points, oracle, frame, sweep) == {(0, 3), (1, 2)}
+    assert find_edges(points, oracle, frame, sweep)[0] == {(0, 3), (1, 2)}
     assert splits == [(0, {2, 3})]
     assert oracle.log.queries("edges") == 2
 
@@ -242,6 +250,26 @@ def test_find_edges_rejects_a_sweep_in_another_direction():
     points, oracle, frame, _ = sweep_inputs(K)
     with pytest.raises(InvalidInput):
         find_edges(points, oracle, frame, oracle.query(frame.u2))
+
+
+def test_find_edges_never_returns_edges_from_a_miscounted_sweep():
+    """Moving any one vertex's down-degree by one, up or down, ends in a
+    typed error, never in an edge set.  An over-count, which leaves the
+    search whole and so used to pass unnoticed, is an OracleInconsistency."""
+    for seed in range(4):
+        K = generate_complex(GeneratorConfig(2, 8, 1, densities=[0.4], seed=seed))
+        points, oracle, frame, sweep = sweep_inputs(K)
+        assert find_edges(points, oracle, frame, sweep)[0] == set(K.simplices_of_dim(1))
+        for v, p in enumerate(points):
+            height = frame.height(p)
+            for delta in (1, -1):
+                if sweep.count_at(1, height) + delta < 0:
+                    continue
+                tampered = shifted_count(sweep, 1, height, delta)
+                with pytest.raises(ApdrecError) as info:
+                    find_edges(points, oracle, frame, tampered)
+                if delta > 0:
+                    assert info.type is OracleInconsistency
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +340,14 @@ def test_integer_radial_order_matches_the_rational_one(data):
     assert right.edge_count == len(neighbours & set(candidates[mid:]))
 
 
-FALLBACK_LOG_SHA256 = "020f198680fae7633421cf7c3dc10cc43f545c602c0ef01770d071a6ca3ba947"
+FALLBACK_LOG_SHA256 = "a7ceb3217c6099bf33eb9e9ebf8bd8e24d9849203ebfe533e3a959e75e635a1c"
 
 
 def test_query_log_of_the_fallback_basis_complex_is_pinned():
     """The edge stage in a tilted frame asks the same directions, in the same
-    spans, as it did on rational offsets; the digest was recorded on those."""
+    spans, as it did on rational offsets.  The digest was recorded after
+    checking that the log equals the one on rational offsets, less exactly
+    the predicate spans of the candidates that the count rule rejects."""
     from test_harness import fallback_basis_complex
 
     K = fallback_basis_complex()

@@ -8,6 +8,7 @@ from apdrec import (
     DegeneratePosition,
     GeneratorConfig,
     Oracle,
+    OracleInconsistency,
     PreconditionViolated,
     complexes_match,
     compute_indegree,
@@ -21,8 +22,8 @@ from apdrec.geometry import scale_to_integers
 from apdrec.higher import _isolating_direction
 from apdrec.oracle import lift_point
 
-from bruteforce import brute_coface_count
-from conftest import cx
+from bruteforce import brute_coface_count, count_rejection_replay
+from conftest import TamperedOracle, cx
 
 F = Fraction
 
@@ -319,11 +320,15 @@ def test_reconstruct_mixed_complex_lifts_only_where_needed(monkeypatch):
         [(0, 0), (1, 2), (2, 1), (3, 3), (4, 0)],
         [(0, 1, 2), (1, 3), (2, 3), (2, 4), (3, 4)],
     )
+    # Two hollow cycles are closure-eligible too, but once [0,1,2] is found
+    # vertex 0 bottoms no other triangle and vertices 1 and 2 bottom none, so
+    # neither is tested.
     tested, calls = record_candidates(monkeypatch, K)
     assert K.simplices_of_dim(2) == [(0, 1, 2)]
-    assert calls == [(2, 6)] * 3
-    triangles = {frozenset(K.vertices[v] for v in t) for t in K.simplices_of_dim(2)}
-    assert len([c for c in tested if c not in triangles]) == 2
+    assert calls == [(2, 6)]
+    assert tested == [c for _, c in count_rejection_replay(K, (1, 0))]
+    assert tested == [frozenset(K.vertices[v] for v in (0, 1, 2))]
+    assert len(closure_eligible(K, 3)) == 3
 
 
 def test_codim_zero_driver_matches_standard_when_kappa_small():
@@ -383,20 +388,25 @@ def record_candidates(monkeypatch, K):
 
 
 def test_higher_stage_tests_exactly_the_closure_eligible_candidates(monkeypatch):
+    """The tested candidates, in order, are those of a replay of the closure
+    and count rules over the true complex, and all are closure-eligible."""
     from test_acceptance import _trial_configs
 
     configs = [c for c in _trial_configs() if c.max_dim >= 2][::4]
     assert {c.ambient_dim for c in configs} == {3, 4, 5}
+    rejected = 0
     for cfg in configs:
         K = generate_complex(cfg)
+        d = cfg.ambient_dim
         tested, calls = record_candidates(monkeypatch, K)
-        eligible = set()
-        for k in range(2, cfg.ambient_dim):
-            by_k = closure_eligible(K, k + 1)
-            assert sum(1 for j, _ in calls if j == k) == len(by_k)
-            eligible |= by_k
-        assert set(tested) == eligible
-        assert all(k < cfg.ambient_dim for k, _ in calls)  # no lifted call
+        replay = count_rejection_replay(K, (1,) + (0,) * (d - 1))
+        assert tested == [c for _, c in replay]
+        assert [k for k, _ in calls] == [k for k, _ in replay]
+        eligible = set().union(*(closure_eligible(K, k + 1) for k in range(2, d)))
+        assert set(tested) <= eligible
+        rejected += len(eligible) - len(tested)
+        assert all(k < d for k, _ in calls)  # no lifted call
+    assert rejected > 0  # the counts do reject candidates here
 
 
 def test_lifted_pass_tests_exactly_the_closure_eligible_candidates(monkeypatch):
@@ -406,11 +416,11 @@ def test_lifted_pass_tests_exactly_the_closure_eligible_candidates(monkeypatch):
         )
     )
     tested, calls = record_candidates(monkeypatch, K)
-    eligible = closure_eligible(K, 3)
+    replay = count_rejection_replay(K, (1, 0))
     # d = 2 has no standard higher stage: every call is a lifted one
-    assert all(k == 2 for k, _ in calls)
-    assert eligible and len(calls) == len(eligible)
-    assert set(tested) == eligible
+    assert calls and all(k == 2 for k, _ in calls)
+    assert tested == [c for _, c in replay]
+    assert set(tested) <= closure_eligible(K, 3)
 
 
 def test_hollow_facet_tetrahedron_is_never_tested(monkeypatch):
@@ -426,24 +436,52 @@ def test_hollow_facet_tetrahedron_is_never_tested(monkeypatch):
     assert tetrahedra == [frozenset(K.vertices[v] for v in (0, 1, 2, 4))]
 
 
+# triangle [0,1,2] in sweep order: vertex 2 tops it and vertex 0 bottoms it
+TRIANGLE_R3 = [(0, 0, 0), (1, 2, 1), (2, 1, -1)]
+TRIANGLE_R2 = [(0, 0), (F(1, 2), 1), (1, 0)]  # reached by the lifted pass
+
+
+@pytest.mark.parametrize("points", [TRIANGLE_R3, TRIANGLE_R2], ids=["r3", "lifted"])
+@pytest.mark.parametrize(
+    "sign, vertex, delta",
+    [(1, 1, 1), (1, 2, -1), (-1, 1, 1), (-1, 0, -1)],
+    ids=["top-extra", "top-missing", "bottom-extra", "bottom-missing"],
+)
+def test_a_wrong_simplex_count_raises(points, sign, vertex, delta):
+    """A sweep diagram that miscounts the triangles a vertex tops or bottoms
+    makes the higher stage raise, whether the count has it test too much or
+    reject the one triangle untested."""
+    K = cx(len(points[0]), points, [(0, 1, 2)])
+    d = K.ambient_dim
+    direction = (sign,) + (0,) * (d - 1)
+    height = sign * F(points[vertex][0])
+    oracle = TamperedOracle(K, direction, 2, height, delta)
+    with pytest.raises(OracleInconsistency):
+        reconstruct(oracle)
+    assert complexes_match(reconstruct(Oracle(K)), K)
+
+
 # ---------------------------------------------------------------------------
 # the query log, pinned
 
 
-# acceptance-corpus positions: d = 3 (2, 8, 17), d = 4 (20, 27, 32 with two
-# k = 3 calls), d = 5 (36, 39 and 45 with k = 3 calls)
+# acceptance-corpus positions: d = 3 (2, 8, 17), d = 4 (20, 27, 32 with one
+# k = 3 call), d = 5 (36, 39 with three k = 3 calls, 45)
 PINNED_SLICE = [2, 8, 17, 20, 27, 32, 36, 39, 45]
-# the slice plus the lifted config, reconstructed with the rational geometry
-PINNED_LOG_SHA256 = "6840d4dada4ff8b83f8b14ffb2b1ce5d165a6651b976060ade6edd4575e234b4"
+# the slice plus the lifted config: the log of the rational geometry with the
+# spans of the candidates that the per-vertex counts reject taken out
+PINNED_LOG_SHA256 = "6a894a6a1344080413926c06eaa0def75efed4aaa6f5f6375225b41733ff4aec"
 
 
 def test_query_log_of_a_corpus_slice_is_pinned():
-    """Same queries, in the same spans and order, as the rational geometry.
+    """Same queries, in the same spans and order, as the rational geometry
+    asks for the candidates that the counts leave to test.
 
     The digest covers every span and every direction asked while
     reconstructing nine acceptance configs and one lifted d = 3 config, in
-    that order; it was recorded when the higher stage still computed on
-    Fraction coordinates.
+    that order.  It was recorded after checking that the log equals the one
+    of the higher stage on Fraction coordinates, less exactly the spans of
+    the candidates that the count rule rejects.
     """
     import hashlib
 
@@ -492,15 +530,16 @@ def test_reconstruction_builds_no_diagram_point(monkeypatch):
     lifted = GeneratorConfig(
         3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2, lift_general_position=True
     )
-    complexes = [generate_complex(corpus[i]) for i in (2, 20, 45)]
+    complexes = [generate_complex(corpus[i]) for i in (2, 20, 39)]
     complexes += [generate_complex(lifted), fallback_basis_complex()]
     calls = []
     for K in complexes:
         oracle = Oracle(K)
         assert complexes_match(reconstruct(oracle), K)
-        calls += [k for k, _ in oracle.log.predicate_calls]
+        calls += [(K.ambient_dim, k) for k, _ in oracle.log.predicate_calls]
         assert built == []
-    assert {2, 3} <= set(calls)
+    assert (3, 2) in calls and (3, 3) in calls  # the lifted pass, k == d
+    assert any(k == 3 and d > 3 for d, k in calls)
     # reading the points of one of those diagrams goes through the counter
     dgm = oracle.query(oracle.log.directions[-1])
     assert len(dgm.points) == len(built) > 0

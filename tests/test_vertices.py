@@ -45,7 +45,7 @@ def test_find_coordinate_with_target_ties():
     assert find_coordinate(2, base, oracle) == [5, 5]
 
 
-def test_find_vertices_two_points():
+def test_vertex_stage_two_points():
     K = cx(2, [(0, 0), (1, 2)], [])
     oracle = Oracle(K)
     points, frame, sweep = vertex_stage(oracle)
@@ -54,14 +54,14 @@ def test_find_vertices_two_points():
     assert oracle.log.count == 2 * 2 - 1
 
 
-def test_find_vertices_order_follows_e1():
+def test_vertex_stage_order_follows_e1():
     K = cx(3, [(2, 0, 1), (0, 5, -1), (1, -3, 2)], [])
     points, _, _ = vertex_stage(Oracle(K))
     assert [p[0] for p in points] == [0, 1, 2]
     assert set(points) == set(K.vertices.values())
 
 
-def test_find_vertices_single_point_query_count():
+def test_vertex_stage_single_point_query_count():
     for d in (2, 3, 5):
         K = cx(d, [tuple(range(1, d + 1))], [])
         oracle = Oracle(K)
@@ -69,7 +69,7 @@ def test_find_vertices_single_point_query_count():
         assert oracle.log.count == 2 * d - 1
 
 
-def test_find_vertices_random_exact():
+def test_vertex_stage_random_exact():
     for seed in range(8):
         d = 2 + seed % 4
         K = generate_complex(

@@ -63,9 +63,7 @@ from .oracle import (
     QueryLog,
     compute_apd,
     format_diagram,
-    index_filtration,
     lift,
-    lower_star_heights,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -200,7 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--density", default=None, help="comma separated per dimension")
     p.add_argument("--denominator-bound", type=int, default=64)
-    p.add_argument("--codim-zero", dest="lift_general_position", action="store_true")
+    p.add_argument(
+        "--codim-zero",
+        dest="lift_general_position",
+        action="store_true",
+        help="also keep the lifted points (x, x.x) in general position, which "
+        "reconstructing d-simplices (kappa = d) through the lift needs",
+    )
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="seeded round-trip verification")

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .complexes import SimplicialComplex
-from .geometry import Direction
-from .oracle import AugmentedDiagram, lower_star_heights
+from .geometry import Direction, dot
+from .oracle import AugmentedDiagram, _check_direction
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,17 @@ def euler_curve_from_apd(apd: AugmentedDiagram) -> StepCurve:
 
 
 def euler_curve_direct(complex_: SimplicialComplex, direction: Direction) -> StepCurve:
-    """The same pair curve computed straight from sublevel simplex counts."""
-    heights = lower_star_heights(complex_, direction)
+    """The same pair curve computed straight from sublevel simplex counts.
+
+    A simplex enters at its lower-star height, the largest height of its
+    vertices.  Raises InvalidInput for a zero direction or one whose length
+    is not the ambient dimension of the complex.
+    """
+    _check_direction(direction, complex_.ambient_dim)
+    vh = {v: dot(direction, p) for v, p in complex_.vertices.items()}
     deltas: Dict[Fraction, List[int]] = {}
-    for s, h in heights.items():
-        cell = deltas.setdefault(h, [0, 0])
+    for s in complex_.simplices:
+        cell = deltas.setdefault(max(vh[v] for v in s), [0, 0])
         cell[(len(s) - 1) % 2] += 1
     return StepCurve(
         _pair_steps({h: (c[0], c[1]) for h, c in deltas.items()}), (), (0, 0)

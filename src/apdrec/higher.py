@@ -2,11 +2,13 @@
 
 The k-indegree of a simplex in a direction perpendicular to its affine hull
 counts its k-dimensional cofaces at its own height.  A raw diagram count at
-that height also picks up unrelated k-simplices, so an inclusion-exclusion
-recursion over the proper faces (each isolated by a tilted direction)
-removes the double counting.  The simplex predicate then compares the two
-k-indegrees across a wedge that isolates exactly one candidate vertex: the
-counts differ by one precisely when the candidate simplex exists.
+that height also picks up unrelated k-simplices, so one inclusion-exclusion
+pass over the proper faces, bottom up (each face isolated by a tilted
+direction), removes the double counting.  The simplex predicate then
+compares the two k-indegrees across a wedge that isolates exactly one
+candidate vertex: the counts differ by one precisely when the candidate
+simplex exists.  ``reconstruct`` climbs the dimensions 2..d with it, on the
+parabolic lift for the full-dimensional simplices.
 
 The stage runs on integers.  ``reconstruct`` scales the recovered points
 once by L, the common denominator of their coordinates (the lifted points by
@@ -40,9 +42,6 @@ from .geometry import (
 from .oracle import Oracle, lift_point
 from .vertices import vertex_stage
 
-# memo table of one predicate evaluation: proper face -> k-indegree
-IndegreeMemo = Dict[Simplex, int]
-
 
 def _heights(points: Sequence[IntVector], s: Direction) -> List[int]:
     """Heights of all points under s, computed once per direction by callers.
@@ -55,63 +54,82 @@ def _heights(points: Sequence[IntVector], s: Direction) -> List[int]:
     return [dot(s, p) for p in points]
 
 
+def _tilted(
+    points: Sequence[IntVector],
+    heights: Sequence[int],
+    s: Direction,
+    s_prime: Direction,
+) -> Direction:
+    """s tilted towards s', in primitive form; ``heights`` are those under s."""
+    return primitive_direction(tilt(heights, _heights(points, s_prime), s, s_prime))
+
+
+def _level_count(
+    simplex: Simplex,
+    direction: Direction,
+    k: int,
+    oracle: Oracle,
+    points: Sequence[IntVector],
+    scale: int,
+) -> int:
+    """The k-simplices at the simplex's height, which it must hold alone.
+
+    One logged query.  Raises PreconditionViolated unless every vertex of
+    the simplex has the same height under the direction and the queried
+    diagram counts no other vertex at that height.
+    """
+    dgm = oracle.query(direction)
+    height = dot(direction, points[simplex[0]])
+    if any(dot(direction, points[v]) != height for v in simplex[1:]):
+        raise PreconditionViolated("direction is not constant on the simplex")
+    level = Fraction(height, scale)
+    if dgm.count_at(0, level) != len(simplex):
+        raise PreconditionViolated(
+            "another vertex shares the simplex height in this direction"
+        )
+    return dgm.count_at(k, level)
+
+
 def compute_indegree(
     sigma: Simplex,
     direction: Direction,
     k: int,
-    memo: IndegreeMemo,
+    memo: Dict[Simplex, int],
     oracle: Oracle,
     points: Sequence[IntVector],
     scale: int,
-    _depth: int = 0,
 ) -> int:
     """k-indegree of sigma in a direction that height-isolates it.
 
     ``points`` are the vertex points times ``scale`` (see the module notes).
-    Precondition: every vertex of sigma has the same height under the
-    direction and no other vertex does (verified against the queried
-    diagram's vertex count at that height).  One logged query here plus one per
-    proper face; faces are processed in non-descending dimension, so the
-    memo table fills bottom-up and recursive calls never go more than one
-    level deep.  A recursive call (``_depth`` > 0) whose memo lacks one of
-    its faces raises PreconditionViolated.
+    The k-simplices at sigma's height are those whose vertices at that
+    height form a nonempty face tau of sigma; the ones with tau = sigma are
+    the k-indegree.  For each proper face tau, in ``proper_faces`` order
+    (non-descending dimension), the direction tilted so that tau lies alone
+    at its height, below the rest of sigma, counts the k-simplices of tau
+    and of its own proper faces.  So ``memo[tau]`` is that count less the
+    memo of tau's proper faces, all filled earlier in the pass, and the
+    k-indegree is sigma's count less the memo of all its proper faces.
+    ``memo`` is an output: it ends holding every proper face's value.
+
+    One logged query for sigma, first, then one per proper face, each
+    checked as ``_level_count`` states.
     """
     if k <= len(sigma) - 1:
         raise PreconditionViolated("k must exceed the simplex dimension")
-    dgm = oracle.query(direction)
-    height = dot(direction, points[sigma[0]])
-    if any(dot(direction, points[v]) != height for v in sigma[1:]):
-        raise PreconditionViolated("direction is not constant on the simplex")
-    level = Fraction(height, scale)
-    if dgm.count_at(0, level) != len(sigma):
-        raise PreconditionViolated(
-            "another vertex shares the simplex height in this direction"
-        )
-
-    delta = dgm.count_at(k, level)
-    double_counts = 0
+    count = _level_count(sigma, direction, k, oracle, points, scale)
+    heights = _heights(points, direction)
     sigma_points = [points[v] for v in sigma]
-    heights = None
-    for tau in proper_faces(sigma):
-        if tau not in memo:
-            if _depth:
-                raise PreconditionViolated(
-                    "memo must already cover the faces of a recursive call"
-                )
-            if heights is None:
-                heights = _heights(points, direction)
-            tau_points = [points[v] for v in tau]
-            s_prime = second_perpendicular_direction(
-                points, sigma_points, tau_points, direction
-            )
-            tilted = primitive_direction(
-                tilt(heights, _heights(points, s_prime), direction, s_prime)
-            )
-            memo[tau] = compute_indegree(
-                tau, tilted, k, memo, oracle, points, scale, _depth + 1
-            )
-        double_counts += memo[tau]
-    return delta - double_counts
+    faces = proper_faces(sigma)
+    for tau in faces:
+        s_prime = second_perpendicular_direction(
+            points, sigma_points, [points[v] for v in tau], direction
+        )
+        tilted = _tilted(points, heights, direction, s_prime)
+        memo[tau] = _level_count(tau, tilted, k, oracle, points, scale) - sum(
+            memo[rho] for rho in proper_faces(tau)
+        )
+    return count - sum(memo[tau] for tau in faces)
 
 
 def _isolating_direction(
@@ -138,7 +156,7 @@ def _isolating_direction(
         )
     level_points = [points[u] for u in level_ids]
     s2 = second_perpendicular_direction(points, level_points, cand_points, s1)
-    return primitive_direction(tilt(heights, _heights(points, s2), s1, s2))
+    return _tilted(points, heights, s1, s2)
 
 
 def is_simplex(
@@ -170,11 +188,8 @@ def is_simplex(
     s3 = second_perpendicular_direction(points, cand_points, sigma_points, s_star)
 
     star_heights = _heights(points, s_star)
-    heights3 = _heights(points, s3)
-    s_lower = primitive_direction(tilt(star_heights, heights3, s_star, s3))
-    s_upper = primitive_direction(
-        tilt(star_heights, [-h for h in heights3], s_star, vneg(s3))
-    )
+    s_lower = _tilted(points, star_heights, s_star, s3)
+    s_upper = _tilted(points, star_heights, s_star, vneg(s3))
 
     oracle.log.open(k)
     upper = compute_indegree(sigma, s_upper, k, {}, oracle, points, scale)
@@ -243,26 +258,23 @@ def _cofaces(
 def reconstruct(oracle: Oracle) -> SimplicialComplex:
     """Recover the full unknown complex from oracle queries alone.
 
-    Vertices, then edges, then each higher dimension i while the previous
-    one is nonempty and i <= d - 1 (emptiness propagates upward by face
-    closure, so the top dimension needs no prior knowledge).  When one of
-    the two sweep diagrams below counts a d-simplex at a vertex, the
-    d-simplices are tested afterwards through ``oracle.lifted()`` on the
-    lifted vertex points; by face closure the loop has then reached
-    dimension d with the (d-1)-simplices in hand.
+    Vertices, then edges, then one pass per dimension i = 2..d.  Within it a
+    candidate is tested only when its facets were all found one dimension
+    down (a complex is face-closed, and the previous dimension was recovered
+    exactly), and only while its highest and its lowest vertex still miss
+    some of their i-simplices.  Both counts cost no query: every i-simplex
+    is one event at the height of its highest vertex, so the vertex stage's
+    diagram in ``frame.u1`` counts the i-simplices each vertex tops, and the
+    edge stage's diagram in ``-frame.u1`` counts those it bottoms.  Each
+    pass checks the simplices it found against both counts at every vertex,
+    so a dimension with no candidates left is still checked, at no query.
+    Each candidate is tested at most once, so the higher stage costs at most
+    2(2^k - 1) queries per closure-eligible (k+1)-vertex candidate.
 
-    Within a dimension i a candidate is tested only when its facets were all
-    found one dimension down (a complex is face-closed, and the previous
-    dimension was recovered exactly), and only while its highest and its
-    lowest vertex still miss some of their i-simplices.  Both counts cost
-    no query: every i-simplex is one event at the height of its highest
-    vertex, so the vertex stage's diagram in ``frame.u1`` counts the
-    i-simplices each vertex tops, and the edge stage's diagram in
-    ``-frame.u1`` counts those it bottoms.  The lifted pass reads the
-    d-simplex counts off the same two diagrams, since lifting keeps the
-    combinatorics.  Each candidate is tested at most once, so the higher
-    stage costs at most 2(2^k - 1) queries per closure-eligible
-    (k+1)-vertex candidate.
+    A d-simplex spans R^d, so no direction is orthogonal to its hull.  When
+    either sweep diagram counts a d-simplex at a vertex, the pass at i = d
+    tests through ``oracle.lifted()`` on the lifted vertex points; lifting
+    keeps the combinatorics, so the same two counts apply.
 
     The stages account for their queries in ``oracle.log``: the spans
     "vertices" and "edges", then one span per predicate call labelled k.
@@ -273,30 +285,20 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     edges, sweep_down = find_edges(points, oracle, frame, sweep)
 
     heights = [frame.height(p) for p in points]
-
-    def counts(dim: int):
-        """Per vertex, the dim-simplices it tops and those it bottoms."""
-        top = [sweep.count_at(dim, h) for h in heights]
-        return top, [sweep_down.count_at(dim, -h) for h in heights]
-
     simplices: Set[Simplex] = {(v,) for v in range(len(points))}
     simplices.update(edges)
     previous: List[Simplex] = sorted(edges)
 
     scaled, scale = scale_to_integers(points)
-    dim = 2
-    while previous and dim <= d - 1:
-        found = _cofaces(previous, oracle, scaled, scale, *counts(dim))
+    for dim in range(2, d + 1):
+        top = [sweep.count_at(dim, h) for h in heights]
+        bottom = [sweep_down.count_at(dim, -h) for h in heights]
+        if dim == d and (any(top) or any(bottom)):
+            oracle = oracle.lifted()
+            scaled, scale = scale_to_integers([lift_point(p) for p in points])
+        found = _cofaces(previous, oracle, scaled, scale, top, bottom)
         simplices.update(found)
         previous = sorted(found)
-        dim += 1
-
-    top, bottom = counts(d)
-    if any(top) or any(bottom):
-        lifted, lifted_scale = scale_to_integers([lift_point(p) for p in points])
-        simplices.update(
-            _cofaces(previous, oracle.lifted(), lifted, lifted_scale, top, bottom)
-        )
 
     vertex_map = {i: points[i] for i in range(len(points))}
     return build_complex(d, vertex_map, simplices)

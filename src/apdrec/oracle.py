@@ -189,31 +189,6 @@ class AugmentedDiagram:
 # filtration and reduction
 
 
-def lower_star_heights(
-    complex_: SimplicialComplex, direction: Direction
-) -> Dict[Simplex, Fraction]:
-    """Height of each simplex: the maximum vertex height in the direction.
-
-    The definition, in rationals; the kernel computes the same heights as
-    integers.  Raises InvalidInput for a zero direction or one whose length
-    is not the ambient dimension of the complex.
-    """
-    _check_direction(direction, complex_.ambient_dim)
-    vh = {v: dot(direction, p) for v, p in complex_.vertices.items()}
-    return {s: max(vh[v] for v in s) for s in complex_.simplices}
-
-
-def index_filtration(heights: Dict[Simplex, Fraction]) -> List[Simplex]:
-    """Total order compatible with the lower-star filtration of the heights.
-
-    Sorted by (height, dimension, vertex tuple); the dimension tie-break puts
-    faces before cofaces within one height class.  Any other compatible
-    choice yields the same augmented diagram.  The kernel sorts in this
-    order too, by (integer height, static index).
-    """
-    return sorted(heights, key=lambda s: (heights[s], len(s), s))
-
-
 def _check_direction(direction: Direction, ambient_dim: int) -> None:
     if is_zero(direction):
         raise InvalidInput("query direction must be nonzero")
@@ -421,14 +396,14 @@ def _check_filtration(
 # parabolic lift
 
 
-def lift(complex_: SimplicialComplex) -> SimplicialComplex:
-    """Map each vertex v to (v, v.v); combinatorics unchanged."""
-    lifted = {v: p + (dot(p, p),) for v, p in complex_.vertices.items()}
-    return SimplicialComplex(complex_.ambient_dim + 1, lifted, complex_.simplices)
-
-
 def lift_point(point: Vector) -> Vector:
     return tuple(point) + (dot(point, point),)
+
+
+def lift(complex_: SimplicialComplex) -> SimplicialComplex:
+    """Map each vertex v to (v, v.v); combinatorics unchanged."""
+    lifted = {v: lift_point(p) for v, p in complex_.vertices.items()}
+    return SimplicialComplex(complex_.ambient_dim + 1, lifted, complex_.simplices)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,25 @@ def test_cli_reconstruct_ledger_agrees_across_stages(capsys, triangle_file):
     assert counts_after(out, "# higher-stage queries:") == [0]
 
 
+def test_cli_generate_codim_zero_reconstructs_through_the_lift(capsys, tmp_path):
+    code, out = run(
+        capsys,
+        "generate", "--seed", "2", "--n0", "6", "--dim", "3", "--kappa", "3",
+        "--density", "0.9,0.9,0.9", "--codim-zero",
+    )
+    assert code == 0
+    path = tmp_path / "lifted.cx"
+    path.write_text(out)
+    K = parse_complex(out)
+    assert K.kappa == 3
+
+    code, out = run(capsys, "reconstruct", "--complex", str(path), "--stats")
+    assert code == 0
+    assert counts_after(out, "# lifted predicate dim=3 ")
+    body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
+    assert complexes_match(parse_complex(body), K)
+
+
 def test_cli_verify_exit_code(capsys):
     code, out = run(capsys, "verify", "--trials", "2", "--seed", "7")
     assert code == 0

@@ -108,7 +108,7 @@ def test_verify_tetrahedron_boundary_in_r4():
     assert report.all_bounds_ok
 
 
-def test_verify_codim_zero_filled_triangle(filled_triangle_r2):
+def test_verify_filled_triangle_in_r2(filled_triangle_r2):
     report = verify_roundtrip(filled_triangle_r2)
     assert report.exact_match
     assert any(k == 2 for k, _ in report.predicate_calls)  # the d-stage ran
@@ -131,7 +131,7 @@ def test_accounting_identity_standard_run():
     assert_ledger_adds_up(report)
 
 
-def test_accounting_identity_codim_zero_counts_lifted_queries(filled_triangle_r2):
+def test_accounting_identity_counts_lifted_queries(filled_triangle_r2):
     report = verify_roundtrip(filled_triangle_r2)
     assert report.exact_match and report.all_bounds_ok
     # 3 vertex diagrams, 1 edge diagram (the lowest vertex's count equals its

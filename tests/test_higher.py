@@ -101,15 +101,6 @@ def test_indegree_query_budget_and_memo():
     assert oracle.log.count == 2 ** len(sigma) - 1  # one per face plus the root
 
 
-def test_indegree_recursive_call_needs_a_covering_memo():
-    K = cx(3, [(0, 0, 0), (1, 2, 1), (2, 1, -1)], [(0, 1, 2)])
-    oracle = Oracle(K)
-    points, scale = scaled_points(K)
-    direction = _isolating_direction((0, 1), oracle, points)
-    with pytest.raises(PreconditionViolated):
-        compute_indegree((0, 1), direction, 2, {}, oracle, points, scale, _depth=1)
-
-
 def test_indegree_rejects_unisolated_height():
     K = cx(2, [(0, 0), (1, 0)], [])  # both at height 0 under e2
     oracle = Oracle(K)
@@ -209,55 +200,49 @@ def test_is_simplex_agrees_with_membership_random():
                 assert is_simplex(sigma, v, oracle, points, scale) is expected
 
 
-def test_indegree_recursion_isolates_faces(monkeypatch):
-    """Every recursion level returns the true coface count of its face.
+def test_indegree_recursion_isolates_faces():
+    """Every face value of the inclusion-exclusion is the true coface count
+    of its face in the direction the oracle was asked for it.
 
-    The tilted direction built for a face must make exactly the cofaces
-    meeting the parent in that face contribute, so each recursive call's
-    value must already equal the brute-force count for its own arguments.
+    After sigma's own direction the log holds one tilted direction per
+    proper face, in ``proper_faces`` order.  The tilt must make exactly the
+    cofaces meeting sigma's level in that face contribute, so each face's
+    ``memo`` value must equal the brute-force count in its logged direction.
     """
-    import apdrec.higher as higher_mod
 
-    real = higher_mod.compute_indegree
-
-    def run_instrumented(K, exercise):
-        captured = []
-
-        def checked(sigma, direction, k, memo, oracle, points, scale, _depth=0):
-            value = real(sigma, direction, k, memo, oracle, points, scale, _depth)
-            captured.append((sigma, direction, k, value))
-            return value
-
-        monkeypatch.setattr(higher_mod, "compute_indegree", checked)
-        exercise()
-        monkeypatch.setattr(higher_mod, "compute_indegree", real)
-        assert captured
-        for sigma, direction, k, value in captured:
-            assert value == brute_coface_count(K, sigma, direction, k)
-        return len(captured)
+    def checked_faces(K, sigma, direction, k, oracle, points, scale):
+        memo = {}
+        start = oracle.log.count
+        value = compute_indegree(sigma, direction, k, memo, oracle, points, scale)
+        assert value == brute_coface_count(K, sigma, direction, k)
+        logged = oracle.log.directions[start:]
+        assert logged[0] == tuple(direction)
+        faces = proper_faces(sigma)
+        assert list(memo) == faces and len(logged) == 1 + len(faces)
+        for tau, tilted in zip(faces, logged[1:]):
+            assert memo[tau] == brute_coface_count(K, tau, tilted, k)
+        return len(logged)
 
     K = kindegree_figure_complex()
     oracle = Oracle(K)
     points, scale = scaled_points(K)
-    calls = run_instrumented(
-        K,
-        lambda: higher_mod.compute_indegree(
-            (0, 1, 2), (0, 0, 0, 1), 3, {}, oracle, points, scale
-        ),
-    )
-    assert calls == 7  # the root plus one call per proper face
+    values = checked_faces(K, (0, 1, 2), (0, 0, 0, 1), 3, oracle, points, scale)
+    assert values == 7  # the root plus one value per proper face
 
     K2 = generate_complex(GeneratorConfig(4, 6, 2, densities=[0.7, 0.7], seed=50))
     oracle2 = Oracle(K2)
     points2, scale2 = scaled_points(K2)
     edge = K2.simplices_of_dim(1)[0]
-
-    def exercise_predicates():
-        for v in range(len(points2)):
-            if v not in edge:
-                higher_mod.is_simplex(edge, v, oracle2, points2, scale2)
-
-    assert run_instrumented(K2, exercise_predicates) > 10
+    for v in range(len(points2)):
+        if v not in edge:
+            is_simplex(edge, v, oracle2, points2, scale2)
+    # each call's span of 6: one wedge direction and its 2 faces, twice
+    wedges = oracle2.log.directions[::3]
+    checker = Oracle(K2)
+    values = sum(
+        checked_faces(K2, edge, s, 2, checker, points2, scale2) for s in wedges
+    )
+    assert values > 10
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +253,7 @@ def lifted_points(K):
     return scale_to_integers([lift_point(p) for p in id_points(K)])
 
 
-def test_is_simplex_lifted_filled_vs_hollow(filled_triangle_r2, hollow_triangle_r2):
+def test_is_simplex_via_lift_filled_vs_hollow(filled_triangle_r2, hollow_triangle_r2):
     filled = filled_triangle_r2
     assert (
         is_simplex((0, 1), 2, Oracle(lift(filled)), *lifted_points(filled)) is True
@@ -301,12 +286,12 @@ def test_reconstruct_point_cloud_stops_after_edges():
     assert oracle.log.predicate_calls == []
 
 
-def test_reconstruct_codim_zero_filled_triangle(filled_triangle_r2):
+def test_reconstruct_filled_triangle_in_r2(filled_triangle_r2):
     recovered = reconstruct(Oracle(filled_triangle_r2))
     assert complexes_match(recovered, filled_triangle_r2)
 
 
-def test_reconstruct_codim_zero_glued_triangles():
+def test_reconstruct_glued_triangles_in_r2():
     K = cx(2, [(0, 0), (1, 2), (2, 1), (3, 3)], [(0, 1, 2), (1, 2, 3)])
     recovered = reconstruct(Oracle(K))
     assert complexes_match(recovered, K)
@@ -331,7 +316,7 @@ def test_reconstruct_mixed_complex_lifts_only_where_needed(monkeypatch):
     assert len(closure_eligible(K, 3)) == 3
 
 
-def test_codim_zero_driver_matches_standard_when_kappa_small():
+def test_reconstruct_without_d_simplices_makes_no_lifted_call():
     for seed in range(3):
         K = generate_complex(
             GeneratorConfig(
@@ -458,6 +443,25 @@ def test_a_wrong_simplex_count_raises(points, sign, vertex, delta):
     oracle = TamperedOracle(K, direction, 2, height, delta)
     with pytest.raises(OracleInconsistency):
         reconstruct(oracle)
+    assert complexes_match(reconstruct(Oracle(K)), K)
+
+
+def test_a_count_above_the_last_found_dimension_raises():
+    """A sweep count in a dimension with no candidates left is still checked.
+
+    The path has no triangle, so no 2-simplex is found and no 3-simplex can
+    be a candidate; the e1 diagram claiming a tetrahedron topped by vertex 3
+    must raise all the same, at no predicate query.
+    """
+    K = cx(
+        4,
+        [(0, 0, 0, 0), (1, 2, 1, 3), (2, -1, 3, 1), (3, 1, -2, 2)],
+        [(0, 1), (1, 2), (2, 3)],
+    )
+    oracle = TamperedOracle(K, (1, 0, 0, 0), 3, F(3), +1)
+    with pytest.raises(OracleInconsistency):
+        reconstruct(oracle)
+    assert oracle.log.predicate_calls == []
     assert complexes_match(reconstruct(Oracle(K)), K)
 
 

@@ -14,12 +14,11 @@ from apdrec import (
     Oracle,
     betti_curve_from_apd,
     compute_apd,
+    euler_curve_direct,
     euler_curve_from_apd,
     format_diagram,
     generate_complex,
-    index_filtration,
     lift,
-    lower_star_heights,
 )
 
 from bruteforce import (
@@ -54,47 +53,6 @@ def full_triangle_heights_012():
 
 
 E1 = (1, 0)
-
-
-# ---------------------------------------------------------------------------
-# heights and filtration order
-
-
-def test_lower_star_edge_takes_max():
-    K = edge_complex()
-    h = lower_star_heights(K, E1)
-    assert h[(0, 1)] == 1
-    assert h[(0,)] == 0 and h[(1,)] == 1
-
-
-def test_lower_star_triangle():
-    K = full_triangle_heights_012()
-    h = lower_star_heights(K, E1)
-    assert h[(0, 1, 2)] == 2
-    assert sorted(h[e] for e in K.simplices_of_dim(1)) == [1, 2, 2]
-
-
-def test_lower_star_monotone_random():
-    K = generate_complex(GeneratorConfig(3, 6, 2, densities=[0.7, 0.7], seed=2))
-    h = lower_star_heights(K, (3, -1, 2))
-    for s in K.simplices:
-        for v in s:
-            assert h[(v,)] <= h[s]
-
-
-def test_index_filtration_triangle_order():
-    K = full_triangle_heights_012()
-    order = index_filtration(lower_star_heights(K, E1))
-    assert order == [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
-
-
-def test_index_filtration_faces_before_cofaces():
-    K = generate_complex(GeneratorConfig(3, 7, 2, densities=[0.6, 0.7], seed=5))
-    order = index_filtration(lower_star_heights(K, (1, 1, -2)))
-    position = {s: i for i, s in enumerate(order)}
-    for s in K.simplices:
-        for v in s:
-            assert position[(v,)] <= position[s]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +222,7 @@ def test_invalid_directions_raise_unlogged(direction):
     with pytest.raises(InvalidInput):
         compute_apd(K, direction)
     with pytest.raises(InvalidInput):
-        lower_star_heights(K, direction)
+        euler_curve_direct(K, direction)
 
 
 def test_compute_apd_rejects_non_permutation_order():
@@ -296,7 +254,7 @@ def test_lift_examples():
     assert lifted.vertices[2] == (F(1, 2), F(1, 3), F(13, 36))
 
 
-def test_query_lifted_matches_manual_lift():
+def test_lifted_oracle_matches_apd_of_the_lift():
     K = cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1), (1, 2)])
     oracle = Oracle(K).lifted()
     direction = (1, 1, -1)

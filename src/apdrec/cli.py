@@ -35,7 +35,13 @@ def _parse_direction(text: str):
         raise ParseError(f"bad direction {text!r}")
 
 
+def _check_dim(args) -> None:
+    if args.dim is not None and args.dim < 0:
+        raise InvalidInput(f"--dim must be nonnegative, got {args.dim}")
+
+
 def _cmd_apd(args) -> int:
+    _check_dim(args)
     complex_ = _load_complex(args.complex)
     dgm = compute_apd(complex_, _parse_direction(args.dir))
     if args.dim is not None:
@@ -51,6 +57,7 @@ def _format_value(value) -> str:
 
 
 def _cmd_curves(args) -> int:
+    _check_dim(args)
     complex_ = _load_complex(args.complex)
     direction = _parse_direction(args.dir)
     if args.kind == "betti":

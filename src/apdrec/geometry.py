@@ -388,10 +388,15 @@ def radial_order(
     The frame vectors are scaled to integers by their common denominator, so
     on integer points every offset is a pair of ints, and each vertex's
     slope is one exact ``Fraction`` of them, equal to the slope through the
-    frame itself.  Raises DegeneratePosition when a vertex has the center's
-    sweep height (which covers coincident projections) or when two vertices
-    share a slope (their projected offsets are parallel), found as equal
-    neighbours once the slopes are sorted.
+    frame itself.  The sort runs on integer keys: with the offsets (x, y)
+    scaled by their common denominator to ints and M the largest x², the
+    key ``(y * M) // x`` is the floor of the slope times M.  Two distinct
+    slopes differ by at least 1 / |x1 x2| >= 1 / M, so their keys keep
+    their order, and equal slopes have equal keys.  Raises
+    DegeneratePosition when a vertex has the center's sweep height (which
+    covers coincident projections) or when two vertices share a slope
+    (their projected offsets are parallel), found as equal neighbours once
+    the keys are sorted.
     """
     if frame is None:
         frame = standard_frame(len(center))
@@ -406,16 +411,23 @@ def radial_order(
         if off[0] == 0:
             raise DegeneratePosition(f"vertex {vid} has the center's sweep height")
         offsets[vid] = off
-        entries.append((Fraction(off[1], off[0]), vid, off))
+        entries.append((vid, off))
+    # one positive factor turns rational offsets into ints, keeping slopes
+    factor = math.lcm(*[c.denominator for _, off in entries for c in off])
+    bound = max([(x * factor) ** 2 for _, (x, _) in entries], default=1)
+    entries = [
+        ((off[1] * factor * bound) // (off[0] * factor), vid, off)
+        for vid, off in entries
+    ]
     entries.sort(key=operator.itemgetter(0))
-    for (slope, a, _), (next_slope, b, _) in zip(entries, entries[1:]):
-        if slope == next_slope:
+    for (key, a, _), (next_key, b, _) in zip(entries, entries[1:]):
+        if key == next_key:
             raise DegeneratePosition(f"projected offsets of {a} and {b} are parallel")
     # descending slopes; from lists, as a short tuple(genexpr) is freed into
     # another size's free list
     ranks = [i for i in range(len(entries) - 1, -1, -1) if entries[i][2][0] > 0]
     ordered = tuple([entries[i][1:] for i in ranks])
-    slopes = tuple([slope for slope, _, _ in entries])
+    slopes = tuple([Fraction(y, x) for _, _, (x, y) in entries])
     return RadialOrder(tuple(center), ordered, slopes, frame, tuple(ranks), offsets)
 
 

@@ -5,9 +5,10 @@ the complex shows up as exactly one birth or death event.  Pairing is
 boundary-matrix reduction over Z/2 on a compatible index filtration, with
 clearing: dimensions are reduced top first, each in filtration order, and a
 column whose simplex is already the lowest row of a reduced higher column is
-a birth and is skipped, since it would reduce to zero.  Columns are bitmask
-integers.  The pairing of a filtration is unique, so clearing leaves the
-points as they are.
+a birth and is skipped, since it would reduce to zero.  Columns of dimension
+two and up are bitmask integers; the edges are paired with the vertices by
+union-find with the elder rule.  The pairing of a filtration is unique, so
+clearing and union-find leave the points as they are.
 
 Every diagram carries an EventTable: its events counted per dimension over
 the sorted distinct heights, built from the kernel's integer keys.  All
@@ -22,8 +23,10 @@ holds the coordinates scaled by their common denominator, the simplices in
 that order.  A query scales its direction to integers too, so every height
 is an exact integer multiple of one positive rational.  Only the order and
 the equality of heights decide the filtration and the pairing, and a
-positive scale keeps both, so the integer run gives the same pairs; the
-heights are divided back exactly, one Fraction per distinct height.
+positive scale keeps both, so the integer run gives the same pairs.  The
+event table keeps the distinct integer heights with their denominator; a
+height read from a diagram is scaled to that grid, and the heights are
+divided back into Fractions only when levels or points are read.
 
 The oracle answers every query from scratch and logs it once.  The log is
 the one accounting object of a reconstruction: each stage opens a labelled
@@ -77,21 +80,48 @@ class EventRow(NamedTuple):
     zeros: List[int]  # zero-persistence pairs
 
 
-class EventTable(NamedTuple):
+class EventTable:
     """A diagram's events counted per dimension over its distinct heights.
 
-    ``levels`` are the distinct heights of the events, increasing, and
-    ``rows[k]`` counts the events of dimension k at each level.  A
-    dimension without a row has no events.
+    ``heights`` are the distinct heights of the events as increasing ints
+    over one positive ``denominator``, and ``rows[k]`` counts the events of
+    dimension k at each level.  A dimension without a row has no events.
+    ``levels``, the heights as Fractions, is built on first read and kept;
+    ``level`` finds a height without it.
     """
 
-    levels: List[Fraction]
-    rows: Dict[int, EventRow]
+    __slots__ = ("heights", "denominator", "rows", "_levels")
+
+    def __init__(
+        self, heights: List[int], denominator: int, rows: Dict[int, EventRow]
+    ):
+        self.heights = heights
+        self.denominator = denominator
+        self.rows = rows
+        self._levels: Optional[List[Fraction]] = None
+
+    @property
+    def levels(self) -> List[Fraction]:
+        if self._levels is None:
+            self._levels = [Fraction(h, self.denominator) for h in self.heights]
+        return self._levels
 
     def level(self, height) -> Optional[int]:
-        """Index of the level equal to the height, or None off the grid."""
-        i = bisect_left(self.levels, height)
-        if i < len(self.levels) and self.levels[i] == height:
+        """Index of the level equal to the height, or None off the grid.
+
+        A rational height n/m lies on the grid when n * denominator / m is
+        an integer and one of ``heights``; a height that is not rational
+        (INF) never does.
+        """
+        try:
+            n, m = height.numerator, height.denominator
+        except AttributeError:
+            return None
+        scaled, rest = divmod(n * self.denominator, m)
+        if rest:
+            return None
+        i = bisect_left(self.heights, scaled)
+        if i < len(self.heights) and self.heights[i] == scaled:
             return i
         return None
 
@@ -100,8 +130,8 @@ class AugmentedDiagram:
     """Multiset of (dim, birth, death) points for one query direction.
 
     A diagram is built from integer keys, one (dim, birth level, death level)
-    triple per point, where a level indexes ``events.levels`` and an
-    essential class has the level ``len(events.levels)``.  ``points`` is
+    triple per point, where a level indexes ``events.heights`` and an
+    essential class has the level ``len(events.heights)``.  ``points`` is
     built from them on first read, sorted by (dim, birth, death), and kept;
     the reconstruction stages read only the event table, so they never build
     it.  Equality, hashing and the text form use the direction and the
@@ -142,11 +172,12 @@ class AugmentedDiagram:
         return f"AugmentedDiagram(direction={self.direction!r}, points={self.points!r})"
 
     def restrict(self, dim: int) -> "AugmentedDiagram":
-        rows = self.events.rows
+        events = self.events
+        rows = {dim: events.rows[dim]} if dim in events.rows else {}
         return AugmentedDiagram(
             self.direction,
             [key for key in self._keys if key[0] == dim],
-            EventTable(self.events.levels, {dim: rows[dim]} if dim in rows else {}),
+            EventTable(events.heights, events.denominator, rows),
         )
 
     def in_dim(self, dim: int) -> List[DiagramPoint]:
@@ -242,12 +273,20 @@ def _reduce_pairs(
 
     ``order`` lists static indices and must be a filtration: every facet
     before its cofaces.  Columns are bitmask integers over filtration
-    positions, built from the table's facet indices.  Dimensions are reduced
-    top first, each in filtration order; a column is only ever added to one
-    of its own dimension, so within a dimension this is the left-to-right
-    reduction.  A position that is already the lowest row of a reduced
-    column one dimension up is a birth, whose column would reduce to zero,
-    so it is skipped.  Returns (birth, death) position pairs and the
+    positions, built from the table's facet indices.  Dimensions two and up
+    are reduced top first, each in filtration order; a column is only ever
+    added to one of its own dimension, so within a dimension this is the
+    left-to-right reduction.  A position that is already the lowest row of
+    a reduced column one dimension up is a birth, whose column would reduce
+    to zero, so it is skipped.
+
+    The edges not skipped so are then paired by union-find over the
+    vertices, in filtration order.  A component's root is its oldest vertex
+    (path halving keeps the trees flat); an edge joining two components
+    kills the younger root and merges it into the elder, and an edge
+    within one component is an essential birth.  This is the elder rule,
+    and since the pairing of a filtration is unique, it pairs what the
+    column reduction would.  Returns (birth, death) position pairs and the
     essential positions.
     """
     position = [0] * len(order)
@@ -258,7 +297,7 @@ def _reduce_pairs(
     pairs: List[Tuple[int, int]] = []
     reduced_by_low: Dict[int, int] = {}
     paired = bytearray(len(order))
-    for k in range(dims[-1] if dims else 0, 0, -1):
+    for k in range(dims[-1] if dims else 0, 1, -1):
         # the static indices of dimension k form one range
         lo, hi = bisect_left(dims, k), bisect_left(dims, k + 1)
         for j in sorted(position[lo:hi]):
@@ -276,6 +315,26 @@ def _reduce_pairs(
                     paired[low] = paired[j] = 1
                     break
                 col ^= other
+    # vertices are the static indices below lo, each its own root at first
+    lo, hi = bisect_left(dims, 1), bisect_left(dims, 2)
+    parent = list(range(lo))
+    for j in sorted(position[lo:hi]):
+        if paired[j]:
+            continue
+        a, b = facet_table[order[j]]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            continue
+        if position[a] > position[b]:
+            a, b = b, a
+        parent[b] = a
+        pairs.append((position[b], j))
+        paired[position[b]] = paired[j] = 1
     essentials = [i for i in range(len(order)) if not paired[i]]
     return pairs, essentials
 
@@ -291,23 +350,24 @@ def _emit_points(
     """The diagram's integer point keys and its event table.
 
     Heights never decrease along the filtration ``order``, so one pass over
-    it numbers the distinct heights and gives each position its level, and
-    each level becomes one ``Fraction(h, denominator)``.  A point's key is
-    (dim, birth level, death level), the death level of an essential class
-    one past the last.  The table's levels are the distinct heights, since
-    every simplex is one event at its own height.
+    it numbers the distinct integer heights and gives each position its
+    level.  A point's key is (dim, birth level, death level), the death
+    level of an essential class one past the last.  The table keeps the
+    distinct heights with the denominator and makes no Fraction; its levels
+    are the distinct heights, since every simplex is one event at its own
+    height.
     """
     dims = table.dims
-    levels: List[Fraction] = []
+    distinct: List[int] = []
     level = [0] * len(order)
     previous = None
     for i, s in enumerate(order):
         h = heights[s]
         if h != previous:
-            levels.append(Fraction(h, denominator))
+            distinct.append(h)
             previous = h
-        level[i] = len(levels) - 1
-    top = len(levels)
+        level[i] = len(distinct) - 1
+    top = len(distinct)
     keys = [(dims[order[i]], level[i], level[j]) for i, j in pairs]
     keys.extend([(dims[order[i]], level[i], top) for i in essentials])
     rows = {
@@ -321,7 +381,7 @@ def _emit_points(
             deaths[d] += 1
             if d == b:
                 zeros[b] += 1
-    return keys, EventTable(levels, rows)
+    return keys, EventTable(distinct, denominator, rows)
 
 
 def compute_apd(
@@ -342,8 +402,9 @@ def compute_apd(
     divided by D * L.  Multiplying all heights by the positive D * L keeps
     their order and their ties, and the filtration order and the reduction
     depend on nothing else, so the integer run pairs the same simplices as
-    a run on the rational heights.  Each emitted height is divided back by
-    D * L exactly, so the diagram is the one of the rational heights.
+    a run on the rational heights.  The event table keeps D * L, and a
+    height is divided back by it exactly when read, so the diagram is the
+    one of the rational heights.
     """
     return _apd(BoundaryTable(complex_), direction, order)
 

@@ -131,10 +131,22 @@ def reference_apd(complex_, direction, order=None) -> List[tuple]:
     height = {s: simplex_height(s, hs) for s in complex_.simplices}
     if order is None:
         order = sorted(complex_.simplices, key=lambda s: (height[s], len(s) - 1, s))
+    pairs, essentials = reference_pairs(order)
+    points = [(len(order[i]) - 1, height[order[i]], height[order[j]]) for i, j in pairs]
+    points += [(len(order[i]) - 1, height[order[i]], math.inf) for i in essentials]
+    return sorted(points)
+
+
+def reference_pairs(order: Sequence[tuple]) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Persistence pairs of the filtration ``order`` from the definition.
+
+    The column reduction of ``reference_apd``, over positions in ``order``.
+    Returns the sorted (birth, death) position pairs and the sorted
+    unpaired positions.
+    """
     index = {s: i for i, s in enumerate(order)}
     columns: List[List[int]] = []
     owner: Dict[int, int] = {}
-    points = []
     for j, s in enumerate(order):
         col = sorted(index[s[:i] + s[i + 1 :]] for i in range(len(s))) if len(s) > 1 else []
         while col and col[-1] in owner:
@@ -143,13 +155,8 @@ def reference_apd(complex_, direction, order=None) -> List[tuple]:
         columns.append(col)
         if col:
             owner[col[-1]] = j
-            birth = order[col[-1]]
-            points.append((len(birth) - 1, height[birth], height[s]))
     paired = set(owner) | set(owner.values())
-    for i, s in enumerate(order):
-        if i not in paired:
-            points.append((len(s) - 1, height[s], math.inf))
-    return sorted(points)
+    return sorted(owner.items()), [i for i in range(len(order)) if i not in paired]
 
 
 # ---------------------------------------------------------------------------

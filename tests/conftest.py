@@ -23,13 +23,15 @@ def shifted_count(dgm, k, height, delta):
     dimension-(k-1) deaths away.  Only the event table changes, which is all
     the reconstruction stages read.
     """
-    levels, rows = dgm.events.levels, dict(dgm.events.rows)
+    events = dgm.events
+    rows = dict(events.rows)
     dim, field = (k, "births") if delta > 0 else (k - 1, "deaths")
-    row = rows.get(dim) or EventRow(*([0] * len(levels) for _ in range(3)))
+    row = rows.get(dim) or EventRow(*([0] * len(events.heights) for _ in range(3)))
     values = list(getattr(row, field))
-    values[dgm.events.level(height)] += delta
+    values[events.level(height)] += delta
     rows[dim] = row._replace(**{field: values})
-    return AugmentedDiagram(dgm.direction, dgm._keys, EventTable(levels, rows))
+    table = EventTable(events.heights, events.denominator, rows)
+    return AugmentedDiagram(dgm.direction, dgm._keys, table)
 
 
 class TamperedOracle(Oracle):

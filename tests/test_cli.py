@@ -296,6 +296,25 @@ def test_cli_rejects_bad_directions(capsys, triangle_file, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["apd", "--dir", "1,0", "--dim", "-1"],
+        ["curves", "--dir", "1,0", "--kind", "betti", "--dim", "-1"],
+        ["curves", "--dir", "1,0", "--kind", "betti", "--dim", "-3"],
+        ["curves", "--dir", "1,0", "--kind", "euler", "--dim", "-1"],
+    ],
+    ids=["apd", "betti-minus-one", "betti-minus-three", "euler"],
+)
+def test_cli_rejects_negative_dimensions(capsys, triangle_file, argv):
+    """A negative --dim is an error, not an empty diagram or curve."""
+    code = main(argv + ["--complex", triangle_file])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--dim" in err
+
+
+@pytest.mark.parametrize(
     "text, line",
     [
         ("dim 2\nvertices 2\n0 0 0\n1 1 1\nsimplices 1\n0 0\n", 6),

@@ -248,6 +248,76 @@ def test_radial_order_matches_float_angles():
         assert [tuple(map(int, o)) for o in got] == want
 
 
+def fraction_slope_order(offsets):
+    """The offsets above the center by descending Fraction slope, and every
+    slope ascending: what radial_order must return, sorted by Fractions."""
+
+    def slope(o):
+        return F(o[1]) / o[0]
+
+    above = sorted((o for o in offsets if o[0] > 0), key=slope, reverse=True)
+    return above, tuple(sorted(slope(o) for o in offsets))
+
+
+# the slopes of each neighbouring pair differ by exactly 1 / |x1 x2|
+RESOLUTION_CASES = {
+    "seven-five": [(7, 3), (5, 2)],
+    "fibonacci": [(144, 89), (89, 55), (233, 144)],
+    "below-center": [(-7, 3), (-5, 2), (7, 3), (5, 2), (-144, 89), (-89, 55)],
+    "wide": [(10**6 + 3, 1), (10**6 + 2, 1), (-(10**6) - 3, 1), (-(10**6) - 2, 1)],
+}
+# a common scale, and per-vertex positive factors that keep every slope
+SCALES = {
+    "ints": lambda i: 1,
+    "times-1e30": lambda i: 10**30,
+    "rational": lambda i: F(1, 7),
+    "mixed-denominators": lambda i: F(3, 5 + 2 * i),
+}
+
+
+@pytest.mark.parametrize("scale", SCALES.values(), ids=SCALES.keys())
+@pytest.mark.parametrize("offsets", RESOLUTION_CASES.values(), ids=RESOLUTION_CASES.keys())
+def test_radial_order_keys_at_their_resolution_bound(offsets, scale):
+    """Slopes as close as two offsets allow are ordered like their
+    Fractions, above and below the center, at any scale and on rationals;
+    parallel offsets still raise."""
+    center = vec(F(1, 3), F(-2, 5))
+    scaled = [(x * scale(i), y * scale(i)) for i, (x, y) in enumerate(offsets)]
+    points = [(center[0] + x, center[1] + y) for x, y in scaled]
+    order = radial_order(center, points)
+    above, slopes = fraction_slope_order(scaled)
+    assert [off for _, off in order.ordered] == above
+    assert order.slopes == slopes
+    assert order.offsets == dict(enumerate(scaled))
+    for i, (x, y) in enumerate(offsets):
+        for tx, ty in [(2 * x, 2 * y), (-x, -y)]:
+            twin = (center[0] + tx * scale(i), center[1] + ty * scale(i))
+            with pytest.raises(DegeneratePosition):
+                radial_order(center, points + [twin])
+
+
+def test_radial_order_matches_a_fraction_slope_sort_on_wide_rationals():
+    rng = random.Random(12)
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        big = 10 ** rng.randint(1, 40)
+        offsets = []
+        while len(offsets) < n:
+            x = F(rng.choice([-1, 1]) * rng.randint(1, big), rng.randint(1, 50))
+            offsets.append((x, F(rng.randint(-big, big), rng.randint(1, 50))))
+        center = vec(rng.randint(-9, 9), F(rng.randint(-9, 9), 4))
+        points = [(center[0] + x, center[1] + y) for x, y in offsets]
+        slopes = [F(y) / x for x, y in offsets]
+        if len(set(slopes)) < len(slopes):
+            with pytest.raises(DegeneratePosition):
+                radial_order(center, points)
+            continue
+        order = radial_order(center, points)
+        above, want = fraction_slope_order(offsets)
+        assert [off for _, off in order.ordered] == above
+        assert order.slopes == want
+
+
 # ---------------------------------------------------------------------------
 # separating_direction
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +30,7 @@ from bruteforce import (
     euler_curve_by_scan,
     random_compatible_order,
     reference_apd,
+    reference_pairs,
     simplex_count_by_scan,
     simplex_height,
     vertex_heights,
@@ -403,3 +404,161 @@ def test_clearing_on_the_dense_stream_complex():
         assert points_of(dgm) == reference_apd(K, direction)
         # every finite pair born in dimension >= 1 is a column clearing skips
         assert sum(1 for p in dgm.points if p.dim >= 1 and not p.essential) > 500
+
+
+# ---------------------------------------------------------------------------
+# edge pairing by union-find, after clearing
+
+
+def assert_pairs_match(K, direction, order):
+    """The kernel pairs the filtration ``order`` as the definition does, and
+    its diagram is the definition's.  Returns the definition's pairs."""
+    table = oracle_mod.BoundaryTable(K)
+    index = {s: i for i, s in enumerate(table.simplices)}
+    pairs, essentials = oracle_mod._reduce_pairs([index[s] for s in order], table)
+    expected = reference_pairs(order)
+    assert (sorted(pairs), essentials) == expected
+    dgm = compute_apd(K, direction, order=order)
+    assert points_of(dgm) == reference_apd(K, direction, order)
+    return expected[0]
+
+
+def cleared_edges(order, pairs):
+    """Edges that a triangle kills: the ones clearing skips."""
+    return [order[i] for i, _ in pairs if len(order[i]) == 2]
+
+
+def grid_graph():
+    # a 4 x 3 grid with its rows, columns and one diagonal per cell; a sweep
+    # along either axis meets every height three or four times
+    points = [(x, y) for x in range(4) for y in range(3)]
+    edges = [
+        (i, j)
+        for i, (a, b) in enumerate(points)
+        for j, (c, e) in enumerate(points)
+        if i < j and (c - a, e - b) in [(1, 0), (0, 1), (1, 1)]
+    ]
+    return cx(2, points, edges)
+
+
+PAIRING_CASES = {
+    "filled-triangle": (
+        cx(2, [(0, 0), (F(1, 2), 1), (1, 0)], [(0, 1, 2)]),
+        [(1, 0), (0, 1), (1, 1), (-1, 2)],
+    ),
+    "filled-tetrahedron": (
+        cx(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)]),
+        [(1, 1, 1), (1, 2, 3), (0, 0, 1), (-1, 0, 1)],
+    ),
+    "two-tetrahedra-and-a-tail": (
+        cx(
+            3,
+            [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 2), (3, 3, 0)],
+            [(0, 1, 2, 3), (1, 2, 3, 4), (4, 5)],
+        ),
+        [(1, 1, 1), (1, 0, 0), (0, 1, -1), (F(1, 3), 2, -1)],
+    ),
+    "grid-graph": (grid_graph(), [(1, 0), (0, 1), (1, 1), (1, -1)]),
+    "lifted-triangle": (
+        lift(cx(2, [(0, 0), (F(1, 2), 1), (1, 0)], [(0, 1, 2)])),
+        [(0, 0, 1), (1, 0, -1), (0, 1, F(1, 2))],
+    ),
+    "lifted-tetrahedron": (
+        lift(cx(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)])),
+        [(0, 0, 0, 1), (1, 1, 1, 1), (-1, 0, 0, 1)],
+    ),
+    "generated": (
+        generate_complex(GeneratorConfig(3, 9, 3, densities=[0.7, 0.8, 0.7], seed=4)),
+        [(0, 0, 1), (1, 1, 0), (0, 1, -1), (3, -1, 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("K, directions", PAIRING_CASES.values(), ids=PAIRING_CASES.keys())
+def test_union_find_pairs_the_edges_clearing_left(K, directions):
+    """Edges killed by a triangle are cleared before union-find runs; the
+    rest pair with vertices by the elder rule.  Both give the definition's
+    pairs, on the kernel's own order and on random compatible ones."""
+    rng = random.Random(17)
+    cleared = 0
+    for direction in directions:
+        hs = vertex_heights(K.vertices, direction)
+        default = sorted(K.simplices, key=lambda s: (simplex_height(s, hs), len(s), s))
+        orders = [default] + [random_compatible_order(K, direction, rng) for _ in range(5)]
+        for order in orders:
+            cleared += len(cleared_edges(order, assert_pairs_match(K, direction, order)))
+    if any(len(s) == 3 for s in K.simplices):
+        assert cleared > 0
+
+
+def test_union_find_pairing_under_every_order_of_a_tied_class():
+    """Every compatible order of the six simplices at height 1 (two vertices,
+    three edges, one triangle) pairs as the definition does, and each of
+    the three edges is the one the triangle clears under some order."""
+    K = cx(2, [(0, 0), (1, -1), (1, 1), (2, 0)], [(0, 1, 2), (1, 2, 3)])
+    direction = (1, 0)
+    tied = [(1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    below, above = [(0,)], [(3,), (1, 3), (2, 3), (1, 2, 3)]
+    assert set(below + tied + above) == K.simplices
+    cleared = set()
+    compatible = 0
+    for perm in permutations(tied):
+        position = {s: i for i, s in enumerate(perm)}
+        faces = ((f, s) for s in perm for f in combinations(s, len(s) - 1) if f in position)
+        if any(position[f] > position[s] for f, s in faces):
+            with pytest.raises(InvalidInput):
+                compute_apd(K, direction, order=below + list(perm) + above)
+            continue
+        compatible += 1
+        order = below + list(perm) + above
+        cleared.update(cleared_edges(order, assert_pairs_match(K, direction, order)))
+    assert compatible == 16
+    assert {(0, 1), (0, 2), (1, 2)} <= cleared
+
+
+def test_vertices_only_pair_nothing():
+    K = cx(2, [(0, 0), (1, 2), (3, 1)], [])
+    order = sorted(K.simplices, key=lambda s: vertex_heights(K.vertices, E1)[s[0]])
+    assert assert_pairs_match(K, E1, order) == []
+    assert points_of(compute_apd(K, E1)) == [(0, 0, INF), (0, 1, INF), (0, 3, INF)]
+
+
+# ---------------------------------------------------------------------------
+# integer event levels
+
+
+def test_event_levels_are_integers_over_the_diagram_denominator():
+    """The table keeps int heights over D * L and makes no Fraction until its
+    levels are read; ``level`` maps ints and Fractions onto that grid and
+    gives None off it, for INF, and where the scaled numerator does not
+    divide."""
+    K = cx(2, [(0, 0), (F(1, 2), 1), (1, F(1, 3))], [(0, 1, 2)])  # L = 6
+    dgm = compute_apd(K, (F(2, 5), 1))  # D = 5
+    events = dgm.events
+    assert events.denominator == 30
+    assert events.heights == [0, 22, 36]  # 0, 11/15 and 6/5, times 30
+    assert all(type(h) is int for h in events.heights)
+    on_grid = [F(0), F(11, 15), F(6, 5)]
+    for i, h in enumerate(on_grid):
+        assert events.level(h) == i
+    assert events.level(0) == 0
+    assert events.level(1) is None  # 30 is not a height
+    for h in [F(1, 7), F(11, 15) + F(1, 31), F(6, 5) * F(7, 11)]:
+        assert (h.numerator * 30) % h.denominator != 0  # does not divide
+        assert events.level(h) is None
+    for h in [F(1, 30), F(-1, 15), F(2)]:  # divides, but no event there
+        assert events.level(h) is None
+    assert events.level(INF) is None and events.level(-INF) is None
+    pts = points_of(dgm)
+    for k in range(-1, 4):
+        for h in on_grid + [F(1, 7), F(1, 30), 0, 1, INF]:
+            assert dgm.count_at(k, h) == count_at_by_scan(pts, k, h)
+    assert dgm.restrict(1).events.heights is events.heights
+    fresh = Oracle(K).query((F(2, 5), 1))
+    assert [fresh.count_at(k, h) for k in range(3) for h in on_grid] == [
+        1, 1, 1, 0, 1, 2, 0, 0, 1,
+    ]
+    assert fresh.simplex_count(1) == 3
+    assert fresh.events._levels is None
+    assert events.levels == on_grid
+    assert events.levels is events.levels

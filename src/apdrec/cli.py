@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 from .complexes import parse_complex, serialize_complex, validate_general_position
-from .descriptors import betti_curve_from_apd, euler_curve_direct
+from .descriptors import betti_curve_from_apd, euler_curve_from_apd
 from .edges import find_edges
 from .errors import ApdrecError, InvalidInput, ParseError
 from .geometry import format_rational
@@ -60,11 +60,11 @@ def _cmd_curves(args) -> int:
     _check_dim(args)
     complex_ = _load_complex(args.complex)
     direction = _parse_direction(args.dir)
+    dgm = compute_apd(complex_, direction)
     if args.kind == "betti":
-        dgm = compute_apd(complex_, direction)
         curve = betti_curve_from_apd(dgm, args.dim if args.dim is not None else 0)
     else:
-        curve = euler_curve_direct(complex_, direction)
+        curve = euler_curve_from_apd(dgm)
     for height, value in curve.breakpoints:
         print(f"{format_rational(height)} {_format_value(value)}")
     for height, value in curve.decorations:

@@ -75,14 +75,10 @@ class SimplicialComplex:
         return sum(1 for s in self.simplices if len(s) == k + 1)
 
     def maximal_simplices(self) -> List[Simplex]:
-        maximal = []
-        for s in self.simplices:
-            s_set = set(s)
-            if not any(
-                t != s and s_set < set(t) for t in self.simplices if len(t) > len(s)
-            ):
-                maximal.append(s)
-        return sorted(maximal, key=lambda s: (len(s), s))
+        """The simplices that are no simplex's facet, sorted by (dimension,
+        vertex tuple); in a face-closed set these are the maximal ones."""
+        covered = {f for s in self.simplices for f in facets(s)}
+        return sorted(self.simplices - covered, key=lambda s: (len(s), s))
 
 
 def build_complex(

@@ -5,7 +5,8 @@ Euler curve is integer-pair valued: (count of even-dimensional simplices,
 count of odd-dimensional simplices) in the sublevel set; the classical Euler
 characteristic is their difference.  The curves of a diagram are one pass
 over its event table, so they cost its number of distinct heights, not its
-number of points.
+number of points.  ``euler_curve_direct`` counts the complex's simplices
+instead and is the reference the diagram's Euler curve is checked against.
 """
 
 from __future__ import annotations
@@ -68,36 +69,12 @@ def betti_curve_from_apd(apd: AugmentedDiagram, k: int) -> StepCurve:
     return StepCurve(tuple(steps), tuple(decorations), 0)
 
 
-def _pair_steps(deltas: Dict[Fraction, Tuple[int, int]]) -> Tuple:
-    even = odd = 0
-    out = []
-    for h in sorted(deltas):
-        de, do = deltas[h]
-        if de == 0 and do == 0:
-            continue
-        even += de
-        odd += do
-        out.append((h, (even, odd)))
-    return tuple(out)
-
-
-def euler_curve_from_apd(apd: AugmentedDiagram) -> StepCurve:
-    """Augmented Euler characteristic curve from the diagram alone.
-
-    Every k-simplex is exactly one diagram event: a birth in dimension k or a
-    death in dimension k-1, at its lower-star height.  So at each level the
-    births of dimension k and the deaths of dimension k-1 count toward the
-    parity of k, and one pass over the levels sums them into the sublevel
-    counts.
-    """
-    events = apd.events
-    counts = [[0] * len(events.levels), [0] * len(events.levels)]
-    for k, row in events.rows.items():
-        counts[k % 2] = list(map(operator.add, counts[k % 2], row.births))
-        counts[1 - k % 2] = list(map(operator.add, counts[1 - k % 2], row.deaths))
+def _euler_steps(entries) -> StepCurve:
+    """The pair curve of (height, even count, odd count) entries, increasing
+    in height, each adding its counts to the sublevel set."""
     even = odd = 0
     steps = []
-    for h, de, do in zip(events.levels, *counts):
+    for h, de, do in entries:
         if de or do:
             even += de
             odd += do
@@ -105,11 +82,26 @@ def euler_curve_from_apd(apd: AugmentedDiagram) -> StepCurve:
     return StepCurve(tuple(steps), (), (0, 0))
 
 
+def euler_curve_from_apd(apd: AugmentedDiagram) -> StepCurve:
+    """Augmented Euler characteristic curve from the diagram alone.
+
+    ``AugmentedDiagram.counts`` gives the k-simplices at each level, so the
+    counts of each parity sum those of its dimensions, and one pass over
+    the levels sums them into the sublevel counts.
+    """
+    events = apd.events
+    parity = [[0] * len(events.heights), [0] * len(events.heights)]
+    for k in range(max(events.rows, default=-1) + 2):
+        parity[k % 2] = list(map(operator.add, parity[k % 2], apd.counts(k)))
+    return _euler_steps(zip(events.levels, *parity))
+
+
 def euler_curve_direct(complex_: SimplicialComplex, direction: Direction) -> StepCurve:
     """The same pair curve computed straight from sublevel simplex counts.
 
     A simplex enters at its lower-star height, the largest height of its
-    vertices.  Raises InvalidInput for a zero direction or one whose length
+    vertices.  This is the reference the diagram's curve is checked
+    against.  Raises InvalidInput for a zero direction or one whose length
     is not the ambient dimension of the complex.
     """
     _check_direction(direction, complex_.ambient_dim)
@@ -118,9 +110,7 @@ def euler_curve_direct(complex_: SimplicialComplex, direction: Direction) -> Ste
     for s in complex_.simplices:
         cell = deltas.setdefault(max(vh[v] for v in s), [0, 0])
         cell[(len(s) - 1) % 2] += 1
-    return StepCurve(
-        _pair_steps({h: (c[0], c[1]) for h, c in deltas.items()}), (), (0, 0)
-    )
+    return _euler_steps((h, *deltas[h]) for h in sorted(deltas))
 
 
 def ecc_value(pair: Tuple[int, int]) -> int:

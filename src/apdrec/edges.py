@@ -130,7 +130,7 @@ def find_up_edges(
     # from a list: a short tuple(genexpr) is freed into another size's free list
     candidates = tuple([vid for vid, _ in order.ordered if vid not in excluded])
 
-    found: List[int] = []
+    # the known neighbours first, then the endpoints found, in order
     neighbors: List[int] = list(known_below_edges)
     stack: List[EdgeInterval] = []
     if indegree:
@@ -140,13 +140,12 @@ def find_up_edges(
         if interval.edge_count == 0:
             continue
         if interval.edge_count == len(interval.candidates):
-            found.extend(interval.candidates)
             neighbors.extend(interval.candidates)
             continue
         left, right = split_wedge(interval, neighbors, order, oracle, points)
         stack.append(right)
         stack.append(left)
-    return found
+    return neighbors[len(known_below_edges) :]
 
 
 def find_edges(

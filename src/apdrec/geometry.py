@@ -323,8 +323,7 @@ class SweepFrame:
     The default frame is (e1, e2), matching projection onto coordinates
     (1, 2); the fallback basis built when e1 heights collide swaps in the
     tilted pair (b1, b2).  Offsets (x, y) are measured by dot products with
-    the two frame vectors, and ``embed(a, b)`` gives an offset the height
-    ``a * x + b * y``.
+    the two frame vectors.
     """
 
     u1: Direction
@@ -332,9 +331,6 @@ class SweepFrame:
 
     def height(self, v: Vector) -> Fraction:
         return dot(self.u1, v)
-
-    def embed(self, a: Fraction, b: Fraction) -> Direction:
-        return tuple(a * x + b * y for x, y in zip(self.u1, self.u2))
 
 
 def standard_frame(dim: int) -> SweepFrame:
@@ -456,4 +452,5 @@ def separating_direction(order: RadialOrder, after_index: int) -> Direction:
     lands strictly below the center and the rest of ``ordered`` strictly
     above.
     """
-    return order.frame.embed(separating_slope(order, after_index), Fraction(-1))
+    m = separating_slope(order, after_index)
+    return tuple(m * x - y for x, y in zip(order.frame.u1, order.frame.u2))

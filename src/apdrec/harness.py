@@ -24,6 +24,8 @@ from .geometry import IntVector, dot
 from .higher import reconstruct
 from .oracle import Oracle
 
+_REJECTION_LIMIT = 5000  # vertex candidates rejected before generation fails
+
 
 @dataclass
 class GeneratorConfig:
@@ -34,7 +36,6 @@ class GeneratorConfig:
     seed: int = 0
     coordinate_denominator_bound: int = 64
     lift_general_position: bool = False  # also keep lifted d+2 subsets independent
-    rejection_limit: int = 5000
 
     def density(self, dim: int) -> float:
         """Acceptance probability for simplices of the given dimension >= 1."""
@@ -78,10 +79,8 @@ def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
             points.pop()
             lifted.pop()
             rejections += 1
-            if rejections > config.rejection_limit:
-                raise GenerationFailure(
-                    f"exceeded {config.rejection_limit} vertex rejections"
-                )
+            if rejections > _REJECTION_LIMIT:
+                raise GenerationFailure(f"exceeded {_REJECTION_LIMIT} vertex rejections")
 
     accepted: Dict[int, Set[Simplex]] = {0: {(v,) for v in range(n0)}}
     for dim in range(1, config.max_dim + 1):
@@ -142,10 +141,11 @@ class VerificationReport:
         return self.vertex_bound_ok and self.edge_bound_ok and self.predicate_bound_ok
 
 
-def _relabel(
+def _in_truth_ids(
     recovered: SimplicialComplex, truth: SimplicialComplex
-) -> Optional[Dict[int, int]]:
-    """Map recovered vertex ids to ground-truth ids by exact coordinates."""
+) -> Optional[Set[Simplex]]:
+    """The recovered simplices over ground-truth vertex ids, matched by exact
+    coordinates; None unless the vertices match one to one."""
     by_point = {p: vid for vid, p in truth.vertices.items()}
     mapping = {}
     for vid, p in recovered.vertices.items():
@@ -154,7 +154,7 @@ def _relabel(
         mapping[vid] = by_point[p]
     if len(set(mapping.values())) != len(truth.vertices):
         return None
-    return mapping
+    return {tuple(sorted(mapping[v] for v in s)) for s in recovered.simplices}
 
 
 def complexes_match(recovered: SimplicialComplex, truth: SimplicialComplex) -> bool:
@@ -165,11 +165,7 @@ def complexes_match(recovered: SimplicialComplex, truth: SimplicialComplex) -> b
     """
     if recovered.ambient_dim != truth.ambient_dim:
         return False
-    mapping = _relabel(recovered, truth)
-    if mapping is None:
-        return False
-    remapped = {tuple(sorted(mapping[v] for v in s)) for s in recovered.simplices}
-    return remapped == set(truth.simplices)
+    return _in_truth_ids(recovered, truth) == set(truth.simplices)
 
 
 def verify_roundtrip(truth: SimplicialComplex) -> VerificationReport:
@@ -183,17 +179,12 @@ def verify_roundtrip(truth: SimplicialComplex) -> VerificationReport:
     recovered = reconstruct(oracle)
     log = oracle.log
 
-    mapping = _relabel(recovered, truth)
-    if mapping is None:
-        recovered_set: Set[Simplex] = set()
-    else:
-        recovered_set = {
-            tuple(sorted(mapping[v] for v in s)) for s in recovered.simplices
-        }
+    matched = _in_truth_ids(recovered, truth)
+    recovered_set = matched or set()
     truth_set = set(truth.simplices)
     missing = sorted(truth_set - recovered_set, key=lambda s: (len(s), s))
     extra = sorted(recovered_set - truth_set, key=lambda s: (len(s), s))
-    exact = mapping is not None and not missing and not extra
+    exact = matched == truth_set
 
     d = truth.ambient_dim
     n0 = len(truth.vertices)

@@ -12,10 +12,11 @@ clearing and union-find leave the points as they are.
 
 Every diagram carries an EventTable: its events counted per dimension over
 the sorted distinct heights, built from the kernel's integer keys.  All
-height-indexed reads (count_at, simplex_count, births) and both curves of
-``descriptors`` are answered from that table.  The diagram's points are
-built from the same keys on first read, one DiagramPoint each; the
-reconstruction stages read only the table, so they build none.
+height-indexed reads (counts, count_at, simplex_count, births) and both
+curves of ``descriptors`` are answered from that table, and ``counts`` is
+the one place the simplex-count correspondence is written.  The diagram's
+points are built from the same keys on first read, one DiagramPoint each;
+the reconstruction stages read only the table, so they build none.
 
 The kernel runs on integers.  A BoundaryTable, built once per complex,
 holds the coordinates scaled by their common denominator, the simplices in
@@ -110,13 +111,18 @@ class EventTable:
         """Index of the level equal to the height, or None off the grid.
 
         A rational height n/m lies on the grid when n * denominator / m is
-        an integer and one of ``heights``; a height that is not rational
-        (INF) never does.
+        an integer and one of ``heights``; a finite float is read at its
+        exact rational value, and INF or -INF is never on the grid.  Raises
+        InvalidInput for a height that is not a number.
         """
         try:
             n, m = height.numerator, height.denominator
         except AttributeError:
-            return None
+            if not isinstance(height, float) or height != height:
+                raise InvalidInput(f"height {height!r} is not a number") from None
+            if math.isinf(height):
+                return None
+            n, m = height.as_integer_ratio()
         scaled, rest = divmod(n * self.denominator, m)
         if rest:
             return None
@@ -190,24 +196,28 @@ class AugmentedDiagram:
             return []
         return list(chain.from_iterable(map(repeat, self.events.levels, row.births)))
 
-    def count_at(self, k: int, height: Fraction) -> int:
-        """Deaths at the height in dimension k-1 plus births there in dimension k.
+    def counts(self, k: int) -> List[int]:
+        """Number of k-simplices at each level of the event table.
 
-        By the simplex-count correspondence this equals the number of
-        k-simplices whose lower-star height is exactly the given value.
+        By the simplex-count correspondence every k-simplex is exactly one
+        event at its lower-star height: a death in dimension k-1 or a birth
+        in dimension k.  So the count at a level is the deaths of dimension
+        k-1 plus the births of dimension k there.
         """
+        rows, none = self.events.rows, [0] * len(self.events.heights)
+        lower, upper = rows.get(k - 1), rows.get(k)
+        deaths = lower.deaths if lower else none
+        births = upper.births if upper else none
+        return list(map(operator.add, deaths, births))
+
+    def count_at(self, k: int, height: Fraction) -> int:
+        """Number of k-simplices whose lower-star height is the given value."""
         i = self.events.level(height)
-        if i is None:
-            return 0
-        lower, upper = self.events.rows.get(k - 1), self.events.rows.get(k)
-        deaths = lower.deaths[i] if lower else 0
-        return deaths + (upper.births[i] if upper else 0)
+        return 0 if i is None else self.counts(k)[i]
 
     def simplex_count(self, k: int) -> int:
         """Number of k-simplices: the height-free form of count_at."""
-        lower, upper = self.events.rows.get(k - 1), self.events.rows.get(k)
-        deaths = sum(lower.deaths) if lower else 0
-        return deaths + (sum(upper.births) if upper else 0)
+        return sum(self.counts(k))
 
     def multiset(self) -> Dict[DiagramPoint, int]:
         out: Dict[DiagramPoint, int] = {}

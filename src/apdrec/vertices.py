@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import GeneralPositionViolated, OracleInconsistency
+from .errors import GeneralPositionViolated, InvalidInput, OracleInconsistency
 from .geometry import (
     Direction,
     SweepFrame,
@@ -44,11 +44,12 @@ def find_coordinate(
 
         x_i[j] = (H_t[j] - (1-eps) * base_heights[j]) / eps.
 
-    Two logged queries unless the e_i births are passed in.
+    Two logged queries unless the e_i births are passed in.  Raises
+    InvalidInput unless 1 <= i <= d.
     """
     d = oracle.ambient_dim
     if not 1 <= i <= d:
-        raise OracleInconsistency(f"coordinate index {i} out of range")
+        raise InvalidInput(f"coordinate index {i} out of range 1..{d}")
     e_i = basis_vector(d, i - 1)
     if base_direction is None:
         base_direction = basis_vector(d, 0)

@@ -76,6 +76,15 @@ def brute_coface_count(complex_, sigma, direction, k: int) -> int:
     )
 
 
+def maximal_by_definition(complex_) -> List[tuple]:
+    """Simplices contained in no other simplex, sorted by (dimension, tuple)."""
+    maximal = [
+        s for s in complex_.simplices
+        if not any(set(s) < set(t) for t in complex_.simplices)
+    ]
+    return sorted(maximal, key=lambda s: (len(s), s))
+
+
 def count_rejection_replay(complex_, direction) -> List[Tuple[int, frozenset]]:
     """The higher stage's predicate calls, replayed over the true complex.
 

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apdrec import complexes_match, parse_complex, serialize_complex
+from apdrec import (
+    GeneratorConfig,
+    complexes_match,
+    euler_curve_direct,
+    generate_complex,
+    parse_complex,
+    serialize_complex,
+)
 from apdrec.cli import main
+from apdrec.geometry import format_rational
 
 from conftest import cx
 from test_complexes import complex_texts
@@ -60,6 +68,30 @@ def test_cli_curves_euler(capsys, triangle_file):
     )
     assert code == 0
     assert out.splitlines()[-1] == "1 4 3"
+
+
+def test_cli_curves_euler_prints_the_direct_curve(capsys, tmp_path):
+    configs = [
+        GeneratorConfig(3, 7, 2, densities=[0.7, 0.6], seed=0),
+        GeneratorConfig(3, 8, 3, densities=[0.8, 0.8, 0.8], seed=1),
+        GeneratorConfig(2, 9, 2, densities=[0.5, 0.9], seed=2),
+    ]
+    for config in configs:
+        K = generate_complex(config)
+        path = tmp_path / "K.cx"
+        path.write_text(serialize_complex(K))
+        d = config.ambient_dim
+        for text in ["1" + ",0" * (d - 1), "0," * (d - 1) + "-1", "2/3,-1" + ",5" * (d - 2)]:
+            direction = tuple(Fraction(x) for x in text.split(","))
+            expected = "".join(
+                f"{format_rational(h)} {even} {odd}\n"
+                for h, (even, odd) in euler_curve_direct(K, direction).breakpoints
+            )
+            code, out = run(
+                capsys, "curves", "--complex", str(path), "--dir", text, "--kind", "euler"
+            )
+            assert code == 0
+            assert out == expected
 
 
 def test_cli_generate_stats_roundtrip(capsys, tmp_path):

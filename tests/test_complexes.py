@@ -23,7 +23,7 @@ from apdrec import (
     verify_roundtrip,
 )
 
-from bruteforce import reference_general_position
+from bruteforce import maximal_by_definition, reference_general_position
 from conftest import cx
 
 F = Fraction
@@ -249,3 +249,16 @@ def test_roundtrip_random_complexes():
             GeneratorConfig(3, 7, 2, densities=[0.6, 0.6], seed=seed)
         )
         assert parse_complex(serialize_complex(K)) == K
+
+
+def test_maximal_simplices_match_the_definition():
+    configs = [
+        GeneratorConfig(3, 7, 2, densities=[0.6, 0.6], seed=0),
+        GeneratorConfig(4, 8, 3, densities=[0.7, 0.7, 0.8], seed=1),
+        GeneratorConfig(4, 6, 4, densities=[0.9, 0.9, 0.9, 0.9], seed=2),
+        GeneratorConfig(2, 6, 1, densities=[0.3], seed=3),
+        GeneratorConfig(3, 5, 0, seed=4),
+    ]
+    for config in configs:
+        K = generate_complex(config)
+        assert K.maximal_simplices() == maximal_by_definition(K)

@@ -90,8 +90,7 @@ def test_generator_fails_when_grid_exhausted():
     with pytest.raises(GenerationFailure):
         generate_complex(
             GeneratorConfig(
-                2, 10, 0, densities=[], seed=0, coordinate_denominator_bound=1,
-                rejection_limit=500,
+                2, 10, 0, densities=[], seed=0, coordinate_denominator_bound=1
             )
         )
 

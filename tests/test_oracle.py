@@ -141,6 +141,19 @@ def test_count_at_empty_height():
     assert dgm.count_at(1, F(17)) == 0
 
 
+def test_count_at_reads_a_float_height_at_its_exact_value():
+    K = cx(2, [(0, 0), (F(1, 2), 1), (1, 0)], [(0, 1), (0, 2), (1, 2)])
+    dgm = compute_apd(K, E1)
+    assert dgm.count_at(1, 0.5) == dgm.count_at(1, F(1, 2)) == 1
+    assert dgm.count_at(1, 1.0) == dgm.count_at(1, 1) == 2
+    assert dgm.count_at(0, 0.0) == 1
+    assert dgm.count_at(1, 0.25) == 0
+    assert dgm.count_at(1, INF) == dgm.count_at(1, -INF) == 0
+    for height in ["1/2", None, float("nan"), 1j]:
+        with pytest.raises(InvalidInput):
+            dgm.count_at(1, height)
+
+
 def test_count_at_matches_direct_count_random():
     rng = random.Random(4)
     for seed in range(4):
@@ -154,6 +167,9 @@ def test_count_at_matches_direct_count_random():
             for c in heights:
                 got = dgm.count_at(k, c)
                 assert got == count_simplices_at(K, direction, k, c)
+            assert dgm.counts(k) == [
+                count_simplices_at(K, direction, k, c) for c in dgm.events.levels
+            ]
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +397,9 @@ def test_event_table_reads_match_the_point_scans(case, last):
         for k in range(-1, top + 3):
             assert view.births(k) == births_by_scan(pts, k)
             assert view.simplex_count(k) == simplex_count_by_scan(pts, k)
+            assert view.counts(k) == [
+                count_at_by_scan(pts, k, h) for h in view.events.levels
+            ]
             for h in grid + off_grid + [F(0), INF]:
                 assert view.count_at(k, h) == count_at_by_scan(pts, k, h)
             curve = betti_curve_from_apd(view, k)

@@ -6,6 +6,7 @@ import pytest
 from apdrec import (
     GeneralPositionViolated,
     GeneratorConfig,
+    InvalidInput,
     Oracle,
     generate_complex,
 )
@@ -43,6 +44,15 @@ def test_find_coordinate_with_target_ties():
     oracle = Oracle(K)
     base = oracle.query((1, 0)).births(0)
     assert find_coordinate(2, base, oracle) == [5, 5]
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_find_coordinate_rejects_an_index_outside_1_to_d(i):
+    oracle = Oracle(cx(2, [(0, 0), (1, 2)], []))
+    base = oracle.query((1, 0)).births(0)
+    with pytest.raises(InvalidInput):
+        find_coordinate(i, base, oracle)
+    assert oracle.log.count == 1
 
 
 def test_vertex_stage_two_points():

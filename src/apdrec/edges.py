@@ -11,11 +11,28 @@ for the left half; the right half follows by subtraction.  Only undecided
 intervals are split: a count of zero drops the slice, a count equal to its
 size takes it whole, and a vertex whose edges to lower vertices are all
 known is left out of it.
+
+*Free cuts.*  A split at vertex v asks s = m * u1 - u2, for u1, u2 the frame
+and m = p / q with q > 0.  For any vertex u, a vertex w whose offset from u
+is (x, y) lies below u in s exactly when ``p * x < q * y``, the test the
+split itself uses.  So when u is alone at its height in that diagram, the
+diagram's edge count there is the number of u's neighbours below the line of
+slope m through u, and of the neighbours above u in the sweep, those below
+the line are a prefix of u's radial order.  When v is done, each of its
+split diagrams is read at the height of every later vertex, and only
+(p, q, count) is kept for it.  At u's turn every neighbour below u is known,
+so a cut less the known neighbours below its line is the number of
+up-neighbours in a prefix of u's candidates, whose length a bisection of the
+integer offsets finds.  The search starts from the pieces between
+consecutive cuts instead of from one interval, and each piece it does not
+have to split is a query saved.  Cuts that disagree, with each other or
+with u's count of edges up, raise OracleInconsistency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Collection, Dict, List, Sequence, Set, Tuple
 
 from .errors import InvalidInput, NegativeCount, OracleInconsistency
@@ -31,6 +48,10 @@ from .geometry import (
     vneg,
 )
 from .oracle import AugmentedDiagram, Oracle
+
+# (p, q, count): count neighbours w of a vertex with p * x < q * y, for (x, y)
+# the offset of w from the vertex and q > 0
+Cut = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -115,13 +136,18 @@ def find_up_edges(
     points: Sequence[Vector],
     frame: SweepFrame,
     excluded: Collection[int],
+    cuts: Sequence[Cut] = (),
 ) -> List[int]:
     """Endpoints of all edges adjacent to and above the vertex.
 
     The initial indegree is read from the shared diagram in the negated sweep
     direction (deaths in dimension 0 plus births in dimension 1 at the
     vertex's height there).  The ``excluded`` vertices are known not to be
-    endpoints and are left out of the candidates.  Intervals are processed
+    endpoints and are left out of the candidates.  Each (p, q, count) of
+    ``cuts`` counts the vertex's neighbours whose offset (x, y) has
+    ``p * x < q * y``, q > 0; ``known_below_edges`` must then hold every
+    neighbour below the vertex.  The search starts from the pieces of the
+    candidates between the cuts (see ``_pieces``) and processes intervals
     left first; a zero-count interval is dropped, one whose count equals its
     number of candidates emits them all, anything else is split.
     """
@@ -129,12 +155,18 @@ def find_up_edges(
     indegree = sweep_diagram.count_at(1, height_neg)
     # from a list: a short tuple(genexpr) is freed into another size's free list
     candidates = tuple([vid for vid, _ in order.ordered if vid not in excluded])
+    if indegree and not candidates:
+        raise OracleInconsistency(
+            f"vertex {vertex} has {indegree} edges up and no candidate"
+        )
 
     # the known neighbours first, then the endpoints found, in order
     neighbors: List[int] = list(known_below_edges)
-    stack: List[EdgeInterval] = []
-    if indegree:
-        stack.append(EdgeInterval(vertex, candidates, indegree))
+    pieces = _pieces(candidates, indegree, cuts, known_below_edges, order.offsets)
+    stack = [
+        EdgeInterval(vertex, candidates[start:end], count)
+        for start, end, count in reversed(pieces)
+    ]
     while stack:
         interval = stack.pop()
         if interval.edge_count == 0:
@@ -146,6 +178,65 @@ def find_up_edges(
         stack.append(right)
         stack.append(left)
     return neighbors[len(known_below_edges) :]
+
+
+def _pieces(
+    candidates: Sequence[int],
+    indegree: int,
+    cuts: Sequence[Cut],
+    known: Sequence[int],
+    offsets: Dict[int, Tuple[int, int]],
+) -> List[Tuple[int, int, int]]:
+    """(start, end, edge count) of the candidates between consecutive cuts.
+
+    The candidates run in descending slope, so those below a cut's line,
+    ``p * x < q * y`` with x > 0, are a prefix; its length is found by
+    bisection, and the up-neighbours in it are the cut's count less the
+    known neighbours below the line.  The empty prefix holds none and the
+    whole one ``indegree``.  Two prefix counts at one length that differ,
+    or a piece whose count is negative or above its size, raise
+    OracleInconsistency.
+    """
+    prefix = {0: 0, len(candidates): indegree}
+    for p, q, count in cuts:
+        lo, hi = 0, len(candidates)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            x, y = offsets[candidates[mid]]
+            if p * x < q * y:
+                lo = mid + 1
+            else:
+                hi = mid
+        count -= sum(1 for w in known if p * offsets[w][0] < q * offsets[w][1])
+        if prefix.setdefault(lo, count) != count:
+            raise OracleInconsistency(
+                f"two cuts count {prefix[lo]} and {count} edges up "
+                f"in the first {lo} candidates"
+            )
+    positions = sorted(prefix)
+    pieces = []
+    for start, end in zip(positions, positions[1:]):
+        count = prefix[end] - prefix[start]
+        if not 0 <= count <= end - start:
+            raise OracleInconsistency(
+                f"cuts leave {count} edges up for {end - start} candidates"
+            )
+        pieces.append((start, end, count))
+    return pieces
+
+
+class _KeptAnswers:
+    """The oracle as the splits see it: it answers through ``oracle`` and
+    keeps each diagram until ``find_edges`` has read its cuts."""
+
+    def __init__(self, oracle: Oracle):
+        self.oracle = oracle
+        self.diagrams: List[AugmentedDiagram] = []
+
+    def query(self, direction) -> AugmentedDiagram:
+        dgm = self.oracle.query(direction)
+        self.diagrams.append(dgm)
+        return dgm
 
 
 def find_edges(
@@ -175,6 +266,20 @@ def find_edges(
     edges found down from it must number exactly that count, or
     OracleInconsistency is raised.  A diagram in any other direction raises
     InvalidInput.
+
+    Free cuts: once a vertex's search is done, every diagram its splits
+    asked, in a direction m * u1 - u2, is read at each later vertex u.  When
+    u is alone at its height there, the edge count there is the number of
+    u's neighbours below the line of slope m through u, kept as (p, q,
+    count) for m = p / q; the diagram itself is dropped.  At u's turn these
+    cuts seed its search with pieces of its candidates (see
+    ``find_up_edges``), which only ever removes splits.  A vertex with no
+    edge up is read too: its cuts must then count exactly its known edges
+    down, a check at no query that a miscounted cut elsewhere, which an
+    exchange of two edges can hide from the sweep counts, runs into.  Since
+    u1 . (m * u1 - u2) = m * u1 . u1 - u1 . u2, m is read back from the
+    direction exactly, and with u1 . u and u2 . u kept as ints, times one
+    positive factor, u's height there is one Fraction.
     """
     if tuple(sweep.direction) != tuple(frame.u1):
         raise InvalidInput("sweep diagram is not in the frame's first direction")
@@ -182,11 +287,18 @@ def find_edges(
     sweep_diagram = oracle.query(vneg(frame.u1))
     down_degree = [sweep.count_at(1, frame.height(p)) for p in points]
 
-    scaled, _ = scale_to_integers(points)
+    scaled, scale = scale_to_integers(points)
+    (w1, w2), factor = scale_to_integers([frame.u1, frame.u2])
+    # u1 . u and u2 . u times scale * factor, as ints
+    plane = [(dot(w1, p), dot(w2, p)) for p in scaled]
+    u1_u1, u1_u2 = dot(frame.u1, frame.u1), dot(frame.u1, frame.u2)
+
     ids_by_height = sorted(range(len(points)), key=lambda i: frame.height(points[i]))
     edges: Set[Tuple[int, int]] = set()
     adjacency: Dict[int, List[int]] = {i: [] for i in range(len(points))}
-    for vid in ids_by_height:
+    cuts: Dict[int, List[Cut]] = {i: [] for i in range(len(points))}
+    asked = _KeptAnswers(oracle)
+    for step, vid in enumerate(ids_by_height):
         # vid's edges down were all found from the vertices below it
         if len(adjacency[vid]) != down_degree[vid]:
             raise OracleInconsistency(
@@ -200,10 +312,30 @@ def find_edges(
         # every neighbour known so far of a vertex above vid lies below vid
         excluded = {u for u in others if len(adjacency[u]) == down_degree[u]}
         ups = find_up_edges(
-            vid, adjacency[vid], order, sweep_diagram, oracle, points, frame, excluded
+            vid,
+            adjacency[vid],
+            order,
+            sweep_diagram,
+            asked,
+            points,
+            frame,
+            excluded,
+            cuts.pop(vid),
         )
         for u in ups:
             edges.add(tuple(sorted((vid, u))))
             adjacency[vid].append(u)
             adjacency[u].append(vid)
+
+        later = ids_by_height[step + 1 :]
+        for dgm in asked.diagrams:
+            m = Fraction(dot(dgm.direction, frame.u1) + u1_u2, u1_u1)
+            p, q = m.numerator, m.denominator
+            unit = q * scale * factor
+            for u in later:
+                a, b = plane[u]
+                height = Fraction(p * a - q * b, unit)
+                if dgm.count_at(0, height) == 1:
+                    cuts[u].append((p, q, dgm.count_at(1, height)))
+        asked.diagrams.clear()
     return edges, sweep_diagram

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -347,11 +348,12 @@ class RadialOrder:
     strictly above the center in the sweep direction (positive first offset
     coordinate), sorted by strictly descending slope, the second offset
     coordinate over the first; in that open half-plane this is clockwise
-    order.  ``slopes`` holds the slopes of every other vertex, above and
-    below, in ascending order.  No two slopes are equal (no three projected
-    collinear points), so the order is strict.  ``ranks[i]`` is the index in
-    ``slopes`` of the slope of ``ordered[i]``, and ``offsets`` maps every
-    other vertex, above and below, to its offset.
+    order.  ``by_slope`` holds the offsets of every other vertex, above and
+    below, in ascending order of slope, and ``slopes`` those slopes as
+    Fractions, built on first read.  No two slopes are equal (no three
+    projected collinear points), so the order is strict.  ``ranks[i]`` is the
+    index in ``by_slope`` of ``ordered[i]``, and ``offsets`` maps every other
+    vertex, above and below, to its offset.
 
     An offset is measured through the frame vectors times one common
     positive factor, so it is a positive multiple of the frame's own offset:
@@ -361,10 +363,14 @@ class RadialOrder:
 
     center: Vector
     ordered: Tuple[Tuple[int, Tuple[Fraction, Fraction]], ...]
-    slopes: Tuple[Fraction, ...]
+    by_slope: Tuple[Tuple[Fraction, Fraction], ...]
     frame: SweepFrame = field(compare=False)
     ranks: Tuple[int, ...] = field(compare=False, repr=False)
     offsets: Dict[int, Tuple[Fraction, Fraction]] = field(compare=False, repr=False)
+
+    @cached_property
+    def slopes(self) -> Tuple[Fraction, ...]:
+        return tuple([Fraction(y, x) for x, y in self.by_slope])
 
     def position(self, vertex_id: int) -> int:
         for i, (vid, _) in enumerate(self.ordered):
@@ -382,9 +388,9 @@ def radial_order(
     """Sort the vertices above the projected center clockwise, exactly.
 
     The frame vectors are scaled to integers by their common denominator, so
-    on integer points every offset is a pair of ints, and each vertex's
-    slope is one exact ``Fraction`` of them, equal to the slope through the
-    frame itself.  The sort runs on integer keys: with the offsets (x, y)
+    on integer points every offset is a pair of ints, whose slope is the
+    slope through the frame itself; no slope is built as a Fraction here.
+    The sort runs on integer keys: with the offsets (x, y)
     scaled by their common denominator to ints and M the largest x², the
     key ``(y * M) // x`` is the floor of the slope times M.  Two distinct
     slopes differ by at least 1 / |x1 x2| >= 1 / M, so their keys keep
@@ -423,8 +429,8 @@ def radial_order(
     # another size's free list
     ranks = [i for i in range(len(entries) - 1, -1, -1) if entries[i][2][0] > 0]
     ordered = tuple([entries[i][1:] for i in ranks])
-    slopes = tuple([Fraction(y, x) for _, _, (x, y) in entries])
-    return RadialOrder(tuple(center), ordered, slopes, frame, tuple(ranks), offsets)
+    by_slope = tuple([off for _, _, off in entries])
+    return RadialOrder(tuple(center), ordered, by_slope, frame, tuple(ranks), offsets)
 
 
 def separating_slope(order: RadialOrder, after_index: int) -> Fraction:
@@ -435,13 +441,17 @@ def separating_slope(order: RadialOrder, after_index: int) -> Fraction:
     slope of any vertex (that slope minus one when there is none), so the
     line misses every vertex.  An offset (x, y) lies below it when
     ``m * x < y``: ``ordered[:after_index + 1]`` does and the rest of
-    ``ordered`` does not.
+    ``ordered`` does not.  The one Fraction is built from the two offsets:
+    y / x + b / a halved is ``(y * a + b * x) / (2 * x * a)``.
     """
     if not 0 <= after_index < len(order.ordered):
         raise InvalidInput("after_index out of range")
     i = order.ranks[after_index]
-    slope = order.slopes[i]
-    return (slope + order.slopes[i - 1]) / 2 if i else slope - 1
+    x, y = order.by_slope[i]
+    if not i:
+        return Fraction(y - x, x)
+    a, b = order.by_slope[i - 1]
+    return Fraction(y * a + b * x, 2 * x * a)
 
 
 def separating_direction(order: RadialOrder, after_index: int) -> Direction:

@@ -13,8 +13,9 @@ clearing and union-find leave the points as they are.
 Every diagram carries an EventTable: its events counted per dimension over
 the sorted distinct heights, built from the kernel's integer keys.  All
 height-indexed reads (counts, count_at, simplex_count, births) and both
-curves of ``descriptors`` are answered from that table, and ``counts`` is
-the one place the simplex-count correspondence is written.  The diagram's
+curves of ``descriptors`` are answered from that table.  The simplex-count
+correspondence is written in ``counts``, and ``count_at`` reads one entry
+of it the same way, without building the list.  The diagram's
 points are built from the same keys on first read, one DiagramPoint each;
 the reconstruction stages read only the table, so they build none.
 
@@ -211,9 +212,14 @@ class AugmentedDiagram:
         return list(map(operator.add, deaths, births))
 
     def count_at(self, k: int, height: Fraction) -> int:
-        """Number of k-simplices whose lower-star height is the given value."""
+        """Number of k-simplices whose lower-star height is the given value:
+        the entry of ``counts(k)`` at that level, read without the list."""
         i = self.events.level(height)
-        return 0 if i is None else self.counts(k)[i]
+        if i is None:
+            return 0
+        rows = self.events.rows
+        lower, upper = rows.get(k - 1), rows.get(k)
+        return (lower.deaths[i] if lower else 0) + (upper.births[i] if upper else 0)
 
     def simplex_count(self, k: int) -> int:
         """Number of k-simplices: the height-free form of count_at."""

@@ -85,6 +85,26 @@ def maximal_by_definition(complex_) -> List[tuple]:
     return sorted(maximal, key=lambda s: (len(s), s))
 
 
+def neighbours_below_line(
+    complex_, vertex: int, u1, u2, p: int, q: int, above: bool
+) -> int:
+    """Neighbours w of the vertex, above it in u1 (or below it, when
+    ``above`` is False), whose offset (x, y) = (u1 . (w - v), u2 . (w - v))
+    has p * x < q * y; by enumeration of the edges."""
+    center = [Fraction(c) for c in complex_.vertices[vertex]]
+    count = 0
+    for edge in complex_.simplices:
+        if len(edge) != 2 or vertex not in edge:
+            continue
+        (w,) = [u for u in edge if u != vertex]
+        diff = [Fraction(c) - c0 for c, c0 in zip(complex_.vertices[w], center)]
+        x = sum(Fraction(a) * b for a, b in zip(u1, diff))
+        y = sum(Fraction(a) * b for a, b in zip(u2, diff))
+        if (x > 0) == above and p * x < q * y:
+            count += 1
+    return count
+
+
 def count_rejection_replay(complex_, direction) -> List[Tuple[int, frozenset]]:
     """The higher stage's predicate calls, replayed over the true complex.
 

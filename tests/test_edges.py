@@ -22,6 +22,7 @@ from apdrec import (
 from apdrec.edges import find_edges, find_up_edges, split_wedge
 from apdrec.errors import DegeneratePosition
 from apdrec.geometry import (
+    SweepFrame,
     dot,
     scale_to_integers,
     separating_direction,
@@ -31,7 +32,8 @@ from apdrec.geometry import (
 from apdrec.higher import reconstruct
 from apdrec.vertices import create_unique_height_basis, vertex_stage
 
-from conftest import cx, shifted_count
+from bruteforce import neighbours_below_line
+from conftest import TamperedOracle, cx, shifted_count
 
 F = Fraction
 
@@ -270,6 +272,175 @@ def test_find_edges_never_returns_edges_from_a_miscounted_sweep():
                     find_edges(points, oracle, frame, tampered)
                 if delta > 0:
                     assert info.type is OracleInconsistency
+
+
+# ---------------------------------------------------------------------------
+# free cuts
+
+
+def find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep):
+    """find_edges with the known neighbours below and the cuts of every
+    find_up_edges call recorded.  Returns the edges as a complex on the
+    points, and the calls."""
+    real = find_up_edges
+    calls = []
+
+    def recording(vertex, known, order, sweep, oracle, pts, frame, excluded, cuts=()):
+        calls.append((vertex, sorted(known), list(cuts)))
+        return real(vertex, known, order, sweep, oracle, pts, frame, excluded, cuts)
+
+    monkeypatch.setattr(edges_mod, "find_up_edges", recording)
+    found, _ = find_edges(points, oracle, frame, sweep)
+    monkeypatch.setattr(edges_mod, "find_up_edges", real)
+    return cx(oracle.ambient_dim, points, sorted(found)), calls
+
+
+def edge_segments(K):
+    return {frozenset(K.vertices[v] for v in e) for e in K.simplices_of_dim(1)}
+
+
+def free_cut_inputs():
+    """(complex, points, oracle, frame, sweep diagram): d = 2 graphs and
+    d = 3 configs with kappa = 1 through the vertex stage, the tilted frame
+    of the fallback basis, and a d = 2 graph in a frame that is not
+    orthogonal."""
+    from test_harness import fallback_basis_complex
+
+    complexes = [fallback_basis_complex()]
+    for seed in range(6):
+        for config in (
+            GeneratorConfig(2, 20, 1, densities=[0.3], seed=seed),
+            GeneratorConfig(3, 12, 1, densities=[0.4], seed=seed),
+        ):
+            complexes.append(generate_complex(config))
+    for K in complexes:
+        oracle = Oracle(K)
+        points, frame, sweep = vertex_stage(oracle)
+        yield K, points, oracle, frame, sweep
+    K = complexes[1]
+    oracle = Oracle(K)
+    frame = SweepFrame((F(1), F(1, 3)), (F(1, 2), F(1)))
+    yield K, ordered_points(K), oracle, frame, oracle.query(frame.u1)
+
+
+def test_every_free_cut_counts_the_true_up_neighbours_below_its_line(monkeypatch):
+    """Each cut (p, q, count) a vertex receives, less its neighbours below
+    the line among those below it in the sweep, is the number of its true
+    neighbours above it in the sweep and below the line, counted from the
+    complex's edges.  Those below in the sweep are exactly the known ones,
+    and every input hands cuts on."""
+    for K, *inputs in free_cut_inputs():
+        found, calls = find_edges_recording_cuts(monkeypatch, *inputs)
+        frame = inputs[2]
+        assert edge_segments(found) == edge_segments(K)
+        height = {u: frame.height(p) for u, p in found.vertices.items()}
+        for vertex, known, cuts in calls:
+            lower = [
+                u
+                for u in found.vertices
+                if height[u] < height[vertex]
+                and tuple(sorted((u, vertex))) in found.simplices
+            ]
+            assert known == sorted(lower)
+            for p, q, count in cuts:
+                line = (found, vertex, frame.u1, frame.u2, p, q)
+                down = neighbours_below_line(*line, above=False)
+                up = neighbours_below_line(*line, above=True)
+                assert count - down == up
+        assert any(cuts for _, _, cuts in calls)
+
+
+def test_vertices_sharing_a_height_in_a_split_diagram_take_no_cut(monkeypatch):
+    """Vertex 0's first split, after b in its order a, b, w, u, asks
+    (7/3, -1), the slope of w - u, so u and w share a height there, where
+    the diagram counts u - a, u - b and w - a together.  Neither takes a cut
+    from it, and the edges come back."""
+    #             0       a       b          u       w
+    points = [(0, 0), (1, 5), (24, 91), (5, 0), (8, 7)]
+    K = cx(2, points, [(0, 1), (1, 3), (1, 4), (2, 3)])
+    assert validate_general_position(K).ok
+    points, oracle, frame, sweep = sweep_inputs(K)
+    found, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep)
+    assert edge_segments(found) == edge_segments(K)
+    assert oracle.log.directions[2] == (F(7, 3), F(-1))
+    cuts = {vertex: {(p, q) for p, q, _ in cuts} for vertex, _, cuts in calls}
+    assert (7, 3) in cuts[1]
+    assert (7, 3) not in cuts[3] | cuts[4]
+
+
+def test_a_miscounted_free_cut_ends_in_an_error(monkeypatch):
+    """Moving one split diagram's edge count at a later vertex's height by
+    one, up or down, ends in a typed error, never in an edge set.  Seed 3
+    holds a cut whose miscount meets every sweep count: vertex 5 takes 12
+    for 13 as an endpoint, so 12 leaves 11's candidates early and 11 takes
+    13 in turn.  Only the cuts of a vertex with no edge up, read as well,
+    catch it."""
+    tried = 0
+    for seed in (0, 3):
+        K = generate_complex(GeneratorConfig(2, 14, 1, densities=[0.35], seed=seed))
+        oracle = Oracle(K)
+        points, frame, sweep = vertex_stage(oracle)
+        found, calls = find_edges_recording_cuts(
+            monkeypatch, points, oracle, frame, sweep
+        )
+        for vertex, _, cuts in calls:
+            for p, q, count in cuts:
+                m = F(p, q)
+                direction = tuple(m * x - y for x, y in zip(frame.u1, frame.u2))
+                height = dot(direction, found.vertices[vertex])
+                for delta in (1, -1):
+                    if count + delta < 0:
+                        continue
+                    tampered = TamperedOracle(K, direction, 1, height, delta)
+                    with pytest.raises(ApdrecError):
+                        points, tilted, sweep = vertex_stage(tampered)
+                        find_edges(points, tampered, tilted, sweep)
+                    tried += 1
+    assert tried > 200
+
+
+def test_find_edges_never_returns_edges_from_a_miscounted_split(monkeypatch):
+    """Moving one split diagram's edge count at the height of the vertex
+    that asked it by one, up or down, ends in a typed error, never in an edge
+    set.  The search takes the count as given and so takes a wrong endpoint,
+    and the exchange of two edges that can follow meets every sweep count;
+    the cuts that the other diagrams hand to later vertices catch it."""
+    real_split = split_wedge
+    tried = 0
+    for seed in range(4):
+        K = generate_complex(GeneratorConfig(2, 14, 1, densities=[0.35], seed=seed))
+        oracle = Oracle(K)
+        points, frame, sweep = vertex_stage(oracle)
+        splits = []
+
+        def recording(interval, known, order, asked, pts):
+            halves = real_split(interval, known, order, asked, pts)
+            splits.append((interval.vertex, oracle.log.directions[-1]))
+            return halves
+
+        monkeypatch.setattr(edges_mod, "split_wedge", recording)
+        find_edges(points, oracle, frame, sweep)
+        monkeypatch.setattr(edges_mod, "split_wedge", real_split)
+        for vertex, direction in splits:
+            for delta in (1, -1):
+                height = dot(direction, points[vertex])
+                tampered = TamperedOracle(K, direction, 1, height, delta)
+                with pytest.raises(ApdrecError):
+                    points_t, frame_t, sweep_t = vertex_stage(tampered)
+                    find_edges(points_t, tampered, frame_t, sweep_t)
+                tried += 1
+    assert tried > 100
+
+
+def test_free_cuts_pin_the_edge_queries_of_a_sparse_planar_graph():
+    """60 vertices and 264 edges in the plane: 168 edge-stage queries, 699
+    before the split diagrams were read at later vertices."""
+    K = generate_complex(GeneratorConfig(2, 60, 1, densities=[0.15], seed=1))
+    oracle = Oracle(K)
+    points, frame, sweep = vertex_stage(oracle)
+    found, _ = find_edges(points, oracle, frame, sweep)
+    assert complexes_match(cx(2, points, sorted(found)), K)
+    assert oracle.log.queries("edges") == 168
 
 
 # ---------------------------------------------------------------------------

@@ -473,8 +473,9 @@ def test_a_count_above_the_last_found_dimension_raises():
 # k = 3 call), d = 5 (36, 39 with three k = 3 calls, 45)
 PINNED_SLICE = [2, 8, 17, 20, 27, 32, 36, 39, 45]
 # the slice plus the lifted config: the log of the rational geometry with the
-# spans of the candidates that the per-vertex counts reject taken out
-PINNED_LOG_SHA256 = "6a894a6a1344080413926c06eaa0def75efed4aaa6f5f6375225b41733ff4aec"
+# spans of the candidates that the per-vertex counts reject taken out, and
+# the edge splits that free cuts decide taken out
+PINNED_LOG_SHA256 = "8f9eced4565a1ab4763c9f8f29bba2355ae142278b78a79e0e48c3d175bec6ac"
 
 
 def test_query_log_of_a_corpus_slice_is_pinned():
@@ -485,7 +486,9 @@ def test_query_log_of_a_corpus_slice_is_pinned():
     reconstructing nine acceptance configs and one lifted d = 3 config, in
     that order.  It was recorded after checking that the log equals the one
     of the higher stage on Fraction coordinates, less exactly the spans of
-    the candidates that the count rule rejects.
+    the candidates that the count rule rejects, and re-recorded after
+    checking that free cuts leave every span but "edges" and every
+    direction outside it as they were, and the "edges" span no longer.
     """
     import hashlib
 

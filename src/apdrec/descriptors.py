@@ -5,8 +5,10 @@ Euler curve is integer-pair valued: (count of even-dimensional simplices,
 count of odd-dimensional simplices) in the sublevel set; the classical Euler
 characteristic is their difference.  The curves of a diagram are one pass
 over its event table, so they cost its number of distinct heights, not its
-number of points.  ``euler_curve_direct`` counts the complex's simplices
-instead and is the reference the diagram's Euler curve is checked against.
+number of points.  The Betti curves read the table's event rows, so they
+pair the diagram; the Euler curve reads only its simplex histogram.
+``euler_curve_direct`` counts the complex's simplices instead and is the
+reference the diagram's Euler curve is checked against.
 """
 
 from __future__ import annotations
@@ -85,14 +87,15 @@ def _euler_steps(entries) -> StepCurve:
 def euler_curve_from_apd(apd: AugmentedDiagram) -> StepCurve:
     """Augmented Euler characteristic curve from the diagram alone.
 
-    ``AugmentedDiagram.counts`` gives the k-simplices at each level, so the
-    counts of each parity sum those of its dimensions, and one pass over
-    the levels sums them into the sublevel counts.
+    The event table's simplex histogram gives the k-simplices at each level,
+    so the counts of each parity sum those of its dimensions, and one pass
+    over the levels sums them into the sublevel counts.  It needs no
+    pairing.
     """
     events = apd.events
     parity = [[0] * len(events.heights), [0] * len(events.heights)]
-    for k in range(max(events.rows, default=-1) + 2):
-        parity[k % 2] = list(map(operator.add, parity[k % 2], apd.counts(k)))
+    for k, row in events.histogram.items():
+        parity[k % 2] = list(map(operator.add, parity[k % 2], row))
     return _euler_steps(zip(events.levels, *parity))
 
 

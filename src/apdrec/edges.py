@@ -131,28 +131,26 @@ def find_up_edges(
     vertex: int,
     known_below_edges: Sequence[int],
     order: RadialOrder,
-    sweep_diagram: AugmentedDiagram,
+    indegree: int,
     oracle: Oracle,
     points: Sequence[Vector],
-    frame: SweepFrame,
     excluded: Collection[int],
     cuts: Sequence[Cut] = (),
 ) -> List[int]:
     """Endpoints of all edges adjacent to and above the vertex.
 
-    The initial indegree is read from the shared diagram in the negated sweep
-    direction (deaths in dimension 0 plus births in dimension 1 at the
-    vertex's height there).  The ``excluded`` vertices are known not to be
-    endpoints and are left out of the candidates.  Each (p, q, count) of
-    ``cuts`` counts the vertex's neighbours whose offset (x, y) has
-    ``p * x < q * y``, q > 0; ``known_below_edges`` must then hold every
-    neighbour below the vertex.  The search starts from the pieces of the
-    candidates between the cuts (see ``_pieces``) and processes intervals
-    left first; a zero-count interval is dropped, one whose count equals its
-    number of candidates emits them all, anything else is split.
+    ``indegree`` is their number: the edge count of the diagram in the
+    negated sweep direction at the vertex's height there, since each edge
+    is one event at the height of its top vertex.  The ``excluded``
+    vertices are known not to be endpoints and are left out of the
+    candidates.  Each (p, q, count) of ``cuts`` counts the vertex's
+    neighbours whose offset (x, y) has ``p * x < q * y``, q > 0;
+    ``known_below_edges`` must then hold every neighbour below the vertex.
+    The search starts from the pieces of the candidates between the cuts
+    (see ``_pieces``) and processes intervals left first; a zero-count
+    interval is dropped, one whose count equals its number of candidates
+    emits them all, anything else is split.
     """
-    height_neg = -frame.height(points[vertex])
-    indegree = sweep_diagram.count_at(1, height_neg)
     # from a list: a short tuple(genexpr) is freed into another size's free list
     candidates = tuple([vid for vid, _ in order.ordered if vid not in excluded])
     if indegree and not candidates:
@@ -255,8 +253,9 @@ def find_edges(
     reads at no query.
 
     The radial orders are taken on the points scaled to integers by their
-    common denominator, so every projected offset is a pair of ints; the
-    heights read off diagrams stay rational.
+    common denominator, so every projected offset is a pair of ints.  The
+    sweep heights and the heights read off diagrams are ints over one
+    positive denominator too, read with ``EventTable.level_of``.
 
     ``sweep`` is the vertex stage's diagram in ``frame.u1``.  Its edge count
     at a vertex's height is the number of edges from that vertex down to
@@ -279,21 +278,25 @@ def find_edges(
     exchange of two edges can hide from the sweep counts, runs into.  Since
     u1 . (m * u1 - u2) = m * u1 . u1 - u1 . u2, m is read back from the
     direction exactly, and with u1 . u and u2 . u kept as ints, times one
-    positive factor, u's height there is one Fraction.
+    positive factor, u's height there is an int over a positive one, which
+    the diagram's table looks up without a Fraction.
     """
     if tuple(sweep.direction) != tuple(frame.u1):
         raise InvalidInput("sweep diagram is not in the frame's first direction")
     oracle.log.open("edges")
     sweep_diagram = oracle.query(vneg(frame.u1))
-    down_degree = [sweep.count_at(1, frame.height(p)) for p in points]
 
     scaled, scale = scale_to_integers(points)
     (w1, w2), factor = scale_to_integers([frame.u1, frame.u2])
-    # u1 . u and u2 . u times scale * factor, as ints
+    # u1 . u and u2 . u times unit, as ints
     plane = [(dot(w1, p), dot(w2, p)) for p in scaled]
+    unit = scale * factor
     u1_u1, u1_u2 = dot(frame.u1, frame.u1), dot(frame.u1, frame.u2)
+    along, against = sweep.events, sweep_diagram.events
+    down_degree = [along.count(1, along.level_of(a, unit)) for a, _ in plane]
+    up_degree = [against.count(1, against.level_of(-a, unit)) for a, _ in plane]
 
-    ids_by_height = sorted(range(len(points)), key=lambda i: frame.height(points[i]))
+    ids_by_height = sorted(range(len(points)), key=lambda i: plane[i][0])
     edges: Set[Tuple[int, int]] = set()
     adjacency: Dict[int, List[int]] = {i: [] for i in range(len(points))}
     cuts: Dict[int, List[Cut]] = {i: [] for i in range(len(points))}
@@ -315,10 +318,9 @@ def find_edges(
             vid,
             adjacency[vid],
             order,
-            sweep_diagram,
+            up_degree[vid],
             asked,
             points,
-            frame,
             excluded,
             cuts.pop(vid),
         )
@@ -331,11 +333,11 @@ def find_edges(
         for dgm in asked.diagrams:
             m = Fraction(dot(dgm.direction, frame.u1) + u1_u2, u1_u1)
             p, q = m.numerator, m.denominator
-            unit = q * scale * factor
+            events = dgm.events
             for u in later:
                 a, b = plane[u]
-                height = Fraction(p * a - q * b, unit)
-                if dgm.count_at(0, height) == 1:
-                    cuts[u].append((p, q, dgm.count_at(1, height)))
+                i = events.level_of(p * a - q * b, q * unit)
+                if events.count(0, i) == 1:
+                    cuts[u].append((p, q, events.count(1, i)))
         asked.diagrams.clear()
     return edges, sweep_diagram

@@ -139,10 +139,7 @@ def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[int]], List[int]]:
     """
     if not rows:
         return [], []
-    reduced = []
-    for row in rows:
-        m = math.lcm(*(x.denominator for x in row))
-        reduced.append([x.numerator * (m // x.denominator) for x in row])
+    reduced = _integer_rows(rows)
     ncols = len(reduced[0])
     pivots: List[int] = []
     previous = 1
@@ -170,6 +167,39 @@ def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[int]], List[int]]:
     return reduced, pivots
 
 
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    """Each row times the lcm of its denominators: ints, in new lists."""
+    out = []
+    for row in rows:
+        m = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out
+
+
+def _nonsingular(rows: Sequence[Sequence[Fraction]]) -> bool:
+    """True iff the square matrix has a nonzero determinant.
+
+    Fraction-free (Bareiss) forward elimination on the rows scaled to ints,
+    a positive scale per row that keeps the determinant's zeroness.  Only
+    the rows below the pivot are updated, and the elimination stops at the
+    first column with no nonzero entry left, where the determinant is 0.
+    """
+    m = _integer_rows(rows)
+    previous = 1
+    for col in range(len(m)):
+        pr = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if pr is None:
+            return False
+        m[col], m[pr] = m[pr], m[col]
+        pivot_row = m[col]
+        p = pivot_row[col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col]
+            m[i] = [(p * a - f * b) // previous for a, b in zip(m[i], pivot_row)]
+        previous = p
+    return True
+
+
 def _solve_particular(
     equations: List[Tuple[Sequence[Fraction], Fraction]], dim: int
 ) -> Optional[List[Fraction]]:
@@ -192,8 +222,15 @@ def _solve_particular(
 
 
 def affinely_independent(points: Sequence[Vector]) -> bool:
-    """True iff no point lies in the affine hull of the others."""
+    """True iff no point lies in the affine hull of the others.
+
+    The differences from the first point must be linearly independent.
+    With as many of them as coordinates that is a nonzero determinant
+    (``_nonsingular``); otherwise their rank decides.
+    """
     diffs = [list(vsub(p, points[0])) for p in points[1:]]
+    if diffs and len(diffs) == len(diffs[0]):
+        return _nonsingular(diffs)
     _, pivots = _rref(diffs)
     return len(pivots) == len(points) - 1
 

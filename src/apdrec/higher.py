@@ -17,12 +17,11 @@ predicates only compare heights, and a positive scale keeps their order and
 their ties; every solved or tilted direction scales by a positive factor
 too, and ``primitive_direction`` removes it.  So the oracle is asked the
 same directions in the same order as on the rational points, and a diagram
-is read at ``Fraction(h, L)``, the only place a height becomes a Fraction.
+is read at h / L by ``EventTable.level_of``, with no Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Sequence, Set
 
 from .complexes import Simplex, SimplicialComplex, build_complex, facets, proper_faces
@@ -78,16 +77,16 @@ def _level_count(
     the simplex has the same height under the direction and the queried
     diagram counts no other vertex at that height.
     """
-    dgm = oracle.query(direction)
+    events = oracle.query(direction).events
     height = dot(direction, points[simplex[0]])
     if any(dot(direction, points[v]) != height for v in simplex[1:]):
         raise PreconditionViolated("direction is not constant on the simplex")
-    level = Fraction(height, scale)
-    if dgm.count_at(0, level) != len(simplex):
+    level = events.level_of(height, scale)
+    if events.count(0, level) != len(simplex):
         raise PreconditionViolated(
             "another vertex shares the simplex height in this direction"
         )
-    return dgm.count_at(k, level)
+    return events.count(k, level)
 
 
 def compute_indegree(

@@ -10,14 +10,17 @@ two and up are bitmask integers; the edges are paired with the vertices by
 union-find with the elder rule.  The pairing of a filtration is unique, so
 clearing and union-find leave the points as they are.
 
-Every diagram carries an EventTable: its events counted per dimension over
-the sorted distinct heights, built from the kernel's integer keys.  All
-height-indexed reads (counts, count_at, simplex_count, births) and both
-curves of ``descriptors`` are answered from that table.  The simplex-count
-correspondence is written in ``counts``, and ``count_at`` reads one entry
-of it the same way, without building the list.  The diagram's
-points are built from the same keys on first read, one DiagramPoint each;
-the reconstruction stages read only the table, so they build none.
+Every diagram carries an EventTable.  Its per-level simplex histogram is the
+only source of counts: by the simplex-count correspondence every k-simplex
+is exactly one event at its lower-star height, so the k-simplices at each
+distinct height are what ``counts``, ``count_at``, ``simplex_count``,
+``births(0)`` and the Euler curve of ``descriptors`` read, and the histogram
+needs the heights alone.  Each query builds it, in ``_emit_points``.  The
+pairing (the filtration sort, ``_reduce_pairs`` and the point keys and
+event rows) runs on first read of ``events.rows``, ``events.keys``,
+``births(k)`` for k > 0, ``points`` or ``restrict``, and its result is
+kept.  The reconstruction stages read only the histogram, so they never
+pair.
 
 The kernel runs on integers.  A BoundaryTable, built once per complex,
 holds the coordinates scaled by their common denominator, the simplices in
@@ -44,7 +47,15 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .complexes import Simplex, SimplicialComplex, facets
 from .errors import InvalidInput
@@ -82,25 +93,67 @@ class EventRow(NamedTuple):
     zeros: List[int]  # zero-persistence pairs
 
 
+# (dim, birth level, death level) of one point
+Key = Tuple[int, int, int]
+Pairing = Tuple[List[Key], Dict[int, EventRow]]
+
+
 class EventTable:
     """A diagram's events counted per dimension over its distinct heights.
 
     ``heights`` are the distinct heights of the events as increasing ints
-    over one positive ``denominator``, and ``rows[k]`` counts the events of
-    dimension k at each level.  A dimension without a row has no events.
+    over one positive ``denominator``.  ``histogram[k]`` counts the
+    k-simplices at each level; it is the only source of the diagram's
+    counts, and a dimension without an entry has no simplices.
+
+    ``keys`` and ``rows`` come from the pairing, which ``pairing`` runs
+    with no argument on first read of either; both are kept.  ``keys`` holds
+    one (dim, birth level, death level) triple per point, an essential class
+    dying at level ``len(heights)``, and ``rows[k]`` counts the events of
+    dimension k at each level; a dimension without a row has no events.  By
+    the simplex-count correspondence ``histogram[k]`` is the deaths of
+    ``rows[k-1]`` plus the births of ``rows[k]``.
+
     ``levels``, the heights as Fractions, is built on first read and kept;
-    ``level`` finds a height without it.
+    ``level`` and ``level_of`` find a height without it.
     """
 
-    __slots__ = ("heights", "denominator", "rows", "_levels")
+    __slots__ = (
+        "heights",
+        "denominator",
+        "histogram",
+        "_pairing",
+        "_paired",
+        "_levels",
+    )
 
     def __init__(
-        self, heights: List[int], denominator: int, rows: Dict[int, EventRow]
+        self,
+        heights: List[int],
+        denominator: int,
+        histogram: Dict[int, List[int]],
+        pairing: Callable[[], Pairing],
     ):
         self.heights = heights
         self.denominator = denominator
-        self.rows = rows
+        self.histogram = histogram
+        self._pairing: Optional[Callable[[], Pairing]] = pairing
+        self._paired: Optional[Pairing] = None
         self._levels: Optional[List[Fraction]] = None
+
+    def _pair(self) -> Pairing:
+        if self._paired is None:
+            self._paired = self._pairing()
+            self._pairing = None
+        return self._paired
+
+    @property
+    def keys(self) -> List[Key]:
+        return self._pair()[0]
+
+    @property
+    def rows(self) -> Dict[int, EventRow]:
+        return self._pair()[1]
 
     @property
     def levels(self) -> List[Fraction]:
@@ -111,10 +164,9 @@ class EventTable:
     def level(self, height) -> Optional[int]:
         """Index of the level equal to the height, or None off the grid.
 
-        A rational height n/m lies on the grid when n * denominator / m is
-        an integer and one of ``heights``; a finite float is read at its
-        exact rational value, and INF or -INF is never on the grid.  Raises
-        InvalidInput for a height that is not a number.
+        A finite float is read at its exact rational value, and INF or -INF
+        is never on the grid.  Raises InvalidInput for a height that is not
+        a number.
         """
         try:
             n, m = height.numerator, height.denominator
@@ -124,7 +176,17 @@ class EventTable:
             if math.isinf(height):
                 return None
             n, m = height.as_integer_ratio()
-        scaled, rest = divmod(n * self.denominator, m)
+        return self.level_of(n, m)
+
+    def level_of(self, numerator: int, denominator: int) -> Optional[int]:
+        """Index of the level equal to numerator / denominator, for ints
+        with denominator > 0, or None off the grid.
+
+        The height lies on the grid when numerator * ``self.denominator`` /
+        denominator is an integer and one of ``heights``; no Fraction is
+        built.
+        """
+        scaled, rest = divmod(numerator * self.denominator, denominator)
         if rest:
             return None
         i = bisect_left(self.heights, scaled)
@@ -132,38 +194,40 @@ class EventTable:
             return i
         return None
 
+    def count(self, k: int, level: Optional[int]) -> int:
+        """Number of k-simplices at a level index, 0 at None (off the grid)."""
+        row = self.histogram.get(k)
+        if row is None or level is None:
+            return 0
+        return row[level]
+
 
 class AugmentedDiagram:
     """Multiset of (dim, birth, death) points for one query direction.
 
-    A diagram is built from integer keys, one (dim, birth level, death level)
-    triple per point, where a level indexes ``events.heights`` and an
-    essential class has the level ``len(events.heights)``.  ``points`` is
-    built from them on first read, sorted by (dim, birth, death), and kept;
-    the reconstruction stages read only the event table, so they never build
-    it.  Equality, hashing and the text form use the direction and the
-    points; ``events`` is the same multiset counted per height.
+    ``events`` counts the diagram per height.  Its simplex histogram answers
+    ``counts``, ``count_at``, ``simplex_count`` and ``births(0)`` without
+    the pairing; ``points`` are built from the table's keys on first read,
+    sorted by (dim, birth, death), and kept, and reading them, ``births(k)``
+    for k > 0 or ``restrict`` runs the pairing once.  The reconstruction
+    stages read only the histogram, so they never pair.  Equality, hashing
+    and the text form use the direction and the points.
     """
 
-    __slots__ = ("direction", "events", "_keys", "_points")
+    __slots__ = ("direction", "events", "_points")
 
-    def __init__(
-        self,
-        direction: Direction,
-        keys: Sequence[Tuple[int, int, int]],
-        events: EventTable,
-    ):
+    def __init__(self, direction: Direction, events: EventTable):
         self.direction = direction
         self.events = events
-        self._keys = keys
         self._points: Optional[Tuple[DiagramPoint, ...]] = None
 
     @property
     def points(self) -> Tuple[DiagramPoint, ...]:
         if self._points is None:
+            keys = sorted(self.events.keys)
             value = [*self.events.levels, INF]
             self._points = tuple(
-                [DiagramPoint(k, value[b], value[d]) for k, b, d in sorted(self._keys)]
+                [DiagramPoint(k, value[b], value[d]) for k, b, d in keys]
             )
         return self._points
 
@@ -179,51 +243,55 @@ class AugmentedDiagram:
         return f"AugmentedDiagram(direction={self.direction!r}, points={self.points!r})"
 
     def restrict(self, dim: int) -> "AugmentedDiagram":
+        """The points of dimension dim alone, paired.  Its counts are those
+        of its own events: births of dim count as dim-simplices and deaths
+        as (dim+1)-simplices."""
         events = self.events
-        rows = {dim: events.rows[dim]} if dim in events.rows else {}
-        return AugmentedDiagram(
-            self.direction,
-            [key for key in self._keys if key[0] == dim],
-            EventTable(events.heights, events.denominator, rows),
+        row = events.rows.get(dim)
+        keys = [key for key in events.keys if key[0] == dim]
+        rows = {dim: row} if row else {}
+        histogram = {dim: row.births, dim + 1: row.deaths} if row else {}
+        table = EventTable(
+            events.heights, events.denominator, histogram, lambda: (keys, rows)
         )
+        return AugmentedDiagram(self.direction, table)
 
     def in_dim(self, dim: int) -> List[DiagramPoint]:
         return [p for p in self.points if p.dim == dim]
 
     def births(self, dim: int) -> List[Fraction]:
-        """Birth heights of dimension dim, increasing, with multiplicity."""
-        row = self.events.rows.get(dim)
-        if row is None:
+        """Birth heights of dimension dim, increasing, with multiplicity.
+
+        Every vertex is a dimension-0 birth and nothing else is, so the
+        dimension-0 births are the histogram's vertices and need no pairing.
+        """
+        if dim == 0:
+            counts = self.events.histogram.get(0)
+        else:
+            row = self.events.rows.get(dim)
+            counts = row.births if row else None
+        if counts is None:
             return []
-        return list(chain.from_iterable(map(repeat, self.events.levels, row.births)))
+        return list(chain.from_iterable(map(repeat, self.events.levels, counts)))
 
     def counts(self, k: int) -> List[int]:
         """Number of k-simplices at each level of the event table.
 
         By the simplex-count correspondence every k-simplex is exactly one
-        event at its lower-star height: a death in dimension k-1 or a birth
-        in dimension k.  So the count at a level is the deaths of dimension
-        k-1 plus the births of dimension k there.
+        event at its lower-star height, a death in dimension k-1 or a birth
+        in dimension k, so this is the histogram's row k.
         """
-        rows, none = self.events.rows, [0] * len(self.events.heights)
-        lower, upper = rows.get(k - 1), rows.get(k)
-        deaths = lower.deaths if lower else none
-        births = upper.births if upper else none
-        return list(map(operator.add, deaths, births))
+        row = self.events.histogram.get(k)
+        return list(row) if row else [0] * len(self.events.heights)
 
     def count_at(self, k: int, height: Fraction) -> int:
         """Number of k-simplices whose lower-star height is the given value:
         the entry of ``counts(k)`` at that level, read without the list."""
-        i = self.events.level(height)
-        if i is None:
-            return 0
-        rows = self.events.rows
-        lower, upper = rows.get(k - 1), rows.get(k)
-        return (lower.deaths[i] if lower else 0) + (upper.births[i] if upper else 0)
+        return self.events.count(k, self.events.level(height))
 
     def simplex_count(self, k: int) -> int:
         """Number of k-simplices: the height-free form of count_at."""
-        return sum(self.counts(k))
+        return sum(self.events.histogram.get(k, ()))
 
     def multiset(self) -> Dict[DiagramPoint, int]:
         out: Dict[DiagramPoint, int] = {}
@@ -249,7 +317,8 @@ class BoundaryTable:
     ``simplices`` lists the simplices in (dimension, vertex tuple) order, the
     vertices first; a simplex's position there is its static index.
     ``facets[j]`` holds the static indices of the facets of simplex j (empty
-    for a vertex), and ``dims[j]`` its dimension.  ``coords`` holds each
+    for a vertex), and ``dims[j]`` its dimension; ``ranges[k]`` is the
+    (start, end) of the static indices of dimension k.  ``coords`` holds each
     vertex's coordinates times ``scale``, the common denominator L of all
     coordinates, so every entry is an int.
     """
@@ -263,23 +332,35 @@ class BoundaryTable:
             for s in self.simplices
         ]
         self.dims = [len(s) - 1 for s in self.simplices]
+        self.ranges = [
+            (bisect_left(self.dims, k), bisect_left(self.dims, k + 1))
+            for k in range(self.dims[-1] + 1 if self.dims else 0)
+        ]
         rows = [complex_.vertices[s[0]] for s in self.simplices if len(s) == 1]
         self.coords, self.scale = scale_to_integers(rows)
 
 
-def _heights(table: BoundaryTable, direction: Sequence[int]) -> List[int]:
-    """Integer lower-star height of every simplex, in static order.
+def _heights(
+    table: BoundaryTable, direction: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """Lower-star heights of every simplex: the distinct integer vertex
+    heights, increasing, and each simplex's level among them, in static
+    order.
 
     A vertex's height is its dot product with the direction.  The vertex of
     largest height in a simplex of two or more vertices lies in at least one
-    of any two of its facets, so the maximum over the first two facets
-    is the simplex's height; the facets come earlier in static order.
+    of any two of its facets, so the larger level of the first two facets
+    is the simplex's level; the facets come earlier in static order.  Levels
+    order and tie the simplices as their heights do.
     """
     heights = [sum(map(operator.mul, direction, row)) for row in table.coords]
-    for f in table.facets[len(heights) :]:
-        a, b = heights[f[0]], heights[f[1]]
-        heights.append(a if a > b else b)
-    return heights
+    distinct = sorted(set(heights))
+    index = {h: i for i, h in enumerate(distinct)}
+    level = list(map(index.__getitem__, heights))
+    for f in table.facets[len(level) :]:
+        a, b = level[f[0]], level[f[1]]
+        level.append(a if a > b else b)
+    return distinct, level
 
 
 def _reduce_pairs(
@@ -313,9 +394,7 @@ def _reduce_pairs(
     pairs: List[Tuple[int, int]] = []
     reduced_by_low: Dict[int, int] = {}
     paired = bytearray(len(order))
-    for k in range(dims[-1] if dims else 0, 1, -1):
-        # the static indices of dimension k form one range
-        lo, hi = bisect_left(dims, k), bisect_left(dims, k + 1)
+    for lo, hi in reversed(table.ranges[2:]):
         for j in sorted(position[lo:hi]):
             if paired[j]:
                 continue
@@ -356,36 +435,57 @@ def _reduce_pairs(
 
 
 def _emit_points(
-    order: Sequence[int],
-    pairs: Iterable[Tuple[int, int]],
-    essentials: Iterable[int],
-    heights: Sequence[int],
+    level: List[int],
+    distinct: List[int],
     table: BoundaryTable,
     denominator: int,
-) -> Tuple[List[Tuple[int, int, int]], EventTable]:
-    """The diagram's integer point keys and its event table.
+    order: Optional[List[int]],
+) -> EventTable:
+    """The diagram's event table: its simplex histogram now, its pairing on
+    first read.
 
-    Heights never decrease along the filtration ``order``, so one pass over
-    it numbers the distinct integer heights and gives each position its
-    level.  A point's key is (dim, birth level, death level), the death
-    level of an essential class one past the last.  The table keeps the
-    distinct heights with the denominator and makes no Fraction; its levels
-    are the distinct heights, since every simplex is one event at its own
-    height.
+    Every simplex is one event at its own height, so the table's levels are
+    the ``distinct`` heights, and since the simplices of one dimension are
+    one range of static indices, one pass over the ``level`` of each simplex
+    counts every dimension's simplices per level, with neither the
+    filtration nor the pairing.  The table makes no Fraction.  It runs
+    ``_pair_events`` on first read of its keys or rows.
     """
-    dims = table.dims
-    distinct: List[int] = []
-    level = [0] * len(order)
-    previous = None
-    for i, s in enumerate(order):
-        h = heights[s]
-        if h != previous:
-            distinct.append(h)
-            previous = h
-        level[i] = len(distinct) - 1
     top = len(distinct)
-    keys = [(dims[order[i]], level[i], level[j]) for i, j in pairs]
-    keys.extend([(dims[order[i]], level[i], top) for i in essentials])
+    histogram = {}
+    for k, (lo, hi) in enumerate(table.ranges):
+        row = [0] * top
+        for i in level[lo:hi]:
+            row[i] += 1
+        histogram[k] = row
+    return EventTable(
+        distinct,
+        denominator,
+        histogram,
+        lambda: _pair_events(level, top, table, order),
+    )
+
+
+def _pair_events(
+    level: List[int],
+    top: int,
+    table: BoundaryTable,
+    order: Optional[Sequence[int]],
+) -> Pairing:
+    """The diagram's point keys and event rows, from the pairing.
+
+    ``order`` is the filtration; when it is None, the static indices sorted
+    by level, a stable sort, so at one height every facet stays before its
+    cofaces.  A point's key is (dim, birth level, death level), the death
+    level of an essential class ``top``, one past the last.
+    """
+    if order is None:
+        order = sorted(range(len(level)), key=level.__getitem__)
+    pairs, essentials = _reduce_pairs(order, table)
+    dims = table.dims
+    at = list(map(level.__getitem__, order))
+    keys = [(dims[order[i]], at[i], at[j]) for i, j in pairs]
+    keys.extend([(dims[order[i]], at[i], top) for i in essentials])
     rows = {
         k: EventRow([0] * top, [0] * top, [0] * top)
         for k in range(max(keys)[0] + 1 if keys else 0)
@@ -397,7 +497,7 @@ def _emit_points(
             deaths[d] += 1
             if d == b:
                 zeros[b] += 1
-    return keys, EventTable(distinct, denominator, rows)
+    return keys, rows
 
 
 def compute_apd(
@@ -434,30 +534,26 @@ def _apd(
     direction = tuple(Fraction(x) for x in direction)
     _check_direction(direction, table.ambient_dim)
     d_scale = math.lcm(*(x.denominator for x in direction))
-    heights = _heights(
+    distinct, level = _heights(
         table, [x.numerator * (d_scale // x.denominator) for x in direction]
     )
-    if order is None:
-        filtration = sorted(range(len(heights)), key=heights.__getitem__)
-    elif len(order) != len(table.simplices) or set(order) != set(table.simplices):
-        raise InvalidInput("order is not a permutation of the complex")
-    else:
+    filtration = None
+    if order is not None:
+        if len(order) != len(table.simplices) or set(order) != set(table.simplices):
+            raise InvalidInput("order is not a permutation of the complex")
         index = {s: i for i, s in enumerate(table.simplices)}
         filtration = [index[s] for s in order]
-        _check_filtration(filtration, heights, table)
-    pairs, essentials = _reduce_pairs(filtration, table)
-    keys, events = _emit_points(
-        filtration, pairs, essentials, heights, table, d_scale * table.scale
-    )
-    return AugmentedDiagram(direction, keys, events)
+        _check_filtration(filtration, level, table)
+    events = _emit_points(level, distinct, table, d_scale * table.scale, filtration)
+    return AugmentedDiagram(direction, events)
 
 
 def _check_filtration(
-    filtration: Sequence[int], heights: Sequence[int], table: BoundaryTable
+    filtration: Sequence[int], level: Sequence[int], table: BoundaryTable
 ) -> None:
-    """Raise InvalidInput unless heights never decrease along the order and
-    every facet comes before its cofaces."""
-    ordered = [heights[s] for s in filtration]
+    """Raise InvalidInput unless heights, given by their levels, never
+    decrease along the order and every facet comes before its cofaces."""
+    ordered = [level[s] for s in filtration]
     if any(a > b for a, b in zip(ordered, ordered[1:])):
         raise InvalidInput("order is not a filtration: a height decreases")
     position = [0] * len(filtration)

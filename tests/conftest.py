@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from apdrec import AugmentedDiagram, Oracle, build_complex
-from apdrec.oracle import EventRow, EventTable
+from apdrec.oracle import EventTable
 
 
 def cx(ambient_dim, points, maximal):
@@ -19,19 +19,21 @@ def cx(ambient_dim, points, maximal):
 def shifted_count(dgm, k, height, delta):
     """The diagram with its k-simplex count at the height moved by delta.
 
-    A positive delta adds dimension-k births there, a negative one takes
-    dimension-(k-1) deaths away.  Only the event table changes, which is all
-    the reconstruction stages read.
+    Only the simplex histogram changes, which is all the reconstruction
+    stages read; the pairing, read on demand, is the true diagram's.
     """
     events = dgm.events
-    rows = dict(events.rows)
-    dim, field = (k, "births") if delta > 0 else (k - 1, "deaths")
-    row = rows.get(dim) or EventRow(*([0] * len(events.heights) for _ in range(3)))
-    values = list(getattr(row, field))
-    values[events.level(height)] += delta
-    rows[dim] = row._replace(**{field: values})
-    table = EventTable(events.heights, events.denominator, rows)
-    return AugmentedDiagram(dgm.direction, dgm._keys, table)
+    histogram = dict(events.histogram)
+    row = list(histogram.get(k) or [0] * len(events.heights))
+    row[events.level(height)] += delta
+    histogram[k] = row
+    table = EventTable(
+        events.heights,
+        events.denominator,
+        histogram,
+        lambda: (events.keys, events.rows),
+    )
+    return AugmentedDiagram(dgm.direction, table)
 
 
 class TamperedOracle(Oracle):

@@ -111,7 +111,8 @@ def test_find_up_edges_figure():
     points = ordered_points(K)
     frame = standard_frame(2)
     sweep = oracle.query(vneg(frame.u1))
-    ups = find_up_edges(0, [5], global_order(K, 0), sweep, oracle, points, frame, ())
+    indegree = sweep.count_at(1, -frame.height(points[0]))
+    ups = find_up_edges(0, [5], global_order(K, 0), indegree, oracle, points, ())
     assert sorted(ups) == [1, 3]
 
 
@@ -122,7 +123,8 @@ def test_find_up_edges_isolated_top_vertex():
     frame = standard_frame(2)
     sweep = oracle.query(vneg(frame.u1))
     order = global_order(K, 0)
-    assert find_up_edges(0, [], order, sweep, oracle, points, frame, ()) == []
+    indegree = sweep.count_at(1, -frame.height(points[0]))
+    assert find_up_edges(0, [], order, indegree, oracle, points, ()) == []
     assert oracle.log.count == 1  # nothing beyond the shared diagram
 
 
@@ -132,7 +134,8 @@ def test_find_up_edges_star():
     points = ordered_points(K)
     frame = standard_frame(2)
     sweep = oracle.query(vneg(frame.u1))
-    ups = find_up_edges(0, [], global_order(K, 0), sweep, oracle, points, frame, ())
+    indegree = sweep.count_at(1, -frame.height(points[0]))
+    ups = find_up_edges(0, [], global_order(K, 0), indegree, oracle, points, ())
     assert sorted(ups) == [1, 2, 3, 4]
 
 
@@ -285,9 +288,9 @@ def find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep):
     real = find_up_edges
     calls = []
 
-    def recording(vertex, known, order, sweep, oracle, pts, frame, excluded, cuts=()):
+    def recording(vertex, known, order, indegree, oracle, pts, excluded, cuts=()):
         calls.append((vertex, sorted(known), list(cuts)))
-        return real(vertex, known, order, sweep, oracle, pts, frame, excluded, cuts)
+        return real(vertex, known, order, indegree, oracle, pts, excluded, cuts)
 
     monkeypatch.setattr(edges_mod, "find_up_edges", recording)
     found, _ = find_edges(points, oracle, frame, sweep)

@@ -512,6 +512,13 @@ def test_fraction_free_rref_matches_the_rational_reference(system):
         p = got[i][pivots[i]] if i < len(pivots) else 0
         assert row == [p * x for x in ref]
 
+    # the square case of affine independence is a determinant test
+    square = [tuple(row[:dim]) for row in rows[:dim]]
+    if len(square) == dim:
+        origin = (F(0),) * dim
+        full_rank = len(reference_rref([list(row) for row in square])[1]) == dim
+        assert affinely_independent([origin] + square) == full_rank
+
     equations = [(row[:dim], row[dim]) for row in rows]
     solution = _solve_particular(equations, dim)
     assert solution == reference_solve_particular(equations, dim)

@@ -196,3 +196,27 @@ def test_roundtrip_edge_cases():
 
     empty = build_complex(2, {}, [])
     assert complexes_match(reconstruct(Oracle(empty)), empty)
+
+
+def test_reconstruction_never_pairs(monkeypatch):
+    """The stages read only simplex counts, so a round trip never runs the
+    reduction: with it raising, a sample of the acceptance corpus, a lifted
+    codimension-zero case and a planar graph all come back exact."""
+    import apdrec.oracle as oracle_mod
+    from test_acceptance import _trial_configs
+
+    def refuse(*args):
+        raise AssertionError("the reconstruction paired a diagram")
+
+    monkeypatch.setattr(oracle_mod, "_reduce_pairs", refuse)
+    lifted = GeneratorConfig(
+        3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2, lift_general_position=True
+    )
+    planar = GeneratorConfig(2, 30, 1, densities=[0.15], seed=1)
+    reports = [
+        verify_roundtrip(generate_complex(cfg))
+        for cfg in _trial_configs()[::5] + [lifted, planar]
+    ]
+    assert all(r.exact_match and r.all_bounds_ok for r in reports)
+    # the codimension-zero case went through the lifted pass (k == d == 3)
+    assert any(k == 3 for k, _ in reports[-2].predicate_calls)

@@ -581,3 +581,76 @@ def test_event_levels_are_integers_over_the_diagram_denominator():
     assert fresh.events._levels is None
     assert events.levels == on_grid
     assert events.levels is events.levels
+
+
+# ---------------------------------------------------------------------------
+# the simplex histogram and the pairing on first read
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_and_directions(), st.sampled_from([None] + VALUES))
+def test_simplex_histogram_equals_the_reduced_event_counts(case, last):
+    """The histogram, built without the pairing, counts at each level the
+    deaths of dimension k-1 plus the births of dimension k of the reduced
+    rows, and the same of the definition's points; ``births(0)`` reads the
+    same before and after the pairing.  On plain and lifted diagrams, with
+    height ties, and on every restriction."""
+    K, direction = case
+    oracle = Oracle(K)
+    if last is not None:
+        oracle, K, direction = oracle.lifted(), lift(K), direction + (last,)
+    dgm = oracle.query(direction)
+    unpaired_births = dgm.births(0)
+    unpaired_counts = [dgm.counts(k) for k in range(-1, K.ambient_dim + 3)]
+    assert dgm.events._paired is None
+    expected = reference_apd(K, direction)
+    assert points_of(dgm) == expected
+    assert dgm.births(0) == unpaired_births == births_by_scan(expected, 0)
+    views = [(dgm, expected)] + [
+        (dgm.restrict(d), [p for p in expected if p[0] == d]) for d in range(-1, 4)
+    ]
+    for view, pts in views:
+        events = view.events
+        none = [0] * len(events.heights)
+        for k in range(-1, K.ambient_dim + 3):
+            lower, upper = events.rows.get(k - 1), events.rows.get(k)
+            reduced = [
+                a + b
+                for a, b in zip(
+                    lower.deaths if lower else none, upper.births if upper else none
+                )
+            ]
+            assert view.counts(k) == reduced
+            assert reduced == [count_at_by_scan(pts, k, h) for h in events.levels]
+    assert [dgm.counts(k) for k in range(-1, K.ambient_dim + 3)] == unpaired_counts
+
+
+def test_counts_and_euler_curves_never_pair_and_points_pair_once(monkeypatch):
+    """Counts, dimension-0 births and the Euler curve read the histogram
+    alone; points, Betti curves, higher births and restrictions run the
+    reduction once per diagram and keep it."""
+    calls = []
+    real = oracle_mod._reduce_pairs
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle_mod, "_reduce_pairs", counting)
+    K = generate_complex(GeneratorConfig(3, 8, 2, densities=[0.6, 0.7], seed=5))
+    oracle = Oracle(K)
+    dgm = oracle.query((1, 2, 3))
+    euler_curve_from_apd(dgm)
+    dgm.births(0)
+    assert [dgm.simplex_count(k) for k in range(3)] == [K.n_k(k) for k in range(3)]
+    assert calls == []
+    assert dgm.points is dgm.points
+    for k in range(3):
+        betti_curve_from_apd(dgm, k)
+    dgm.births(1)
+    dgm.restrict(1).points
+    assert len(calls) == 1
+    other = oracle.query((3, -2, 1))
+    betti_curve_from_apd(other, 1)
+    other.points
+    assert len(calls) == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -229,12 +230,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Returns 0 on success, 2 for an ApdrecError, and 1
+    when the reader of stdout has gone (``apdrec stats ... | head``): what is
+    left to write goes to os.devnull, so the flush at exit raises no second
+    BrokenPipeError, and no traceback is printed."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ApdrecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -145,11 +145,11 @@ def find_up_edges(
     vertices are known not to be endpoints and are left out of the
     candidates.  Each (p, q, count) of ``cuts`` counts the vertex's
     neighbours whose offset (x, y) has ``p * x < q * y``, q > 0;
-    ``known_below_edges`` must then hold every neighbour below the vertex.
-    The search starts from the pieces of the candidates between the cuts
-    (see ``_pieces``) and processes intervals left first; a zero-count
-    interval is dropped, one whose count equals its number of candidates
-    emits them all, anything else is split.
+    ``known_below_edges`` must then hold exactly the neighbours below the
+    vertex.  The search starts from the pieces of the candidates between
+    the cuts (see ``_pieces``) and processes intervals left first; a
+    zero-count interval is dropped, one whose count equals its number of
+    candidates emits them all, anything else is split.
     """
     # from a list: a short tuple(genexpr) is freed into another size's free list
     candidates = tuple([vid for vid, _ in order.ordered if vid not in excluded])
@@ -160,7 +160,7 @@ def find_up_edges(
 
     # the known neighbours first, then the endpoints found, in order
     neighbors: List[int] = list(known_below_edges)
-    pieces = _pieces(candidates, indegree, cuts, known_below_edges, order.offsets)
+    pieces = _pieces(candidates, indegree, cuts, known_below_edges, order)
     stack = [
         EdgeInterval(vertex, candidates[start:end], count)
         for start, end, count in reversed(pieces)
@@ -183,33 +183,33 @@ def _pieces(
     indegree: int,
     cuts: Sequence[Cut],
     known: Sequence[int],
-    offsets: Dict[int, Tuple[int, int]],
+    order: RadialOrder,
 ) -> List[Tuple[int, int, int]]:
     """(start, end, edge count) of the candidates between consecutive cuts.
 
     The candidates run in descending slope, so those below a cut's line,
-    ``p * x < q * y`` with x > 0, are a prefix; its length is found by
-    bisection, and the up-neighbours in it are the cut's count less the
-    known neighbours below the line.  The empty prefix holds none and the
+    ``p * x < q * y`` with x > 0, are a prefix.  The ``known`` neighbours
+    all lie below the vertex, x < 0, where the same test says that the
+    slope y / x is below the line's, so in the ascending slope order of
+    ``order.by_slope`` those below the line are a prefix too.  Both prefix
+    lengths are found by bisection, and the up-neighbours in the first are
+    the cut's count less the second.  The empty prefix holds none and the
     whole one ``indegree``.  Two prefix counts at one length that differ,
     or a piece whose count is negative or above its size, raise
     OracleInconsistency.
     """
+    offsets = order.offsets
+    ups = [offsets[c] for c in candidates]
+    known_offsets = {offsets[w] for w in known}
+    downs = [off for off in order.by_slope if off in known_offsets]
     prefix = {0: 0, len(candidates): indegree}
     for p, q, count in cuts:
-        lo, hi = 0, len(candidates)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            x, y = offsets[candidates[mid]]
-            if p * x < q * y:
-                lo = mid + 1
-            else:
-                hi = mid
-        count -= sum(1 for w in known if p * offsets[w][0] < q * offsets[w][1])
-        if prefix.setdefault(lo, count) != count:
+        end = _below_line(ups, p, q)
+        count -= _below_line(downs, p, q)
+        if prefix.setdefault(end, count) != count:
             raise OracleInconsistency(
-                f"two cuts count {prefix[lo]} and {count} edges up "
-                f"in the first {lo} candidates"
+                f"two cuts count {prefix[end]} and {count} edges up "
+                f"in the first {end} candidates"
             )
     positions = sorted(prefix)
     pieces = []
@@ -221,6 +221,20 @@ def _pieces(
             )
         pieces.append((start, end, count))
     return pieces
+
+
+def _below_line(offsets: Sequence[Tuple[int, int]], p: int, q: int) -> int:
+    """Length of the prefix of ``offsets`` with ``p * x < q * y``, for
+    offsets ordered so that those form a prefix."""
+    lo, hi = 0, len(offsets)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        x, y = offsets[mid]
+        if p * x < q * y:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class _KeptAnswers:

@@ -2,13 +2,22 @@
 
 The augmented diagram keeps every zero-persistence pair, so each simplex of
 the complex shows up as exactly one birth or death event.  Pairing is
-boundary-matrix reduction over Z/2 on a compatible index filtration, with
-clearing: dimensions are reduced top first, each in filtration order, and a
-column whose simplex is already the lowest row of a reduced higher column is
-a birth and is skipped, since it would reduce to zero.  Columns of dimension
-two and up are bitmask integers; the edges are paired with the vertices by
-union-find with the elder rule.  The pairing of a filtration is unique, so
-clearing and union-find leave the points as they are.
+persistent cohomology over Z/2 on a compatible index filtration, with
+clearing.  The edges are paired with the vertices by union-find with the
+elder rule.  Then each dimension from one up to one below the top, lowest
+first, reduces the coboundary columns of its simplices in decreasing
+filtration position, skipping every simplex already paired as a death one
+dimension down, since its column would reduce to zero.  Columns are bitmask
+integers over the cofacets, the earliest cofacet the highest bit, and a
+column's pivot is the death of its simplex.  Reducing coboundaries so is
+the reduction of the anti-transposed boundary matrix, which has the same
+pivot pairs (de Silva, Morozov and Vejdemo-Johansson, 2011), and the
+pairing of a filtration is unique, so union-find, cohomology and clearing
+leave the points as they are.  Cohomology is chosen for speed alone:
+homology reduces the boundary column of every essential class to zero and
+clearing cannot skip it, so a complex with many top-dimensional classes
+pays for those zero columns on every query, while cohomology builds no
+column of the top dimension at all.
 
 Every diagram carries an EventTable.  Its per-level simplex histogram is the
 only source of counts: by the simplex-count correspondence every k-simplex
@@ -321,6 +330,10 @@ class BoundaryTable:
     (start, end) of the static indices of dimension k.  ``coords`` holds each
     vertex's coordinates times ``scale``, the common denominator L of all
     coordinates, so every entry is an int.
+
+    ``cofacets[j]``, the static indices of the cofacets of simplex j, serves
+    the pairing alone; it is built on first read and kept, so a table that
+    never pairs never builds it.
     """
 
     def __init__(self, complex_: SimplicialComplex):
@@ -338,6 +351,17 @@ class BoundaryTable:
         ]
         rows = [complex_.vertices[s[0]] for s in self.simplices if len(s) == 1]
         self.coords, self.scale = scale_to_integers(rows)
+        self._cofacets: Optional[List[Tuple[int, ...]]] = None
+
+    @property
+    def cofacets(self) -> List[Tuple[int, ...]]:
+        if self._cofacets is None:
+            cofacets: List[List[int]] = [[] for _ in self.simplices]
+            for j, fs in enumerate(self.facets):
+                for f in fs:
+                    cofacets[f].append(j)
+            self._cofacets = [tuple(c) for c in cofacets]
+        return self._cofacets
 
 
 def _heights(
@@ -366,71 +390,83 @@ def _heights(
 def _reduce_pairs(
     order: Sequence[int], table: BoundaryTable
 ) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Z/2 column reduction with clearing over the filtration ``order``.
+    """Z/2 persistent cohomology with clearing over the filtration ``order``.
 
     ``order`` lists static indices and must be a filtration: every facet
-    before its cofaces.  Columns are bitmask integers over filtration
-    positions, built from the table's facet indices.  Dimensions two and up
-    are reduced top first, each in filtration order; a column is only ever
-    added to one of its own dimension, so within a dimension this is the
-    left-to-right reduction.  A position that is already the lowest row of
-    a reduced column one dimension up is a birth, whose column would reduce
-    to zero, so it is skipped.
-
-    The edges not skipped so are then paired by union-find over the
-    vertices, in filtration order.  A component's root is its oldest vertex
+    before its cofaces.  The edges are paired first, by union-find over the
+    vertices in filtration order.  A component's root is its oldest vertex
     (path halving keeps the trees flat); an edge joining two components
-    kills the younger root and merges it into the elder, and an edge
-    within one component is an essential birth.  This is the elder rule,
-    and since the pairing of a filtration is unique, it pairs what the
+    kills the younger root and merges it into the elder, and an edge within
+    one component is left to the cohomology below.  This is the elder rule.
+
+    Then, for k from 1 up to one below the top dimension, the k-simplices
+    not yet paired are taken in decreasing filtration position.  Each
+    one's coboundary is a bitmask integer over the cofacets, bit
+    ``len(order) - 1 - position`` for a cofacet, so the earliest cofacet is
+    the highest bit, the pivot.  A column is only ever added to one of its
+    own dimension taken before it, so this is the left-to-right reduction
+    of the anti-transposed boundary matrix, whose pivots are the boundary
+    matrix's pairs (de Silva, Morozov and Vejdemo-Johansson, 2011): a
+    column with pivot p pairs its simplex, a birth, with the death at p.  A
+    column that reduces to zero is an essential class.  Clearing: a
+    k-simplex paired as a death one dimension down, by a pivot or by
+    union-find, would reduce to zero and is skipped, which is why the
+    dimensions run lowest first.  A top simplex that is never a pivot is
+    essential.
+
+    The pairing of a filtration is unique, so this pairs what the boundary
     column reduction would.  Returns (birth, death) position pairs and the
-    essential positions.
+    essential positions, ascending.
     """
-    position = [0] * len(order)
+    n = len(order)
+    last = n - 1
+    position = [0] * n
     for i, s in enumerate(order):
         position[s] = i
-    dims = table.dims
+    ranges = table.ranges
     facet_table = table.facets
     pairs: List[Tuple[int, int]] = []
-    reduced_by_low: Dict[int, int] = {}
-    paired = bytearray(len(order))
-    for lo, hi in reversed(table.ranges[2:]):
+    paired = bytearray(n)
+    if len(ranges) > 1:
+        # vertices are the static indices below lo, each its own root at first
+        lo, hi = ranges[1]
+        parent = list(range(lo))
         for j in sorted(position[lo:hi]):
-            if paired[j]:
+            a, b = facet_table[order[j]]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a == b:
                 continue
-            col = 0
-            for f in facet_table[order[j]]:
-                col ^= 1 << position[f]
-            while col:
-                low = col.bit_length() - 1
-                other = reduced_by_low.get(low)
-                if other is None:
-                    reduced_by_low[low] = col
-                    pairs.append((low, j))
-                    paired[low] = paired[j] = 1
-                    break
-                col ^= other
-    # vertices are the static indices below lo, each its own root at first
-    lo, hi = bisect_left(dims, 1), bisect_left(dims, 2)
-    parent = list(range(lo))
-    for j in sorted(position[lo:hi]):
-        if paired[j]:
-            continue
-        a, b = facet_table[order[j]]
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a == b:
-            continue
-        if position[a] > position[b]:
-            a, b = b, a
-        parent[b] = a
-        pairs.append((position[b], j))
-        paired[position[b]] = paired[j] = 1
-    essentials = [i for i in range(len(order)) if not paired[i]]
+            if position[a] > position[b]:
+                a, b = b, a
+            parent[b] = a
+            pairs.append((position[b], j))
+            paired[position[b]] = paired[j] = 1
+    if len(ranges) > 2:
+        cofacets = table.cofacets
+        for lo, hi in ranges[1:-1]:
+            reduced_by_pivot: Dict[int, int] = {}
+            for i in sorted(position[lo:hi], reverse=True):
+                if paired[i]:
+                    continue
+                col = 0
+                for c in cofacets[order[i]]:
+                    col |= 1 << (last - position[c])
+                while col:
+                    pivot = col.bit_length() - 1
+                    other = reduced_by_pivot.get(pivot)
+                    if other is None:
+                        reduced_by_pivot[pivot] = col
+                        j = last - pivot
+                        pairs.append((i, j))
+                        paired[i] = paired[j] = 1
+                        break
+                    col ^= other
+    essentials = [i for i in range(n) if not paired[i]]
     return pairs, essentials
 
 

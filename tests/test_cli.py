@@ -437,3 +437,25 @@ def test_cli_fuzz_exits_zero_or_two(fuzz_file, call):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize("command", ["stats", "apd --dir 1,0", "reconstruct"])
+def test_cli_closed_pipe_exits_one_without_a_traceback(
+    capsys, monkeypatch, triangle_file, command
+):
+    """stdout is a pipe whose reader has gone, as in ``apdrec stats ... |
+    head``: the write raises BrokenPipeError, main returns 1 and prints
+    nothing to stderr, and the pipe's descriptor then points at os.devnull,
+    so closing the stream flushes what is left without a second error."""
+    import os
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    closed = open(write_end, "w", encoding="utf-8")
+    monkeypatch.setattr("sys.stdout", closed)
+    code = main(command.split() + ["--complex", triangle_file])
+    monkeypatch.undo()
+    closed.write("more\n")
+    closed.close()
+    assert code == 1
+    assert capsys.readouterr().err == ""

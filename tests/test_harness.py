@@ -220,3 +220,43 @@ def test_reconstruction_never_pairs(monkeypatch):
     assert all(r.exact_match and r.all_bounds_ok for r in reports)
     # the codimension-zero case went through the lifted pass (k == d == 3)
     assert any(k == 3 for k, _ in reports[-2].predicate_calls)
+
+
+def test_reconstruction_never_builds_the_cofacet_table(monkeypatch):
+    """The cofacet table serves the pairing alone and is built on its first
+    read, so every boundary table a round trip makes, for a sample of the
+    acceptance corpus, a lifted codimension-zero case and a planar graph,
+    is left without one."""
+    import apdrec.oracle as oracle_mod
+    from test_acceptance import _trial_configs
+
+    tables = []
+    real_init = oracle_mod.BoundaryTable.__init__
+
+    def recording(self, complex_):
+        real_init(self, complex_)
+        tables.append(self)
+
+    monkeypatch.setattr(oracle_mod.BoundaryTable, "__init__", recording)
+    lifted = GeneratorConfig(
+        3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2, lift_general_position=True
+    )
+    planar = GeneratorConfig(2, 30, 1, densities=[0.15], seed=1)
+    for cfg in _trial_configs()[::5] + [lifted, planar]:
+        report = verify_roundtrip(generate_complex(cfg))
+        assert report.exact_match and report.all_bounds_ok
+    assert len(tables) >= 12
+    assert all(table._cofacets is None for table in tables)
+    # the table builds it on the first pairing and keeps it
+    K = generate_complex(lifted)
+    dgm = oracle_mod.Oracle(K).query((1, 2, 3))
+    assert tables[-1]._cofacets is None
+    dgm.points
+    cofacets = tables[-1]._cofacets
+    assert cofacets is not None and tables[-1].cofacets is cofacets
+    index = {s: i for i, s in enumerate(tables[-1].simplices)}
+    assert all(
+        (index[c] in cofacets[index[s]]) == (len(c) == len(s) + 1 and set(s) < set(c))
+        for s in K.simplices
+        for c in K.simplices
+    )

@@ -409,7 +409,7 @@ def test_event_table_reads_match_the_point_scans(case, last):
 
 def test_clearing_on_the_dense_stream_complex():
     """The benchmark's dense complex, where clearing skips hundreds of
-    columns, reduces to the definition's points in tie and rational
+    columns, pairs to the definition's points in tie and rational
     directions."""
     K = generate_complex(GeneratorConfig(3, 24, 3, densities=[0.8], seed=0))
     assert len(K.simplices) == 2016
@@ -421,12 +421,13 @@ def test_clearing_on_the_dense_stream_complex():
     for direction in directions:
         dgm = compute_apd(K, direction)
         assert points_of(dgm) == reference_apd(K, direction)
-        # every finite pair born in dimension >= 1 is a column clearing skips
+        # the death of every finite pair born in dimension >= 1 is never
+        # reduced: a triangle that clearing skips, or a top tetrahedron
         assert sum(1 for p in dgm.points if p.dim >= 1 and not p.essential) > 500
 
 
 # ---------------------------------------------------------------------------
-# edge pairing by union-find, after clearing
+# edge pairing by union-find, then cohomology with clearing
 
 
 def assert_pairs_match(K, direction, order):
@@ -443,7 +444,9 @@ def assert_pairs_match(K, direction, order):
 
 
 def cleared_edges(order, pairs):
-    """Edges that a triangle kills: the ones clearing skips."""
+    """Edges that a triangle kills.  Union-find leaves them; their coboundary
+    columns are reduced, and the triangles that kill them are the ones
+    clearing skips in dimension two."""
     return [order[i] for i, _ in pairs if len(order[i]) == 2]
 
 
@@ -495,9 +498,11 @@ PAIRING_CASES = {
 
 @pytest.mark.parametrize("K, directions", PAIRING_CASES.values(), ids=PAIRING_CASES.keys())
 def test_union_find_pairs_the_edges_clearing_left(K, directions):
-    """Edges killed by a triangle are cleared before union-find runs; the
-    rest pair with vertices by the elder rule.  Both give the definition's
-    pairs, on the kernel's own order and on random compatible ones."""
+    """Union-find pairs each edge that joins two components with a vertex,
+    by the elder rule, before any triangle is looked at; the edges it
+    leaves, those a triangle kills among them, are paired by cohomology.
+    Both give the definition's pairs, on the kernel's own order and on
+    random compatible ones."""
     rng = random.Random(17)
     cleared = 0
     for direction in directions:
@@ -513,7 +518,7 @@ def test_union_find_pairs_the_edges_clearing_left(K, directions):
 def test_union_find_pairing_under_every_order_of_a_tied_class():
     """Every compatible order of the six simplices at height 1 (two vertices,
     three edges, one triangle) pairs as the definition does, and each of
-    the three edges is the one the triangle clears under some order."""
+    the three edges is the one the triangle kills under some order."""
     K = cx(2, [(0, 0), (1, -1), (1, 1), (2, 0)], [(0, 1, 2), (1, 2, 3)])
     direction = (1, 0)
     tied = [(1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
@@ -533,6 +538,58 @@ def test_union_find_pairing_under_every_order_of_a_tied_class():
         cleared.update(cleared_edges(order, assert_pairs_match(K, direction, order)))
     assert compatible == 16
     assert {(0, 1), (0, 2), (1, 2)} <= cleared
+
+
+@st.composite
+def generated_complexes_and_directions(draw):
+    """A generated complex with d 3-4 and kappa 2-3, plain or lifted, and a
+    small integer direction, so heights tie often."""
+    d = draw(st.integers(3, 4))
+    kappa = draw(st.integers(2, 3))
+    densities = [draw(st.sampled_from([0.4, 0.7, 1.0])) for _ in range(kappa)]
+    config = GeneratorConfig(
+        d, draw(st.integers(4, 8)), kappa, densities=densities,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    K = generate_complex(config)
+    if draw(st.booleans()):
+        K = lift(K)
+    direction = draw(
+        st.tuples(*[st.integers(-2, 2)] * K.ambient_dim).filter(any)
+    )
+    return K, direction
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_complexes_and_directions(), st.integers(0, 2**32))
+def test_cohomology_pairs_generated_complexes_as_the_definition(case, seed):
+    """``_reduce_pairs`` gives the definition's (birth, death) pairs and
+    essential positions, on the kernel's own order and on random compatible
+    orders of generated complexes, plain and lifted."""
+    K, direction = case
+    hs = vertex_heights(K.vertices, direction)
+    default = sorted(K.simplices, key=lambda s: (simplex_height(s, hs), len(s), s))
+    rng = random.Random(seed)
+    orders = [default] + [random_compatible_order(K, direction, rng) for _ in range(2)]
+    for order in orders:
+        assert_pairs_match(K, direction, order)
+
+
+def test_dense_complex_essentials_are_its_betti_numbers():
+    """On the dense 2016-simplex complex, in every direction, the essential
+    classes of each dimension number the complex's Betti numbers, and the
+    diagram has (2016 + b) / 2 = 1,149 points, b the total Betti number:
+    every simplex is a birth or a finite death, and every point is a
+    birth."""
+    K = generate_complex(GeneratorConfig(3, 24, 3, densities=[0.8], seed=0))
+    betti = betti_numbers_gf2(K)
+    assert len(K.simplices) == 2016 and (2016 + sum(betti)) // 2 == 1149
+    oracle = Oracle(K)
+    for direction in [(3, -1, 2), (0, 0, 1), (1, 1, 0), (F(7, 3), -5, F(1, 2))]:
+        points = oracle.query(direction).points
+        essential = [p.dim for p in points if p.essential]
+        assert [essential.count(k) for k in range(4)] == betti
+        assert len(points) == 1149
 
 
 def test_vertices_only_pair_nothing():

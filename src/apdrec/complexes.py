@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from math import gcd
+from operator import mul
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInput, ParseError
 from .geometry import (
+    IntVector,
     Vector,
+    affine_hyperplane,
     affinely_independent,
     as_vector,
     format_rational,
@@ -112,6 +116,100 @@ def build_complex(
     return SimplicialComplex(ambient_dim, vertices, frozenset(closed))
 
 
+class PositionCheck:
+    """Incremental general-position check of integer points in R^dim.
+
+    ``witnesses(p)`` yields the witnesses by which p breaks general position
+    with the points added so far (``add``), as ``position_violations``
+    lists them.  The state it keeps across candidates:
+
+    - The projected tests bucket each earlier point by the primitive,
+      sign-normalised direction of its (e1, e2) offset from p, O(i) per
+      candidate.  A zero offset is a shared projection, collinear with p
+      and every other earlier point; two points in one bucket are collinear
+      with p.  For dim <= 2 the projection is the point itself, so the same
+      buckets decide affine dependence.
+    - For dim >= 3, each d-subset S of added points has one cached
+      hyperplane (n, c) from ``affine_hyperplane``: S with p is dependent
+      iff n . p == c, one dot product per subset.  A point's subsets are
+      built when the next candidate arrives, so the last point's never are.
+      With fewer than dim earlier points their rank decides.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        self.points: List[IntVector] = []
+        self._planes: List[Tuple[Simplex, IntVector, int]] = []
+        self._planned = 0  # the points whose d-subsets are in _planes
+
+    def add(self, p: IntVector) -> None:
+        self.points.append(p)
+
+    def witnesses(self, p: IntVector) -> Iterator[tuple]:
+        points, dim = self.points, self.dim
+        i = len(points)
+        if dim < 2:
+            zero = [j for j, q in enumerate(points) if q[0] == p[0]]
+            collinear: List[Tuple[int, int]] = []
+        else:
+            zero, collinear = self._projected(p)
+        for j in zero:
+            yield ("projection", j, i)
+        for a, b in collinear:
+            yield ("collinear", a, b, i)
+        if dim <= 2:
+            dependent = [(j,) for j in zero] if min(i, dim) == 1 else collinear
+            for subset in dependent:
+                yield ("affine-dependent",) + subset + (i,)
+        elif i >= dim:
+            self._plan()
+            hits = [S for S, n, c in self._planes if sum(map(mul, n, p)) == c]
+            for subset in sorted(hits):
+                yield ("affine-dependent",) + subset + (i,)
+        elif i and not affinely_independent(points + [p]):
+            yield ("affine-dependent",) + tuple(range(i)) + (i,)
+
+    def _projected(self, p: IntVector) -> Tuple[List[int], List[Tuple[int, int]]]:
+        """The earlier points sharing p's projection, and every earlier pair
+        (a, b), a < b in lexicographic order, projected collinear with p."""
+        px, py = p[0], p[1]
+        zero: List[int] = []
+        keys: List[Optional[Tuple[int, int]]] = []
+        buckets: Dict[Tuple[int, int], List[int]] = {}
+        for j, q in enumerate(self.points):
+            dx, dy = q[0] - px, q[1] - py
+            if not dx and not dy:
+                zero.append(j)
+                keys.append(None)
+                continue
+            g = gcd(dx, dy)
+            if dx < 0 or not dx and dy < 0:
+                g = -g
+            key = (dx // g, dy // g)
+            keys.append(key)
+            buckets.setdefault(key, []).append(j)
+        i = len(keys)
+        if not zero and len(buckets) == i:
+            return zero, []
+        collinear = []
+        for a, key in enumerate(keys):
+            partners = range(a + 1, i) if key is None else sorted(
+                b for b in zero + buckets[key] if b > a
+            )
+            collinear.extend((a, b) for b in partners)
+        return zero, collinear
+
+    def _plan(self) -> None:
+        """Cache the hyperplane of every d-subset of the added points."""
+        points = self.points
+        for k in range(self._planned, len(points)):
+            for rest in combinations(range(k), self.dim - 1):
+                subset = rest + (k,)
+                normal, c = affine_hyperplane([points[j] for j in subset])
+                self._planes.append((subset, normal, c))
+        self._planned = len(points)
+
+
 def position_violations(
     points: Sequence[Sequence], i: int, dim: int
 ) -> Iterator[tuple]:
@@ -122,21 +220,14 @@ def position_violations(
     projections are collinear with its own, and ("affine-dependent", *js, i)
     for each min(i, dim) earlier points affinely dependent with it.  Over all
     i this covers every dim+1 points, or all when there are fewer.  A common
-    positive scale of the points changes no witness.
+    positive scale of the points changes no witness.  One ``PositionCheck``
+    over the points scaled to integers.
     """
-    p = points[i]
-    for j in range(i):
-        if points[j][:2] == p[:2]:
-            yield ("projection", j, i)
-    if dim >= 2:
-        px, py = p[0], p[1]
-        for a, b in combinations(range(i), 2):
-            (ax, ay), (bx, by) = points[a][:2], points[b][:2]
-            if (bx - ax) * (py - ay) == (by - ay) * (px - ax):
-                yield ("collinear", a, b, i)
-    for subset in combinations(range(i), min(i, dim)):
-        if not affinely_independent([points[j] for j in subset] + [p]):
-            yield ("affine-dependent",) + subset + (i,)
+    scaled, _ = scale_to_integers(points[: i + 1])
+    check = PositionCheck(dim)
+    for q in scaled[:i]:
+        check.add(q)
+    return check.witnesses(scaled[i])
 
 
 def _free_of(kind: str) -> property:
@@ -170,16 +261,18 @@ class GeneralPositionReport:
 def validate_general_position(complex_: SimplicialComplex) -> GeneralPositionReport:
     """Check the general position assumptions that reconstruction relies on.
 
-    One pass of ``position_violations`` over the integer-scaled vertices in
-    id order; witnesses name vertex ids.
+    One ``PositionCheck`` pass over the integer-scaled vertices in id order;
+    witnesses name vertex ids.
     """
     ids = sorted(complex_.vertices)
     points, _ = scale_to_integers([complex_.vertices[vid] for vid in ids])
-    violations = [
-        (w[0],) + tuple(ids[j] for j in w[1:])
-        for i in range(len(ids))
-        for w in position_violations(points, i, complex_.ambient_dim)
-    ]
+    check = PositionCheck(complex_.ambient_dim)
+    violations = []
+    for p in points:
+        violations.extend(
+            (w[0],) + tuple(ids[j] for j in w[1:]) for w in check.witnesses(p)
+        )
+        check.add(p)
     unique = len({p[0] for p in points}) == len(points)
     return GeneralPositionReport(unique, violations)
 

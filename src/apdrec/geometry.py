@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -176,30 +177,6 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
     return out
 
 
-def _nonsingular(rows: Sequence[Sequence[Fraction]]) -> bool:
-    """True iff the square matrix has a nonzero determinant.
-
-    Fraction-free (Bareiss) forward elimination on the rows scaled to ints,
-    a positive scale per row that keeps the determinant's zeroness.  Only
-    the rows below the pivot are updated, and the elimination stops at the
-    first column with no nonzero entry left, where the determinant is 0.
-    """
-    m = _integer_rows(rows)
-    previous = 1
-    for col in range(len(m)):
-        pr = next((i for i in range(col, len(m)) if m[i][col]), None)
-        if pr is None:
-            return False
-        m[col], m[pr] = m[pr], m[col]
-        pivot_row = m[col]
-        p = pivot_row[col]
-        for i in range(col + 1, len(m)):
-            f = m[i][col]
-            m[i] = [(p * a - f * b) // previous for a, b in zip(m[i], pivot_row)]
-        previous = p
-    return True
-
-
 def _solve_particular(
     equations: List[Tuple[Sequence[Fraction], Fraction]], dim: int
 ) -> Optional[List[Fraction]]:
@@ -222,17 +199,44 @@ def _solve_particular(
 
 
 def affinely_independent(points: Sequence[Vector]) -> bool:
-    """True iff no point lies in the affine hull of the others.
-
-    The differences from the first point must be linearly independent.
-    With as many of them as coordinates that is a nonzero determinant
-    (``_nonsingular``); otherwise their rank decides.
-    """
+    """True iff no point lies in the affine hull of the others: the
+    differences from the first point have full rank."""
     diffs = [list(vsub(p, points[0])) for p in points[1:]]
-    if diffs and len(diffs) == len(diffs[0]):
-        return _nonsingular(diffs)
     _, pivots = _rref(diffs)
     return len(pivots) == len(points) - 1
+
+
+def affine_hyperplane(points: Sequence[IntVector]) -> Tuple[IntVector, int]:
+    """(n, c) with n . x - c = det[q2 - q1, ..., qd - q1, x - q1] for the d
+    integer points q1..qd of R^d.
+
+    n is the cofactor vector of the last row (Laplace expansion on it), so
+    for affinely independent points x lies in their affine hull exactly
+    when n . x == c.  For dependent points n = 0 and c = 0: every x then
+    makes a dependent set with them.  The cofactors come from one bottom-up
+    pass of Laplace expansions over the difference rows, 2^d - 2 minors.
+    """
+    q1 = points[0]
+    d = len(q1)
+    rows = [[a - b for a, b in zip(q, q1)] for q in points[1:]]
+    # minors[cols]: the determinant of the last len(cols) rows on those
+    # columns, expanded along the first of those rows
+    minors: Dict[Tuple[int, ...], int] = {(): 1}
+    for size, row in enumerate(reversed(rows), start=1):
+        larger = {}
+        for cols in combinations(range(d), size):
+            value, sign = 0, 1
+            for k, c in enumerate(cols):
+                value += sign * row[c] * minors[cols[:k] + cols[k + 1 :]]
+                sign = -sign
+            larger[cols] = value
+        minors = larger
+    # the last level holds the minors omitting column d-1, d-2, ..., 0
+    normal = tuple(
+        (-1) ** (d + 1 + j) * minor
+        for j, minor in enumerate(reversed(minors.values()))
+    )
+    return normal, sum(map(operator.mul, normal, q1))
 
 
 def orthogonal_to_affine_hull(points: Sequence[Vector]) -> Direction:

@@ -1,13 +1,19 @@
 """Random general-position complexes and round-trip verification.
 
 The generator draws vertices as integer numerators over the coordinate
-denominator bound.  It rejects a candidate on a first-axis tie or on any
-witness of ``complexes.position_violations`` (with ``lift_general_position``,
-also of its lifted numerators in dimension d+1); neither a common scale nor
-the linear map between the two lifts changes a witness.  It then grows the
-simplex set dimension by dimension: a candidate is eligible only once all
-its facets were accepted, and is kept with the configured per-dimension
-probability.  The output is face-closed and byte-reproducible per seed.
+denominator bound, in [-4 * bound, 4 * bound]; a config with more vertices
+than the 8 * bound + 1 first coordinates there is refused before any draw.
+It rejects a candidate on a first-axis tie or on any witness of a
+``complexes.PositionCheck`` over the accepted points (with
+``lift_general_position``, also of a second check over their lifted
+numerators in dimension d+1); neither a common scale nor the linear map
+between the two lifts changes a witness.  The checks keep their direction
+buckets and hyperplanes across candidates, so a candidate costs O(i) bucket
+steps plus one dot product per cached d-subset, and no rank test once i >= d.
+It then grows the simplex set dimension by dimension: a candidate is
+eligible only once all its facets were accepted, and is kept with the
+configured per-dimension probability.  The output is face-closed and
+byte-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .complexes import Simplex, SimplicialComplex, build_complex, position_violations
+from .complexes import PositionCheck, Simplex, SimplicialComplex, build_complex
 from .errors import GenerationFailure, InvalidInput
-from .geometry import IntVector, dot
+from .geometry import dot
 from .higher import reconstruct
 from .oracle import Oracle
 
@@ -58,29 +64,36 @@ def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
         raise InvalidInput("densities must lie in [0, 1]")
     if config.coordinate_denominator_bound < 1:
         raise InvalidInput("coordinate denominator bound must be at least 1")
-    rng = random.Random(config.seed)
     bound = config.coordinate_denominator_bound
     span = 4 * bound
+    if n0 > 2 * span + 1:
+        raise InvalidInput(
+            f"{n0} vertices need distinct first coordinates, but denominator "
+            f"bound {bound} leaves {2 * span + 1}"
+        )
+    rng = random.Random(config.seed)
 
-    points: List[IntVector] = []
-    lifted: List[IntVector] = []
+    firsts: Set[int] = set()
+    check = PositionCheck(d)
+    lifted = PositionCheck(d + 1) if config.lift_general_position else None
     rejections = 0
-    while len(points) < n0:
+    while len(check.points) < n0:
         p = tuple(rng.randint(-span, span) for _ in range(d))
-        i = len(points)
-        points.append(p)
-        lifted.append(p + (dot(p, p),))
+        q = p + (dot(p, p),)
         if (
-            any(q[0] == p[0] for q in points[:i])
-            or any(position_violations(points, i, d))
-            or config.lift_general_position
-            and any(position_violations(lifted, i, d + 1))
+            p[0] in firsts
+            or any(check.witnesses(p))
+            or lifted is not None
+            and any(lifted.witnesses(q))
         ):
-            points.pop()
-            lifted.pop()
             rejections += 1
             if rejections > _REJECTION_LIMIT:
                 raise GenerationFailure(f"exceeded {_REJECTION_LIMIT} vertex rejections")
+            continue
+        firsts.add(p[0])
+        check.add(p)
+        if lifted is not None:
+            lifted.add(q)
 
     accepted: Dict[int, Set[Simplex]] = {0: {(v,) for v in range(n0)}}
     for dim in range(1, config.max_dim + 1):
@@ -97,7 +110,7 @@ def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
 
     simplices = set().union(*accepted.values())
     vertex_map = {
-        i: tuple(Fraction(x, bound) for x in p) for i, p in enumerate(points)
+        i: tuple(Fraction(x, bound) for x in p) for i, p in enumerate(check.points)
     }
     return build_complex(d, vertex_map, simplices)
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, permutations
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 def brute_leftmost_crossing(
@@ -403,3 +403,43 @@ def reference_general_position(
             _, pivots = reference_rref(diffs)
             independent = independent and len(pivots) == len(subset) - 1
     return distinct, collinear_free, independent
+
+
+def affinely_independent(points: Sequence[Sequence]) -> bool:
+    """True iff the differences from the first point have full rank."""
+    diffs = [[Fraction(x) - y for x, y in zip(p, points[0])] for p in points[1:]]
+    return len(reference_rref(diffs)[1]) == len(points) - 1
+
+
+def reference_position_violations(
+    points: Sequence[Sequence], i: int, dim: int
+) -> Iterator[tuple]:
+    """The witnesses by which points[i] breaks general position with
+    points[:i], from the definitions: every earlier point, every earlier
+    pair, and one rank test per min(i, dim)-subset of earlier points."""
+    p = points[i]
+    for j in range(i):
+        if points[j][:2] == p[:2]:
+            yield ("projection", j, i)
+    if dim >= 2:
+        px, py = p[0], p[1]
+        for a, b in combinations(range(i), 2):
+            (ax, ay), (bx, by) = points[a][:2], points[b][:2]
+            if (bx - ax) * (py - ay) == (by - ay) * (px - ax):
+                yield ("collinear", a, b, i)
+    for subset in combinations(range(i), min(i, dim)):
+        if not affinely_independent([points[j] for j in subset] + [p]):
+            yield ("affine-dependent",) + subset + (i,)
+
+
+def leibniz_determinant(rows: Sequence[Sequence]) -> Fraction:
+    """Sum over permutations of the signed products of entries."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for r, c in enumerate(perm):
+            term *= rows[r][c]
+        total += term
+    return total

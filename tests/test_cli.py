@@ -242,9 +242,11 @@ def test_cli_deleted_reconstruction_flags_exit_two(capsys, argv):
         ["verify", "--trials", "-2"],
         ["generate", "--n0", "3", "--dim", "2", "--kappa", "-1"],
         ["verify", "--trials", "2", "--kappa", "-3"],
+        ["generate", "--n0", "600", "--dim", "2", "--kappa", "0"],
     ],
     ids=["density-abc", "density-comma", "bound-zero", "bound-negative",
-         "negative-trials", "generate-negative-kappa", "verify-negative-kappa"],
+         "negative-trials", "generate-negative-kappa", "verify-negative-kappa",
+         "n0-past-first-coordinates"],
 )
 def test_cli_generate_and_verify_reject_bad_input(capsys, argv):
     code = main(argv)

@@ -23,7 +23,11 @@ from apdrec import (
     verify_roundtrip,
 )
 
-from bruteforce import maximal_by_definition, reference_general_position
+from bruteforce import (
+    maximal_by_definition,
+    reference_general_position,
+    reference_position_violations,
+)
 from conftest import cx
 
 F = Fraction
@@ -156,6 +160,57 @@ def test_general_position_report_matches_the_definitions():
             report.affinely_independent,
         ) == flags
         assert report.ok == all(flags)
+
+
+def degenerate_point_set(rng, d, n):
+    """n points of Q^d, each drawn so that a degeneracy is likely: a repeated
+    point, a repeated (e1, e2) projection, a point on the line through two
+    earlier points, an affine combination of up to d earlier points, or a
+    point of a small grid."""
+    values = [F(p, q) for p in range(-2, 3) for q in (1, 2)]
+    points = []
+    for _ in range(n):
+        roll = rng.random()
+        if points and roll < 0.15:
+            p = rng.choice(points)
+        elif points and roll < 0.3:
+            p = rng.choice(points)[:2] + tuple(rng.choice(values) for _ in range(d - 2))
+        elif len(points) >= 2 and roll < 0.5:
+            a, b = rng.sample(points, 2)
+            t = rng.choice(values)
+            p = tuple(x + t * (y - x) for x, y in zip(a, b))
+        elif len(points) >= 2 and roll < 0.7:
+            chosen = rng.sample(points, min(len(points), rng.randint(2, max(2, d))))
+            weights = [rng.choice(values) for _ in chosen[1:]]
+            p = tuple(
+                x0 + sum(w * (q[c] - x0) for w, q in zip(weights, chosen[1:]))
+                for c, x0 in enumerate(chosen[0])
+            )
+        else:
+            p = tuple(rng.choice(values) for _ in range(d))
+        points.append(p)
+    return points
+
+
+def test_position_witnesses_match_the_reference_in_order():
+    """Every witness list, order included, equals the definition's on sets
+    rich in repeated points, shared and collinear projections, dependent
+    subsets and degenerate d-subsets, for d = 1..5; so does the report's."""
+    rng = random.Random(19)
+    kinds = set()
+    for trial in range(250):
+        d = 1 + trial % 5
+        points = degenerate_point_set(rng, d, rng.randint(1, d + 5))
+        want = []
+        for i in range(len(points)):
+            expected = list(reference_position_violations(points, i, d))
+            assert list(position_violations(points, i, d)) == expected
+            want.extend(expected)
+        assert validate_general_position(cx(d, points, [])).violations == want
+        kinds.update((w[0], len(w)) for w in want)
+    # every kind of witness, and d-subsets in every dimension, were exercised
+    assert {("projection", 3), ("collinear", 4)} <= kinds
+    assert {("affine-dependent", d + 2) for d in range(1, 6)} <= kinds
 
 
 def test_general_position_generated_complexes_ok():

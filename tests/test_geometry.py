@@ -21,6 +21,7 @@ from apdrec.geometry import (
     SweepFrame,
     _rref,
     _solve_particular,
+    affine_hyperplane,
     affinely_independent,
     basis_vector,
     dot,
@@ -29,6 +30,7 @@ from apdrec.geometry import (
 
 from bruteforce import (
     brute_leftmost_crossing,
+    leibniz_determinant,
     reference_rref,
     reference_solve_particular,
 )
@@ -512,7 +514,7 @@ def test_fraction_free_rref_matches_the_rational_reference(system):
         p = got[i][pivots[i]] if i < len(pivots) else 0
         assert row == [p * x for x in ref]
 
-    # the square case of affine independence is a determinant test
+    # d+1 points are affinely independent iff their d differences have full rank
     square = [tuple(row[:dim]) for row in rows[:dim]]
     if len(square) == dim:
         origin = (F(0),) * dim
@@ -530,3 +532,21 @@ def test_solve_particular_reports_inconsistent_systems():
     equations = [((F(1), F(2)), F(1)), ((F(2), F(4)), F(3))]
     assert _solve_particular(equations, 2) is None
     assert reference_solve_particular(equations, 2) is None
+
+
+def test_affine_hyperplane_is_the_last_row_cofactor_expansion():
+    """n . x - c equals the determinant of [q2 - q1, ..., qd - q1, x - q1]
+    from the definition, for dependent and independent q in d = 1..5."""
+    rng = random.Random(5)
+    for trial in range(200):
+        d = 1 + trial % 5
+        points = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
+        if trial % 4 == 0 and d >= 2:
+            points[-1] = points[0]  # a dependent set: n = 0 and c = 0
+        normal, c = affine_hyperplane(points)
+        assert all(type(x) is int for x in normal) and type(c) is int
+        x = tuple(rng.randint(-3, 3) for _ in range(d))
+        rows = [vsub(q, points[0]) for q in points[1:] + [x]]
+        assert dot(normal, x) - c == leibniz_determinant(rows)
+        if trial % 4 == 0 and d >= 2:
+            assert not any(normal) and c == 0

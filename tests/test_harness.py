@@ -86,13 +86,87 @@ def test_generator_validates_config():
 
 
 def test_generator_fails_when_grid_exhausted():
-    # denominator bound 1 leaves nine integer first coordinates in [-4, 4]
+    # denominator bound 1 leaves nine integer first coordinates in [-4, 4],
+    # so all nine are used, and no four lifted points (x, y, x^2 + y^2) may
+    # be affinely dependent (no four cocircular or three collinear points)
     with pytest.raises(GenerationFailure):
+        generate_complex(
+            GeneratorConfig(
+                2, 9, 0, densities=[], seed=0, coordinate_denominator_bound=1,
+                lift_general_position=True,
+            )
+        )
+
+
+def test_generator_rejects_more_vertices_than_first_coordinates():
+    """n0 > 8 * bound + 1 vertices cannot have distinct first coordinates in
+    [-4 * bound, 4 * bound]; the config check says so before any draw."""
+    from apdrec import InvalidInput
+
+    with pytest.raises(InvalidInput, match="distinct first coordinates"):
         generate_complex(
             GeneratorConfig(
                 2, 10, 0, densities=[], seed=0, coordinate_denominator_bound=1
             )
         )
+    with pytest.raises(InvalidInput, match="denominator bound 64 leaves 513"):
+        generate_complex(GeneratorConfig(2, 600, 0, densities=[], seed=0))
+    K = generate_complex(
+        GeneratorConfig(2, 9, 0, densities=[], seed=0, coordinate_denominator_bound=1)
+    )
+    assert sorted(p[0] for p in K.vertices.values()) == list(range(-4, 5))
+
+
+def scale_generator_configs():
+    """The dense benchmark complex, the two scale-corpus configs and two
+    larger planar graphs."""
+    return [
+        GeneratorConfig(3, 24, 3, densities=[0.8], seed=0),
+        GeneratorConfig(3, 25, 2, densities=[0.5, 0.6], seed=7),
+        GeneratorConfig(4, 20, 2, densities=[0.5, 0.6], seed=7),
+        GeneratorConfig(2, 60, 1, densities=[0.15], seed=1),
+        GeneratorConfig(2, 120, 1, densities=[0.05], seed=1),
+    ]
+
+
+def test_generator_scale_output_bytes_are_pinned():
+    """The generator's serialized output over the larger configs, hashed;
+    the digest was recorded from the generator that ran one rank test per
+    subset."""
+    digest = hashlib.sha256()
+    for cfg in scale_generator_configs():
+        digest.update(serialize_complex(generate_complex(cfg)).encode())
+    assert digest.hexdigest() == "520a2af4d141d47201674d837952f5ca0dbc0bd49fb56bbcd7a07b95b3590303"
+
+
+def test_generator_cost_is_one_hyperplane_per_subset(monkeypatch):
+    """Planar graphs need no rank test and no hyperplane; the dense complex
+    builds at most one hyperplane per 3-subset of its 24 vertices, and rank
+    tests only while fewer than 3 vertices are accepted."""
+    from math import comb
+
+    import apdrec.complexes as complexes
+    import apdrec.geometry as geometry
+
+    calls = {"_rref": 0, "affine_hyperplane": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(geometry, "_rref")
+    counted(complexes, "affine_hyperplane")
+    for i in range(40):
+        generate_complex(GeneratorConfig(2, 14 + i % 10, 1, densities=[0.3], seed=4000 + i))
+    assert calls == {"_rref": 0, "affine_hyperplane": 0}
+    generate_complex(GeneratorConfig(3, 24, 3, densities=[0.8], seed=0))
+    assert 0 < calls["affine_hyperplane"] <= comb(24, 3)
+    assert calls["_rref"] == 2  # the candidates at i = 1, 2, neither rejected
 
 
 def test_verify_tetrahedron_boundary_in_r4():

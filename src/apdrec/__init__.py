@@ -22,14 +22,13 @@ from .descriptors import (
     euler_curve_direct,
     euler_curve_from_apd,
 )
-from .edges import EdgeInterval, find_edges, find_up_edges, split_wedge
+from .edges import find_edges, find_up_edges, split_wedge
 from .errors import (
     ApdrecError,
     DegeneratePosition,
     GeneralPositionViolated,
     GenerationFailure,
     InvalidInput,
-    NegativeCount,
     OracleInconsistency,
     ParallelDirections,
     ParseError,

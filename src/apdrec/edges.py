@@ -1,41 +1,40 @@
-"""Edge reconstruction: sweep over vertices, binary search in radial wedges.
+"""Edge reconstruction: sweep over vertices, binary search over prefix counts.
 
-A sweep in the first frame direction visits vertices bottom to top, so every
-edge below the current vertex is already known.  The edges above it are found
-by binary search over an *edge interval*: a clockwise slice of the radial
-order around the vertex together with the count of true edges whose
-endpoints lie in the slice.  Splitting an interval costs one diagram: the
-1-indegree of the vertex in an exact separating direction counts all edges
-below that direction, and subtracting the already-known ones leaves the count
-for the left half; the right half follows by subtraction.  Only undecided
-intervals are split: a count of zero drops the slice, a count equal to its
-size takes it whole, and a vertex whose edges to lower vertices are all
-known is left out of it.
+A sweep in the first frame direction visits vertices bottom to top, so when
+it reaches a vertex v every edge from v down is already known.  The edges up
+are found among v's *candidates*: the vertices above v in the clockwise
+radial order about v, less those known not to be endpoints.  A *prefix
+count* is the number of up-neighbours among the first ``end`` candidates.
+It is 0 at 0, and at the last candidate it is v's number of edges up, read
+off one shared diagram.
 
-*Free cuts.*  A split at vertex v asks s = m * u1 - u2, for u1, u2 the frame
-and m = p / q with q > 0.  For any vertex u, a vertex w whose offset from u
-is (x, y) lies below u in s exactly when ``p * x < q * y``, the test the
-split itself uses.  So when u is alone at its height in that diagram, the
-diagram's edge count there is the number of u's neighbours below the line of
-slope m through u, and of the neighbours above u in the sweep, those below
-the line are a prefix of u's radial order.  When v is done, each of its
-split diagrams is read at the height of every later vertex, and only
-(p, q, count) is kept for it.  At u's turn every neighbour below u is known,
-so a cut less the known neighbours below its line is the number of
-up-neighbours in a prefix of u's candidates, whose length a bisection of the
-integer offsets finds.  The search starts from the pieces between
-consecutive cuts instead of from one interval, and each piece it does not
-have to split is a query saved.  Cuts that disagree, with each other or
-with u's count of edges up, raise OracleInconsistency.
+*Cuts.*  A diagram in the direction s = m * u1 - u2, for u1, u2 the frame
+and m = p / q with q > 0, puts a vertex w whose offset from a vertex u is
+(x, y) below u exactly when ``p * x < q * y``.  So when u is alone at its
+height there, the diagram's edge count at that height is the number of u's
+neighbours below the line of slope m through u: a cut (p, q, count).  At
+u's turn every neighbour below u in the sweep is known, and the candidates,
+which run in descending slope, below the line are a prefix; the cut less
+the known neighbours below its line is the prefix count at that prefix's
+length.  Both numbers are found by bisection over integer offsets.
+
+*The search.*  Consecutive prefix counts bound pieces of the candidates.  A
+piece whose count is 0 holds no endpoint and one whose count is its size
+holds only endpoints.  While some piece decides nothing, the leftmost such
+piece is split at its middle candidate: ``split_wedge`` asks the diagram in
+a direction whose line through v separates the two halves, one query, and
+that diagram read at v is one more cut.  Each diagram a vertex's splits
+asked is also read at every later vertex, and the cuts it gives there,
+free, seed that vertex's search, which only ever removes splits.  Two
+prefix counts at one length that differ, or a piece whose count is
+negative or above its size, raise OracleInconsistency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Collection, Dict, List, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import InvalidInput, NegativeCount, OracleInconsistency
+from .errors import InvalidInput, OracleInconsistency
 from .geometry import (
     RadialOrder,
     SweepFrame,
@@ -47,180 +46,116 @@ from .geometry import (
     separating_slope,
     vneg,
 )
-from .oracle import AugmentedDiagram, Oracle
+from .oracle import AugmentedDiagram, EventTable, Oracle
 
 # (p, q, count): count neighbours w of a vertex with p * x < q * y, for (x, y)
 # the offset of w from the vertex and q > 0
 Cut = Tuple[int, int, int]
+# (p, q, events): the counts of the diagram in the direction (p / q) * u1 - u2
+Split = Tuple[int, int, EventTable]
 
 
-@dataclass(frozen=True)
-class EdgeInterval:
-    """Radial wedge record: candidate endpoints plus an edge count.
+def split_wedge(order: RadialOrder, after: int, oracle: Oracle) -> Split:
+    """The diagram of a line through the center after ``order.ordered[after]``.
 
-    ``candidates`` is a contiguous slice of the global radial order about
-    ``vertex``, all strictly above it in the sweep direction, less any
-    vertices known not to be endpoints; ``edge_count`` of them are true edge
-    endpoints.
+    The direction is ``separating_direction(order, after)``, m * u1 - u2 for
+    m = p / q, q > 0, the separating slope, which puts ``ordered[:after + 1]``
+    strictly below the center and the rest of ``ordered`` strictly above.
+    One logged query; ``read_cut`` reads it at the center.
     """
-
-    vertex: int
-    candidates: Tuple[int, ...]
-    edge_count: int
-
-    def __post_init__(self):
-        if not 0 <= self.edge_count <= len(self.candidates):
-            raise NegativeCount(
-                f"edge count {self.edge_count} impossible for "
-                f"{len(self.candidates)} candidates"
-            )
+    m = separating_slope(order, after)
+    dgm = oracle.query(separating_direction(order, after))
+    return m.numerator, m.denominator, dgm.events
 
 
-def split_wedge(
-    interval: EdgeInterval,
-    known_edges: Sequence[int],
-    order: RadialOrder,
-    oracle: Oracle,
-    points: Sequence[Vector],
-) -> Tuple[EdgeInterval, EdgeInterval]:
-    """Split an interval at its middle candidate into left and right halves.
+def read_cut(split: Split, a: int, b: int, unit: int) -> Optional[Cut]:
+    """The cut a split diagram gives at a vertex u with u1 . u = a / unit and
+    u2 . u = b / unit, unit > 0, or None when u shares its height there.
 
-    The separating direction is taken at the lower-index middle candidate
-    (floor of half the size), placing the first half strictly below the
-    vertex and everything radially later strictly above.  The left count is
-    the 1-indegree of the vertex in that direction (dimension-0 deaths plus
-    dimension-1 births at the vertex height: the k = 1 indegree formula,
-    one logged query) minus the known edges falling below; the right count
-    is what remains of the interval's count.  A known neighbour falls below
-    when its offset (x, y) in the order lies below the separating line of
-    slope m = p / q, q > 0: the integer sign test ``p * x < q * y``.
-
-    ``known_edges`` must contain every neighbor already confirmed adjacent
-    to the vertex: all below-edges plus the up-edges found so far (the loop
-    invariant of the caller guarantees these cover everything radially
-    before the interval).
+    u's height in m * u1 - u2 is (p * a - q * b) / (q * unit), an int over a
+    positive int, which the diagram's table looks up without a Fraction.
     """
-    k = len(interval.candidates)
-    if k < 2 or interval.edge_count < 1:
-        raise NegativeCount("split requires >= 2 candidates and >= 1 edge")
-    mid = k // 2
-    after_id = interval.candidates[mid - 1]
-    position = order.position(after_id)
-    direction = separating_direction(order, position)
-    slope = separating_slope(order, position)
-
-    height = dot(direction, points[interval.vertex])
-    dgm = oracle.query(direction)
-    indegree = dgm.count_at(1, height)
-    p, q = slope.numerator, slope.denominator
-    offsets = order.offsets
-    below_known = sum(1 for u in known_edges if p * offsets[u][0] < q * offsets[u][1])
-
-    left_count = indegree - below_known
-    right_count = interval.edge_count - left_count
-    if left_count < 0 or right_count < 0:
-        raise NegativeCount(
-            f"inconsistent split counts: left={left_count} right={right_count}"
-        )
-    left = EdgeInterval(interval.vertex, interval.candidates[:mid], left_count)
-    right = EdgeInterval(interval.vertex, interval.candidates[mid:], right_count)
-    return left, right
+    p, q, events = split
+    i = events.level_of(p * a - q * b, q * unit)
+    if events.count(0, i) != 1:
+        return None
+    return p, q, events.count(1, i)
 
 
 def find_up_edges(
     vertex: int,
-    known_below_edges: Sequence[int],
+    known_below_edges: Collection[int],
     order: RadialOrder,
     indegree: int,
     oracle: Oracle,
-    points: Sequence[Vector],
+    at: Tuple[int, int, int],
     excluded: Collection[int],
     cuts: Sequence[Cut] = (),
-) -> List[int]:
-    """Endpoints of all edges adjacent to and above the vertex.
+) -> Tuple[List[int], List[Split]]:
+    """Endpoints of all edges adjacent to and above the vertex, in radial
+    order, and the splits its search asked.
 
     ``indegree`` is their number: the edge count of the diagram in the
     negated sweep direction at the vertex's height there, since each edge
-    is one event at the height of its top vertex.  The ``excluded``
+    is one event at the height of its top vertex.  ``known_below_edges``
+    must hold exactly the vertex's neighbours below it, and ``at`` is
+    (a, b, unit) for the vertex as in ``read_cut``.  The ``excluded``
     vertices are known not to be endpoints and are left out of the
-    candidates.  Each (p, q, count) of ``cuts`` counts the vertex's
-    neighbours whose offset (x, y) has ``p * x < q * y``, q > 0;
-    ``known_below_edges`` must then hold exactly the neighbours below the
-    vertex.  The search starts from the pieces of the candidates between
-    the cuts (see ``_pieces``) and processes intervals left first; a
-    zero-count interval is dropped, one whose count equals its number of
-    candidates emits them all, anything else is split.
+    candidates.  The prefix counts start from 0, ``indegree`` and the
+    ``cuts``; each split adds its own cut at the vertex, which lands at the
+    middle of the piece it splits.
     """
-    # from a list: a short tuple(genexpr) is freed into another size's free list
-    candidates = tuple([vid for vid, _ in order.ordered if vid not in excluded])
-    if indegree and not candidates:
-        raise OracleInconsistency(
-            f"vertex {vertex} has {indegree} edges up and no candidate"
-        )
-
-    # the known neighbours first, then the endpoints found, in order
-    neighbors: List[int] = list(known_below_edges)
-    pieces = _pieces(candidates, indegree, cuts, known_below_edges, order)
-    stack = [
-        EdgeInterval(vertex, candidates[start:end], count)
-        for start, end, count in reversed(pieces)
+    # (index in order.ordered, id) of each candidate, in radial order
+    candidates = [
+        (i, vid) for i, (vid, _) in enumerate(order.ordered) if vid not in excluded
     ]
-    while stack:
-        interval = stack.pop()
-        if interval.edge_count == 0:
-            continue
-        if interval.edge_count == len(interval.candidates):
-            neighbors.extend(interval.candidates)
-            continue
-        left, right = split_wedge(interval, neighbors, order, oracle, points)
-        stack.append(right)
-        stack.append(left)
-    return neighbors[len(known_below_edges) :]
-
-
-def _pieces(
-    candidates: Sequence[int],
-    indegree: int,
-    cuts: Sequence[Cut],
-    known: Sequence[int],
-    order: RadialOrder,
-) -> List[Tuple[int, int, int]]:
-    """(start, end, edge count) of the candidates between consecutive cuts.
-
-    The candidates run in descending slope, so those below a cut's line,
-    ``p * x < q * y`` with x > 0, are a prefix.  The ``known`` neighbours
-    all lie below the vertex, x < 0, where the same test says that the
-    slope y / x is below the line's, so in the ascending slope order of
-    ``order.by_slope`` those below the line are a prefix too.  Both prefix
-    lengths are found by bisection, and the up-neighbours in the first are
-    the cut's count less the second.  The empty prefix holds none and the
-    whole one ``indegree``.  Two prefix counts at one length that differ,
-    or a piece whose count is negative or above its size, raise
-    OracleInconsistency.
-    """
     offsets = order.offsets
-    ups = [offsets[c] for c in candidates]
-    known_offsets = {offsets[w] for w in known}
+    ups = [offsets[vid] for _, vid in candidates]
+    known_offsets = {offsets[w] for w in known_below_edges}
     downs = [off for off in order.by_slope if off in known_offsets]
-    prefix = {0: 0, len(candidates): indegree}
-    for p, q, count in cuts:
-        end = _below_line(ups, p, q)
-        count -= _below_line(downs, p, q)
+    prefix = {0: 0}
+
+    def record(end: int, count: int) -> int:
         if prefix.setdefault(end, count) != count:
             raise OracleInconsistency(
-                f"two cuts count {prefix[end]} and {count} edges up "
+                f"vertex {vertex}: {prefix[end]} and {count} edges up "
                 f"in the first {end} candidates"
             )
-    positions = sorted(prefix)
-    pieces = []
-    for start, end in zip(positions, positions[1:]):
+        return end
+
+    def add(p: int, q: int, count: int) -> int:
+        # both sides' vertices below the line are prefixes: the candidates
+        # in descending slope, x > 0, the known ones in ascending, x < 0
+        return record(_below_line(ups, p, q), count - _below_line(downs, p, q))
+
+    record(len(candidates), indegree)
+    for cut in cuts:
+        add(*cut)
+    ends = sorted(prefix)
+    found: List[int] = []
+    splits: List[Split] = []
+    i = 0
+    while i + 1 < len(ends):
+        start, end = ends[i], ends[i + 1]
         count = prefix[end] - prefix[start]
         if not 0 <= count <= end - start:
             raise OracleInconsistency(
-                f"cuts leave {count} edges up for {end - start} candidates"
+                f"vertex {vertex}: {count} edges up for {end - start} candidates"
             )
-        pieces.append((start, end, count))
-    return pieces
+        if 0 < count < end - start:
+            split = split_wedge(order, candidates[(start + end) // 2 - 1][0], oracle)
+            cut = read_cut(split, *at)
+            if cut is None:
+                raise OracleInconsistency(
+                    f"vertex {vertex} is not alone at its height in its own split"
+                )
+            splits.append(split)
+            ends.insert(i + 1, add(*cut))
+            continue
+        if count:
+            found.extend([vid for _, vid in candidates[start:end]])
+        i += 1
+    return found, splits
 
 
 def _below_line(offsets: Sequence[Tuple[int, int]], p: int, q: int) -> int:
@@ -237,20 +172,6 @@ def _below_line(offsets: Sequence[Tuple[int, int]], p: int, q: int) -> int:
     return lo
 
 
-class _KeptAnswers:
-    """The oracle as the splits see it: it answers through ``oracle`` and
-    keeps each diagram until ``find_edges`` has read its cuts."""
-
-    def __init__(self, oracle: Oracle):
-        self.oracle = oracle
-        self.diagrams: List[AugmentedDiagram] = []
-
-    def query(self, direction) -> AugmentedDiagram:
-        dgm = self.oracle.query(direction)
-        self.diagrams.append(dgm)
-        return dgm
-
-
 def find_edges(
     points: Sequence[Vector],
     oracle: Oracle,
@@ -260,16 +181,17 @@ def find_edges(
     """All edges of the unknown complex, given the vertex locations.
 
     One shared query in the negated sweep direction feeds every vertex's
-    initial indegree; all remaining queries come from interval splits.  The
+    number of edges up; all remaining queries come from splits.  The
     queries are logged in an "edges" span.  Returns the edges and that
     shared diagram: its k-simplex count at a vertex's negated height is the
     number of k-simplices whose lowest vertex it is, which the higher stage
     reads at no query.
 
     The radial orders are taken on the points scaled to integers by their
-    common denominator, so every projected offset is a pair of ints.  The
-    sweep heights and the heights read off diagrams are ints over one
-    positive denominator too, read with ``EventTable.level_of``.
+    common denominator, so every projected offset is a pair of ints.  With
+    u1 . u and u2 . u kept as ints times one positive factor, every height
+    read off a diagram is an int over a positive one, read with
+    ``EventTable.level_of``.
 
     ``sweep`` is the vertex stage's diagram in ``frame.u1``.  Its edge count
     at a vertex's height is the number of edges from that vertex down to
@@ -280,20 +202,13 @@ def find_edges(
     OracleInconsistency is raised.  A diagram in any other direction raises
     InvalidInput.
 
-    Free cuts: once a vertex's search is done, every diagram its splits
-    asked, in a direction m * u1 - u2, is read at each later vertex u.  When
-    u is alone at its height there, the edge count there is the number of
-    u's neighbours below the line of slope m through u, kept as (p, q,
-    count) for m = p / q; the diagram itself is dropped.  At u's turn these
-    cuts seed its search with pieces of its candidates (see
-    ``find_up_edges``), which only ever removes splits.  A vertex with no
-    edge up is read too: its cuts must then count exactly its known edges
-    down, a check at no query that a miscounted cut elsewhere, which an
-    exchange of two edges can hide from the sweep counts, runs into.  Since
-    u1 . (m * u1 - u2) = m * u1 . u1 - u1 . u2, m is read back from the
-    direction exactly, and with u1 . u and u2 . u kept as ints, times one
-    positive factor, u's height there is an int over a positive one, which
-    the diagram's table looks up without a Fraction.
+    Free cuts: once a vertex's search is done, every split it asked is read
+    at each later vertex with ``read_cut``, and only the cut is kept; at
+    that vertex's turn the cuts seed its prefix counts (see
+    ``find_up_edges``).  A vertex with no edge up is searched too: its cuts
+    must then count exactly its known edges down, a check at no query that
+    a miscounted cut elsewhere, which an exchange of two edges can hide
+    from the sweep counts, runs into.
     """
     if tuple(sweep.direction) != tuple(frame.u1):
         raise InvalidInput("sweep diagram is not in the frame's first direction")
@@ -305,7 +220,6 @@ def find_edges(
     # u1 . u and u2 . u times unit, as ints
     plane = [(dot(w1, p), dot(w2, p)) for p in scaled]
     unit = scale * factor
-    u1_u1, u1_u2 = dot(frame.u1, frame.u1), dot(frame.u1, frame.u2)
     along, against = sweep.events, sweep_diagram.events
     down_degree = [along.count(1, along.level_of(a, unit)) for a, _ in plane]
     up_degree = [against.count(1, against.level_of(-a, unit)) for a, _ in plane]
@@ -314,7 +228,6 @@ def find_edges(
     edges: Set[Tuple[int, int]] = set()
     adjacency: Dict[int, List[int]] = {i: [] for i in range(len(points))}
     cuts: Dict[int, List[Cut]] = {i: [] for i in range(len(points))}
-    asked = _KeptAnswers(oracle)
     for step, vid in enumerate(ids_by_height):
         # vid's edges down were all found from the vertices below it
         if len(adjacency[vid]) != down_degree[vid]:
@@ -328,13 +241,13 @@ def find_edges(
         )
         # every neighbour known so far of a vertex above vid lies below vid
         excluded = {u for u in others if len(adjacency[u]) == down_degree[u]}
-        ups = find_up_edges(
+        ups, splits = find_up_edges(
             vid,
             adjacency[vid],
             order,
             up_degree[vid],
-            asked,
-            points,
+            oracle,
+            (*plane[vid], unit),
             excluded,
             cuts.pop(vid),
         )
@@ -342,16 +255,9 @@ def find_edges(
             edges.add(tuple(sorted((vid, u))))
             adjacency[vid].append(u)
             adjacency[u].append(vid)
-
-        later = ids_by_height[step + 1 :]
-        for dgm in asked.diagrams:
-            m = Fraction(dot(dgm.direction, frame.u1) + u1_u2, u1_u1)
-            p, q = m.numerator, m.denominator
-            events = dgm.events
-            for u in later:
-                a, b = plane[u]
-                i = events.level_of(p * a - q * b, q * unit)
-                if events.count(0, i) == 1:
-                    cuts[u].append((p, q, events.count(1, i)))
-        asked.diagrams.clear()
+        for split in splits:
+            for u in ids_by_height[step + 1 :]:
+                cut = read_cut(split, *plane[u], unit)
+                if cut is not None:
+                    cuts[u].append(cut)
     return edges, sweep_diagram

@@ -35,10 +35,6 @@ class GeneralPositionViolated(ApdrecError):
     """A general-position assumption required by an algorithm is violated."""
 
 
-class NegativeCount(ApdrecError):
-    """An internally derived count went negative; invariant breach."""
-
-
 class PreconditionViolated(ApdrecError):
     """A documented algorithm precondition failed at runtime."""
 

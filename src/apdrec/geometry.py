@@ -413,12 +413,6 @@ class RadialOrder:
     def slopes(self) -> Tuple[Fraction, ...]:
         return tuple([Fraction(y, x) for x, y in self.by_slope])
 
-    def position(self, vertex_id: int) -> int:
-        for i, (vid, _) in enumerate(self.ordered):
-            if vid == vertex_id:
-                return i
-        raise InvalidInput(f"vertex {vertex_id} not in radial order")
-
 
 def radial_order(
     center: Vector,

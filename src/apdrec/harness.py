@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .complexes import PositionCheck, Simplex, SimplicialComplex, build_complex
@@ -100,13 +99,18 @@ def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
         density = config.density(dim)
         accepted[dim] = set()
         lower = accepted[dim - 1]
-        for candidate in combinations(range(n0), dim + 1):
-            if all(
-                candidate[:i] + candidate[i + 1 :] in lower
-                for i in range(len(candidate))
-            ):
-                if rng.random() < density:
-                    accepted[dim].add(candidate)
+        # a candidate whose facets are all accepted is one of them extended
+        # by a vertex above its last; with the facets in sorted order the
+        # candidates run in lexicographic order, so the draws are those of a
+        # walk over combinations(range(n0), dim + 1)
+        for facet in sorted(lower):
+            for v in range(facet[-1] + 1, n0):
+                candidate = facet + (v,)
+                if all(
+                    candidate[:i] + candidate[i + 1 :] in lower for i in range(dim)
+                ):
+                    if rng.random() < density:
+                        accepted[dim].add(candidate)
 
     simplices = set().union(*accepted.values())
     vertex_map = {

@@ -132,7 +132,7 @@ def compute_indegree(
 
 
 def _isolating_direction(
-    candidate: Sequence[int], oracle: Oracle, points: Sequence[IntVector]
+    candidate: Sequence[int], points: Sequence[IntVector]
 ) -> Direction:
     """Direction orthogonal to the candidate's hull giving it a unique height.
 
@@ -149,7 +149,7 @@ def _isolating_direction(
     level_ids = [u for u, h in enumerate(heights) if h == height]
     if set(level_ids) == set(candidate):
         return s1
-    if len(level_ids) > oracle.ambient_dim:
+    if len(level_ids) > len(points[0]):
         raise DegeneratePosition(
             "more than d vertices on one hyperplane; general position violated"
         )
@@ -181,7 +181,7 @@ def is_simplex(
     k = len(sigma)
     candidate = tuple(sorted(sigma + (vertex,)))
     cand_points = [points[v] for v in candidate]
-    s_star = _isolating_direction(candidate, oracle, points)
+    s_star = _isolating_direction(candidate, points)
 
     sigma_points = [points[v] for v in sigma]
     s3 = second_perpendicular_direction(points, cand_points, sigma_points, s_star)

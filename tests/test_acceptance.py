@@ -234,7 +234,7 @@ def test_criterion_6_indegree_oracle_equivalence(trials):
             for k in range(len(sigma), len(sigma) + 2):
                 if k > cfg.ambient_dim - 1:
                     continue
-                direction = _isolating_direction(sigma, oracle, points)
+                direction = _isolating_direction(sigma, points)
                 got = compute_indegree(sigma, direction, k, {}, oracle, points, scale)
                 assert got == brute_coface_count(K, sigma, direction, k), (
                     cfg.seed, sigma, k)

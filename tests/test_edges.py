@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 import apdrec.edges as edges_mod
 from apdrec import (
     ApdrecError,
-    EdgeInterval,
     GeneratorConfig,
     InvalidInput,
-    NegativeCount,
     Oracle,
     OracleInconsistency,
     complexes_match,
@@ -19,13 +17,14 @@ from apdrec import (
     radial_order,
     validate_general_position,
 )
-from apdrec.edges import find_edges, find_up_edges, split_wedge
+from apdrec.edges import find_edges, find_up_edges, read_cut, split_wedge
 from apdrec.errors import DegeneratePosition
 from apdrec.geometry import (
     SweepFrame,
     dot,
     scale_to_integers,
     separating_direction,
+    separating_slope,
     standard_frame,
     vneg,
 )
@@ -67,42 +66,76 @@ def global_order(K, vertex):
     return radial_order(points[vertex], [points[u] for u in others], ids=others)
 
 
-def test_split_wedge_figure_walkthrough():
-    K = figure_complex()
-    oracle = Oracle(K)
-    points = ordered_points(K)
-    order = global_order(K, 0)
-    interval = EdgeInterval(0, (1, 2, 3, 4), 2)
+def at_vertex(points, frame, vertex):
+    """(a, b, unit) of a vertex for read_cut: its heights in the frame's two
+    directions are a / unit and b / unit, computed as find_edges does."""
+    scaled, scale = scale_to_integers(points)
+    (w1, w2), factor = scale_to_integers([frame.u1, frame.u2])
+    return dot(w1, scaled[vertex]), dot(w2, scaled[vertex]), scale * factor
 
-    left, right = split_wedge(interval, [5], order, oracle, points)
-    assert left.candidates == (1, 2) and left.edge_count == 2 - 1
-    assert right.candidates == (3, 4) and right.edge_count == 1
+
+def split_prefix_count(K, vertex, after, known):
+    """One split about the vertex after ``ordered[after]``, read at the
+    vertex: the cut less the ``known`` neighbours below its line, which is
+    the number of up-neighbours among the first after + 1 vertices above.
+    Returns that prefix count and the oracle that answered."""
+    oracle = Oracle(K)
+    order = global_order(K, vertex)
+    split = split_wedge(order, after, oracle)
+    at = at_vertex(ordered_points(K), standard_frame(K.ambient_dim), vertex)
+    p, q, count = read_cut(split, *at)
+    offsets = order.offsets
+    below = [u for u in known if p * offsets[u][0] < q * offsets[u][1]]
+    return count - len(below), oracle
+
+
+def test_split_wedge_figure_walkthrough():
+    # of the edges up to 1 and 3, one lies among the first two candidates
+    # 1, 2; the cut also counts the neighbour 5 below the vertex
+    count, oracle = split_prefix_count(figure_complex(), 0, 1, [5])
+    assert count == 1
     assert oracle.log.count == 1  # one diagram per split
 
 
 def test_split_wedge_all_candidates_are_edges():
-    # center joined to all four upper vertices
+    # center joined to all four upper vertices: both halves are whole
     K = cx(2, [(0, 0), (1, 4), (3, 2), (4, -2), (2, -5)], [(0, 1), (0, 2), (0, 3), (0, 4)])
-    oracle = Oracle(K)
-    points = ordered_points(K)
-    order = global_order(K, 0)
-    left, right = split_wedge(EdgeInterval(0, (1, 2, 3, 4), 4), [], order, oracle, points)
-    assert left.edge_count == len(left.candidates) == 2
-    assert right.edge_count == len(right.candidates) == 2
+    count, _ = split_prefix_count(K, 0, 1, [])
+    assert count == 2 and 4 - count == 2
 
 
 def test_split_wedge_edge_on_the_right():
     K = cx(2, [(0, 0), (1, 4), (3, 2)], [(0, 2)])
+    count, _ = split_prefix_count(K, 0, 0, [])
+    assert (count, 1 - count) == (0, 1)
+
+
+def test_an_impossible_prefix_count_raises():
+    """A piece whose count is above its size or negative, and two prefix
+    counts at one length that differ, raise OracleInconsistency, before any
+    split.  The cut (1, 1) puts candidate 1, offset (1, 4), below its line
+    and candidate 2, offset (3, 2), above; (-10, 1) puts both below."""
+    K = cx(2, [(0, 0), (1, 4), (3, 2)], [(0, 2)])
     oracle = Oracle(K)
     points = ordered_points(K)
+    frame = standard_frame(2)
     order = global_order(K, 0)
-    left, right = split_wedge(EdgeInterval(0, (1, 2), 1), [], order, oracle, points)
-    assert (left.edge_count, right.edge_count) == (0, 1)
-
-
-def test_edge_interval_rejects_bad_count():
-    with pytest.raises(NegativeCount):
-        EdgeInterval(0, (1, 2), 3)
+    at = at_vertex(points, frame, 0)
+    for indegree, cuts in (
+        (3, []),
+        (-1, []),
+        (1, [(1, 1, 2)]),
+        (1, [(1, 1, -1)]),
+        (1, [(1, 1, 0), (1, 1, 1)]),
+        (1, [(-10, 1, 0)]),
+    ):
+        with pytest.raises(OracleInconsistency):
+            find_up_edges(0, [], order, indegree, oracle, at, (), cuts)
+    # the top vertex has no candidate, so it has no edge up
+    top = global_order(K, 2)
+    with pytest.raises(OracleInconsistency):
+        find_up_edges(2, [0], top, 1, oracle, at_vertex(points, frame, 2), ())
+    assert oracle.log.count == 0
 
 
 def test_find_up_edges_figure():
@@ -112,8 +145,10 @@ def test_find_up_edges_figure():
     frame = standard_frame(2)
     sweep = oracle.query(vneg(frame.u1))
     indegree = sweep.count_at(1, -frame.height(points[0]))
-    ups = find_up_edges(0, [5], global_order(K, 0), indegree, oracle, points, ())
-    assert sorted(ups) == [1, 3]
+    at = at_vertex(points, frame, 0)
+    ups, splits = find_up_edges(0, [5], global_order(K, 0), indegree, oracle, at, ())
+    assert ups == [1, 3]
+    assert len(splits) == oracle.log.count - 1 == 3
 
 
 def test_find_up_edges_isolated_top_vertex():
@@ -124,7 +159,8 @@ def test_find_up_edges_isolated_top_vertex():
     sweep = oracle.query(vneg(frame.u1))
     order = global_order(K, 0)
     indegree = sweep.count_at(1, -frame.height(points[0]))
-    assert find_up_edges(0, [], order, indegree, oracle, points, ()) == []
+    at = at_vertex(points, frame, 0)
+    assert find_up_edges(0, [], order, indegree, oracle, at, ()) == ([], [])
     assert oracle.log.count == 1  # nothing beyond the shared diagram
 
 
@@ -135,8 +171,10 @@ def test_find_up_edges_star():
     frame = standard_frame(2)
     sweep = oracle.query(vneg(frame.u1))
     indegree = sweep.count_at(1, -frame.height(points[0]))
-    ups = find_up_edges(0, [], global_order(K, 0), indegree, oracle, points, ())
-    assert sorted(ups) == [1, 2, 3, 4]
+    at = at_vertex(points, frame, 0)
+    ups, splits = find_up_edges(0, [], global_order(K, 0), indegree, oracle, at, ())
+    assert ups == [1, 2, 3, 4]
+    assert splits == []  # the whole piece is endpoints
 
 
 def test_find_edges_path():
@@ -167,64 +205,105 @@ def test_find_edges_point_cloud_queries_once():
     assert oracle.log.directions[-1] == sweep_down.direction
 
 
+UP_ARGS = ("vertex", "known", "order", "indegree", "oracle", "at", "excluded", "cuts")
+
+
+def watch_splits(monkeypatch, check):
+    """Patch the edge stage so that check(call, after, split) runs after
+    every split_wedge, with ``call`` the arguments, by name, of the
+    find_up_edges call that asked it and ``after`` the split's index."""
+    real_up, real_split = find_up_edges, split_wedge
+    calls = []
+
+    def up(*args):
+        calls.append(dict(zip(UP_ARGS, args)))
+        return real_up(*args)
+
+    def split(order, after, oracle):
+        result = real_split(order, after, oracle)
+        check(calls[-1], after, result)
+        return result
+
+    monkeypatch.setattr(edges_mod, "find_up_edges", up)
+    monkeypatch.setattr(edges_mod, "split_wedge", split)
+
+
+def true_neighbours(K, vertex):
+    return {u for e in K.simplices_of_dim(1) if vertex in e for u in e if u != vertex}
+
+
 def test_find_edges_random_graphs_with_split_instrumentation(monkeypatch):
     """Loop invariants observed at every split of every run.
 
-    The halves partition the interval, their counts equal the true adjacency
-    inside each half, and every true edge endpoint below the vertex or
-    radially before the interval is already known.
+    The known neighbours are exactly the true ones below the vertex, no
+    excluded vertex is a true neighbour, the split's line puts exactly the
+    vertices up to ``after`` in the radial order below it, and its cut less
+    the known neighbours below the line, the new prefix count, is the true
+    number of up-neighbours among them.
     """
-    real_split = split_wedge
-
+    checked = []
     for seed in range(6):
         K = generate_complex(GeneratorConfig(3, 8, 1, densities=[0.5], seed=seed))
-        truth = set(K.simplices_of_dim(1))
-        points, oracle, frame, sweep = sweep_inputs(K)
 
-        def checked(interval, known, order, oracle, pts):
-            below = [u for u in range(len(pts)) if pts[u][0] < pts[interval.vertex][0]]
-            for vid in below:
-                if tuple(sorted((interval.vertex, vid))) in truth:
-                    assert vid in known
-            first = order.position(interval.candidates[0])
-            for vid, _ in order.ordered[:first]:
-                if tuple(sorted((interval.vertex, vid))) in truth:
-                    assert vid in known
-            left, right = real_split(interval, known, order, oracle, pts)
-            assert left.candidates + right.candidates == interval.candidates
-            for half in (left, right):
-                true_count = sum(
-                    1
-                    for u in half.candidates
-                    if tuple(sorted((interval.vertex, u))) in truth
-                )
-                assert half.edge_count == true_count
-            return left, right
+        def check(call, after, split):
+            order = call["order"]
+            adjacent = true_neighbours(K, call["vertex"])
+            ordered = [vid for vid, _ in order.ordered]
+            known = set(call["known"])
+            assert known == adjacent - set(ordered)
+            assert not adjacent & set(call["excluded"])
+            p, q, count = read_cut(split, *call["at"])
+            offsets = order.offsets
+            below = {u for u, (x, y) in offsets.items() if p * x < q * y}
+            first = set(ordered[: after + 1])
+            assert below & set(ordered) == first
+            assert count - len(known & below) == len(adjacent & first)
+            checked.append(split)
 
-        monkeypatch.setattr(edges_mod, "split_wedge", checked)
-        assert find_edges(points, oracle, frame, sweep)[0] == truth
-        monkeypatch.setattr(edges_mod, "split_wedge", real_split)
+        watch_splits(monkeypatch, check)
+        assert find_edges(*sweep_inputs(K))[0] == set(K.simplices_of_dim(1))
+    assert checked  # the random graphs do need splits
 
 
 def test_find_edges_splits_only_undecided_intervals(monkeypatch):
-    """Every split_wedge call gets 1 <= edge_count < len(candidates)."""
-    real_split = split_wedge
+    """Every split cuts the leftmost piece whose count decides nothing, at
+    its middle candidate.  Seen from the true edges, each piece to its left
+    holds only endpoints or none, and the piece itself holds both kinds."""
     sizes = []
-
-    def checked(interval, known, order, oracle, pts):
-        assert 1 <= interval.edge_count < len(interval.candidates)
-        sizes.append(len(interval.candidates))
-        return real_split(interval, known, order, oracle, pts)
-
     for seed in range(8):
         K = generate_complex(GeneratorConfig(2, 12, 1, densities=[0.35], seed=seed))
         truth = {frozenset(K.vertices[v] for v in e) for e in K.simplices_of_dim(1)}
-
         oracle = Oracle(K)
         points, frame, sweep = vertex_stage(oracle)
-        monkeypatch.setattr(edges_mod, "split_wedge", checked)
+
+        def check(call, after, split):
+            order, excluded = call["order"], call["excluded"]
+            kept = [vid for vid, _ in order.ordered if vid not in excluded]
+            offsets = order.offsets
+            if "ends" not in call:
+                call["ends"] = {0, len(kept)} | {
+                    sum(1 for u in kept if p * offsets[u][0] < q * offsets[u][1])
+                    for p, q, _ in call["cuts"]
+                }
+            ends = sorted(call["ends"])
+            mid = sum(1 for vid, _ in order.ordered[: after + 1] if vid not in excluded)
+            start = max(e for e in ends if e < mid)
+            end = min(e for e in ends if e > mid)
+            assert mid == (start + end) // 2
+
+            def count(s, e):
+                center = points[call["vertex"]]
+                return sum(frozenset((center, points[u])) in truth for u in kept[s:e])
+
+            for s, e in zip(ends, ends[1:]):
+                if e <= start:
+                    assert count(s, e) in (0, e - s)
+            assert 0 < count(start, end) < end - start
+            call["ends"].add(mid)
+            sizes.append(end - start)
+
+        watch_splits(monkeypatch, check)
         found, _ = find_edges(points, oracle, frame, sweep)
-        monkeypatch.setattr(edges_mod, "split_wedge", real_split)
         assert {frozenset(points[v] for v in e) for e in found} == truth
     assert sizes  # the random graphs do need splits
 
@@ -236,14 +315,13 @@ def test_find_edges_leaves_out_vertices_whose_down_edges_are_known(monkeypatch):
     # so vertex 2 is taken without a split.  Without the counts the search
     # would split three times.
     K = cx(2, [(0, 0), (1, 5), (2, -1), (3, 2)], [(0, 3), (1, 2)])
-    real_split = split_wedge
     splits = []
 
-    def recording(interval, known, order, oracle, pts):
-        splits.append((interval.vertex, set(interval.candidates)))
-        return real_split(interval, known, order, oracle, pts)
+    def record(call, after, split):
+        candidates = {vid for vid, _ in call["order"].ordered}
+        splits.append((call["vertex"], candidates - set(call["excluded"])))
 
-    monkeypatch.setattr(edges_mod, "split_wedge", recording)
+    watch_splits(monkeypatch, record)
     points, oracle, frame, sweep = sweep_inputs(K)
     assert find_edges(points, oracle, frame, sweep)[0] == {(0, 3), (1, 2)}
     assert splits == [(0, {2, 3})]
@@ -282,20 +360,27 @@ def test_find_edges_never_returns_edges_from_a_miscounted_sweep():
 
 
 def find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep):
-    """find_edges with the known neighbours below and the cuts of every
-    find_up_edges call recorded.  Returns the edges as a complex on the
-    points, and the calls."""
+    """find_edges with the known neighbours below, the cuts and the (p, q)
+    of the splits of every find_up_edges call recorded.  Returns the edges
+    as a complex on the points, and the calls."""
     real = find_up_edges
     calls = []
 
-    def recording(vertex, known, order, indegree, oracle, pts, excluded, cuts=()):
-        calls.append((vertex, sorted(known), list(cuts)))
-        return real(vertex, known, order, indegree, oracle, pts, excluded, cuts)
+    def recording(vertex, known, order, indegree, oracle, at, excluded, cuts=()):
+        ups, splits = real(vertex, known, order, indegree, oracle, at, excluded, cuts)
+        calls.append((vertex, sorted(known), list(cuts), [s[:2] for s in splits]))
+        return ups, splits
 
     monkeypatch.setattr(edges_mod, "find_up_edges", recording)
     found, _ = find_edges(points, oracle, frame, sweep)
     monkeypatch.setattr(edges_mod, "find_up_edges", real)
     return cx(oracle.ambient_dim, points, sorted(found)), calls
+
+
+def split_direction(frame, p, q):
+    """The direction (p / q) * u1 - u2 of a split or cut."""
+    m = F(p, q)
+    return tuple(m * x - y for x, y in zip(frame.u1, frame.u2))
 
 
 def edge_segments(K):
@@ -337,7 +422,7 @@ def test_every_free_cut_counts_the_true_up_neighbours_below_its_line(monkeypatch
         frame = inputs[2]
         assert edge_segments(found) == edge_segments(K)
         height = {u: frame.height(p) for u, p in found.vertices.items()}
-        for vertex, known, cuts in calls:
+        for vertex, known, cuts, _ in calls:
             lower = [
                 u
                 for u in found.vertices
@@ -350,7 +435,7 @@ def test_every_free_cut_counts_the_true_up_neighbours_below_its_line(monkeypatch
                 down = neighbours_below_line(*line, above=False)
                 up = neighbours_below_line(*line, above=True)
                 assert count - down == up
-        assert any(cuts for _, _, cuts in calls)
+        assert any(cuts for _, _, cuts, _ in calls)
 
 
 def test_vertices_sharing_a_height_in_a_split_diagram_take_no_cut(monkeypatch):
@@ -366,7 +451,7 @@ def test_vertices_sharing_a_height_in_a_split_diagram_take_no_cut(monkeypatch):
     found, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep)
     assert edge_segments(found) == edge_segments(K)
     assert oracle.log.directions[2] == (F(7, 3), F(-1))
-    cuts = {vertex: {(p, q) for p, q, _ in cuts} for vertex, _, cuts in calls}
+    cuts = {vertex: {(p, q) for p, q, _ in cuts} for vertex, _, cuts, _ in calls}
     assert (7, 3) in cuts[1]
     assert (7, 3) not in cuts[3] | cuts[4]
 
@@ -386,10 +471,9 @@ def test_a_miscounted_free_cut_ends_in_an_error(monkeypatch):
         found, calls = find_edges_recording_cuts(
             monkeypatch, points, oracle, frame, sweep
         )
-        for vertex, _, cuts in calls:
+        for vertex, _, cuts, _ in calls:
             for p, q, count in cuts:
-                m = F(p, q)
-                direction = tuple(m * x - y for x, y in zip(frame.u1, frame.u2))
+                direction = split_direction(frame, p, q)
                 height = dot(direction, found.vertices[vertex])
                 for delta in (1, -1):
                     if count + delta < 0:
@@ -408,31 +492,38 @@ def test_find_edges_never_returns_edges_from_a_miscounted_split(monkeypatch):
     set.  The search takes the count as given and so takes a wrong endpoint,
     and the exchange of two edges that can follow meets every sweep count;
     the cuts that the other diagrams hand to later vertices catch it."""
-    real_split = split_wedge
     tried = 0
     for seed in range(4):
         K = generate_complex(GeneratorConfig(2, 14, 1, densities=[0.35], seed=seed))
         oracle = Oracle(K)
         points, frame, sweep = vertex_stage(oracle)
-        splits = []
-
-        def recording(interval, known, order, asked, pts):
-            halves = real_split(interval, known, order, asked, pts)
-            splits.append((interval.vertex, oracle.log.directions[-1]))
-            return halves
-
-        monkeypatch.setattr(edges_mod, "split_wedge", recording)
-        find_edges(points, oracle, frame, sweep)
-        monkeypatch.setattr(edges_mod, "split_wedge", real_split)
-        for vertex, direction in splits:
-            for delta in (1, -1):
+        _, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep)
+        for vertex, _, _, splits in calls:
+            for p, q in splits:
+                direction = split_direction(frame, p, q)
                 height = dot(direction, points[vertex])
-                tampered = TamperedOracle(K, direction, 1, height, delta)
-                with pytest.raises(ApdrecError):
-                    points_t, frame_t, sweep_t = vertex_stage(tampered)
-                    find_edges(points_t, tampered, frame_t, sweep_t)
-                tried += 1
+                for delta in (1, -1):
+                    tampered = TamperedOracle(K, direction, 1, height, delta)
+                    with pytest.raises(ApdrecError):
+                        points_t, frame_t, sweep_t = vertex_stage(tampered)
+                        find_edges(points_t, tampered, frame_t, sweep_t)
+                    tried += 1
     assert tried > 100
+
+
+def test_a_split_that_puts_a_second_vertex_at_its_own_height_raises(monkeypatch):
+    """The vertex that asks a split must be alone at its height there, as
+    the line of a split misses every other vertex; a diagram that counts a
+    second vertex there is an OracleInconsistency."""
+    K = figure_complex()
+    points, oracle, frame, sweep = sweep_inputs(K)
+    _, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep)
+    vertex, splits = next((v, s) for v, _, _, s in calls if s)
+    direction = split_direction(frame, *splits[0])
+    height = dot(direction, points[vertex])
+    tampered = TamperedOracle(K, direction, 0, height, 1)
+    with pytest.raises(OracleInconsistency):
+        find_edges(points, tampered, frame, tampered.query(frame.u1))
 
 
 def test_free_cuts_pin_the_edge_queries_of_a_sparse_planar_graph():
@@ -455,9 +546,10 @@ def test_free_cuts_pin_the_edge_queries_of_a_sparse_planar_graph():
 def test_integer_radial_order_matches_the_rational_one(data):
     """On points scaled to integers, in the standard frame and in tilted
     frames of the vertex stage's fallback, the radial order has the same ids,
-    slopes and separating directions as on the rational points, its offsets
-    are ints, and split_wedge's count of known neighbours below the
-    separating line is the rational dot-product count."""
+    slopes and separating directions as on the rational points, and its
+    offsets are ints.  The integer read of a split at its own vertex is the
+    rational dot-product count, and so is the integer count of the known
+    neighbours below the split's line."""
     d = data.draw(st.integers(2, 3), label="d")
     coordinate = st.fractions(min_value=-4, max_value=4, max_denominator=7)
     points = data.draw(
@@ -496,22 +588,23 @@ def test_integer_radial_order_matches_the_rational_one(data):
     joined = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
     neighbours = {u for u, j in zip(ids, joined) if j}
     candidates = tuple(vid for vid, _ in order.ordered)
-    count = len(neighbours & set(candidates))
-    if len(candidates) < 2 or count < 1:
+    if len(candidates) < 2:
         return
     known = sorted(neighbours - set(candidates))
     K = cx(d, points, [(0, u) for u in sorted(neighbours)])
-    left, right = split_wedge(
-        EdgeInterval(0, candidates, count), known, order, Oracle(K), points
-    )
     mid = len(candidates) // 2
+    split = split_wedge(order, mid - 1, Oracle(K))
+    p, q, _ = split
+    assert F(p, q) == separating_slope(order, mid - 1)
     direction = separating_direction(order, mid - 1)
+    assert split_direction(frame, p, q) == direction
     height = dot(direction, points[0])
-    below = sum(1 for u in known if dot(direction, points[u]) < height)
     indegree = Oracle(K).query(direction).count_at(1, height)
-    assert left.edge_count == indegree - below
-    assert left.edge_count == len(neighbours & set(candidates[:mid]))
-    assert right.edge_count == len(neighbours & set(candidates[mid:]))
+    assert read_cut(split, *at_vertex(points, frame, 0)) == (p, q, indegree)
+    below = [u for u in known if dot(direction, points[u]) < height]
+    offsets = order.offsets
+    assert below == [u for u in known if p * offsets[u][0] < q * offsets[u][1]]
+    assert indegree - len(below) == len(neighbours & set(candidates[:mid]))
 
 
 FALLBACK_LOG_SHA256 = "a7ceb3217c6099bf33eb9e9ebf8bd8e24d9849203ebfe533e3a959e75e635a1c"

@@ -83,7 +83,7 @@ def test_indegree_full_triangle_edge():
     oracle = Oracle(K)
     points, scale = scaled_points(K)
     sigma = (0, 1)
-    direction = _isolating_direction(sigma, oracle, points)
+    direction = _isolating_direction(sigma, points)
     # flip if the third vertex sits above the edge
     from apdrec.geometry import dot, vneg
 
@@ -120,7 +120,7 @@ def test_indegree_matches_bruteforce_random():
         sigmas = K.simplices_of_dim(0) + K.simplices_of_dim(1)
         for sigma in sigmas:
             k = len(sigma)  # test the coface dimension one above
-            direction = _isolating_direction(sigma, oracle, points)
+            direction = _isolating_direction(sigma, points)
             got = compute_indegree(sigma, direction, k, {}, oracle, points, scale)
             assert got == brute_coface_count(K, sigma, direction, k)
             checked += 1

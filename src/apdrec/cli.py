@@ -84,8 +84,8 @@ def _cmd_reconstruct(args) -> int:
         print(f"# vertex queries: {log.queries('vertices')}")
         return 0
     if args.stage == "edges":
-        points, frame, sweep = vertex_stage(oracle)
-        edges, _ = find_edges(points, oracle, frame, sweep)
+        points, frame, asked = vertex_stage(oracle)
+        edges, _ = find_edges(points, oracle, frame, asked[0])
         for a, b in sorted(edges):
             print(f"{a} {b}")
         print(f"# vertex queries: {log.queries('vertices')}")

@@ -8,6 +8,12 @@ count* is the number of up-neighbours among the first ``end`` candidates.
 It is 0 at 0, and at the last candidate it is v's number of edges up, read
 off one shared diagram.
 
+*The plane.*  Each vertex has integer coordinates in the sweep plane, its
+heights in the two frame directions times one positive unit, and an offset
+is the difference of two vertices' coordinates.  The radial orders, the
+slopes of the splits and the cuts all work on these ints; the frame enters
+only when a split's integer slope (p, q) becomes its direction.
+
 *Cuts.*  A diagram in the direction s = m * u1 - u2, for u1, u2 the frame
 and m = p / q with q > 0, puts a vertex w whose offset from a vertex u is
 (x, y) below u exactly when ``p * x < q * y``.  So when u is alone at its
@@ -55,17 +61,19 @@ Cut = Tuple[int, int, int]
 Split = Tuple[int, int, EventTable]
 
 
-def split_wedge(order: RadialOrder, after: int, oracle: Oracle) -> Split:
+def split_wedge(
+    order: RadialOrder, after: int, oracle: Oracle, frame: SweepFrame
+) -> Split:
     """The diagram of a line through the center after ``order.ordered[after]``.
 
-    The direction is ``separating_direction(order, after)``, m * u1 - u2 for
-    m = p / q, q > 0, the separating slope, which puts ``ordered[:after + 1]``
-    strictly below the center and the rest of ``ordered`` strictly above.
-    One logged query; ``read_cut`` reads it at the center.
+    The direction is the frame's m * u1 - u2 for m = p / q, q > 0, the
+    ``separating_slope``, which puts ``ordered[:after + 1]`` strictly below
+    the center and the rest of ``ordered`` strictly above.  One logged
+    query; ``read_cut`` reads it at the center.
     """
-    m = separating_slope(order, after)
-    dgm = oracle.query(separating_direction(order, after))
-    return m.numerator, m.denominator, dgm.events
+    p, q = separating_slope(order, after)
+    dgm = oracle.query(separating_direction((p, q), frame))
+    return p, q, dgm.events
 
 
 def read_cut(split: Split, a: int, b: int, unit: int) -> Optional[Cut]:
@@ -88,6 +96,7 @@ def find_up_edges(
     order: RadialOrder,
     indegree: int,
     oracle: Oracle,
+    frame: SweepFrame,
     at: Tuple[int, int, int],
     excluded: Collection[int],
     cuts: Sequence[Cut] = (),
@@ -98,20 +107,18 @@ def find_up_edges(
     ``indegree`` is their number: the edge count of the diagram in the
     negated sweep direction at the vertex's height there, since each edge
     is one event at the height of its top vertex.  ``known_below_edges``
-    must hold exactly the vertex's neighbours below it, and ``at`` is
-    (a, b, unit) for the vertex as in ``read_cut``.  The ``excluded``
-    vertices are known not to be endpoints and are left out of the
-    candidates.  The prefix counts start from 0, ``indegree`` and the
+    must hold exactly the vertex's neighbours below it, ``order`` is the
+    radial order about it, ``frame`` the one its splits are asked in, and
+    ``at`` is (a, b, unit) for the vertex as in ``read_cut``.  The
+    ``excluded`` vertices are known not to be endpoints and are left out of
+    the candidates.  The prefix counts start from 0, ``indegree`` and the
     ``cuts``; each split adds its own cut at the vertex, which lands at the
     middle of the piece it splits.
     """
-    # (index in order.ordered, id) of each candidate, in radial order
-    candidates = [
-        (i, vid) for i, (vid, _) in enumerate(order.ordered) if vid not in excluded
-    ]
-    offsets = order.offsets
-    ups = [offsets[vid] for _, vid in candidates]
-    known_offsets = {offsets[w] for w in known_below_edges}
+    # the index in order.ordered of each candidate, in radial order
+    candidates = [i for i, (vid, _) in enumerate(order.ordered) if vid not in excluded]
+    ups = [order.ordered[i][1] for i in candidates]
+    known_offsets = {order.offsets[w] for w in known_below_edges}
     downs = [off for off in order.by_slope if off in known_offsets]
     prefix = {0: 0}
 
@@ -143,7 +150,8 @@ def find_up_edges(
                 f"vertex {vertex}: {count} edges up for {end - start} candidates"
             )
         if 0 < count < end - start:
-            split = split_wedge(order, candidates[(start + end) // 2 - 1][0], oracle)
+            after = candidates[(start + end) // 2 - 1]
+            split = split_wedge(order, after, oracle, frame)
             cut = read_cut(split, *at)
             if cut is None:
                 raise OracleInconsistency(
@@ -153,7 +161,7 @@ def find_up_edges(
             ends.insert(i + 1, add(*cut))
             continue
         if count:
-            found.extend([vid for _, vid in candidates[start:end]])
+            found.extend([order.ordered[i][0] for i in candidates[start:end]])
         i += 1
     return found, splits
 
@@ -187,11 +195,13 @@ def find_edges(
     number of k-simplices whose lowest vertex it is, which the higher stage
     reads at no query.
 
-    The radial orders are taken on the points scaled to integers by their
-    common denominator, so every projected offset is a pair of ints.  With
-    u1 . u and u2 . u kept as ints times one positive factor, every height
-    read off a diagram is an int over a positive one, read with
-    ``EventTable.level_of``.
+    Every vertex u has integer plane coordinates (u1 . u, u2 . u) times one
+    positive unit: the points scaled to integers by their common
+    denominator, dotted with the frame scaled likewise.  A vertex's radial
+    order is taken on the differences of those coordinates from its own,
+    so every offset is a pair of ints, and every height read off a diagram
+    is an int over a positive one, read with ``EventTable.level_of``.  The
+    frame itself enters only the directions of the splits.
 
     ``sweep`` is the vertex stage's diagram in ``frame.u1``.  Its edge count
     at a vertex's height is the number of edges from that vertex down to
@@ -235,19 +245,20 @@ def find_edges(
                 f"vertex {vid} has {len(adjacency[vid])} edges down, "
                 f"the sweep diagram counts {down_degree[vid]}"
             )
-        others = [u for u in range(len(points)) if u != vid]
+        a, b = plane[vid]
         order = radial_order(
-            scaled[vid], [scaled[u] for u in others], ids=others, frame=frame
+            {u: (x - a, y - b) for u, (x, y) in enumerate(plane) if u != vid}
         )
         # every neighbour known so far of a vertex above vid lies below vid
-        excluded = {u for u in others if len(adjacency[u]) == down_degree[u]}
+        excluded = {u for u in order.offsets if len(adjacency[u]) == down_degree[u]}
         ups, splits = find_up_edges(
             vid,
             adjacency[vid],
             order,
             up_degree[vid],
             oracle,
-            (*plane[vid], unit),
+            frame,
+            (a, b, unit),
             excluded,
             cuts.pop(vid),
         )

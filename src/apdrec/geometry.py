@@ -23,7 +23,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -331,6 +330,16 @@ def leftmost_crossing(
     return Fraction(min_gap, min_gap + spread)
 
 
+def tilt_weight(
+    heights: Sequence[Fraction], heights_prime: Sequence[Fraction]
+) -> Fraction:
+    """The eps of a tilt ``(1 - eps) * s + eps * s'`` for the heights under
+    s and s': half their leftmost segment crossing, or 1/2 when there is
+    none (``heights`` empty or with fewer than two distinct values)."""
+    crossing = leftmost_crossing(heights, heights_prime) if heights else None
+    return Fraction(1, 2) if crossing is None else crossing / 2
+
+
 def tilt(
     heights: Sequence[Fraction],
     heights_prime: Sequence[Fraction],
@@ -339,18 +348,15 @@ def tilt(
 ) -> Direction:
     """The tilt from s towards s': ``(1 - eps) * s + eps * s'``.
 
-    eps is half the leftmost segment crossing of the two height lists (1/2
-    when there is none), so heights that are distinct under s keep their
-    order, while ties under s are broken by the s' order.  With eps = n / q
-    each coordinate is ``((q - n) * a + n * b) / q``, one exact division.
+    eps is the ``tilt_weight`` of the two height lists, so heights that are
+    distinct under s keep their order, while ties under s are broken by the
+    s' order.  With eps = n / q each coordinate is ``((q - n) * a + n * b) /
+    q``, one exact division.
     """
     if parallel(s, s_prime):
         raise ParallelDirections("tilt requires linearly independent directions")
-    crossing = leftmost_crossing(heights, heights_prime)
-    if crossing is None:
-        n, q = 1, 2
-    else:
-        n, q = crossing.numerator, 2 * crossing.denominator
+    eps = tilt_weight(heights, heights_prime)
+    n, q = eps.numerator, eps.denominator
     return tuple(Fraction((q - n) * a + n * b, q) for a, b in zip(s, s_prime))
 
 
@@ -371,9 +377,6 @@ class SweepFrame:
     u1: Direction
     u2: Direction
 
-    def height(self, v: Vector) -> Fraction:
-        return dot(self.u1, v)
-
 
 def standard_frame(dim: int) -> SweepFrame:
     if dim < 2:
@@ -381,81 +384,50 @@ def standard_frame(dim: int) -> SweepFrame:
     return SweepFrame(basis_vector(dim, 0), basis_vector(dim, 1))
 
 
+Offset = Tuple[int, int]
+
+
 @dataclass(frozen=True)
 class RadialOrder:
     """Vertices above a center, sorted clockwise in the sweep plane.
 
-    ``ordered`` holds (vertex id, projected offset) pairs of the vertices
-    strictly above the center in the sweep direction (positive first offset
-    coordinate), sorted by strictly descending slope, the second offset
-    coordinate over the first; in that open half-plane this is clockwise
-    order.  ``by_slope`` holds the offsets of every other vertex, above and
-    below, in ascending order of slope, and ``slopes`` those slopes as
-    Fractions, built on first read.  No two slopes are equal (no three
-    projected collinear points), so the order is strict.  ``ranks[i]`` is the
-    index in ``by_slope`` of ``ordered[i]``, and ``offsets`` maps every other
-    vertex, above and below, to its offset.
-
-    An offset is measured through the frame vectors times one common
-    positive factor, so it is a positive multiple of the frame's own offset:
-    its slope, its side of the center and its side of any line through the
-    center are those of the frame's offset.
+    ``ordered`` holds (vertex id, offset) pairs of the vertices strictly
+    above the center in the sweep direction (positive x), sorted by strictly
+    descending slope y / x; in that open half-plane this is clockwise order.
+    ``by_slope`` holds the offsets of every other vertex, above and below, in
+    ascending order of slope.  No two slopes are equal (no three projected
+    collinear points), so the order is strict.  ``ranks[i]`` is the index in
+    ``by_slope`` of ``ordered[i]``, and ``offsets`` maps every other vertex
+    to its offset.
     """
 
-    center: Vector
-    ordered: Tuple[Tuple[int, Tuple[Fraction, Fraction]], ...]
-    by_slope: Tuple[Tuple[Fraction, Fraction], ...]
-    frame: SweepFrame = field(compare=False)
+    ordered: Tuple[Tuple[int, Offset], ...]
+    by_slope: Tuple[Offset, ...]
     ranks: Tuple[int, ...] = field(compare=False, repr=False)
-    offsets: Dict[int, Tuple[Fraction, Fraction]] = field(compare=False, repr=False)
-
-    @cached_property
-    def slopes(self) -> Tuple[Fraction, ...]:
-        return tuple([Fraction(y, x) for x, y in self.by_slope])
+    offsets: Dict[int, Offset] = field(compare=False, repr=False)
 
 
-def radial_order(
-    center: Vector,
-    others: Sequence[Vector],
-    ids: Optional[Sequence[int]] = None,
-    frame: Optional[SweepFrame] = None,
-) -> RadialOrder:
-    """Sort the vertices above the projected center clockwise, exactly.
+def radial_order(offsets: Dict[int, Offset]) -> RadialOrder:
+    """Sort the vertices above a center clockwise, exactly.
 
-    The frame vectors are scaled to integers by their common denominator, so
-    on integer points every offset is a pair of ints, whose slope is the
-    slope through the frame itself; no slope is built as a Fraction here.
-    The sort runs on integer keys: with the offsets (x, y)
-    scaled by their common denominator to ints and M the largest x², the
-    key ``(y * M) // x`` is the floor of the slope times M.  Two distinct
-    slopes differ by at least 1 / |x1 x2| >= 1 / M, so their keys keep
-    their order, and equal slopes have equal keys.  Raises
-    DegeneratePosition when a vertex has the center's sweep height (which
-    covers coincident projections) or when two vertices share a slope
-    (their projected offsets are parallel), found as equal neighbours once
-    the keys are sorted.
+    ``offsets`` maps each other vertex to its integer offset (x, y) from the
+    center in the sweep plane: its heights in the frame's two directions
+    less the center's, times one common positive factor, which keeps every
+    slope and every side.  The sort runs on integer keys: with M the largest
+    x², the key ``(y * M) // x`` is the floor of the slope times M.  Two
+    distinct slopes differ by at least 1 / |x1 x2| >= 1 / M, so their keys
+    keep their order, and equal slopes have equal keys.  Raises
+    DegeneratePosition when a vertex has the center's sweep height (x = 0,
+    which covers coincident projections) or when two vertices share a slope
+    (their offsets are parallel), found as equal neighbours once the keys
+    are sorted.
     """
-    if frame is None:
-        frame = standard_frame(len(center))
-    if ids is None:
-        ids = list(range(len(others)))
-    (u1, u2), _ = scale_to_integers([frame.u1, frame.u2])
-    c1, c2 = dot(u1, center), dot(u2, center)
-    offsets = {}
+    bound = max([x * x for x, _ in offsets.values()], default=1)
     entries = []
-    for vid, p in zip(ids, others):
-        off = (dot(u1, p) - c1, dot(u2, p) - c2)
-        if off[0] == 0:
+    for vid, (x, y) in offsets.items():
+        if not x:
             raise DegeneratePosition(f"vertex {vid} has the center's sweep height")
-        offsets[vid] = off
-        entries.append((vid, off))
-    # one positive factor turns rational offsets into ints, keeping slopes
-    factor = math.lcm(*[c.denominator for _, off in entries for c in off])
-    bound = max([(x * factor) ** 2 for _, (x, _) in entries], default=1)
-    entries = [
-        ((off[1] * factor * bound) // (off[0] * factor), vid, off)
-        for vid, off in entries
-    ]
+        entries.append(((y * bound) // x, vid, (x, y)))
     entries.sort(key=operator.itemgetter(0))
     for (key, a, _), (next_key, b, _) in zip(entries, entries[1:]):
         if key == next_key:
@@ -465,37 +437,39 @@ def radial_order(
     ranks = [i for i in range(len(entries) - 1, -1, -1) if entries[i][2][0] > 0]
     ordered = tuple([entries[i][1:] for i in ranks])
     by_slope = tuple([off for _, _, off in entries])
-    return RadialOrder(tuple(center), ordered, by_slope, frame, tuple(ranks), offsets)
+    return RadialOrder(ordered, by_slope, tuple(ranks), offsets)
 
 
-def separating_slope(order: RadialOrder, after_index: int) -> Fraction:
-    """Slope m of a line through the center splitting the order after
-    ``after_index``.
+def separating_slope(order: RadialOrder, after_index: int) -> Tuple[int, int]:
+    """Slope p / q, in lowest terms with q > 0, of a line through the center
+    splitting the order after ``after_index``.
 
-    m is halfway between the slope at ``after_index`` and the next lower
+    It is halfway between the slope at ``after_index`` and the next lower
     slope of any vertex (that slope minus one when there is none), so the
     line misses every vertex.  An offset (x, y) lies below it when
-    ``m * x < y``: ``ordered[:after_index + 1]`` does and the rest of
-    ``ordered`` does not.  The one Fraction is built from the two offsets:
-    y / x + b / a halved is ``(y * a + b * x) / (2 * x * a)``.
+    ``p * x < q * y``: ``ordered[:after_index + 1]`` does and the rest of
+    ``ordered`` does not.  With (x, y) the offset at ``after_index``, x > 0,
+    and (a, b) the next lower one, or (x, y - 2x) of slope y / x - 2 when
+    there is none, y / x + b / a halved is ``(y * a + b * x) / (2 * x *
+    a)``, and the sign of a is that of the denominator.
     """
     if not 0 <= after_index < len(order.ordered):
         raise InvalidInput("after_index out of range")
     i = order.ranks[after_index]
     x, y = order.by_slope[i]
-    if not i:
-        return Fraction(y - x, x)
-    a, b = order.by_slope[i - 1]
-    return Fraction(y * a + b * x, 2 * x * a)
+    a, b = order.by_slope[i - 1] if i else (x, y - 2 * x)
+    p, q = y * a + b * x, 2 * x * a
+    g = math.gcd(p, q) if a > 0 else -math.gcd(p, q)
+    return p // g, q // g
 
 
-def separating_direction(order: RadialOrder, after_index: int) -> Direction:
-    """Direction of the sweep plane splitting the order after ``after_index``.
+def separating_direction(slope: Tuple[int, int], frame: SweepFrame) -> Direction:
+    """The direction ``m * u1 - u2`` of the frame for the slope m = p / q.
 
-    The returned ``m * u1 - u2``, for m the ``separating_slope``, gives an
-    offset (x, y) the height ``m * x - y``, so ``ordered[:after_index + 1]``
-    lands strictly below the center and the rest of ``ordered`` strictly
-    above.
+    It gives a vertex whose offset from the center is (x, y) the height
+    ``m * x - y`` above the center's, so for the ``separating_slope`` of an
+    order the vertices up to the split land strictly below the center and
+    the rest of ``ordered`` strictly above.
     """
-    m = separating_slope(order, after_index)
-    return tuple(m * x - y for x, y in zip(order.frame.u1, order.frame.u2))
+    m = Fraction(*slope)
+    return tuple(m * x - y for x, y in zip(frame.u1, frame.u2))

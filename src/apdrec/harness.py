@@ -126,9 +126,12 @@ def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
 def edge_query_bound(complex_: SimplicialComplex, n0: int) -> int:
     """Concrete per-run budget for the edge stage.
 
-    One shared diagram plus, for every vertex, at most (2 deg(v) + 1) live
-    intervals each split through ceil(log2 n0) + 1 levels at two diagrams a
-    split.
+    The stage asks one shared diagram plus one diagram per split.  A piece
+    of a vertex's candidates is split only while it holds both an endpoint
+    and a non-endpoint, so each of the at most 2 deg(v) + 1 runs of one
+    kind in its radial order ends in at most ceil(log2 n0) + 1 nested
+    splits.  The budget counts two diagrams a split, a factor 2 to spare
+    kept from a search that asked two.
     """
     log_term = (n0 - 1).bit_length() + 1 if n0 > 1 else 1
     degree: Dict[int, int] = {v: 0 for v in complex_.vertices}

@@ -22,7 +22,7 @@ is read at h / L by ``EventTable.level_of``, with no Fraction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Collection, Dict, List, Sequence, Set, Tuple
 
 from .complexes import Simplex, SimplicialComplex, build_complex, facets, proper_faces
 from .edges import find_edges
@@ -38,8 +38,11 @@ from .geometry import (
     tilt,
     vneg,
 )
-from .oracle import Oracle, lift_point
+from .oracle import AugmentedDiagram, Oracle, lift_point
 from .vertices import vertex_stage
+
+# a diagram and the level of every vertex in it
+Counted = Tuple[AugmentedDiagram, List[int]]
 
 
 def _heights(points: Sequence[IntVector], s: Direction) -> List[int]:
@@ -221,10 +224,9 @@ def _cofaces(
     highest vertex and ``cand[0]`` its lowest.  ``top[v]`` and ``bottom[v]``
     are the numbers of (k+1)-simplices whose highest and whose lowest vertex
     is v, read off the sweep diagrams.  A candidate is not tested once
-    either its top or its bottom vertex has all its simplices found.  After
-    the pass the found simplices must meet both counts at every vertex, or
-    OracleInconsistency is raised: a candidate the counts reject has no
-    test of its own, and this check is its guard.
+    either its top or its bottom vertex has all its simplices found; such a
+    candidate has no test of its own, and ``reconstruct``'s count check is
+    its guard.
     """
     known = set(previous)
     found: Set[Simplex] = set()
@@ -244,14 +246,25 @@ def _cofaces(
                 found.add(candidate)
                 tops[vertex] += 1
                 bottoms[low] += 1
-    for v in range(len(points)):
-        if (tops[v], bottoms[v]) != (top[v], bottom[v]):
-            raise OracleInconsistency(
-                f"vertex {v} is the top of {tops[v]} and the bottom of "
-                f"{bottoms[v]} simplices found; the sweep diagrams count "
-                f"{top[v]} and {bottom[v]}"
-            )
     return found
+
+
+def _check_counts(found: Collection[Simplex], k: int, counted: List[Counted]) -> None:
+    """Raise OracleInconsistency unless every diagram counts exactly the
+    found k-simplices at each level.
+
+    ``counted`` pairs each diagram with the level of every vertex there.
+    Every k-simplex is one event at the level of its highest vertex, so row
+    k of the histogram rebuilt from the found ones must be the diagram's.
+    """
+    for dgm, levels in counted:
+        row = [0] * len(dgm.events.heights)
+        for simplex in found:
+            row[max([levels[v] for v in simplex])] += 1
+        if row != dgm.counts(k):
+            raise OracleInconsistency(
+                f"the {k}-simplices found do not meet the diagram in {dgm.direction}"
+            )
 
 
 def reconstruct(oracle: Oracle) -> SimplicialComplex:
@@ -265,10 +278,17 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     is one event at the height of its highest vertex, so the vertex stage's
     diagram in ``frame.u1`` counts the i-simplices each vertex tops, and the
     edge stage's diagram in ``-frame.u1`` counts those it bottoms.  Each
-    pass checks the simplices it found against both counts at every vertex,
-    so a dimension with no candidates left is still checked, at no query.
-    Each candidate is tested at most once, so the higher stage costs at most
+    candidate is tested at most once, so the higher stage costs at most
     2(2^k - 1) queries per closure-eligible (k+1)-vertex candidate.
+
+    The count check: after the edge stage and after each pass, the found
+    simplices are checked against every diagram the vertex stage asked and
+    against the ``-frame.u1`` diagram (``_check_counts``), at no query.  A
+    dimension with no candidates left is still checked.  The checked
+    diagrams include the two sweep diagrams, so a candidate that the counts
+    reject untested is guarded, and the others see the found simplices
+    from further directions, where a wrong simplex that keeps both sweep
+    counts can change the count of its middle vertex.
 
     A d-simplex spans R^d, so no direction is orthogonal to its hull.  When
     either sweep diagram counts a d-simplex at a vertex, the pass at i = d
@@ -280,24 +300,34 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     The lifted calls share that log and are the ones with k == d.
     """
     d = oracle.ambient_dim
-    points, frame, sweep = vertex_stage(oracle)
-    edges, sweep_down = find_edges(points, oracle, frame, sweep)
+    points, frame, asked = vertex_stage(oracle)
+    edges, sweep_down = find_edges(points, oracle, frame, asked[0])
 
-    heights = [frame.height(p) for p in points]
-    simplices: Set[Simplex] = {(v,) for v in range(len(points))}
-    simplices.update(edges)
+    # every vertex's level in each diagram, read on the integer points
+    scaled, scale = scale_to_integers(points)
+    counted = []
+    for dgm in [*asked, sweep_down]:
+        (s,), factor = scale_to_integers([dgm.direction])
+        levels = [dgm.events.level_of(dot(s, p), scale * factor) for p in scaled]
+        if None in levels:
+            raise OracleInconsistency(
+                f"vertex {levels.index(None)} is off the grid in {dgm.direction}"
+            )
+        counted.append((dgm, levels))
+    _check_counts(edges, 1, counted)
+    simplices: Set[Simplex] = {(v,) for v in range(len(points))} | edges
     previous: List[Simplex] = sorted(edges)
 
-    scaled, scale = scale_to_integers(points)
+    (sweep, up), (_, down) = counted[0], counted[-1]
     for dim in range(2, d + 1):
-        top = [sweep.count_at(dim, h) for h in heights]
-        bottom = [sweep_down.count_at(dim, -h) for h in heights]
+        tops, bottoms = sweep.counts(dim), sweep_down.counts(dim)
+        top, bottom = [tops[i] for i in up], [bottoms[i] for i in down]
         if dim == d and (any(top) or any(bottom)):
             oracle = oracle.lifted()
             scaled, scale = scale_to_integers([lift_point(p) for p in points])
         found = _cofaces(previous, oracle, scaled, scale, top, bottom)
+        _check_counts(found, dim, counted)
         simplices.update(found)
         previous = sorted(found)
 
-    vertex_map = {i: points[i] for i in range(len(points))}
-    return build_complex(d, vertex_map, simplices)
+    return build_complex(d, dict(enumerate(points)), simplices)

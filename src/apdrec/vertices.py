@@ -7,7 +7,8 @@ index by index and solved for one coordinate at a time.  The first
 diagram, in e1, decides the basis: the standard run uses 2d - 1 queries,
 and when first-axis heights collide a tilted basis is built from the e1 and
 e2 births at the cost of 2 extra queries.  One coordinate loop serves both
-bases, and the sweep diagram is returned for the later stages.
+bases, and every diagram asked, the sweep first, is returned for the later
+stages.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .geometry import (
     SweepFrame,
     Vector,
     basis_vector,
-    leftmost_crossing,
     standard_frame,
     tilt,
+    tilt_weight,
 )
 from .oracle import AugmentedDiagram, Oracle
 
@@ -34,18 +35,20 @@ def find_coordinate(
     oracle: Oracle,
     base_direction: Optional[Direction] = None,
     target_births: Optional[List[Fraction]] = None,
-) -> List[Fraction]:
+) -> Tuple[List[Fraction], List[AugmentedDiagram]]:
     """Recover coordinate i of every vertex, aligned with the base order.
 
     ``base_heights`` are the strictly increasing vertex heights in the base
     direction (e1 unless a tilted basis is in play).  The tilt s_t towards
     e_i preserves that order, so the j-th sorted birth of Dgm0(s_t) belongs
-    to the j-th vertex and, writing s_t = (1-eps) * base + eps * e_i,
+    to the j-th vertex and, writing s_t = (1-eps) * base + eps * e_i with
+    eps the ``tilt_weight`` of the base and e_i heights,
 
         x_i[j] = (H_t[j] - (1-eps) * base_heights[j]) / eps.
 
-    Two logged queries unless the e_i births are passed in.  Raises
-    InvalidInput unless 1 <= i <= d.
+    Returns the coordinates and the diagrams asked, in order: two logged
+    queries, e_i and s_t, or s_t alone when the e_i births are passed in.
+    Raises InvalidInput unless 1 <= i <= d.
     """
     d = oracle.ambient_dim
     if not 1 <= i <= d:
@@ -53,21 +56,23 @@ def find_coordinate(
     e_i = basis_vector(d, i - 1)
     if base_direction is None:
         base_direction = basis_vector(d, 0)
+    asked = []
     if target_births is None:
-        target_births = oracle.query(e_i).births(0)
+        asked.append(oracle.query(e_i))
+        target_births = asked[0].births(0)
     if len(target_births) != len(base_heights):
         raise OracleInconsistency("birth counts differ between directions")
 
-    crossing = leftmost_crossing(base_heights, target_births) if base_heights else None
-    eps = Fraction(1, 2) if crossing is None else crossing / 2
+    eps = tilt_weight(base_heights, target_births)
     s_t = tuple((1 - eps) * a + eps * b for a, b in zip(base_direction, e_i))
-
-    tilted_births = oracle.query(s_t).births(0)
+    asked.append(oracle.query(s_t))
+    tilted_births = asked[-1].births(0)
     if len(tilted_births) != len(base_heights):
         raise OracleInconsistency("birth counts differ between directions")
-    return [
+    column = [
         (ht - (1 - eps) * hb) / eps for ht, hb in zip(tilted_births, base_heights)
     ]
+    return column, asked
 
 
 def create_unique_height_basis(
@@ -85,30 +90,34 @@ def create_unique_height_basis(
     return SweepFrame(b1, b2)
 
 
-def vertex_stage(oracle: Oracle) -> Tuple[List[Vector], SweepFrame, AugmentedDiagram]:
+def vertex_stage(
+    oracle: Oracle,
+) -> Tuple[List[Vector], SweepFrame, List[AugmentedDiagram]]:
     """Recover all vertex locations plus the sweep frame for later stages.
 
     The e1 births decide the basis: the standard frame when they are
     distinct, otherwise the tilted frame of create_unique_height_basis,
     which costs the e2 and b1 diagrams.  Returns the points sorted by
-    increasing sweep height, the frame, and the sweep diagram (the one in
-    ``frame.u1``: e1, or b1 on a tie).  Two vertices with the same
-    projection onto the (e1, e2) plane raise GeneralPositionViolated.
+    increasing sweep height, the frame, and every diagram asked, the sweep
+    diagram (the one in ``frame.u1``: e1, or b1 on a tie) first; the higher
+    stage checks the simplices it finds against them.  Two vertices with the
+    same projection onto the (e1, e2) plane raise GeneralPositionViolated.
     Issues 2d - 1 logged queries, plus 2 on a tie, all in a "vertices" span
     of the log.
     """
     oracle.log.open("vertices")
     d = oracle.ambient_dim
-    sweep = oracle.query(basis_vector(d, 0))
-    births1 = sweep.births(0)
+    asked = [oracle.query(basis_vector(d, 0))]
+    births1 = asked[0].births(0)
     known = {1: births1}
     if len(set(births1)) == len(births1):
         frame = standard_frame(d)
     else:
-        known[2] = oracle.query(basis_vector(d, 1)).births(0)
+        asked.append(oracle.query(basis_vector(d, 1)))
+        known[2] = asked[-1].births(0)
         frame = create_unique_height_basis(births1, known[2], d)
-        sweep = oracle.query(frame.u1)
-    base = sweep.births(0)
+        asked.insert(0, oracle.query(frame.u1))
+    base = asked[0].births(0)
     if len(set(base)) != len(base):
         raise GeneralPositionViolated(
             "two vertices share a projection onto the (e1, e2) plane"
@@ -119,6 +128,8 @@ def vertex_stage(oracle: Oracle) -> Tuple[List[Vector], SweepFrame, AugmentedDia
         if frame.u1 == basis_vector(d, i - 1):
             columns.append(base)
         else:
-            columns.append(find_coordinate(i, base, oracle, frame.u1, known.get(i)))
+            column, diagrams = find_coordinate(i, base, oracle, frame.u1, known.get(i))
+            columns.append(column)
+            asked += diagrams
     points = [tuple(col[j] for col in columns) for j in range(len(base))]
-    return points, frame, sweep
+    return points, frame, asked

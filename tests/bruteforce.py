@@ -105,6 +105,26 @@ def neighbours_below_line(
     return count
 
 
+def slope_sort(offsets: Dict[int, tuple]) -> Tuple[tuple, tuple]:
+    """A radial order by Fraction slopes, for offsets {id: (x, y)} with
+    x != 0: the (id, offset) pairs with x > 0 by descending slope y / x, and
+    every offset by ascending slope."""
+    items = sorted(offsets.items(), key=lambda item: Fraction(item[1][1], item[1][0]))
+    above = tuple(item for item in reversed(items) if item[1][0] > 0)
+    return above, tuple(off for _, off in items)
+
+
+def reference_separating_slope(offsets: Dict[int, tuple], after: int) -> Fraction:
+    """Halfway between the slope of the (after + 1)-th offset above the
+    center in descending slope order and the next lower slope of any offset,
+    or that slope minus one when there is none: sorted as Fractions."""
+    slopes = sorted(Fraction(y, x) for x, y in offsets.values())
+    above, _ = slope_sort(offsets)
+    x, y = above[after][1]
+    i = slopes.index(Fraction(y, x))
+    return (slopes[i] + slopes[i - 1]) / 2 if i else slopes[i] - 1
+
+
 def count_rejection_replay(complex_, direction) -> List[Tuple[int, frozenset]]:
     """The higher stage's predicate calls, replayed over the true complex.
 

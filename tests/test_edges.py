@@ -31,7 +31,7 @@ from apdrec.geometry import (
 from apdrec.higher import reconstruct
 from apdrec.vertices import create_unique_height_basis, vertex_stage
 
-from bruteforce import neighbours_below_line
+from bruteforce import neighbours_below_line, reference_separating_slope, slope_sort
 from conftest import TamperedOracle, cx, shifted_count
 
 F = Fraction
@@ -60,18 +60,32 @@ def sweep_inputs(K):
     return ordered_points(K), oracle, frame, oracle.query(frame.u1)
 
 
+def plane(points, frame):
+    """Each vertex's heights in the frame's two directions times one positive
+    unit, as ints, and that unit, computed as find_edges does."""
+    scaled, scale = scale_to_integers(points)
+    (w1, w2), factor = scale_to_integers([frame.u1, frame.u2])
+    return [(dot(w1, p), dot(w2, p)) for p in scaled], scale * factor
+
+
+def plane_order(points, frame, vertex):
+    """The radial order about a vertex on its integer plane offsets."""
+    coordinates, _ = plane(points, frame)
+    a, b = coordinates[vertex]
+    return radial_order(
+        {u: (x - a, y - b) for u, (x, y) in enumerate(coordinates) if u != vertex}
+    )
+
+
 def global_order(K, vertex):
-    points = ordered_points(K)
-    others = [u for u in range(len(points)) if u != vertex]
-    return radial_order(points[vertex], [points[u] for u in others], ids=others)
+    return plane_order(ordered_points(K), standard_frame(K.ambient_dim), vertex)
 
 
 def at_vertex(points, frame, vertex):
     """(a, b, unit) of a vertex for read_cut: its heights in the frame's two
-    directions are a / unit and b / unit, computed as find_edges does."""
-    scaled, scale = scale_to_integers(points)
-    (w1, w2), factor = scale_to_integers([frame.u1, frame.u2])
-    return dot(w1, scaled[vertex]), dot(w2, scaled[vertex]), scale * factor
+    directions are a / unit and b / unit."""
+    coordinates, unit = plane(points, frame)
+    return (*coordinates[vertex], unit)
 
 
 def split_prefix_count(K, vertex, after, known):
@@ -81,8 +95,9 @@ def split_prefix_count(K, vertex, after, known):
     Returns that prefix count and the oracle that answered."""
     oracle = Oracle(K)
     order = global_order(K, vertex)
-    split = split_wedge(order, after, oracle)
-    at = at_vertex(ordered_points(K), standard_frame(K.ambient_dim), vertex)
+    frame = standard_frame(K.ambient_dim)
+    split = split_wedge(order, after, oracle, frame)
+    at = at_vertex(ordered_points(K), frame, vertex)
     p, q, count = read_cut(split, *at)
     offsets = order.offsets
     below = [u for u in known if p * offsets[u][0] < q * offsets[u][1]]
@@ -130,11 +145,11 @@ def test_an_impossible_prefix_count_raises():
         (1, [(-10, 1, 0)]),
     ):
         with pytest.raises(OracleInconsistency):
-            find_up_edges(0, [], order, indegree, oracle, at, (), cuts)
+            find_up_edges(0, [], order, indegree, oracle, frame, at, (), cuts)
     # the top vertex has no candidate, so it has no edge up
     top = global_order(K, 2)
     with pytest.raises(OracleInconsistency):
-        find_up_edges(2, [0], top, 1, oracle, at_vertex(points, frame, 2), ())
+        find_up_edges(2, [0], top, 1, oracle, frame, at_vertex(points, frame, 2), ())
     assert oracle.log.count == 0
 
 
@@ -144,9 +159,10 @@ def test_find_up_edges_figure():
     points = ordered_points(K)
     frame = standard_frame(2)
     sweep = oracle.query(vneg(frame.u1))
-    indegree = sweep.count_at(1, -frame.height(points[0]))
+    indegree = sweep.count_at(1, -dot(frame.u1, points[0]))
     at = at_vertex(points, frame, 0)
-    ups, splits = find_up_edges(0, [5], global_order(K, 0), indegree, oracle, at, ())
+    order = global_order(K, 0)
+    ups, splits = find_up_edges(0, [5], order, indegree, oracle, frame, at, ())
     assert ups == [1, 3]
     assert len(splits) == oracle.log.count - 1 == 3
 
@@ -158,9 +174,9 @@ def test_find_up_edges_isolated_top_vertex():
     frame = standard_frame(2)
     sweep = oracle.query(vneg(frame.u1))
     order = global_order(K, 0)
-    indegree = sweep.count_at(1, -frame.height(points[0]))
+    indegree = sweep.count_at(1, -dot(frame.u1, points[0]))
     at = at_vertex(points, frame, 0)
-    assert find_up_edges(0, [], order, indegree, oracle, at, ()) == ([], [])
+    assert find_up_edges(0, [], order, indegree, oracle, frame, at, ()) == ([], [])
     assert oracle.log.count == 1  # nothing beyond the shared diagram
 
 
@@ -170,9 +186,10 @@ def test_find_up_edges_star():
     points = ordered_points(K)
     frame = standard_frame(2)
     sweep = oracle.query(vneg(frame.u1))
-    indegree = sweep.count_at(1, -frame.height(points[0]))
+    indegree = sweep.count_at(1, -dot(frame.u1, points[0]))
     at = at_vertex(points, frame, 0)
-    ups, splits = find_up_edges(0, [], global_order(K, 0), indegree, oracle, at, ())
+    order = global_order(K, 0)
+    ups, splits = find_up_edges(0, [], order, indegree, oracle, frame, at, ())
     assert ups == [1, 2, 3, 4]
     assert splits == []  # the whole piece is endpoints
 
@@ -205,7 +222,9 @@ def test_find_edges_point_cloud_queries_once():
     assert oracle.log.directions[-1] == sweep_down.direction
 
 
-UP_ARGS = ("vertex", "known", "order", "indegree", "oracle", "at", "excluded", "cuts")
+UP_ARGS = (
+    "vertex", "known", "order", "indegree", "oracle", "frame", "at", "excluded", "cuts"
+)
 
 
 def watch_splits(monkeypatch, check):
@@ -219,8 +238,8 @@ def watch_splits(monkeypatch, check):
         calls.append(dict(zip(UP_ARGS, args)))
         return real_up(*args)
 
-    def split(order, after, oracle):
-        result = real_split(order, after, oracle)
+    def split(order, after, oracle, frame):
+        result = real_split(order, after, oracle, frame)
         check(calls[-1], after, result)
         return result
 
@@ -274,7 +293,7 @@ def test_find_edges_splits_only_undecided_intervals(monkeypatch):
         K = generate_complex(GeneratorConfig(2, 12, 1, densities=[0.35], seed=seed))
         truth = {frozenset(K.vertices[v] for v in e) for e in K.simplices_of_dim(1)}
         oracle = Oracle(K)
-        points, frame, sweep = vertex_stage(oracle)
+        points, frame, (sweep, *_) = vertex_stage(oracle)
 
         def check(call, after, split):
             order, excluded = call["order"], call["excluded"]
@@ -344,7 +363,7 @@ def test_find_edges_never_returns_edges_from_a_miscounted_sweep():
         points, oracle, frame, sweep = sweep_inputs(K)
         assert find_edges(points, oracle, frame, sweep)[0] == set(K.simplices_of_dim(1))
         for v, p in enumerate(points):
-            height = frame.height(p)
+            height = dot(frame.u1, p)
             for delta in (1, -1):
                 if sweep.count_at(1, height) + delta < 0:
                     continue
@@ -366,8 +385,9 @@ def find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep):
     real = find_up_edges
     calls = []
 
-    def recording(vertex, known, order, indegree, oracle, at, excluded, cuts=()):
-        ups, splits = real(vertex, known, order, indegree, oracle, at, excluded, cuts)
+    def recording(vertex, known, order, indegree, oracle, frame, at, excluded, cuts=()):
+        args = (vertex, known, order, indegree, oracle, frame, at, excluded, cuts)
+        ups, splits = real(*args)
         calls.append((vertex, sorted(known), list(cuts), [s[:2] for s in splits]))
         return ups, splits
 
@@ -403,7 +423,7 @@ def free_cut_inputs():
             complexes.append(generate_complex(config))
     for K in complexes:
         oracle = Oracle(K)
-        points, frame, sweep = vertex_stage(oracle)
+        points, frame, (sweep, *_) = vertex_stage(oracle)
         yield K, points, oracle, frame, sweep
     K = complexes[1]
     oracle = Oracle(K)
@@ -421,7 +441,7 @@ def test_every_free_cut_counts_the_true_up_neighbours_below_its_line(monkeypatch
         found, calls = find_edges_recording_cuts(monkeypatch, *inputs)
         frame = inputs[2]
         assert edge_segments(found) == edge_segments(K)
-        height = {u: frame.height(p) for u, p in found.vertices.items()}
+        height = {u: dot(frame.u1, p) for u, p in found.vertices.items()}
         for vertex, known, cuts, _ in calls:
             lower = [
                 u
@@ -467,7 +487,7 @@ def test_a_miscounted_free_cut_ends_in_an_error(monkeypatch):
     for seed in (0, 3):
         K = generate_complex(GeneratorConfig(2, 14, 1, densities=[0.35], seed=seed))
         oracle = Oracle(K)
-        points, frame, sweep = vertex_stage(oracle)
+        points, frame, (sweep, *_) = vertex_stage(oracle)
         found, calls = find_edges_recording_cuts(
             monkeypatch, points, oracle, frame, sweep
         )
@@ -480,7 +500,7 @@ def test_a_miscounted_free_cut_ends_in_an_error(monkeypatch):
                         continue
                     tampered = TamperedOracle(K, direction, 1, height, delta)
                     with pytest.raises(ApdrecError):
-                        points, tilted, sweep = vertex_stage(tampered)
+                        points, tilted, (sweep, *_) = vertex_stage(tampered)
                         find_edges(points, tampered, tilted, sweep)
                     tried += 1
     assert tried > 200
@@ -496,7 +516,7 @@ def test_find_edges_never_returns_edges_from_a_miscounted_split(monkeypatch):
     for seed in range(4):
         K = generate_complex(GeneratorConfig(2, 14, 1, densities=[0.35], seed=seed))
         oracle = Oracle(K)
-        points, frame, sweep = vertex_stage(oracle)
+        points, frame, (sweep, *_) = vertex_stage(oracle)
         _, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep)
         for vertex, _, _, splits in calls:
             for p, q in splits:
@@ -505,7 +525,7 @@ def test_find_edges_never_returns_edges_from_a_miscounted_split(monkeypatch):
                 for delta in (1, -1):
                     tampered = TamperedOracle(K, direction, 1, height, delta)
                     with pytest.raises(ApdrecError):
-                        points_t, frame_t, sweep_t = vertex_stage(tampered)
+                        points_t, frame_t, (sweep_t, *_) = vertex_stage(tampered)
                         find_edges(points_t, tampered, frame_t, sweep_t)
                     tried += 1
     assert tried > 100
@@ -531,7 +551,7 @@ def test_free_cuts_pin_the_edge_queries_of_a_sparse_planar_graph():
     before the split diagrams were read at later vertices."""
     K = generate_complex(GeneratorConfig(2, 60, 1, densities=[0.15], seed=1))
     oracle = Oracle(K)
-    points, frame, sweep = vertex_stage(oracle)
+    points, frame, (sweep, *_) = vertex_stage(oracle)
     found, _ = find_edges(points, oracle, frame, sweep)
     assert complexes_match(cx(2, points, sorted(found)), K)
     assert oracle.log.queries("edges") == 168
@@ -544,12 +564,13 @@ def test_free_cuts_pin_the_edge_queries_of_a_sparse_planar_graph():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_integer_radial_order_matches_the_rational_one(data):
-    """On points scaled to integers, in the standard frame and in tilted
-    frames of the vertex stage's fallback, the radial order has the same ids,
-    slopes and separating directions as on the rational points, and its
-    offsets are ints.  The integer read of a split at its own vertex is the
-    rational dot-product count, and so is the integer count of the known
-    neighbours below the split's line."""
+    """On the integer plane offsets of rational points, in the standard frame
+    and in tilted frames of the vertex stage's fallback, the radial order has
+    the ids of a Fraction slope sort of the rational offsets, its offsets
+    are ints, and each split's integer slope is the Fraction one.  The split
+    direction puts exactly the vertices up to the split below the center;
+    its integer read at its own vertex is the rational dot-product count,
+    and so is the integer count of the known neighbours below its line."""
     d = data.draw(st.integers(2, 3), label="d")
     coordinate = st.fractions(min_value=-4, max_value=4, max_denominator=7)
     points = data.draw(
@@ -564,24 +585,33 @@ def test_integer_radial_order_matches_the_rational_one(data):
         frame = standard_frame(d)
     # the center, vertex 0, has at least two vertices above it in the sweep,
     # and one below once there are four
-    points.sort(key=frame.height)
+    points.sort(key=lambda p: dot(frame.u1, p))
     points.insert(0, points.pop(len(points) // 2 - 1))
-    scaled, _ = scale_to_integers(points)
     ids = list(range(1, len(points)))
+    c1, c2 = dot(frame.u1, points[0]), dot(frame.u2, points[0])
+    rational = {
+        u: (dot(frame.u1, points[u]) - c1, dot(frame.u2, points[u]) - c2) for u in ids
+    }
+    slopes = [y / x for x, y in rational.values() if x]
     try:
-        rational = radial_order(points[0], points[1:], ids=ids, frame=frame)
+        order = plane_order(points, frame, 0)
     except DegeneratePosition:
-        with pytest.raises(DegeneratePosition):
-            radial_order(scaled[0], scaled[1:], ids=ids, frame=frame)
+        assert len(slopes) < len(ids) or len(set(slopes)) < len(slopes)
         return
-    order = radial_order(scaled[0], scaled[1:], ids=ids, frame=frame)
-    assert [vid for vid, _ in order.ordered] == [vid for vid, _ in rational.ordered]
-    assert order.slopes == rational.slopes
+    above, _ = slope_sort(rational)
+    assert [vid for vid, _ in order.ordered] == [vid for vid, _ in above]
     assert all(type(x) is int for off in order.offsets.values() for x in off)
     for after in range(len(order.ordered)):
-        assert separating_direction(order, after) == separating_direction(
-            rational, after
-        )
+        p, q = separating_slope(order, after)
+        assert F(p, q) == reference_separating_slope(rational, after)
+        direction = separating_direction((p, q), frame)
+        assert direction == split_direction(frame, p, q)
+        height = dot(direction, points[0])
+        assert F(p, q) * c1 - c2 == height
+        below = [vid for vid in ids if dot(direction, points[vid]) < height]
+        assert set(below) & {vid for vid, _ in order.ordered} == {
+            vid for vid, _ in order.ordered[: after + 1]
+        }
 
     # vertex 0 joined to a drawn set of the others; the known neighbours are
     # those below it in the sweep, and the split is of all those above
@@ -593,11 +623,10 @@ def test_integer_radial_order_matches_the_rational_one(data):
     known = sorted(neighbours - set(candidates))
     K = cx(d, points, [(0, u) for u in sorted(neighbours)])
     mid = len(candidates) // 2
-    split = split_wedge(order, mid - 1, Oracle(K))
+    split = split_wedge(order, mid - 1, Oracle(K), frame)
     p, q, _ = split
-    assert F(p, q) == separating_slope(order, mid - 1)
-    direction = separating_direction(order, mid - 1)
-    assert split_direction(frame, p, q) == direction
+    assert (p, q) == separating_slope(order, mid - 1)
+    direction = split_direction(frame, p, q)
     height = dot(direction, points[0])
     indegree = Oracle(K).query(direction).count_at(1, height)
     assert read_cut(split, *at_vertex(points, frame, 0)) == (p, q, indegree)

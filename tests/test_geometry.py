@@ -25,6 +25,9 @@ from apdrec.geometry import (
     affinely_independent,
     basis_vector,
     dot,
+    scale_to_integers,
+    separating_slope,
+    standard_frame,
     vsub,
 )
 
@@ -32,7 +35,9 @@ from bruteforce import (
     brute_leftmost_crossing,
     leibniz_determinant,
     reference_rref,
+    reference_separating_slope,
     reference_solve_particular,
+    slope_sort,
 )
 
 F = Fraction
@@ -209,56 +214,51 @@ def test_tilt_order_preservation_random():
 
 def test_radial_order_upper_pair():
     # the vertex below the center is left out of the order but keeps its slope
-    order = radial_order(vec(0, 0), [vec(1, 1), vec(-1, 1)])
+    order = radial_order({0: (1, 1), 1: (-1, 1)})
     assert order.ordered == ((0, (1, 1)),)
-    assert order.slopes == (-1, 1)
+    assert order.by_slope == ((-1, 1), (1, 1))  # slopes -1 and 1
 
 
 def test_radial_order_singleton():
-    order = radial_order(vec(0, 0), [vec(2, 3)])
+    order = radial_order({0: (2, 3)})
     assert len(order.ordered) == 1
 
 
 def test_radial_order_upper_before_boundary_right():
     # a vertex at the center's sweep height has no slope
     with pytest.raises(DegeneratePosition):
-        radial_order(vec(0, 0), [vec(0, 1), vec(1, 0)])
+        radial_order({0: (0, 1), 1: (1, 0)})
 
 
 def test_radial_order_rejects_parallel_offsets():
     with pytest.raises(DegeneratePosition):
-        radial_order(vec(0, 0), [vec(1, 1), vec(2, 2)])
+        radial_order({0: (1, 1), 1: (2, 2)})
     with pytest.raises(DegeneratePosition):
-        radial_order(vec(0, 0), [vec(1, 1), vec(-2, -2)])
+        radial_order({0: (1, 1), 1: (-2, -2)})
+
+
+def random_offsets(rng, n, high=9, below=0.5):
+    """n integer offsets, no two parallel and none with x = 0, a share of
+    them below the center (x < 0)."""
+    offsets = []
+    while len(offsets) < n:
+        o = (rng.randint(1, high), rng.randint(-high, high))
+        if rng.random() < below:
+            o = (-o[0], o[1])
+        if all(o[0] * b[1] != o[1] * b[0] for b in offsets):
+            offsets.append(o)
+    return dict(enumerate(offsets))
 
 
 def test_radial_order_matches_float_angles():
     rng = random.Random(5)
     for _ in range(60):
-        n = rng.randint(2, 9)
-        offsets = set()
-        while len(offsets) < n:
-            o = (rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(-9, 9))
-            if any(o[0] * b[1] == o[1] * b[0] for b in offsets):
-                continue
-            offsets.add(o)
-        pts = [vec(*o) for o in offsets]
-        order = radial_order(vec(0, 0), pts)
+        offsets = random_offsets(rng, rng.randint(2, 9))
+        order = radial_order(offsets)
         got = [off for _, off in order.ordered]
-        above = [o for o in offsets if o[0] > 0]
+        above = [o for o in offsets.values() if o[0] > 0]
         want = sorted(above, key=lambda o: -math.atan2(o[1], o[0]))
-        assert [tuple(map(int, o)) for o in got] == want
-
-
-def fraction_slope_order(offsets):
-    """The offsets above the center by descending Fraction slope, and every
-    slope ascending: what radial_order must return, sorted by Fractions."""
-
-    def slope(o):
-        return F(o[1]) / o[0]
-
-    above = sorted((o for o in offsets if o[0] > 0), key=slope, reverse=True)
-    return above, tuple(sorted(slope(o) for o in offsets))
+        assert got == want
 
 
 # the slopes of each neighbouring pair differ by exactly 1 / |x1 x2|
@@ -268,7 +268,9 @@ RESOLUTION_CASES = {
     "below-center": [(-7, 3), (-5, 2), (7, 3), (5, 2), (-144, 89), (-89, 55)],
     "wide": [(10**6 + 3, 1), (10**6 + 2, 1), (-(10**6) - 3, 1), (-(10**6) - 2, 1)],
 }
-# a common scale, and per-vertex positive factors that keep every slope
+# a common scale, and per-vertex positive factors that keep every slope; the
+# rational offsets are brought to ints by their common denominator, as the
+# edge stage brings its plane coordinates
 SCALES = {
     "ints": lambda i: 1,
     "times-1e30": lambda i: 10**30,
@@ -281,91 +283,103 @@ SCALES = {
 @pytest.mark.parametrize("offsets", RESOLUTION_CASES.values(), ids=RESOLUTION_CASES.keys())
 def test_radial_order_keys_at_their_resolution_bound(offsets, scale):
     """Slopes as close as two offsets allow are ordered like their
-    Fractions, above and below the center, at any scale and on rationals;
-    parallel offsets still raise."""
-    center = vec(F(1, 3), F(-2, 5))
-    scaled = [(x * scale(i), y * scale(i)) for i, (x, y) in enumerate(offsets)]
-    points = [(center[0] + x, center[1] + y) for x, y in scaled]
-    order = radial_order(center, points)
-    above, slopes = fraction_slope_order(scaled)
-    assert [off for _, off in order.ordered] == above
-    assert order.slopes == slopes
-    assert order.offsets == dict(enumerate(scaled))
-    for i, (x, y) in enumerate(offsets):
-        for tx, ty in [(2 * x, 2 * y), (-x, -y)]:
-            twin = (center[0] + tx * scale(i), center[1] + ty * scale(i))
+    Fractions, above and below the center, at any scale; parallel offsets
+    still raise."""
+    rational = [(x * scale(i), y * scale(i)) for i, (x, y) in enumerate(offsets)]
+    ints, _ = scale_to_integers(rational)
+    order = radial_order(dict(enumerate(ints)))
+    above, by_slope = slope_sort(dict(enumerate(ints)))
+    assert order.ordered == above
+    assert order.by_slope == by_slope
+    assert order.offsets == dict(enumerate(ints))
+    for x, y in ints:
+        for twin in [(2 * x, 2 * y), (-x, -y)]:
             with pytest.raises(DegeneratePosition):
-                radial_order(center, points + [twin])
+                radial_order(dict(enumerate(ints + [twin])))
 
 
 def test_radial_order_matches_a_fraction_slope_sort_on_wide_rationals():
+    """Rational offsets up to 10**40 over denominators up to 50, brought to
+    ints by their common denominator: the ids come in the order of the
+    Fraction slopes of the rational offsets."""
     rng = random.Random(12)
     for _ in range(150):
         n = rng.randint(2, 12)
         big = 10 ** rng.randint(1, 40)
-        offsets = []
-        while len(offsets) < n:
+        rational = {}
+        while len(rational) < n:
             x = F(rng.choice([-1, 1]) * rng.randint(1, big), rng.randint(1, 50))
-            offsets.append((x, F(rng.randint(-big, big), rng.randint(1, 50))))
-        center = vec(rng.randint(-9, 9), F(rng.randint(-9, 9), 4))
-        points = [(center[0] + x, center[1] + y) for x, y in offsets]
-        slopes = [F(y) / x for x, y in offsets]
+            rational[len(rational)] = (x, F(rng.randint(-big, big), rng.randint(1, 50)))
+        ints, _ = scale_to_integers(list(rational.values()))
+        offsets = dict(enumerate(ints))
+        slopes = [y / x for x, y in rational.values()]
         if len(set(slopes)) < len(slopes):
             with pytest.raises(DegeneratePosition):
-                radial_order(center, points)
+                radial_order(offsets)
             continue
-        order = radial_order(center, points)
-        above, want = fraction_slope_order(offsets)
-        assert [off for _, off in order.ordered] == above
-        assert order.slopes == want
+        order = radial_order(offsets)
+        above, by_slope = slope_sort(rational)
+        assert [vid for vid, _ in order.ordered] == [vid for vid, _ in above]
+        assert order.by_slope == tuple(sorted(ints, key=lambda o: F(o[1], o[0])))
+        assert [F(y, x) for x, y in order.by_slope] == [y / x for x, y in by_slope]
 
 
 # ---------------------------------------------------------------------------
-# separating_direction
+# separating_slope and separating_direction
+
+
+def separating(order, after, frame=None):
+    """The split's direction in the frame (the standard one by default)."""
+    frame = frame or standard_frame(2)
+    return separating_direction(separating_slope(order, after), frame)
 
 
 def test_separating_direction_pair():
-    order = radial_order(vec(0, 0), [vec(1, 1), vec(-1, 1)])
-    s = separating_direction(order, 0)
+    order = radial_order({0: (1, 1), 1: (-1, 1)})
+    s = separating(order, 0)
     assert dot(s, vec(1, 1)) < 0
     assert dot(s, vec(-1, 1)) != 0
 
 
 def test_separating_direction_singleton():
-    order = radial_order(vec(0, 0), [vec(2, 1)])
-    s = separating_direction(order, 0)
+    order = radial_order({0: (2, 1)})
+    s = separating(order, 0)
     assert dot(s, vec(2, 1)) < 0
 
 
 def test_separating_direction_edge_interval_figure():
     # four candidates above the center, split after the second one
-    center = vec(0, 0)
-    around = [vec(1, 4), vec(3, 2), vec(4, -2), vec(2, -5)]
-    order = radial_order(center, around)
-    s = separating_direction(order, 1)
+    around = [(1, 4), (3, 2), (4, -2), (2, -5)]
+    order = radial_order(dict(enumerate(around)))
+    assert separating_slope(order, 1) == (1, 12)  # between 2/3 and -1/2
+    s = separating(order, 1)
     assert dot(s, around[0]) < 0 and dot(s, around[1]) < 0
     assert dot(s, around[2]) > 0 and dot(s, around[3]) > 0
 
 
 def test_separating_direction_properties_random():
+    """The integer slope (p, q) is in lowest terms with q > 0 and equals the
+    Fraction one; its line puts the order up to the split below the center
+    and the rest above, and misses every vertex, by ints and by the
+    direction's dot products."""
     rng = random.Random(21)
+    frame = SweepFrame((F(1), F(1, 3)), (F(-1, 2), F(3, 2)))
     for _ in range(80):
-        n = rng.randint(1, 8)
-        offsets = set()
-        while len(offsets) < n:
-            o = (rng.randint(1, 12), rng.randint(-12, 12))
-            if rng.random() < 0.4:
-                o = (-o[0], o[1])  # below the center
-            if any(o[0] * b[1] == o[1] * b[0] for b in offsets):
-                continue
-            offsets.add(o)
-        pts = [vec(*o) for o in offsets]
-        order = radial_order(vec(0, 0), pts)
+        offsets = random_offsets(rng, rng.randint(1, 8), high=12, below=0.4)
+        order = radial_order(offsets)
         for after in range(len(order.ordered)):
-            s = separating_direction(order, after)
-            assert all(dot(s, p) != 0 for p in pts)
+            p, q = separating_slope(order, after)
+            assert q > 0 and math.gcd(p, q) == 1
+            assert F(p, q) == reference_separating_slope(offsets, after)
+            assert all(p * x != q * y for x, y in offsets.values())
+            s = separating(order, after)
+            assert all(dot(s, off) != 0 for off in offsets.values())
             for pos, (_, off) in enumerate(order.ordered):
+                assert (p * off[0] < q * off[1]) == (pos <= after)
                 assert (dot(s, off) < 0) == (pos <= after)
+            # in any frame: the height of an offset (x, y) is m * x - y
+            tilted = separating(order, after, frame)
+            assert tilted == tuple(F(p, q) * a - b for a, b in zip(frame.u1, frame.u2))
 
 
 # ---------------------------------------------------------------------------
@@ -446,20 +460,23 @@ def test_kernels_are_exact_on_integer_input(data):
             normal,
         )
 
-    # an integer frame, so that the projected offsets are ints too
+    # the offsets of the points from a center in the (e1, e2) plane
     center = data.draw(int_vectors(d), label="center")
-    int_frame = SweepFrame(*(tuple(int(i == j) for i in range(d)) for j in (0, 1)))
-    order = outcome(radial_order, center, points, None, int_frame)
-    fraction_order = outcome(radial_order, *as_fractions((center, points)))
-    assert order == fraction_order
+    offsets = {i: (p[0] - center[0], p[1] - center[1]) for i, p in enumerate(points)}
+    order = outcome(radial_order, offsets)
     if isinstance(order, type):
+        slopes = [F(y, x) for x, y in offsets.values() if x]
+        assert len(slopes) < len(offsets) or len(set(slopes)) < len(slopes)
         return
-    assert not has_float((order.ordered, order.slopes))
+    assert (order.ordered, order.by_slope) == slope_sort(offsets)
     if order.ordered:
         after = data.draw(st.integers(0, len(order.ordered) - 1), label="after")
-        got = separating_direction(order, after)
+        slope = separating_slope(order, after)
+        assert all(type(x) is int for x in slope)
+        int_frame = SweepFrame(*(tuple(int(i == j) for i in range(d)) for j in (0, 1)))
+        got = separating_direction(slope, int_frame)
         assert not has_float(got)
-        assert got == separating_direction(fraction_order, after)
+        assert got == separating_direction(slope, standard_frame(d))
 
 
 def test_tilt_and_hull_on_integer_input_examples():

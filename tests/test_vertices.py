@@ -24,8 +24,9 @@ def test_find_coordinate_hand_trace():
     oracle = Oracle(K)
     base = oracle.query((1, 0)).births(0)
     assert base == [0, 1]
-    xs = find_coordinate(2, base, oracle)
+    xs, asked = find_coordinate(2, base, oracle)
     assert xs == [0, 2]
+    assert [dgm.direction for dgm in asked] == oracle.log.directions[1:]
     assert oracle.log.directions[-1] == (F(5, 6), F(1, 6))
     assert oracle.log.count == 3  # e1, e2, tilt
 
@@ -34,8 +35,8 @@ def test_find_coordinate_single_vertex():
     K = cx(3, [(4, -2, F(1, 3))], [])
     oracle = Oracle(K)
     base = oracle.query((1, 0, 0)).births(0)
-    assert find_coordinate(2, base, oracle) == [-2]
-    assert find_coordinate(3, base, oracle) == [F(1, 3)]
+    assert find_coordinate(2, base, oracle)[0] == [-2]
+    assert find_coordinate(3, base, oracle)[0] == [F(1, 3)]
 
 
 def test_find_coordinate_with_target_ties():
@@ -43,7 +44,7 @@ def test_find_coordinate_with_target_ties():
     K = cx(2, [(0, 5), (1, 5)], [])
     oracle = Oracle(K)
     base = oracle.query((1, 0)).births(0)
-    assert find_coordinate(2, base, oracle) == [5, 5]
+    assert find_coordinate(2, base, oracle)[0] == [5, 5]
 
 
 @pytest.mark.parametrize("i", [0, 3])
@@ -58,10 +59,11 @@ def test_find_coordinate_rejects_an_index_outside_1_to_d(i):
 def test_vertex_stage_two_points():
     K = cx(2, [(0, 0), (1, 2)], [])
     oracle = Oracle(K)
-    points, frame, sweep = vertex_stage(oracle)
+    points, frame, asked = vertex_stage(oracle)
     assert points == [(0, 0), (1, 2)]
-    assert sweep.direction == frame.u1 == (1, 0)
+    assert asked[0].direction == frame.u1 == (1, 0)
     assert oracle.log.count == 2 * 2 - 1
+    assert [dgm.direction for dgm in asked] == oracle.log.directions
 
 
 def test_vertex_stage_order_follows_e1():
@@ -103,12 +105,16 @@ def test_vertex_stage_rejects_coincident_projections():
 def test_fallback_basis_recovers_despite_ties():
     K = cx(2, [(0, 0), (0, 1), (1, -1)], [(0, 1), (1, 2)])
     oracle = Oracle(K)
-    points, frame, sweep = vertex_stage(oracle)
-    assert sweep.direction == frame.u1 != (1, 0)  # the b1 diagram
+    points, frame, asked = vertex_stage(oracle)
+    assert asked[0].direction == frame.u1 != (1, 0)  # the b1 diagram
     assert set(points) == set(K.vertices.values())
     assert oracle.log.count == 2 * 2 - 1 + 2  # two extra diagrams for the basis
+    # every diagram asked comes back: b1 first, then e1, e2 and the two
+    # tilts, towards e1 and e2 (b1 is neither)
+    log = oracle.log.directions
+    assert [dgm.direction for dgm in asked] == [log[2], *log[:2], *log[3:]]
     # recovered order follows the tilted sweep direction
-    heights = [frame.height(p) for p in points]
+    heights = [dot(frame.u1, p) for p in points]
     assert heights == sorted(heights)
 
 

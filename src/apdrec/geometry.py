@@ -1,17 +1,21 @@
 """Exact rational linear algebra and direction construction.
 
-Coordinates and heights are exact: ``fractions.Fraction`` values where they
-come from or go to a diagram, ``int`` values where a caller has scaled its
-points by a common denominator.  Directions are *not* normalized: only the
-ordering and equality of dot products ever matters, and both are invariant
-under positive scaling.  This keeps the whole pipeline inside the rationals
-(no square roots), and lets the reconstruction geometry run on integers.
+Coordinates and heights are exact.  The reconstruction geometry runs on
+``int`` values: the callers scale their points by a common denominator, and
+a diagram's heights are ints over its own denominator.  Directions are *not*
+normalized: only the ordering and equality of dot products ever matters, and
+both are invariant under positive scaling.  This keeps the whole pipeline
+inside the rationals (no square roots), and lets every construction return a
+positive integer multiple of its direction, which ``primitive_direction``
+reduces.  The only ``fractions.Fraction`` values of a reconstruction are the
+vertex stage's logged directions and the recovered points.
 
 Every kernel has one code path that is exact on ``int`` input and stays
 exact on ``Fraction`` input: a quotient is built as ``Fraction(p, q)``, never
 as ``p / q``, which would give a float for two ints.  ``dot`` of two integer
-vectors is an int, ``primitive_direction`` returns ints, and ``_rref``
-eliminates fraction-free.
+vectors is an int, ``primitive_direction`` returns ints, ``_rref``
+eliminates fraction-free, and ``_solve_particular`` and ``tilt`` return
+integer multiples of their rational answers.
 
 Vectors and directions are plain tuples, which makes them hashable and
 trivially immutable.
@@ -43,8 +47,9 @@ Direction = Tuple[Fraction, ...]
 
 
 def as_vector(coords: Iterable) -> Vector:
-    """Coerce an iterable of ints/strings/Fractions into a Vector."""
-    return tuple(Fraction(c) for c in coords)
+    """Coerce an iterable of ints/strings/Fractions into a Vector; a
+    Fraction is kept as it is."""
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -77,8 +82,8 @@ def vneg(a: Vector) -> Vector:
     return tuple(-x for x in a)
 
 
-def basis_vector(dim: int, index: int) -> Direction:
-    return tuple(Fraction(1 if i == index else 0) for i in range(dim))
+def basis_vector(dim: int, index: int) -> IntVector:
+    return tuple(int(i == index) for i in range(dim))
 
 
 def is_zero(a: Sequence[Fraction]) -> bool:
@@ -178,18 +183,22 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
 
 def _solve_particular(
     equations: List[Tuple[Sequence[Fraction], Fraction]], dim: int
-) -> Optional[List[Fraction]]:
-    """One exact solution of ``coeffs . x = rhs`` rows, or None if inconsistent.
+) -> Optional[List[int]]:
+    """D times one exact solution of ``coeffs . x = rhs`` rows, for one
+    integer D > 0, or None if the rows are inconsistent.
 
-    Free variables are set to zero, so the result is deterministic.
+    D is the pivot entry that ``_rref`` leaves on every pivot row (1 when
+    there is none), so the result is all ints and is the rational solution
+    scaled by D.  Free variables are set to zero, so the result is
+    deterministic.
     """
     aug = [list(coeffs) + [rhs] for coeffs, rhs in equations]
     aug, pivots = _rref(aug)
     if pivots and pivots[-1] == dim:  # pivot in the rhs column
         return None
-    x = [Fraction(0)] * dim
+    x = [0] * dim
     for row, col in zip(aug, pivots):
-        x[col] = Fraction(row[dim], row[col])
+        x[col] = row[dim]
     return x
 
 
@@ -276,17 +285,18 @@ def second_perpendicular_direction(
     Preconditions (W subset of V subset of all_points): s is orthogonal to
     aff(V), V is affinely independent, and under s the points of V are height
     separated from every other point of ``all_points``.  The returned s' is
-    orthogonal to both aff(W) and s, with ``s'.x - s'.w == 1`` exactly for
-    every w in W, x in V \\ W (solved as a linear system, which also makes the
-    choice deterministic).
+    orthogonal to both aff(W) and s, with ``s'.x - s'.w`` one positive
+    constant for every w in W, x in V \\ W: the primitive form of the
+    solution of a linear system with that constant 1, which also makes the
+    choice deterministic.  An empty W raises InvalidInput.
     """
     v_set = {tuple(p) for p in subset_v}
     w_set = {tuple(p) for p in subset_w}
     if not w_set <= v_set:
         raise InvalidInput("W must be a subset of V")
-    dim = len(s)
     if not subset_w:
-        return basis_vector(dim, 0)
+        raise InvalidInput("W must be nonempty")
+    dim = len(s)
     if w_set == v_set:
         return tuple(s)
 
@@ -320,44 +330,63 @@ def leftmost_crossing(
     equivalence against full pair enumeration.  Returns None when H carries
     fewer than two distinct values (no crossing in (0, 1]).
     """
+    crossing = _crossing(heights, heights_prime)
+    return None if crossing is None else Fraction(*crossing)
+
+
+def _crossing(heights: Sequence, heights_prime: Sequence) -> Optional[Tuple]:
+    """(gap, gap + spread), the leftmost crossing as a pair whose quotient it
+    is: gap is the closest distance of two distinct heights in H, spread
+    that of the extremes of H'.  None when H has fewer than two distinct
+    values.  Ints on integer heights."""
     if not heights or not heights_prime:
         raise InvalidInput("height lists must be nonempty")
     distinct = sorted(set(heights))
     if len(distinct) < 2:
         return None
     min_gap = min(b - a for a, b in zip(distinct, distinct[1:]))
-    spread = max(heights_prime) - min(heights_prime)
-    return Fraction(min_gap, min_gap + spread)
+    return min_gap, min_gap + max(heights_prime) - min(heights_prime)
 
 
 def tilt_weight(
-    heights: Sequence[Fraction], heights_prime: Sequence[Fraction]
-) -> Fraction:
-    """The eps of a tilt ``(1 - eps) * s + eps * s'`` for the heights under
-    s and s': half their leftmost segment crossing, or 1/2 when there is
-    none (``heights`` empty or with fewer than two distinct values)."""
-    crossing = leftmost_crossing(heights, heights_prime) if heights else None
-    return Fraction(1, 2) if crossing is None else crossing / 2
+    heights: Sequence[int], heights_prime: Sequence[int]
+) -> Tuple[int, int]:
+    """(n, q), n and q positive, for the eps = n / q of a tilt ``(1 - eps) *
+    s + eps * s'`` with the heights under s and s': half their leftmost
+    segment crossing, or 1/2 when there is none (``heights`` empty or with
+    fewer than two distinct values).
+
+    Scaling both lists by one positive factor leaves eps as it is, so the
+    heights may be any common positive multiple of the rational ones; on
+    integer heights n and q are ints, not necessarily coprime.
+    """
+    crossing = _crossing(heights, heights_prime) if heights else None
+    if crossing is None:
+        return 1, 2
+    gap, total = crossing
+    return gap, 2 * total
 
 
 def tilt(
-    heights: Sequence[Fraction],
-    heights_prime: Sequence[Fraction],
+    heights: Sequence[int],
+    heights_prime: Sequence[int],
     s: Direction,
     s_prime: Direction,
 ) -> Direction:
-    """The tilt from s towards s': ``(1 - eps) * s + eps * s'``.
+    """q times the tilt from s towards s', ``(1 - eps) * s + eps * s'``.
 
-    eps is the ``tilt_weight`` of the two height lists, so heights that are
-    distinct under s keep their order, while ties under s are broken by the
-    s' order.  With eps = n / q each coordinate is ``((q - n) * a + n * b) /
-    q``, one exact division.
+    eps = n / q is the ``tilt_weight`` of the two height lists, so heights
+    that are distinct under s keep their order, while ties under s are
+    broken by the s' order.  The result ``(q - n) * s + n * s'`` is a
+    positive multiple of the tilt, so it orders and ties heights as the tilt
+    does; on integer heights and directions it is all ints, and
+    ``primitive_direction`` reduces it.
     """
     if parallel(s, s_prime):
         raise ParallelDirections("tilt requires linearly independent directions")
-    eps = tilt_weight(heights, heights_prime)
-    n, q = eps.numerator, eps.denominator
-    return tuple(Fraction((q - n) * a + n * b, q) for a, b in zip(s, s_prime))
+    n, q = tilt_weight(heights, heights_prime)
+    m = q - n
+    return tuple(m * a + n * b for a, b in zip(s, s_prime))
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,18 @@ candidate vertex: the counts differ by one precisely when the candidate
 simplex exists.  ``reconstruct`` climbs the dimensions 2..d with it, on the
 parabolic lift for the full-dimensional simplices.
 
-The stage runs on integers.  ``reconstruct`` scales the recovered points
-once by L, the common denominator of their coordinates (the lifted points by
-their own), so every height is an int, L times the rational one.  The
-predicates only compare heights, and a positive scale keeps their order and
-their ties; every solved or tilted direction scales by a positive factor
-too, and ``primitive_direction`` removes it.  So the oracle is asked the
-same directions in the same order as on the rational points, and a diagram
-is read at h / L by ``EventTable.level_of``, with no Fraction.
+The stage runs on integers and builds no Fraction.  ``reconstruct`` scales
+the recovered points once by L, the common denominator of their coordinates
+(the lifted points, (L * p, p . p) for each scaled point p, by L squared),
+so every height is an int, L times the rational one.  The predicates only
+compare heights, and a positive scale keeps their order and their ties.
+Every solved or tilted direction is an integer multiple of the rational
+one by a positive factor: ``_solve_particular`` returns its solution times
+its pivot, ``tilt`` returns q times the tilt of weight n / q, and scaled
+heights give the same weight.  ``primitive_direction`` removes the factor,
+so the oracle is asked the same directions in the same order as on the
+rational points, and a diagram is read at h / L by
+``EventTable.level_of``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .geometry import (
     tilt,
     vneg,
 )
-from .oracle import AugmentedDiagram, Oracle, lift_point
+from .oracle import AugmentedDiagram, Oracle
 from .vertices import vertex_stage
 
 # a diagram and the level of every vertex in it
@@ -62,7 +66,10 @@ def _tilted(
     s: Direction,
     s_prime: Direction,
 ) -> Direction:
-    """s tilted towards s', in primitive form; ``heights`` are those under s."""
+    """s tilted towards s', in primitive form; ``heights`` are those under s.
+
+    ``tilt`` returns a positive integer multiple of the tilt, which
+    ``primitive_direction`` reduces."""
     return primitive_direction(tilt(heights, _heights(points, s_prime), s, s_prime))
 
 
@@ -324,7 +331,8 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
         top, bottom = [tops[i] for i in up], [bottoms[i] for i in down]
         if dim == d and (any(top) or any(bottom)):
             oracle = oracle.lifted()
-            scaled, scale = scale_to_integers([lift_point(p) for p in points])
+            scaled = [tuple(scale * x for x in p) + (dot(p, p),) for p in scaled]
+            scale *= scale
         found = _cofaces(previous, oracle, scaled, scale, top, bottom)
         _check_counts(found, dim, counted)
         simplices.update(found)

@@ -566,8 +566,15 @@ def _apd(
     direction: Direction,
     order: Optional[Sequence[Simplex]] = None,
 ) -> AugmentedDiagram:
-    """compute_apd on a complex's BoundaryTable, which the Oracle keeps."""
-    direction = tuple(Fraction(x) for x in direction)
+    """compute_apd on a complex's BoundaryTable, which the Oracle keeps.
+
+    Int and Fraction entries are kept as they are; any other entry is read
+    as a Fraction.
+    """
+    direction = tuple(
+        x if type(x) is int or type(x) is Fraction else Fraction(x)
+        for x in direction
+    )
     _check_direction(direction, table.ambient_dim)
     d_scale = math.lcm(*(x.denominator for x in direction))
     distinct, level = _heights(

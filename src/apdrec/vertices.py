@@ -9,11 +9,18 @@ and when first-axis heights collide a tilted basis is built from the e1 and
 e2 births at the cost of 2 extra queries.  One coordinate loop serves both
 bases, and every diagram asked, the sweep first, is returned for the later
 stages.
+
+The stage reads the births of the axis and tilted diagrams as the integer
+heights of their event tables over each table's denominator, and solves on
+those ints.  Its only Fractions are the directions it asks (the tilts s_t
+and b1, whose values the query log records), the base heights and one per
+recovered coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import List, Optional, Tuple
 
 from .errors import GeneralPositionViolated, InvalidInput, OracleInconsistency
@@ -22,11 +29,20 @@ from .geometry import (
     SweepFrame,
     Vector,
     basis_vector,
+    scale_to_integers,
     standard_frame,
-    tilt,
     tilt_weight,
 )
 from .oracle import AugmentedDiagram, Oracle
+
+
+def _births(dgm: AugmentedDiagram) -> Tuple[List[int], int]:
+    """The dimension-0 births of a diagram, increasing with multiplicity, as
+    ints over the positive denominator of its event table."""
+    events = dgm.events
+    counts = events.histogram.get(0, ())
+    births = list(chain.from_iterable(map(repeat, events.heights, counts)))
+    return births, events.denominator
 
 
 def find_coordinate(
@@ -34,7 +50,7 @@ def find_coordinate(
     base_heights: List[Fraction],
     oracle: Oracle,
     base_direction: Optional[Direction] = None,
-    target_births: Optional[List[Fraction]] = None,
+    target: Optional[AugmentedDiagram] = None,
 ) -> Tuple[List[Fraction], List[AugmentedDiagram]]:
     """Recover coordinate i of every vertex, aligned with the base order.
 
@@ -42,13 +58,19 @@ def find_coordinate(
     direction (e1 unless a tilted basis is in play).  The tilt s_t towards
     e_i preserves that order, so the j-th sorted birth of Dgm0(s_t) belongs
     to the j-th vertex and, writing s_t = (1-eps) * base + eps * e_i with
-    eps the ``tilt_weight`` of the base and e_i heights,
+    eps = n / q the ``tilt_weight`` of the base and e_i heights,
 
-        x_i[j] = (H_t[j] - (1-eps) * base_heights[j]) / eps.
+        x_i[j] = (q * H_t[j] - (q - n) * base_heights[j]) / n.
+
+    The base heights are scaled to ints B over one denominator D_b, and
+    the e_i and s_t births are read as ints over their tables' denominators,
+    so the weight and the column are solved on ints: with H_t[j] = T[j] /
+    D_t, x_i[j] is ``(q * D_b * T[j] - (q - n) * D_t * B[j]) / (n * D_t *
+    D_b)``, one Fraction each.
 
     Returns the coordinates and the diagrams asked, in order: two logged
-    queries, e_i and s_t, or s_t alone when the e_i births are passed in.
-    Raises InvalidInput unless 1 <= i <= d.
+    queries, e_i and s_t, or s_t alone when the e_i diagram is passed in as
+    ``target``.  Raises InvalidInput unless 1 <= i <= d.
     """
     d = oracle.ambient_dim
     if not 1 <= i <= d:
@@ -57,37 +79,46 @@ def find_coordinate(
     if base_direction is None:
         base_direction = basis_vector(d, 0)
     asked = []
-    if target_births is None:
-        asked.append(oracle.query(e_i))
-        target_births = asked[0].births(0)
-    if len(target_births) != len(base_heights):
+    if target is None:
+        target = oracle.query(e_i)
+        asked.append(target)
+    (base,), base_den = scale_to_integers([base_heights])
+    target_births, target_den = _births(target)
+    if len(target_births) != len(base):
         raise OracleInconsistency("birth counts differ between directions")
 
-    eps = tilt_weight(base_heights, target_births)
-    s_t = tuple((1 - eps) * a + eps * b for a, b in zip(base_direction, e_i))
+    # the two lists on the one scale base_den * target_den
+    n, q = tilt_weight(
+        [b * target_den for b in base], [t * base_den for t in target_births]
+    )
+    s_t = tuple(Fraction((q - n) * a + n * b, q) for a, b in zip(base_direction, e_i))
     asked.append(oracle.query(s_t))
-    tilted_births = asked[-1].births(0)
-    if len(tilted_births) != len(base_heights):
+    tilted, tilted_den = _births(asked[-1])
+    if len(tilted) != len(base):
         raise OracleInconsistency("birth counts differ between directions")
-    column = [
-        (ht - (1 - eps) * hb) / eps for ht, hb in zip(tilted_births, base_heights)
-    ]
+    up, down = q * base_den, (q - n) * tilted_den
+    den = n * tilted_den * base_den
+    column = [Fraction(up * t - down * h, den) for t, h in zip(tilted, base)]
     return column, asked
 
 
 def create_unique_height_basis(
-    births1: List[Fraction], births2: List[Fraction], d: int
+    births1: List[int], births2: List[int], d: int
 ) -> SweepFrame:
     """Sweep frame (b1, b2) whose first vector separates all vertices.
 
-    ``births1`` and ``births2`` are the dimension-0 births in e1 and e2.  b1
-    is the tilt of e1 towards e2 built from them, so e1 ties are broken by
-    e2 heights (distinct projected vertices); b2 is the exact -90 degree
-    rotation of b1 inside the (e1, e2) plane.  Pure: it issues no query.
+    ``births1`` and ``births2`` are the dimension-0 births in e1 and e2, on
+    one common scale (the rational heights, or the integer heights of the
+    two tables, whose denominators agree).  b1 is the tilt ``(1 - eps) * e1
+    + eps * e2`` with eps = n / q their ``tilt_weight``, so e1 ties are
+    broken by e2 heights (distinct projected vertices); b2 is the exact -90
+    degree rotation of b1 inside the (e1, e2) plane.  Pure: it issues no
+    query.
     """
-    b1 = tilt(births1, births2, basis_vector(d, 0), basis_vector(d, 1))
-    b2 = (b1[1], -b1[0]) + tuple(Fraction(0) for _ in range(d - 2))
-    return SweepFrame(b1, b2)
+    n, q = tilt_weight(births1, births2)
+    rest = (0,) * (d - 2)
+    b1 = (Fraction(q - n, q), Fraction(n, q)) + rest
+    return SweepFrame(b1, (b1[1], -b1[0]) + rest)
 
 
 def vertex_stage(
@@ -108,14 +139,14 @@ def vertex_stage(
     oracle.log.open("vertices")
     d = oracle.ambient_dim
     asked = [oracle.query(basis_vector(d, 0))]
-    births1 = asked[0].births(0)
-    known = {1: births1}
+    births1, _ = _births(asked[0])
+    known = {1: asked[0]}
     if len(set(births1)) == len(births1):
         frame = standard_frame(d)
     else:
-        asked.append(oracle.query(basis_vector(d, 1)))
-        known[2] = asked[-1].births(0)
-        frame = create_unique_height_basis(births1, known[2], d)
+        known[2] = oracle.query(basis_vector(d, 1))
+        asked.append(known[2])
+        frame = create_unique_height_basis(births1, _births(known[2])[0], d)
         asked.insert(0, oracle.query(frame.u1))
     base = asked[0].births(0)
     if len(set(base)) != len(base):

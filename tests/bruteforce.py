@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from apdrec.errors import DegeneratePosition, InvalidInput, PreconditionViolated
+
 
 def brute_leftmost_crossing(
     heights: Sequence[Fraction], heights_prime: Sequence[Fraction]
@@ -400,6 +402,92 @@ def reference_solve_particular(
     for row, col in zip(aug, pivots):
         x[col] = row[dim]
     return x
+
+
+def reference_tilt(
+    heights: Sequence[Fraction],
+    heights_prime: Sequence[Fraction],
+    s: Sequence[Fraction],
+    s_prime: Sequence[Fraction],
+) -> Tuple[Fraction, ...]:
+    """The tilt ``(1 - eps) * s + eps * s'`` itself, in Fractions: eps is half
+    the brute-force leftmost crossing of the two height lists, or 1/2 when
+    there is none."""
+    crossing = brute_leftmost_crossing(heights, heights_prime) if heights else None
+    eps = Fraction(1, 2) if crossing is None else crossing / 2
+    return tuple((1 - eps) * Fraction(a) + eps * Fraction(b) for a, b in zip(s, s_prime))
+
+
+def reference_second_perpendicular(
+    all_points: Sequence[Sequence],
+    subset_v: Sequence[Sequence],
+    subset_w: Sequence[Sequence],
+    s: Sequence,
+) -> Tuple[Fraction, ...]:
+    """A rational s' orthogonal to aff(W) and to s with ``s'.x - s'.w == 1``
+    for every w in W and x in V \\ W, free variables zero; s itself when
+    W == V.  Raises as the library does: InvalidInput for an empty W or one
+    outside V, PreconditionViolated when s gives a point outside V the
+    height of V, DegeneratePosition when the system has no nonzero
+    solution."""
+    v_set = {tuple(p) for p in subset_v}
+    w_set = {tuple(p) for p in subset_w}
+    if not w_set or not w_set <= v_set:
+        raise InvalidInput("W must be a nonempty subset of V")
+    if w_set == v_set:
+        return tuple(Fraction(x) for x in s)
+    height = sum(Fraction(a) * b for a, b in zip(s, subset_v[0]))
+    for p in all_points:
+        if tuple(p) not in v_set and sum(Fraction(a) * b for a, b in zip(s, p)) == height:
+            raise PreconditionViolated("s does not height-separate V from the rest")
+    w0 = subset_w[0]
+    equations = [([Fraction(a) - b for a, b in zip(w, w0)], 0) for w in subset_w[1:]]
+    equations.append(([Fraction(a) for a in s], 0))
+    equations += [
+        ([Fraction(a) - b for a, b in zip(x, w0)], 1)
+        for x in subset_v
+        if tuple(x) not in w_set
+    ]
+    solution = reference_solve_particular(equations, len(s))
+    if solution is None or not any(solution):
+        raise DegeneratePosition("V u {v - s} is affinely dependent")
+    return tuple(solution)
+
+
+def primitive_ints(direction: Sequence) -> Tuple[int, ...]:
+    """The direction times the positive rational that makes it integer with
+    coprime entries."""
+    direction = [Fraction(x) for x in direction]
+    scale = math.lcm(*(x.denominator for x in direction))
+    ints = [int(x * scale) for x in direction]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def reference_isolating_direction(
+    candidate: Sequence[int], points: Sequence[Sequence], hull_normal: Sequence
+) -> Tuple[Fraction, ...]:
+    """A direction orthogonal to the candidate's hull under which it alone
+    has its height, from ``hull_normal``, a direction orthogonal to that
+    hull: the normal itself when no other point shares the height, else the
+    ``reference_tilt`` of the normal towards the primitive integer form of
+    the ``reference_second_perpendicular`` placing the candidate below the
+    other points at that height (the tilt depends on the scale of the
+    direction it tilts towards).  More points at that height than a point
+    has coordinates raise DegeneratePosition."""
+    heights = [sum(Fraction(a) * b for a, b in zip(hull_normal, p)) for p in points]
+    level = [u for u, h in enumerate(heights) if h == heights[candidate[0]]]
+    if set(level) == set(candidate):
+        return tuple(Fraction(x) for x in hull_normal)
+    if len(level) > len(points[0]):
+        raise DegeneratePosition("more than d vertices on one hyperplane")
+    s2 = primitive_ints(
+        reference_second_perpendicular(
+            points, [points[u] for u in level], [points[v] for v in candidate], hull_normal
+        )
+    )
+    heights_prime = [sum(a * Fraction(b) for a, b in zip(s2, p)) for p in points]
+    return reference_tilt(heights, heights_prime, hull_normal, s2)
 
 
 def reference_general_position(

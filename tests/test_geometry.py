@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from apdrec import (
     ApdrecError,
     DegeneratePosition,
+    InvalidInput,
     ParallelDirections,
     leftmost_crossing,
     orthogonal_to_affine_hull,
@@ -25,18 +26,24 @@ from apdrec.geometry import (
     affinely_independent,
     basis_vector,
     dot,
+    parallel,
+    primitive_direction,
     scale_to_integers,
     separating_slope,
     standard_frame,
     vsub,
 )
+from apdrec.higher import _isolating_direction
 
 from bruteforce import (
     brute_leftmost_crossing,
     leibniz_determinant,
+    reference_isolating_direction,
     reference_rref,
+    reference_second_perpendicular,
     reference_separating_slope,
     reference_solve_particular,
+    reference_tilt,
     slope_sort,
 )
 
@@ -105,9 +112,11 @@ def test_second_perpendicular_w_equals_v():
 
 
 def test_second_perpendicular_w_empty():
+    # no direction is asked of an empty W: e1 would not be orthogonal to s
     v = [vec(0, 0, 0), vec(1, 0, 0)]
-    s = vec(0, 0, 1)
-    assert second_perpendicular_direction(v, v, [], s) == basis_vector(3, 0)
+    for s in (vec(0, 0, 1), vec(1, 1, 0)):
+        with pytest.raises(InvalidInput):
+            second_perpendicular_direction(v, v, [], s)
 
 
 def test_second_perpendicular_axis_example():
@@ -170,13 +179,17 @@ def test_crossing_matches_bruteforce(h, hp):
 
 
 def test_tilt_swap_example():
+    # eps = 1/4: four times the tilt (3/4, 1/4)
     s_t = tilt([F(0), F(1)], [F(1), F(0)], vec(1, 0), vec(0, 1))
-    assert s_t == vec(F(3, 4), F(1, 4))
+    assert s_t == (3, 1)
+    assert reference_tilt([0, 1], [1, 0], (1, 0), (0, 1)) == vec(F(3, 4), F(1, 4))
     assert dot(s_t, vec(0, 0)) < dot(s_t, vec(1, 0))  # order of e1 kept
 
 
 def test_tilt_no_crossings():
-    assert tilt([F(5)], [F(9)], vec(1, 0), vec(0, 1)) == vec(F(1, 2), F(1, 2))
+    # eps = 1/2: twice the tilt (1/2, 1/2)
+    assert tilt([F(5)], [F(9)], vec(1, 0), vec(0, 1)) == (1, 1)
+    assert reference_tilt([5], [9], (1, 0), (0, 1)) == vec(F(1, 2), F(1, 2))
 
 
 def test_tilt_breaks_tie_by_second_direction():
@@ -480,12 +493,71 @@ def test_kernels_are_exact_on_integer_input(data):
 
 
 def test_tilt_and_hull_on_integer_input_examples():
-    assert tilt([0, 3], [1, 0], (1, 0), (0, 1)) == (F(5, 8), F(3, 8))
+    # eps = 3/8: eight times the tilt (5/8, 3/8), in ints
+    s_t = tilt([0, 3], [1, 0], (1, 0), (0, 1))
+    assert s_t == (5, 3) and all(type(x) is int for x in s_t)
+    assert reference_tilt([0, 3], [1, 0], (1, 0), (0, 1)) == (F(5, 8), F(3, 8))
     assert orthogonal_to_affine_hull([(0, 0, 0), (1, 2, 3), (2, 1, 7)]) == (
         -11,
         1,
         3,
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_directions_match_the_rational_references(data):
+    """On int points, ``tilt``, ``second_perpendicular_direction`` and
+    ``_isolating_direction`` return int directions with the primitive form
+    of the Fraction forms kept in bruteforce, or raise the same error.  The
+    coordinates are small and signed, so heights tie often, and the points
+    are lifted to (p, p . p) half of the time."""
+    d = data.draw(st.integers(min_value=2, max_value=4), label="d")
+    coords = st.integers(min_value=-3, max_value=3)
+    points = data.draw(
+        st.lists(st.tuples(*[coords] * d), min_size=2, max_size=d + 3, unique=True),
+        label="points",
+    )
+    if data.draw(st.booleans(), label="lifted"):
+        points = [p + (dot(p, p),) for p in points]
+    dim = len(points[0])
+    unit = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dim)
+
+    def same_direction(got, want):
+        if isinstance(want, tuple):
+            assert all(type(x) is int for x in got)
+            assert primitive_direction(got) == primitive_direction(want)
+        else:
+            assert got == want
+
+    s = data.draw(unit.filter(any), label="s")
+    s_prime = data.draw(unit.filter(any), label="s_prime")
+    if not parallel(s, s_prime):
+        heights = [dot(s, p) for p in points]
+        heights_prime = [dot(s_prime, p) for p in points]
+        same_direction(
+            tilt(heights, heights_prime, s, s_prime),
+            reference_tilt(heights, heights_prime, s, s_prime),
+        )
+
+    size_v = data.draw(st.integers(1, min(len(points), dim)), label="|V|")
+    ids = data.draw(st.permutations(range(len(points))), label="ids")
+    subset_v = [points[u] for u in ids[:size_v]]
+    normal = outcome(orthogonal_to_affine_hull, subset_v)
+    if isinstance(normal, tuple):
+        subset_w = subset_v[: data.draw(st.integers(1, size_v), label="|W|")]
+        same_direction(
+            outcome(second_perpendicular_direction, points, subset_v, subset_w, normal),
+            outcome(reference_second_perpendicular, points, subset_v, subset_w, normal),
+        )
+        candidate = sorted(ids[:size_v])
+        same_direction(
+            outcome(_isolating_direction, candidate, points),
+            outcome(reference_isolating_direction, candidate, points, normal),
+        )
+    else:
+        candidate = sorted(ids[:size_v])
+        assert outcome(_isolating_direction, candidate, points) == normal
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +610,18 @@ def test_fraction_free_rref_matches_the_rational_reference(system):
         full_rank = len(reference_rref([list(row) for row in square])[1]) == dim
         assert affinely_independent([origin] + square) == full_rank
 
+    # the solution is D times the rational one, for D the positive pivot
+    # entry of the fraction-free form (1 when there is no pivot)
     equations = [(row[:dim], row[dim]) for row in rows]
     solution = _solve_particular(equations, dim)
-    assert solution == reference_solve_particular(equations, dim)
+    reference = reference_solve_particular(equations, dim)
+    assert (solution is None) == (reference is None)
     if solution is not None:
-        assert all(dot(coeffs, solution) == rhs for coeffs, rhs in equations)
+        D = got[0][pivots[0]] if pivots else 1
+        assert type(D) is int and D > 0
+        assert all(type(x) is int for x in solution)
+        assert solution == [D * x for x in reference]
+        assert all(dot(coeffs, solution) == D * rhs for coeffs, rhs in equations)
 
 
 def test_solve_particular_reports_inconsistent_systems():

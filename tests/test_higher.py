@@ -570,6 +570,52 @@ def test_a_wrong_triangle_count_the_count_check_misses():
     assert complexes_match(recovered, K)
 
 
+def test_the_simplex_predicate_builds_no_fraction(monkeypatch):
+    """Every is_simplex call runs on ints: while reconstructing acceptance
+    configs 2, 32 and 39 (k = 2 and k = 3 calls) and the lifted d = 3
+    config, no Fraction is constructed inside the predicate, though the
+    vertex stage builds them outside it."""
+    import apdrec.higher as higher_mod
+
+    from test_acceptance import _trial_configs
+
+    inside, built, outside = [0], [0], [0]
+    real_new = Fraction.__new__
+    real_is_simplex = higher_mod.is_simplex
+
+    def counting_new(cls, *args, **kwargs):
+        if inside[0]:
+            built[0] += 1
+        else:
+            outside[0] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def watched_is_simplex(*args):
+        inside[0] += 1
+        try:
+            return real_is_simplex(*args)
+        finally:
+            inside[0] -= 1
+
+    corpus = _trial_configs()
+    lifted = GeneratorConfig(
+        3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2, lift_general_position=True
+    )
+    complexes = [generate_complex(corpus[i]) for i in (2, 32, 39)]
+    complexes.append(generate_complex(lifted))
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(higher_mod, "is_simplex", watched_is_simplex)
+    calls = []
+    for K in complexes:
+        oracle = Oracle(K)
+        assert complexes_match(reconstruct(oracle), K)
+        calls += [(K.ambient_dim, k) for k, _ in oracle.log.predicate_calls]
+        assert built == [0]
+    assert (3, 2) in calls and (3, 3) in calls  # the lifted pass, k == d
+    assert any(k == 3 and d > 3 for d, k in calls)
+    assert outside[0] > 0  # the counter sees the vertex stage's Fractions
+
+
 # ---------------------------------------------------------------------------
 # the query log, pinned
 

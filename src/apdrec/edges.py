@@ -22,26 +22,32 @@ neighbours below the line of slope m through u: a cut (p, q, count).  At
 u's turn every neighbour below u in the sweep is known, and the candidates,
 which run in descending slope, below the line are a prefix; the cut less
 the known neighbours below its line is the prefix count at that prefix's
-length.  Both numbers are found by bisection over integer offsets.
+length.  The known neighbours run in ascending slope, so those below the
+line are a prefix too, and one merge in slope order places all of a
+vertex's cuts at once (``_place``).
 
 *The search.*  Consecutive prefix counts bound pieces of the candidates.  A
 piece whose count is 0 holds no endpoint and one whose count is its size
 holds only endpoints.  While some piece decides nothing, the leftmost such
 piece is split at its middle candidate: ``split_wedge`` asks the diagram in
 a direction whose line through v separates the two halves, one query, and
-that diagram read at v is one more cut.  Each diagram a vertex's splits
-asked is also read at every later vertex, and the cuts it gives there,
-free, seed that vertex's search, which only ever removes splits.  Two
-prefix counts at one length that differ, or a piece whose count is
-negative or above its size, raise OracleInconsistency.
+that diagram read at v is one more cut.  Once v's search is done, each
+diagram its splits asked is read at all later vertices in one pass
+(``read_cuts``, one lookup per vertex), and the cuts it gives there, free,
+seed those vertices' searches, which only ever removes splits.  Two prefix
+counts at one length that differ, or a piece whose count is negative or
+above its size, raise OracleInconsistency.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidInput, OracleInconsistency
 from .geometry import (
+    Offset,
     RadialOrder,
     SweepFrame,
     Vector,
@@ -69,25 +75,44 @@ def split_wedge(
     The direction is the frame's m * u1 - u2 for m = p / q, q > 0, the
     ``separating_slope``, which puts ``ordered[:after + 1]`` strictly below
     the center and the rest of ``ordered`` strictly above.  One logged
-    query; ``read_cut`` reads it at the center.
+    query; ``read_cuts`` reads it at the center, and again at every later
+    vertex once the center's search is done.
     """
     p, q = separating_slope(order, after)
     dgm = oracle.query(separating_direction((p, q), frame))
     return p, q, dgm.events
 
 
-def read_cut(split: Split, a: int, b: int, unit: int) -> Optional[Cut]:
-    """The cut a split diagram gives at a vertex u with u1 . u = a / unit and
-    u2 . u = b / unit, unit > 0, or None when u shares its height there.
+def read_cuts(
+    split: Split, plane: Sequence[Tuple[int, int]], unit: int
+) -> List[Optional[Cut]]:
+    """The cut a split diagram gives at each vertex u of ``plane``, which
+    holds (a, b) with u1 . u = a / unit and u2 . u = b / unit, unit > 0:
+    None where u shares its height there or is off the grid.
 
-    u's height in m * u1 - u2 is (p * a - q * b) / (q * unit), an int over a
-    positive int, which the diagram's table looks up without a Fraction.
+    u's height in m * u1 - u2 is (p * a - q * b) / (q * unit).  It is the
+    level h / denominator of the diagram's table exactly when
+    ``(p * a - q * b) * n == h * m``, for n / m the ratio denominator /
+    (q * unit) in lowest terms.  So each vertex costs one division and one
+    search of the table's integer levels, and no Fraction.
     """
     p, q, events = split
-    i = events.level_of(p * a - q * b, q * unit)
-    if events.count(0, i) != 1:
-        return None
-    return p, q, events.count(1, i)
+    n, m = events.denominator, q * unit
+    g = math.gcd(n, m)
+    n, m = n // g, m // g
+    heights = events.heights
+    top = len(heights)
+    vertices = events.histogram.get(0) or [0] * top
+    edges = events.histogram.get(1) or [0] * top
+    cuts: List[Optional[Cut]] = []
+    for a, b in plane:
+        h, rest = divmod((p * a - q * b) * n, m)
+        i = bisect_left(heights, h)
+        if rest or i == top or heights[i] != h or vertices[i] != 1:
+            cuts.append(None)
+        else:
+            cuts.append((p, q, edges[i]))
+    return cuts
 
 
 def find_up_edges(
@@ -109,10 +134,11 @@ def find_up_edges(
     is one event at the height of its top vertex.  ``known_below_edges``
     must hold exactly the vertex's neighbours below it, ``order`` is the
     radial order about it, ``frame`` the one its splits are asked in, and
-    ``at`` is (a, b, unit) for the vertex as in ``read_cut``.  The
+    ``at`` is (a, b, unit) for the vertex as in ``read_cuts``.  The
     ``excluded`` vertices are known not to be endpoints and are left out of
     the candidates.  The prefix counts start from 0, ``indegree`` and the
-    ``cuts``; each split adds its own cut at the vertex, which lands at the
+    ``cuts``, all placed in one merge in slope order; each split adds its
+    own cut at the vertex, read with ``read_cuts``, which lands at the
     middle of the piece it splits.
     """
     # the index in order.ordered of each candidate, in radial order
@@ -122,22 +148,16 @@ def find_up_edges(
     downs = [off for off in order.by_slope if off in known_offsets]
     prefix = {0: 0}
 
-    def record(end: int, count: int) -> int:
-        if prefix.setdefault(end, count) != count:
-            raise OracleInconsistency(
-                f"vertex {vertex}: {prefix[end]} and {count} edges up "
-                f"in the first {end} candidates"
-            )
-        return end
+    def record(placed: List[Tuple[int, int]]) -> None:
+        for end, count in placed:
+            if prefix.setdefault(end, count) != count:
+                raise OracleInconsistency(
+                    f"vertex {vertex}: {prefix[end]} and {count} edges up "
+                    f"in the first {end} candidates"
+                )
 
-    def add(p: int, q: int, count: int) -> int:
-        # both sides' vertices below the line are prefixes: the candidates
-        # in descending slope, x > 0, the known ones in ascending, x < 0
-        return record(_below_line(ups, p, q), count - _below_line(downs, p, q))
-
-    record(len(candidates), indegree)
-    for cut in cuts:
-        add(*cut)
+    record([(len(candidates), indegree)])
+    record(_place(cuts, ups, downs))
     ends = sorted(prefix)
     found: List[int] = []
     splits: List[Split] = []
@@ -152,13 +172,15 @@ def find_up_edges(
         if 0 < count < end - start:
             after = candidates[(start + end) // 2 - 1]
             split = split_wedge(order, after, oracle, frame)
-            cut = read_cut(split, *at)
+            (cut,) = read_cuts(split, [at[:2]], at[2])
             if cut is None:
                 raise OracleInconsistency(
                     f"vertex {vertex} is not alone at its height in its own split"
                 )
             splits.append(split)
-            ends.insert(i + 1, add(*cut))
+            placed = _place([cut], ups, downs)
+            record(placed)
+            ends.insert(i + 1, placed[0][0])
             continue
         if count:
             found.extend([order.ordered[i][0] for i in candidates[start:end]])
@@ -166,18 +188,33 @@ def find_up_edges(
     return found, splits
 
 
-def _below_line(offsets: Sequence[Tuple[int, int]], p: int, q: int) -> int:
-    """Length of the prefix of ``offsets`` with ``p * x < q * y``, for
-    offsets ordered so that those form a prefix."""
-    lo, hi = 0, len(offsets)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        x, y = offsets[mid]
-        if p * x < q * y:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _place(
+    cuts: Sequence[Cut], ups: Sequence[Offset], downs: Sequence[Offset]
+) -> List[Tuple[int, int]]:
+    """Each cut as a prefix count (end, count): ``end`` candidates lie below
+    its line, and ``count`` is the cut less the known neighbours below it.
+
+    An offset (x, y) lies below the line of slope m = p / q when
+    ``p * x < q * y``: for x > 0 when y / x > m, for x < 0 when y / x < m.
+    The candidates, ``ups``, run in descending slope and the known
+    neighbours, ``downs``, in ascending slope, so both sets below a line are
+    prefixes.  Taken in descending slope, the cuts' candidate prefixes grow
+    and their known prefixes shrink: one walk over each list places them
+    all.  The cuts are sorted on the integer key ``(p * M) // q`` for M the
+    largest q², as ``radial_order`` sorts: two distinct slopes differ by at
+    least 1 / M, so the keys keep their order.
+    """
+    bound = max([q for _, q, _ in cuts], default=1) ** 2
+    by_slope = sorted([((p * bound) // q, p, q, count) for p, q, count in cuts])
+    placed = []
+    i, j, n = 0, len(downs), len(ups)
+    for _, p, q, count in reversed(by_slope):
+        while i < n and p * ups[i][0] < q * ups[i][1]:
+            i += 1
+        while j and p * downs[j - 1][0] >= q * downs[j - 1][1]:
+            j -= 1
+        placed.append((i, count - j))
+    return placed
 
 
 def find_edges(
@@ -200,8 +237,9 @@ def find_edges(
     denominator, dotted with the frame scaled likewise.  A vertex's radial
     order is taken on the differences of those coordinates from its own,
     so every offset is a pair of ints, and every height read off a diagram
-    is an int over a positive one, read with ``EventTable.level_of``.  The
-    frame itself enters only the directions of the splits.
+    is an int over a positive one, read with ``EventTable.level_of`` or, in
+    a split's diagram, by ``read_cuts``.  The frame itself enters only the
+    directions of the splits.
 
     ``sweep`` is the vertex stage's diagram in ``frame.u1``.  Its edge count
     at a vertex's height is the number of edges from that vertex down to
@@ -212,9 +250,9 @@ def find_edges(
     OracleInconsistency is raised.  A diagram in any other direction raises
     InvalidInput.
 
-    Free cuts: once a vertex's search is done, every split it asked is read
-    at each later vertex with ``read_cut``, and only the cut is kept; at
-    that vertex's turn the cuts seed its prefix counts (see
+    Free cuts: once a vertex's search is done, each split it asked is read
+    at all later vertices in one ``read_cuts`` pass, and only the cuts are
+    kept; at a vertex's turn its cuts seed its prefix counts (see
     ``find_up_edges``).  A vertex with no edge up is searched too: its cuts
     must then count exactly its known edges down, a check at no query that
     a miscounted cut elsewhere, which an exchange of two edges can hide
@@ -226,7 +264,7 @@ def find_edges(
     sweep_diagram = oracle.query(vneg(frame.u1))
 
     scaled, scale = scale_to_integers(points)
-    (w1, w2), factor = scale_to_integers([frame.u1, frame.u2])
+    w1, w2, factor = frame.integer
     # u1 . u and u2 . u times unit, as ints
     plane = [(dot(w1, p), dot(w2, p)) for p in scaled]
     unit = scale * factor
@@ -250,7 +288,8 @@ def find_edges(
             {u: (x - a, y - b) for u, (x, y) in enumerate(plane) if u != vid}
         )
         # every neighbour known so far of a vertex above vid lies below vid
-        excluded = {u for u in order.offsets if len(adjacency[u]) == down_degree[u]}
+        later = ids_by_height[step + 1 :]
+        excluded = {u for u in later if len(adjacency[u]) == down_degree[u]}
         ups, splits = find_up_edges(
             vid,
             adjacency[vid],
@@ -266,9 +305,10 @@ def find_edges(
             edges.add(tuple(sorted((vid, u))))
             adjacency[vid].append(u)
             adjacency[u].append(vid)
+        at_later = [plane[u] for u in later]
+        cuts_later = [cuts[u] for u in later]
         for split in splits:
-            for u in ids_by_height[step + 1 :]:
-                cut = read_cut(split, *plane[u], unit)
+            for held, cut in zip(cuts_later, read_cuts(split, at_later, unit)):
                 if cut is not None:
-                    cuts[u].append(cut)
+                    held.append(cut)
     return edges, sweep_diagram

@@ -8,7 +8,8 @@ both are invariant under positive scaling.  This keeps the whole pipeline
 inside the rationals (no square roots), and lets every construction return a
 positive integer multiple of its direction, which ``primitive_direction``
 reduces.  The only ``fractions.Fraction`` values of a reconstruction are the
-vertex stage's logged directions and the recovered points.
+logged directions of the vertex stage and of the edge stage's splits, and
+the recovered points.
 
 Every kernel has one code path that is exact on ``int`` input and stays
 exact on ``Fraction`` input: a quotient is built as ``Fraction(p, q)``, never
@@ -401,10 +402,21 @@ class SweepFrame:
     (1, 2); the fallback basis built when e1 heights collide swaps in the
     tilted pair (b1, b2).  Offsets (x, y) are measured by dot products with
     the two frame vectors.
+
+    ``integer`` is (w1, w2, f): the pair scaled to ints by their common
+    denominator f > 0, so u1 = w1 / f and u2 = w2 / f.  It is built once, with
+    the frame.
     """
 
     u1: Direction
     u2: Direction
+    integer: Tuple[IntVector, IntVector, int] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        (w1, w2), f = scale_to_integers([self.u1, self.u2])
+        object.__setattr__(self, "integer", (w1, w2, f))
 
 
 def standard_frame(dim: int) -> SweepFrame:
@@ -498,7 +510,11 @@ def separating_direction(slope: Tuple[int, int], frame: SweepFrame) -> Direction
     It gives a vertex whose offset from the center is (x, y) the height
     ``m * x - y`` above the center's, so for the ``separating_slope`` of an
     order the vertices up to the split land strictly below the center and
-    the rest of ``ordered`` strictly above.
+    the rest of ``ordered`` strictly above.  With the frame's integer form
+    (w1, w2, f), each coordinate is one ``Fraction(p * x - q * y, q * f)``
+    for x, y the coordinates of w1, w2.
     """
-    m = Fraction(*slope)
-    return tuple(m * x - y for x, y in zip(frame.u1, frame.u2))
+    p, q = slope
+    w1, w2, f = frame.integer
+    denominator = q * f
+    return tuple(Fraction(p * x - q * y, denominator) for x, y in zip(w1, w2))

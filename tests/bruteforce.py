@@ -107,6 +107,33 @@ def neighbours_below_line(
     return count
 
 
+def reference_cut(split, a: int, b: int, unit: int) -> Optional[Tuple[int, int, int]]:
+    """The cut (p, q, count) that a split (p, q, events) gives at one vertex
+    with plane coordinates (a, b) over ``unit``, or None when the vertex is
+    off the table's grid or not alone at its height there: its height
+    (p a - q b) / (q unit) looked up among the table's levels as Fractions,
+    and the level's vertex and edge counts read from its histogram."""
+    p, q, events = split
+    height = Fraction(p * a - q * b, q * unit)
+    levels = [Fraction(h, events.denominator) for h in events.heights]
+    if height not in levels:
+        return None
+    i = levels.index(height)
+    vertices = events.histogram.get(0, [0] * len(levels))
+    edges = events.histogram.get(1, [0] * len(levels))
+    return (p, q, edges[i]) if vertices[i] == 1 else None
+
+
+def reference_place(cut, ups, downs) -> Tuple[int, int]:
+    """A cut (p, q, count) as a prefix count (end, count less the known
+    neighbours below its line), each side counted offset by offset:
+    (x, y) lies below the line when p * x < q * y."""
+    p, q, count = cut
+    end = sum(1 for x, y in ups if p * x < q * y)
+    below = sum(1 for x, y in downs if p * x < q * y)
+    return end, count - below
+
+
 def slope_sort(offsets: Dict[int, tuple]) -> Tuple[tuple, tuple]:
     """A radial order by Fraction slopes, for offsets {id: (x, y)} with
     x != 0: the (id, offset) pairs with x > 0 by descending slope y / x, and

@@ -17,7 +17,7 @@ from apdrec import (
     radial_order,
     validate_general_position,
 )
-from apdrec.edges import find_edges, find_up_edges, read_cut, split_wedge
+from apdrec.edges import find_edges, find_up_edges, read_cuts, split_wedge
 from apdrec.errors import DegeneratePosition
 from apdrec.geometry import (
     SweepFrame,
@@ -29,9 +29,16 @@ from apdrec.geometry import (
     vneg,
 )
 from apdrec.higher import reconstruct
+from apdrec.oracle import EventTable
 from apdrec.vertices import create_unique_height_basis, vertex_stage
 
-from bruteforce import neighbours_below_line, reference_separating_slope, slope_sort
+from bruteforce import (
+    neighbours_below_line,
+    reference_cut,
+    reference_place,
+    reference_separating_slope,
+    slope_sort,
+)
 from conftest import TamperedOracle, cx, shifted_count
 
 F = Fraction
@@ -82,10 +89,16 @@ def global_order(K, vertex):
 
 
 def at_vertex(points, frame, vertex):
-    """(a, b, unit) of a vertex for read_cut: its heights in the frame's two
+    """(a, b, unit) of a vertex for read_cuts: its heights in the frame's two
     directions are a / unit and b / unit."""
     coordinates, unit = plane(points, frame)
     return (*coordinates[vertex], unit)
+
+
+def read_at(split, at):
+    """The cut a split gives at one vertex, ``at`` = (a, b, unit)."""
+    (cut,) = read_cuts(split, [at[:2]], at[2])
+    return cut
 
 
 def split_prefix_count(K, vertex, after, known):
@@ -98,7 +111,7 @@ def split_prefix_count(K, vertex, after, known):
     frame = standard_frame(K.ambient_dim)
     split = split_wedge(order, after, oracle, frame)
     at = at_vertex(ordered_points(K), frame, vertex)
-    p, q, count = read_cut(split, *at)
+    p, q, count = read_at(split, at)
     offsets = order.offsets
     below = [u for u in known if p * offsets[u][0] < q * offsets[u][1]]
     return count - len(below), oracle
@@ -271,7 +284,7 @@ def test_find_edges_random_graphs_with_split_instrumentation(monkeypatch):
             known = set(call["known"])
             assert known == adjacent - set(ordered)
             assert not adjacent & set(call["excluded"])
-            p, q, count = read_cut(split, *call["at"])
+            p, q, count = read_at(split, call["at"])
             offsets = order.offsets
             below = {u for u, (x, y) in offsets.items() if p * x < q * y}
             first = set(ordered[: after + 1])
@@ -463,10 +476,7 @@ def test_vertices_sharing_a_height_in_a_split_diagram_take_no_cut(monkeypatch):
     (7/3, -1), the slope of w - u, so u and w share a height there, where
     the diagram counts u - a, u - b and w - a together.  Neither takes a cut
     from it, and the edges come back."""
-    #             0       a       b          u       w
-    points = [(0, 0), (1, 5), (24, 91), (5, 0), (8, 7)]
-    K = cx(2, points, [(0, 1), (1, 3), (1, 4), (2, 3)])
-    assert validate_general_position(K).ok
+    K = shared_height_complex()
     points, oracle, frame, sweep = sweep_inputs(K)
     found, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep)
     assert edge_segments(found) == edge_segments(K)
@@ -474,6 +484,165 @@ def test_vertices_sharing_a_height_in_a_split_diagram_take_no_cut(monkeypatch):
     cuts = {vertex: {(p, q) for p, q, _ in cuts} for vertex, _, cuts, _ in calls}
     assert (7, 3) in cuts[1]
     assert (7, 3) not in cuts[3] | cuts[4]
+
+
+def shared_height_complex():
+    """Five vertices in the plane, two of which, u and w, share a height in
+    the direction of vertex 0's first split."""
+    #             0       a       b          u       w
+    points = [(0, 0), (1, 5), (24, 91), (5, 0), (8, 7)]
+    K = cx(2, points, [(0, 1), (1, 3), (1, 4), (2, 3)])
+    assert validate_general_position(K).ok
+    return K
+
+
+def find_edges_recording_calls(monkeypatch, points, oracle, frame, sweep):
+    """The arguments, by name, of every find_up_edges call of find_edges, in
+    sweep order, each with the full splits that call asked.  The known
+    neighbours are copied, as the vertex's list grows after its call."""
+    real = find_up_edges
+    calls = []
+
+    def recording(*args):
+        call = dict(zip(UP_ARGS, args), known=list(args[1]))
+        ups, splits = real(*args)
+        calls.append(dict(call, splits=splits))
+        return ups, splits
+
+    monkeypatch.setattr(edges_mod, "find_up_edges", recording)
+    find_edges(points, oracle, frame, sweep)
+    monkeypatch.setattr(edges_mod, "find_up_edges", real)
+    return calls
+
+
+def read_inputs():
+    """The shared-height complex in the standard frame and seeded planar
+    graphs through the vertex stage, as (points, oracle, frame, sweep
+    diagram)."""
+    yield sweep_inputs(shared_height_complex())
+    for seed in range(4):
+        oracle = Oracle(generate_complex(GeneratorConfig(2, 20, 1, [0.3], seed=seed)))
+        points, frame, (sweep, *_) = vertex_stage(oracle)
+        yield points, oracle, frame, sweep
+
+
+def test_one_read_pass_gives_the_reference_cut_at_every_later_vertex(monkeypatch):
+    """Each vertex is handed exactly the cuts that a per-vertex read of every
+    split asked before its turn gives (bruteforce.reference_cut, a Fraction
+    lookup among the levels), in the order the splits were asked.  Read at
+    every vertex and at points off the grid, above and below every level, a
+    split gives the reference cut or None, and a vertex that shares its
+    height gives None."""
+    shared = 0
+    for points, oracle, frame, sweep in read_inputs():
+        coordinates, unit = plane(points, frame)
+        calls = find_edges_recording_calls(monkeypatch, points, oracle, frame, sweep)
+        asked = []
+        for call in calls:
+            at = coordinates[call["vertex"]]
+            want = [reference_cut(split, *at, unit) for split in asked]
+            assert list(call["cuts"]) == [cut for cut in want if cut is not None]
+            asked.extend(call["splits"])
+        assert asked
+        spread = max(abs(x) + abs(y) for x, y in coordinates) + 1
+        off_grid = [(0, spread * unit * 10**6), (0, -spread * unit * 10**6)]
+        for split in asked:
+            everywhere = coordinates + off_grid
+            want = [reference_cut(split, a, b, unit) for a, b in everywhere]
+            assert read_cuts(split, everywhere, unit) == want
+            assert want[-2:] == [None, None]
+            shared += want.count(None) - 2
+    # the shared-height complex's vertices u and w in vertex 0's split
+    assert shared >= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_merge_places_each_cut_where_a_per_cut_count_does(data):
+    """``_place`` puts every cut at the (end, count) that counting each side
+    offset by offset gives (bruteforce.reference_place), alone and all in
+    one merge.  The cuts are drawn, one is repeated as from a second split
+    of the same slope and again in other terms, two pass through an offset,
+    and two lie above every candidate (end 0) and below every one (the
+    last)."""
+    coordinate = st.integers(-30, 30)
+    offsets = data.draw(
+        st.dictionaries(
+            st.integers(1, 40),
+            st.tuples(coordinate.filter(bool), coordinate),
+            min_size=1,
+            max_size=12,
+        ),
+        label="offsets",
+    )
+    try:
+        order = radial_order(offsets)
+    except DegeneratePosition:
+        return
+    excluded = data.draw(st.sets(st.sampled_from(sorted(offsets))), label="excluded")
+    known = data.draw(st.sets(st.sampled_from(sorted(offsets))), label="known")
+    ups = [off for vid, off in order.ordered if vid not in excluded]
+    known_offsets = {offsets[u] for u in known}
+    downs = [off for off in order.by_slope if off[0] < 0 and off in known_offsets]
+    slope = st.tuples(st.integers(-60, 60), st.integers(1, 60))
+    count = st.integers(0, 12)
+    cuts = [(p, q, data.draw(count)) for p, q in data.draw(st.lists(slope, max_size=10))]
+    if cuts:
+        p, q, c = cuts[0]
+        cuts += [(p, q, c), (3 * p, 3 * q, c)]
+    # lines through a candidate and through a known neighbour, which lie on
+    # neither side
+    for x, y in ups[:1] + downs[:1]:
+        cuts.append((y, x, data.draw(count)) if x > 0 else (-y, -x, data.draw(count)))
+    steep = max(abs(y) for _, y in offsets.values()) + 1
+    cuts += [(steep, 1, data.draw(count)), (-steep, 1, data.draw(count))]
+    want = [reference_place(cut, ups, downs) for cut in cuts]
+    assert want[-2][0] == 0 and want[-1][0] == len(ups)
+    for cut, placed in zip(cuts, want):
+        assert edges_mod._place([cut], ups, downs) == [placed]
+    assert sorted(edges_mod._place(cuts, ups, downs)) == sorted(want)
+
+
+def test_the_merge_places_the_cuts_of_planar_graphs_as_per_cut_counts(monkeypatch):
+    """Every vertex's seeded cuts, on the shared-height complex and seeded
+    planar graphs, land where counting each side for each cut puts them."""
+    placed = 0
+    for points, oracle, frame, sweep in read_inputs():
+        for call in find_edges_recording_calls(monkeypatch, points, oracle, frame, sweep):
+            order, cuts = call["order"], call["cuts"]
+            ups = [off for vid, off in order.ordered if vid not in call["excluded"]]
+            known = {order.offsets[u] for u in call["known"]}
+            downs = [off for off in order.by_slope if off in known]
+            want = [reference_place(cut, ups, downs) for cut in cuts]
+            assert sorted(edges_mod._place(cuts, ups, downs)) == sorted(want)
+            placed += len(cuts)
+    assert placed > 100
+
+
+def test_a_planar_reconstruction_reads_no_level_per_split_and_later_vertex(monkeypatch):
+    """A planar graph with n = 120 vertices: ``EventTable.level_of`` runs
+    exactly 6 n times, each vertex once in each sweep diagram for its edges
+    down and up, and once in each of the four diagrams of the count check
+    (the vertex stage's 2d - 1 = 3 and the edge stage's in -u1).  That is
+    below n plus the number of splits plus the count check's 4 n reads.
+    The splits are read without it, so no Python function runs per split
+    and later vertex; a read per vertex made about 28,000 calls here."""
+    K = generate_complex(
+        GeneratorConfig(2, 120, 1, [0.05], seed=1, coordinate_denominator_bound=120)
+    )
+    real = EventTable.level_of
+    calls = []
+
+    def level_of(self, numerator, denominator):
+        calls.append(None)
+        return real(self, numerator, denominator)
+
+    monkeypatch.setattr(EventTable, "level_of", level_of)
+    oracle = Oracle(K)
+    assert complexes_match(reconstruct(oracle), K)
+    n, splits = len(K.vertices), oracle.log.queries("edges") - 1
+    assert splits == 287
+    assert len(calls) == 6 * n
 
 
 def test_a_miscounted_free_cut_ends_in_an_error(monkeypatch):
@@ -629,7 +798,7 @@ def test_integer_radial_order_matches_the_rational_one(data):
     direction = split_direction(frame, p, q)
     height = dot(direction, points[0])
     indegree = Oracle(K).query(direction).count_at(1, height)
-    assert read_cut(split, *at_vertex(points, frame, 0)) == (p, q, indegree)
+    assert read_at(split, at_vertex(points, frame, 0)) == (p, q, indegree)
     below = [u for u in known if dot(direction, points[u]) < height]
     offsets = order.offsets
     assert below == [u for u in known if p * offsets[u][0] < q * offsets[u][1]]

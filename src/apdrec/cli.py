@@ -84,8 +84,8 @@ def _cmd_reconstruct(args) -> int:
         print(f"# vertex queries: {log.queries('vertices')}")
         return 0
     if args.stage == "edges":
-        points, frame, asked = vertex_stage(oracle)
-        edges, _ = find_edges(points, oracle, frame, asked[0])
+        _, frame, ledger = vertex_stage(oracle)
+        edges = find_edges(ledger, oracle, frame)
         for a, b in sorted(edges):
             print(f"{a} {b}")
         print(f"# vertex queries: {log.queries('vertices')}")

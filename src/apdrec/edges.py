@@ -50,15 +50,14 @@ from .geometry import (
     Offset,
     RadialOrder,
     SweepFrame,
-    Vector,
     dot,
     radial_order,
-    scale_to_integers,
     separating_direction,
     separating_slope,
     vneg,
 )
-from .oracle import AugmentedDiagram, EventTable, Oracle
+from .oracle import EventTable, Oracle
+from .vertices import CountLedger
 
 # (p, q, count): count neighbours w of a vertex with p * x < q * y, for (x, y)
 # the offset of w from the vertex and q > 0
@@ -218,37 +217,31 @@ def _place(
 
 
 def find_edges(
-    points: Sequence[Vector],
-    oracle: Oracle,
-    frame: SweepFrame,
-    sweep: AugmentedDiagram,
-) -> Tuple[Set[Tuple[int, int]], AugmentedDiagram]:
-    """All edges of the unknown complex, given the vertex locations.
+    ledger: CountLedger, oracle: Oracle, frame: SweepFrame
+) -> Set[Tuple[int, int]]:
+    """All edges of the unknown complex, given the vertex stage's ledger.
 
     One shared query in the negated sweep direction feeds every vertex's
     number of edges up; all remaining queries come from splits.  The
-    queries are logged in an "edges" span.  Returns the edges and that
-    shared diagram: its k-simplex count at a vertex's negated height is the
-    number of k-simplices whose lowest vertex it is, which the higher stage
-    reads at no query.
+    queries are logged in an "edges" span.  The shared diagram is added to
+    the ledger: its k-simplex count at a vertex is the number of
+    k-simplices whose lowest vertex it is, which the higher stage reads at
+    no query.
 
     Every vertex u has integer plane coordinates (u1 . u, u2 . u) times one
-    positive unit: the points scaled to integers by their common
-    denominator, dotted with the frame scaled likewise.  A vertex's radial
-    order is taken on the differences of those coordinates from its own,
-    so every offset is a pair of ints, and every height read off a diagram
-    is an int over a positive one, read with ``EventTable.level_of`` or, in
-    a split's diagram, by ``read_cuts``.  The frame itself enters only the
-    directions of the splits.
+    positive unit: the ledger's integer points dotted with the frame scaled
+    to integers.  A vertex's radial order is taken on the differences of
+    those coordinates from its own, so every offset is a pair of ints, and
+    a split's diagram is read at a vertex by ``read_cuts``.  The frame
+    itself enters only the directions of the splits.
 
-    ``sweep`` is the vertex stage's diagram in ``frame.u1``.  Its edge count
-    at a vertex's height is the number of edges from that vertex down to
-    lower ones.  Once that many are known, the vertex has no edge to the
-    current sweep vertex, so it is left out of the current vertex's
-    candidates.  This costs no query.  When the sweep reaches a vertex, the
-    edges found down from it must number exactly that count, or
-    OracleInconsistency is raised.  A diagram in any other direction raises
-    InvalidInput.
+    The ledger's first diagram must lie in ``frame.u1``, or InvalidInput is
+    raised.  Its edge count at a vertex is the number of edges from that
+    vertex down to lower ones.  Once that many are known, the vertex has no
+    edge to the current sweep vertex, so it is left out of the current
+    vertex's candidates.  This costs no query.  When the sweep reaches a
+    vertex, the edges found down from it must number exactly that count, or
+    OracleInconsistency is raised.
 
     Free cuts: once a vertex's search is done, each split it asked is read
     at all later vertices in one ``read_cuts`` pass, and only the cuts are
@@ -258,24 +251,21 @@ def find_edges(
     a miscounted cut elsewhere, which an exchange of two edges can hide
     from the sweep counts, runs into.
     """
-    if tuple(sweep.direction) != tuple(frame.u1):
+    if tuple(ledger.diagrams[0].direction) != tuple(frame.u1):
         raise InvalidInput("sweep diagram is not in the frame's first direction")
     oracle.log.open("edges")
-    sweep_diagram = oracle.query(vneg(frame.u1))
+    ledger.add(oracle.query(vneg(frame.u1)))
+    down_degree, up_degree = ledger.counts(1, 0), ledger.counts(1, -1)
 
-    scaled, scale = scale_to_integers(points)
     w1, w2, factor = frame.integer
     # u1 . u and u2 . u times unit, as ints
-    plane = [(dot(w1, p), dot(w2, p)) for p in scaled]
-    unit = scale * factor
-    along, against = sweep.events, sweep_diagram.events
-    down_degree = [along.count(1, along.level_of(a, unit)) for a, _ in plane]
-    up_degree = [against.count(1, against.level_of(-a, unit)) for a, _ in plane]
+    plane = [(dot(w1, p), dot(w2, p)) for p in ledger.scaled]
+    unit = ledger.scale * factor
 
-    ids_by_height = sorted(range(len(points)), key=lambda i: plane[i][0])
+    ids_by_height = sorted(range(len(plane)), key=lambda i: plane[i][0])
     edges: Set[Tuple[int, int]] = set()
-    adjacency: Dict[int, List[int]] = {i: [] for i in range(len(points))}
-    cuts: Dict[int, List[Cut]] = {i: [] for i in range(len(points))}
+    adjacency: Dict[int, List[int]] = {i: [] for i in range(len(plane))}
+    cuts: Dict[int, List[Cut]] = {i: [] for i in range(len(plane))}
     for step, vid in enumerate(ids_by_height):
         # vid's edges down were all found from the vertices below it
         if len(adjacency[vid]) != down_degree[vid]:
@@ -311,4 +301,4 @@ def find_edges(
             for held, cut in zip(cuts_later, read_cuts(split, at_later, unit)):
                 if cut is not None:
                     held.append(cut)
-    return edges, sweep_diagram
+    return edges

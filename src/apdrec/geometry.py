@@ -276,45 +276,43 @@ def orthogonal_to_affine_hull(points: Sequence[Vector]) -> Direction:
 
 
 def second_perpendicular_direction(
-    all_points: Sequence[Vector],
-    subset_v: Sequence[Vector],
-    subset_w: Sequence[Vector],
+    points: Sequence[Vector],
+    heights: Sequence[Fraction],
+    v: Sequence[int],
+    w: Sequence[int],
     s: Direction,
 ) -> Direction:
     """Direction orthogonal to aff(W) placing W strictly below V \\ W.
 
-    Preconditions (W subset of V subset of all_points): s is orthogonal to
-    aff(V), V is affinely independent, and under s the points of V are height
-    separated from every other point of ``all_points``.  The returned s' is
+    ``v`` and ``w`` are ids into ``points``, and ``heights`` are the points'
+    heights under s, which the caller holds.  Preconditions (W subset of V):
+    s is orthogonal to aff(V), V is affinely independent, and under s the
+    points of V are height separated from every other point; a point outside
+    V at V's height raises PreconditionViolated.  The returned s' is
     orthogonal to both aff(W) and s, with ``s'.x - s'.w`` one positive
     constant for every w in W, x in V \\ W: the primitive form of the
     solution of a linear system with that constant 1, which also makes the
     choice deterministic.  An empty W raises InvalidInput.
     """
-    v_set = {tuple(p) for p in subset_v}
-    w_set = {tuple(p) for p in subset_w}
+    v_set, w_set = set(v), set(w)
     if not w_set <= v_set:
         raise InvalidInput("W must be a subset of V")
-    if not subset_w:
+    if not w:
         raise InvalidInput("W must be nonempty")
-    dim = len(s)
     if w_set == v_set:
         return tuple(s)
 
-    height = dot(s, subset_v[0])
-    for p in all_points:
-        if tuple(p) not in v_set and dot(s, p) == height:
-            raise PreconditionViolated("s does not height-separate V from the rest")
+    height = heights[v[0]]
+    if any(h == height and u not in v_set for u, h in enumerate(heights)):
+        raise PreconditionViolated("s does not height-separate V from the rest")
 
-    w0 = subset_w[0]
-    equations: List[Tuple[Sequence[Fraction], int]] = []
-    for w in subset_w[1:]:
-        equations.append((vsub(w, w0), 0))
+    w0 = points[w[0]]
+    equations: List[Tuple[Sequence[Fraction], int]] = [
+        (vsub(points[u], w0), 0) for u in w[1:]
+    ]
     equations.append((s, 0))
-    for x in subset_v:
-        if tuple(x) not in w_set:
-            equations.append((vsub(x, w0), 1))
-    solution = _solve_particular(equations, dim)
+    equations += [(vsub(points[x], w0), 1) for x in v if x not in w_set]
+    solution = _solve_particular(equations, len(s))
     if solution is None or is_zero(solution):
         raise DegeneratePosition("V u {v - s} is affinely dependent")
     return primitive_direction(solution)

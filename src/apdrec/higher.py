@@ -10,43 +10,41 @@ candidate vertex: the counts differ by one precisely when the candidate
 simplex exists.  ``reconstruct`` climbs the dimensions 2..d with it, on the
 parabolic lift for the full-dimensional simplices.
 
-The stage runs on integers and builds no Fraction.  ``reconstruct`` scales
-the recovered points once by L, the common denominator of their coordinates
-(the lifted points, (L * p, p . p) for each scaled point p, by L squared),
-so every height is an int, L times the rational one.  The predicates only
-compare heights, and a positive scale keeps their order and their ties.
-Every solved or tilted direction is an integer multiple of the rational
-one by a positive factor: ``_solve_particular`` returns its solution times
-its pivot, ``tilt`` returns q times the tilt of weight n / q, and scaled
-heights give the same weight.  ``primitive_direction`` removes the factor,
-so the oracle is asked the same directions in the same order as on the
-rational points, and a diagram is read at h / L by
-``EventTable.level_of``.
+The stage runs on integers and builds no Fraction.  It takes the recovered
+points as the vertex stage's ``CountLedger`` scaled them, once, by L, the
+common denominator of their coordinates (the lifted points, (L * p, p . p)
+for each scaled point p, by L squared), so every height is an int, L times
+the rational one.  The predicates only compare heights, and a positive
+scale keeps their order and their ties.  Every solved or tilted direction
+is an integer multiple of the rational one by a positive factor:
+``_solve_particular`` returns its solution times its pivot, ``tilt``
+returns q times the tilt of weight n / q, and scaled heights give the same
+weight.  ``primitive_direction`` removes the factor, so the oracle is asked
+the same directions in the same order as on the rational points, and a
+diagram is read at h / L by ``EventTable.level_of``.  A direction's heights
+are computed once and handed on, to the tilts and to
+``second_perpendicular_direction``.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from .complexes import Simplex, SimplicialComplex, build_complex, facets, proper_faces
 from .edges import find_edges
-from .errors import DegeneratePosition, OracleInconsistency, PreconditionViolated
+from .errors import DegeneratePosition, PreconditionViolated
 from .geometry import (
     Direction,
     IntVector,
     dot,
     orthogonal_to_affine_hull,
     primitive_direction,
-    scale_to_integers,
     second_perpendicular_direction,
     tilt,
     vneg,
 )
-from .oracle import AugmentedDiagram, Oracle
+from .oracle import Oracle
 from .vertices import vertex_stage
-
-# a diagram and the level of every vertex in it
-Counted = Tuple[AugmentedDiagram, List[int]]
 
 
 def _heights(points: Sequence[IntVector], s: Direction) -> List[int]:
@@ -128,12 +126,9 @@ def compute_indegree(
         raise PreconditionViolated("k must exceed the simplex dimension")
     count = _level_count(sigma, direction, k, oracle, points, scale)
     heights = _heights(points, direction)
-    sigma_points = [points[v] for v in sigma]
     faces = proper_faces(sigma)
     for tau in faces:
-        s_prime = second_perpendicular_direction(
-            points, sigma_points, [points[v] for v in tau], direction
-        )
+        s_prime = second_perpendicular_direction(points, heights, sigma, tau, direction)
         tilted = _tilted(points, heights, direction, s_prime)
         memo[tau] = _level_count(tau, tilted, k, oracle, points, scale) - sum(
             memo[rho] for rho in proper_faces(tau)
@@ -152,8 +147,7 @@ def _isolating_direction(
     strictly above and the tilt towards it removes every tie while staying
     orthogonal to the candidate's hull.
     """
-    cand_points = [points[v] for v in candidate]
-    s1 = orthogonal_to_affine_hull(cand_points)
+    s1 = orthogonal_to_affine_hull([points[v] for v in candidate])
     heights = _heights(points, s1)
     height = heights[candidate[0]]
     level_ids = [u for u, h in enumerate(heights) if h == height]
@@ -163,8 +157,7 @@ def _isolating_direction(
         raise DegeneratePosition(
             "more than d vertices on one hyperplane; general position violated"
         )
-    level_points = [points[u] for u in level_ids]
-    s2 = second_perpendicular_direction(points, level_points, cand_points, s1)
+    s2 = second_perpendicular_direction(points, heights, level_ids, candidate, s1)
     return _tilted(points, heights, s1, s2)
 
 
@@ -190,13 +183,9 @@ def is_simplex(
         raise PreconditionViolated("candidate vertex already in the simplex")
     k = len(sigma)
     candidate = tuple(sorted(sigma + (vertex,)))
-    cand_points = [points[v] for v in candidate]
     s_star = _isolating_direction(candidate, points)
-
-    sigma_points = [points[v] for v in sigma]
-    s3 = second_perpendicular_direction(points, cand_points, sigma_points, s_star)
-
     star_heights = _heights(points, s_star)
+    s3 = second_perpendicular_direction(points, star_heights, candidate, sigma, s_star)
     s_lower = _tilted(points, star_heights, s_star, s3)
     s_upper = _tilted(points, star_heights, s_star, vneg(s3))
 
@@ -256,24 +245,6 @@ def _cofaces(
     return found
 
 
-def _check_counts(found: Collection[Simplex], k: int, counted: List[Counted]) -> None:
-    """Raise OracleInconsistency unless every diagram counts exactly the
-    found k-simplices at each level.
-
-    ``counted`` pairs each diagram with the level of every vertex there.
-    Every k-simplex is one event at the level of its highest vertex, so row
-    k of the histogram rebuilt from the found ones must be the diagram's.
-    """
-    for dgm, levels in counted:
-        row = [0] * len(dgm.events.heights)
-        for simplex in found:
-            row[max([levels[v] for v in simplex])] += 1
-        if row != dgm.counts(k):
-            raise OracleInconsistency(
-                f"the {k}-simplices found do not meet the diagram in {dgm.direction}"
-            )
-
-
 def reconstruct(oracle: Oracle) -> SimplicialComplex:
     """Recover the full unknown complex from oracle queries alone.
 
@@ -289,13 +260,13 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     2(2^k - 1) queries per closure-eligible (k+1)-vertex candidate.
 
     The count check: after the edge stage and after each pass, the found
-    simplices are checked against every diagram the vertex stage asked and
-    against the ``-frame.u1`` diagram (``_check_counts``), at no query.  A
-    dimension with no candidates left is still checked.  The checked
-    diagrams include the two sweep diagrams, so a candidate that the counts
-    reject untested is guarded, and the others see the found simplices
-    from further directions, where a wrong simplex that keeps both sweep
-    counts can change the count of its middle vertex.
+    simplices are checked against every diagram of the ledger, the vertex
+    stage's and the edge stage's in ``-frame.u1`` (``CountLedger.check``),
+    at no query.  A dimension with no candidates left is still checked.
+    The checked diagrams include the two sweep diagrams, so a candidate
+    that the counts reject untested is guarded, and the others see the
+    found simplices from further directions, where a wrong simplex that
+    keeps both sweep counts can change the count of its middle vertex.
 
     A d-simplex spans R^d, so no direction is orthogonal to its hull.  When
     either sweep diagram counts a d-simplex at a vertex, the pass at i = d
@@ -307,34 +278,22 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     The lifted calls share that log and are the ones with k == d.
     """
     d = oracle.ambient_dim
-    points, frame, asked = vertex_stage(oracle)
-    edges, sweep_down = find_edges(points, oracle, frame, asked[0])
-
-    # every vertex's level in each diagram, read on the integer points
-    scaled, scale = scale_to_integers(points)
-    counted = []
-    for dgm in [*asked, sweep_down]:
-        (s,), factor = scale_to_integers([dgm.direction])
-        levels = [dgm.events.level_of(dot(s, p), scale * factor) for p in scaled]
-        if None in levels:
-            raise OracleInconsistency(
-                f"vertex {levels.index(None)} is off the grid in {dgm.direction}"
-            )
-        counted.append((dgm, levels))
-    _check_counts(edges, 1, counted)
+    points, frame, ledger = vertex_stage(oracle)
+    edges = find_edges(ledger, oracle, frame)
+    ledger.check(edges, 1)
     simplices: Set[Simplex] = {(v,) for v in range(len(points))} | edges
     previous: List[Simplex] = sorted(edges)
 
-    (sweep, up), (_, down) = counted[0], counted[-1]
+    scaled, scale = ledger.scaled, ledger.scale
     for dim in range(2, d + 1):
-        tops, bottoms = sweep.counts(dim), sweep_down.counts(dim)
-        top, bottom = [tops[i] for i in up], [bottoms[i] for i in down]
+        # the sweep diagram is the ledger's first, the -u1 diagram its last
+        top, bottom = ledger.counts(dim, 0), ledger.counts(dim, -1)
         if dim == d and (any(top) or any(bottom)):
             oracle = oracle.lifted()
             scaled = [tuple(scale * x for x in p) + (dot(p, p),) for p in scaled]
             scale *= scale
         found = _cofaces(previous, oracle, scaled, scale, top, bottom)
-        _check_counts(found, dim, counted)
+        ledger.check(found, dim)
         simplices.update(found)
         previous = sorted(found)
 

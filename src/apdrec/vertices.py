@@ -7,8 +7,14 @@ index by index and solved for one coordinate at a time.  The first
 diagram, in e1, decides the basis: the standard run uses 2d - 1 queries,
 and when first-axis heights collide a tilted basis is built from the e1 and
 e2 births at the cost of 2 extra queries.  One coordinate loop serves both
-bases, and every diagram asked, the sweep first, is returned for the later
-stages.
+bases.
+
+Every diagram asked, the sweep first, goes into the reconstruction's
+``CountLedger``, which the later stages read instead of the diagrams: by
+the simplex-count correspondence every k-simplex is one event at the level
+of its highest vertex, so a diagram's k-count at a vertex's level is the
+number of k-simplices that vertex tops in its direction.  The ledger
+locates each recovered vertex in each diagram once.
 
 The stage reads the births of the axis and tilted diagrams as the integer
 heights of their event tables over each table's denominator, and solves on
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import List, Optional, Tuple
+from typing import Collection, List, Optional, Sequence, Tuple
 
 from .errors import GeneralPositionViolated, InvalidInput, OracleInconsistency
 from .geometry import (
@@ -29,6 +35,7 @@ from .geometry import (
     SweepFrame,
     Vector,
     basis_vector,
+    dot,
     scale_to_integers,
     standard_frame,
     tilt_weight,
@@ -121,18 +128,72 @@ def create_unique_height_basis(
     return SweepFrame(b1, (b1[1], -b1[0]) + rest)
 
 
-def vertex_stage(
-    oracle: Oracle,
-) -> Tuple[List[Vector], SweepFrame, List[AugmentedDiagram]]:
+class CountLedger:
+    """Where each recovered vertex sits in every diagram of a reconstruction.
+
+    It holds the points scaled to ints once, ``scaled`` = L times each point
+    for ``scale`` = L, the common denominator of their coordinates, and each
+    diagram added, in order, with the level of every vertex in it, read
+    with ``EventTable.level_of``.  A vertex off a diagram's grid raises
+    OracleInconsistency as the diagram is added: the diagram cannot be of
+    the complex whose vertices were recovered.  The stages read every
+    vertex count through it, and it checks the simplices they find.
+    """
+
+    def __init__(self, points: Sequence[Vector], diagrams: Sequence[AugmentedDiagram]):
+        self.scaled, self.scale = scale_to_integers(points)
+        self.diagrams: List[AugmentedDiagram] = []
+        self.levels: List[List[int]] = []
+        for dgm in diagrams:
+            self.add(dgm)
+
+    def add(self, dgm: AugmentedDiagram) -> None:
+        """Locate every vertex in the diagram and keep both."""
+        (s,), factor = scale_to_integers([dgm.direction])
+        unit = self.scale * factor
+        levels = [dgm.events.level_of(dot(s, p), unit) for p in self.scaled]
+        if None in levels:
+            raise OracleInconsistency(
+                f"vertex {levels.index(None)} is off the grid in {dgm.direction}"
+            )
+        self.diagrams.append(dgm)
+        self.levels.append(levels)
+
+    def counts(self, k: int, i: int) -> List[int]:
+        """Each vertex's k-count in diagram i: the number of k-simplices
+        whose highest vertex it is in that diagram's direction."""
+        row = self.diagrams[i].counts(k)
+        return [row[level] for level in self.levels[i]]
+
+    def check(self, found: Collection[Tuple[int, ...]], k: int) -> None:
+        """Raise OracleInconsistency unless every diagram counts exactly the
+        found k-simplices at each level.
+
+        Every k-simplex is one event at the level of its highest vertex, so
+        row k of the histogram rebuilt from the found ones must be the
+        diagram's.  It makes no query.
+        """
+        for dgm, levels in zip(self.diagrams, self.levels):
+            row = [0] * len(dgm.events.heights)
+            for simplex in found:
+                row[max([levels[v] for v in simplex])] += 1
+            if row != dgm.counts(k):
+                raise OracleInconsistency(
+                    f"the {k}-simplices found do not meet the diagram "
+                    f"in {dgm.direction}"
+                )
+
+
+def vertex_stage(oracle: Oracle) -> Tuple[List[Vector], SweepFrame, CountLedger]:
     """Recover all vertex locations plus the sweep frame for later stages.
 
     The e1 births decide the basis: the standard frame when they are
     distinct, otherwise the tilted frame of create_unique_height_basis,
     which costs the e2 and b1 diagrams.  Returns the points sorted by
-    increasing sweep height, the frame, and every diagram asked, the sweep
-    diagram (the one in ``frame.u1``: e1, or b1 on a tie) first; the higher
-    stage checks the simplices it finds against them.  Two vertices with the
-    same projection onto the (e1, e2) plane raise GeneralPositionViolated.
+    increasing sweep height, the frame, and the ``CountLedger`` of the
+    points and every diagram asked, the sweep diagram (the one in
+    ``frame.u1``: e1, or b1 on a tie) first.  Two vertices with the same
+    projection onto the (e1, e2) plane raise GeneralPositionViolated.
     Issues 2d - 1 logged queries, plus 2 on a tie, all in a "vertices" span
     of the log.
     """
@@ -163,4 +224,4 @@ def vertex_stage(
             columns.append(column)
             asked += diagrams
     points = [tuple(col[j] for col in columns) for j in range(len(base))]
-    return points, frame, asked
+    return points, frame, CountLedger(points, asked)

@@ -30,7 +30,7 @@ from apdrec.geometry import (
 )
 from apdrec.higher import reconstruct
 from apdrec.oracle import EventTable
-from apdrec.vertices import create_unique_height_basis, vertex_stage
+from apdrec.vertices import CountLedger, create_unique_height_basis, vertex_stage
 
 from bruteforce import (
     neighbours_below_line,
@@ -61,10 +61,17 @@ def ordered_points(K):
 
 def sweep_inputs(K):
     """Points in vertex-id order, an oracle, the standard frame, and the
-    diagram in its first direction, as the vertex stage hands them on."""
+    ledger of the points and the diagram in its first direction, as the
+    vertex stage hands them on."""
     oracle = Oracle(K)
     frame = standard_frame(K.ambient_dim)
-    return ordered_points(K), oracle, frame, oracle.query(frame.u1)
+    points = ordered_points(K)
+    return points, oracle, frame, CountLedger(points, [oracle.query(frame.u1)])
+
+
+def edges_in_the_standard_frame(K):
+    _, oracle, frame, ledger = sweep_inputs(K)
+    return find_edges(ledger, oracle, frame)
 
 
 def plane(points, frame):
@@ -209,8 +216,7 @@ def test_find_up_edges_star():
 
 def test_find_edges_path():
     K = cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1), (1, 2)])
-    edges, _ = find_edges(*sweep_inputs(K))
-    assert edges == {(0, 1), (1, 2)}
+    assert edges_in_the_standard_frame(K) == {(0, 1), (1, 2)}
 
 
 def test_find_edges_complete_graph():
@@ -220,19 +226,18 @@ def test_find_edges_complete_graph():
         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
     )
     assert validate_general_position(K).ok
-    edges, _ = find_edges(*sweep_inputs(K))
-    assert len(edges) == 6
+    assert len(edges_in_the_standard_frame(K)) == 6
 
 
 def test_find_edges_point_cloud_queries_once():
     K = generate_complex(GeneratorConfig(3, 6, 0, densities=[], seed=8))
-    points, oracle, frame, sweep = sweep_inputs(K)
-    edges, sweep_down = find_edges(points, oracle, frame, sweep)
-    assert edges == set()
+    _, oracle, frame, ledger = sweep_inputs(K)
+    assert find_edges(ledger, oracle, frame) == set()
     assert oracle.log.queries("edges") == 1
-    # the one edge-stage query is the shared diagram, handed back
-    assert sweep_down.direction == vneg(frame.u1)
-    assert oracle.log.directions[-1] == sweep_down.direction
+    # the one edge-stage query is the shared diagram, added to the ledger
+    assert len(ledger.diagrams) == 2
+    assert ledger.diagrams[-1].direction == vneg(frame.u1)
+    assert oracle.log.directions[-1] == ledger.diagrams[-1].direction
 
 
 UP_ARGS = (
@@ -293,7 +298,7 @@ def test_find_edges_random_graphs_with_split_instrumentation(monkeypatch):
             checked.append(split)
 
         watch_splits(monkeypatch, check)
-        assert find_edges(*sweep_inputs(K))[0] == set(K.simplices_of_dim(1))
+        assert edges_in_the_standard_frame(K) == set(K.simplices_of_dim(1))
     assert checked  # the random graphs do need splits
 
 
@@ -306,7 +311,7 @@ def test_find_edges_splits_only_undecided_intervals(monkeypatch):
         K = generate_complex(GeneratorConfig(2, 12, 1, densities=[0.35], seed=seed))
         truth = {frozenset(K.vertices[v] for v in e) for e in K.simplices_of_dim(1)}
         oracle = Oracle(K)
-        points, frame, (sweep, *_) = vertex_stage(oracle)
+        points, frame, ledger = vertex_stage(oracle)
 
         def check(call, after, split):
             order, excluded = call["order"], call["excluded"]
@@ -335,7 +340,7 @@ def test_find_edges_splits_only_undecided_intervals(monkeypatch):
             sizes.append(end - start)
 
         watch_splits(monkeypatch, check)
-        found, _ = find_edges(points, oracle, frame, sweep)
+        found = find_edges(ledger, oracle, frame)
         assert {frozenset(points[v] for v in e) for e in found} == truth
     assert sizes  # the random graphs do need splits
 
@@ -354,8 +359,8 @@ def test_find_edges_leaves_out_vertices_whose_down_edges_are_known(monkeypatch):
         splits.append((call["vertex"], candidates - set(call["excluded"])))
 
     watch_splits(monkeypatch, record)
-    points, oracle, frame, sweep = sweep_inputs(K)
-    assert find_edges(points, oracle, frame, sweep)[0] == {(0, 3), (1, 2)}
+    _, oracle, frame, ledger = sweep_inputs(K)
+    assert find_edges(ledger, oracle, frame) == {(0, 3), (1, 2)}
     assert splits == [(0, {2, 3})]
     assert oracle.log.queries("edges") == 2
 
@@ -364,7 +369,39 @@ def test_find_edges_rejects_a_sweep_in_another_direction():
     K = cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1), (1, 2)])
     points, oracle, frame, _ = sweep_inputs(K)
     with pytest.raises(InvalidInput):
-        find_edges(points, oracle, frame, oracle.query(frame.u2))
+        find_edges(CountLedger(points, [oracle.query(frame.u2)]), oracle, frame)
+
+
+class MovedVertexOracle(Oracle):
+    """An Oracle that answers one direction with the diagram of the complex
+    ``moved``, the same complex with one vertex moved; every other answer,
+    and the query log, is the complex's own."""
+
+    def __init__(self, complex_, moved, direction):
+        super().__init__(complex_)
+        self._moved = (Oracle(moved), tuple(F(x) for x in direction))
+
+    def query(self, direction):
+        dgm = super().query(direction)
+        other, target = self._moved
+        return other.query(direction) if dgm.direction == target else dgm
+
+
+def test_a_vertex_off_the_grid_of_the_shared_diagram_raises_at_the_ledger():
+    """The -u1 diagram of the path with its last vertex moved from x = 2 to
+    x = 5/2 has no level at the recovered vertex's height -2.  Adding it to
+    the ledger raises OracleInconsistency, before any split is asked; a
+    read that took the missing level for a count of 0 would search on."""
+    points = [(0, 0), (1, 2), (2, 1)]
+    K = cx(2, points, [(0, 1), (1, 2)])
+    moved = cx(2, points[:2] + [(F(5, 2), 1)], [(0, 1), (1, 2)])
+    frame = standard_frame(2)
+    oracle = MovedVertexOracle(K, moved, vneg(frame.u1))
+    _, frame, ledger = vertex_stage(oracle)
+    with pytest.raises(OracleInconsistency, match="off the grid"):
+        find_edges(ledger, oracle, frame)
+    assert oracle.log.queries("edges") == 1
+    assert len(ledger.diagrams) == 3  # the moved diagram is not kept
 
 
 def test_find_edges_never_returns_edges_from_a_miscounted_sweep():
@@ -373,8 +410,9 @@ def test_find_edges_never_returns_edges_from_a_miscounted_sweep():
     search whole and so used to pass unnoticed, is an OracleInconsistency."""
     for seed in range(4):
         K = generate_complex(GeneratorConfig(2, 8, 1, densities=[0.4], seed=seed))
-        points, oracle, frame, sweep = sweep_inputs(K)
-        assert find_edges(points, oracle, frame, sweep)[0] == set(K.simplices_of_dim(1))
+        points, oracle, frame, ledger = sweep_inputs(K)
+        sweep = ledger.diagrams[0]
+        assert find_edges(ledger, oracle, frame) == set(K.simplices_of_dim(1))
         for v, p in enumerate(points):
             height = dot(frame.u1, p)
             for delta in (1, -1):
@@ -382,7 +420,7 @@ def test_find_edges_never_returns_edges_from_a_miscounted_sweep():
                     continue
                 tampered = shifted_count(sweep, 1, height, delta)
                 with pytest.raises(ApdrecError) as info:
-                    find_edges(points, oracle, frame, tampered)
+                    find_edges(CountLedger(points, [tampered]), oracle, frame)
                 if delta > 0:
                     assert info.type is OracleInconsistency
 
@@ -391,7 +429,7 @@ def test_find_edges_never_returns_edges_from_a_miscounted_sweep():
 # free cuts
 
 
-def find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep):
+def find_edges_recording_cuts(monkeypatch, points, oracle, frame, ledger):
     """find_edges with the known neighbours below, the cuts and the (p, q)
     of the splits of every find_up_edges call recorded.  Returns the edges
     as a complex on the points, and the calls."""
@@ -405,7 +443,7 @@ def find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep):
         return ups, splits
 
     monkeypatch.setattr(edges_mod, "find_up_edges", recording)
-    found, _ = find_edges(points, oracle, frame, sweep)
+    found = find_edges(ledger, oracle, frame)
     monkeypatch.setattr(edges_mod, "find_up_edges", real)
     return cx(oracle.ambient_dim, points, sorted(found)), calls
 
@@ -421,7 +459,7 @@ def edge_segments(K):
 
 
 def free_cut_inputs():
-    """(complex, points, oracle, frame, sweep diagram): d = 2 graphs and
+    """(complex, points, oracle, frame, ledger): d = 2 graphs and
     d = 3 configs with kappa = 1 through the vertex stage, the tilted frame
     of the fallback basis, and a d = 2 graph in a frame that is not
     orthogonal."""
@@ -436,12 +474,13 @@ def free_cut_inputs():
             complexes.append(generate_complex(config))
     for K in complexes:
         oracle = Oracle(K)
-        points, frame, (sweep, *_) = vertex_stage(oracle)
-        yield K, points, oracle, frame, sweep
+        points, frame, ledger = vertex_stage(oracle)
+        yield K, points, oracle, frame, ledger
     K = complexes[1]
     oracle = Oracle(K)
     frame = SweepFrame((F(1), F(1, 3)), (F(1, 2), F(1)))
-    yield K, ordered_points(K), oracle, frame, oracle.query(frame.u1)
+    points = ordered_points(K)
+    yield K, points, oracle, frame, CountLedger(points, [oracle.query(frame.u1)])
 
 
 def test_every_free_cut_counts_the_true_up_neighbours_below_its_line(monkeypatch):
@@ -477,8 +516,8 @@ def test_vertices_sharing_a_height_in_a_split_diagram_take_no_cut(monkeypatch):
     the diagram counts u - a, u - b and w - a together.  Neither takes a cut
     from it, and the edges come back."""
     K = shared_height_complex()
-    points, oracle, frame, sweep = sweep_inputs(K)
-    found, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep)
+    points, oracle, frame, ledger = sweep_inputs(K)
+    found, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, ledger)
     assert edge_segments(found) == edge_segments(K)
     assert oracle.log.directions[2] == (F(7, 3), F(-1))
     cuts = {vertex: {(p, q) for p, q, _ in cuts} for vertex, _, cuts, _ in calls}
@@ -496,7 +535,7 @@ def shared_height_complex():
     return K
 
 
-def find_edges_recording_calls(monkeypatch, points, oracle, frame, sweep):
+def find_edges_recording_calls(monkeypatch, ledger, oracle, frame):
     """The arguments, by name, of every find_up_edges call of find_edges, in
     sweep order, each with the full splits that call asked.  The known
     neighbours are copied, as the vertex's list grows after its call."""
@@ -510,20 +549,19 @@ def find_edges_recording_calls(monkeypatch, points, oracle, frame, sweep):
         return ups, splits
 
     monkeypatch.setattr(edges_mod, "find_up_edges", recording)
-    find_edges(points, oracle, frame, sweep)
+    find_edges(ledger, oracle, frame)
     monkeypatch.setattr(edges_mod, "find_up_edges", real)
     return calls
 
 
 def read_inputs():
     """The shared-height complex in the standard frame and seeded planar
-    graphs through the vertex stage, as (points, oracle, frame, sweep
-    diagram)."""
+    graphs through the vertex stage, as (points, oracle, frame, ledger)."""
     yield sweep_inputs(shared_height_complex())
     for seed in range(4):
         oracle = Oracle(generate_complex(GeneratorConfig(2, 20, 1, [0.3], seed=seed)))
-        points, frame, (sweep, *_) = vertex_stage(oracle)
-        yield points, oracle, frame, sweep
+        points, frame, ledger = vertex_stage(oracle)
+        yield points, oracle, frame, ledger
 
 
 def test_one_read_pass_gives_the_reference_cut_at_every_later_vertex(monkeypatch):
@@ -534,9 +572,9 @@ def test_one_read_pass_gives_the_reference_cut_at_every_later_vertex(monkeypatch
     split gives the reference cut or None, and a vertex that shares its
     height gives None."""
     shared = 0
-    for points, oracle, frame, sweep in read_inputs():
+    for points, oracle, frame, ledger in read_inputs():
         coordinates, unit = plane(points, frame)
-        calls = find_edges_recording_calls(monkeypatch, points, oracle, frame, sweep)
+        calls = find_edges_recording_calls(monkeypatch, ledger, oracle, frame)
         asked = []
         for call in calls:
             at = coordinates[call["vertex"]]
@@ -607,8 +645,8 @@ def test_the_merge_places_the_cuts_of_planar_graphs_as_per_cut_counts(monkeypatc
     """Every vertex's seeded cuts, on the shared-height complex and seeded
     planar graphs, land where counting each side for each cut puts them."""
     placed = 0
-    for points, oracle, frame, sweep in read_inputs():
-        for call in find_edges_recording_calls(monkeypatch, points, oracle, frame, sweep):
+    for _, oracle, frame, ledger in read_inputs():
+        for call in find_edges_recording_calls(monkeypatch, ledger, oracle, frame):
             order, cuts = call["order"], call["cuts"]
             ups = [off for vid, off in order.ordered if vid not in call["excluded"]]
             known = {order.offsets[u] for u in call["known"]}
@@ -621,12 +659,12 @@ def test_the_merge_places_the_cuts_of_planar_graphs_as_per_cut_counts(monkeypatc
 
 def test_a_planar_reconstruction_reads_no_level_per_split_and_later_vertex(monkeypatch):
     """A planar graph with n = 120 vertices: ``EventTable.level_of`` runs
-    exactly 6 n times, each vertex once in each sweep diagram for its edges
-    down and up, and once in each of the four diagrams of the count check
-    (the vertex stage's 2d - 1 = 3 and the edge stage's in -u1).  That is
-    below n plus the number of splits plus the count check's 4 n reads.
-    The splits are read without it, so no Python function runs per split
-    and later vertex; a read per vertex made about 28,000 calls here."""
+    exactly 4 n times, each vertex once in each of the four diagrams of the
+    count ledger (the vertex stage's 2d - 1 = 3 and the edge stage's in
+    -u1).  The edge stage's degrees and the count check read those levels
+    again instead of locating the vertex anew, which made 6 n calls.  The
+    splits are read without it, so no Python function runs per split and
+    later vertex; a read per vertex made about 28,000 calls here."""
     K = generate_complex(
         GeneratorConfig(2, 120, 1, [0.05], seed=1, coordinate_denominator_bound=120)
     )
@@ -642,7 +680,7 @@ def test_a_planar_reconstruction_reads_no_level_per_split_and_later_vertex(monke
     assert complexes_match(reconstruct(oracle), K)
     n, splits = len(K.vertices), oracle.log.queries("edges") - 1
     assert splits == 287
-    assert len(calls) == 6 * n
+    assert len(calls) == 4 * n
 
 
 def test_a_miscounted_free_cut_ends_in_an_error(monkeypatch):
@@ -656,9 +694,9 @@ def test_a_miscounted_free_cut_ends_in_an_error(monkeypatch):
     for seed in (0, 3):
         K = generate_complex(GeneratorConfig(2, 14, 1, densities=[0.35], seed=seed))
         oracle = Oracle(K)
-        points, frame, (sweep, *_) = vertex_stage(oracle)
+        points, frame, ledger = vertex_stage(oracle)
         found, calls = find_edges_recording_cuts(
-            monkeypatch, points, oracle, frame, sweep
+            monkeypatch, points, oracle, frame, ledger
         )
         for vertex, _, cuts, _ in calls:
             for p, q, count in cuts:
@@ -669,8 +707,8 @@ def test_a_miscounted_free_cut_ends_in_an_error(monkeypatch):
                         continue
                     tampered = TamperedOracle(K, direction, 1, height, delta)
                     with pytest.raises(ApdrecError):
-                        points, tilted, (sweep, *_) = vertex_stage(tampered)
-                        find_edges(points, tampered, tilted, sweep)
+                        _, tilted, tampered_ledger = vertex_stage(tampered)
+                        find_edges(tampered_ledger, tampered, tilted)
                     tried += 1
     assert tried > 200
 
@@ -685,8 +723,8 @@ def test_find_edges_never_returns_edges_from_a_miscounted_split(monkeypatch):
     for seed in range(4):
         K = generate_complex(GeneratorConfig(2, 14, 1, densities=[0.35], seed=seed))
         oracle = Oracle(K)
-        points, frame, (sweep, *_) = vertex_stage(oracle)
-        _, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep)
+        points, frame, ledger = vertex_stage(oracle)
+        _, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, ledger)
         for vertex, _, _, splits in calls:
             for p, q in splits:
                 direction = split_direction(frame, p, q)
@@ -694,8 +732,8 @@ def test_find_edges_never_returns_edges_from_a_miscounted_split(monkeypatch):
                 for delta in (1, -1):
                     tampered = TamperedOracle(K, direction, 1, height, delta)
                     with pytest.raises(ApdrecError):
-                        points_t, frame_t, (sweep_t, *_) = vertex_stage(tampered)
-                        find_edges(points_t, tampered, frame_t, sweep_t)
+                        _, frame_t, ledger_t = vertex_stage(tampered)
+                        find_edges(ledger_t, tampered, frame_t)
                     tried += 1
     assert tried > 100
 
@@ -705,14 +743,14 @@ def test_a_split_that_puts_a_second_vertex_at_its_own_height_raises(monkeypatch)
     the line of a split misses every other vertex; a diagram that counts a
     second vertex there is an OracleInconsistency."""
     K = figure_complex()
-    points, oracle, frame, sweep = sweep_inputs(K)
-    _, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, sweep)
+    points, oracle, frame, ledger = sweep_inputs(K)
+    _, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, ledger)
     vertex, splits = next((v, s) for v, _, _, s in calls if s)
     direction = split_direction(frame, *splits[0])
     height = dot(direction, points[vertex])
     tampered = TamperedOracle(K, direction, 0, height, 1)
     with pytest.raises(OracleInconsistency):
-        find_edges(points, tampered, frame, tampered.query(frame.u1))
+        find_edges(CountLedger(points, [tampered.query(frame.u1)]), tampered, frame)
 
 
 def test_free_cuts_pin_the_edge_queries_of_a_sparse_planar_graph():
@@ -720,8 +758,8 @@ def test_free_cuts_pin_the_edge_queries_of_a_sparse_planar_graph():
     before the split diagrams were read at later vertices."""
     K = generate_complex(GeneratorConfig(2, 60, 1, densities=[0.15], seed=1))
     oracle = Oracle(K)
-    points, frame, (sweep, *_) = vertex_stage(oracle)
-    found, _ = find_edges(points, oracle, frame, sweep)
+    points, frame, ledger = vertex_stage(oracle)
+    found = find_edges(ledger, oracle, frame)
     assert complexes_match(cx(2, points, sorted(found)), K)
     assert oracle.log.queries("edges") == 168
 

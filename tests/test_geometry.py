@@ -11,6 +11,7 @@ from apdrec import (
     DegeneratePosition,
     InvalidInput,
     ParallelDirections,
+    PreconditionViolated,
     leftmost_crossing,
     orthogonal_to_affine_hull,
     radial_order,
@@ -105,10 +106,15 @@ def test_orthogonal_random_exactness():
 # second_perpendicular_direction
 
 
+def heights_under(s, points):
+    return [dot(s, p) for p in points]
+
+
 def test_second_perpendicular_w_equals_v():
     v = [vec(0, 0, 0), vec(1, 0, 0)]
     s = vec(0, 0, 1)
-    assert second_perpendicular_direction(v, v, v, s) == s
+    heights = heights_under(s, v)
+    assert second_perpendicular_direction(v, heights, (0, 1), (0, 1), s) == s
 
 
 def test_second_perpendicular_w_empty():
@@ -116,14 +122,15 @@ def test_second_perpendicular_w_empty():
     v = [vec(0, 0, 0), vec(1, 0, 0)]
     for s in (vec(0, 0, 1), vec(1, 1, 0)):
         with pytest.raises(InvalidInput):
-            second_perpendicular_direction(v, v, [], s)
+            second_perpendicular_direction(v, heights_under(s, v), (0, 1), (), s)
 
 
 def test_second_perpendicular_axis_example():
     all_pts = [vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)]
     w = all_pts[:2]
     s = vec(0, 0, 1)
-    sp = second_perpendicular_direction(all_pts, all_pts, w, s)
+    heights = heights_under(s, all_pts)
+    sp = second_perpendicular_direction(all_pts, heights, (0, 1, 2), (0, 1), s)
     assert dot(sp, w[0]) == dot(sp, w[1])
     assert dot(sp, vec(0, 1, 0)) > dot(sp, w[0])
     # the canonical solution is the axis itself
@@ -146,11 +153,31 @@ def test_second_perpendicular_random_postconditions():
             continue
         w_size = rng.randint(1, size - 1)
         w = pts[:w_size]
-        sp = second_perpendicular_direction(pts, pts, w, s)
+        sp = second_perpendicular_direction(
+            pts, heights_under(s, pts), range(size), range(w_size), s
+        )
         base = dot(sp, w[0])
         assert all(dot(sp, q) == base for q in w)
         assert all(dot(sp, x) > base for x in pts[w_size:])
         trials += 1
+
+
+def test_second_perpendicular_rejects_a_vertex_outside_v_at_its_height():
+    """V = {0, 1} lies on the line y = 2 and s = (0, 1) is orthogonal to it;
+    vertex 3 lies on that line too, so s does not height-separate V from
+    the rest, on signed int points and on their lift (p, p . p).  Moved off
+    the line, it no longer raises."""
+    signed = [(-1, 2), (1, 2), (0, -3), (3, 2)]
+    for points in (signed, [p + (dot(p, p),) for p in signed]):
+        s = (0, 1) + (0,) * (len(points[0]) - 2)
+        heights = heights_under(s, points)
+        assert heights == [2, 2, -3, 2]
+        with pytest.raises(PreconditionViolated):
+            second_perpendicular_direction(points, heights, (0, 1), (0,), s)
+        with pytest.raises(PreconditionViolated):
+            reference_second_perpendicular(points, points[:2], points[:1], s)
+        heights[3] = 5
+        assert second_perpendicular_direction(points, heights, (0, 1), (0,), s)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +487,17 @@ def test_kernels_are_exact_on_integer_input(data):
 
     size_v = data.draw(st.integers(min_value=1, max_value=len(points)), label="|V|")
     size_w = data.draw(st.integers(min_value=0, max_value=size_v), label="|W|")
-    subset_v = points[:size_v]
-    normal = outcome(orthogonal_to_affine_hull, subset_v)
+    normal = outcome(orthogonal_to_affine_hull, points[:size_v])
     if not isinstance(normal, tuple):
         normal = s
     if any(normal):
+        # the ids as ranges, which as_fractions leaves as they are
         assert_exact_and_equal(
             second_perpendicular_direction,
             points,
-            subset_v,
-            subset_v[:size_w],
+            heights_under(normal, points),
+            range(size_v),
+            range(size_w),
             normal,
         )
 
@@ -545,10 +573,18 @@ def test_integer_directions_match_the_rational_references(data):
     subset_v = [points[u] for u in ids[:size_v]]
     normal = outcome(orthogonal_to_affine_hull, subset_v)
     if isinstance(normal, tuple):
-        subset_w = subset_v[: data.draw(st.integers(1, size_v), label="|W|")]
+        size_w = data.draw(st.integers(1, size_v), label="|W|")
+        heights = heights_under(normal, points)
+        v, w = ids[:size_v], ids[:size_w]
         same_direction(
-            outcome(second_perpendicular_direction, points, subset_v, subset_w, normal),
-            outcome(reference_second_perpendicular, points, subset_v, subset_w, normal),
+            outcome(second_perpendicular_direction, points, heights, v, w, normal),
+            outcome(
+                reference_second_perpendicular,
+                points,
+                subset_v,
+                subset_v[:size_w],
+                normal,
+            ),
         )
         candidate = sorted(ids[:size_v])
         same_direction(

@@ -59,11 +59,16 @@ def test_find_coordinate_rejects_an_index_outside_1_to_d(i):
 def test_vertex_stage_two_points():
     K = cx(2, [(0, 0), (1, 2)], [])
     oracle = Oracle(K)
-    points, frame, asked = vertex_stage(oracle)
+    points, frame, ledger = vertex_stage(oracle)
     assert points == [(0, 0), (1, 2)]
+    asked = ledger.diagrams
     assert asked[0].direction == frame.u1 == (1, 0)
     assert oracle.log.count == 2 * 2 - 1
     assert [dgm.direction for dgm in asked] == oracle.log.directions
+    # the ledger holds the points as ints and each vertex alone at its level
+    assert (ledger.scaled, ledger.scale) == ([(0, 0), (1, 2)], 1)
+    assert ledger.levels == [[0, 1]] * 3
+    assert all(ledger.counts(0, i) == [1, 1] for i in range(3))
 
 
 def test_vertex_stage_order_follows_e1():
@@ -105,7 +110,8 @@ def test_vertex_stage_rejects_coincident_projections():
 def test_fallback_basis_recovers_despite_ties():
     K = cx(2, [(0, 0), (0, 1), (1, -1)], [(0, 1), (1, 2)])
     oracle = Oracle(K)
-    points, frame, asked = vertex_stage(oracle)
+    points, frame, ledger = vertex_stage(oracle)
+    asked = ledger.diagrams
     assert asked[0].direction == frame.u1 != (1, 0)  # the b1 diagram
     assert set(points) == set(K.vertices.values())
     assert oracle.log.count == 2 * 2 - 1 + 2  # two extra diagrams for the basis

@@ -11,7 +11,6 @@ from .complexes import (
     SimplicialComplex,
     build_complex,
     parse_complex,
-    position_violations,
     serialize_complex,
     validate_general_position,
 )

@@ -119,9 +119,15 @@ def build_complex(
 class PositionCheck:
     """Incremental general-position check of integer points in R^dim.
 
-    ``witnesses(p)`` yields the witnesses by which p breaks general position
-    with the points added so far (``add``), as ``position_violations``
-    lists them.  The state it keeps across candidates:
+    ``witnesses(p)`` yields the witnesses by which p, the i-th point,
+    breaks general position with the i points added so far (``add``), in
+    order: ("projection", j, i) for each earlier point with the same (e1,
+    e2) projection, ("collinear", a, b, i) for each earlier pair whose
+    projections are collinear with its own, and ("affine-dependent", *js,
+    i) for each min(i, dim) earlier points affinely dependent with it.
+    Over all points this covers every dim+1 points, or all when there are
+    fewer.  A common positive scale of the points changes no witness.  The
+    state it keeps across candidates:
 
     - The projected tests bucket each earlier point by the primitive,
       sign-normalised direction of its (e1, e2) offset from p, O(i) per
@@ -210,26 +216,6 @@ class PositionCheck:
         self._planned = len(points)
 
 
-def position_violations(
-    points: Sequence[Sequence], i: int, dim: int
-) -> Iterator[tuple]:
-    """Witnesses by which points[i] breaks general position with points[:i].
-
-    In order: ("projection", j, i) for each earlier point with the same
-    (e1, e2) projection, ("collinear", a, b, i) for each earlier pair whose
-    projections are collinear with its own, and ("affine-dependent", *js, i)
-    for each min(i, dim) earlier points affinely dependent with it.  Over all
-    i this covers every dim+1 points, or all when there are fewer.  A common
-    positive scale of the points changes no witness.  One ``PositionCheck``
-    over the points scaled to integers.
-    """
-    scaled, _ = scale_to_integers(points[: i + 1])
-    check = PositionCheck(dim)
-    for q in scaled[:i]:
-        check.add(q)
-    return check.witnesses(scaled[i])
-
-
 def _free_of(kind: str) -> property:
     """A report flag: true when no witness is of the given kind."""
     return property(lambda report: all(w[0] != kind for w in report.violations))
@@ -239,7 +225,7 @@ def _free_of(kind: str) -> property:
 class GeneralPositionReport:
     """Outcome of the checkable general position assumptions.
 
-    ``violations`` holds the ``position_violations`` witnesses, listed by
+    ``violations`` holds the ``PositionCheck`` witnesses, listed by
     their last vertex; ``ok`` means there are none.  A shared projection is
     reported against every earlier vertex, and a dependent set of fewer than
     d+1 vertices adds a shorter witness of its own.  ``unique_e1_heights`` is

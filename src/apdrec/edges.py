@@ -33,16 +33,14 @@ piece is split at its middle candidate: ``split_wedge`` asks the diagram in
 a direction whose line through v separates the two halves, one query, and
 that diagram read at v is one more cut.  Once v's search is done, each
 diagram its splits asked is read at all later vertices in one pass
-(``read_cuts``, one lookup per vertex), and the cuts it gives there, free,
-seed those vertices' searches, which only ever removes splits.  Two prefix
-counts at one length that differ, or a piece whose count is negative or
-above its size, raise OracleInconsistency.
+(``read_cuts``, one ``EventTable.levels_of`` call), and the cuts it gives
+there, free, seed those vertices' searches, which only ever removes
+splits.  Two prefix counts at one length that differ, or a piece whose
+count is negative or above its size, raise OracleInconsistency.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidInput, OracleInconsistency
@@ -89,29 +87,17 @@ def read_cuts(
     holds (a, b) with u1 . u = a / unit and u2 . u = b / unit, unit > 0:
     None where u shares its height there or is off the grid.
 
-    u's height in m * u1 - u2 is (p * a - q * b) / (q * unit).  It is the
-    level h / denominator of the diagram's table exactly when
-    ``(p * a - q * b) * n == h * m``, for n / m the ratio denominator /
-    (q * unit) in lowest terms.  So each vertex costs one division and one
-    search of the table's integer levels, and no Fraction.
+    u's height in m * u1 - u2 is (p * a - q * b) / (q * unit), so one
+    ``EventTable.levels_of`` call locates every vertex, with no Fraction.
     """
     p, q, events = split
-    n, m = events.denominator, q * unit
-    g = math.gcd(n, m)
-    n, m = n // g, m // g
-    heights = events.heights
-    top = len(heights)
+    top = len(events.heights)
     vertices = events.histogram.get(0) or [0] * top
     edges = events.histogram.get(1) or [0] * top
-    cuts: List[Optional[Cut]] = []
-    for a, b in plane:
-        h, rest = divmod((p * a - q * b) * n, m)
-        i = bisect_left(heights, h)
-        if rest or i == top or heights[i] != h or vertices[i] != 1:
-            cuts.append(None)
-        else:
-            cuts.append((p, q, edges[i]))
-    return cuts
+    levels = events.levels_of([p * a - q * b for a, b in plane], q * unit)
+    return [
+        None if i is None or vertices[i] != 1 else (p, q, edges[i]) for i in levels
+    ]
 
 
 def find_up_edges(

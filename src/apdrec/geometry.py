@@ -68,9 +68,9 @@ def scale_to_integers(
     Each scaled row is a tuple of ints.  L > 0, so every dot product with a
     scaled row is L times the rational one: order and ties are kept.
     """
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    scale = math.lcm(*[x.denominator for row in rows for x in row])
     scaled = [
-        tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows
+        tuple([x.numerator * (scale // x.denominator) for x in row]) for row in rows
     ]
     return scaled, scale
 

@@ -21,7 +21,7 @@ is an integer multiple of the rational one by a positive factor:
 returns q times the tilt of weight n / q, and scaled heights give the same
 weight.  ``primitive_direction`` removes the factor, so the oracle is asked
 the same directions in the same order as on the rational points, and a
-diagram is read at h / L by ``EventTable.level_of``.  A direction's heights
+diagram is read at h / L by ``EventTable.levels_of``.  A direction's heights
 are computed once and handed on, to the tilts and to
 ``second_perpendicular_direction``.
 """
@@ -89,7 +89,7 @@ def _level_count(
     height = dot(direction, points[simplex[0]])
     if any(dot(direction, points[v]) != height for v in simplex[1:]):
         raise PreconditionViolated("direction is not constant on the simplex")
-    level = events.level_of(height, scale)
+    (level,) = events.levels_of([height], scale)
     if events.count(0, level) != len(simplex):
         raise PreconditionViolated(
             "another vertex shares the simplex height in this direction"

@@ -39,8 +39,9 @@ is an exact integer multiple of one positive rational.  Only the order and
 the equality of heights decide the filtration and the pairing, and a
 positive scale keeps both, so the integer run gives the same pairs.  The
 event table keeps the distinct integer heights with their denominator; a
-height read from a diagram is scaled to that grid, and the heights are
-divided back into Fractions only when levels or points are read.
+height read from a diagram is scaled to that grid, every such read going
+through ``EventTable.levels_of``, and the heights are divided back into
+Fractions only when levels or points are read.
 
 The oracle answers every query from scratch and logs it once.  The log is
 the one accounting object of a reconstruction: each stage opens a labelled
@@ -124,7 +125,8 @@ class EventTable:
     ``rows[k-1]`` plus the births of ``rows[k]``.
 
     ``levels``, the heights as Fractions, is built on first read and kept;
-    ``level`` and ``level_of`` find a height without it.
+    ``level`` and ``levels_of`` find a height without it, and every
+    reader of the integer grid goes through ``levels_of``.
     """
 
     __slots__ = (
@@ -185,23 +187,37 @@ class EventTable:
             if math.isinf(height):
                 return None
             n, m = height.as_integer_ratio()
-        return self.level_of(n, m)
+        return self.levels_of([n], m)[0]
 
-    def level_of(self, numerator: int, denominator: int) -> Optional[int]:
-        """Index of the level equal to numerator / denominator, for ints
-        with denominator > 0, or None off the grid.
+    def levels_of(
+        self, numerators: Sequence[int], denominator: int
+    ) -> List[Optional[int]]:
+        """The index of the level equal to each numerator / denominator, for
+        ints with denominator > 0, or None off the grid.
 
-        The height lies on the grid when numerator * ``self.denominator`` /
-        denominator is an integer and one of ``heights``; no Fraction is
-        built.
+        A height x / denominator is the level h / ``self.denominator``
+        exactly when x * n == h * m, for n / m the ratio
+        ``self.denominator`` / denominator in lowest terms.  So the batch
+        costs one gcd, then per numerator one floor division, giving the
+        only h that can match, and one search of the integer levels for it;
+        no Fraction is built.
         """
-        scaled, rest = divmod(numerator * self.denominator, denominator)
-        if rest:
-            return None
-        i = bisect_left(self.heights, scaled)
-        if i < len(self.heights) and self.heights[i] == scaled:
-            return i
-        return None
+        g = math.gcd(self.denominator, denominator)
+        n, m = self.denominator // g, denominator // g
+        heights = self.heights
+        top = len(heights)
+        levels: List[Optional[int]] = []
+        for x in numerators:
+            x *= n
+            i = bisect_left(heights, x // m)
+            levels.append(i if i < top and heights[i] * m == x else None)
+        return levels
+
+    def vertex_heights(self) -> List[int]:
+        """The vertex heights, increasing with multiplicity, as ints over
+        ``denominator``: every vertex is one event at its own height."""
+        counts = self.histogram.get(0, ())
+        return list(chain.from_iterable(map(repeat, self.heights, counts)))
 
     def count(self, k: int, level: Optional[int]) -> int:
         """Number of k-simplices at a level index, 0 at None (off the grid)."""
@@ -272,16 +288,16 @@ class AugmentedDiagram:
         """Birth heights of dimension dim, increasing, with multiplicity.
 
         Every vertex is a dimension-0 birth and nothing else is, so the
-        dimension-0 births are the histogram's vertices and need no pairing.
+        dimension-0 births are the table's vertex heights and need no
+        pairing.
         """
+        events = self.events
         if dim == 0:
-            counts = self.events.histogram.get(0)
-        else:
-            row = self.events.rows.get(dim)
-            counts = row.births if row else None
-        if counts is None:
+            return [Fraction(h, events.denominator) for h in events.vertex_heights()]
+        row = events.rows.get(dim)
+        if row is None:
             return []
-        return list(chain.from_iterable(map(repeat, self.events.levels, counts)))
+        return list(chain.from_iterable(map(repeat, events.levels, row.births)))
 
     def counts(self, k: int) -> List[int]:
         """Number of k-simplices at each level of the event table.
@@ -576,10 +592,8 @@ def _apd(
         for x in direction
     )
     _check_direction(direction, table.ambient_dim)
-    d_scale = math.lcm(*(x.denominator for x in direction))
-    distinct, level = _heights(
-        table, [x.numerator * (d_scale // x.denominator) for x in direction]
-    )
+    (integer,), d_scale = scale_to_integers([direction])
+    distinct, level = _heights(table, integer)
     filtration = None
     if order is not None:
         if len(order) != len(table.simplices) or set(order) != set(table.simplices):

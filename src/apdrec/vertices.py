@@ -17,16 +17,16 @@ number of k-simplices that vertex tops in its direction.  The ledger
 locates each recovered vertex in each diagram once.
 
 The stage reads the births of the axis and tilted diagrams as the integer
-heights of their event tables over each table's denominator, and solves on
-those ints.  Its only Fractions are the directions it asks (the tilts s_t
-and b1, whose values the query log records), the base heights and one per
-recovered coordinate.
+vertex heights of their event tables over each table's denominator
+(``EventTable.vertex_heights``), and solves on those ints; the ledger
+reads its levels through ``EventTable.levels_of``.  Its only Fractions are
+the directions it asks (the tilts s_t and b1, whose values the query log
+records) and one per recovered coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
 from typing import Collection, List, Optional, Sequence, Tuple
 
 from .errors import GeneralPositionViolated, InvalidInput, OracleInconsistency
@@ -43,37 +43,28 @@ from .geometry import (
 from .oracle import AugmentedDiagram, Oracle
 
 
-def _births(dgm: AugmentedDiagram) -> Tuple[List[int], int]:
-    """The dimension-0 births of a diagram, increasing with multiplicity, as
-    ints over the positive denominator of its event table."""
-    events = dgm.events
-    counts = events.histogram.get(0, ())
-    births = list(chain.from_iterable(map(repeat, events.heights, counts)))
-    return births, events.denominator
-
-
 def find_coordinate(
     i: int,
-    base_heights: List[Fraction],
+    base: AugmentedDiagram,
     oracle: Oracle,
     base_direction: Optional[Direction] = None,
     target: Optional[AugmentedDiagram] = None,
 ) -> Tuple[List[Fraction], List[AugmentedDiagram]]:
     """Recover coordinate i of every vertex, aligned with the base order.
 
-    ``base_heights`` are the strictly increasing vertex heights in the base
-    direction (e1 unless a tilted basis is in play).  The tilt s_t towards
-    e_i preserves that order, so the j-th sorted birth of Dgm0(s_t) belongs
-    to the j-th vertex and, writing s_t = (1-eps) * base + eps * e_i with
-    eps = n / q the ``tilt_weight`` of the base and e_i heights,
+    ``base`` is the diagram in the base direction (e1 unless a tilted basis
+    is in play), whose vertex heights must be strictly increasing.  The
+    tilt s_t towards e_i preserves their order, so the j-th sorted birth of
+    Dgm0(s_t) belongs to the j-th vertex and, writing s_t = (1-eps) * base
+    + eps * e_i with eps = n / q the ``tilt_weight`` of the base and e_i
+    heights,
 
-        x_i[j] = (q * H_t[j] - (q - n) * base_heights[j]) / n.
+        x_i[j] = (q * H_t[j] - (q - n) * H_b[j]) / n.
 
-    The base heights are scaled to ints B over one denominator D_b, and
-    the e_i and s_t births are read as ints over their tables' denominators,
-    so the weight and the column are solved on ints: with H_t[j] = T[j] /
-    D_t, x_i[j] is ``(q * D_b * T[j] - (q - n) * D_t * B[j]) / (n * D_t *
-    D_b)``, one Fraction each.
+    Every diagram's vertex heights are read as ints over its table's
+    denominator, B[j] / D_b for the base and T[j] / D_t for s_t, so the
+    weight and the column are solved on ints: x_i[j] is ``(q * D_b * T[j] -
+    (q - n) * D_t * B[j]) / (n * D_t * D_b)``, one Fraction each.
 
     Returns the coordinates and the diagrams asked, in order: two logged
     queries, e_i and s_t, or s_t alone when the e_i diagram is passed in as
@@ -89,23 +80,25 @@ def find_coordinate(
     if target is None:
         target = oracle.query(e_i)
         asked.append(target)
-    (base,), base_den = scale_to_integers([base_heights])
-    target_births, target_den = _births(target)
-    if len(target_births) != len(base):
+    base_den, target_den = base.events.denominator, target.events.denominator
+    heights = base.events.vertex_heights()
+    target_heights = target.events.vertex_heights()
+    if len(target_heights) != len(heights):
         raise OracleInconsistency("birth counts differ between directions")
 
     # the two lists on the one scale base_den * target_den
     n, q = tilt_weight(
-        [b * target_den for b in base], [t * base_den for t in target_births]
+        [b * target_den for b in heights], [t * base_den for t in target_heights]
     )
     s_t = tuple(Fraction((q - n) * a + n * b, q) for a, b in zip(base_direction, e_i))
     asked.append(oracle.query(s_t))
-    tilted, tilted_den = _births(asked[-1])
-    if len(tilted) != len(base):
+    tilted_events = asked[-1].events
+    tilted, tilted_den = tilted_events.vertex_heights(), tilted_events.denominator
+    if len(tilted) != len(heights):
         raise OracleInconsistency("birth counts differ between directions")
     up, down = q * base_den, (q - n) * tilted_den
     den = n * tilted_den * base_den
-    column = [Fraction(up * t - down * h, den) for t, h in zip(tilted, base)]
+    column = [Fraction(up * t - down * h, den) for t, h in zip(tilted, heights)]
     return column, asked
 
 
@@ -134,10 +127,10 @@ class CountLedger:
     It holds the points scaled to ints once, ``scaled`` = L times each point
     for ``scale`` = L, the common denominator of their coordinates, and each
     diagram added, in order, with the level of every vertex in it, read
-    with ``EventTable.level_of``.  A vertex off a diagram's grid raises
-    OracleInconsistency as the diagram is added: the diagram cannot be of
-    the complex whose vertices were recovered.  The stages read every
-    vertex count through it, and it checks the simplices they find.
+    with one ``EventTable.levels_of`` call.  A vertex off a diagram's grid
+    raises OracleInconsistency as the diagram is added: the diagram cannot
+    be of the complex whose vertices were recovered.  The stages read
+    every vertex count through it, and it checks the simplices they find.
     """
 
     def __init__(self, points: Sequence[Vector], diagrams: Sequence[AugmentedDiagram]):
@@ -151,7 +144,7 @@ class CountLedger:
         """Locate every vertex in the diagram and keep both."""
         (s,), factor = scale_to_integers([dgm.direction])
         unit = self.scale * factor
-        levels = [dgm.events.level_of(dot(s, p), unit) for p in self.scaled]
+        levels = dgm.events.levels_of([dot(s, p) for p in self.scaled], unit)
         if None in levels:
             raise OracleInconsistency(
                 f"vertex {levels.index(None)} is off the grid in {dgm.direction}"
@@ -200,17 +193,18 @@ def vertex_stage(oracle: Oracle) -> Tuple[List[Vector], SweepFrame, CountLedger]
     oracle.log.open("vertices")
     d = oracle.ambient_dim
     asked = [oracle.query(basis_vector(d, 0))]
-    births1, _ = _births(asked[0])
+    births1 = asked[0].events.vertex_heights()
     known = {1: asked[0]}
     if len(set(births1)) == len(births1):
         frame = standard_frame(d)
     else:
         known[2] = oracle.query(basis_vector(d, 1))
         asked.append(known[2])
-        frame = create_unique_height_basis(births1, _births(known[2])[0], d)
+        frame = create_unique_height_basis(births1, known[2].events.vertex_heights(), d)
         asked.insert(0, oracle.query(frame.u1))
-    base = asked[0].births(0)
-    if len(set(base)) != len(base):
+    base = asked[0]
+    heights = base.events.vertex_heights()
+    if len(set(heights)) != len(heights):
         raise GeneralPositionViolated(
             "two vertices share a projection onto the (e1, e2) plane"
         )
@@ -218,10 +212,10 @@ def vertex_stage(oracle: Oracle) -> Tuple[List[Vector], SweepFrame, CountLedger]
     columns = []
     for i in range(1, d + 1):
         if frame.u1 == basis_vector(d, i - 1):
-            columns.append(base)
+            columns.append(base.births(0))
         else:
             column, diagrams = find_coordinate(i, base, oracle, frame.u1, known.get(i))
             columns.append(column)
             asked += diagrams
-    points = [tuple(col[j] for col in columns) for j in range(len(base))]
+    points = [tuple(col[j] for col in columns) for j in range(len(heights))]
     return points, frame, CountLedger(points, asked)

@@ -115,13 +115,21 @@ def reference_cut(split, a: int, b: int, unit: int) -> Optional[Tuple[int, int, 
     and the level's vertex and edge counts read from its histogram."""
     p, q, events = split
     height = Fraction(p * a - q * b, q * unit)
-    levels = [Fraction(h, events.denominator) for h in events.heights]
-    if height not in levels:
+    i = reference_level(events.heights, events.denominator, height)
+    if i is None:
         return None
-    i = levels.index(height)
-    vertices = events.histogram.get(0, [0] * len(levels))
-    edges = events.histogram.get(1, [0] * len(levels))
+    top = len(events.heights)
+    vertices = events.histogram.get(0, [0] * top)
+    edges = events.histogram.get(1, [0] * top)
     return (p, q, edges[i]) if vertices[i] == 1 else None
+
+
+def reference_level(heights: Sequence[int], denominator: int, height) -> Optional[int]:
+    """Index of the level equal to the height, the levels being ``heights``
+    over ``denominator`` as Fractions, or None when none equals it.  A float
+    compares at its exact value, and INF, -INF and NaN equal no level."""
+    levels = [Fraction(h, denominator) for h in heights]
+    return levels.index(height) if height in levels else None
 
 
 def reference_place(cut, ups, downs) -> Tuple[int, int]:

@@ -30,6 +30,7 @@ from bruteforce import (
     euler_curve_by_scan,
     random_compatible_order,
     reference_apd,
+    reference_level,
     reference_pairs,
     simplex_count_by_scan,
     simplex_height,
@@ -638,6 +639,46 @@ def test_event_levels_are_integers_over_the_diagram_denominator():
     assert fresh.events._levels is None
     assert events.levels == on_grid
     assert events.levels is events.levels
+
+
+@st.composite
+def grids_and_numerators(draw):
+    """An event table on a drawn increasing int grid, a denominator m that
+    shares a factor with the table's, and numerators over m: at each level
+    and one off it on both sides (on the grid when m * h divides by the
+    table's denominator), below the first and above the last level, and
+    drawn freely."""
+    heights = sorted(draw(st.sets(st.integers(-60, 60), max_size=8)))
+    shared = draw(st.integers(1, 12))
+    denominator = shared * draw(st.integers(1, 12))
+    m = shared * draw(st.integers(1, 12))
+    table = oracle_mod.EventTable(heights, denominator, {}, lambda: ([], {}))
+    at = [h * m // denominator for h in heights] or [0]
+    numerators = [x + e for x in at for e in (-1, 0, 1)]
+    numerators += [at[0] - draw(st.integers(1, 40)), at[-1] + draw(st.integers(1, 40))]
+    numerators += draw(st.lists(st.integers(-400, 400), max_size=6))
+    return table, numerators, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids_and_numerators())
+def test_levels_of_matches_a_fraction_lookup(case):
+    """``levels_of`` and ``level`` on a Fraction, on a float at its exact
+    value and on INF and -INF give the level a Fraction lookup among the
+    levels finds; NaN is not a height."""
+    table, numerators, m = case
+    grid = (table.heights, table.denominator)
+    want = [reference_level(*grid, F(x, m)) for x in numerators]
+    assert table.levels_of(numerators, m) == want
+    assert [table.level(F(x, m)) for x in numerators] == want
+    floats = [x / m for x in numerators]
+    assert [table.level(h) for h in floats] == [
+        reference_level(*grid, h) for h in floats
+    ]
+    assert table.level(INF) is table.level(-INF) is None
+    assert reference_level(*grid, INF) is reference_level(*grid, -INF) is None
+    with pytest.raises(InvalidInput):
+        table.level(float("nan"))
 
 
 # ---------------------------------------------------------------------------

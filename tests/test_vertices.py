@@ -22,8 +22,8 @@ def test_find_coordinate_hand_trace():
     # vertices (0,0) and (1,2): eps = 1/6, tilt (5/6, 1/6), births [0, 7/6]
     K = cx(2, [(0, 0), (1, 2)], [])
     oracle = Oracle(K)
-    base = oracle.query((1, 0)).births(0)
-    assert base == [0, 1]
+    base = oracle.query((1, 0))
+    assert base.births(0) == [0, 1]
     xs, asked = find_coordinate(2, base, oracle)
     assert xs == [0, 2]
     assert [dgm.direction for dgm in asked] == oracle.log.directions[1:]
@@ -34,7 +34,7 @@ def test_find_coordinate_hand_trace():
 def test_find_coordinate_single_vertex():
     K = cx(3, [(4, -2, F(1, 3))], [])
     oracle = Oracle(K)
-    base = oracle.query((1, 0, 0)).births(0)
+    base = oracle.query((1, 0, 0))
     assert find_coordinate(2, base, oracle)[0] == [-2]
     assert find_coordinate(3, base, oracle)[0] == [F(1, 3)]
 
@@ -43,14 +43,14 @@ def test_find_coordinate_with_target_ties():
     # equal second coordinates: ties in the target direction are fine
     K = cx(2, [(0, 5), (1, 5)], [])
     oracle = Oracle(K)
-    base = oracle.query((1, 0)).births(0)
+    base = oracle.query((1, 0))
     assert find_coordinate(2, base, oracle)[0] == [5, 5]
 
 
 @pytest.mark.parametrize("i", [0, 3])
 def test_find_coordinate_rejects_an_index_outside_1_to_d(i):
     oracle = Oracle(cx(2, [(0, 0), (1, 2)], []))
-    base = oracle.query((1, 0)).births(0)
+    base = oracle.query((1, 0))
     with pytest.raises(InvalidInput):
         find_coordinate(i, base, oracle)
     assert oracle.log.count == 1

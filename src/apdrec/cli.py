@@ -45,9 +45,7 @@ def _cmd_apd(args) -> int:
     _check_dim(args)
     complex_ = _load_complex(args.complex)
     dgm = compute_apd(complex_, _parse_direction(args.dir))
-    if args.dim is not None:
-        dgm = dgm.restrict(args.dim)
-    sys.stdout.write(format_diagram(dgm))
+    sys.stdout.write(format_diagram(dgm, args.dim))
     return 0
 
 

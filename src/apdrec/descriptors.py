@@ -4,8 +4,8 @@ Both are decorated step functions of the filtration height.  The augmented
 Euler curve is integer-pair valued: (count of even-dimensional simplices,
 count of odd-dimensional simplices) in the sublevel set; the classical Euler
 characteristic is their difference.  The curves of a diagram are one pass
-over its event table, so they cost its number of distinct heights, not its
-number of points.  The Betti curves read the table's event rows, so they
+over its levels, so they cost its number of distinct heights, not its
+number of points.  The Betti curves read the diagram's event rows, so they
 pair the diagram; the Euler curve reads only its simplex histogram.
 ``euler_curve_direct`` counts the complex's simplices instead and is the
 reference the diagram's Euler curve is checked against.
@@ -47,7 +47,7 @@ class StepCurve:
 
 
 def betti_curve_from_apd(apd: AugmentedDiagram, k: int) -> StepCurve:
-    """k-th augmented Betti curve read off the diagram's event table.
+    """k-th augmented Betti curve read off the diagram's event rows.
 
     Step value at p counts points with birth <= p < death: one pass over the
     levels, stepping by births minus finite deaths, since a zero-persistence
@@ -55,14 +55,13 @@ def betti_curve_from_apd(apd: AugmentedDiagram, k: int) -> StepCurve:
     the momentary count of classes alive there (birth <= c <= death): the
     value below the level plus the births at it.
     """
-    events = apd.events
-    row = events.rows.get(k)
+    row = apd.rows.get(k)
     if row is None:
         return StepCurve((), (), 0)
     value = 0
     steps = []
     decorations = []
-    for h, born, died, zeros in zip(events.levels, *row):
+    for h, born, died, zeros in zip(apd.levels, *row):
         if zeros:
             decorations.append((h, value + born))
         if born != died:
@@ -87,16 +86,15 @@ def _euler_steps(entries) -> StepCurve:
 def euler_curve_from_apd(apd: AugmentedDiagram) -> StepCurve:
     """Augmented Euler characteristic curve from the diagram alone.
 
-    The event table's simplex histogram gives the k-simplices at each level,
+    The diagram's simplex histogram gives the k-simplices at each level,
     so the counts of each parity sum those of its dimensions, and one pass
     over the levels sums them into the sublevel counts.  It needs no
     pairing.
     """
-    events = apd.events
-    parity = [[0] * len(events.heights), [0] * len(events.heights)]
-    for k, row in events.histogram.items():
+    parity = [[0] * len(apd.heights), [0] * len(apd.heights)]
+    for k, row in apd.histogram.items():
         parity[k % 2] = list(map(operator.add, parity[k % 2], row))
-    return _euler_steps(zip(events.levels, *parity))
+    return _euler_steps(zip(apd.levels, *parity))
 
 
 def euler_curve_direct(complex_: SimplicialComplex, direction: Direction) -> StepCurve:

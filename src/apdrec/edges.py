@@ -33,8 +33,8 @@ piece is split at its middle candidate: ``split_wedge`` asks the diagram in
 a direction whose line through v separates the two halves, one query, and
 that diagram read at v is one more cut.  Once v's search is done, each
 diagram its splits asked is read at all later vertices in one pass
-(``read_cuts``, one ``EventTable.levels_of`` call), and the cuts it gives
-there, free, seed those vertices' searches, which only ever removes
+(``read_cuts``, one ``AugmentedDiagram.levels_of`` call), and the cuts it
+gives there, free, seed those vertices' searches, which only ever removes
 splits.  Two prefix counts at one length that differ, or a piece whose
 count is negative or above its size, raise OracleInconsistency.
 """
@@ -54,14 +54,14 @@ from .geometry import (
     separating_slope,
     vneg,
 )
-from .oracle import EventTable, Oracle
+from .oracle import AugmentedDiagram, Oracle
 from .vertices import CountLedger
 
 # (p, q, count): count neighbours w of a vertex with p * x < q * y, for (x, y)
 # the offset of w from the vertex and q > 0
 Cut = Tuple[int, int, int]
-# (p, q, events): the counts of the diagram in the direction (p / q) * u1 - u2
-Split = Tuple[int, int, EventTable]
+# (p, q, diagram): the diagram in the direction (p / q) * u1 - u2
+Split = Tuple[int, int, AugmentedDiagram]
 
 
 def split_wedge(
@@ -77,7 +77,7 @@ def split_wedge(
     """
     p, q = separating_slope(order, after)
     dgm = oracle.query(separating_direction((p, q), frame))
-    return p, q, dgm.events
+    return p, q, dgm
 
 
 def read_cuts(
@@ -88,13 +88,14 @@ def read_cuts(
     None where u shares its height there or is off the grid.
 
     u's height in m * u1 - u2 is (p * a - q * b) / (q * unit), so one
-    ``EventTable.levels_of`` call locates every vertex, with no Fraction.
+    ``AugmentedDiagram.levels_of`` call locates every vertex, with no
+    Fraction.
     """
-    p, q, events = split
-    top = len(events.heights)
-    vertices = events.histogram.get(0) or [0] * top
-    edges = events.histogram.get(1) or [0] * top
-    levels = events.levels_of([p * a - q * b for a, b in plane], q * unit)
+    p, q, dgm = split
+    top = len(dgm.heights)
+    vertices = dgm.histogram.get(0) or [0] * top
+    edges = dgm.histogram.get(1) or [0] * top
+    levels = dgm.levels_of([p * a - q * b for a, b in plane], q * unit)
     return [
         None if i is None or vertices[i] != 1 else (p, q, edges[i]) for i in levels
     ]

@@ -293,6 +293,9 @@ def second_perpendicular_direction(
     constant for every w in W, x in V \\ W: the primitive form of the
     solution of a linear system with that constant 1, which also makes the
     choice deterministic.  An empty W raises InvalidInput.
+
+    The paper's plane-filling lemma: the direction that isolates a face W of
+    V for Face Isolation.
     """
     v_set, w_set = set(v), set(w)
     if not w_set <= v_set:
@@ -328,6 +331,8 @@ def leftmost_crossing(
     extreme heights of H', which is what is computed here; tests check the
     equivalence against full pair enumeration.  Returns None when H carries
     fewer than two distinct values (no crossing in (0, 1]).
+
+    The paper's eps lemma bounds eps by this crossing (see ``tilt_weight``).
     """
     crossing = _crossing(heights, heights_prime)
     return None if crossing is None else Fraction(*crossing)
@@ -358,6 +363,9 @@ def tilt_weight(
     Scaling both lists by one positive factor leaves eps as it is, so the
     heights may be any common positive multiple of the rational ones; on
     integer heights n and q are ints, not necessarily coprime.
+
+    The paper's eps lemma: any eps below the leftmost crossing keeps the
+    order of distinct heights.
     """
     crossing = _crossing(heights, heights_prime) if heights else None
     if crossing is None:
@@ -380,6 +388,9 @@ def tilt(
     positive multiple of the tilt, so it orders and ties heights as the tilt
     does; on integer heights and directions it is all ints, and
     ``primitive_direction`` reduces it.
+
+    The paper's tilt of an initial direction that keeps the vertex order,
+    the direction step of find-coord.
     """
     if parallel(s, s_prime):
         raise ParallelDirections("tilt requires linearly independent directions")

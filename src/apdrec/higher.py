@@ -21,8 +21,8 @@ is an integer multiple of the rational one by a positive factor:
 returns q times the tilt of weight n / q, and scaled heights give the same
 weight.  ``primitive_direction`` removes the factor, so the oracle is asked
 the same directions in the same order as on the rational points, and a
-diagram is read at h / L by ``EventTable.levels_of``.  A direction's heights
-are computed once and handed on, to the tilts and to
+diagram is read at h / L by ``AugmentedDiagram.levels_of``.  A direction's
+heights are computed once and handed on, to the tilts and to
 ``second_perpendicular_direction``.
 """
 
@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Set
 
 from .complexes import Simplex, SimplicialComplex, build_complex, facets, proper_faces
 from .edges import find_edges
-from .errors import DegeneratePosition, PreconditionViolated
+from .errors import DegeneratePosition, OracleInconsistency, PreconditionViolated
 from .geometry import (
     Direction,
     IntVector,
@@ -83,18 +83,22 @@ def _level_count(
 
     One logged query.  Raises PreconditionViolated unless every vertex of
     the simplex has the same height under the direction and the queried
-    diagram counts no other vertex at that height.
+    diagram counts no other vertex at that height, and OracleInconsistency
+    when the height is not on the diagram's grid: every vertex is an event
+    at its own height, so such a diagram is not of the recovered complex.
     """
-    events = oracle.query(direction).events
+    dgm = oracle.query(direction)
     height = dot(direction, points[simplex[0]])
     if any(dot(direction, points[v]) != height for v in simplex[1:]):
         raise PreconditionViolated("direction is not constant on the simplex")
-    (level,) = events.levels_of([height], scale)
-    if events.count(0, level) != len(simplex):
+    (level,) = dgm.levels_of([height], scale)
+    if level is None:
+        raise OracleInconsistency(f"the simplex height is off the grid in {direction}")
+    if dgm.histogram[0][level] != len(simplex):
         raise PreconditionViolated(
             "another vertex shares the simplex height in this direction"
         )
-    return events.count(k, level)
+    return dgm.histogram[k][level] if k in dgm.histogram else 0
 
 
 def compute_indegree(
@@ -121,6 +125,8 @@ def compute_indegree(
 
     One logged query for sigma, first, then one per proper face, each
     checked as ``_level_count`` states.
+
+    The paper's Face Isolation: the sumSwaps lemma's sum over the faces.
     """
     if k <= len(sigma) - 1:
         raise PreconditionViolated("k must exceed the simplex dimension")
@@ -178,6 +184,8 @@ def is_simplex(
     Exactly 2 * (2^k - 1) logged queries for a k-simplex test, in one span
     of the log labelled k.  An affinely dependent candidate raises
     DegeneratePosition before any query.
+
+    The paper's simpSwap algorithm, by Face Isolation on both sides.
     """
     if vertex in sigma:
         raise PreconditionViolated("candidate vertex already in the simplex")

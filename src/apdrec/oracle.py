@@ -19,16 +19,16 @@ clearing cannot skip it, so a complex with many top-dimensional classes
 pays for those zero columns on every query, while cohomology builds no
 column of the top dimension at all.
 
-Every diagram carries an EventTable.  Its per-level simplex histogram is the
-only source of counts: by the simplex-count correspondence every k-simplex
-is exactly one event at its lower-star height, so the k-simplices at each
-distinct height are what ``counts``, ``count_at``, ``simplex_count``,
-``births(0)`` and the Euler curve of ``descriptors`` read, and the histogram
-needs the heights alone.  Each query builds it, in ``_emit_points``.  The
-pairing (the filtration sort, ``_reduce_pairs`` and the point keys and
-event rows) runs on first read of ``events.rows``, ``events.keys``,
-``births(k)`` for k > 0, ``points`` or ``restrict``, and its result is
-kept.  The reconstruction stages read only the histogram, so they never
+A diagram's per-level simplex histogram is the only source of its counts:
+by the simplex-count correspondence every k-simplex is exactly one event at
+its lower-star height, so the k-simplices at each distinct height are what
+``counts``, ``count_at``, ``simplex_count``, ``births(0)`` and the Euler
+curve of ``descriptors`` read, and the histogram needs the heights alone.
+Each query builds the diagram, histogram included, in ``_emit_points``, the
+one place a diagram is made.  The pairing (the filtration sort,
+``_reduce_pairs`` and the point keys and event rows) runs on first read of
+``rows``, ``keys``, ``births(k)`` for k > 0 or ``points``, and its result
+is kept.  The reconstruction stages read only the histogram, so they never
 pair.
 
 The kernel runs on integers.  A BoundaryTable, built once per complex,
@@ -38,10 +38,10 @@ that order.  A query scales its direction to integers too, so every height
 is an exact integer multiple of one positive rational.  Only the order and
 the equality of heights decide the filtration and the pairing, and a
 positive scale keeps both, so the integer run gives the same pairs.  The
-event table keeps the distinct integer heights with their denominator; a
+diagram keeps the distinct integer heights with their denominator; a
 height read from a diagram is scaled to that grid, every such read going
-through ``EventTable.levels_of``, and the heights are divided back into
-Fractions only when levels or points are read.
+through ``AugmentedDiagram.levels_of``, and the heights are divided back
+into Fractions only when levels or points are read.
 
 The oracle answers every query from scratch and logs it once.  The log is
 the one accounting object of a reconstruction: each stage opens a labelled
@@ -108,49 +108,59 @@ Key = Tuple[int, int, int]
 Pairing = Tuple[List[Key], Dict[int, EventRow]]
 
 
-class EventTable:
-    """A diagram's events counted per dimension over its distinct heights.
+class AugmentedDiagram:
+    """One direction's augmented persistence diagram, counted per height.
 
     ``heights`` are the distinct heights of the events as increasing ints
     over one positive ``denominator``.  ``histogram[k]`` counts the
     k-simplices at each level; it is the only source of the diagram's
-    counts, and a dimension without an entry has no simplices.
+    counts (``counts``, ``count_at``, ``simplex_count``, ``births(0)``), and
+    a dimension without an entry has no simplices.
 
-    ``keys`` and ``rows`` come from the pairing, which ``pairing`` runs
-    with no argument on first read of either; both are kept.  ``keys`` holds
-    one (dim, birth level, death level) triple per point, an essential class
+    ``keys`` and ``rows`` come from the pairing, which ``pairing`` runs with
+    no argument on first read of either; both are kept.  ``keys`` holds one
+    (dim, birth level, death level) triple per point, an essential class
     dying at level ``len(heights)``, and ``rows[k]`` counts the events of
     dimension k at each level; a dimension without a row has no events.  By
     the simplex-count correspondence ``histogram[k]`` is the deaths of
-    ``rows[k-1]`` plus the births of ``rows[k]``.
+    ``rows[k-1]`` plus the births of ``rows[k]``.  ``points``, built from the
+    keys on first read, sorted by (dim, birth, death), and kept, and
+    ``births(k)`` for k > 0 pair the diagram; the reconstruction stages read
+    only the histogram, so they never pair.
 
     ``levels``, the heights as Fractions, is built on first read and kept;
-    ``level`` and ``levels_of`` find a height without it, and every
-    reader of the integer grid goes through ``levels_of``.
+    ``level`` and ``levels_of`` find a height without it, and every reader
+    of the integer grid goes through ``levels_of``.  Equality, hashing and
+    the text form use the direction and the points.
     """
 
     __slots__ = (
+        "direction",
         "heights",
         "denominator",
         "histogram",
         "_pairing",
         "_paired",
         "_levels",
+        "_points",
     )
 
     def __init__(
         self,
+        direction: Direction,
         heights: List[int],
         denominator: int,
         histogram: Dict[int, List[int]],
         pairing: Callable[[], Pairing],
     ):
+        self.direction = direction
         self.heights = heights
         self.denominator = denominator
         self.histogram = histogram
         self._pairing: Optional[Callable[[], Pairing]] = pairing
         self._paired: Optional[Pairing] = None
         self._levels: Optional[List[Fraction]] = None
+        self._points: Optional[Tuple[DiagramPoint, ...]] = None
 
     def _pair(self) -> Pairing:
         if self._paired is None:
@@ -171,6 +181,26 @@ class EventTable:
         if self._levels is None:
             self._levels = [Fraction(h, self.denominator) for h in self.heights]
         return self._levels
+
+    @property
+    def points(self) -> Tuple[DiagramPoint, ...]:
+        if self._points is None:
+            value = [*self.levels, INF]
+            self._points = tuple(
+                [DiagramPoint(k, value[b], value[d]) for k, b, d in sorted(self.keys)]
+            )
+        return self._points
+
+    def __eq__(self, other):
+        if not isinstance(other, AugmentedDiagram):
+            return NotImplemented
+        return self.direction == other.direction and self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash((self.direction, self.points))
+
+    def __repr__(self) -> str:
+        return f"AugmentedDiagram(direction={self.direction!r}, points={self.points!r})"
 
     def level(self, height) -> Optional[int]:
         """Index of the level equal to the height, or None off the grid.
@@ -219,68 +249,6 @@ class EventTable:
         counts = self.histogram.get(0, ())
         return list(chain.from_iterable(map(repeat, self.heights, counts)))
 
-    def count(self, k: int, level: Optional[int]) -> int:
-        """Number of k-simplices at a level index, 0 at None (off the grid)."""
-        row = self.histogram.get(k)
-        if row is None or level is None:
-            return 0
-        return row[level]
-
-
-class AugmentedDiagram:
-    """Multiset of (dim, birth, death) points for one query direction.
-
-    ``events`` counts the diagram per height.  Its simplex histogram answers
-    ``counts``, ``count_at``, ``simplex_count`` and ``births(0)`` without
-    the pairing; ``points`` are built from the table's keys on first read,
-    sorted by (dim, birth, death), and kept, and reading them, ``births(k)``
-    for k > 0 or ``restrict`` runs the pairing once.  The reconstruction
-    stages read only the histogram, so they never pair.  Equality, hashing
-    and the text form use the direction and the points.
-    """
-
-    __slots__ = ("direction", "events", "_points")
-
-    def __init__(self, direction: Direction, events: EventTable):
-        self.direction = direction
-        self.events = events
-        self._points: Optional[Tuple[DiagramPoint, ...]] = None
-
-    @property
-    def points(self) -> Tuple[DiagramPoint, ...]:
-        if self._points is None:
-            keys = sorted(self.events.keys)
-            value = [*self.events.levels, INF]
-            self._points = tuple(
-                [DiagramPoint(k, value[b], value[d]) for k, b, d in keys]
-            )
-        return self._points
-
-    def __eq__(self, other):
-        if not isinstance(other, AugmentedDiagram):
-            return NotImplemented
-        return self.direction == other.direction and self.points == other.points
-
-    def __hash__(self) -> int:
-        return hash((self.direction, self.points))
-
-    def __repr__(self) -> str:
-        return f"AugmentedDiagram(direction={self.direction!r}, points={self.points!r})"
-
-    def restrict(self, dim: int) -> "AugmentedDiagram":
-        """The points of dimension dim alone, paired.  Its counts are those
-        of its own events: births of dim count as dim-simplices and deaths
-        as (dim+1)-simplices."""
-        events = self.events
-        row = events.rows.get(dim)
-        keys = [key for key in events.keys if key[0] == dim]
-        rows = {dim: row} if row else {}
-        histogram = {dim: row.births, dim + 1: row.deaths} if row else {}
-        table = EventTable(
-            events.heights, events.denominator, histogram, lambda: (keys, rows)
-        )
-        return AugmentedDiagram(self.direction, table)
-
     def in_dim(self, dim: int) -> List[DiagramPoint]:
         return [p for p in self.points if p.dim == dim]
 
@@ -288,35 +256,35 @@ class AugmentedDiagram:
         """Birth heights of dimension dim, increasing, with multiplicity.
 
         Every vertex is a dimension-0 birth and nothing else is, so the
-        dimension-0 births are the table's vertex heights and need no
-        pairing.
+        dimension-0 births are the vertex heights and need no pairing.
         """
-        events = self.events
         if dim == 0:
-            return [Fraction(h, events.denominator) for h in events.vertex_heights()]
-        row = events.rows.get(dim)
+            return [Fraction(h, self.denominator) for h in self.vertex_heights()]
+        row = self.rows.get(dim)
         if row is None:
             return []
-        return list(chain.from_iterable(map(repeat, events.levels, row.births)))
+        return list(chain.from_iterable(map(repeat, self.levels, row.births)))
 
     def counts(self, k: int) -> List[int]:
-        """Number of k-simplices at each level of the event table.
+        """Number of k-simplices at each level.
 
         By the simplex-count correspondence every k-simplex is exactly one
         event at its lower-star height, a death in dimension k-1 or a birth
         in dimension k, so this is the histogram's row k.
         """
-        row = self.events.histogram.get(k)
-        return list(row) if row else [0] * len(self.events.heights)
+        row = self.histogram.get(k)
+        return list(row) if row else [0] * len(self.heights)
 
     def count_at(self, k: int, height: Fraction) -> int:
         """Number of k-simplices whose lower-star height is the given value:
         the entry of ``counts(k)`` at that level, read without the list."""
-        return self.events.count(k, self.events.level(height))
+        level = self.level(height)
+        row = self.histogram.get(k)
+        return 0 if row is None or level is None else row[level]
 
     def simplex_count(self, k: int) -> int:
         """Number of k-simplices: the height-free form of count_at."""
-        return sum(self.events.histogram.get(k, ()))
+        return sum(self.histogram.get(k, ()))
 
     def multiset(self) -> Dict[DiagramPoint, int]:
         out: Dict[DiagramPoint, int] = {}
@@ -487,20 +455,20 @@ def _reduce_pairs(
 
 
 def _emit_points(
+    direction: Direction,
     level: List[int],
     distinct: List[int],
     table: BoundaryTable,
     denominator: int,
     order: Optional[List[int]],
-) -> EventTable:
-    """The diagram's event table: its simplex histogram now, its pairing on
-    first read.
+) -> AugmentedDiagram:
+    """The diagram: its simplex histogram now, its pairing on first read.
 
-    Every simplex is one event at its own height, so the table's levels are
-    the ``distinct`` heights, and since the simplices of one dimension are
-    one range of static indices, one pass over the ``level`` of each simplex
-    counts every dimension's simplices per level, with neither the
-    filtration nor the pairing.  The table makes no Fraction.  It runs
+    Every simplex is one event at its own height, so the diagram's levels
+    are the ``distinct`` heights, and since the simplices of one dimension
+    are one range of static indices, one pass over the ``level`` of each
+    simplex counts every dimension's simplices per level, with neither the
+    filtration nor the pairing.  It makes no Fraction.  The diagram runs
     ``_pair_events`` on first read of its keys or rows.
     """
     top = len(distinct)
@@ -510,7 +478,8 @@ def _emit_points(
         for i in level[lo:hi]:
             row[i] += 1
         histogram[k] = row
-    return EventTable(
+    return AugmentedDiagram(
+        direction,
         distinct,
         denominator,
         histogram,
@@ -570,7 +539,7 @@ def compute_apd(
     divided by D * L.  Multiplying all heights by the positive D * L keeps
     their order and their ties, and the filtration order and the reduction
     depend on nothing else, so the integer run pairs the same simplices as
-    a run on the rational heights.  The event table keeps D * L, and a
+    a run on the rational heights.  The diagram keeps D * L, and a
     height is divided back by it exactly when read, so the diagram is the
     one of the rational heights.
     """
@@ -601,8 +570,9 @@ def _apd(
         index = {s: i for i, s in enumerate(table.simplices)}
         filtration = [index[s] for s in order]
         _check_filtration(filtration, level, table)
-    events = _emit_points(level, distinct, table, d_scale * table.scale, filtration)
-    return AugmentedDiagram(direction, events)
+    return _emit_points(
+        direction, level, distinct, table, d_scale * table.scale, filtration
+    )
 
 
 def _check_filtration(
@@ -710,9 +680,11 @@ class Oracle:
 # diagram text format
 
 
-def format_diagram(dgm: AugmentedDiagram) -> str:
+def format_diagram(dgm: AugmentedDiagram, dim: Optional[int] = None) -> str:
+    """The diagram as text: its direction, then one "dim birth death" line
+    per point, or per point of dimension ``dim`` when it is given."""
     lines = ["direction " + " ".join(format_rational(x) for x in dgm.direction)]
-    for p in dgm.points:
+    for p in dgm.points if dim is None else dgm.in_dim(dim):
         death = "inf" if p.essential else format_rational(p.death)
         lines.append(f"{p.dim} {format_rational(p.birth)} {death}")
     return "\n".join(lines) + "\n"

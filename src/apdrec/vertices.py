@@ -16,12 +16,12 @@ of its highest vertex, so a diagram's k-count at a vertex's level is the
 number of k-simplices that vertex tops in its direction.  The ledger
 locates each recovered vertex in each diagram once.
 
-The stage reads the births of the axis and tilted diagrams as the integer
-vertex heights of their event tables over each table's denominator
-(``EventTable.vertex_heights``), and solves on those ints; the ledger
-reads its levels through ``EventTable.levels_of``.  Its only Fractions are
-the directions it asks (the tilts s_t and b1, whose values the query log
-records) and one per recovered coordinate.
+The stage reads the births of the axis and tilted diagrams as their integer
+vertex heights over each diagram's denominator
+(``AugmentedDiagram.vertex_heights``), and solves on those ints; the
+ledger reads its levels through ``AugmentedDiagram.levels_of``.  Its only
+Fractions are the directions it asks (the tilts s_t and b1, whose values
+the query log records) and one per recovered coordinate.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def find_coordinate(
 
         x_i[j] = (q * H_t[j] - (q - n) * H_b[j]) / n.
 
-    Every diagram's vertex heights are read as ints over its table's
+    Every diagram's vertex heights are read as ints over its
     denominator, B[j] / D_b for the base and T[j] / D_t for s_t, so the
     weight and the column are solved on ints: x_i[j] is ``(q * D_b * T[j] -
     (q - n) * D_t * B[j]) / (n * D_t * D_b)``, one Fraction each.
@@ -69,6 +69,8 @@ def find_coordinate(
     Returns the coordinates and the diagrams asked, in order: two logged
     queries, e_i and s_t, or s_t alone when the e_i diagram is passed in as
     ``target``.  Raises InvalidInput unless 1 <= i <= d.
+
+    The paper's find-coord algorithm; its direction step is the tilt s_t.
     """
     d = oracle.ambient_dim
     if not 1 <= i <= d:
@@ -80,9 +82,9 @@ def find_coordinate(
     if target is None:
         target = oracle.query(e_i)
         asked.append(target)
-    base_den, target_den = base.events.denominator, target.events.denominator
-    heights = base.events.vertex_heights()
-    target_heights = target.events.vertex_heights()
+    base_den, target_den = base.denominator, target.denominator
+    heights = base.vertex_heights()
+    target_heights = target.vertex_heights()
     if len(target_heights) != len(heights):
         raise OracleInconsistency("birth counts differ between directions")
 
@@ -92,8 +94,7 @@ def find_coordinate(
     )
     s_t = tuple(Fraction((q - n) * a + n * b, q) for a, b in zip(base_direction, e_i))
     asked.append(oracle.query(s_t))
-    tilted_events = asked[-1].events
-    tilted, tilted_den = tilted_events.vertex_heights(), tilted_events.denominator
+    tilted, tilted_den = asked[-1].vertex_heights(), asked[-1].denominator
     if len(tilted) != len(heights):
         raise OracleInconsistency("birth counts differ between directions")
     up, down = q * base_den, (q - n) * tilted_den
@@ -109,7 +110,7 @@ def create_unique_height_basis(
 
     ``births1`` and ``births2`` are the dimension-0 births in e1 and e2, on
     one common scale (the rational heights, or the integer heights of the
-    two tables, whose denominators agree).  b1 is the tilt ``(1 - eps) * e1
+    two diagrams, whose denominators agree).  b1 is the tilt ``(1 - eps) * e1
     + eps * e2`` with eps = n / q their ``tilt_weight``, so e1 ties are
     broken by e2 heights (distinct projected vertices); b2 is the exact -90
     degree rotation of b1 inside the (e1, e2) plane.  Pure: it issues no
@@ -127,10 +128,11 @@ class CountLedger:
     It holds the points scaled to ints once, ``scaled`` = L times each point
     for ``scale`` = L, the common denominator of their coordinates, and each
     diagram added, in order, with the level of every vertex in it, read
-    with one ``EventTable.levels_of`` call.  A vertex off a diagram's grid
-    raises OracleInconsistency as the diagram is added: the diagram cannot
-    be of the complex whose vertices were recovered.  The stages read
-    every vertex count through it, and it checks the simplices they find.
+    with one ``AugmentedDiagram.levels_of`` call.  A vertex off a diagram's
+    grid raises OracleInconsistency as the diagram is added: the diagram
+    cannot be of the complex whose vertices were recovered.  The stages
+    read every vertex count through it, and it checks the simplices they
+    find.
     """
 
     def __init__(self, points: Sequence[Vector], diagrams: Sequence[AugmentedDiagram]):
@@ -144,7 +146,7 @@ class CountLedger:
         """Locate every vertex in the diagram and keep both."""
         (s,), factor = scale_to_integers([dgm.direction])
         unit = self.scale * factor
-        levels = dgm.events.levels_of([dot(s, p) for p in self.scaled], unit)
+        levels = dgm.levels_of([dot(s, p) for p in self.scaled], unit)
         if None in levels:
             raise OracleInconsistency(
                 f"vertex {levels.index(None)} is off the grid in {dgm.direction}"
@@ -155,8 +157,8 @@ class CountLedger:
     def counts(self, k: int, i: int) -> List[int]:
         """Each vertex's k-count in diagram i: the number of k-simplices
         whose highest vertex it is in that diagram's direction."""
-        row = self.diagrams[i].counts(k)
-        return [row[level] for level in self.levels[i]]
+        row = self.diagrams[i].histogram.get(k)
+        return [row[level] if row else 0 for level in self.levels[i]]
 
     def check(self, found: Collection[Tuple[int, ...]], k: int) -> None:
         """Raise OracleInconsistency unless every diagram counts exactly the
@@ -167,10 +169,10 @@ class CountLedger:
         diagram's.  It makes no query.
         """
         for dgm, levels in zip(self.diagrams, self.levels):
-            row = [0] * len(dgm.events.heights)
+            row = [0] * len(dgm.heights)
             for simplex in found:
                 row[max([levels[v] for v in simplex])] += 1
-            if row != dgm.counts(k):
+            if row != (dgm.histogram.get(k) or [0] * len(row)):
                 raise OracleInconsistency(
                     f"the {k}-simplices found do not meet the diagram "
                     f"in {dgm.direction}"
@@ -193,17 +195,17 @@ def vertex_stage(oracle: Oracle) -> Tuple[List[Vector], SweepFrame, CountLedger]
     oracle.log.open("vertices")
     d = oracle.ambient_dim
     asked = [oracle.query(basis_vector(d, 0))]
-    births1 = asked[0].events.vertex_heights()
+    births1 = asked[0].vertex_heights()
     known = {1: asked[0]}
     if len(set(births1)) == len(births1):
         frame = standard_frame(d)
     else:
         known[2] = oracle.query(basis_vector(d, 1))
         asked.append(known[2])
-        frame = create_unique_height_basis(births1, known[2].events.vertex_heights(), d)
+        frame = create_unique_height_basis(births1, known[2].vertex_heights(), d)
         asked.insert(0, oracle.query(frame.u1))
     base = asked[0]
-    heights = base.events.vertex_heights()
+    heights = base.vertex_heights()
     if len(set(heights)) != len(heights):
         raise GeneralPositionViolated(
             "two vertices share a projection onto the (e1, e2) plane"

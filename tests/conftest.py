@@ -7,7 +7,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from apdrec import AugmentedDiagram, Oracle, build_complex
-from apdrec.oracle import EventTable
 
 
 def cx(ambient_dim, points, maximal):
@@ -22,18 +21,17 @@ def shifted_count(dgm, k, height, delta):
     Only the simplex histogram changes, which is all the reconstruction
     stages read; the pairing, read on demand, is the true diagram's.
     """
-    events = dgm.events
-    histogram = dict(events.histogram)
-    row = list(histogram.get(k) or [0] * len(events.heights))
-    row[events.level(height)] += delta
+    histogram = dict(dgm.histogram)
+    row = list(histogram.get(k) or [0] * len(dgm.heights))
+    row[dgm.level(height)] += delta
     histogram[k] = row
-    table = EventTable(
-        events.heights,
-        events.denominator,
+    return AugmentedDiagram(
+        dgm.direction,
+        dgm.heights,
+        dgm.denominator,
         histogram,
-        lambda: (events.keys, events.rows),
+        lambda: (dgm.keys, dgm.rows),
     )
-    return AugmentedDiagram(dgm.direction, table)
 
 
 class TamperedOracle(Oracle):

@@ -51,6 +51,31 @@ def test_cli_apd_dim_filter(capsys, triangle_file):
     assert out.strip().splitlines()[1:] == ["1 1 1"]
 
 
+def test_cli_apd_dim_prints_the_direction_and_that_dimension_of_the_full_output(
+    capsys, tmp_path
+):
+    """``--dim k`` prints the full output's direction line and exactly its
+    dimension-k lines, for every k up to one above the top dimension, where
+    only the direction line is left."""
+    K = generate_complex(GeneratorConfig(3, 8, 2, densities=[0.7, 0.6], seed=3))
+    path = tmp_path / "k.cx"
+    path.write_text(serialize_complex(K))
+    argv = ["apd", "--complex", str(path), "--dir", "3,-1,2"]
+    code, full = run(capsys, *argv)
+    assert code == 0
+    first, *lines = full.splitlines()
+    top = max(len(s) for s in K.simplices) - 1
+    printed = 0
+    for k in range(top + 2):
+        code, out = run(capsys, *argv, "--dim", str(k))
+        assert code == 0
+        want = [line for line in lines if line.split()[0] == str(k)]
+        assert out.splitlines() == [first] + want
+        printed += len(want)
+    assert printed == len(lines) and top == 2
+    assert want == []  # above the top: the direction line alone
+
+
 def test_cli_curves_betti(capsys, triangle_file):
     code, out = run(
         capsys,

@@ -29,7 +29,7 @@ from apdrec.geometry import (
     vneg,
 )
 from apdrec.higher import reconstruct
-from apdrec.oracle import EventTable
+from apdrec.oracle import AugmentedDiagram
 from apdrec.vertices import CountLedger, create_unique_height_basis, vertex_stage
 
 from bruteforce import (
@@ -659,25 +659,25 @@ def test_the_merge_places_the_cuts_of_planar_graphs_as_per_cut_counts(monkeypatc
 
 def test_a_planar_reconstruction_reads_no_level_per_split_and_later_vertex(monkeypatch):
     """A planar graph with n = 120 vertices: every diagram read goes through
-    ``EventTable.levels_of``, one call per batch.  Exactly four calls locate
-    all n vertices, one in each of the four diagrams of the count ledger
-    (the vertex stage's 2d - 1 = 3 and the edge stage's in -u1); the edge
-    stage's degrees and the count check read those levels again instead of
-    locating the vertex anew.  Each split is read in at most two calls, at
-    its own vertex and at all later vertices, so no Python call runs per
-    split and later vertex; a read per vertex made about 28,000 calls
-    here."""
+    ``AugmentedDiagram.levels_of``, one call per batch.  Exactly four calls
+    locate all n vertices, one in each of the four diagrams of the count
+    ledger (the vertex stage's 2d - 1 = 3 and the edge stage's in -u1); the
+    edge stage's degrees and the count check read those levels again
+    instead of locating the vertex anew.  Each split is read in at most two
+    calls, at its own vertex and at all later vertices, so no Python call
+    runs per split and later vertex; a read per vertex made about 28,000
+    calls here."""
     K = generate_complex(
         GeneratorConfig(2, 120, 1, [0.05], seed=1, coordinate_denominator_bound=120)
     )
-    real = EventTable.levels_of
+    real = AugmentedDiagram.levels_of
     calls = []
 
     def levels_of(self, numerators, denominator):
         calls.append(len(numerators))
         return real(self, numerators, denominator)
 
-    monkeypatch.setattr(EventTable, "levels_of", levels_of)
+    monkeypatch.setattr(AugmentedDiagram, "levels_of", levels_of)
     oracle = Oracle(K)
     assert complexes_match(reconstruct(oracle), K)
     n, splits = len(K.vertices), oracle.log.queries("edges") - 1

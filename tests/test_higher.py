@@ -12,6 +12,7 @@ from apdrec import (
     OracleInconsistency,
     PreconditionViolated,
     complexes_match,
+    compute_apd,
     compute_indegree,
     generate_complex,
     is_simplex,
@@ -107,6 +108,29 @@ def test_indegree_rejects_unisolated_height():
     oracle = Oracle(K)
     with pytest.raises(PreconditionViolated):
         compute_indegree((0,), (0, 1), 1, {}, oracle, *scaled_points(K))
+
+
+class OtherComplexOracle:
+    """Answers every query with the diagram of another complex."""
+
+    def __init__(self, other):
+        self.other = other
+
+    def query(self, direction):
+        return compute_apd(self.other, direction)
+
+
+def test_indegree_off_the_grid_is_an_oracle_inconsistency():
+    """A simplex height that is no level of the answer cannot come from the
+    recovered complex, whose every vertex is an event at its own height: it
+    raises OracleInconsistency, not the precondition error of a shared
+    height."""
+    K = cx(2, [(0, 0), (1, 3)], [])
+    other = cx(2, [(0, 1), (1, 5)], [])  # heights 1 and 5 under e2, not 0
+    stub = OtherComplexOracle(other)
+    with pytest.raises(OracleInconsistency, match="off the grid"):
+        compute_indegree((0,), (0, 1), 1, {}, stub, *scaled_points(K))
+    assert compute_indegree((0,), (0, 1), 1, {}, Oracle(K), *scaled_points(K)) == 0
 
 
 def test_indegree_matches_bruteforce_random():
@@ -491,7 +515,7 @@ def wrong_complexes(K, k, directions):
     complex is a good outcome; any other exception propagates."""
     silent = []
     for direction in directions:
-        for height in Oracle(K).query(direction).events.levels:
+        for height in Oracle(K).query(direction).levels:
             for delta in (1, -1):
                 oracle = TamperedOracle(K, direction, k, height, delta)
                 try:

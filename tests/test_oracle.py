@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import apdrec.oracle as oracle_mod
 from apdrec import (
     INF,
+    AugmentedDiagram,
     GeneratorConfig,
     InvalidInput,
     Oracle,
@@ -169,7 +170,7 @@ def test_count_at_matches_direct_count_random():
                 got = dgm.count_at(k, c)
                 assert got == count_simplices_at(K, direction, k, c)
             assert dgm.counts(k) == [
-                count_simplices_at(K, direction, k, c) for c in dgm.events.levels
+                count_simplices_at(K, direction, k, c) for c in dgm.levels
             ]
 
 
@@ -184,8 +185,7 @@ def test_query_log_counts_one_per_logical_request():
     assert full.in_dim(0) and oracle.log.count == 1
     oracle.query((0, 1))
     assert oracle.log.count == 2
-    empty = oracle.query(E1).restrict(5)
-    assert empty.points == () and oracle.log.count == 3
+    assert oracle.query(E1).in_dim(5) == [] and oracle.log.count == 3
 
 
 def test_query_log_attributes_queries_to_the_latest_span():
@@ -280,7 +280,7 @@ def test_lifted_oracle_matches_apd_of_the_lift():
     direct = compute_apd(lift(K), direction)
     assert via_helper.multiset() == direct.multiset()
     assert oracle.log.count == 1
-    assert oracle.query(direction).restrict(5).points == ()
+    assert oracle.query(direction).in_dim(5) == []
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +351,8 @@ def reference_text(direction, points) -> str:
 def test_points_built_on_first_read_match_the_definition(case, last):
     """Points are built from the kernel's keys on first read.  Read or not, a
     diagram equals and hashes like one whose points were read and like
-    compute_apd's, on plain and lifted oracles; its points, restrictions and
-    text are the definition's."""
+    compute_apd's, on plain and lifted oracles; its points and its text,
+    whole and in each dimension, are the definition's."""
     K, direction = case
     if last is None:
         oracle, truth = Oracle(K), K
@@ -370,42 +370,38 @@ def test_points_built_on_first_read_match_the_definition(case, last):
     assert text == format_diagram(read) == reference_text(read.direction, expected)
     for dim in range(-1, 4):
         want = [p for p in expected if p[0] == dim]
-        view = oracle.query(direction).restrict(dim)
-        assert format_diagram(view) == reference_text(read.direction, want)
-        assert points_of(view) == want
-        assert view == read.restrict(dim)
+        text = format_diagram(oracle.query(direction), dim)
+        assert text == format_diagram(read, dim) == reference_text(read.direction, want)
+        assert [tuple(p) for p in read.in_dim(dim)] == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(complexes_and_directions(), st.sampled_from([None] + VALUES))
 def test_event_table_reads_match_the_point_scans(case, last):
-    """Every table-backed read and both curves equal a scan of the points,
-    on plain and lifted diagrams and on each restriction, at every level, off
-    the grid and for dimensions on both sides of the complex's."""
+    """Every histogram and event-row read and both curves equal a scan of
+    the points, on plain and lifted diagrams, at every level, off the grid
+    and for dimensions on both sides of the complex's."""
     K, direction = case
     if last is not None:
         K, direction = lift(K), direction + (last,)
     dgm = compute_apd(K, direction)
     hs = vertex_heights(K.vertices, direction)
-    assert list(dgm.events.levels) == sorted({simplex_height(s, hs) for s in K.simplices})
+    assert list(dgm.levels) == sorted({simplex_height(s, hs) for s in K.simplices})
     top = max((len(s) - 1 for s in K.simplices), default=0)
-    for view in [dgm] + [dgm.restrict(d) for d in range(-1, 4)]:
-        pts = [tuple(p) for p in view.points]
-        grid = sorted({h for p in pts for h in p[1:] if h != INF} | set(view.events.levels))
-        off_grid = [a + (b - a) / 3 for a, b in zip(grid, grid[1:])]
-        if grid:
-            off_grid += [grid[0] - 1, grid[-1] + F(1, 7)]
-        for k in range(-1, top + 3):
-            assert view.births(k) == births_by_scan(pts, k)
-            assert view.simplex_count(k) == simplex_count_by_scan(pts, k)
-            assert view.counts(k) == [
-                count_at_by_scan(pts, k, h) for h in view.events.levels
-            ]
-            for h in grid + off_grid + [F(0), INF]:
-                assert view.count_at(k, h) == count_at_by_scan(pts, k, h)
-            curve = betti_curve_from_apd(view, k)
-            assert (curve.breakpoints, curve.decorations) == betti_curve_by_scan(pts, k)
-        assert euler_curve_from_apd(view).breakpoints == euler_curve_by_scan(pts)
+    pts = [tuple(p) for p in dgm.points]
+    grid = sorted({h for p in pts for h in p[1:] if h != INF} | set(dgm.levels))
+    off_grid = [a + (b - a) / 3 for a, b in zip(grid, grid[1:])]
+    if grid:
+        off_grid += [grid[0] - 1, grid[-1] + F(1, 7)]
+    for k in range(-1, top + 3):
+        assert dgm.births(k) == births_by_scan(pts, k)
+        assert dgm.simplex_count(k) == simplex_count_by_scan(pts, k)
+        assert dgm.counts(k) == [count_at_by_scan(pts, k, h) for h in dgm.levels]
+        for h in grid + off_grid + [F(0), INF]:
+            assert dgm.count_at(k, h) == count_at_by_scan(pts, k, h)
+        curve = betti_curve_from_apd(dgm, k)
+        assert (curve.breakpoints, curve.decorations) == betti_curve_by_scan(pts, k)
+    assert euler_curve_from_apd(dgm).breakpoints == euler_curve_by_scan(pts)
 
 
 def test_clearing_on_the_dense_stream_complex():
@@ -605,45 +601,43 @@ def test_vertices_only_pair_nothing():
 
 
 def test_event_levels_are_integers_over_the_diagram_denominator():
-    """The table keeps int heights over D * L and makes no Fraction until its
-    levels are read; ``level`` maps ints and Fractions onto that grid and
+    """The diagram keeps int heights over D * L and makes no Fraction until
+    its levels are read; ``level`` maps ints and Fractions onto that grid and
     gives None off it, for INF, and where the scaled numerator does not
     divide."""
     K = cx(2, [(0, 0), (F(1, 2), 1), (1, F(1, 3))], [(0, 1, 2)])  # L = 6
     dgm = compute_apd(K, (F(2, 5), 1))  # D = 5
-    events = dgm.events
-    assert events.denominator == 30
-    assert events.heights == [0, 22, 36]  # 0, 11/15 and 6/5, times 30
-    assert all(type(h) is int for h in events.heights)
+    assert dgm.denominator == 30
+    assert dgm.heights == [0, 22, 36]  # 0, 11/15 and 6/5, times 30
+    assert all(type(h) is int for h in dgm.heights)
     on_grid = [F(0), F(11, 15), F(6, 5)]
     for i, h in enumerate(on_grid):
-        assert events.level(h) == i
-    assert events.level(0) == 0
-    assert events.level(1) is None  # 30 is not a height
+        assert dgm.level(h) == i
+    assert dgm.level(0) == 0
+    assert dgm.level(1) is None  # 30 is not a height
     for h in [F(1, 7), F(11, 15) + F(1, 31), F(6, 5) * F(7, 11)]:
         assert (h.numerator * 30) % h.denominator != 0  # does not divide
-        assert events.level(h) is None
+        assert dgm.level(h) is None
     for h in [F(1, 30), F(-1, 15), F(2)]:  # divides, but no event there
-        assert events.level(h) is None
-    assert events.level(INF) is None and events.level(-INF) is None
+        assert dgm.level(h) is None
+    assert dgm.level(INF) is None and dgm.level(-INF) is None
     pts = points_of(dgm)
     for k in range(-1, 4):
         for h in on_grid + [F(1, 7), F(1, 30), 0, 1, INF]:
             assert dgm.count_at(k, h) == count_at_by_scan(pts, k, h)
-    assert dgm.restrict(1).events.heights is events.heights
     fresh = Oracle(K).query((F(2, 5), 1))
     assert [fresh.count_at(k, h) for k in range(3) for h in on_grid] == [
         1, 1, 1, 0, 1, 2, 0, 0, 1,
     ]
     assert fresh.simplex_count(1) == 3
-    assert fresh.events._levels is None
-    assert events.levels == on_grid
-    assert events.levels is events.levels
+    assert fresh._levels is None
+    assert dgm.levels == on_grid
+    assert dgm.levels is dgm.levels
 
 
 @st.composite
 def grids_and_numerators(draw):
-    """An event table on a drawn increasing int grid, a denominator m that
+    """A diagram on a drawn increasing int grid, a denominator m that
     shares a factor with the table's, and numerators over m: at each level
     and one off it on both sides (on the grid when m * h divides by the
     table's denominator), below the first and above the last level, and
@@ -652,7 +646,7 @@ def grids_and_numerators(draw):
     shared = draw(st.integers(1, 12))
     denominator = shared * draw(st.integers(1, 12))
     m = shared * draw(st.integers(1, 12))
-    table = oracle_mod.EventTable(heights, denominator, {}, lambda: ([], {}))
+    table = AugmentedDiagram((1,), heights, denominator, {}, lambda: ([], {}))
     at = [h * m // denominator for h in heights] or [0]
     numerators = [x + e for x in at for e in (-1, 0, 1)]
     numerators += [at[0] - draw(st.integers(1, 40)), at[-1] + draw(st.integers(1, 40))]
@@ -692,7 +686,7 @@ def test_simplex_histogram_equals_the_reduced_event_counts(case, last):
     deaths of dimension k-1 plus the births of dimension k of the reduced
     rows, and the same of the definition's points; ``births(0)`` reads the
     same before and after the pairing.  On plain and lifted diagrams, with
-    height ties, and on every restriction."""
+    height ties."""
     K, direction = case
     oracle = Oracle(K)
     if last is not None:
@@ -700,33 +694,28 @@ def test_simplex_histogram_equals_the_reduced_event_counts(case, last):
     dgm = oracle.query(direction)
     unpaired_births = dgm.births(0)
     unpaired_counts = [dgm.counts(k) for k in range(-1, K.ambient_dim + 3)]
-    assert dgm.events._paired is None
+    assert dgm._paired is None
     expected = reference_apd(K, direction)
     assert points_of(dgm) == expected
     assert dgm.births(0) == unpaired_births == births_by_scan(expected, 0)
-    views = [(dgm, expected)] + [
-        (dgm.restrict(d), [p for p in expected if p[0] == d]) for d in range(-1, 4)
-    ]
-    for view, pts in views:
-        events = view.events
-        none = [0] * len(events.heights)
-        for k in range(-1, K.ambient_dim + 3):
-            lower, upper = events.rows.get(k - 1), events.rows.get(k)
-            reduced = [
-                a + b
-                for a, b in zip(
-                    lower.deaths if lower else none, upper.births if upper else none
-                )
-            ]
-            assert view.counts(k) == reduced
-            assert reduced == [count_at_by_scan(pts, k, h) for h in events.levels]
+    none = [0] * len(dgm.heights)
+    for k in range(-1, K.ambient_dim + 3):
+        lower, upper = dgm.rows.get(k - 1), dgm.rows.get(k)
+        reduced = [
+            a + b
+            for a, b in zip(
+                lower.deaths if lower else none, upper.births if upper else none
+            )
+        ]
+        assert dgm.counts(k) == reduced
+        assert reduced == [count_at_by_scan(expected, k, h) for h in dgm.levels]
     assert [dgm.counts(k) for k in range(-1, K.ambient_dim + 3)] == unpaired_counts
 
 
 def test_counts_and_euler_curves_never_pair_and_points_pair_once(monkeypatch):
     """Counts, dimension-0 births and the Euler curve read the histogram
-    alone; points, Betti curves, higher births and restrictions run the
-    reduction once per diagram and keep it."""
+    alone; points, Betti curves, higher births and the text of one
+    dimension run the reduction once per diagram and keep it."""
     calls = []
     real = oracle_mod._reduce_pairs
 
@@ -746,7 +735,7 @@ def test_counts_and_euler_curves_never_pair_and_points_pair_once(monkeypatch):
     for k in range(3):
         betti_curve_from_apd(dgm, k)
     dgm.births(1)
-    dgm.restrict(1).points
+    format_diagram(dgm, 1)
     assert len(calls) == 1
     other = oracle.query((3, -2, 1))
     betti_curve_from_apd(other, 1)

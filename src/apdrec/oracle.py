@@ -2,22 +2,26 @@
 
 The augmented diagram keeps every zero-persistence pair, so each simplex of
 the complex shows up as exactly one birth or death event.  Pairing is
-persistent cohomology over Z/2 on a compatible index filtration, with
-clearing.  The edges are paired with the vertices by union-find with the
-elder rule.  Then each dimension from one up to one below the top, lowest
-first, reduces the coboundary columns of its simplices in decreasing
-filtration position, skipping every simplex already paired as a death one
-dimension down, since its column would reduce to zero.  Columns are bitmask
-integers over the cofacets, the earliest cofacet the highest bit, and a
-column's pivot is the death of its simplex.  Reducing coboundaries so is
-the reduction of the anti-transposed boundary matrix, which has the same
-pivot pairs (de Silva, Morozov and Vejdemo-Johansson, 2011), and the
-pairing of a filtration is unique, so union-find, cohomology and clearing
-leave the points as they are.  Cohomology is chosen for speed alone:
-homology reduces the boundary column of every essential class to zero and
-clearing cannot skip it, so a complex with many top-dimensional classes
-pays for those zero columns on every query, while cohomology builds no
-column of the top dimension at all.
+persistent cohomology over Z/2 of the lower-star filtration, with clearing.
+The reduction only ever compares simplices of one dimension, and the
+filtration restricted to one dimension is (level, static index), so the
+kernel reads each simplex's level and builds no order of the whole complex.
+The edges are paired with the vertices by union-find with the elder rule.
+Then each dimension from one up to one below the top, lowest first, reduces
+the coboundary columns of its simplices in decreasing (level, static
+index), skipping every simplex already paired as a death one dimension
+down, since its column would reduce to zero.  Columns are given implicitly,
+in the spirit of Ripser (Bauer, 2021): a column starts as its simplex's
+static coboundary mask, built once per complex, and its pivot, the death of
+its simplex, is found through per-level masks built once per query from
+static vertex star masks.  Reducing coboundaries so is the reduction of the
+anti-transposed boundary matrix, which has the same pivot pairs (de Silva,
+Morozov and Vejdemo-Johansson, 2011), and the pairing of a filtration is
+unique, so union-find, cohomology and clearing leave the points as they
+are.  Cohomology is chosen for speed alone: homology reduces the boundary
+column of every essential class to zero and clearing cannot skip it, so a
+complex with many top-dimensional classes pays for those zero columns on
+every query, while cohomology builds no column of the top dimension at all.
 
 A diagram's per-level simplex histogram is the only source of its counts:
 by the simplex-count correspondence every k-simplex is exactly one event at
@@ -25,23 +29,25 @@ its lower-star height, so the k-simplices at each distinct height are what
 ``counts``, ``count_at``, ``simplex_count``, ``births(0)`` and the Euler
 curve of ``descriptors`` read, and the histogram needs the heights alone.
 Each query builds the diagram, histogram included, in ``_emit_points``, the
-one place a diagram is made.  The pairing (the filtration sort,
-``_reduce_pairs`` and the point keys and event rows) runs on first read of
+one place a diagram is made.  The pairing (``_reduce_pairs``, which returns
+static indices, and the point keys and event rows) runs on first read of
 ``rows``, ``keys``, ``births(k)`` for k > 0 or ``points``, and its result
 is kept.  The reconstruction stages read only the histogram, so they never
 pair.
 
 The kernel runs on integers.  A BoundaryTable, built once per complex,
 holds the coordinates scaled by their common denominator, the simplices in
-(dimension, vertex tuple) order and each simplex's facets as indices into
-that order.  A query scales its direction to integers too, so every height
-is an exact integer multiple of one positive rational.  Only the order and
-the equality of heights decide the filtration and the pairing, and a
-positive scale keeps both, so the integer run gives the same pairs.  The
-diagram keeps the distinct integer heights with their denominator; a
-height read from a diagram is scaled to that grid, every such read going
-through ``AugmentedDiagram.levels_of``, and the heights are divided back
-into Fractions only when levels or points are read.
+(dimension, vertex tuple) order, or per dimension in the sequence of
+``compute_apd``'s ``order``, each simplex's facets as indices into that
+order, and, from the first pairing on, the static masks.  A query scales
+its direction to integers too, so every height is an exact integer multiple
+of one positive rational.  Only the order and the equality of heights
+decide the filtration and the pairing, and a positive scale keeps both, so
+the integer run gives the same pairs.  The diagram keeps the distinct
+integer heights with their denominator; a height read from a diagram is
+scaled to that grid, every such read going through
+``AugmentedDiagram.levels_of``, and the heights are divided back into
+Fractions only when levels or points are read.
 
 The oracle answers every query from scratch and logs it once.  The log is
 the one accounting object of a reconstruction: each stage opens a labelled
@@ -307,22 +313,30 @@ def _check_direction(direction: Direction, ambient_dim: int) -> None:
 class BoundaryTable:
     """The static part of the kernel for one complex, built once.
 
-    ``simplices`` lists the simplices in (dimension, vertex tuple) order, the
-    vertices first; a simplex's position there is its static index.
-    ``facets[j]`` holds the static indices of the facets of simplex j (empty
-    for a vertex), and ``dims[j]`` its dimension; ``ranges[k]`` is the
-    (start, end) of the static indices of dimension k.  ``coords`` holds each
-    vertex's coordinates times ``scale``, the common denominator L of all
-    coordinates, so every entry is an int.
+    ``simplices`` lists the simplices by dimension, the vertices first, and
+    within a dimension in vertex tuple order, or in the sequence of
+    ``order`` when one is given; a simplex's position there is its static
+    index.  ``facets[j]`` holds the static indices of the facets of simplex
+    j (empty for a vertex), and ``dims[j]`` its dimension; ``ranges[k]`` is
+    the (start, end) of the static indices of dimension k.  ``coords`` holds
+    each vertex's coordinates times ``scale``, the common denominator L of
+    all coordinates, so every entry is an int.
 
-    ``cofacets[j]``, the static indices of the cofacets of simplex j, serves
-    the pairing alone; it is built on first read and kept, so a table that
-    never pairs never builds it.
+    ``coboundary[j]`` and ``stars[k][v]`` serve the pairing alone, and both
+    are None until ``masks`` builds them on first call; so a table that
+    never pairs never builds them.  Both are bitmasks over one dimension's
+    static range [start, end), a simplex c being bit c - start:
+    ``coboundary[j]`` holds the cofacets of simplex j, and ``stars[k][v]``
+    the k-simplices that have the vertex of static index v as a vertex.
     """
 
-    def __init__(self, complex_: SimplicialComplex):
+    def __init__(
+        self, complex_: SimplicialComplex, order: Optional[Sequence[Simplex]] = None
+    ):
         self.ambient_dim = complex_.ambient_dim
-        self.simplices = sorted(complex_.simplices, key=lambda s: (len(s), s))
+        self.simplices = sorted(
+            sorted(complex_.simplices) if order is None else order, key=len
+        )
         index = {s: i for i, s in enumerate(self.simplices)}
         self.facets = [
             tuple(index[f] for f in facets(s)) if len(s) > 1 else ()
@@ -335,17 +349,24 @@ class BoundaryTable:
         ]
         rows = [complex_.vertices[s[0]] for s in self.simplices if len(s) == 1]
         self.coords, self.scale = scale_to_integers(rows)
-        self._cofacets: Optional[List[Tuple[int, ...]]] = None
+        self.coboundary: Optional[List[int]] = None
+        self.stars: Optional[List[List[int]]] = None
 
-    @property
-    def cofacets(self) -> List[Tuple[int, ...]]:
-        if self._cofacets is None:
-            cofacets: List[List[int]] = [[] for _ in self.simplices]
-            for j, fs in enumerate(self.facets):
-                for f in fs:
-                    cofacets[f].append(j)
-            self._cofacets = [tuple(c) for c in cofacets]
-        return self._cofacets
+    def masks(self) -> Tuple[List[int], List[List[int]]]:
+        """``coboundary`` and ``stars``, built on first call and kept."""
+        if self.coboundary is None:
+            vertex = {s[0]: i for i, s in enumerate(self.simplices) if len(s) == 1}
+            coboundary = [0] * len(self.simplices)
+            stars = [[0] * len(vertex) for _ in self.ranges]
+            for (lo, hi), star in zip(self.ranges, stars):
+                for c in range(lo, hi):
+                    bit = 1 << (c - lo)
+                    for f in self.facets[c]:
+                        coboundary[f] |= bit
+                    for v in self.simplices[c]:
+                        star[vertex[v]] |= bit
+            self.coboundary, self.stars = coboundary, stars
+        return self.coboundary, self.stars
 
 
 def _heights(
@@ -372,22 +393,32 @@ def _heights(
 
 
 def _reduce_pairs(
-    order: Sequence[int], table: BoundaryTable
+    level: List[int], top: int, table: BoundaryTable
 ) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Z/2 persistent cohomology with clearing over the filtration ``order``.
+    """Z/2 persistent cohomology with clearing of the lower-star filtration
+    given by each simplex's ``level`` (of ``top`` levels), with no order.
 
-    ``order`` lists static indices and must be a filtration: every facet
-    before its cofaces.  The edges are paired first, by union-find over the
-    vertices in filtration order.  A component's root is its oldest vertex
-    (path halving keeps the trees flat); an edge joining two components
-    kills the younger root and merges it into the elder, and an edge within
-    one component is left to the cohomology below.  This is the elder rule.
+    The reduction only ever compares simplices of one dimension, and the
+    filtration restricted to one dimension is (level, static index), so
+    each dimension is ordered so and no filtration of the whole complex is
+    built.  The edges are paired first, by union-find over the vertices,
+    taking the edges in that order.  A component's root is its oldest
+    vertex, the least by (level, static index) (path halving keeps the
+    trees flat); an edge joining two components kills the younger root and
+    merges it into the elder, and an edge within one component is left to
+    the cohomology below.  This is the elder rule.
 
     Then, for k from 1 up to one below the top dimension, the k-simplices
-    not yet paired are taken in decreasing filtration position.  Each
-    one's coboundary is a bitmask integer over the cofacets, bit
-    ``len(order) - 1 - position`` for a cofacet, so the earliest cofacet is
-    the highest bit, the pivot.  A column is only ever added to one of its
+    not yet paired are taken in decreasing (level, static index).  A
+    column starts as the simplex's static coboundary mask.  Per query,
+    ``upto[l]`` masks the (k+1)-simplices of level at most l: a simplex's
+    level is that of its highest vertex, so this is the whole range less
+    the ``stars`` of the vertices above l, one operation per vertex and per
+    level rather than one per simplex.  A column has no entry below its
+    simplex's level, nor has any column added to it, which belongs to a
+    simplex taken before it, so its pivot, the earliest cofacet, is the
+    lowest bit of col & upto[l] for the first level l, from the simplex's
+    own, where that is nonzero.  A column is only ever added to one of its
     own dimension taken before it, so this is the left-to-right reduction
     of the anti-transposed boundary matrix, whose pivots are the boundary
     matrix's pairs (de Silva, Morozov and Vejdemo-Johansson, 2011): a
@@ -399,24 +430,19 @@ def _reduce_pairs(
     essential.
 
     The pairing of a filtration is unique, so this pairs what the boundary
-    column reduction would.  Returns (birth, death) position pairs and the
-    essential positions, ascending.
+    column reduction would.  Returns (birth, death) static index pairs and
+    the essential static indices, ascending.
     """
-    n = len(order)
-    last = n - 1
-    position = [0] * n
-    for i, s in enumerate(order):
-        position[s] = i
     ranges = table.ranges
     facet_table = table.facets
     pairs: List[Tuple[int, int]] = []
-    paired = bytearray(n)
+    paired = bytearray(len(level))
     if len(ranges) > 1:
         # vertices are the static indices below lo, each its own root at first
         lo, hi = ranges[1]
         parent = list(range(lo))
-        for j in sorted(position[lo:hi]):
-            a, b = facet_table[order[j]]
+        for e in sorted(range(lo, hi), key=level.__getitem__):
+            a, b = facet_table[e]
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
                 a = parent[a]
@@ -425,32 +451,45 @@ def _reduce_pairs(
                 b = parent[b]
             if a == b:
                 continue
-            if position[a] > position[b]:
+            if level[a] > level[b] or level[a] == level[b] and a > b:
                 a, b = b, a
             parent[b] = a
-            pairs.append((position[b], j))
-            paired[position[b]] = paired[j] = 1
+            pairs.append((b, e))
+            paired[b] = paired[e] = 1
     if len(ranges) > 2:
-        cofacets = table.cofacets
-        for lo, hi in ranges[1:-1]:
+        coboundary, stars = table.masks()
+        for k in range(1, len(ranges) - 1):
+            lo, hi = ranges[k]
+            start, end = ranges[k + 1]
+            # upto[l]: the (k+1)-simplices of level at most l, those with no
+            # vertex above l
+            upto = [0] * top
+            for star, l in zip(stars[k + 1], level):
+                upto[l] |= star
+            mask = (1 << (end - start)) - 1
+            for l in range(top - 1, -1, -1):
+                upto[l], mask = mask, mask & ~upto[l]
             reduced_by_pivot: Dict[int, int] = {}
-            for i in sorted(position[lo:hi], reverse=True):
+            for i in reversed(sorted(range(lo, hi), key=level.__getitem__)):
                 if paired[i]:
                     continue
-                col = 0
-                for c in cofacets[order[i]]:
-                    col |= 1 << (last - position[c])
+                col = coboundary[i]
+                l = level[i]
                 while col:
-                    pivot = col.bit_length() - 1
+                    low = col & upto[l]
+                    while not low:
+                        l += 1
+                        low = col & upto[l]
+                    pivot = (low & -low).bit_length() - 1
                     other = reduced_by_pivot.get(pivot)
                     if other is None:
                         reduced_by_pivot[pivot] = col
-                        j = last - pivot
+                        j = start + pivot
                         pairs.append((i, j))
                         paired[i] = paired[j] = 1
                         break
                     col ^= other
-    essentials = [i for i in range(n) if not paired[i]]
+    essentials = [i for i, p in enumerate(paired) if not p]
     return pairs, essentials
 
 
@@ -460,16 +499,15 @@ def _emit_points(
     distinct: List[int],
     table: BoundaryTable,
     denominator: int,
-    order: Optional[List[int]],
 ) -> AugmentedDiagram:
     """The diagram: its simplex histogram now, its pairing on first read.
 
     Every simplex is one event at its own height, so the diagram's levels
     are the ``distinct`` heights, and since the simplices of one dimension
     are one range of static indices, one pass over the ``level`` of each
-    simplex counts every dimension's simplices per level, with neither the
-    filtration nor the pairing.  It makes no Fraction.  The diagram runs
-    ``_pair_events`` on first read of its keys or rows.
+    simplex counts every dimension's simplices per level, with no pairing.
+    It makes no Fraction.  The diagram runs ``_pair_events`` on first read
+    of its keys or rows.
     """
     top = len(distinct)
     histogram = {}
@@ -483,30 +521,22 @@ def _emit_points(
         distinct,
         denominator,
         histogram,
-        lambda: _pair_events(level, top, table, order),
+        lambda: _pair_events(level, top, table),
     )
 
 
-def _pair_events(
-    level: List[int],
-    top: int,
-    table: BoundaryTable,
-    order: Optional[Sequence[int]],
-) -> Pairing:
+def _pair_events(level: List[int], top: int, table: BoundaryTable) -> Pairing:
     """The diagram's point keys and event rows, from the pairing.
 
-    ``order`` is the filtration; when it is None, the static indices sorted
-    by level, a stable sort, so at one height every facet stays before its
-    cofaces.  A point's key is (dim, birth level, death level), the death
-    level of an essential class ``top``, one past the last.
+    ``_reduce_pairs`` pairs the levels of the simplices and returns static
+    indices, so a point's key is read straight off them: (dim, birth level,
+    death level), the death level of an essential class ``top``, one past
+    the last.
     """
-    if order is None:
-        order = sorted(range(len(level)), key=level.__getitem__)
-    pairs, essentials = _reduce_pairs(order, table)
+    pairs, essentials = _reduce_pairs(level, top, table)
     dims = table.dims
-    at = list(map(level.__getitem__, order))
-    keys = [(dims[order[i]], at[i], at[j]) for i, j in pairs]
-    keys.extend([(dims[order[i]], at[i], top) for i in essentials])
+    keys = [(dims[i], level[i], level[j]) for i, j in pairs]
+    keys.extend([(dims[i], level[i], top) for i in essentials])
     rows = {
         k: EventRow([0] * top, [0] * top, [0] * top)
         for k in range(max(keys)[0] + 1 if keys else 0)
@@ -530,28 +560,41 @@ def compute_apd(
 
     ``order`` replaces the default index filtration by another compatible
     one; any face-respecting permutation of equal-height simplices gives the
-    identical multiset, which is what the tie-break tests check.  An order
-    that is not a filtration (heights decreasing somewhere, or a coface
-    before one of its facets) raises InvalidInput.
+    identical multiset, which is what the tie-break tests check.  The
+    pairing reads each dimension in static order, so the BoundaryTable is
+    built with each dimension in ``order``'s sequence, and the one kernel
+    pairs that filtration.  An order that is not a permutation of the
+    complex, or not a filtration (heights decreasing somewhere, or a coface
+    before one of its facets), raises InvalidInput.
 
     The kernel works in integers.  With L the common denominator of the
     coordinates and D that of the direction, every height is an integer
     divided by D * L.  Multiplying all heights by the positive D * L keeps
-    their order and their ties, and the filtration order and the reduction
-    depend on nothing else, so the integer run pairs the same simplices as
-    a run on the rational heights.  The diagram keeps D * L, and a
-    height is divided back by it exactly when read, so the diagram is the
-    one of the rational heights.
+    their order and their ties, and the pairing depends on nothing else, so
+    the integer run pairs the same simplices as a run on the rational
+    heights.  The diagram keeps D * L, and a height is divided back by it
+    exactly when read, so the diagram is the one of the rational heights.
     """
-    return _apd(BoundaryTable(complex_), direction, order)
+    if order is None:
+        return _apd(BoundaryTable(complex_), direction)
+    try:
+        permutation = len(order) == complex_.n and set(order) == complex_.simplices
+    except TypeError:  # not a sequence, or unhashable entries
+        permutation = False
+    if not permutation:
+        raise InvalidInput("order is not a permutation of the complex")
+    table = BoundaryTable(complex_, order)
+    index = {s: i for i, s in enumerate(table.simplices)}
+    return _apd(table, direction, [index[s] for s in order])
 
 
 def _apd(
     table: BoundaryTable,
     direction: Direction,
-    order: Optional[Sequence[Simplex]] = None,
+    filtration: Optional[Sequence[int]] = None,
 ) -> AugmentedDiagram:
-    """compute_apd on a complex's BoundaryTable, which the Oracle keeps.
+    """compute_apd on a complex's BoundaryTable, which the Oracle keeps;
+    ``filtration``, static indices, is checked to be one when given.
 
     Int and Fraction entries are kept as they are; any other entry is read
     as a Fraction.
@@ -563,16 +606,9 @@ def _apd(
     _check_direction(direction, table.ambient_dim)
     (integer,), d_scale = scale_to_integers([direction])
     distinct, level = _heights(table, integer)
-    filtration = None
-    if order is not None:
-        if len(order) != len(table.simplices) or set(order) != set(table.simplices):
-            raise InvalidInput("order is not a permutation of the complex")
-        index = {s: i for i, s in enumerate(table.simplices)}
-        filtration = [index[s] for s in order]
+    if filtration is not None:
         _check_filtration(filtration, level, table)
-    return _emit_points(
-        direction, level, distinct, table, d_scale * table.scale, filtration
-    )
+    return _emit_points(direction, level, distinct, table, d_scale * table.scale)
 
 
 def _check_filtration(

@@ -297,18 +297,20 @@ def test_reconstruction_never_pairs(monkeypatch):
 
 
 def test_reconstruction_never_builds_the_cofacet_table(monkeypatch):
-    """The cofacet table serves the pairing alone and is built on its first
-    read, so every boundary table a round trip makes, for a sample of the
-    acceptance corpus, a lifted codimension-zero case and a planar graph,
-    is left without one."""
+    """The coboundary mask table, each simplex's cofacets as a bitmask over
+    the next dimension's static range, serves the pairing alone and is
+    built on its first read, so every boundary table a round trip makes,
+    for a sample of the acceptance corpus, a lifted codimension-zero case
+    and a planar graph, is left without one.  Once built, bit c - start of
+    a simplex's mask is set exactly when c is one of its cofacets."""
     import apdrec.oracle as oracle_mod
     from test_acceptance import _trial_configs
 
     tables = []
     real_init = oracle_mod.BoundaryTable.__init__
 
-    def recording(self, complex_):
-        real_init(self, complex_)
+    def recording(self, *args):
+        real_init(self, *args)
         tables.append(self)
 
     monkeypatch.setattr(oracle_mod.BoundaryTable, "__init__", recording)
@@ -320,17 +322,23 @@ def test_reconstruction_never_builds_the_cofacet_table(monkeypatch):
         report = verify_roundtrip(generate_complex(cfg))
         assert report.exact_match and report.all_bounds_ok
     assert len(tables) >= 12
-    assert all(table._cofacets is None for table in tables)
+    assert all(table.coboundary is None for table in tables)
     # the table builds it on the first pairing and keeps it
     K = generate_complex(lifted)
     dgm = oracle_mod.Oracle(K).query((1, 2, 3))
-    assert tables[-1]._cofacets is None
+    table = tables[-1]
+    assert table.coboundary is None
     dgm.points
-    cofacets = tables[-1]._cofacets
-    assert cofacets is not None and tables[-1].cofacets is cofacets
-    index = {s: i for i, s in enumerate(tables[-1].simplices)}
-    assert all(
-        (index[c] in cofacets[index[s]]) == (len(c) == len(s) + 1 and set(s) < set(c))
-        for s in K.simplices
-        for c in K.simplices
-    )
+    masks = table.coboundary
+    assert masks is not None and table.masks()[0] is masks
+    # the next dimension's static range, empty past the top
+    starts = [lo for lo, _ in table.ranges] + [len(table.simplices)] * 2
+    checked = 0
+    for i, s in enumerate(table.simplices):
+        start, end = starts[len(s)], starts[len(s) + 1]
+        assert masks[i] >> (end - start) == 0  # no bit past the next dimension
+        for c in range(start, end):
+            cofacet = set(s) < set(table.simplices[c])
+            assert bool(masks[i] >> (c - start) & 1) == cofacet
+            checked += cofacet
+    assert checked == sum(len(s) for s in K.simplices if len(s) > 1)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apdrec.oracle as oracle_mod
+from apdrec.geometry import scale_to_integers
 from apdrec import (
     INF,
     AugmentedDiagram,
@@ -249,6 +250,18 @@ def test_compute_apd_rejects_non_permutation_order():
         compute_apd(K, E1, order=[(0,), (1,)])
 
 
+def test_compute_apd_rejects_an_order_of_unhashable_entries():
+    K = edge_complex()
+    order = [list(s) for s in sorted(K.simplices, key=lambda s: (len(s), s))]
+    with pytest.raises(InvalidInput, match="not a permutation"):
+        compute_apd(K, E1, order=order)
+
+
+def test_compute_apd_rejects_an_order_that_is_not_a_sequence():
+    with pytest.raises(InvalidInput, match="not a permutation"):
+        compute_apd(edge_complex(), E1, order=5)
+
+
 def test_compute_apd_rejects_orders_that_are_not_filtrations():
     # heights in e1: vertex i at height i, each simplex at its largest id
     K = full_triangle_heights_012()
@@ -428,13 +441,18 @@ def test_clearing_on_the_dense_stream_complex():
 
 
 def assert_pairs_match(K, direction, order):
-    """The kernel pairs the filtration ``order`` as the definition does, and
-    its diagram is the definition's.  Returns the definition's pairs."""
-    table = oracle_mod.BoundaryTable(K)
-    index = {s: i for i, s in enumerate(table.simplices)}
-    pairs, essentials = oracle_mod._reduce_pairs([index[s] for s in order], table)
+    """The kernel, on a table with each dimension in ``order``'s sequence,
+    pairs the filtration ``order`` as the definition does, and its diagram
+    is the definition's.  Returns the definition's pairs."""
+    table = oracle_mod.BoundaryTable(K, order)
+    distinct, level = oracle_mod._heights(table, scale_to_integers([direction])[0][0])
+    pairs, essentials = oracle_mod._reduce_pairs(level, len(distinct), table)
+    # static indices to positions in order
+    position = {s: i for i, s in enumerate(order)}
+    place = [position[s] for s in table.simplices]
     expected = reference_pairs(order)
-    assert (sorted(pairs), essentials) == expected
+    births_deaths = sorted((place[i], place[j]) for i, j in pairs)
+    assert (births_deaths, sorted(place[i] for i in essentials)) == expected
     dgm = compute_apd(K, direction, order=order)
     assert points_of(dgm) == reference_apd(K, direction, order)
     return expected[0]
@@ -587,6 +605,38 @@ def test_dense_complex_essentials_are_its_betti_numbers():
         essential = [p.dim for p in points if p.essential]
         assert [essential.count(k) for k in range(4)] == betti
         assert len(points) == 1149
+
+
+def test_levels_holding_several_vertices_pair_as_the_definition():
+    """Directions whose levels hold several vertices, so the pivot search
+    scans levels and union-find breaks ties between roots of one level:
+    tetrahedra, a hollow tetrahedron and a cycle all in the plane z = 0,
+    one level in (0, 0, 1) and (0, 0, -1), and the dense complex in
+    (0, 0, 1), 23 levels for its 24 vertices.  The points are the
+    definition's, and so are the pairs of the (height, dim, vertex tuple)
+    order, which the points alone would not tell apart from another tie
+    order's."""
+    flat = cx(
+        3,
+        [(0, 0, 0), (4, 0, 0), (0, 4, 0), (3, 3, 0), (6, 2, 0), (7, 6, 0)]
+        + [(10, 0, 0), (14, 0, 0), (10, 4, 0), (13, 3, 0)]
+        + [(20, 0, 0), (22, 1, 0), (21, 3, 0)],
+        [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)]
+        + [(6, 7, 8), (6, 7, 9), (6, 8, 9), (7, 8, 9)]
+        + [(10, 11), (11, 12), (10, 12)],
+    )
+    dense = generate_complex(GeneratorConfig(3, 24, 3, densities=[0.8], seed=0))
+    for K, direction, levels in [
+        (flat, (0, 0, 1), 1),
+        (flat, (0, 0, -1), 1),
+        (dense, (0, 0, 1), 23),
+    ]:
+        dgm = compute_apd(K, direction)
+        assert len(dgm.heights) == levels
+        assert points_of(dgm) == reference_apd(K, direction)
+        hs = vertex_heights(K.vertices, direction)
+        order = sorted(K.simplices, key=lambda s: (simplex_height(s, hs), len(s), s))
+        assert_pairs_match(K, direction, order)
 
 
 def test_vertices_only_pair_nothing():

@@ -6,13 +6,41 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from apdrec import AugmentedDiagram, Oracle, build_complex
+from apdrec import (
+    AugmentedDiagram,
+    GeneratorConfig,
+    Oracle,
+    build_complex,
+    generate_complex,
+    orthogonal_to_affine_hull,
+)
 
 
 def cx(ambient_dim, points, maximal):
     """Shorthand complex constructor for tests."""
     vertex_map = {i: tuple(Fraction(c) for c in p) for i, p in enumerate(points)}
     return build_complex(ambient_dim, vertex_map, maximal)
+
+
+def tie_instances():
+    """(complex, direction) pairs whose directions give several simplices
+    one height: two hand-made complexes in two directions each, and two
+    generated complexes in a direction orthogonal to the line through their
+    two least vertices."""
+    instances = []
+    K1 = cx(2, [(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 1, 2), (1, 2, 3)])
+    instances.append((K1, (1, 1)))
+    instances.append((K1, (1, 0)))
+    K2 = cx(3, [(0, 0, 0), (1, 1, 0), (2, 0, 1), (3, 1, 1), (4, 2, 2)],
+            [(0, 1, 2), (2, 3), (3, 4), (1, 3)])
+    instances.append((K2, (0, 1, 0)))
+    instances.append((K2, (1, -1, 1)))
+    for seed in (0, 1):
+        K = generate_complex(GeneratorConfig(3, 6, 2, densities=[0.7, 0.7], seed=seed))
+        pts = sorted(K.vertices.values())
+        s = orthogonal_to_affine_hull([pts[0], pts[1]])  # forces a height tie
+        instances.append((K, s))
+    return instances
 
 
 def shifted_count(dgm, k, height, delta):

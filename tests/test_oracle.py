@@ -15,12 +15,14 @@ from apdrec import (
     InvalidInput,
     Oracle,
     betti_curve_from_apd,
+    build_complex,
     compute_apd,
     euler_curve_direct,
     euler_curve_from_apd,
     format_diagram,
     generate_complex,
     lift,
+    orthogonal_to_affine_hull,
 )
 
 from bruteforce import (
@@ -38,7 +40,7 @@ from bruteforce import (
     simplex_height,
     vertex_heights,
 )
-from conftest import cx
+from conftest import cx, tie_instances
 
 F = Fraction
 
@@ -50,10 +52,6 @@ def edge_complex():
 
 def hollow_triangle_heights_012():
     return cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1), (0, 2), (1, 2)])
-
-
-def full_triangle_heights_012():
-    return cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1, 2)])
 
 
 E1 = (1, 0)
@@ -109,10 +107,49 @@ def test_apd_tiebreak_invariance_small():
     rng = random.Random(0)
     K = cx(2, [(0, 0), (0, 1), (1, 0), (1, 1)], [(0, 1, 2), (1, 2, 3)])
     direction = (1, 1)  # creates height ties
-    reference = compute_apd(K, direction).multiset()
+    reference = compute_apd(K, direction).points
     for _ in range(10):
         order = random_compatible_order(K, direction, rng)
-        assert compute_apd(K, direction, order=order).multiset() == reference
+        got = oracle_mod._apd(oracle_mod.BoundaryTable(K, order), direction)
+        assert got.points == reference
+        assert points_of(got) == reference_apd(K, direction, order)
+
+
+def relabel(K, ids):
+    """K with each vertex v renamed ids[v]."""
+    return build_complex(
+        K.ambient_dim,
+        {ids[v]: p for v, p in K.vertices.items()},
+        [[ids[v] for v in s] for s in K.simplices],
+    )
+
+
+def test_relabelling_the_vertices_does_not_move_the_diagram():
+    """Renaming the vertices reorders the kernel's static order, and so its
+    tie order, inside each level, and the diagram stays: on the tie
+    instances, on a generated complex in a direction orthogonal to one of
+    its edges, and on the dense complex in (0, 0, 1), where one level holds
+    two vertices.  Each instance has some relabelling that swaps two
+    vertices of one level."""
+    G = generate_complex(GeneratorConfig(3, 8, 3, densities=[0.7, 0.7, 0.7], seed=3))
+    a, b = G.simplices_of_dim(1)[0]
+    edge_tie = (G, orthogonal_to_affine_hull([G.vertices[a], G.vertices[b]]))
+    dense = generate_complex(GeneratorConfig(3, 24, 3, densities=[0.8], seed=0))
+    rng = random.Random(28)
+    for K, direction in tie_instances() + [edge_tie, (dense, (0, 0, 1))]:
+        want = compute_apd(K, direction).points
+        hs = vertex_heights(K.vertices, direction)
+        swaps = 0
+        for _ in range(6):
+            shuffled = list(K.vertices)
+            rng.shuffle(shuffled)
+            ids = dict(zip(K.vertices, shuffled))
+            assert compute_apd(relabel(K, ids), direction).points == want
+            swaps += any(
+                hs[u] == hs[v] and ids[u] > ids[v]
+                for u, v in combinations(sorted(K.vertices), 2)
+            )
+        assert swaps > 0
 
 
 def test_infinite_bars_match_betti_numbers():
@@ -244,38 +281,6 @@ def test_invalid_directions_raise_unlogged(direction):
         euler_curve_direct(K, direction)
 
 
-def test_compute_apd_rejects_non_permutation_order():
-    K = edge_complex()
-    with pytest.raises(InvalidInput):
-        compute_apd(K, E1, order=[(0,), (1,)])
-
-
-def test_compute_apd_rejects_an_order_of_unhashable_entries():
-    K = edge_complex()
-    order = [list(s) for s in sorted(K.simplices, key=lambda s: (len(s), s))]
-    with pytest.raises(InvalidInput, match="not a permutation"):
-        compute_apd(K, E1, order=order)
-
-
-def test_compute_apd_rejects_an_order_that_is_not_a_sequence():
-    with pytest.raises(InvalidInput, match="not a permutation"):
-        compute_apd(edge_complex(), E1, order=5)
-
-
-def test_compute_apd_rejects_orders_that_are_not_filtrations():
-    # heights in e1: vertex i at height i, each simplex at its largest id
-    K = full_triangle_heights_012()
-    by_dim_reversed = sorted(K.simplices, key=lambda s: (len(s), s), reverse=True)
-    face_respecting_descending = [(2,), (1,), (0,), (0, 2), (1, 2), (0, 1), (0, 1, 2)]
-    ascending_coface_first = [(0,), (1,), (0, 1), (0, 2), (2,), (1, 2), (0, 1, 2)]
-    for order in (by_dim_reversed, face_respecting_descending, ascending_coface_first):
-        with pytest.raises(InvalidInput, match="not a filtration"):
-            compute_apd(K, E1, order=order)
-    # the same heights in a filtration order are accepted
-    valid = [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
-    assert compute_apd(K, E1, order=valid) == compute_apd(K, E1)
-
-
 def test_lift_examples():
     K = cx(2, [(1, 2), (0, 0), (F(1, 2), F(1, 3))], [])
     lifted = lift(K)
@@ -291,7 +296,7 @@ def test_lifted_oracle_matches_apd_of_the_lift():
     direction = (1, 1, -1)
     via_helper = oracle.query(direction)
     direct = compute_apd(lift(K), direction)
-    assert via_helper.multiset() == direct.multiset()
+    assert via_helper.points == direct.points
     assert oracle.log.count == 1
     assert oracle.query(direction).in_dim(5) == []
 
@@ -335,11 +340,12 @@ def test_compute_apd_matches_the_definition(case, seed):
     for scale in (1, F(7, 3)):
         scaled = tuple(scale * x for x in direction)
         assert points_of(oracle.query(scaled)) == reference_apd(K, scaled)
-    # any compatible order reduces to the same points
+    # the kernel under any compatible order gives the definition's points
+    # under that order, and they are compute_apd's
     order = random_compatible_order(K, direction, random.Random(seed))
-    got = compute_apd(K, direction, order=order)
+    got = oracle_mod._apd(oracle_mod.BoundaryTable(K, order), direction)
     assert points_of(got) == reference_apd(K, direction, order=order)
-    assert got.multiset() == compute_apd(K, direction).multiset()
+    assert got.points == compute_apd(K, direction).points
 
 
 @settings(max_examples=60, deadline=None)
@@ -453,7 +459,7 @@ def assert_pairs_match(K, direction, order):
     expected = reference_pairs(order)
     births_deaths = sorted((place[i], place[j]) for i, j in pairs)
     assert (births_deaths, sorted(place[i] for i in essentials)) == expected
-    dgm = compute_apd(K, direction, order=order)
+    dgm = oracle_mod._apd(table, direction)
     assert points_of(dgm) == reference_apd(K, direction, order)
     return expected[0]
 
@@ -545,8 +551,6 @@ def test_union_find_pairing_under_every_order_of_a_tied_class():
         position = {s: i for i, s in enumerate(perm)}
         faces = ((f, s) for s in perm for f in combinations(s, len(s) - 1) if f in position)
         if any(position[f] > position[s] for f, s in faces):
-            with pytest.raises(InvalidInput):
-                compute_apd(K, direction, order=below + list(perm) + above)
             continue
         compatible += 1
         order = below + list(perm) + above

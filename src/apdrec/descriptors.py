@@ -6,7 +6,8 @@ count of odd-dimensional simplices) in the sublevel set; the classical Euler
 characteristic is their difference.  The curves of a diagram are one pass
 over its levels, so they cost its number of distinct heights, not its
 number of points.  The Betti curves read the diagram's event rows, so they
-pair the diagram; the Euler curve reads only its simplex histogram.
+pair the diagram but build none of its points; the Euler curve reads only
+its simplex histogram.
 ``euler_curve_direct`` counts the complex's simplices instead and is the
 reference the diagram's Euler curve is checked against.
 """

@@ -29,11 +29,13 @@ its lower-star height, so the k-simplices at each distinct height are what
 ``counts``, ``count_at``, ``simplex_count``, ``births(0)`` and the Euler
 curve of ``descriptors`` read, and the histogram needs the heights alone.
 Each query builds the diagram, histogram included, in ``_emit_points``, the
-one place a diagram is made.  The pairing (``_reduce_pairs``, which returns
-static indices, and the point keys and event rows) runs on first read of
-``rows``, ``keys``, ``births(k)`` for k > 0 or ``points``, and its result
-is kept.  The reconstruction stages read only the histogram, so they never
-pair.
+one place a diagram is made.  The pairing runs on first read of ``rows``,
+``keys``, ``births(k)`` for k > 0 or ``points``, and its result is kept.
+``_reduce_pairs`` returns static index pairs and counts each dimension's
+deaths per level as it finds them, so the event rows are those counts and
+the histogram less them, and the Betti curves build no point; the point
+keys are read off the kept pairs on first read of keys or points.  The
+reconstruction stages read only the histogram, so they never pair.
 
 The kernel runs on integers.  A BoundaryTable, built once per complex,
 holds the coordinates scaled by their common denominator, the simplices in
@@ -110,7 +112,8 @@ class EventRow(NamedTuple):
 
 # (dim, birth level, death level) of one point
 Key = Tuple[int, int, int]
-Pairing = Tuple[List[Key], Dict[int, EventRow]]
+# a diagram's event rows, and the callable that builds its point keys
+Pairing = Tuple[Dict[int, EventRow], Callable[[], List[Key]]]
 
 
 class AugmentedDiagram:
@@ -122,16 +125,19 @@ class AugmentedDiagram:
     counts (``counts``, ``count_at``, ``simplex_count``, ``births(0)``), and
     a dimension without an entry has no simplices.
 
-    ``keys`` and ``rows`` come from the pairing, which ``pairing`` runs with
-    no argument on first read of either; both are kept.  ``keys`` holds one
-    (dim, birth level, death level) triple per point, an essential class
-    dying at level ``len(heights)``, and ``rows[k]`` counts the events of
-    dimension k at each level; a dimension without a row has no events.  By
-    the simplex-count correspondence ``histogram[k]`` is the deaths of
-    ``rows[k-1]`` plus the births of ``rows[k]``.  ``points``, built from the
-    keys on first read, sorted by (dim, birth, death), and kept, and
-    ``births(k)`` for k > 0 pair the diagram; the reconstruction stages read
-    only the histogram, so they never pair.
+    ``rows`` come from the reduction, which ``pairing`` runs with no
+    argument on first read of rows, keys or points: ``rows[k]`` counts the
+    events of dimension k at each level, and a dimension without a row has
+    no events.  The reduction counts the deaths, and by the simplex-count
+    correspondence the births of ``rows[k]`` are ``histogram[k]`` less the
+    deaths of ``rows[k-1]``.  ``keys``, one (dim, birth level, death level)
+    triple per point, an essential class dying at level ``len(heights)``,
+    are built from the kept pairs only on first read of keys or points, so
+    the Betti curves, which read the rows, never build them.  ``points``,
+    built from the keys on first read, sorted by (dim, birth, death), and
+    ``births(k)`` for k > 0 pair the diagram; the reconstruction stages
+    read only the histogram, so they never pair.  Rows, keys and points are
+    kept once built.
 
     ``levels``, the heights as Fractions, is built on first read and kept;
     ``level`` and ``levels_of`` find a height without it, and every reader
@@ -145,7 +151,9 @@ class AugmentedDiagram:
         "denominator",
         "histogram",
         "_pairing",
-        "_paired",
+        "_rows",
+        "_build_keys",
+        "_keys",
         "_levels",
         "_points",
     )
@@ -163,23 +171,26 @@ class AugmentedDiagram:
         self.denominator = denominator
         self.histogram = histogram
         self._pairing: Optional[Callable[[], Pairing]] = pairing
-        self._paired: Optional[Pairing] = None
+        self._rows: Optional[Dict[int, EventRow]] = None
+        self._build_keys: Optional[Callable[[], List[Key]]] = None
+        self._keys: Optional[List[Key]] = None
         self._levels: Optional[List[Fraction]] = None
         self._points: Optional[Tuple[DiagramPoint, ...]] = None
 
-    def _pair(self) -> Pairing:
-        if self._paired is None:
-            self._paired = self._pairing()
+    @property
+    def rows(self) -> Dict[int, EventRow]:
+        if self._rows is None:
+            self._rows, self._build_keys = self._pairing()
             self._pairing = None
-        return self._paired
+        return self._rows
 
     @property
     def keys(self) -> List[Key]:
-        return self._pair()[0]
-
-    @property
-    def rows(self) -> Dict[int, EventRow]:
-        return self._pair()[1]
+        if self._keys is None:
+            self.rows  # the reduction, which leaves the key builder
+            self._keys = self._build_keys()
+            self._build_keys = None
+        return self._keys
 
     @property
     def levels(self) -> List[Fraction]:
@@ -391,7 +402,7 @@ def _heights(
 
 def _reduce_pairs(
     level: List[int], top: int, table: BoundaryTable
-) -> Tuple[List[Tuple[int, int]], List[int]]:
+) -> Tuple[List[Tuple[int, int]], bytearray, List[List[int]], List[List[int]]]:
     """Z/2 persistent cohomology with clearing of the lower-star filtration
     given by each simplex's ``level`` (of ``top`` levels), with no order.
 
@@ -419,26 +430,33 @@ def _reduce_pairs(
     simplex's level, nor has any column added to it, which belongs to a
     simplex taken before it, so its pivot, the earliest cofacet, is the
     lowest bit of col & upto[l] for the first level l, from the simplex's
-    own, where that is nonzero.  A column is only ever added to one of its
-    own dimension taken before it, so this is the left-to-right reduction
-    of the anti-transposed boundary matrix, whose pivots are the boundary
-    matrix's pairs (de Silva, Morozov and Vejdemo-Johansson, 2011): a
-    column with pivot p pairs its simplex, a birth, with the death at p.  A
-    column that reduces to zero is an essential class.  Clearing: a
-    k-simplex paired as a death one dimension down, by a pivot or by
-    union-find, would reduce to zero and is skipped, which is why the
-    dimensions run lowest first.  A top simplex that is never a pivot is
-    essential.
+    own, where that is nonzero; every entry of col & upto[l] is then at
+    level l, so l is the pivot's level.  Adding a column whose earliest
+    entry is that pivot leaves none below l, so the search goes on from l.
+    A column is only ever added to one of its own dimension taken before
+    it, so this is the left-to-right reduction of the anti-transposed
+    boundary matrix, whose pivots are the boundary matrix's pairs (de
+    Silva, Morozov and Vejdemo-Johansson, 2011): a column with pivot p
+    pairs its simplex, a birth, with the death at p.  A column that reduces
+    to zero is an essential class.  Clearing: a k-simplex paired as a death
+    one dimension down, by a pivot or by union-find, would reduce to zero
+    and is skipped, which is why the dimensions run lowest first.  A top
+    simplex that is never a pivot is essential.
 
     The pairing of a filtration is unique, so this pairs what the boundary
-    column reduction would.  Returns (birth, death) static index pairs and
-    the essential static indices, ascending.
+    column reduction would.  Returns the (birth, death) static index pairs;
+    ``paired``, 1 at each paired static index, so the essential classes are
+    its zeros; and, for each dimension k below the top, ``deaths[k]`` and
+    ``zeros[k]``, the finite deaths and the zero-persistence pairs of
+    dimension k at each level, counted as each pair is found.
     """
     ranges = table.ranges
     facet_table = table.facets
     by_level = level.__getitem__
     pairs: List[Tuple[int, int]] = []
     paired = bytearray(len(level))
+    deaths = [[0] * top for _ in ranges[1:]]
+    zeros = [[0] * top for _ in ranges[1:]]
     # the edges in (level, static index) order, sorted once: union-find walks
     # them ascending, the cohomology of dimension 1 descending
     edges = sorted(range(*ranges[1]), key=by_level) if len(ranges) > 1 else []
@@ -461,11 +479,15 @@ def _reduce_pairs(
             parent[b] = a
             pairs.append((b, e))
             paired[b] = paired[e] = 1
+            deaths[0][level[e]] += 1
+            if level[b] == level[e]:
+                zeros[0][level[e]] += 1
     if len(ranges) > 2:
         coboundary, stars = table.masks()
         for k in range(1, len(ranges) - 1):
             lo, hi = ranges[k]
             start, end = ranges[k + 1]
+            died, zero = deaths[k], zeros[k]
             # upto[l]: the (k+1)-simplices of level at most l, those with no
             # vertex above l
             upto = [0] * top
@@ -480,7 +502,7 @@ def _reduce_pairs(
                 if paired[i]:
                     continue
                 col = coboundary[i]
-                l = level[i]
+                born = l = level[i]
                 while col:
                     low = col & upto[l]
                     while not low:
@@ -493,10 +515,12 @@ def _reduce_pairs(
                         j = start + pivot
                         pairs.append((i, j))
                         paired[i] = paired[j] = 1
+                        died[l] += 1
+                        if l == born:
+                            zero[l] += 1
                         break
                     col ^= other
-    essentials = [i for i, p in enumerate(paired) if not p]
-    return pairs, essentials
+    return pairs, paired, deaths, zeros
 
 
 def _emit_points(
@@ -513,7 +537,7 @@ def _emit_points(
     are one range of static indices, one pass over the ``level`` of each
     simplex counts every dimension's simplices per level, with no pairing.
     It makes no Fraction.  The diagram runs ``_pair_events`` on first read
-    of its keys or rows.
+    of its rows, keys or points.
     """
     top = len(distinct)
     histogram = {}
@@ -527,34 +551,45 @@ def _emit_points(
         distinct,
         denominator,
         histogram,
-        lambda: _pair_events(level, top, table),
+        lambda: _pair_events(level, top, table, histogram),
     )
 
 
-def _pair_events(level: List[int], top: int, table: BoundaryTable) -> Pairing:
-    """The diagram's point keys and event rows, from the pairing.
+def _pair_events(
+    level: List[int], top: int, table: BoundaryTable, histogram: Dict[int, List[int]]
+) -> Pairing:
+    """The diagram's event rows, and how to build its point keys.
 
-    ``_reduce_pairs`` pairs the levels of the simplices and returns static
-    indices, so a point's key is read straight off them: (dim, birth level,
-    death level), the death level of an essential class ``top``, one past
-    the last.
+    ``_reduce_pairs`` counts each dimension's finite deaths and
+    zero-persistence pairs per level.  By the simplex-count correspondence
+    every k-simplex is a death of dimension k-1 or a birth of dimension k,
+    so the births of row k are ``histogram[k]`` less the deaths of row k-1.
+    The top dimension has no deaths, and its row is kept only if it has a
+    birth, so the rows run up to the highest dimension of a point.
+
+    The keys, built by the returned callable, are read straight off the
+    static indices: (dim, birth level, death level) of each pair, then of
+    each essential class, the unpaired simplices, dying at ``top``, one
+    past the last level.
     """
-    pairs, essentials = _reduce_pairs(level, top, table)
-    dims = table.dims
-    keys = [(dims[i], level[i], level[j]) for i, j in pairs]
-    keys.extend([(dims[i], level[i], top) for i in essentials])
-    rows = {
-        k: EventRow([0] * top, [0] * top, [0] * top)
-        for k in range(max(keys)[0] + 1 if keys else 0)
-    }
-    for k, b, d in keys:
-        births, deaths, zeros = rows[k]
-        births[b] += 1
-        if d != top:
-            deaths[d] += 1
-            if d == b:
-                zeros[b] += 1
-    return keys, rows
+    pairs, paired, deaths, zeros = _reduce_pairs(level, top, table)
+    rows: Dict[int, EventRow] = {}
+    died = [0] * top
+    for k, row in histogram.items():
+        births = list(map(operator.sub, row, died))
+        if k < len(deaths):
+            died = deaths[k]
+            rows[k] = EventRow(births, died, zeros[k])
+        elif any(births):
+            rows[k] = EventRow(births, [0] * top, [0] * top)
+
+    def keys() -> List[Key]:
+        dims = table.dims
+        found = [(dims[i], level[i], level[j]) for i, j in pairs]
+        found.extend([(dims[i], level[i], top) for i, p in enumerate(paired) if not p])
+        return found
+
+    return rows, keys
 
 
 def compute_apd(complex_: SimplicialComplex, direction: Direction) -> AugmentedDiagram:

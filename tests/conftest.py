@@ -58,7 +58,7 @@ def shifted_count(dgm, k, height, delta):
         dgm.heights,
         dgm.denominator,
         histogram,
-        lambda: (dgm.keys, dgm.rows),
+        lambda: (dgm.rows, lambda: dgm.keys),
     )
 
 

@@ -28,9 +28,11 @@ from apdrec import (
 from bruteforce import (
     betti_curve_by_scan,
     betti_numbers_gf2,
+    births_at_by_scan,
     births_by_scan,
     count_at_by_scan,
     count_simplices_at,
+    deaths_at_by_scan,
     euler_curve_by_scan,
     random_compatible_order,
     reference_apd,
@@ -452,7 +454,8 @@ def assert_pairs_match(K, direction, order):
     is the definition's.  Returns the definition's pairs."""
     table = oracle_mod.BoundaryTable(K, order)
     distinct, level = oracle_mod._heights(table, scale_to_integers([direction])[0][0])
-    pairs, essentials = oracle_mod._reduce_pairs(level, len(distinct), table)
+    pairs, paired, _, _ = oracle_mod._reduce_pairs(level, len(distinct), table)
+    essentials = [i for i, p in enumerate(paired) if not p]
     # static indices to positions in order
     position = {s: i for i, s in enumerate(order)}
     place = [position[s] for s in table.simplices]
@@ -612,14 +615,18 @@ def test_dense_complex_essentials_are_its_betti_numbers():
 
 
 def test_levels_holding_several_vertices_pair_as_the_definition():
-    """Directions whose levels hold several vertices, so the pivot search
-    scans levels and union-find breaks ties between roots of one level:
-    tetrahedra, a hollow tetrahedron and a cycle all in the plane z = 0,
-    one level in (0, 0, 1) and (0, 0, -1), and the dense complex in
-    (0, 0, 1), 23 levels for its 24 vertices.  The points are the
-    definition's, and so are the pairs of the (height, dim, vertex tuple)
-    order, which the points alone would not tell apart from another tie
-    order's."""
+    """Directions whose levels hold several vertices.  Tetrahedra, a hollow
+    tetrahedron and a cycle all in the plane z = 0 have one level in
+    (0, 0, 1) and (0, 0, -1), so union-find breaks ties between roots of
+    one level, but each per-level mask of the pivot search is the whole
+    range.  A generated complex with its vertices stacked three to a height
+    (two at the top) has five levels in (0, 0, 1) and (0, 0, -1), and each
+    mask below the top level leaves out the stars of the several vertices
+    above it, so a mask missing any of them lets a pivot be found below its
+    level.  The dense complex has 23 levels for its 24 vertices in
+    (0, 0, 1).  The points are the definition's, and so are the pairs of
+    the (height, dim, vertex tuple) order, which the points alone would not
+    tell apart from another tie order's."""
     flat = cx(
         3,
         [(0, 0, 0), (4, 0, 0), (0, 4, 0), (3, 3, 0), (6, 2, 0), (7, 6, 0)]
@@ -629,10 +636,16 @@ def test_levels_holding_several_vertices_pair_as_the_definition():
         + [(6, 7, 8), (6, 7, 9), (6, 8, 9), (7, 8, 9)]
         + [(10, 11), (11, 12), (10, 12)],
     )
+    base = generate_complex(GeneratorConfig(3, 14, 3, densities=[0.8], seed=0))
+    stacked = build_complex(
+        3, {v: (x, y, v // 3) for v, (x, y, _) in base.vertices.items()}, base.simplices
+    )
     dense = generate_complex(GeneratorConfig(3, 24, 3, densities=[0.8], seed=0))
     for K, direction, levels in [
         (flat, (0, 0, 1), 1),
         (flat, (0, 0, -1), 1),
+        (stacked, (0, 0, 1), 5),
+        (stacked, (0, 0, -1), 5),
         (dense, (0, 0, 1), 23),
     ]:
         dgm = compute_apd(K, direction)
@@ -700,7 +713,7 @@ def grids_and_numerators(draw):
     shared = draw(st.integers(1, 12))
     denominator = shared * draw(st.integers(1, 12))
     m = shared * draw(st.integers(1, 12))
-    table = AugmentedDiagram((1,), heights, denominator, {}, lambda: ([], {}))
+    table = AugmentedDiagram((1,), heights, denominator, {}, lambda: ({}, list))
     at = [h * m // denominator for h in heights] or [0]
     numerators = [x + e for x in at for e in (-1, 0, 1)]
     numerators += [at[0] - draw(st.integers(1, 40)), at[-1] + draw(st.integers(1, 40))]
@@ -737,10 +750,12 @@ def test_levels_of_matches_a_fraction_lookup(case):
 @given(complexes_and_directions(), st.sampled_from([None] + VALUES))
 def test_simplex_histogram_equals_the_reduced_event_counts(case, last):
     """The histogram, built without the pairing, counts at each level the
-    deaths of dimension k-1 plus the births of dimension k of the reduced
-    rows, and the same of the definition's points; ``births(0)`` reads the
-    same before and after the pairing.  On plain and lifted diagrams, with
-    height ties."""
+    deaths of dimension k-1 plus the births of dimension k of the definition's
+    points; ``births(0)`` reads the same before and after the pairing.  On
+    plain and lifted diagrams, with height ties.  The same sum over the
+    reduced rows holds by construction, since their births are the histogram
+    less the deaths one dimension down; ``test_event_rows_are_the_definitions``
+    checks the rows against the definition apart from the histogram."""
     K, direction = case
     oracle = Oracle(K)
     if last is not None:
@@ -748,7 +763,7 @@ def test_simplex_histogram_equals_the_reduced_event_counts(case, last):
     dgm = oracle.query(direction)
     unpaired_births = dgm.births(0)
     unpaired_counts = [dgm.counts(k) for k in range(-1, K.ambient_dim + 3)]
-    assert dgm._paired is None
+    assert dgm._rows is None
     expected = reference_apd(K, direction)
     assert points_of(dgm) == expected
     assert dgm.births(0) == unpaired_births == births_by_scan(expected, 0)
@@ -766,10 +781,66 @@ def test_simplex_histogram_equals_the_reduced_event_counts(case, last):
     assert [dgm.counts(k) for k in range(-1, K.ambient_dim + 3)] == unpaired_counts
 
 
+def rows_from_keys(keys, top):
+    """Event rows walked off point keys: a birth at each key's birth level,
+    a finite death at its death level, and a zero-persistence pair where
+    the two are one level."""
+    rows = {
+        k: ([0] * top, [0] * top, [0] * top)
+        for k in range(max(keys)[0] + 1 if keys else 0)
+    }
+    for k, b, d in keys:
+        births, deaths, zeros = rows[k]
+        births[b] += 1
+        if d != top:
+            deaths[d] += 1
+            if d == b:
+                zeros[d] += 1
+    return rows
+
+
+def row_cases():
+    """(diagram, the definition's points): the pairing cases, the tie
+    instances plain and lifted, and the dense complex in a direction with
+    no tie and in (0, 0, 1)."""
+    for K, directions in PAIRING_CASES.values():
+        for direction in directions:
+            yield compute_apd(K, direction), reference_apd(K, direction)
+    for K, direction in tie_instances():
+        yield compute_apd(K, direction), reference_apd(K, direction)
+        lifted = tuple(direction) + (F(1, 3),)
+        yield Oracle(K).lifted().query(lifted), reference_apd(lift(K), lifted)
+    dense = generate_complex(GeneratorConfig(3, 24, 3, densities=[0.8], seed=0))
+    for direction in [(3, -1, 2), (0, 0, 1)]:
+        yield compute_apd(dense, direction), reference_apd(dense, direction)
+
+
+def test_event_rows_are_the_definitions():
+    """Each row, counted in the reduction without building a key, holds at
+    every level the births, finite deaths and zero-persistence pairs of its
+    dimension among the definition's points, and equals the row walked off
+    the diagram's own keys; the rows run up to the highest dimension of a
+    point."""
+    for dgm, expected in row_cases():
+        rows = dgm.rows
+        assert dgm._keys is None
+        assert sorted(rows) == list(range(max(p[0] for p in expected) + 1))
+        for k, (births, deaths, zeros) in rows.items():
+            assert births == [births_at_by_scan(expected, k, h) for h in dgm.levels]
+            assert deaths == [deaths_at_by_scan(expected, k, h) for h in dgm.levels]
+            assert zeros == [
+                sum(1 for p in expected if p[0] == k and p[1] == p[2] == h)
+                for h in dgm.levels
+            ]
+        assert rows == rows_from_keys(dgm.keys, len(dgm.heights))
+
+
 def test_counts_and_euler_curves_never_pair_and_points_pair_once(monkeypatch):
     """Counts, dimension-0 births and the Euler curve read the histogram
     alone; points, Betti curves, higher births and the text of one
-    dimension run the reduction once per diagram and keep it."""
+    dimension run the reduction once per diagram and keep it.  The Betti
+    curves and higher births read the rows alone, so no key is built until
+    the points are read, and building them runs no second reduction."""
     calls = []
     real = oracle_mod._reduce_pairs
 
@@ -785,10 +856,13 @@ def test_counts_and_euler_curves_never_pair_and_points_pair_once(monkeypatch):
     dgm.births(0)
     assert [dgm.simplex_count(k) for k in range(3)] == [K.n_k(k) for k in range(3)]
     assert calls == []
-    assert dgm.points is dgm.points
     for k in range(3):
         betti_curve_from_apd(dgm, k)
     dgm.births(1)
+    assert len(calls) == 1
+    assert dgm._keys is None and dgm._points is None
+    assert dgm.points is dgm.points
+    assert dgm.keys is dgm.keys
     format_diagram(dgm, 1)
     assert len(calls) == 1
     other = oracle.query((3, -2, 1))

@@ -294,6 +294,10 @@ def second_perpendicular_direction(
     solution of a linear system with that constant 1, which also makes the
     choice deterministic.  An empty W raises InvalidInput.
 
+    V \\ W gets -s': the rows of both systems span {s, v - v0 : v in V}, so
+    ``_rref`` frees the same columns, and minus W's solution solves the
+    system of V \\ W with those columns zero, so it is that particular solution.
+
     The paper's plane-filling lemma: the direction that isolates a face W of
     V for Face Isolation.
     """

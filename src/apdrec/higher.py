@@ -4,11 +4,13 @@ The k-indegree of a simplex in a direction perpendicular to its affine hull
 counts its k-dimensional cofaces at its own height.  A raw diagram count at
 that height also picks up unrelated k-simplices, so one inclusion-exclusion
 pass over the proper faces, bottom up (each face isolated by a tilted
-direction), removes the double counting.  The simplex predicate then
-compares the two k-indegrees across a wedge that isolates exactly one
-candidate vertex: the counts differ by one precisely when the candidate
-simplex exists.  ``reconstruct`` climbs the dimensions 2..d with it, on the
-parabolic lift for the full-dimensional simplices.
+direction), removes the double counting.  A face W and its complement
+in sigma have opposite plane-filling directions, s' and -s', so each such
+pair is isolated from one plane-filling solve and one height list.  The
+simplex predicate then compares the two k-indegrees across a wedge that
+isolates exactly one candidate vertex: the counts differ by one precisely
+when the candidate simplex exists.  ``reconstruct`` climbs the dimensions
+2..d with it, on the parabolic lift for the full-dimensional simplices.
 
 The stage runs on integers and builds no Fraction.  It takes the recovered
 points as the vertex stage's ``CountLedger`` scaled them, once, by L, the
@@ -23,16 +25,26 @@ weight.  ``primitive_direction`` removes the factor, so the oracle is asked
 the same directions in the same order as on the rational points, and a
 diagram is read at h / L by ``AugmentedDiagram.levels_of``.  A direction's
 heights are computed once and handed on, to the tilts and to
-``second_perpendicular_direction``.
+``second_perpendicular_direction``; the heights under -s' are those under s'
+negated, so both tilts of a pair share one height list.
+
+The predicate and the indegree take vertex ids; an id that is negative, past
+the last vertex or repeated, or an empty simplex, raises InvalidInput before
+any query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .complexes import Simplex, SimplicialComplex, build_complex, facets, proper_faces
 from .edges import find_edges
-from .errors import DegeneratePosition, OracleInconsistency, PreconditionViolated
+from .errors import (
+    DegeneratePosition,
+    InvalidInput,
+    OracleInconsistency,
+    PreconditionViolated,
+)
 from .geometry import (
     Direction,
     IntVector,
@@ -63,12 +75,31 @@ def _tilted(
     heights: Sequence[int],
     s: Direction,
     s_prime: Direction,
-) -> Direction:
-    """s tilted towards s', in primitive form; ``heights`` are those under s.
+) -> Tuple[Direction, Direction]:
+    """s tilted towards s' and towards -s', in primitive form; ``heights``
+    are those under s.
 
-    ``tilt`` returns a positive integer multiple of the tilt, which
-    ``primitive_direction`` reduces."""
-    return primitive_direction(tilt(heights, _heights(points, s_prime), s, s_prime))
+    The heights under -s' are those under s' negated, with the same spread,
+    so one height list serves both tilts and both take the same weight.
+    Face Isolation tilts a face towards s' and its complement towards -s';
+    the predicate's wedge has the two tilts as its sides.  ``tilt`` returns
+    a positive integer multiple of each tilt, which ``primitive_direction``
+    reduces."""
+    heights_prime = _heights(points, s_prime)
+    negated = [-h for h in heights_prime]
+    return (
+        primitive_direction(tilt(heights, heights_prime, s, s_prime)),
+        primitive_direction(tilt(heights, negated, s, vneg(s_prime))),
+    )
+
+
+def _check_ids(ids: Sequence[int], points: Sequence[IntVector]) -> None:
+    """Raise InvalidInput unless ``ids`` are distinct vertex ids, at least
+    one, each an int indexing ``points``."""
+    if not ids or len(set(ids)) != len(ids):
+        raise InvalidInput(f"vertex ids {ids!r} must be nonempty and distinct")
+    if not all(isinstance(v, int) and 0 <= v < len(points) for v in ids):
+        raise InvalidInput(f"vertex ids {ids!r} must lie in 0..{len(points) - 1}")
 
 
 def _level_count(
@@ -123,20 +154,34 @@ def compute_indegree(
     k-indegree is sigma's count less the memo of all its proper faces.
     ``memo`` is an output: it ends holding every proper face's value.
 
+    ``proper_faces`` lists sigma less tau at the mirror position of tau, and
+    its plane-filling direction is tau's negated (see
+    ``second_perpendicular_direction``), so the first half of the faces is
+    solved and each solve gives both tilts (``_tilted``); the queries still
+    follow ``proper_faces`` order.  A plane-filling error raises before the
+    same face query as with one solve per face: the complement's system
+    fails exactly when its face's does, and the face comes first.
+
+    Raises InvalidInput for a bad vertex id in sigma before any query.
     One logged query for sigma, first, then one per proper face, each
     checked as ``_level_count`` states.
 
     The paper's Face Isolation: the sumSwaps lemma's sum over the faces.
     """
+    _check_ids(sigma, points)
     if k <= len(sigma) - 1:
         raise PreconditionViolated("k must exceed the simplex dimension")
     count = _level_count(sigma, direction, k, oracle, points, scale)
     heights = _heights(points, direction)
     faces = proper_faces(sigma)
-    for tau in faces:
-        s_prime = second_perpendicular_direction(points, heights, sigma, tau, direction)
-        tilted = _tilted(points, heights, direction, s_prime)
-        memo[tau] = _level_count(tau, tilted, k, oracle, points, scale) - sum(
+    tilted: List[Direction] = [()] * len(faces)
+    for i, tau in enumerate(faces):
+        if i < len(faces) // 2:  # faces[-1 - i] is sigma less tau
+            s_prime = second_perpendicular_direction(
+                points, heights, sigma, tau, direction
+            )
+            tilted[i], tilted[-1 - i] = _tilted(points, heights, direction, s_prime)
+        memo[tau] = _level_count(tau, tilted[i], k, oracle, points, scale) - sum(
             memo[rho] for rho in proper_faces(tau)
         )
     return count - sum(memo[tau] for tau in faces)
@@ -164,7 +209,7 @@ def _isolating_direction(
             "more than d vertices on one hyperplane; general position violated"
         )
     s2 = second_perpendicular_direction(points, heights, level_ids, candidate, s1)
-    return _tilted(points, heights, s1, s2)
+    return primitive_direction(tilt(heights, _heights(points, s2), s1, s2))
 
 
 def is_simplex(
@@ -181,12 +226,16 @@ def is_simplex(
     Builds the wedge anchored at sigma whose two boundary directions place
     the candidate vertex below respectively above sigma while every other
     vertex stays on one fixed side, then compares the two k-indegrees.
+    The two boundary directions are the isolating direction tilted towards
+    s3 and towards -s3, from one ``_tilted`` call.
     Exactly 2 * (2^k - 1) logged queries for a k-simplex test, in one span
-    of the log labelled k.  An affinely dependent candidate raises
-    DegeneratePosition before any query.
+    of the log labelled k.  A bad vertex id raises InvalidInput, and an
+    affinely dependent candidate DegeneratePosition, before any query.
 
     The paper's simpSwap algorithm, by Face Isolation on both sides.
     """
+    _check_ids(sigma, points)
+    _check_ids((vertex,), points)
     if vertex in sigma:
         raise PreconditionViolated("candidate vertex already in the simplex")
     k = len(sigma)
@@ -194,8 +243,7 @@ def is_simplex(
     s_star = _isolating_direction(candidate, points)
     star_heights = _heights(points, s_star)
     s3 = second_perpendicular_direction(points, star_heights, candidate, sigma, s_star)
-    s_lower = _tilted(points, star_heights, s_star, s3)
-    s_upper = _tilted(points, star_heights, s_star, vneg(s3))
+    s_lower, s_upper = _tilted(points, star_heights, s_star, s3)
 
     oracle.log.open(k)
     upper = compute_indegree(sigma, s_upper, k, {}, oracle, points, scale)

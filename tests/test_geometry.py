@@ -32,9 +32,10 @@ from apdrec.geometry import (
     scale_to_integers,
     separating_slope,
     standard_frame,
+    vneg,
     vsub,
 )
-from apdrec.higher import _isolating_direction
+from apdrec.higher import _isolating_direction, _tilted
 
 from bruteforce import (
     brute_leftmost_crossing,
@@ -535,11 +536,13 @@ def test_tilt_and_hull_on_integer_input_examples():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_integer_directions_match_the_rational_references(data):
-    """On int points, ``tilt``, ``second_perpendicular_direction`` and
-    ``_isolating_direction`` return int directions with the primitive form
-    of the Fraction forms kept in bruteforce, or raise the same error.  The
-    coordinates are small and signed, so heights tie often, and the points
-    are lifted to (p, p . p) half of the time."""
+    """On int points, ``tilt``, ``_tilted``, ``second_perpendicular_direction``
+    and ``_isolating_direction`` return int directions with the primitive
+    form of the Fraction forms kept in bruteforce, or raise the same error.
+    ``_tilted``'s second side is the tilt towards -s', and the plane-filling
+    direction of V less a proper face W is that of W negated, or the same
+    error.  The coordinates are small and signed, so heights tie often, and
+    the points are lifted to (p, p . p) half of the time."""
     d = data.draw(st.integers(min_value=2, max_value=4), label="d")
     coords = st.integers(min_value=-3, max_value=3)
     points = data.draw(
@@ -567,6 +570,11 @@ def test_integer_directions_match_the_rational_references(data):
             tilt(heights, heights_prime, s, s_prime),
             reference_tilt(heights, heights_prime, s, s_prime),
         )
+        negated = [-h for h in heights_prime]
+        assert _tilted(points, heights, s, s_prime) == (
+            primitive_direction(reference_tilt(heights, heights_prime, s, s_prime)),
+            primitive_direction(reference_tilt(heights, negated, s, vneg(s_prime))),
+        )
 
     size_v = data.draw(st.integers(1, min(len(points), dim)), label="|V|")
     ids = data.draw(st.permutations(range(len(points))), label="ids")
@@ -576,8 +584,9 @@ def test_integer_directions_match_the_rational_references(data):
         size_w = data.draw(st.integers(1, size_v), label="|W|")
         heights = heights_under(normal, points)
         v, w = ids[:size_v], ids[:size_w]
+        s_w = outcome(second_perpendicular_direction, points, heights, v, w, normal)
         same_direction(
-            outcome(second_perpendicular_direction, points, heights, v, w, normal),
+            s_w,
             outcome(
                 reference_second_perpendicular,
                 points,
@@ -586,6 +595,12 @@ def test_integer_directions_match_the_rational_references(data):
                 normal,
             ),
         )
+        if size_w < size_v:
+            rest = ids[size_w:size_v]
+            s_rest = outcome(
+                second_perpendicular_direction, points, heights, v, rest, normal
+            )
+            assert s_rest == (vneg(s_w) if isinstance(s_w, tuple) else s_w)
         candidate = sorted(ids[:size_v])
         same_direction(
             outcome(_isolating_direction, candidate, points),

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +7,7 @@ from apdrec import (
     ApdrecError,
     DegeneratePosition,
     GeneratorConfig,
+    InvalidInput,
     Oracle,
     OracleInconsistency,
     PreconditionViolated,
@@ -20,7 +20,7 @@ from apdrec import (
     reconstruct,
 )
 from apdrec.complexes import proper_faces
-from apdrec.geometry import scale_to_integers
+from apdrec.geometry import scale_to_integers, vneg
 from apdrec.higher import _isolating_direction
 from apdrec.oracle import lift_point
 
@@ -110,6 +110,36 @@ def test_indegree_rejects_unisolated_height():
         compute_indegree((0,), (0, 1), 1, {}, oracle, *scaled_points(K))
 
 
+BAD_IDS = [
+    pytest.param(lambda *a: is_simplex((0, 1), 99, *a), id="candidate-past-the-end"),
+    pytest.param(lambda *a: is_simplex((0, 1), -1, *a), id="negative-candidate"),
+    pytest.param(lambda *a: is_simplex((0, 0), 2, *a), id="repeated-in-sigma"),
+    pytest.param(lambda *a: is_simplex((0, 6), 2, *a), id="sigma-past-the-end"),
+    pytest.param(lambda *a: is_simplex((), 2, *a), id="empty-sigma"),
+    pytest.param(
+        lambda o, p, s: compute_indegree((7,), (1, 0, 0), 1, {}, o, p, s),
+        id="indegree-past-the-end",
+    ),
+    pytest.param(
+        lambda o, p, s: compute_indegree((0, 0), (1, 0, 0), 2, {}, o, p, s),
+        id="indegree-repeated",
+    ),
+]
+
+
+@pytest.mark.parametrize("call", BAD_IDS)
+def test_bad_vertex_ids_are_invalid_input_before_any_query(call):
+    """An id outside the vertex range, negative, repeated or missing is
+    InvalidInput, raised before the predicate or the indegree asks the
+    oracle anything."""
+    K = generate_complex(GeneratorConfig(3, 6, 2, densities=[0.7, 0.6], seed=7))
+    assert len(K.vertices) == 6
+    oracle = Oracle(K)
+    with pytest.raises(InvalidInput):
+        call(oracle, *scaled_points(K))
+    assert oracle.log.count == 0
+
+
 class OtherComplexOracle:
     """Answers every query with the diagram of another complex."""
 
@@ -134,23 +164,33 @@ def test_indegree_off_the_grid_is_an_oracle_inconsistency():
 
 
 def test_indegree_matches_bruteforce_random():
-    rng = random.Random(17)
-    checked = 0
-    for seed in range(4):
-        K = generate_complex(
-            GeneratorConfig(4, 6, 2, densities=[0.7, 0.7], seed=seed)
-        )
+    """The k-indegree of every simplex of 1 to 4 vertices, in the coface
+    dimension one above, on both sides of its isolating direction: vertices
+    and edges of d = 4, kappa = 2 complexes, and triangles and tetrahedra of
+    d = 5, kappa = 4 ones, whose 3 and 7 pairs of a face and its complement
+    share one plane-filling solve each."""
+    cases = [
+        (GeneratorConfig(4, 6, 2, densities=[0.7, 0.7], seed=seed), (0, 1))
+        for seed in range(4)
+    ] + [
+        (GeneratorConfig(5, 6, 4, densities=[1.0, 1.0, 0.9, 0.9], seed=seed), (2, 3))
+        for seed in range(3)
+    ]
+    values = {1: [], 2: [], 3: [], 4: []}
+    for cfg, dims in cases:
+        K = generate_complex(cfg)
         oracle = Oracle(K)
         points, scale = scaled_points(K)
-        sigmas = K.simplices_of_dim(0) + K.simplices_of_dim(1)
-        for sigma in sigmas:
+        for sigma in K.simplices_of_dim(dims[0]) + K.simplices_of_dim(dims[1]):
             k = len(sigma)  # test the coface dimension one above
-            direction = _isolating_direction(sigma, points)
-            got = compute_indegree(sigma, direction, k, {}, oracle, points, scale)
-            assert got == brute_coface_count(K, sigma, direction, k)
-            checked += 1
-    assert checked >= 40
-    _ = rng
+            s = _isolating_direction(sigma, points)
+            for direction in (s, vneg(s)):
+                got = compute_indegree(sigma, direction, k, {}, oracle, points, scale)
+                assert got == brute_coface_count(K, sigma, direction, k)
+                values[k].append(got)
+    assert len(values[1]) + len(values[2]) >= 2 * 40
+    for k in (3, 4):
+        assert len(values[k]) >= 10 and 0 in values[k] and max(values[k]) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +728,47 @@ def test_query_log_of_a_corpus_slice_is_pinned():
     assert (3, 3) in calls  # the lifted pass, k == d
     assert any(k == 3 and d > 3 for d, k in calls)
     assert digest.hexdigest() == PINNED_LOG_SHA256
+
+
+# the scale corpus: (d, n0, vertex, edge and higher-stage queries), each
+# generated with seed 7, kappa 2 and densities 0.5, 0.6
+SCALE_CORPUS = [(3, 25, 5, 68, 1920), (4, 20, 7, 38, 516)]
+# every span and direction of the 50 acceptance configs, then the scale corpus
+CORPUS_LOG_SHA256 = "1d44417fa3120f9088b3c104d79b8d3ecb06543c11a2a64a9d0f61fe25332b4f"
+
+
+def test_query_log_of_the_whole_corpus_is_pinned():
+    """Every span and every direction asked while reconstructing all 50
+    acceptance configs, in corpus order, and then the two scale-corpus
+    complexes, whose stage query counts are also checked.  The digest was
+    recorded before the higher stage derived each face's complement from
+    the face's own plane-filling solve, so the shared solve asks what the
+    separate solves asked."""
+    import hashlib
+
+    from test_acceptance import _trial_configs
+
+    configs = list(_trial_configs())
+    configs += [
+        GeneratorConfig(d, n0, 2, densities=[0.5, 0.6], seed=7)
+        for d, n0, *_ in SCALE_CORPUS
+    ]
+    digest = hashlib.sha256()
+    stage_counts = []
+    for cfg in configs:
+        K = generate_complex(cfg)
+        oracle = Oracle(K)
+        assert complexes_match(reconstruct(oracle), K)
+        log = oracle.log
+        stage_counts.append(
+            (log.queries("vertices"), log.queries("edges"),
+             sum(q for _, q in log.predicate_calls))
+        )
+        digest.update(repr(log.spans).encode())
+        for direction in log.directions:
+            digest.update((" ".join(str(x) for x in direction) + "\n").encode())
+    assert stage_counts[-2:] == [tuple(spec[2:]) for spec in SCALE_CORPUS]
+    assert digest.hexdigest() == CORPUS_LOG_SHA256
 
 
 def test_reconstruction_builds_no_diagram_point(monkeypatch):

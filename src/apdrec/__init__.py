@@ -43,6 +43,7 @@ from .geometry import (
     separating_direction,
     standard_frame,
     tilt,
+    tilt_weight,
 )
 from .harness import (
     GeneratorConfig,

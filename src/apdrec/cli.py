@@ -5,13 +5,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
+from contextlib import contextmanager
 
 from .complexes import parse_complex, serialize_complex, validate_general_position
 from .descriptors import betti_curve_from_apd, euler_curve_from_apd
 from .edges import find_edges
 from .errors import ApdrecError, InvalidInput, ParseError
-from .geometry import format_rational
+from .geometry import format_rational, parse_rational
 from .harness import GeneratorConfig, generate_complex, verify_roundtrip
 from .higher import reconstruct
 from .oracle import Oracle, compute_apd, format_diagram
@@ -31,9 +31,28 @@ def _load_complex(path: str):
 
 def _parse_direction(text: str):
     try:
-        return tuple(Fraction(tok) for tok in text.replace(",", " ").split())
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad direction {text!r}")
+        return tuple(parse_rational(tok) for tok in text.replace(",", " ").split())
+    except InvalidInput as exc:
+        raise ParseError(f"bad direction: {exc}") from None
+
+
+@contextmanager
+def _long_integers():
+    """Lift Python's 4,300-digit limit on int-to-text conversion while a
+    command prints, and restore it after.  A parsed rational has at most
+    ``geometry.MAX_RATIONAL_DIGITS`` digits, but heights multiply direction
+    entries by coordinates, and a diagram's denominator is that of the
+    direction times the lcm of every coordinate's, so exact output can be
+    longer.  Parsing stays under the limit.  A limit of 0 is none, as on
+    Pythons before 3.10.7, which have no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _check_dim(args) -> None:
@@ -45,7 +64,8 @@ def _cmd_apd(args) -> int:
     _check_dim(args)
     complex_ = _load_complex(args.complex)
     dgm = compute_apd(complex_, _parse_direction(args.dir))
-    sys.stdout.write(format_diagram(dgm, args.dim))
+    with _long_integers():
+        sys.stdout.write(format_diagram(dgm, args.dim))
     return 0
 
 
@@ -64,10 +84,11 @@ def _cmd_curves(args) -> int:
         curve = betti_curve_from_apd(dgm, args.dim if args.dim is not None else 0)
     else:
         curve = euler_curve_from_apd(dgm)
-    for height, value in curve.breakpoints:
-        print(f"{format_rational(height)} {_format_value(value)}")
-    for height, value in curve.decorations:
-        print(f"# decoration {format_rational(height)} {_format_value(value)}")
+    with _long_integers():
+        for height, value in curve.breakpoints:
+            print(f"{format_rational(height)} {_format_value(value)}")
+        for height, value in curve.decorations:
+            print(f"# decoration {format_rational(height)} {_format_value(value)}")
     return 0
 
 
@@ -77,8 +98,9 @@ def _cmd_reconstruct(args) -> int:
     log = oracle.log
     if args.stage == "vertices":
         points, _, _ = vertex_stage(oracle)
-        for p in points:
-            print(" ".join(format_rational(x) for x in p))
+        with _long_integers():
+            for p in points:
+                print(" ".join(format_rational(x) for x in p))
         print(f"# vertex queries: {log.queries('vertices')}")
         return 0
     if args.stage == "edges":
@@ -90,7 +112,8 @@ def _cmd_reconstruct(args) -> int:
         print(f"# edge queries: {log.queries('edges')}")
         return 0
     recovered = reconstruct(oracle)
-    sys.stdout.write(serialize_complex(recovered))
+    with _long_integers():
+        sys.stdout.write(serialize_complex(recovered))
     # the lifted pass is the only one that calls the predicate with k == d
     d = truth.ambient_dim
     calls = [c for c in log.predicate_calls if c[0] < d]

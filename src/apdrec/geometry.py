@@ -16,7 +16,9 @@ exact on ``Fraction`` input: a quotient is built as ``Fraction(p, q)``, never
 as ``p / q``, which would give a float for two ints.  ``dot`` of two integer
 vectors is an int, ``primitive_direction`` returns ints, ``_rref``
 eliminates fraction-free, and ``_solve_particular`` and ``tilt`` return
-integer multiples of their rational answers.
+integer multiples of their rational answers.  ``tilt`` is the one place a
+tilted direction is formed: the vertex stage divides its result by q, and
+the higher stage reduces it with ``primitive_direction``.
 
 Vectors and directions are plain tuples, which makes them hashable and
 trivially immutable.
@@ -120,8 +122,26 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+# The most digits a parsed rational may spell, a decimal exponent counting
+# as that many digits: the numerator and denominator then stay below
+# Python's 4,300-digit limit on int-to-text conversion, and a token such as
+# "1e100000000" is refused before any integer is built.
+MAX_RATIONAL_DIGITS = 4000
+
+
 def parse_rational(token: str) -> Fraction:
+    """The rational a token spells as ``Fraction`` reads it ("3", "-1/2",
+    "0.25", "1e-3").  Raises InvalidInput for any other token and for one
+    of more than ``MAX_RATIONAL_DIGITS`` digits, exponent included."""
+    if len(token) > MAX_RATIONAL_DIGITS:
+        raise InvalidInput(f"rational of {len(token)} characters is too long")
+    head, e, tail = token.lower().partition("e")
     try:
+        digits = sum(c.isdigit() for c in head) + (abs(int(tail)) if e else 0)
+        if digits > MAX_RATIONAL_DIGITS:
+            raise InvalidInput(
+                f"{token!r} spells {digits} digits, more than {MAX_RATIONAL_DIGITS}"
+            )
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"not a rational: {token!r}") from exc
@@ -378,27 +398,23 @@ def tilt_weight(
     return gap, 2 * total
 
 
-def tilt(
-    heights: Sequence[int],
-    heights_prime: Sequence[int],
-    s: Direction,
-    s_prime: Direction,
-) -> Direction:
+def tilt(weight: Tuple[int, int], s: Direction, s_prime: Direction) -> Direction:
     """q times the tilt from s towards s', ``(1 - eps) * s + eps * s'``.
 
-    eps = n / q is the ``tilt_weight`` of the two height lists, so heights
-    that are distinct under s keep their order, while ties under s are
-    broken by the s' order.  The result ``(q - n) * s + n * s'`` is a
-    positive multiple of the tilt, so it orders and ties heights as the tilt
-    does; on integer heights and directions it is all ints, and
-    ``primitive_direction`` reduces it.
+    eps = n / q for the ``weight`` (n, q), the ``tilt_weight`` of the
+    heights under s and s', so heights that are distinct under s keep their
+    order, while ties under s are broken by the s' order.  The result ``(q -
+    n) * s + n * s'`` is a positive multiple of the tilt, so it orders and
+    ties heights as the tilt does; on integer directions it is all ints, and
+    ``primitive_direction`` reduces it.  Every tilted direction of a
+    reconstruction is formed here.
 
     The paper's tilt of an initial direction that keeps the vertex order,
     the direction step of find-coord.
     """
     if parallel(s, s_prime):
         raise ParallelDirections("tilt requires linearly independent directions")
-    n, q = tilt_weight(heights, heights_prime)
+    n, q = weight
     m = q - n
     return tuple(m * a + n * b for a, b in zip(s, s_prime))
 

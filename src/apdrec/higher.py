@@ -6,7 +6,7 @@ that height also picks up unrelated k-simplices, so one inclusion-exclusion
 pass over the proper faces, bottom up (each face isolated by a tilted
 direction), removes the double counting.  A face W and its complement
 in sigma have opposite plane-filling directions, s' and -s', so each such
-pair is isolated from one plane-filling solve and one height list.  The
+pair is isolated from one plane-filling solve and one tilt weight.  The
 simplex predicate then compares the two k-indegrees across a wedge that
 isolates exactly one candidate vertex: the counts differ by one precisely
 when the candidate simplex exists.  ``reconstruct`` climbs the dimensions
@@ -24,9 +24,11 @@ returns q times the tilt of weight n / q, and scaled heights give the same
 weight.  ``primitive_direction`` removes the factor, so the oracle is asked
 the same directions in the same order as on the rational points, and a
 diagram is read at h / L by ``AugmentedDiagram.levels_of``.  A direction's
-heights are computed once and handed on, to the tilts and to
-``second_perpendicular_direction``; the heights under -s' are those under s'
-negated, so both tilts of a pair share one height list.
+heights are computed once and handed on, to ``tilt_weight`` and to
+``second_perpendicular_direction``, and so is each weight: the heights under
+-s' are those under s' negated, with the same spread, so both tilts of a
+pair share one weight, and the isolating direction hands its heights on to
+the predicate.
 
 The predicate and the indegree take vertex ids; an id that is negative, past
 the last vertex or repeated, or an empty simplex, raises InvalidInput before
@@ -53,6 +55,7 @@ from .geometry import (
     primitive_direction,
     second_perpendicular_direction,
     tilt,
+    tilt_weight,
     vneg,
 )
 from .oracle import Oracle
@@ -80,16 +83,15 @@ def _tilted(
     are those under s.
 
     The heights under -s' are those under s' negated, with the same spread,
-    so one height list serves both tilts and both take the same weight.
-    Face Isolation tilts a face towards s' and its complement towards -s';
-    the predicate's wedge has the two tilts as its sides.  ``tilt`` returns
-    a positive integer multiple of each tilt, which ``primitive_direction``
+    so one ``tilt_weight`` of the s' heights serves both tilts.  Face
+    Isolation tilts a face towards s' and its complement towards -s'; the
+    predicate's wedge has the two tilts as its sides.  ``tilt`` returns a
+    positive integer multiple of each tilt, which ``primitive_direction``
     reduces."""
-    heights_prime = _heights(points, s_prime)
-    negated = [-h for h in heights_prime]
+    weight = tilt_weight(heights, _heights(points, s_prime))
     return (
-        primitive_direction(tilt(heights, heights_prime, s, s_prime)),
-        primitive_direction(tilt(heights, negated, s, vneg(s_prime))),
+        primitive_direction(tilt(weight, s, s_prime)),
+        primitive_direction(tilt(weight, s, vneg(s_prime))),
     )
 
 
@@ -189,27 +191,31 @@ def compute_indegree(
 
 def _isolating_direction(
     candidate: Sequence[int], points: Sequence[IntVector]
-) -> Direction:
-    """Direction orthogonal to the candidate's hull giving it a unique height.
+) -> Tuple[Direction, List[int]]:
+    """Direction orthogonal to the candidate's hull giving it a unique
+    height, and the heights of the points under it.
 
     Plain orthogonalization may leave other vertices on the same hyperplane;
     those form, together with the candidate, an affinely independent set of
     at most d vertices, so a second perpendicular direction pushes them
     strictly above and the tilt towards it removes every tie while staying
-    orthogonal to the candidate's hull.
+    orthogonal to the candidate's hull.  When no tie is left the heights
+    are those already computed for the plain direction.
     """
     s1 = orthogonal_to_affine_hull([points[v] for v in candidate])
     heights = _heights(points, s1)
     height = heights[candidate[0]]
     level_ids = [u for u, h in enumerate(heights) if h == height]
     if set(level_ids) == set(candidate):
-        return s1
+        return s1, heights
     if len(level_ids) > len(points[0]):
         raise DegeneratePosition(
             "more than d vertices on one hyperplane; general position violated"
         )
     s2 = second_perpendicular_direction(points, heights, level_ids, candidate, s1)
-    return primitive_direction(tilt(heights, _heights(points, s2), s1, s2))
+    weight = tilt_weight(heights, _heights(points, s2))
+    s_star = primitive_direction(tilt(weight, s1, s2))
+    return s_star, _heights(points, s_star)
 
 
 def is_simplex(
@@ -240,8 +246,7 @@ def is_simplex(
         raise PreconditionViolated("candidate vertex already in the simplex")
     k = len(sigma)
     candidate = tuple(sorted(sigma + (vertex,)))
-    s_star = _isolating_direction(candidate, points)
-    star_heights = _heights(points, s_star)
+    s_star, star_heights = _isolating_direction(candidate, points)
     s3 = second_perpendicular_direction(points, star_heights, candidate, sigma, s_star)
     s_lower, s_upper = _tilted(points, star_heights, s_star, s3)
 

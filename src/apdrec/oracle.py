@@ -29,13 +29,14 @@ its lower-star height, so the k-simplices at each distinct height are what
 ``counts``, ``count_at``, ``simplex_count``, ``births(0)`` and the Euler
 curve of ``descriptors`` read, and the histogram needs the heights alone.
 Each query builds the diagram, histogram included, in ``_emit_points``, the
-one place a diagram is made.  The pairing runs on first read of ``rows``,
-``keys``, ``births(k)`` for k > 0 or ``points``, and its result is kept.
+one place a diagram is made.  The diagram keeps each simplex's level and
+the BoundaryTable, and the pairing runs on them on first read of ``rows``,
+``births(k)`` for k > 0 or ``points``; its result is kept.
 ``_reduce_pairs`` returns static index pairs and counts each dimension's
 deaths per level as it finds them, so the event rows are those counts and
-the histogram less them, and the Betti curves build no point; the point
-keys are read off the kept pairs on first read of keys or points.  The
-reconstruction stages read only the histogram, so they never pair.
+the histogram less them, and the Betti curves build no point; the points
+are read off the kept pairs on first read.  The reconstruction stages read
+only the histogram, so they never pair.
 
 The kernel runs on integers.  A BoundaryTable, built once per complex,
 holds the coordinates scaled by their common denominator, the simplices in
@@ -64,15 +65,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import (
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import Simplex, SimplicialComplex, facets
 from .errors import InvalidInput
@@ -110,12 +103,6 @@ class EventRow(NamedTuple):
     zeros: List[int]  # zero-persistence pairs
 
 
-# (dim, birth level, death level) of one point
-Key = Tuple[int, int, int]
-# a diagram's event rows, and the callable that builds its point keys
-Pairing = Tuple[Dict[int, EventRow], Callable[[], List[Key]]]
-
-
 class AugmentedDiagram:
     """One direction's augmented persistence diagram, counted per height.
 
@@ -125,19 +112,26 @@ class AugmentedDiagram:
     counts (``counts``, ``count_at``, ``simplex_count``, ``births(0)``), and
     a dimension without an entry has no simplices.
 
-    ``rows`` come from the reduction, which ``pairing`` runs with no
-    argument on first read of rows, keys or points: ``rows[k]`` counts the
-    events of dimension k at each level, and a dimension without a row has
-    no events.  The reduction counts the deaths, and by the simplex-count
-    correspondence the births of ``rows[k]`` are ``histogram[k]`` less the
-    deaths of ``rows[k-1]``.  ``keys``, one (dim, birth level, death level)
-    triple per point, an essential class dying at level ``len(heights)``,
-    are built from the kept pairs only on first read of keys or points, so
-    the Betti curves, which read the rows, never build them.  ``points``,
-    built from the keys on first read, sorted by (dim, birth, death), and
-    ``births(k)`` for k > 0 pair the diagram; the reconstruction stages
-    read only the histogram, so they never pair.  Rows, keys and points are
-    kept once built.
+    The diagram keeps the ``level`` of each simplex of its complex's
+    ``BoundaryTable``, in static order, and the table; ``_reduce_pairs``
+    runs on them once, on first read of rows, points or ``births(k)`` for k
+    > 0, which builds the rows and keeps the static index pairs until the
+    points are read off them; then the levels, the table and the pairs are
+    let go (kept, they cost the ``apd-stream`` benchmark, which reads the
+    points of every diagram, about 2.5% of its wall time).  ``rows[k]``
+    counts the events of dimension k at each level, and a dimension without
+    a row has no events.  The reduction counts the deaths, and by the
+    simplex-count correspondence every k-simplex is a death of dimension
+    k-1 or a birth of dimension k, so the births of ``rows[k]`` are
+    ``histogram[k]`` less the deaths of ``rows[k-1]``; the top dimension has
+    no deaths, and its row is kept only if it has a birth, so the rows run
+    up to the highest dimension of a point.  ``points`` are read off the
+    kept static index pairs, one (dim, birth level, death level) per pair
+    and per essential class, the unpaired simplices, dying one past the
+    last level, and sorted by (dim, birth, death); the Betti curves, which
+    read the rows, never build them.  The reconstruction stages read only
+    the histogram, so they never pair.  Rows and points are kept once
+    built.
 
     ``levels``, the heights as Fractions, is built on first read and kept;
     ``level`` and ``levels_of`` find a height without it, and every reader
@@ -150,10 +144,10 @@ class AugmentedDiagram:
         "heights",
         "denominator",
         "histogram",
-        "_pairing",
+        "_level",
+        "_table",
+        "_pairs",
         "_rows",
-        "_build_keys",
-        "_keys",
         "_levels",
         "_points",
     )
@@ -164,33 +158,41 @@ class AugmentedDiagram:
         heights: List[int],
         denominator: int,
         histogram: Dict[int, List[int]],
-        pairing: Callable[[], Pairing],
+        level: List[int],
+        table: BoundaryTable,
     ):
         self.direction = direction
         self.heights = heights
         self.denominator = denominator
         self.histogram = histogram
-        self._pairing: Optional[Callable[[], Pairing]] = pairing
+        self._level = level
+        self._table = table
+        self._pairs: Optional[tuple] = None
         self._rows: Optional[Dict[int, EventRow]] = None
-        self._build_keys: Optional[Callable[[], List[Key]]] = None
-        self._keys: Optional[List[Key]] = None
         self._levels: Optional[List[Fraction]] = None
         self._points: Optional[Tuple[DiagramPoint, ...]] = None
+
+    def _pair(self) -> None:
+        """Run ``_reduce_pairs``: build the rows, and keep the pairs until
+        the points are read off them."""
+        top = len(self.heights)
+        pairs, paired, deaths, zeros = _reduce_pairs(self._level, top, self._table)
+        rows: Dict[int, EventRow] = {}
+        died = [0] * top
+        for k, row in self.histogram.items():
+            births = list(map(operator.sub, row, died))
+            if k < len(deaths):
+                died = deaths[k]
+                rows[k] = EventRow(births, died, zeros[k])
+            elif any(births):
+                rows[k] = EventRow(births, [0] * top, [0] * top)
+        self._rows, self._pairs = rows, (pairs, paired)
 
     @property
     def rows(self) -> Dict[int, EventRow]:
         if self._rows is None:
-            self._rows, self._build_keys = self._pairing()
-            self._pairing = None
+            self._pair()
         return self._rows
-
-    @property
-    def keys(self) -> List[Key]:
-        if self._keys is None:
-            self.rows  # the reduction, which leaves the key builder
-            self._keys = self._build_keys()
-            self._build_keys = None
-        return self._keys
 
     @property
     def levels(self) -> List[Fraction]:
@@ -201,10 +203,18 @@ class AugmentedDiagram:
     @property
     def points(self) -> Tuple[DiagramPoint, ...]:
         if self._points is None:
+            if self._rows is None:
+                self._pair()
+            (pairs, paired), level = self._pairs, self._level
+            dims, top = self._table.dims, len(self.heights)
+            keys = [(dims[i], level[i], level[j]) for i, j in pairs]
+            keys.extend([(dims[i], level[i], top) for i, p in enumerate(paired) if not p])
             value = [*self.levels, INF]
             self._points = tuple(
-                [DiagramPoint(k, value[b], value[d]) for k, b, d in sorted(self.keys)]
+                [DiagramPoint(k, value[b], value[d]) for k, b, d in sorted(keys)]
             )
+            # the rows and the points now hold all the reduction tells
+            self._pairs = self._level = self._table = None
         return self._points
 
     def __eq__(self, other):
@@ -536,8 +546,8 @@ def _emit_points(
     are the ``distinct`` heights, and since the simplices of one dimension
     are one range of static indices, one pass over the ``level`` of each
     simplex counts every dimension's simplices per level, with no pairing.
-    It makes no Fraction.  The diagram runs ``_pair_events`` on first read
-    of its rows, keys or points.
+    It makes no Fraction.  The diagram keeps ``level`` and the table, and
+    runs ``_reduce_pairs`` on them on first read of its rows or points.
     """
     top = len(distinct)
     histogram = {}
@@ -546,62 +556,19 @@ def _emit_points(
         for i in level[lo:hi]:
             row[i] += 1
         histogram[k] = row
-    return AugmentedDiagram(
-        direction,
-        distinct,
-        denominator,
-        histogram,
-        lambda: _pair_events(level, top, table, histogram),
-    )
-
-
-def _pair_events(
-    level: List[int], top: int, table: BoundaryTable, histogram: Dict[int, List[int]]
-) -> Pairing:
-    """The diagram's event rows, and how to build its point keys.
-
-    ``_reduce_pairs`` counts each dimension's finite deaths and
-    zero-persistence pairs per level.  By the simplex-count correspondence
-    every k-simplex is a death of dimension k-1 or a birth of dimension k,
-    so the births of row k are ``histogram[k]`` less the deaths of row k-1.
-    The top dimension has no deaths, and its row is kept only if it has a
-    birth, so the rows run up to the highest dimension of a point.
-
-    The keys, built by the returned callable, are read straight off the
-    static indices: (dim, birth level, death level) of each pair, then of
-    each essential class, the unpaired simplices, dying at ``top``, one
-    past the last level.
-    """
-    pairs, paired, deaths, zeros = _reduce_pairs(level, top, table)
-    rows: Dict[int, EventRow] = {}
-    died = [0] * top
-    for k, row in histogram.items():
-        births = list(map(operator.sub, row, died))
-        if k < len(deaths):
-            died = deaths[k]
-            rows[k] = EventRow(births, died, zeros[k])
-        elif any(births):
-            rows[k] = EventRow(births, [0] * top, [0] * top)
-
-    def keys() -> List[Key]:
-        dims = table.dims
-        found = [(dims[i], level[i], level[j]) for i, j in pairs]
-        found.extend([(dims[i], level[i], top) for i, p in enumerate(paired) if not p])
-        return found
-
-    return rows, keys
+    return AugmentedDiagram(direction, distinct, denominator, histogram, level, table)
 
 
 def compute_apd(complex_: SimplicialComplex, direction: Direction) -> AugmentedDiagram:
     """Augmented persistence diagram of the lower-star filtration.
 
     The diagram does not depend on how simplices of equal height are
-    ordered; the kernel breaks such ties by static index.  The kernel works in integers.  With L the common denominator of the
-    coordinates and D that of the direction, every height is an integer
-    divided by D * L.  Multiplying all heights by the positive D * L keeps
-    their order and their ties, and the pairing depends on nothing else, so
-    the integer run pairs the same simplices as a run on the rational
-    heights.  The diagram keeps D * L, and a height is divided back by it
+    ordered; the kernel breaks such ties by static index.  The kernel works
+    in integers.  With L the common denominator of the coordinates and D
+    that of the direction, every height is an integer divided by D * L.
+    Multiplying all heights by the positive D * L keeps their order and
+    their ties, and the pairing depends on nothing else, so the integer run
+    pairs the same simplices as a run on the rational heights.  The diagram keeps D * L, and a height is divided back by it
     exactly when read, so the diagram is the one of the rational heights.
     """
     return _apd(BoundaryTable(complex_), direction)

@@ -21,7 +21,8 @@ vertex heights over each diagram's denominator
 (``AugmentedDiagram.vertex_heights``), and solves on those ints; the
 ledger reads its levels through ``AugmentedDiagram.levels_of``.  Its only
 Fractions are the directions it asks (the tilts s_t and b1, whose values
-the query log records) and one per recovered coordinate.
+the query log records) and one per recovered coordinate.  Both tilts are
+``geometry.tilt`` of their ``tilt_weight`` (n, q), divided by q.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .geometry import (
     dot,
     scale_to_integers,
     standard_frame,
+    tilt,
     tilt_weight,
 )
 from .oracle import AugmentedDiagram, Oracle
@@ -57,7 +59,7 @@ def find_coordinate(
     tilt s_t towards e_i preserves their order, so the j-th sorted birth of
     Dgm0(s_t) belongs to the j-th vertex and, writing s_t = (1-eps) * base
     + eps * e_i with eps = n / q the ``tilt_weight`` of the base and e_i
-    heights,
+    heights (s_t is ``tilt((n, q), base, e_i)`` divided by q),
 
         x_i[j] = (q * H_t[j] - (q - n) * H_b[j]) / n.
 
@@ -68,7 +70,10 @@ def find_coordinate(
 
     Returns the coordinates and the diagrams asked, in order: two logged
     queries, e_i and s_t, or s_t alone when the e_i diagram is passed in as
-    ``target``.  Raises InvalidInput unless 1 <= i <= d.
+    ``target``.  Raises InvalidInput unless 1 <= i <= d, and
+    ParallelDirections when e_i is parallel to the base direction (i = 1 on
+    the standard basis, whose first coordinates the vertex stage reads off
+    the base diagram instead).
 
     The paper's find-coord algorithm; its direction step is the tilt s_t.
     """
@@ -92,7 +97,7 @@ def find_coordinate(
     n, q = tilt_weight(
         [b * target_den for b in heights], [t * base_den for t in target_heights]
     )
-    s_t = tuple(Fraction((q - n) * a + n * b, q) for a, b in zip(base_direction, e_i))
+    s_t = tuple(Fraction(x, q) for x in tilt((n, q), base_direction, e_i))
     asked.append(oracle.query(s_t))
     tilted, tilted_den = asked[-1].vertex_heights(), asked[-1].denominator
     if len(tilted) != len(heights):
@@ -111,15 +116,15 @@ def create_unique_height_basis(
     ``births1`` and ``births2`` are the dimension-0 births in e1 and e2, on
     one common scale (the rational heights, or the integer heights of the
     two diagrams, whose denominators agree).  b1 is the tilt ``(1 - eps) * e1
-    + eps * e2`` with eps = n / q their ``tilt_weight``, so e1 ties are
-    broken by e2 heights (distinct projected vertices); b2 is the exact -90
-    degree rotation of b1 inside the (e1, e2) plane.  Pure: it issues no
-    query.
+    + eps * e2`` with eps = n / q their ``tilt_weight``, ``tilt((n, q), e1,
+    e2)`` divided by q, so e1 ties are broken by e2 heights (distinct
+    projected vertices); b2 is the exact -90 degree rotation of b1 inside
+    the (e1, e2) plane.  Pure: it issues no query.
     """
     n, q = tilt_weight(births1, births2)
-    rest = (0,) * (d - 2)
-    b1 = (Fraction(q - n, q), Fraction(n, q)) + rest
-    return SweepFrame(b1, (b1[1], -b1[0]) + rest)
+    e1, e2 = basis_vector(d, 0), basis_vector(d, 1)
+    b1 = tuple(Fraction(x, q) for x in tilt((n, q), e1, e2))
+    return SweepFrame(b1, (b1[1], -b1[0]) + b1[2:])
 
 
 class CountLedger:

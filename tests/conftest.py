@@ -47,7 +47,9 @@ def shifted_count(dgm, k, height, delta):
     """The diagram with its k-simplex count at the height moved by delta.
 
     Only the simplex histogram changes, which is all the reconstruction
-    stages read; the pairing, read on demand, is the true diagram's.
+    stages read.  The diagram is built from the true one's simplex levels
+    and BoundaryTable, so its pairing, run on demand, is the true diagram's:
+    its points are true, and its rows' births carry the shift.
     """
     histogram = dict(dgm.histogram)
     row = list(histogram.get(k) or [0] * len(dgm.heights))
@@ -58,7 +60,8 @@ def shifted_count(dgm, k, height, delta):
         dgm.heights,
         dgm.denominator,
         histogram,
-        lambda: (dgm.rows, lambda: dgm.keys),
+        dgm._level,
+        dgm._table,
     )
 
 

@@ -22,6 +22,7 @@ from apdrec import (
     generate_complex,
     leftmost_crossing,
     tilt,
+    tilt_weight,
     verify_roundtrip,
 )
 from apdrec.geometry import scale_to_integers
@@ -217,7 +218,7 @@ def test_criterion_6_indegree_oracle_equivalence(trials):
             for k in range(len(sigma), len(sigma) + 2):
                 if k > cfg.ambient_dim - 1:
                     continue
-                direction = _isolating_direction(sigma, points)
+                direction, _ = _isolating_direction(sigma, points)
                 got = compute_indegree(sigma, direction, k, {}, oracle, points, scale)
                 assert got == brute_coface_count(K, sigma, direction, k), (
                     cfg.seed, sigma, k)
@@ -327,7 +328,7 @@ def test_criterion_9_geometry_kernels():
         n = rng.randint(2, 8)
         h = [F(rng.randint(-10, 10), rng.randint(1, 4)) for _ in range(n)]
         hp = [F(rng.randint(-10, 10), rng.randint(1, 4)) for _ in range(n)]
-        s_t = tilt(h, hp, (F(1), F(0)), (F(0), F(1)))
+        s_t = tilt(tilt_weight(h, hp), (F(1), F(0)), (F(0), F(1)))
         lifted = [s_t[0] * a + s_t[1] * b for a, b in zip(h, hp)]
         for i in range(n):
             for j in range(n):

@@ -1,8 +1,10 @@
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apdrec import (
@@ -456,6 +458,7 @@ def fuzz_file(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(cli_calls())
+@example(call=("apd", "dim 1\nvertices 1\n0 0\nsimplices 0\n", ["--dir=1e5000"]))
 def test_cli_fuzz_exits_zero_or_two(fuzz_file, call):
     command, text, options = call
     fuzz_file.write_text(text)
@@ -464,6 +467,75 @@ def test_cli_fuzz_exits_zero_or_two(fuzz_file, call):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 2)
+
+
+def triangle_text(x):
+    """A 2-d triangle whose second vertex has first coordinate x."""
+    return f"dim 2\nvertices 3\n0 0 0\n1 {x} 2\n2 3 1\nsimplices 1\n0 1 2\n"
+
+
+HUGE = "1e5000"  # its integer has more digits than Python prints by default
+OUTPUTS = [
+    "apd --dir {}",
+    "curves --dir {} --kind betti",
+    "curves --dir {} --kind euler",
+    "reconstruct",
+    "stats",
+]
+
+
+HUGE_CASES = [(c.format(HUGE + ",1"), triangle_text(1)) for c in OUTPUTS[:3]] + [
+    (c.format("1,0"), triangle_text(HUGE)) for c in OUTPUTS
+]
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    HUGE_CASES,
+    ids=[c + (" | huge coordinate" if HUGE in t else "") for c, t in HUGE_CASES],
+)
+def test_huge_numbers_exit_zero_or_two_without_a_traceback(
+    capsys, tmp_path, command, text
+):
+    """1e5000 in a direction or in a coordinate ends as an exit code, 0 or
+    2 with an error line, never as an exception out of main."""
+    path = tmp_path / "huge.cx"
+    path.write_text(text)
+    code = main(command.split() + ["--complex", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert code == 0 or err.startswith("error:")
+
+
+def test_a_huge_exponent_is_refused_before_it_is_built(capsys, triangle_file):
+    """The parse bound refuses 1e100000000 from its text: an integer of 332
+    million bits is never built."""
+    start = time.perf_counter()
+    code = main(["apd", "--complex", triangle_file, "--dir=1e100000000,1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad direction")
+
+
+@pytest.mark.parametrize("command", OUTPUTS[:4])
+def test_exact_output_longer_than_the_str_digit_limit_is_printed(
+    capsys, tmp_path, command
+):
+    """1e3000 parses, and under the direction (1e3000, 1) the vertex
+    (1e3000, 2) has height 10^6000 + 2, more digits than Python converts to
+    text by default: every output path prints it exactly and restores the
+    limit afterwards."""
+    path = tmp_path / "wide.cx"
+    path.write_text(triangle_text("1e3000"))
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, *command.format("1e3000,1").split(), "--complex", str(path))
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    if command == "reconstruct":
+        assert complexes_match(parse_complex(out), parse_complex(path.read_text()))
+    else:
+        assert "1" + "0" * 5999 + "2" in out.split()  # 10^6000 + 2
 
 
 @pytest.mark.parametrize("command", ["stats", "apd --dir 1,0", "reconstruct"])

@@ -18,6 +18,7 @@ from apdrec import (
     second_perpendicular_direction,
     separating_direction,
     tilt,
+    tilt_weight,
 )
 from apdrec.geometry import (
     SweepFrame,
@@ -208,7 +209,7 @@ def test_crossing_matches_bruteforce(h, hp):
 
 def test_tilt_swap_example():
     # eps = 1/4: four times the tilt (3/4, 1/4)
-    s_t = tilt([F(0), F(1)], [F(1), F(0)], vec(1, 0), vec(0, 1))
+    s_t = tilt(tilt_weight([F(0), F(1)], [F(1), F(0)]), vec(1, 0), vec(0, 1))
     assert s_t == (3, 1)
     assert reference_tilt([0, 1], [1, 0], (1, 0), (0, 1)) == vec(F(3, 4), F(1, 4))
     assert dot(s_t, vec(0, 0)) < dot(s_t, vec(1, 0))  # order of e1 kept
@@ -216,7 +217,7 @@ def test_tilt_swap_example():
 
 def test_tilt_no_crossings():
     # eps = 1/2: twice the tilt (1/2, 1/2)
-    assert tilt([F(5)], [F(9)], vec(1, 0), vec(0, 1)) == (1, 1)
+    assert tilt(tilt_weight([F(5)], [F(9)]), vec(1, 0), vec(0, 1)) == (1, 1)
     assert reference_tilt([5], [9], (1, 0), (0, 1)) == vec(F(1, 2), F(1, 2))
 
 
@@ -224,13 +225,13 @@ def test_tilt_breaks_tie_by_second_direction():
     # two vertices tied under s, separated under s'
     pts = [vec(0, 0), vec(0, 2)]
     s, sp = vec(1, 0), vec(0, 1)
-    s_t = tilt([F(0), F(0)], [F(0), F(2)], s, sp)
+    s_t = tilt(tilt_weight([F(0), F(0)], [F(0), F(2)]), s, sp)
     assert dot(s_t, pts[0]) < dot(s_t, pts[1])
 
 
 def test_tilt_rejects_parallel():
     with pytest.raises(ParallelDirections):
-        tilt([F(0)], [F(0)], vec(1, 1), vec(2, 2))
+        tilt(tilt_weight([F(0)], [F(0)]), vec(1, 1), vec(2, 2))
 
 
 def test_tilt_order_preservation_random():
@@ -239,7 +240,7 @@ def test_tilt_order_preservation_random():
         n = rng.randint(2, 8)
         h = [F(rng.randint(-10, 10), rng.randint(1, 4)) for _ in range(n)]
         hp = [F(rng.randint(-10, 10), rng.randint(1, 4)) for _ in range(n)]
-        s_t = tilt(h, hp, vec(1, 0), vec(0, 1))
+        s_t = tilt(tilt_weight(h, hp), vec(1, 0), vec(0, 1))
         heights_t = [s_t[0] * a + s_t[1] * b for a, b in zip(h, hp)]
         for i in range(n):
             for j in range(n):
@@ -480,7 +481,8 @@ def test_kernels_are_exact_on_integer_input(data):
     assert_exact_and_equal(dot, s, s_prime)
     assert_exact_and_equal(leftmost_crossing, heights, heights_prime)
     if any(s) and any(s_prime):
-        assert_exact_and_equal(tilt, heights, heights_prime, s, s_prime)
+        weight = assert_exact_and_equal(tilt_weight, heights, heights_prime)
+        assert_exact_and_equal(tilt, weight, s, s_prime)
     assert_exact_and_equal(affinely_independent, points)
     hull = assert_exact_and_equal(orthogonal_to_affine_hull, points)
     if isinstance(hull, tuple):
@@ -523,7 +525,7 @@ def test_kernels_are_exact_on_integer_input(data):
 
 def test_tilt_and_hull_on_integer_input_examples():
     # eps = 3/8: eight times the tilt (5/8, 3/8), in ints
-    s_t = tilt([0, 3], [1, 0], (1, 0), (0, 1))
+    s_t = tilt(tilt_weight([0, 3], [1, 0]), (1, 0), (0, 1))
     assert s_t == (5, 3) and all(type(x) is int for x in s_t)
     assert reference_tilt([0, 3], [1, 0], (1, 0), (0, 1)) == (F(5, 8), F(3, 8))
     assert orthogonal_to_affine_hull([(0, 0, 0), (1, 2, 3), (2, 1, 7)]) == (
@@ -531,6 +533,14 @@ def test_tilt_and_hull_on_integer_input_examples():
         1,
         3,
     )
+
+
+def isolating_direction(candidate, points):
+    """``_isolating_direction``'s direction, once the heights it hands on
+    are checked to be those of the points under it."""
+    s, heights = _isolating_direction(candidate, points)
+    assert heights == [dot(s, p) for p in points]
+    return s
 
 
 @settings(max_examples=200, deadline=None)
@@ -567,7 +577,7 @@ def test_integer_directions_match_the_rational_references(data):
         heights = [dot(s, p) for p in points]
         heights_prime = [dot(s_prime, p) for p in points]
         same_direction(
-            tilt(heights, heights_prime, s, s_prime),
+            tilt(tilt_weight(heights, heights_prime), s, s_prime),
             reference_tilt(heights, heights_prime, s, s_prime),
         )
         negated = [-h for h in heights_prime]
@@ -603,12 +613,12 @@ def test_integer_directions_match_the_rational_references(data):
             assert s_rest == (vneg(s_w) if isinstance(s_w, tuple) else s_w)
         candidate = sorted(ids[:size_v])
         same_direction(
-            outcome(_isolating_direction, candidate, points),
+            outcome(isolating_direction, candidate, points),
             outcome(reference_isolating_direction, candidate, points, normal),
         )
     else:
         candidate = sorted(ids[:size_v])
-        assert outcome(_isolating_direction, candidate, points) == normal
+        assert outcome(isolating_direction, candidate, points) == normal
 
 
 # ---------------------------------------------------------------------------

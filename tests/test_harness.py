@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -252,6 +253,31 @@ def test_report_mismatch_fields():
     K = cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1)])
     report = verify_roundtrip(K)
     assert report.exact_match and not report.missing and not report.extra
+
+
+def test_verify_roundtrip_reports_a_wrong_reconstruction(monkeypatch):
+    """A reconstruction with one truth edge swapped for another is no exact
+    match, missing the one and holding the other as extra; one with a vertex
+    moved matches no truth vertex set, so every truth simplex is missing."""
+    import apdrec.harness as harness
+    from apdrec import build_complex, reconstruct
+
+    K = cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1)])
+    moved = dict(K.vertices)
+    moved[2] = (Fraction(2), Fraction(3))
+    for vertices, simplices, missing, extra in [
+        (K.vertices, [(1, 2)], [(0, 1)], [(1, 2)]),
+        (moved, [(0, 1)], [(0,), (1,), (2,), (0, 1)], []),
+    ]:
+        def wrong(oracle):
+            reconstruct(oracle)  # the true stages, so the log is the true one
+            return build_complex(2, vertices, simplices)
+
+        monkeypatch.setattr(harness, "reconstruct", wrong)
+        report = verify_roundtrip(K)
+        assert not report.exact_match
+        assert (report.missing, report.extra) == (missing, extra)
+        assert report.all_bounds_ok
 
 
 def test_verify_report_deterministic():

@@ -85,7 +85,7 @@ def test_indegree_full_triangle_edge():
     oracle = Oracle(K)
     points, scale = scaled_points(K)
     sigma = (0, 1)
-    direction = _isolating_direction(sigma, points)
+    direction, _ = _isolating_direction(sigma, points)
     # flip if the third vertex sits above the edge
     from apdrec.geometry import dot, vneg
 
@@ -183,7 +183,7 @@ def test_indegree_matches_bruteforce_random():
         points, scale = scaled_points(K)
         for sigma in K.simplices_of_dim(dims[0]) + K.simplices_of_dim(dims[1]):
             k = len(sigma)  # test the coface dimension one above
-            s = _isolating_direction(sigma, points)
+            s, _ = _isolating_direction(sigma, points)
             for direction in (s, vneg(s)):
                 got = compute_indegree(sigma, direction, k, {}, oracle, points, scale)
                 assert got == brute_coface_count(K, sigma, direction, k)

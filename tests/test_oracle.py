@@ -713,7 +713,7 @@ def grids_and_numerators(draw):
     shared = draw(st.integers(1, 12))
     denominator = shared * draw(st.integers(1, 12))
     m = shared * draw(st.integers(1, 12))
-    table = AugmentedDiagram((1,), heights, denominator, {}, lambda: ({}, list))
+    table = AugmentedDiagram((1,), heights, denominator, {}, [], None)
     at = [h * m // denominator for h in heights] or [0]
     numerators = [x + e for x in at for e in (-1, 0, 1)]
     numerators += [at[0] - draw(st.integers(1, 40)), at[-1] + draw(st.integers(1, 40))]
@@ -781,10 +781,14 @@ def test_simplex_histogram_equals_the_reduced_event_counts(case, last):
     assert [dgm.counts(k) for k in range(-1, K.ambient_dim + 3)] == unpaired_counts
 
 
-def rows_from_keys(keys, top):
-    """Event rows walked off point keys: a birth at each key's birth level,
-    a finite death at its death level, and a zero-persistence pair where
-    the two are one level."""
+def rows_from_points(dgm):
+    """Event rows walked off the diagram's points: a birth at each point's
+    birth level, a finite death at its death level, and a zero-persistence
+    pair where the two are one level."""
+    top = len(dgm.heights)
+    index = {h: i for i, h in enumerate(dgm.levels)}
+    index[INF] = top
+    keys = [(p.dim, index[p.birth], index[p.death]) for p in dgm.points]
     rows = {
         k: ([0] * top, [0] * top, [0] * top)
         for k in range(max(keys)[0] + 1 if keys else 0)
@@ -816,14 +820,14 @@ def row_cases():
 
 
 def test_event_rows_are_the_definitions():
-    """Each row, counted in the reduction without building a key, holds at
+    """Each row, counted in the reduction without building a point, holds at
     every level the births, finite deaths and zero-persistence pairs of its
     dimension among the definition's points, and equals the row walked off
-    the diagram's own keys; the rows run up to the highest dimension of a
+    the diagram's own points; the rows run up to the highest dimension of a
     point."""
     for dgm, expected in row_cases():
         rows = dgm.rows
-        assert dgm._keys is None
+        assert dgm._points is None
         assert sorted(rows) == list(range(max(p[0] for p in expected) + 1))
         for k, (births, deaths, zeros) in rows.items():
             assert births == [births_at_by_scan(expected, k, h) for h in dgm.levels]
@@ -832,15 +836,16 @@ def test_event_rows_are_the_definitions():
                 sum(1 for p in expected if p[0] == k and p[1] == p[2] == h)
                 for h in dgm.levels
             ]
-        assert rows == rows_from_keys(dgm.keys, len(dgm.heights))
+        assert rows == rows_from_points(dgm)
 
 
 def test_counts_and_euler_curves_never_pair_and_points_pair_once(monkeypatch):
     """Counts, dimension-0 births and the Euler curve read the histogram
     alone; points, Betti curves, higher births and the text of one
     dimension run the reduction once per diagram and keep it.  The Betti
-    curves and higher births read the rows alone, so no key is built until
-    the points are read, and building them runs no second reduction."""
+    curves and higher births read the rows alone, so no point is built
+    until the points are read, and building them runs no second
+    reduction."""
     calls = []
     real = oracle_mod._reduce_pairs
 
@@ -860,9 +865,8 @@ def test_counts_and_euler_curves_never_pair_and_points_pair_once(monkeypatch):
         betti_curve_from_apd(dgm, k)
     dgm.births(1)
     assert len(calls) == 1
-    assert dgm._keys is None and dgm._points is None
+    assert dgm._points is None
     assert dgm.points is dgm.points
-    assert dgm.keys is dgm.keys
     format_diagram(dgm, 1)
     assert len(calls) == 1
     other = oracle.query((3, -2, 1))

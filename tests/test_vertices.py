@@ -8,12 +8,13 @@ from apdrec import (
     GeneratorConfig,
     InvalidInput,
     Oracle,
+    OracleInconsistency,
     generate_complex,
 )
 from apdrec.geometry import basis_vector, dot
 from apdrec.vertices import create_unique_height_basis, find_coordinate, vertex_stage
 
-from conftest import cx
+from conftest import TamperedOracle, cx
 
 F = Fraction
 
@@ -54,6 +55,20 @@ def test_find_coordinate_rejects_an_index_outside_1_to_d(i):
     with pytest.raises(InvalidInput):
         find_coordinate(i, base, oracle)
     assert oracle.log.count == 1
+
+
+@pytest.mark.parametrize("tampered, asked", [((0, 1), 2), ((F(5, 6), F(1, 6)), 3)])
+def test_find_coordinate_rejects_an_answer_with_a_vertex_less(tampered, asked):
+    """An answer that counts one vertex less than the base, in e_2 or in the
+    tilt s_t of the hand trace, raises OracleInconsistency as soon as it is
+    read: with e_2 the last query, or with s_t."""
+    K = cx(2, [(0, 0), (1, 2)], [])
+    top = max(dot(tampered, p) for p in K.vertices.values())
+    oracle = TamperedOracle(K, tampered, 0, top, -1)
+    base = oracle.query((1, 0))
+    with pytest.raises(OracleInconsistency, match="birth counts"):
+        find_coordinate(2, base, oracle)
+    assert oracle.log.count == asked
 
 
 def test_vertex_stage_two_points():

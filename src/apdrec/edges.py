@@ -36,7 +36,8 @@ diagram its splits asked is read at all later vertices in one pass
 (``read_cuts``, one ``AugmentedDiagram.levels_of`` call), and the cuts it
 gives there, free, seed those vertices' searches, which only ever removes
 splits.  Two prefix counts at one length that differ, or a piece whose
-count is negative or above its size, raise OracleInconsistency.
+count is negative or above its size, raise OracleInconsistency, and so
+does a split diagram with no level at a vertex it is read at.
 """
 
 from __future__ import annotations
@@ -85,7 +86,9 @@ def read_cuts(
 ) -> List[Optional[Cut]]:
     """The cut a split diagram gives at each vertex u of ``plane``, which
     holds (a, b) with u1 . u = a / unit and u2 . u = b / unit, unit > 0:
-    None where u shares its height there or is off the grid.
+    None where u shares its height there.  A vertex off the diagram's grid
+    raises OracleInconsistency: every vertex is an event at its own height,
+    so the answer does not fit the recovered vertices.
 
     u's height in m * u1 - u2 is (p * a - q * b) / (q * unit), so one
     ``AugmentedDiagram.levels_of`` call locates every vertex, with no
@@ -96,9 +99,9 @@ def read_cuts(
     vertices = dgm.histogram.get(0) or [0] * top
     edges = dgm.histogram.get(1) or [0] * top
     levels = dgm.levels_of([p * a - q * b for a, b in plane], q * unit)
-    return [
-        None if i is None or vertices[i] != 1 else (p, q, edges[i]) for i in levels
-    ]
+    if None in levels:
+        raise OracleInconsistency("a vertex is off the grid of a split diagram")
+    return [None if vertices[i] != 1 else (p, q, edges[i]) for i in levels]
 
 
 def find_up_edges(

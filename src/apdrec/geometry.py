@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -118,21 +119,32 @@ def primitive_direction(d: Sequence[Fraction]) -> IntVector:
 
 
 def format_rational(x: Fraction) -> str:
-    """Lowest-terms text form: "p/q", or "p" when q == 1."""
-    return str(Fraction(x))
+    """Lowest-terms text form: "p/q", or "p" when q == 1, as ``str(Fraction)``
+    writes it, for a numerator and denominator of any size.
+
+    ``str(Decimal(n))`` is ``str(n)`` for an int n, but the conversion
+    ignores Python's 4,300-digit limit on int-to-text conversion, so no
+    caller needs to lift it."""
+    x = Fraction(x)
+    text = str(Decimal(x.numerator))
+    return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
 
 
 # The most digits a parsed rational may spell, a decimal exponent counting
-# as that many digits: the numerator and denominator then stay below
-# Python's 4,300-digit limit on int-to-text conversion, and a token such as
-# "1e100000000" is refused before any integer is built.
+# as that many digits: a token such as "1e100000000" is refused before its
+# integer is built (a parse is quadratic in its digits), and the token stays
+# below the 4,300-digit limit of Python's text-to-int conversion, which
+# ``Fraction`` reads through.
 MAX_RATIONAL_DIGITS = 4000
 
 
 def parse_rational(token: str) -> Fraction:
     """The rational a token spells as ``Fraction`` reads it ("3", "-1/2",
     "0.25", "1e-3").  Raises InvalidInput for any other token and for one
-    of more than ``MAX_RATIONAL_DIGITS`` digits, exponent included."""
+    of more than ``MAX_RATIONAL_DIGITS`` digits, exponent included, before
+    any integer is built: so a huge exponent costs no time or memory, and a
+    long token gives InvalidInput, not the ValueError of Python's text-to-int
+    limit."""
     if len(token) > MAX_RATIONAL_DIGITS:
         raise InvalidInput(f"rational of {len(token)} characters is too long")
     head, e, tail = token.lower().partition("e")

@@ -85,9 +85,9 @@ def _tilted(
     The heights under -s' are those under s' negated, with the same spread,
     so one ``tilt_weight`` of the s' heights serves both tilts.  Face
     Isolation tilts a face towards s' and its complement towards -s'; the
-    predicate's wedge has the two tilts as its sides.  ``tilt`` returns a
-    positive integer multiple of each tilt, which ``primitive_direction``
-    reduces."""
+    predicate's wedge has the two tilts as its sides, and an isolating
+    direction is the first tilt alone.  ``tilt`` returns a positive integer
+    multiple of each tilt, which ``primitive_direction`` reduces."""
     weight = tilt_weight(heights, _heights(points, s_prime))
     return (
         primitive_direction(tilt(weight, s, s_prime)),
@@ -213,8 +213,7 @@ def _isolating_direction(
             "more than d vertices on one hyperplane; general position violated"
         )
     s2 = second_perpendicular_direction(points, heights, level_ids, candidate, s1)
-    weight = tilt_weight(heights, _heights(points, s2))
-    s_star = primitive_direction(tilt(weight, s1, s2))
+    s_star = _tilted(points, heights, s1, s2)[0]
     return s_star, _heights(points, s_star)
 
 

@@ -520,12 +520,18 @@ def test_a_huge_exponent_is_refused_before_it_is_built(capsys, triangle_file):
 
 @pytest.mark.parametrize("command", OUTPUTS[:4])
 def test_exact_output_longer_than_the_str_digit_limit_is_printed(
-    capsys, tmp_path, command
+    capsys, monkeypatch, tmp_path, command
 ):
     """1e3000 parses, and under the direction (1e3000, 1) the vertex
     (1e3000, 2) has height 10^6000 + 2, more digits than Python converts to
-    text by default: every output path prints it exactly and restores the
-    limit afterwards."""
+    text by default: every output path prints it exactly, and none sets the
+    interpreter's process-wide limit, as ``sys.set_int_max_str_digits``
+    patched to raise shows."""
+
+    def refuse(limit):
+        raise AssertionError("the int-to-text limit is process-wide; leave it")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
     path = tmp_path / "wide.cx"
     path.write_text(triangle_text("1e3000"))
     limit = sys.get_int_max_str_digits()

@@ -21,6 +21,7 @@ from apdrec import (
     validate_general_position,
     verify_roundtrip,
 )
+from apdrec.oracle import compute_apd, format_diagram
 
 from bruteforce import (
     maximal_by_definition,
@@ -234,6 +235,22 @@ def test_roundtrip_rational_coordinates():
     text = serialize_complex(K)
     assert "1/3 -2/5" in text
     assert parse_complex(text) == K
+
+
+def test_library_text_of_a_value_longer_than_the_str_digit_limit_is_exact():
+    """A vertex at 10^5000 has more digits than Python converts from int to
+    text by default: ``serialize_complex`` and ``format_diagram`` still
+    write it exactly, with no limit lifted by the caller."""
+    huge = "1" + "0" * 5000
+    K = cx(2, [(0, 0), (10**5000, 1), (F(1, 3), 2)], [(0, 1), (1, 2)])
+    assert serialize_complex(K) == (
+        f"dim 2\nvertices 3\n0 0 0\n1 {huge} 1\n2 1/3 2\n"
+        "simplices 2\n0 1\n1 2\n"
+    )
+    dgm = compute_apd(K, (1, 0))
+    assert format_diagram(dgm) == (
+        f"direction 1 0\n0 0 inf\n0 1/3 {huge}\n0 {huge} {huge}\n"
+    )
 
 
 def test_parse_rejects_unknown_id():

@@ -12,6 +12,7 @@ from apdrec import (
     InvalidInput,
     Oracle,
     OracleInconsistency,
+    build_complex,
     complexes_match,
     generate_complex,
     radial_order,
@@ -568,9 +569,10 @@ def test_one_read_pass_gives_the_reference_cut_at_every_later_vertex(monkeypatch
     """Each vertex is handed exactly the cuts that a per-vertex read of every
     split asked before its turn gives (bruteforce.reference_cut, a Fraction
     lookup among the levels), in the order the splits were asked.  Read at
-    every vertex and at points off the grid, above and below every level, a
-    split gives the reference cut or None, and a vertex that shares its
-    height gives None."""
+    every vertex, a split gives the reference cut or None, and a vertex that
+    shares its height gives None; at points off the grid, above and below
+    every level, where the reference gives None, the read raises
+    OracleInconsistency."""
     shared = 0
     for points, oracle, frame, ledger in read_inputs():
         coordinates, unit = plane(points, frame)
@@ -585,13 +587,36 @@ def test_one_read_pass_gives_the_reference_cut_at_every_later_vertex(monkeypatch
         spread = max(abs(x) + abs(y) for x, y in coordinates) + 1
         off_grid = [(0, spread * unit * 10**6), (0, -spread * unit * 10**6)]
         for split in asked:
-            everywhere = coordinates + off_grid
-            want = [reference_cut(split, a, b, unit) for a, b in everywhere]
-            assert read_cuts(split, everywhere, unit) == want
-            assert want[-2:] == [None, None]
-            shared += want.count(None) - 2
+            want = [reference_cut(split, a, b, unit) for a, b in coordinates]
+            assert read_cuts(split, coordinates, unit) == want
+            shared += want.count(None)
+            for point in off_grid:
+                assert reference_cut(split, *point, unit) is None
+                with pytest.raises(OracleInconsistency, match="off the grid"):
+                    read_cuts(split, coordinates + [point], unit)
     # the shared-height complex's vertices u and w in vertex 0's split
     assert shared >= 2
+
+
+def test_a_split_answered_off_the_grid_raises(monkeypatch):
+    """The first split of a seeded planar graph is answered with the diagram
+    of the graph whose highest vertex is moved by 1/997 in x.  That vertex
+    is off the answer's grid, which reading the split raises as
+    OracleInconsistency; a read that dropped it as no cut returned the
+    graph itself."""
+    K = generate_complex(GeneratorConfig(2, 20, 1, [0.3], seed=0))
+    oracle = Oracle(K)
+    _, frame, ledger = vertex_stage(oracle)
+    calls = find_edges_recording_calls(monkeypatch, ledger, oracle, frame)
+    first = next(call["splits"][0] for call in calls if call["splits"])
+    vertices = dict(K.vertices)
+    top = max(vertices, key=lambda v: vertices[v][0])
+    x, y = vertices[top]
+    vertices[top] = (x + F(1, 997), y)
+    moved = build_complex(2, vertices, K.maximal_simplices())
+    tampered = MovedVertexOracle(K, moved, first[2].direction)
+    with pytest.raises(OracleInconsistency, match="off the grid of a split"):
+        reconstruct(tampered)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 from apdrec import (
     GenerationFailure,
     GeneratorConfig,
+    complexes_match,
     edge_query_bound,
     generate_complex,
     serialize_complex,
@@ -253,6 +254,17 @@ def test_report_mismatch_fields():
     K = cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1)])
     report = verify_roundtrip(K)
     assert report.exact_match and not report.missing and not report.extra
+
+
+def test_complexes_match_up_to_relabeling_only():
+    """The same complex with its vertices renumbered matches; one edge less,
+    one vertex moved and one vertex less do not."""
+    points = [(0, 0), (1, 2), (3, 1)]
+    K = cx(2, points, [(0, 1), (1, 2)])
+    assert complexes_match(cx(2, points[::-1], [(2, 1), (1, 0)]), K)
+    assert not complexes_match(cx(2, points, [(0, 1), (2,)]), K)
+    assert not complexes_match(cx(2, [(0, 0), (1, 2), (3, 2)], [(0, 1), (1, 2)]), K)
+    assert not complexes_match(cx(2, points[:2], [(0, 1)]), K)
 
 
 def test_verify_roundtrip_reports_a_wrong_reconstruction(monkeypatch):

@@ -1,0 +1,195 @@
+"""Mutation smoke: the tests must fail when a check is removed.
+
+Each mutant is one exact-text edit of a file under ``src/apdrec``: a check
+turned off, a result forced, two values swapped.  For each, the tool copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, makes
+the edit there (never in the checkout), and runs
+
+    python -m pytest -x -q -p no:cacheprovider <selection>
+
+in the copy.  The mutant is killed when the selection fails, and survives
+when it passes.  Run from anywhere, with no arguments:
+
+    python tools/mutants.py
+
+It prints one line per mutant and exits 1 if a mutant survives, if pytest
+ends in anything other than a pass or a test failure (a mutant that does
+not import is no test of the checks), or if an old text does not occur
+exactly once in its file; the texts are all checked before any test runs.
+A new mutant goes at the end of the list; a survivor is a missing test,
+never a reason to drop the mutant.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    selection: Tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant(
+        "verify_roundtrip reports every round trip exact",
+        "src/apdrec/harness.py",
+        "    exact = matched == truth_set\n",
+        "    exact = True\n",
+        ("tests/test_harness.py",),
+    ),
+    Mutant(
+        "complexes_match returns True",
+        "src/apdrec/harness.py",
+        "    return _in_truth_ids(recovered, truth) == set(truth.simplices)\n",
+        "    return True\n",
+        ("tests/test_harness.py",),
+    ),
+    Mutant(
+        "find_coordinate: the birth-count check of e_i off",
+        "src/apdrec/vertices.py",
+        "    if len(target_heights) != len(heights):\n",
+        "    if False:\n",
+        ("tests/test_vertices.py",),
+    ),
+    Mutant(
+        "find_coordinate: the birth-count check of s_t off",
+        "src/apdrec/vertices.py",
+        "    if len(tilted) != len(heights):\n",
+        "    if False:\n",
+        ("tests/test_vertices.py",),
+    ),
+    Mutant(
+        "CountLedger.check checks no diagram",
+        "src/apdrec/vertices.py",
+        "        for dgm, levels in zip(self.diagrams, self.levels):\n",
+        "        for dgm, levels in zip(self.diagrams[:0], self.levels):\n",
+        ("tests/test_higher.py",),
+    ),
+    Mutant(
+        "_euler_steps swaps even and odd",
+        "src/apdrec/descriptors.py",
+        "            even += de\n            odd += do\n",
+        "            even += do\n            odd += de\n",
+        ("tests/test_descriptors.py",),
+    ),
+    Mutant(
+        "edge stage: the equal-count check of record off",
+        "src/apdrec/edges.py",
+        "            if prefix.setdefault(end, count) != count:\n",
+        "            if prefix.setdefault(end, count) != count and False:\n",
+        ("tests/test_edges.py",),
+    ),
+    Mutant(
+        "edge stage: the 0 <= count <= end - start check off",
+        "src/apdrec/edges.py",
+        "        if not 0 <= count <= end - start:\n",
+        "        if False:\n",
+        ("tests/test_edges.py",),
+    ),
+    Mutant(
+        "_level_count: the lone-vertex check off",
+        "src/apdrec/higher.py",
+        "    if dgm.histogram[0][level] != len(simplex):\n",
+        "    if False:\n",
+        ("tests/test_higher.py",),
+    ),
+    Mutant(
+        "reduction: upto[l] keeps one vertex star per level",
+        "src/apdrec/oracle.py",
+        "                upto[l] |= star\n",
+        "                upto[l] = star\n",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "compute_indegree swaps the face and complement tilts",
+        "src/apdrec/higher.py",
+        "            tilted[i], tilted[-1 - i] = _tilted(",
+        "            tilted[-1 - i], tilted[i] = _tilted(",
+        ("tests/test_higher.py",),
+    ),
+    Mutant(
+        "format_rational writes through str(Fraction)",
+        "src/apdrec/geometry.py",
+        "    x = Fraction(x)\n    text = str(Decimal(x.numerator))\n"
+        '    return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"\n',
+        "    return str(Fraction(x))\n",
+        ("tests/test_complexes.py",),
+    ),
+    Mutant(
+        "read_cuts gives None off the grid",
+        "src/apdrec/edges.py",
+        "    if None in levels:\n"
+        '        raise OracleInconsistency("a vertex is off the grid of a split diagram")\n'
+        "    return [None if vertices[i] != 1 else (p, q, edges[i]) for i in levels]\n",
+        "    return [\n"
+        "        None if i is None or vertices[i] != 1 else (p, q, edges[i]) for i in levels\n"
+        "    ]\n",
+        ("tests/test_edges.py",),
+    ),
+]
+
+
+def check_texts() -> list:
+    """One line per mutant whose old text does not occur exactly once."""
+    bad = []
+    for m in MUTANTS:
+        count = (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            bad.append(f"{m.name}: old text occurs {count} times in {m.path}")
+    return bad
+
+
+def run(mutant: Mutant) -> Tuple[int, float]:
+    """pytest's exit code on the selection with the mutant applied in a
+    temporary copy, and the seconds it took."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    with tempfile.TemporaryDirectory(prefix="apdrec-mutant-") as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        target = copy / mutant.path
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        start = time.perf_counter()
+        done = subprocess.run(
+            command + list(mutant.selection),
+            cwd=copy,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        return done.returncode, time.perf_counter() - start
+
+
+def main() -> int:
+    bad = check_texts()
+    for line in bad:
+        print(f"error: {line}")
+    if bad:
+        return 1
+    failed = 0
+    for m in MUTANTS:
+        code, seconds = run(m)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+        failed += code != 1
+        print(f"{verdict:>12}  {seconds:5.1f} s  {m.name}  [{' '.join(m.selection)}]")
+    print(f"{len(MUTANTS) - failed}/{len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

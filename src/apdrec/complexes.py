@@ -92,27 +92,33 @@ def build_complex(
 ) -> SimplicialComplex:
     """Downward closure of the given maximal simplices.
 
-    Idempotent when the input is already closed.  Raises InvalidInput on
-    unknown vertex ids, duplicate vertices within a simplex, or a simplex of
-    dimension larger than the ambient dimension.
+    Idempotent when the input is already closed.  Raises InvalidInput on a
+    vertex id that is no int, a coordinate that is no rational, unknown
+    vertex ids, duplicate vertices within a simplex, a simplex that is no
+    collection of ids, or a simplex of dimension larger than the ambient
+    dimension.
     """
     vertices: Dict[int, Vector] = {}
-    for vid, coords in vertex_points.items():
-        point = as_vector(coords)
-        if len(point) != ambient_dim:
-            raise InvalidInput(f"vertex {vid} has {len(point)} coordinates, want {ambient_dim}")
-        vertices[int(vid)] = point
+    try:
+        for vid, coords in vertex_points.items():
+            point = as_vector(coords)
+            if len(point) != ambient_dim:
+                raise InvalidInput(f"vertex {vid} is not a point of R^{ambient_dim}")
+            vertices[int(vid)] = point
 
-    closed = {(v,) for v in vertices}
-    for raw in maximal_simplices:
-        simplex = make_simplex(raw)
-        for v in simplex:
-            if v not in vertices:
-                raise InvalidInput(f"simplex {simplex} references unknown vertex {v}")
-        if len(simplex) - 1 > ambient_dim:
-            raise InvalidInput(f"simplex {simplex} exceeds ambient dimension {ambient_dim}")
-        for size in range(1, len(simplex) + 1):
-            closed.update(combinations(simplex, size))
+        closed = {(v,) for v in vertices}
+        for raw in maximal_simplices:
+            simplex = make_simplex(raw)
+            for v in simplex:
+                if v not in vertices:
+                    raise InvalidInput(f"simplex {simplex} has unknown vertex {v}")
+            if len(simplex) - 1 > ambient_dim:
+                raise InvalidInput(f"simplex {simplex} exceeds dimension {ambient_dim}")
+            for size in range(1, len(simplex) + 1):
+                closed.update(combinations(simplex, size))
+    except (TypeError, ValueError) as exc:
+        # a vertex id that is no int, or a simplex that is no collection of ids
+        raise InvalidInput(f"malformed complex input: {exc}") from exc
     return SimplicialComplex(ambient_dim, vertices, frozenset(closed))
 
 

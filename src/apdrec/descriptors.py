@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 
 from .complexes import SimplicialComplex
 from .geometry import Direction, dot
-from .oracle import AugmentedDiagram, _check_direction
+from .oracle import AugmentedDiagram, _read_direction
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,11 @@ def euler_curve_direct(complex_: SimplicialComplex, direction: Direction) -> Ste
 
     A simplex enters at its lower-star height, the largest height of its
     vertices.  This is the reference the diagram's curve is checked
-    against.  Raises InvalidInput for a zero direction or one whose length
-    is not the ambient dimension of the complex.
+    against.  Raises InvalidInput for a direction that ``_read_direction``
+    refuses: an entry that is no rational, a zero direction, or one whose
+    length is not the ambient dimension of the complex.
     """
-    _check_direction(direction, complex_.ambient_dim)
+    direction = _read_direction(direction, complex_.ambient_dim)
     vh = {v: dot(direction, p) for v, p in complex_.vertices.items()}
     deltas: Dict[Fraction, List[int]] = {}
     for s in complex_.simplices:

@@ -9,22 +9,27 @@ It is 0 at 0, and at the last candidate it is v's number of edges up, read
 off one shared diagram.
 
 *The plane.*  Each vertex has integer coordinates in the sweep plane, its
-heights in the two frame directions times one positive unit, and an offset
-is the difference of two vertices' coordinates.  The radial orders, the
-slopes of the splits and the cuts all work on these ints; the frame enters
-only when a split's integer slope (p, q) becomes its direction.
+heights in the two integer frame directions times one positive unit, the
+count ledger's scale, and an offset is the difference of two vertices'
+coordinates.  The radial orders, the slopes of the splits and the cuts all
+work on these ints; the frame enters only when a split's integer slope (p,
+q) becomes its integer direction p * u1 - q * u2, whose diagram is read at
+each vertex at that same unit.  Every direction the stage asks is a tuple
+of ints: the only Fractions of a reconstruction are the recovered
+coordinates.
 
-*Cuts.*  A diagram in the direction s = m * u1 - u2, for u1, u2 the frame
-and m = p / q with q > 0, puts a vertex w whose offset from a vertex u is
-(x, y) below u exactly when ``p * x < q * y``.  So when u is alone at its
-height there, the diagram's edge count at that height is the number of u's
-neighbours below the line of slope m through u: a cut (p, q, count).  At
-u's turn every neighbour below u in the sweep is known, and the candidates,
-which run in descending slope, below the line are a prefix; the cut less
-the known neighbours below its line is the prefix count at that prefix's
-length.  The known neighbours run in ascending slope, so those below the
-line are a prefix too, and one merge in slope order places all of a
-vertex's cuts at once (``_place``).
+*Cuts.*  A diagram in the integer direction s = p * u1 - q * u2, for u1, u2
+the frame and q > 0 (q times m * u1 - u2 for the slope m = p / q), puts a
+vertex w whose offset from a vertex u is (x, y) below u exactly when
+``p * x < q * y``.  So when u is alone at its height there, the diagram's
+edge count at that height is the number of u's neighbours below the line
+of slope m through u: a cut (p, q, count).  At u's turn every neighbour
+below u in the sweep is known, and the candidates, which run in descending
+slope, below the line are a prefix; the cut less the known neighbours below
+its line is the prefix count at that prefix's length.  The known
+neighbours run in ascending slope, so those below the line are a prefix
+too, and one merge in slope order places all of a vertex's cuts at once
+(``_place``).
 
 *The search.*  Consecutive prefix counts bound pieces of the candidates.  A
 piece whose count is 0 holds no endpoint and one whose count is its size
@@ -61,7 +66,7 @@ from .vertices import CountLedger
 # (p, q, count): count neighbours w of a vertex with p * x < q * y, for (x, y)
 # the offset of w from the vertex and q > 0
 Cut = Tuple[int, int, int]
-# (p, q, diagram): the diagram in the direction (p / q) * u1 - u2
+# (p, q, diagram): the diagram in the direction p * u1 - q * u2
 Split = Tuple[int, int, AugmentedDiagram]
 
 
@@ -70,9 +75,9 @@ def split_wedge(
 ) -> Split:
     """The diagram of a line through the center after ``order.ordered[after]``.
 
-    The direction is the frame's m * u1 - u2 for m = p / q, q > 0, the
-    ``separating_slope``, which puts ``ordered[:after + 1]`` strictly below
-    the center and the rest of ``ordered`` strictly above.  One logged
+    The direction is the frame's integer p * u1 - q * u2 for the
+    ``separating_slope`` p / q, q > 0, which puts ``ordered[:after + 1]``
+    strictly below the center and the rest of ``ordered`` strictly above.  One logged
     query; ``read_cuts`` reads it at the center, and again at every later
     vertex once the center's search is done.
     """
@@ -90,7 +95,7 @@ def read_cuts(
     raises OracleInconsistency: every vertex is an event at its own height,
     so the answer does not fit the recovered vertices.
 
-    u's height in m * u1 - u2 is (p * a - q * b) / (q * unit), so one
+    u's height in p * u1 - q * u2 is (p * a - q * b) / unit, so one
     ``AugmentedDiagram.levels_of`` call locates every vertex, with no
     Fraction.
     """
@@ -98,7 +103,7 @@ def read_cuts(
     top = len(dgm.heights)
     vertices = dgm.histogram.get(0) or [0] * top
     edges = dgm.histogram.get(1) or [0] * top
-    levels = dgm.levels_of([p * a - q * b for a, b in plane], q * unit)
+    levels = dgm.levels_of([p * a - q * b for a, b in plane], unit)
     if None in levels:
         raise OracleInconsistency("a vertex is off the grid of a split diagram")
     return [None if vertices[i] != 1 else (p, q, edges[i]) for i in levels]
@@ -219,11 +224,11 @@ def find_edges(
     no query.
 
     Every vertex u has integer plane coordinates (u1 . u, u2 . u) times one
-    positive unit: the ledger's integer points dotted with the frame scaled
-    to integers.  A vertex's radial order is taken on the differences of
-    those coordinates from its own, so every offset is a pair of ints, and
-    a split's diagram is read at a vertex by ``read_cuts``.  The frame
-    itself enters only the directions of the splits.
+    positive unit, the ledger's scale: its integer points dotted with the
+    frame's two integer directions.  A vertex's radial order is taken on the
+    differences of those coordinates from its own, so every offset is a
+    pair of ints, and a split's diagram is read at a vertex by
+    ``read_cuts``.  Each split asks the integer direction p * u1 - q * u2.
 
     The ledger's first diagram must lie in ``frame.u1``, or InvalidInput is
     raised.  Its edge count at a vertex is the number of edges from that
@@ -247,10 +252,9 @@ def find_edges(
     ledger.add(oracle.query(vneg(frame.u1)))
     down_degree, up_degree = ledger.counts(1, 0), ledger.counts(1, -1)
 
-    w1, w2, factor = frame.integer
     # u1 . u and u2 . u times unit, as ints
-    plane = [(dot(w1, p), dot(w2, p)) for p in ledger.scaled]
-    unit = ledger.scale * factor
+    plane = [(dot(frame.u1, p), dot(frame.u2, p)) for p in ledger.scaled]
+    unit = ledger.scale
 
     ids_by_height = sorted(range(len(plane)), key=lambda i: plane[i][0])
     edges: Set[Tuple[int, int]] = set()

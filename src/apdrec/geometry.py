@@ -7,9 +7,11 @@ normalized: only the ordering and equality of dot products ever matters, and
 both are invariant under positive scaling.  This keeps the whole pipeline
 inside the rationals (no square roots), and lets every construction return a
 positive integer multiple of its direction, which ``primitive_direction``
-reduces.  The only ``fractions.Fraction`` values of a reconstruction are the
-logged directions of the vertex stage and of the edge stage's splits, and
-the recovered points.
+reduces.  Every direction a reconstruction asks is such a tuple of ints,
+asked as it is returned: the vertex stage's tilts, the sweep frame and the
+edge stage's splits ``p * u1 - q * u2``, which the edge stage reads at the
+count ledger's unit.  The only ``fractions.Fraction`` values of a
+reconstruction are the recovered coordinates.
 
 Every kernel has one code path that is exact on ``int`` input and stays
 exact on ``Fraction`` input: a quotient is built as ``Fraction(p, q)``, never
@@ -17,7 +19,7 @@ as ``p / q``, which would give a float for two ints.  ``dot`` of two integer
 vectors is an int, ``primitive_direction`` returns ints, ``_rref``
 eliminates fraction-free, and ``_solve_particular`` and ``tilt`` return
 integer multiples of their rational answers.  ``tilt`` is the one place a
-tilted direction is formed: the vertex stage divides its result by q, and
+tilted direction is formed: the vertex stage asks its result as it is, and
 the higher stage reduces it with ``primitive_direction``.
 
 Vectors and directions are plain tuples, which makes them hashable and
@@ -51,9 +53,14 @@ Direction = Tuple[Fraction, ...]
 
 
 def as_vector(coords: Iterable) -> Vector:
-    """Coerce an iterable of ints/strings/Fractions into a Vector; a
-    Fraction is kept as it is."""
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+    """Coerce an iterable of ints/strings/Fractions into a Vector; an int or
+    a Fraction is kept as it is, and any other entry read as a Fraction.
+    Raises InvalidInput for an entry that is no rational (NaN, an infinity,
+    None, a malformed string, a string with a zero denominator)."""
+    try:
+        return tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in coords)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"entries must be rationals: {exc}") from exc
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -437,27 +444,21 @@ def tilt(weight: Tuple[int, int], s: Direction, s_prime: Direction) -> Direction
 
 @dataclass(frozen=True)
 class SweepFrame:
-    """Orthogonal direction pair spanning the projection plane of the sweep.
+    """Orthogonal pair of integer directions spanning the projection plane
+    of the sweep.
 
     The default frame is (e1, e2), matching projection onto coordinates
     (1, 2); the fallback basis built when e1 heights collide swaps in the
     tilted pair (b1, b2).  Offsets (x, y) are measured by dot products with
-    the two frame vectors.
-
-    ``integer`` is (w1, w2, f): the pair scaled to ints by their common
-    denominator f > 0, so u1 = w1 / f and u2 = w2 / f.  It is built once, with
-    the frame.
+    the two frame vectors.  Any entry that is not an int raises InvalidInput.
     """
 
-    u1: Direction
-    u2: Direction
-    integer: Tuple[IntVector, IntVector, int] = field(
-        init=False, compare=False, repr=False
-    )
+    u1: IntVector
+    u2: IntVector
 
     def __post_init__(self) -> None:
-        (w1, w2), f = scale_to_integers([self.u1, self.u2])
-        object.__setattr__(self, "integer", (w1, w2, f))
+        if not all(type(x) is int for x in (*self.u1, *self.u2)):
+            raise InvalidInput("a sweep frame holds two integer vectors")
 
 
 def standard_frame(dim: int) -> SweepFrame:
@@ -545,17 +546,14 @@ def separating_slope(order: RadialOrder, after_index: int) -> Tuple[int, int]:
     return p // g, q // g
 
 
-def separating_direction(slope: Tuple[int, int], frame: SweepFrame) -> Direction:
-    """The direction ``m * u1 - u2`` of the frame for the slope m = p / q.
+def separating_direction(slope: Tuple[int, int], frame: SweepFrame) -> IntVector:
+    """The integer direction ``p * u1 - q * u2`` of the frame for the slope
+    m = p / q, q > 0: q times ``m * u1 - u2``, so the same ray.
 
     It gives a vertex whose offset from the center is (x, y) the height
-    ``m * x - y`` above the center's, so for the ``separating_slope`` of an
-    order the vertices up to the split land strictly below the center and
-    the rest of ``ordered`` strictly above.  With the frame's integer form
-    (w1, w2, f), each coordinate is one ``Fraction(p * x - q * y, q * f)``
-    for x, y the coordinates of w1, w2.
+    ``p * x - q * y`` above the center's, so for the ``separating_slope`` of
+    an order the vertices up to the split land strictly below the center and
+    the rest of ``ordered`` strictly above.
     """
     p, q = slope
-    w1, w2, f = frame.integer
-    denominator = q * f
-    return tuple(Fraction(p * x - q * y, denominator) for x, y in zip(w1, w2))
+    return tuple([p * x - q * y for x, y in zip(frame.u1, frame.u2)])

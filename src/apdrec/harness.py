@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .complexes import PositionCheck, Simplex, SimplicialComplex, build_complex
@@ -51,19 +52,24 @@ class GeneratorConfig:
 
 
 def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
-    """Deterministic random complex satisfying the general position checks."""
-    d, n0 = config.ambient_dim, config.vertex_count
+    """Deterministic random complex satisfying the general position checks.
+
+    Raises InvalidInput for a dimension, count or bound that is no int, a
+    density that is no real number, and for any value out of its range."""
+    d, n0, kappa = config.ambient_dim, config.vertex_count, config.max_dim
+    bound = config.coordinate_denominator_bound
+    if not all(isinstance(x, int) for x in (d, n0, kappa, bound)):
+        raise InvalidInput("dimensions, counts and bounds must be ints")
     if d < 2:
         raise InvalidInput("generator needs ambient dimension >= 2")
     if n0 < 1:
         raise InvalidInput("need at least one vertex")
-    if not 0 <= config.max_dim <= d:
+    if not 0 <= kappa <= d:
         raise InvalidInput("simplex dimension must lie in 0..ambient dimension")
-    if any(not 0 <= float(x) <= 1 for x in config.densities):
-        raise InvalidInput("densities must lie in [0, 1]")
-    if config.coordinate_denominator_bound < 1:
+    if not all(isinstance(x, Real) and 0 <= x <= 1 for x in config.densities):
+        raise InvalidInput("densities must be real numbers in [0, 1]")
+    if bound < 1:
         raise InvalidInput("coordinate denominator bound must be at least 1")
-    bound = config.coordinate_denominator_bound
     span = 4 * bound
     if n0 > 2 * span + 1:
         raise InvalidInput(
@@ -95,7 +101,7 @@ def generate_complex(config: GeneratorConfig) -> SimplicialComplex:
             lifted.add(q)
 
     accepted: Dict[int, Set[Simplex]] = {0: {(v,) for v in range(n0)}}
-    for dim in range(1, config.max_dim + 1):
+    for dim in range(1, kappa + 1):
         density = config.density(dim)
         accepted[dim] = set()
         lower = accepted[dim - 1]

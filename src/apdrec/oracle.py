@@ -72,6 +72,7 @@ from .errors import InvalidInput
 from .geometry import (
     Direction,
     Vector,
+    as_vector,
     dot,
     format_rational,
     is_zero,
@@ -317,11 +318,16 @@ class AugmentedDiagram:
 # filtration and reduction
 
 
-def _check_direction(direction: Direction, ambient_dim: int) -> None:
-    if is_zero(direction):
-        raise InvalidInput("query direction must be nonzero")
-    if len(direction) != ambient_dim:
-        raise InvalidInput("direction has wrong ambient dimension")
+def _read_direction(direction, ambient_dim: int) -> Direction:
+    """The direction as ``as_vector`` reads it: int and Fraction entries
+    kept as they are, any other entry read as a Fraction, and InvalidInput
+    for an entry that is no rational (NaN, an infinity, None, a malformed
+    string).  Raises InvalidInput too for a length other than
+    ``ambient_dim`` and for the zero vector."""
+    direction = as_vector(direction)
+    if len(direction) != ambient_dim or is_zero(direction):
+        raise InvalidInput(f"a direction is a nonzero vector of {ambient_dim} entries")
+    return direction
 
 
 class BoundaryTable:
@@ -575,16 +581,9 @@ def compute_apd(complex_: SimplicialComplex, direction: Direction) -> AugmentedD
 
 
 def _apd(table: BoundaryTable, direction: Direction) -> AugmentedDiagram:
-    """compute_apd on a complex's BoundaryTable, which the Oracle keeps.
-
-    Int and Fraction entries are kept as they are; any other entry is read
-    as a Fraction.
-    """
-    direction = tuple(
-        x if type(x) is int or type(x) is Fraction else Fraction(x)
-        for x in direction
-    )
-    _check_direction(direction, table.ambient_dim)
+    """compute_apd on a complex's BoundaryTable, which the Oracle keeps,
+    for the direction as ``_read_direction`` reads it."""
+    direction = _read_direction(direction, table.ambient_dim)
     (integer,), d_scale = scale_to_integers([direction])
     distinct, level = _heights(table, integer)
     return _emit_points(direction, level, distinct, table, d_scale * table.scale)

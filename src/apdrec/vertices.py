@@ -19,10 +19,11 @@ locates each recovered vertex in each diagram once.
 The stage reads the births of the axis and tilted diagrams as their integer
 vertex heights over each diagram's denominator
 (``AugmentedDiagram.vertex_heights``), and solves on those ints; the
-ledger reads its levels through ``AugmentedDiagram.levels_of``.  Its only
-Fractions are the directions it asks (the tilts s_t and b1, whose values
-the query log records) and one per recovered coordinate.  Both tilts are
-``geometry.tilt`` of their ``tilt_weight`` (n, q), divided by q.
+ledger reads its levels through ``AugmentedDiagram.levels_of``.  Every
+direction it asks is a tuple of ints: the axes, and the tilts s_t and b1,
+each ``geometry.tilt`` of its ``tilt_weight`` (n, q) asked as it is
+returned.  The only Fractions of a reconstruction are the recovered
+coordinates, one per vertex and axis.
 """
 
 from __future__ import annotations
@@ -57,15 +58,16 @@ def find_coordinate(
     ``base`` is the diagram in the base direction (e1 unless a tilted basis
     is in play), whose vertex heights must be strictly increasing.  The
     tilt s_t towards e_i preserves their order, so the j-th sorted birth of
-    Dgm0(s_t) belongs to the j-th vertex and, writing s_t = (1-eps) * base
-    + eps * e_i with eps = n / q the ``tilt_weight`` of the base and e_i
-    heights (s_t is ``tilt((n, q), base, e_i)`` divided by q),
+    Dgm0(s_t) belongs to the j-th vertex.  s_t is ``tilt((n, q), base,
+    e_i)`` = (q - n) * base + n * e_i, asked as it is, for (n, q) the
+    ``tilt_weight`` of the base and e_i heights, so its heights are H_t[j] =
+    (q - n) * H_b[j] + n * x_i[j] and
 
-        x_i[j] = (q * H_t[j] - (q - n) * H_b[j]) / n.
+        x_i[j] = (H_t[j] - (q - n) * H_b[j]) / n.
 
     Every diagram's vertex heights are read as ints over its
     denominator, B[j] / D_b for the base and T[j] / D_t for s_t, so the
-    weight and the column are solved on ints: x_i[j] is ``(q * D_b * T[j] -
+    weight and the column are solved on ints: x_i[j] is ``(D_b * T[j] -
     (q - n) * D_t * B[j]) / (n * D_t * D_b)``, one Fraction each.
 
     Returns the coordinates and the diagrams asked, in order: two logged
@@ -97,12 +99,11 @@ def find_coordinate(
     n, q = tilt_weight(
         [b * target_den for b in heights], [t * base_den for t in target_heights]
     )
-    s_t = tuple(Fraction(x, q) for x in tilt((n, q), base_direction, e_i))
-    asked.append(oracle.query(s_t))
+    asked.append(oracle.query(tilt((n, q), base_direction, e_i)))
     tilted, tilted_den = asked[-1].vertex_heights(), asked[-1].denominator
     if len(tilted) != len(heights):
         raise OracleInconsistency("birth counts differ between directions")
-    up, down = q * base_den, (q - n) * tilted_den
+    up, down = base_den, (q - n) * tilted_den
     den = n * tilted_den * base_den
     column = [Fraction(up * t - down * h, den) for t, h in zip(tilted, heights)]
     return column, asked
@@ -115,15 +116,15 @@ def create_unique_height_basis(
 
     ``births1`` and ``births2`` are the dimension-0 births in e1 and e2, on
     one common scale (the rational heights, or the integer heights of the
-    two diagrams, whose denominators agree).  b1 is the tilt ``(1 - eps) * e1
-    + eps * e2`` with eps = n / q their ``tilt_weight``, ``tilt((n, q), e1,
-    e2)`` divided by q, so e1 ties are broken by e2 heights (distinct
+    two diagrams, whose denominators agree).  b1 is the tuple of ints
+    ``tilt((n, q), e1, e2)`` = (q - n) * e1 + n * e2 for (n, q) the
+    ``tilt_weight`` of the births scaled to ints (a positive scale, which
+    leaves n / q as it is), so e1 ties are broken by e2 heights (distinct
     projected vertices); b2 is the exact -90 degree rotation of b1 inside
     the (e1, e2) plane.  Pure: it issues no query.
     """
-    n, q = tilt_weight(births1, births2)
-    e1, e2 = basis_vector(d, 0), basis_vector(d, 1)
-    b1 = tuple(Fraction(x, q) for x in tilt((n, q), e1, e2))
+    n, q = tilt_weight(*scale_to_integers([births1, births2])[0])
+    b1 = tilt((n, q), basis_vector(d, 0), basis_vector(d, 1))
     return SweepFrame(b1, (b1[1], -b1[0]) + b1[2:])
 
 

@@ -111,10 +111,11 @@ def reference_cut(split, a: int, b: int, unit: int) -> Optional[Tuple[int, int, 
     """The cut (p, q, count) that a split (p, q, events) gives at one vertex
     with plane coordinates (a, b) over ``unit``, or None when the vertex is
     off the table's grid or not alone at its height there: its height
-    (p a - q b) / (q unit) looked up among the table's levels as Fractions,
-    and the level's vertex and edge counts read from its histogram."""
+    (p a - q b) / unit in p u1 - q u2 looked up among the table's levels as
+    Fractions, and the level's vertex and edge counts read from its
+    histogram."""
     p, q, events = split
-    height = Fraction(p * a - q * b, q * unit)
+    height = Fraction(p * a - q * b, unit)
     i = reference_level(events.heights, events.denominator, height)
     if i is None:
         return None

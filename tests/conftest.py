@@ -14,12 +14,20 @@ from apdrec import (
     generate_complex,
     orthogonal_to_affine_hull,
 )
+from apdrec.geometry import primitive_direction
 
 
 def cx(ambient_dim, points, maximal):
     """Shorthand complex constructor for tests."""
     vertex_map = {i: tuple(Fraction(c) for c in p) for i, p in enumerate(points)}
     return build_complex(ambient_dim, vertex_map, maximal)
+
+
+def ray_text(direction):
+    """The line a query-log pin hashes for one direction: its primitive
+    integer form, so every positive multiple of the ray gives the same
+    text."""
+    return (" ".join(map(str, primitive_direction(direction))) + "\n").encode()
 
 
 def tie_instances():

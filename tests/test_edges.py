@@ -40,7 +40,7 @@ from bruteforce import (
     reference_separating_slope,
     slope_sort,
 )
-from conftest import TamperedOracle, cx, shifted_count
+from conftest import TamperedOracle, cx, ray_text, shifted_count
 
 F = Fraction
 
@@ -79,8 +79,7 @@ def plane(points, frame):
     """Each vertex's heights in the frame's two directions times one positive
     unit, as ints, and that unit, computed as find_edges does."""
     scaled, scale = scale_to_integers(points)
-    (w1, w2), factor = scale_to_integers([frame.u1, frame.u2])
-    return [(dot(w1, p), dot(w2, p)) for p in scaled], scale * factor
+    return [(dot(frame.u1, p), dot(frame.u2, p)) for p in scaled], scale
 
 
 def plane_order(points, frame, vertex):
@@ -450,9 +449,8 @@ def find_edges_recording_cuts(monkeypatch, points, oracle, frame, ledger):
 
 
 def split_direction(frame, p, q):
-    """The direction (p / q) * u1 - u2 of a split or cut."""
-    m = F(p, q)
-    return tuple(m * x - y for x, y in zip(frame.u1, frame.u2))
+    """The integer direction p * u1 - q * u2 of a split or cut."""
+    return tuple(p * x - q * y for x, y in zip(frame.u1, frame.u2))
 
 
 def edge_segments(K):
@@ -479,7 +477,7 @@ def free_cut_inputs():
         yield K, points, oracle, frame, ledger
     K = complexes[1]
     oracle = Oracle(K)
-    frame = SweepFrame((F(1), F(1, 3)), (F(1, 2), F(1)))
+    frame = SweepFrame((6, 2), (3, 6))
     points = ordered_points(K)
     yield K, points, oracle, frame, CountLedger(points, [oracle.query(frame.u1)])
 
@@ -513,14 +511,14 @@ def test_every_free_cut_counts_the_true_up_neighbours_below_its_line(monkeypatch
 
 def test_vertices_sharing_a_height_in_a_split_diagram_take_no_cut(monkeypatch):
     """Vertex 0's first split, after b in its order a, b, w, u, asks
-    (7/3, -1), the slope of w - u, so u and w share a height there, where
+    (7, -3), for the slope 7/3 of w - u, so u and w share a height there, where
     the diagram counts u - a, u - b and w - a together.  Neither takes a cut
     from it, and the edges come back."""
     K = shared_height_complex()
     points, oracle, frame, ledger = sweep_inputs(K)
     found, calls = find_edges_recording_cuts(monkeypatch, points, oracle, frame, ledger)
     assert edge_segments(found) == edge_segments(K)
-    assert oracle.log.directions[2] == (F(7, 3), F(-1))
+    assert oracle.log.directions[2] == (7, -3)
     cuts = {vertex: {(p, q) for p, q, _ in cuts} for vertex, _, cuts, _ in calls}
     assert (7, 3) in cuts[1]
     assert (7, 3) not in cuts[3] | cuts[4]
@@ -842,7 +840,8 @@ def test_integer_radial_order_matches_the_rational_one(data):
         direction = separating_direction((p, q), frame)
         assert direction == split_direction(frame, p, q)
         height = dot(direction, points[0])
-        assert F(p, q) * c1 - c2 == height
+        assert all(type(x) is int for x in direction)
+        assert p * c1 - q * c2 == height
         below = [vid for vid in ids if dot(direction, points[vid]) < height]
         assert set(below) & {vid for vid, _ in order.ordered} == {
             vid for vid, _ in order.ordered[: after + 1]
@@ -871,14 +870,18 @@ def test_integer_radial_order_matches_the_rational_one(data):
     assert indegree - len(below) == len(neighbours & set(candidates[:mid]))
 
 
-FALLBACK_LOG_SHA256 = "a7ceb3217c6099bf33eb9e9ebf8bd8e24d9849203ebfe533e3a959e75e635a1c"
+FALLBACK_LOG_SHA256 = "8865d4099b5cb1b3d7d22443cc9436a2986f54fc5c8b172cfd8bb756ed6ab8a0"
 
 
 def test_query_log_of_the_fallback_basis_complex_is_pinned():
     """The edge stage in a tilted frame asks the same directions, in the same
     spans, as it did on rational offsets.  The digest was recorded after
     checking that the log equals the one on rational offsets, less exactly
-    the predicate spans of the candidates that the count rule rejects."""
+    the predicate spans of the candidates that the count rule rejects.  It
+    hashes each direction as its ray (``ray_text``), and was re-recorded
+    once when the vertex stage asked its tilts as ints: the tilt weight of
+    each s_t is then measured against b1 at its integer scale, which moved
+    the rays of the three s_t tilts and no other entry."""
     from test_harness import fallback_basis_complex
 
     K = fallback_basis_complex()
@@ -887,5 +890,5 @@ def test_query_log_of_the_fallback_basis_complex_is_pinned():
     assert oracle.log.queries("edges") > 1  # the tilted frame splits wedges
     digest = hashlib.sha256(repr(oracle.log.spans).encode())
     for direction in oracle.log.directions:
-        digest.update((" ".join(str(x) for x in direction) + "\n").encode())
+        digest.update(ray_text(direction))
     assert digest.hexdigest() == FALLBACK_LOG_SHA256

@@ -26,6 +26,7 @@ from apdrec.geometry import (
     _solve_particular,
     affine_hyperplane,
     affinely_independent,
+    as_vector,
     basis_vector,
     dot,
     parallel,
@@ -405,7 +406,7 @@ def test_separating_direction_properties_random():
     and the rest above, and misses every vertex, by ints and by the
     direction's dot products."""
     rng = random.Random(21)
-    frame = SweepFrame((F(1), F(1, 3)), (F(-1, 2), F(3, 2)))
+    frame = SweepFrame((6, 2), (-3, 9))
     for _ in range(80):
         offsets = random_offsets(rng, rng.randint(1, 8), high=12, below=0.4)
         order = radial_order(offsets)
@@ -419,9 +420,39 @@ def test_separating_direction_properties_random():
             for pos, (_, off) in enumerate(order.ordered):
                 assert (p * off[0] < q * off[1]) == (pos <= after)
                 assert (dot(s, off) < 0) == (pos <= after)
-            # in any frame: the height of an offset (x, y) is m * x - y
+            # in any frame: the ints p * u1 - q * u2, q times m * u1 - u2
             tilted = separating(order, after, frame)
-            assert tilted == tuple(F(p, q) * a - b for a, b in zip(frame.u1, frame.u2))
+            assert all(type(x) is int for x in tilted)
+            rational = [F(p, q) * a - b for a, b in zip(frame.u1, frame.u2)]
+            assert tilted == tuple(q * x for x in rational)
+
+
+@pytest.mark.parametrize(
+    "u1, u2",
+    [
+        ((F(1), 0), (0, 1)),
+        ((1, 0), (0, F(1, 2))),
+        ((1.0, 0), (0, 1)),
+        ((1, 0), (0, True)),
+    ],
+)
+def test_a_sweep_frame_holds_two_integer_vectors(u1, u2):
+    """A frame with an entry that is not an int, even an integral Fraction,
+    raises InvalidInput as it is built, not later in a split's arithmetic."""
+    with pytest.raises(InvalidInput):
+        SweepFrame(u1, u2)
+
+
+def test_as_vector_keeps_ints_and_fractions_and_reads_the_rest():
+    got = as_vector((1, F(1, 2), "3/4", 0.5))
+    assert got == (1, F(1, 2), F(3, 4), F(1, 2))
+    assert [type(x) for x in got] == [int, F, F, F]
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), "x", "1/0", None, 1j])
+def test_as_vector_refuses_an_entry_that_is_no_rational(entry):
+    with pytest.raises(InvalidInput):
+        as_vector((1, entry))
 
 
 # ---------------------------------------------------------------------------

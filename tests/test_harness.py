@@ -6,6 +6,7 @@ import pytest
 from apdrec import (
     GenerationFailure,
     GeneratorConfig,
+    build_complex,
     complexes_match,
     edge_query_bound,
     generate_complex,
@@ -241,6 +242,33 @@ def test_fallback_basis_through_all_stages():
     assert report.exact_match and report.used_fallback_basis
     assert report.vertex_queries == 2 * 3 - 1 + 2
     assert report.predicate_bound_ok
+
+
+def test_fallback_basis_round_trips_on_tied_acceptance_complexes():
+    """Every acceptance config with triangles allowed (kappa >= 2, d 3-5),
+    with its vertex 1 moved to vertex 0's first coordinate: the tie sends
+    the vertex stage to the tilted frame, which the edge stage sweeps in.
+    Each round trip is exact, with 2d - 1 + 2 vertex queries and every
+    query bound met."""
+    from test_acceptance import _trial_configs
+
+    dims, with_triangles = set(), 0
+    for config in _trial_configs():
+        if config.max_dim < 2:
+            continue
+        K = generate_complex(config)
+        points = dict(K.vertices)
+        points[1] = points[0][:1] + points[1][1:]
+        tied = build_complex(K.ambient_dim, points, K.maximal_simplices())
+        assert validate_general_position(tied).ok
+        report = verify_roundtrip(tied)
+        assert report.exact_match and report.used_fallback_basis
+        assert report.vertex_queries == 2 * K.ambient_dim + 1
+        assert report.all_bounds_ok
+        dims.add(K.ambient_dim)
+        with_triangles += bool(tied.simplices_of_dim(2))
+    assert dims == {3, 4, 5}
+    assert with_triangles >= 10
 
 
 def test_edge_query_bound_formula():

@@ -25,7 +25,7 @@ from apdrec.higher import _isolating_direction
 from apdrec.oracle import lift_point
 
 from bruteforce import brute_coface_count, count_rejection_replay
-from conftest import TamperedOracle, cx
+from conftest import TamperedOracle, cx, ray_text
 
 F = Fraction
 
@@ -690,7 +690,7 @@ PINNED_SLICE = [2, 8, 17, 20, 27, 32, 36, 39, 45]
 # the slice plus the lifted config: the log of the rational geometry with the
 # spans of the candidates that the per-vertex counts reject taken out, and
 # the edge splits that free cuts decide taken out
-PINNED_LOG_SHA256 = "8f9eced4565a1ab4763c9f8f29bba2355ae142278b78a79e0e48c3d175bec6ac"
+PINNED_LOG_SHA256 = "5e6e100d421596ef931b3aae16e2f1e1cfb87413237de1731f7a5e7b18f9c48e"
 
 
 def test_query_log_of_a_corpus_slice_is_pinned():
@@ -704,6 +704,8 @@ def test_query_log_of_a_corpus_slice_is_pinned():
     the candidates that the count rule rejects, and re-recorded after
     checking that free cuts leave every span but "edges" and every
     direction outside it as they were, and the "edges" span no longer.
+    Each direction is hashed as its ray, in primitive integer form
+    (``ray_text``): a diagram depends only on the ray of its direction.
     """
     import hashlib
 
@@ -723,18 +725,40 @@ def test_query_log_of_a_corpus_slice_is_pinned():
         calls += [(cfg.ambient_dim, k) for k, _ in oracle.log.predicate_calls]
         digest.update(repr(oracle.log.spans).encode())
         for direction in oracle.log.directions:
-            digest.update((" ".join(str(x) for x in direction) + "\n").encode())
+            digest.update(ray_text(direction))
     assert {d for d, _ in calls} == {3, 4, 5}
     assert (3, 3) in calls  # the lifted pass, k == d
     assert any(k == 3 and d > 3 for d, k in calls)
     assert digest.hexdigest() == PINNED_LOG_SHA256
 
 
+def test_a_reconstruction_asks_only_integer_directions():
+    """Every direction in the query log is a tuple of ints, in every stage:
+    on the pinned corpus slice, the lifted config, and the fallback-basis
+    complex, whose vertex stage tilts its frame and whose edge stage splits
+    in it."""
+    from test_acceptance import _trial_configs
+    from test_harness import fallback_basis_complex
+
+    corpus = _trial_configs()
+    lifted = GeneratorConfig(
+        3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2, lift_general_position=True
+    )
+    complexes = [generate_complex(corpus[i]) for i in PINNED_SLICE]
+    complexes += [generate_complex(lifted), fallback_basis_complex()]
+    for K in complexes:
+        oracle = Oracle(K)
+        assert complexes_match(reconstruct(oracle), K)
+        for direction in oracle.log.directions:
+            assert type(direction) is tuple
+            assert all(type(x) is int for x in direction), direction
+
+
 # the scale corpus: (d, n0, vertex, edge and higher-stage queries), each
 # generated with seed 7, kappa 2 and densities 0.5, 0.6
 SCALE_CORPUS = [(3, 25, 5, 68, 1920), (4, 20, 7, 38, 516)]
 # every span and direction of the 50 acceptance configs, then the scale corpus
-CORPUS_LOG_SHA256 = "1d44417fa3120f9088b3c104d79b8d3ecb06543c11a2a64a9d0f61fe25332b4f"
+CORPUS_LOG_SHA256 = "85d4b335c7bac79280b1ab15a1aca94f718eb8435374d0a16a2c2dffc2d6b59f"
 
 
 def test_query_log_of_the_whole_corpus_is_pinned():
@@ -743,7 +767,9 @@ def test_query_log_of_the_whole_corpus_is_pinned():
     complexes, whose stage query counts are also checked.  The digest was
     recorded before the higher stage derived each face's complement from
     the face's own plane-filling solve, so the shared solve asks what the
-    separate solves asked."""
+    separate solves asked.  Each direction is hashed as its ray
+    (``ray_text``), and the digest was recorded so before the vertex and
+    edge stages asked their directions as ints, which kept every ray."""
     import hashlib
 
     from test_acceptance import _trial_configs
@@ -766,7 +792,7 @@ def test_query_log_of_the_whole_corpus_is_pinned():
         )
         digest.update(repr(log.spans).encode())
         for direction in log.directions:
-            digest.update((" ".join(str(x) for x in direction) + "\n").encode())
+            digest.update(ray_text(direction))
     assert stage_counts[-2:] == [tuple(spec[2:]) for spec in SCALE_CORPUS]
     assert digest.hexdigest() == CORPUS_LOG_SHA256
 

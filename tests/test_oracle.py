@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -281,6 +282,47 @@ def test_invalid_directions_raise_unlogged(direction):
         compute_apd(K, direction)
     with pytest.raises(InvalidInput):
         euler_curve_direct(K, direction)
+
+
+NOT_RATIONAL = [float("nan"), float("inf"), float("-inf"), "x", "1/0", None]
+MALFORMED = {
+    **{
+        f"{name} entry {x!r}": (name, x)
+        for name in ("compute_apd", "query", "euler_curve_direct", "coordinate")
+        for x in NOT_RATIONAL
+    },
+    "vertex id 'a'": ("vertex id", "a"),
+    "simplex None": ("simplex", None),
+    "vertex_count 3.5": ("config", {"vertex_count": 3.5}),
+    "coordinate_denominator_bound 2.5": (
+        "config", {"coordinate_denominator_bound": 2.5}
+    ),
+    "densities ['x']": ("config", {"densities": ["x"]}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_numbers_passed_to_the_library_raise_invalid_input(case):
+    """A direction or coordinate entry that is no rational, a vertex id that
+    is no int, a simplex that is no collection of ids and a generator config
+    with a count that is no int or a density that is no number each end as
+    InvalidInput, never as a ValueError, OverflowError or TypeError, and never
+    in a curve with a breakpoint at NaN; a query refused so is not logged."""
+    name, value = case
+    K = edge_complex()
+    oracle = Oracle(K)
+    calls = {
+        "compute_apd": lambda: compute_apd(K, (value, 1)),
+        "query": lambda: oracle.query((1, value)),
+        "euler_curve_direct": lambda: euler_curve_direct(K, (value, 1)),
+        "coordinate": lambda: build_complex(2, {0: (0, 0), 1: (value, 1)}, [(0, 1)]),
+        "vertex id": lambda: build_complex(2, {value: (0, 0)}, []),
+        "simplex": lambda: build_complex(2, {0: (0, 0)}, [value]),
+        "config": lambda: generate_complex(replace(GeneratorConfig(2, 3, 1), **value)),
+    }
+    with pytest.raises(InvalidInput):
+        calls[name]()
+    assert oracle.log.count == 0
 
 
 def test_lift_examples():

@@ -20,7 +20,7 @@ F = Fraction
 
 
 def test_find_coordinate_hand_trace():
-    # vertices (0,0) and (1,2): eps = 1/6, tilt (5/6, 1/6), births [0, 7/6]
+    # vertices (0,0) and (1,2): weight (1, 6), tilt 5 * e1 + e2, births [0, 7]
     K = cx(2, [(0, 0), (1, 2)], [])
     oracle = Oracle(K)
     base = oracle.query((1, 0))
@@ -28,7 +28,9 @@ def test_find_coordinate_hand_trace():
     xs, asked = find_coordinate(2, base, oracle)
     assert xs == [0, 2]
     assert [dgm.direction for dgm in asked] == oracle.log.directions[1:]
-    assert oracle.log.directions[-1] == (F(5, 6), F(1, 6))
+    assert oracle.log.directions[-1] == (5, 1)
+    assert asked[-1].births(0) == [0, 7]
+    assert all(type(x) is int for d in oracle.log.directions for x in d)
     assert oracle.log.count == 3  # e1, e2, tilt
 
 
@@ -57,7 +59,7 @@ def test_find_coordinate_rejects_an_index_outside_1_to_d(i):
     assert oracle.log.count == 1
 
 
-@pytest.mark.parametrize("tampered, asked", [((0, 1), 2), ((F(5, 6), F(1, 6)), 3)])
+@pytest.mark.parametrize("tampered, asked", [((0, 1), 2), ((5, 1), 3)])
 def test_find_coordinate_rejects_an_answer_with_a_vertex_less(tampered, asked):
     """An answer that counts one vertex less than the base, in e_2 or in the
     tilt s_t of the hand trace, raises OracleInconsistency as soon as it is

@@ -137,6 +137,42 @@ MUTANTS = [
         "    ]\n",
         ("tests/test_edges.py",),
     ),
+    Mutant(
+        "read_cuts reads at q * unit",
+        "src/apdrec/edges.py",
+        "    levels = dgm.levels_of([p * a - q * b for a, b in plane], unit)\n",
+        "    levels = dgm.levels_of([p * a - q * b for a, b in plane], q * unit)\n",
+        ("tests/test_edges.py",),
+    ),
+    Mutant(
+        "separating_direction returns q * y - p * x",
+        "src/apdrec/geometry.py",
+        "    return tuple([p * x - q * y for x, y in zip(frame.u1, frame.u2)])\n",
+        "    return tuple([q * y - p * x for x, y in zip(frame.u1, frame.u2)])\n",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "find_coordinate: up back to q * base_den",
+        "src/apdrec/vertices.py",
+        "    up, down = base_den, (q - n) * tilted_den\n",
+        "    up, down = q * base_den, (q - n) * tilted_den\n",
+        ("tests/test_vertices.py",),
+    ),
+    Mutant(
+        "_read_direction reads without as_vector's error conversion",
+        "src/apdrec/oracle.py",
+        "    direction = as_vector(direction)\n",
+        "    direction = tuple(direction)\n",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "as_vector converts no error to InvalidInput",
+        "src/apdrec/geometry.py",
+        "    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:"
+        "\n",
+        "    except () as exc:\n",
+        ("tests/test_geometry.py",),
+    ),
 ]
 
 

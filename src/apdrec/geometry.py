@@ -22,6 +22,14 @@ integer multiples of their rational answers.  ``tilt`` is the one place a
 tilted direction is formed: the vertex stage asks its result as it is, and
 the higher stage reduces it with ``primitive_direction``.
 
+Clearing denominators is the identity on a vector or row whose entries all
+have type exactly ``int`` (``_all_ints``), so ``as_vector``,
+``scale_to_integers``, ``primitive_direction`` and ``_rref`` skip it there
+and give the same values and types as they would through it.  A ``bool`` or
+``Fraction`` entry takes the clearing path.  Every direction a
+reconstruction asks and every plane-filling row it solves is all ints, so
+the fast path is the common one.
+
 Vectors and directions are plain tuples, which makes them hashable and
 trivially immutable.
 """
@@ -52,13 +60,29 @@ Direction = Tuple[Fraction, ...]
 # basic vector helpers
 
 
+def _all_ints(v: Iterable) -> bool:
+    """True iff every entry has type exactly int: a bool or a Fraction is
+    not one."""
+    return set(map(type, v)) <= {int}
+
+
 def as_vector(coords: Iterable) -> Vector:
     """Coerce an iterable of ints/strings/Fractions into a Vector; an int or
-    a Fraction is kept as it is, and any other entry read as a Fraction.
-    Raises InvalidInput for an entry that is no rational (NaN, an infinity,
-    None, a malformed string, a string with a zero denominator)."""
+    a Fraction is kept as it is, a string read by ``parse_rational``, and
+    any other entry read as a Fraction.  A tuple of ints is returned as it
+    is.  Raises InvalidInput for an entry that is no rational (NaN, an
+    infinity, None, a malformed string, a string with a zero denominator or
+    more than ``MAX_RATIONAL_DIGITS`` digits)."""
     try:
-        return tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in coords)
+        coords = tuple(coords)
+        if _all_ints(coords):
+            return coords
+        return tuple(
+            c if type(c) in (int, Fraction)
+            else parse_rational(c) if isinstance(c, str)
+            else Fraction(c)
+            for c in coords
+        )
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise InvalidInput(f"entries must be rationals: {exc}") from exc
 
@@ -76,8 +100,12 @@ def scale_to_integers(
     """(rows times L, L) for L the common denominator of every entry.
 
     Each scaled row is a tuple of ints.  L > 0, so every dot product with a
-    scaled row is L times the rational one: order and ties are kept.
+    scaled row is L times the rational one: order and ties are kept.  When
+    every entry is an int, L = 1 and the rows are returned as tuples, with
+    no denominator looked up.
     """
+    if all(map(_all_ints, rows)):
+        return list(map(tuple, rows)), 1
     scale = math.lcm(*[x.denominator for row in rows for x in row])
     scaled = [
         tuple([x.numerator * (scale // x.denominator) for x in row]) for row in rows
@@ -86,11 +114,11 @@ def scale_to_integers(
 
 
 def vsub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vneg(a: Vector) -> Vector:
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def basis_vector(dim: int, index: int) -> IntVector:
@@ -98,16 +126,25 @@ def basis_vector(dim: int, index: int) -> IntVector:
 
 
 def is_zero(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def parallel(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
-    """True iff a and b are linearly dependent (checks all 2x2 minors)."""
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
+    """True iff a and b are linearly dependent: every 2x2 minor ``a_i * b_j
+    - a_j * b_i`` is zero.
+
+    A zero a is parallel to everything.  Otherwise, with a_i the first
+    nonzero entry of a, the d minors through column i vanish exactly when b
+    = (b_i / a_i) * a, which makes every other minor vanish too, so only
+    those are tested, over every column j: O(d), not O(d^2).
+    """
+    for i, ai in enumerate(a):
+        if ai:
+            bi = b[i]
+            for x, y in zip(a, b):
+                if ai * y != bi * x:
+                    return False
+            return True
     return True
 
 
@@ -115,14 +152,16 @@ def primitive_direction(d: Sequence[Fraction]) -> IntVector:
     """Scale a direction by a positive rational to primitive integer form.
 
     The orientation is preserved; scaled duplicates map to the same tuple of
-    ints.
+    ints.  Entries that are all ints are only divided by their gcd; any
+    other entries are first scaled to ints by the lcm of their denominators.
     """
     if is_zero(d):
         raise InvalidInput("zero vector has no direction")
-    denom_lcm = math.lcm(*(x.denominator for x in d))
-    ints = [x.numerator * (denom_lcm // x.denominator) for x in d]
-    g = math.gcd(*ints)
-    return tuple(v // g for v in ints)
+    if not _all_ints(d):
+        denom_lcm = math.lcm(*[x.denominator for x in d])
+        d = [x.numerator * (denom_lcm // x.denominator) for x in d]
+    g = math.gcd(*d)
+    return tuple([v // g for v in d])
 
 
 def format_rational(x: Fraction) -> str:
@@ -213,10 +252,14 @@ def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[int]], List[int]]:
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    """Each row times the lcm of its denominators: ints, in new lists."""
+    """Each row times the lcm of its denominators: ints, in new lists.  A
+    row of ints is copied as it is."""
     out = []
     for row in rows:
-        m = math.lcm(*(x.denominator for x in row))
+        if _all_ints(row):
+            out.append(list(row))
+            continue
+        m = math.lcm(*[x.denominator for x in row])
         out.append([x.numerator * (m // x.denominator) for x in row])
     return out
 
@@ -391,7 +434,7 @@ def _crossing(heights: Sequence, heights_prime: Sequence) -> Optional[Tuple]:
     distinct = sorted(set(heights))
     if len(distinct) < 2:
         return None
-    min_gap = min(b - a for a, b in zip(distinct, distinct[1:]))
+    min_gap = min(map(operator.sub, distinct[1:], distinct))
     return min_gap, min_gap + max(heights_prime) - min(heights_prime)
 
 
@@ -435,7 +478,7 @@ def tilt(weight: Tuple[int, int], s: Direction, s_prime: Direction) -> Direction
         raise ParallelDirections("tilt requires linearly independent directions")
     n, q = weight
     m = q - n
-    return tuple(m * a + n * b for a, b in zip(s, s_prime))
+    return tuple([m * a + n * b for a, b in zip(s, s_prime)])
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +500,7 @@ class SweepFrame:
     u2: IntVector
 
     def __post_init__(self) -> None:
-        if not all(type(x) is int for x in (*self.u1, *self.u2)):
+        if not _all_ints((*self.u1, *self.u2)):
             raise InvalidInput("a sweep frame holds two integer vectors")
 
 

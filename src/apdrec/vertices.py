@@ -177,7 +177,7 @@ class CountLedger:
         for dgm, levels in zip(self.diagrams, self.levels):
             row = [0] * len(dgm.heights)
             for simplex in found:
-                row[max([levels[v] for v in simplex])] += 1
+                row[max(map(levels.__getitem__, simplex))] += 1
             if row != (dgm.histogram.get(k) or [0] * len(row)):
                 raise OracleInconsistency(
                     f"the {k}-simplices found do not meet the diagram "

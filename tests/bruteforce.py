@@ -587,3 +587,10 @@ def leibniz_determinant(rows: Sequence[Sequence]) -> Fraction:
             term *= rows[r][c]
         total += term
     return total
+
+
+def reference_parallel(a: Sequence, b: Sequence) -> bool:
+    """Linear dependence by definition: every 2x2 minor is zero."""
+    return all(
+        a[i] * b[j] == a[j] * b[i] for i, j in combinations(range(len(a)), 2)
+    )

@@ -29,6 +29,7 @@ from apdrec.geometry import (
     as_vector,
     basis_vector,
     dot,
+    is_zero,
     parallel,
     primitive_direction,
     scale_to_integers,
@@ -43,6 +44,7 @@ from bruteforce import (
     brute_leftmost_crossing,
     leibniz_determinant,
     reference_isolating_direction,
+    reference_parallel,
     reference_rref,
     reference_second_perpendicular,
     reference_separating_slope,
@@ -447,6 +449,11 @@ def test_as_vector_keeps_ints_and_fractions_and_reads_the_rest():
     got = as_vector((1, F(1, 2), "3/4", 0.5))
     assert got == (1, F(1, 2), F(3, 4), F(1, 2))
     assert [type(x) for x in got] == [int, F, F, F]
+    # a bool is no int: it is read as a Fraction, as before the int path
+    got = as_vector((True, 0))
+    assert got == (F(1), 0) and [type(x) for x in got] == [F, int]
+    # a string of MAX_RATIONAL_DIGITS digits, exponent included, is read exactly
+    assert as_vector(("9" * 4000, "-1e3999")) == (int("9" * 4000), -(10**3999))
 
 
 @pytest.mark.parametrize("entry", [float("nan"), float("inf"), "x", "1/0", None, 1j])
@@ -496,6 +503,71 @@ small_ints = st.integers(min_value=-6, max_value=6)
 
 def int_vectors(dim):
     return st.tuples(*[small_ints] * dim)
+
+
+# entries of any size: zeros, negatives and entries past 2**64
+int_entries = st.one_of(
+    st.just(0),
+    small_ints,
+    st.integers(min_value=2**64, max_value=2**70),
+    st.integers(min_value=-(2**70), max_value=-(2**64)),
+)
+
+
+@st.composite
+def int_rows(draw, dim):
+    """A tuple of dim int entries, a drawn number of them leading zeros."""
+    zeros = draw(st.integers(min_value=0, max_value=dim))
+    return (0,) * zeros + draw(st.tuples(*[int_entries] * (dim - zeros)))
+
+
+def all_ints(value) -> bool:
+    """Every entry, at any depth of tuples/lists, has type exactly int."""
+    if isinstance(value, (tuple, list)):
+        return all(all_ints(x) for x in value)
+    return type(value) is int
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_all_int_input_gives_what_its_fraction_twin_gives(data):
+    """The helpers that skip clearing denominators on all-int input give the
+    results of the same values as Fractions, all ints, and ``_rref`` leaves
+    its input rows as they were; ``parallel`` is the all-minors definition."""
+    d = data.draw(st.integers(min_value=1, max_value=4), label="d")
+    a = data.draw(int_rows(d), label="a")
+    b = data.draw(int_rows(d), label="b")
+    rows = data.draw(st.lists(int_rows(d + 1), min_size=1, max_size=d + 1))
+
+    assert assert_exact_and_equal(is_zero, a) == (a == (0,) * d)
+    assert_exact_and_equal(primitive_direction, a)
+    if any(a):
+        assert all_ints(primitive_direction(a))
+        # the clearing path gives ints too
+        assert all_ints(primitive_direction(as_fractions(a)))
+    for fn in (as_vector, vneg):
+        assert all_ints(assert_exact_and_equal(fn, a))
+    assert all_ints(assert_exact_and_equal(vsub, a, b))
+    assert all_ints(assert_exact_and_equal(scale_to_integers, rows))
+    assert scale_to_integers(rows)[1] == 1
+    assert all_ints(scale_to_integers(as_fractions(rows)))
+
+    lists = [list(row) for row in rows]
+    reduced = assert_exact_and_equal(_rref, lists)
+    assert lists == [list(row) for row in rows]
+    assert not any(r is s for r in reduced[0] for s in lists)
+    assert all_ints(reduced)
+    equations = [(row[:d], row[d]) for row in rows]
+    solution = assert_exact_and_equal(lambda e: _solve_particular(e, d), equations)
+    assert solution is None or all_ints(solution)
+
+    c = data.draw(small_ints, label="c")
+    scaled = tuple(c * x for x in a)
+    for u, v in ((a, b), (b, a), (a, scaled), (scaled, a)):
+        assert parallel(u, v) == reference_parallel(u, v)
+        assert parallel(*as_fractions((u, v))) == reference_parallel(u, v)
+    assert parallel(a, scaled)
+    assert not parallel((0, 1), (1, 1))
 
 
 @settings(max_examples=200, deadline=None)

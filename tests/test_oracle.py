@@ -291,6 +291,13 @@ MALFORMED = {
         for name in ("compute_apd", "query", "euler_curve_direct", "coordinate")
         for x in NOT_RATIONAL
     },
+    # a rational of more than MAX_RATIONAL_DIGITS digits, exponent included,
+    # refused before its integer is built
+    **{
+        f"{name} entry {label}": (name, x)
+        for name in ("compute_apd", "query", "euler_curve_direct", "coordinate")
+        for label, x in (("'1e5000'", "1e5000"), ("of 4001 digits", "1" * 4001))
+    },
     "vertex id 'a'": ("vertex id", "a"),
     "simplex None": ("simplex", None),
     "vertex_count 3.5": ("config", {"vertex_count": 3.5}),

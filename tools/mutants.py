@@ -173,6 +173,40 @@ MUTANTS = [
         "    except () as exc:\n",
         ("tests/test_geometry.py",),
     ),
+    Mutant(
+        "parallel compares only from the first nonzero entry of a on",
+        "src/apdrec/geometry.py",
+        "            for x, y in zip(a, b):\n",
+        "            for x, y in zip(a[i:], b[i:]):\n",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "as_vector's all-int path takes any entry",
+        "src/apdrec/geometry.py",
+        "        if _all_ints(coords):\n",
+        "        if True:\n",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "scale_to_integers' all-int path takes any row",
+        "src/apdrec/geometry.py",
+        "    if all(map(_all_ints, rows)):\n",
+        "    if True:\n",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "primitive_direction's int path takes no gcd",
+        "src/apdrec/geometry.py",
+        "    if not _all_ints(d):\n"
+        "        denom_lcm = math.lcm(*[x.denominator for x in d])\n"
+        "        d = [x.numerator * (denom_lcm // x.denominator) for x in d]\n",
+        "    if _all_ints(d):\n"
+        "        return tuple(d)\n"
+        "    if True:\n"
+        "        denom_lcm = math.lcm(*[x.denominator for x in d])\n"
+        "        d = [x.numerator * (denom_lcm // x.denominator) for x in d]\n",
+        ("tests/test_geometry.py",),
+    ),
 ]
 
 

@@ -131,20 +131,14 @@ def is_zero(a: Sequence[Fraction]) -> bool:
 
 def parallel(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     """True iff a and b are linearly dependent: every 2x2 minor ``a_i * b_j
-    - a_j * b_i`` is zero.
-
-    A zero a is parallel to everything.  Otherwise, with a_i the first
-    nonzero entry of a, the d minors through column i vanish exactly when b
-    = (b_i / a_i) * a, which makes every other minor vanish too, so only
-    those are tested, over every column j: O(d), not O(d^2).
-    """
-    for i, ai in enumerate(a):
-        if ai:
-            bi = b[i]
-            for x, y in zip(a, b):
-                if ai * y != bi * x:
-                    return False
-            return True
+    - a_j * b_i`` is zero, so a zero a is parallel to everything.  The loop
+    stops at the first nonzero minor, which on the independent pairs ``tilt``
+    is given is usually the first."""
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i] * b[j] != a[j] * b[i]:
+                return False
     return True
 
 

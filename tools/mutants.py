@@ -174,10 +174,10 @@ MUTANTS = [
         ("tests/test_geometry.py",),
     ),
     Mutant(
-        "parallel compares only from the first nonzero entry of a on",
+        "parallel skips the minors through the first column",
         "src/apdrec/geometry.py",
-        "            for x, y in zip(a, b):\n",
-        "            for x, y in zip(a[i:], b[i:]):\n",
+        "    for i in range(n):\n        for j in range(i + 1, n):\n",
+        "    for i in range(1, n):\n        for j in range(i + 1, n):\n",
         ("tests/test_geometry.py",),
     ),
     Mutant(

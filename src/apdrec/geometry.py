@@ -22,13 +22,17 @@ integer multiples of their rational answers.  ``tilt`` is the one place a
 tilted direction is formed: the vertex stage asks its result as it is, and
 the higher stage reduces it with ``primitive_direction``.
 
-Clearing denominators is the identity on a vector or row whose entries all
-have type exactly ``int`` (``_all_ints``), so ``as_vector``,
-``scale_to_integers``, ``primitive_direction`` and ``_rref`` skip it there
-and give the same values and types as they would through it.  A ``bool`` or
-``Fraction`` entry takes the clearing path.  Every direction a
-reconstruction asks and every plane-filling row it solves is all ints, so
-the fast path is the common one.
+``scale_to_integers`` is the one routine that clears denominators:
+``primitive_direction``, ``_rref``, the oracle's coordinates and directions
+and the count ledger's points go through it, and each value is cleared
+once.  Clearing is the identity on rows whose entries all have type exactly
+``int`` (``_all_ints``), so it returns them with scale 1 and looks up no
+denominator; ``primitive_direction`` and ``_rref`` test for such input
+first and do not call it, as ``as_vector`` returns an all-int vector as it
+is.  A ``bool`` or ``Fraction`` entry takes the clearing path, and any
+other entry, a float or a string, is refused there with InvalidInput.
+Every direction a reconstruction asks and every plane-filling row it solves
+is all ints, so the fast path is the common one.
 
 Vectors and directions are plain tuples, which makes them hashable and
 trivially immutable.
@@ -41,7 +45,7 @@ import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -97,15 +101,21 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 def scale_to_integers(
     rows: Sequence[Sequence[Fraction]],
 ) -> Tuple[List[IntVector], int]:
-    """(rows times L, L) for L the common denominator of every entry.
+    """(rows times L, L) for L the common denominator of every entry: the
+    one routine that clears denominators.
 
     Each scaled row is a tuple of ints.  L > 0, so every dot product with a
     scaled row is L times the rational one: order and ties are kept.  When
     every entry is an int, L = 1 and the rows are returned as tuples, with
-    no denominator looked up.
+    no denominator looked up.  Raises InvalidInput for an entry that is
+    neither an int nor a Fraction, such as a float: it is refused, not read
+    at its exact value, since a float entry is often already the inexact
+    result of float arithmetic.
     """
     if all(map(_all_ints, rows)):
         return list(map(tuple, rows)), 1
+    if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+        raise InvalidInput("entries must be ints or Fractions")
     scale = math.lcm(*[x.denominator for row in rows for x in row])
     scaled = [
         tuple([x.numerator * (scale // x.denominator) for x in row]) for row in rows
@@ -147,13 +157,13 @@ def primitive_direction(d: Sequence[Fraction]) -> IntVector:
 
     The orientation is preserved; scaled duplicates map to the same tuple of
     ints.  Entries that are all ints are only divided by their gcd; any
-    other entries are first scaled to ints by the lcm of their denominators.
+    other entries are first cleared by ``scale_to_integers``, which raises
+    InvalidInput for an entry that is neither an int nor a Fraction.
     """
     if is_zero(d):
         raise InvalidInput("zero vector has no direction")
     if not _all_ints(d):
-        denom_lcm = math.lcm(*[x.denominator for x in d])
-        d = [x.numerator * (denom_lcm // x.denominator) for x in d]
+        (d,), _ = scale_to_integers([d])
     g = math.gcd(*d)
     return tuple([v // g for v in d])
 
@@ -203,21 +213,24 @@ def parse_rational(token: str) -> Fraction:
 # exact linear solving (internal)
 
 
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[int]], List[int]]:
+def _rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], List[int]]:
     """Fraction-free reduced row echelon form; returns (rows, pivot columns).
 
-    Each row is first scaled to ints by the lcm of its denominators, a
-    positive scale that changes neither the row space nor any solution.
-    Elimination then follows Bareiss: with p the new pivot and q the one
-    before it, every other row becomes ``(p * row - row[col] * pivot_row) /
-    q``, and Sylvester's identity makes that division exact.  Every pivot
-    entry ends as the same integer D, made positive at the end, and each row
-    is D times the matching row of the rational reduced form; rows past the
-    rank are zero.  Returns new lists; the input is not modified.
+    Rows that are not all ints are first scaled to ints by
+    ``scale_to_integers``, one positive scale for all of them, which changes
+    neither the row space, the pivots nor any solution.  Elimination then
+    follows Bareiss: with p the new pivot and q the one before it, every
+    other row becomes ``(p * row - row[col] * pivot_row) / q``, and
+    Sylvester's identity makes that division exact.  Every pivot entry ends
+    as the same integer D, made positive at the end, and each row is D times
+    the matching row of the rational reduced form; rows past the rank are
+    zero.  Returns new lists; the input is not modified.
     """
     if not rows:
         return [], []
-    reduced = _integer_rows(rows)
+    if not _all_ints(chain.from_iterable(rows)):
+        rows = scale_to_integers(rows)[0]
+    reduced = list(map(list, rows))
     ncols = len(reduced[0])
     pivots: List[int] = []
     previous = 1
@@ -245,19 +258,6 @@ def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[int]], List[int]]:
     return reduced, pivots
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    """Each row times the lcm of its denominators: ints, in new lists.  A
-    row of ints is copied as it is."""
-    out = []
-    for row in rows:
-        if _all_ints(row):
-            out.append(list(row))
-            continue
-        m = math.lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (m // x.denominator) for x in row])
-    return out
-
-
 def _solve_particular(
     equations: List[Tuple[Sequence[Fraction], Fraction]], dim: int
 ) -> Optional[List[int]]:
@@ -269,7 +269,7 @@ def _solve_particular(
     scaled by D.  Free variables are set to zero, so the result is
     deterministic.
     """
-    aug = [list(coeffs) + [rhs] for coeffs, rhs in equations]
+    aug = [(*coeffs, rhs) for coeffs, rhs in equations]
     aug, pivots = _rref(aug)
     if pivots and pivots[-1] == dim:  # pivot in the rhs column
         return None
@@ -286,7 +286,7 @@ def _solve_particular(
 def affinely_independent(points: Sequence[Vector]) -> bool:
     """True iff no point lies in the affine hull of the others: the
     differences from the first point have full rank."""
-    diffs = [list(vsub(p, points[0])) for p in points[1:]]
+    diffs = [vsub(p, points[0]) for p in points[1:]]
     _, pivots = _rref(diffs)
     return len(pivots) == len(points) - 1
 
@@ -335,7 +335,7 @@ def orthogonal_to_affine_hull(points: Sequence[Vector]) -> Direction:
     if not points:
         raise InvalidInput("need at least one point")
     dim = len(points[0])
-    diffs = [list(vsub(p, points[0])) for p in points[1:]]
+    diffs = [vsub(p, points[0]) for p in points[1:]]
     diffs, pivots = _rref(diffs)
     if len(pivots) < len(diffs):
         raise DegeneratePosition("points are affinely dependent")

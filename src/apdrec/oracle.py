@@ -247,17 +247,19 @@ class AugmentedDiagram:
         return self.levels_of([n], m)[0]
 
     def levels_of(
-        self, numerators: Sequence[int], denominator: int
+        self, numerators: Sequence[Fraction], denominator: int
     ) -> List[Optional[int]]:
         """The index of the level equal to each numerator / denominator, for
-        ints with denominator > 0, or None off the grid.
+        an int denominator > 0 and rational numerators, or None off the grid.
 
         A height x / denominator is the level h / ``self.denominator``
         exactly when x * n == h * m, for n / m the ratio
         ``self.denominator`` / denominator in lowest terms.  So the batch
         costs one gcd, then per numerator one floor division, giving the
-        only h that can match, and one search of the integer levels for it;
-        no Fraction is built.
+        only h that can match, and one search of the integer levels for it.
+        ``*``, ``//`` and ``==`` are exact on a Fraction numerator too, so
+        it is located exactly; on int numerators, those of every
+        reconstruction, no Fraction is built.
         """
         g = math.gcd(self.denominator, denominator)
         n, m = self.denominator // g, denominator // g

@@ -149,10 +149,16 @@ class CountLedger:
             self.add(dgm)
 
     def add(self, dgm: AugmentedDiagram) -> None:
-        """Locate every vertex in the diagram and keep both."""
-        (s,), factor = scale_to_integers([dgm.direction])
-        unit = self.scale * factor
-        levels = dgm.levels_of([dot(s, p) for p in self.scaled], unit)
+        """Locate every vertex in the diagram and keep both.
+
+        A vertex's height there is ``dot(dgm.direction, p)`` over ``scale``
+        for its scaled point p, so the direction is read as the diagram
+        holds it, not cleared again: on an int direction the heights are
+        ints, and on a Fraction one ``levels_of`` reads the rational
+        numerators exactly.
+        """
+        s = dgm.direction
+        levels = dgm.levels_of([dot(s, p) for p in self.scaled], self.scale)
         if None in levels:
             raise OracleInconsistency(
                 f"vertex {levels.index(None)} is off the grid in {dgm.direction}"

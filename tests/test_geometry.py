@@ -83,6 +83,34 @@ def test_orthogonal_three_points():
     assert dot(d, vsub(pts[2], pts[0])) == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: orthogonal_to_affine_hull([(0.5, 1.0), (1.0, 0.0)]),
+        lambda: second_perpendicular_direction(
+            [(0.0, 0.0), (1.0, 0.0)], [0.0, 0.0], (0, 1), (0,), (0.0, 1.0)
+        ),
+        lambda: affinely_independent([(0.5, 1.0), (1.0, 0.0), (0.0, 0.25)]),
+        lambda: primitive_direction((0.5, 1.0)),
+        lambda: primitive_direction(("1", 2)),
+        lambda: scale_to_integers([(0.5, 1)]),
+    ],
+    ids=[
+        "orthogonal_to_affine_hull",
+        "second_perpendicular_direction",
+        "affinely_independent",
+        "primitive_direction-float",
+        "primitive_direction-str",
+        "scale_to_integers",
+    ],
+)
+def test_an_entry_neither_int_nor_fraction_raises_invalid_input(call):
+    """A float or string entry reaching ``scale_to_integers`` is refused
+    with InvalidInput, not read at its exact value."""
+    with pytest.raises(InvalidInput):
+        call()
+
+
 def test_orthogonal_rejects_dependent_points():
     with pytest.raises(DegeneratePosition):
         orthogonal_to_affine_hull([vec(0, 0, 0), vec(1, 1, 1), vec(2, 2, 2)])

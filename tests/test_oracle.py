@@ -771,15 +771,21 @@ def grids_and_numerators(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(grids_and_numerators())
-def test_levels_of_matches_a_fraction_lookup(case):
-    """``levels_of`` and ``level`` on a Fraction, on a float at its exact
-    value and on INF and -INF give the level a Fraction lookup among the
-    levels finds; NaN is not a height."""
+@given(grids_and_numerators(), st.integers(2, 9))
+def test_levels_of_matches_a_fraction_lookup(case, k):
+    """``levels_of`` on int and on Fraction numerators, and ``level`` on a
+    Fraction, on a float at its exact value and on INF and -INF give the
+    level a Fraction lookup among the levels finds; NaN is not a height.
+    The Fraction numerators are each int numerator x as ``F(x * k, k)``,
+    on the grid when x is, and x - 1 / k and x + 1 / k beside it."""
     table, numerators, m = case
     grid = (table.heights, table.denominator)
     want = [reference_level(*grid, F(x, m)) for x in numerators]
     assert table.levels_of(numerators, m) == want
+    rational = [F(x * k + j, k) for x in numerators for j in (-1, 0, 1)]
+    assert table.levels_of(rational, m) == [
+        reference_level(*grid, x / m) for x in rational
+    ]
     assert [table.level(F(x, m)) for x in numerators] == want
     floats = [x / m for x in numerators]
     assert [table.level(h) for h in floats] == [

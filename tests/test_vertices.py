@@ -11,8 +11,13 @@ from apdrec import (
     OracleInconsistency,
     generate_complex,
 )
-from apdrec.geometry import basis_vector, dot
-from apdrec.vertices import create_unique_height_basis, find_coordinate, vertex_stage
+from apdrec.geometry import basis_vector, dot, primitive_direction
+from apdrec.vertices import (
+    CountLedger,
+    create_unique_height_basis,
+    find_coordinate,
+    vertex_stage,
+)
 
 from conftest import TamperedOracle, cx
 
@@ -195,3 +200,37 @@ def test_fallback_matches_random_complexes():
         K = cx(d, pts, [])
         points, _, _ = vertex_stage(Oracle(K))
         assert set(points) == set(K.vertices.values())
+
+
+@pytest.mark.parametrize(
+    "K, direction",
+    [
+        (
+            cx(2, [(0, 0), (F(1, 2), 1), (2, F(1, 3)), (1, 3)], [(0, 1, 2), (1, 2, 3)]),
+            (F(1, 2), F(1, 3)),
+        ),
+        (
+            cx(
+                3,
+                [(0, 0, 0), (1, F(2, 3), 0), (F(1, 4), 2, 1), (3, 1, F(5, 2))],
+                [(0, 1, 2, 3)],
+            ),
+            (F(3, 7), F(-2, 5), 1),
+        ),
+    ],
+)
+def test_count_ledger_reads_a_fraction_direction_as_its_integer_multiple(
+    K, direction
+):
+    """A ledger over the diagram of a Fraction direction locates every
+    vertex at the level of its height there, as a ledger over the diagram of
+    the direction's primitive integer multiple does, and counts alike."""
+    oracle = Oracle(K)
+    points = list(K.vertices.values())
+    rational = CountLedger(points, [oracle.query(direction)])
+    integer = CountLedger(points, [oracle.query(primitive_direction(direction))])
+    heights = [dot(direction, p) for p in points]
+    assert rational.levels == [[sorted(set(heights)).index(h) for h in heights]]
+    assert rational.levels == integer.levels
+    for k in range(K.ambient_dim + 1):
+        assert rational.counts(k, 0) == integer.counts(k, 0)

@@ -12,10 +12,13 @@ when it passes.  Run from anywhere, with no arguments:
 
     python tools/mutants.py
 
-It prints one line per mutant and exits 1 if a mutant survives, if pytest
-ends in anything other than a pass or a test failure (a mutant that does
-not import is no test of the checks), or if an old text does not occur
-exactly once in its file; the texts are all checked before any test runs.
+Before any mutant, each distinct selection runs once on an unmutated copy,
+and the tool exits 1 if one fails there: a selection that already fails
+would report every mutant on it as killed.  It prints one line per
+selection and per mutant, and exits 1 if a mutant survives, if pytest ends
+in anything other than a pass or a test failure (a mutant that does not
+import is no test of the checks), or if an old text does not occur exactly
+once in its file; the texts are all checked before any test runs.
 A new mutant goes at the end of the list; a survivor is a missing test,
 never a reason to drop the mutant.
 """
@@ -27,7 +30,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -197,14 +200,26 @@ MUTANTS = [
     Mutant(
         "primitive_direction's int path takes no gcd",
         "src/apdrec/geometry.py",
-        "    if not _all_ints(d):\n"
-        "        denom_lcm = math.lcm(*[x.denominator for x in d])\n"
-        "        d = [x.numerator * (denom_lcm // x.denominator) for x in d]\n",
+        "    if not _all_ints(d):\n        (d,), _ = scale_to_integers([d])\n",
         "    if _all_ints(d):\n"
         "        return tuple(d)\n"
-        "    if True:\n"
-        "        denom_lcm = math.lcm(*[x.denominator for x in d])\n"
-        "        d = [x.numerator * (denom_lcm // x.denominator) for x in d]\n",
+        "    (d,), _ = scale_to_integers([d])\n",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "CountLedger.add reads at dgm.denominator",
+        "src/apdrec/vertices.py",
+        "        levels = dgm.levels_of([dot(s, p) for p in self.scaled], self.scale)\n",
+        "        levels = dgm.levels_of([dot(s, p) for p in self.scaled], dgm.denominator)"
+        "\n",
+        ("tests/test_vertices.py",),
+    ),
+    Mutant(
+        "scale_to_integers lets a float through",
+        "src/apdrec/geometry.py",
+        "    if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):\n"
+        '        raise InvalidInput("entries must be ints or Fractions")\n',
+        "",
         ("tests/test_geometry.py",),
     ),
 ]
@@ -220,23 +235,26 @@ def check_texts() -> list:
     return bad
 
 
-def run(mutant: Mutant) -> Tuple[int, float]:
-    """pytest's exit code on the selection with the mutant applied in a
-    temporary copy, and the seconds it took."""
+def run(
+    selection: Tuple[str, ...], mutant: Optional[Mutant] = None
+) -> Tuple[int, float]:
+    """pytest's exit code on the selection in a temporary copy, with the
+    mutant applied when one is given, and the seconds it took."""
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
     with tempfile.TemporaryDirectory(prefix="apdrec-mutant-") as tmp:
         copy = Path(tmp)
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, copy / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
-        target = copy / mutant.path
-        text = target.read_text(encoding="utf-8")
-        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        if mutant is not None:
+            target = copy / mutant.path
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         start = time.perf_counter()
         done = subprocess.run(
-            command + list(mutant.selection),
+            command + list(selection),
             cwd=copy,
             env=env,
             stdout=subprocess.DEVNULL,
@@ -251,9 +269,18 @@ def main() -> int:
         print(f"error: {line}")
     if bad:
         return 1
+    broken = 0
+    for selection in dict.fromkeys(m.selection for m in MUTANTS):
+        code, seconds = run(selection)
+        verdict = "passes" if code == 0 else f"pytest exit {code}"
+        broken += code != 0
+        print(f"{'baseline':>12}  {seconds:5.1f} s  {verdict}  [{' '.join(selection)}]")
+    if broken:
+        print(f"error: {broken} selection(s) fail unmutated; no mutant was run")
+        return 1
     failed = 0
     for m in MUTANTS:
-        code, seconds = run(m)
+        code, seconds = run(m.selection, m)
         verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
         failed += code != 1
         print(f"{verdict:>12}  {seconds:5.1f} s  {m.name}  [{' '.join(m.selection)}]")

@@ -29,6 +29,9 @@ def _load_complex(path: str):
 
 
 def _parse_direction(text: str):
+    # argparse reads "--dir=--" as an empty list on some Python versions
+    if not isinstance(text, str):
+        raise ParseError(f"bad direction: {text!r}")
     try:
         return tuple(parse_rational(tok) for tok in text.replace(",", " ").split())
     except InvalidInput as exc:

@@ -29,7 +29,13 @@ slope, below the line are a prefix; the cut less the known neighbours below
 its line is the prefix count at that prefix's length.  The known
 neighbours run in ascending slope, so those below the line are a prefix
 too, and one merge in slope order places all of a vertex's cuts at once
-(``_place``).
+(``_place``).  A diagram in the negated direction counts the neighbours
+above the line, so it is the cut (p, q, deg - count), for deg the vertex's
+degree.  The count ledger already holds such diagrams: every vertex-stage
+diagram whose direction lies in span(u1, u2) but not on the line of u1,
+such as e2 and its tilt in the standard frame, gives a cut at every vertex
+alone at its height there, free, before the search starts
+(``plane_cuts``).
 
 *The search.*  Consecutive prefix counts bound pieces of the candidates.  A
 piece whose count is 0 holds no endpoint and one whose count is its size
@@ -47,6 +53,7 @@ does a split diagram with no level at a vertex it is read at.
 
 from __future__ import annotations
 
+import operator
 from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidInput, OracleInconsistency
@@ -55,6 +62,7 @@ from .geometry import (
     RadialOrder,
     SweepFrame,
     dot,
+    primitive_direction,
     radial_order,
     separating_direction,
     separating_slope,
@@ -107,6 +115,48 @@ def read_cuts(
     if None in levels:
         raise OracleInconsistency("a vertex is off the grid of a split diagram")
     return [None if vertices[i] != 1 else (p, q, edges[i]) for i in levels]
+
+
+def plane_cuts(ledger: CountLedger, frame: SweepFrame) -> List[List[Cut]]:
+    """The cuts that the ledger's diagrams in the sweep plane, but not in
+    ±u1, give at each vertex, listed by vertex id, at no query.
+
+    A direction s in span(u1, u2) is a positive multiple of p * u1 - q * u2
+    or of its negation, for coprime ints p and q > 0.  At a vertex alone at
+    its height in s, the diagram's edge count is the number of its
+    neighbours below it there: in p * u1 - q * u2 the cut (p, q, count),
+    and in the negation the neighbours above the line, so the cut (p, q,
+    deg - count), for deg the vertex's degree, its edges down and up read
+    off the two sweep diagrams.  No vertex but u lies on the line through u
+    when u is alone at its height.  The vertices are located by the levels
+    the ledger holds, one ``levels_of`` call per diagram.  The ledger's
+    last diagram must be the one in -u1.
+    """
+    degree = list(map(operator.add, ledger.counts(1, 0), ledger.counts(1, -1)))
+    u1, u2 = frame.u1, frame.u2
+    n1, n, n2 = dot(u1, u1), dot(u1, u2), dot(u2, u2)
+    gram = n1 * n2 - n * n
+    cuts: List[List[Cut]] = [[] for _ in degree]
+    for dgm, levels in zip(ledger.diagrams[1:-1], ledger.levels[1:-1]):
+        s = dgm.direction
+        a, b = dot(s, u1), dot(s, u2)
+        # gram * s projected onto the plane is x * u1 - y * u2, and s lies in
+        # the plane when it is its own projection
+        x, y = n2 * a - n * b, n * a - n1 * b
+        if not y or any(gram * c != x * e - y * f for c, e, f in zip(s, u1, u2)):
+            continue
+        p, q = primitive_direction((x, y))
+        flipped = q < 0
+        if flipped:
+            p, q = -p, -q
+        top = len(dgm.heights)
+        vertices = dgm.histogram.get(0) or [0] * top
+        edges = dgm.histogram.get(1) or [0] * top
+        for v, i in enumerate(levels):
+            if vertices[i] == 1:
+                count = degree[v] - edges[i] if flipped else edges[i]
+                cuts[v].append((p, q, count))
+    return cuts
 
 
 def find_up_edges(
@@ -238,13 +288,14 @@ def find_edges(
     vertex, the edges found down from it must number exactly that count, or
     OracleInconsistency is raised.
 
-    Free cuts: once a vertex's search is done, each split it asked is read
-    at all later vertices in one ``read_cuts`` pass, and only the cuts are
-    kept; at a vertex's turn its cuts seed its prefix counts (see
-    ``find_up_edges``).  A vertex with no edge up is searched too: its cuts
-    must then count exactly its known edges down, a check at no query that
-    a miscounted cut elsewhere, which an exchange of two edges can hide
-    from the sweep counts, runs into.
+    Free cuts: every vertex starts with the cuts of the ledger's diagrams
+    in the sweep plane (``plane_cuts``), and once a vertex's search is done,
+    each split it asked is read at all later vertices in one ``read_cuts``
+    pass, and only the cuts are kept; at a vertex's turn its cuts seed its
+    prefix counts (see ``find_up_edges``).  A vertex with no edge up is
+    searched too: its cuts must then count exactly its known edges down, a
+    check at no query that a miscounted cut elsewhere, which an exchange of
+    two edges can hide from the sweep counts, runs into.
     """
     if tuple(ledger.diagrams[0].direction) != tuple(frame.u1):
         raise InvalidInput("sweep diagram is not in the frame's first direction")
@@ -259,7 +310,7 @@ def find_edges(
     ids_by_height = sorted(range(len(plane)), key=lambda i: plane[i][0])
     edges: Set[Tuple[int, int]] = set()
     adjacency: Dict[int, List[int]] = {i: [] for i in range(len(plane))}
-    cuts: Dict[int, List[Cut]] = {i: [] for i in range(len(plane))}
+    cuts = dict(enumerate(plane_cuts(ledger, frame)))
     for step, vid in enumerate(ids_by_height):
         # vid's edges down were all found from the vertices below it
         if len(adjacency[vid]) != down_degree[vid]:

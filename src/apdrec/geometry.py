@@ -31,8 +31,14 @@ denominator; ``primitive_direction`` and ``_rref`` test for such input
 first and do not call it, as ``as_vector`` returns an all-int vector as it
 is.  A ``bool`` or ``Fraction`` entry takes the clearing path, and any
 other entry, a float or a string, is refused there with InvalidInput.
-Every direction a reconstruction asks and every plane-filling row it solves
-is all ints, so the fast path is the common one.
+The public kernels that clear nothing, ``tilt``, ``tilt_weight``,
+``leftmost_crossing``, ``radial_order`` and ``orthogonal_to_affine_hull``,
+refuse such an entry with InvalidInput too, at the cost of one
+``_all_ints`` test on all-int input: ``tilt`` and ``radial_order`` test
+the ints they compute, in which a float entry shows as a float and a
+string fails, and the others test their input (``_check_rationals``).
+Every direction a reconstruction asks and every plane-filling row it
+solves is all ints, so the fast path is the common one.
 
 Vectors and directions are plain tuples, which makes them hashable and
 trivially immutable.
@@ -64,10 +70,23 @@ Direction = Tuple[Fraction, ...]
 # basic vector helpers
 
 
+_INT = frozenset([int])
+
+
 def _all_ints(v: Iterable) -> bool:
     """True iff every entry has type exactly int: a bool or a Fraction is
     not one."""
-    return set(map(type, v)) <= {int}
+    return _INT.issuperset(map(type, v))
+
+
+def _check_rationals(*vectors: Iterable) -> None:
+    """Raise InvalidInput if an entry of the vectors is neither an int nor a
+    Fraction: a float, a string or None.  All-int entries pass with one
+    ``_all_ints`` test."""
+    if not _all_ints(chain(*vectors)) and not all(
+        isinstance(x, (int, Fraction)) for x in chain(*vectors)
+    ):
+        raise InvalidInput("entries must be ints or Fractions")
 
 
 def as_vector(coords: Iterable) -> Vector:
@@ -334,6 +353,7 @@ def orthogonal_to_affine_hull(points: Sequence[Vector]) -> Direction:
     """
     if not points:
         raise InvalidInput("need at least one point")
+    _check_rationals(*points)
     dim = len(points[0])
     diffs = [vsub(p, points[0]) for p in points[1:]]
     diffs, pivots = _rref(diffs)
@@ -414,6 +434,7 @@ def leftmost_crossing(
 
     The paper's eps lemma bounds eps by this crossing (see ``tilt_weight``).
     """
+    _check_rationals(heights, heights_prime)
     crossing = _crossing(heights, heights_prime)
     return None if crossing is None else Fraction(*crossing)
 
@@ -447,6 +468,7 @@ def tilt_weight(
     The paper's eps lemma: any eps below the leftmost crossing keeps the
     order of distinct heights.
     """
+    _check_rationals(heights, heights_prime)
     crossing = _crossing(heights, heights_prime) if heights else None
     if crossing is None:
         return 1, 2
@@ -468,11 +490,18 @@ def tilt(weight: Tuple[int, int], s: Direction, s_prime: Direction) -> Direction
     The paper's tilt of an initial direction that keeps the vertex order,
     the direction step of find-coord.
     """
+    n, q = weight
+    try:
+        m = q - n
+        tilted = [m * a + n * b for a, b in zip(s, s_prime)]
+    except TypeError as exc:
+        raise InvalidInput(f"entries must be rationals: {exc}") from exc
+    # a float entry anywhere makes an entry of the tilt a float
+    if not _all_ints(tilted):
+        _check_rationals(weight, s, s_prime)
     if parallel(s, s_prime):
         raise ParallelDirections("tilt requires linearly independent directions")
-    n, q = weight
-    m = q - n
-    return tuple([m * a + n * b for a, b in zip(s, s_prime)])
+    return tuple(tilted)
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +571,18 @@ def radial_order(offsets: Dict[int, Offset]) -> RadialOrder:
     (their offsets are parallel), found as equal neighbours once the keys
     are sorted.
     """
-    bound = max([x * x for x, _ in offsets.values()], default=1)
-    entries = []
-    for vid, (x, y) in offsets.items():
-        if not x:
-            raise DegeneratePosition(f"vertex {vid} has the center's sweep height")
-        entries.append(((y * bound) // x, vid, (x, y)))
+    try:
+        bound = max([x * x for x, _ in offsets.values()], default=1)
+        entries = []
+        for vid, (x, y) in offsets.items():
+            if not x:
+                raise DegeneratePosition(f"vertex {vid} has the center's sweep height")
+            entries.append(((y * bound) // x, vid, (x, y)))
+    except TypeError as exc:
+        raise InvalidInput(f"offsets must be rationals: {exc}") from exc
+    # a float in an offset makes its key a float
+    if not _all_ints([key for key, _, _ in entries]):
+        _check_rationals(*offsets.values())
     entries.sort(key=operator.itemgetter(0))
     for (key, a, _), (next_key, b, _) in zip(entries, entries[1:]):
         if key == next_key:

@@ -59,7 +59,7 @@ from .geometry import (
     vneg,
 )
 from .oracle import Oracle
-from .vertices import vertex_stage
+from .vertices import CountLedger, vertex_stage
 
 
 def _heights(points: Sequence[IntVector], s: Direction) -> List[int]:
@@ -264,8 +264,8 @@ def _cofaces(
     oracle: Oracle,
     points: Sequence[IntVector],
     scale: int,
-    top: Sequence[int],
-    bottom: Sequence[int],
+    ledger: CountLedger,
+    dim: int,
 ) -> Set[Simplex]:
     """The (k+1)-simplices whose k-facets are all in ``previous``, confirmed.
 
@@ -276,32 +276,59 @@ def _cofaces(
     above ``sigma[-1]`` reaches each candidate exactly once, as
     ``is_simplex(cand[:-1], cand[-1], ...)``.
 
-    Vertex ids follow the sweep order, so ``cand[-1]`` is a candidate's
-    highest vertex and ``cand[0]`` its lowest.  ``top[v]`` and ``bottom[v]``
-    are the numbers of (k+1)-simplices whose highest and whose lowest vertex
-    is v, read off the sweep diagrams.  A candidate is not tested once
-    either its top or its bottom vertex has all its simplices found; such a
-    candidate has no test of its own, and ``reconstruct``'s count check is
-    its guard.
+    Every (k+1)-simplex is one event at the level of its highest vertex, so
+    each diagram of the ``ledger`` counts the (k+1)-simplices, ``dim`` = k +
+    1, that top each of its levels; a candidate's level there is the largest
+    of its vertices' levels, and the level is full once it holds as many
+    found simplices as the diagram counts there.  Vertex ids follow the
+    sweep order, so in the sweep diagram, the ledger's first, a candidate
+    sits at the level of ``cand[-1]``, and in the -u1 diagram, its last, at
+    that of ``cand[0]``: once sigma's lowest vertex has all its simplices
+    found, every later candidate of sigma is full there, and a sweep row of
+    zeros means no candidate at all.
+
+    A candidate full in either sweep diagram is not tested.  One full in
+    another diagram is not tested either, unless a simplex found sits at
+    its level in every diagram: were that simplex false and the candidate
+    true, the exchange would keep every count, and ``reconstruct``'s count
+    check, the guard of every untested candidate, could not see it.
     """
+    if not any(ledger.diagrams[0].histogram.get(dim) or ()):
+        return set()
+    # the (k+1)-simplices each level of each diagram still misses
+    left = [
+        list(dgm.histogram.get(dim) or [0] * len(dgm.heights))
+        for dgm in ledger.diagrams
+    ]
+    top, top_left = ledger.levels[0], left[0]
+    bottom, bottom_left = ledger.levels[-1], left[-1]
+    middle = list(zip(ledger.levels[1:-1], left[1:-1]))
     known = set(previous)
     found: Set[Simplex] = set()
-    tops = [0] * len(points)
-    bottoms = [0] * len(points)
+    # the levels of each simplex found, in every diagram
+    placed: Set[Tuple[int, ...]] = set()
     for sigma in previous:
-        low = sigma[0]
+        low = bottom[sigma[0]]
         for vertex in range(sigma[-1] + 1, len(points)):
-            if bottoms[low] == bottom[low]:
-                break  # every later candidate of sigma has the same bottom
-            if tops[vertex] == top[vertex]:
+            if not bottom_left[low]:
+                break
+            if not top_left[top[vertex]]:
                 continue
             candidate = sigma + (vertex,)
             if not all(f in known for f in facets(candidate)):
                 continue
+            at = [max(map(levels.__getitem__, candidate)) for levels, _ in middle]
+            key = (top[vertex], low, *at)
+            full = not all(row[i] for i, (_, row) in zip(at, middle))
+            if full and key not in placed:
+                continue
             if is_simplex(sigma, vertex, oracle, points, scale):
                 found.add(candidate)
-                tops[vertex] += 1
-                bottoms[low] += 1
+                placed.add(key)
+                top_left[top[vertex]] -= 1
+                bottom_left[low] -= 1
+                for i, (_, row) in zip(at, middle):
+                    row[i] -= 1
     return found
 
 
@@ -311,27 +338,30 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     Vertices, then edges, then one pass per dimension i = 2..d.  Within it a
     candidate is tested only when its facets were all found one dimension
     down (a complex is face-closed, and the previous dimension was recovered
-    exactly), and only while its highest and its lowest vertex still miss
-    some of their i-simplices.  Both counts cost no query: every i-simplex
-    is one event at the height of its highest vertex, so the vertex stage's
-    diagram in ``frame.u1`` counts the i-simplices each vertex tops, and the
-    edge stage's diagram in ``-frame.u1`` counts those it bottoms.  Each
-    candidate is tested at most once, so the higher stage costs at most
-    2(2^k - 1) queries per closure-eligible (k+1)-vertex candidate.
+    exactly), and only while its level in each diagram of the ledger still
+    misses some i-simplices (``_cofaces``, which tests some candidates past
+    that for the count check's sake).  The counts cost no query: every
+    i-simplex is one event at the height of its highest vertex, so each
+    diagram counts the i-simplices that top each of its levels; the vertex
+    stage's diagram in ``frame.u1`` counts those each vertex tops, and the
+    edge stage's in ``-frame.u1`` those it bottoms.  Each candidate is
+    tested at most once, so the higher stage costs at most 2(2^k - 1)
+    queries per closure-eligible (k+1)-vertex candidate.
 
     The count check: after the edge stage and after each pass, the found
     simplices are checked against every diagram of the ledger, the vertex
     stage's and the edge stage's in ``-frame.u1`` (``CountLedger.check``),
     at no query.  A dimension with no candidates left is still checked.
-    The checked diagrams include the two sweep diagrams, so a candidate
-    that the counts reject untested is guarded, and the others see the
-    found simplices from further directions, where a wrong simplex that
-    keeps both sweep counts can change the count of its middle vertex.
+    The checked diagrams are those whose counts reject candidates, so a
+    candidate rejected untested is guarded: a wrong simplex found in place
+    of a true one goes unseen only when the exchange keeps the count of
+    every diagram at every level, which a skip that no sweep diagram makes
+    never brings about.
 
     A d-simplex spans R^d, so no direction is orthogonal to its hull.  When
-    either sweep diagram counts a d-simplex at a vertex, the pass at i = d
+    the sweep diagram counts a d-simplex at a vertex, the pass at i = d
     tests through ``oracle.lifted()`` on the lifted vertex points; lifting
-    keeps the combinatorics, so the same two counts apply.
+    keeps the combinatorics, so the same counts apply.
 
     The stages account for their queries in ``oracle.log``: the spans
     "vertices" and "edges", then one span per predicate call labelled k.
@@ -346,13 +376,12 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
 
     scaled, scale = ledger.scaled, ledger.scale
     for dim in range(2, d + 1):
-        # the sweep diagram is the ledger's first, the -u1 diagram its last
-        top, bottom = ledger.counts(dim, 0), ledger.counts(dim, -1)
-        if dim == d and (any(top) or any(bottom)):
+        # the sweep diagram is the ledger's first
+        if dim == d and any(ledger.counts(dim, 0)):
             oracle = oracle.lifted()
             scaled = [tuple(scale * x for x in p) + (dot(p, p),) for p in scaled]
             scale *= scale
-        found = _cofaces(previous, oracle, scaled, scale, top, bottom)
+        found = _cofaces(previous, oracle, scaled, scale, ledger, dim)
         ledger.check(found, dim)
         simplices.update(found)
         previous = sorted(found)

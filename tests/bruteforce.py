@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -163,45 +164,57 @@ def reference_separating_slope(offsets: Dict[int, tuple], after: int) -> Fractio
     return (slopes[i] + slopes[i - 1]) / 2 if i else slopes[i] - 1
 
 
-def count_rejection_replay(complex_, direction) -> List[Tuple[int, frozenset]]:
+def count_rejection_replay(complex_, directions) -> List[Tuple[int, frozenset]]:
     """The higher stage's predicate calls, replayed over the true complex.
 
-    Vertices are numbered by height in the sweep direction.  For each
-    dimension i that reconstruction visits (2..d-1 while dimension i-1 is
-    nonempty, and d when the complex has a d-simplex), every sigma of
-    dimension i-1 in sorted order is extended by each vertex v above its
-    top.  The candidate is tested when all its facets are simplices and
-    both its top vertex v and its bottom vertex sigma[0] still top and
-    bottom some i-simplex not yet confirmed, counted straight from the
-    complex.  Returns (i, candidate as a set of vertex positions) per test,
-    in order.
+    ``directions`` are those of the count ledger, the sweep direction
+    first and its negation last.  Vertices are numbered by height in the
+    sweep direction.  For each dimension i that reconstruction visits
+    (2..d-1 while dimension i-1 is nonempty, and d when the complex has a
+    d-simplex), every sigma of dimension i-1 in sorted order is extended by
+    each vertex v above its top.  A candidate's top height in a direction
+    is the height of its highest vertex there, and a direction is full at
+    a height when every i-simplex of that top height, counted straight from
+    the complex, is confirmed.  The candidate is tested when all its facets
+    are simplices, neither the first nor the last direction is full at its
+    top height, and either no other direction is full at its top height or
+    a confirmed simplex has its top heights in every direction.  Returns (i,
+    candidate as a set of vertex positions) per test, in order.
     """
-    heights = vertex_heights(complex_.vertices, direction)
+    heights = vertex_heights(complex_.vertices, directions[0])
     ids = sorted(heights, key=heights.get)
     assert len(set(heights.values())) == len(ids), "sweep heights must be distinct"
     rank = {v: r for r, v in enumerate(ids)}
     by_dim: Dict[int, set] = {}
     for s in complex_.simplices:
         by_dim.setdefault(len(s) - 1, set()).add(tuple(sorted(rank[v] for v in s)))
+    # each direction's vertex heights, by rank
+    ranked = [
+        [h[v] for v in ids]
+        for h in (vertex_heights(complex_.vertices, s) for s in directions)
+    ]
     d, n = complex_.ambient_dim, len(ids)
     tested = []
     for i in range(2, d + 1):
         below, truth = by_dim.get(i - 1, set()), by_dim.get(i, set())
         if not below or (i == d and not truth):
             continue
-        tops_left = [sum(1 for s in truth if s[-1] == v) for v in range(n)]
-        bottoms_left = [sum(1 for s in truth if s[0] == v) for v in range(n)]
+        left = [Counter(max(h[u] for u in s) for s in truth) for h in ranked]
+        confirmed = set()
         for sigma in sorted(below):
             for v in range(sigma[-1] + 1, n):
                 cand = sigma + (v,)
                 if any(f not in below for f in combinations(cand, i)):
                     continue
-                if not tops_left[v] or not bottoms_left[sigma[0]]:
+                tops = tuple(max(h[u] for u in cand) for h in ranked)
+                full = [not row[top] for row, top in zip(left, tops)]
+                if full[0] or full[-1] or (any(full) and tops not in confirmed):
                     continue
                 tested.append((i, frozenset(complex_.vertices[ids[u]] for u in cand)))
                 if cand in truth:
-                    tops_left[v] -= 1
-                    bottoms_left[sigma[0]] -= 1
+                    confirmed.add(tops)
+                    for row, top in zip(left, tops):
+                        row[top] -= 1
     return tested
 
 

@@ -459,6 +459,7 @@ def fuzz_file(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(cli_calls())
 @example(call=("apd", "dim 1\nvertices 1\n0 0\nsimplices 0\n", ["--dir=1e5000"]))
+@example(call=("apd", "dim 1\nvertices 0\nsimplices 0\n", ["--dir=--"]))
 def test_cli_fuzz_exits_zero_or_two(fuzz_file, call):
     command, text, options = call
     fuzz_file.write_text(text)

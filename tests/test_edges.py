@@ -18,7 +18,7 @@ from apdrec import (
     radial_order,
     validate_general_position,
 )
-from apdrec.edges import find_edges, find_up_edges, read_cuts, split_wedge
+from apdrec.edges import find_edges, find_up_edges, plane_cuts, read_cuts, split_wedge
 from apdrec.errors import DegeneratePosition
 from apdrec.geometry import (
     SweepFrame,
@@ -35,8 +35,10 @@ from apdrec.vertices import CountLedger, create_unique_height_basis, vertex_stag
 
 from bruteforce import (
     neighbours_below_line,
+    primitive_ints,
     reference_cut,
     reference_place,
+    reference_rref,
     reference_separating_slope,
     slope_sort,
 )
@@ -509,6 +511,51 @@ def test_every_free_cut_counts_the_true_up_neighbours_below_its_line(monkeypatch
         assert any(cuts for _, _, cuts, _ in calls)
 
 
+def test_every_vertex_stage_cut_counts_the_true_neighbours_below_its_line():
+    """``plane_cuts`` gives a vertex one cut per vertex-stage diagram whose
+    direction lies in span(u1, u2), by rank over Fractions, but not on the
+    line of u1, and in which no other vertex shares its height, in ledger
+    order, and none from any other diagram.  The cut's line is the
+    diagram's, its direction p * u1 - q * u2 a positive multiple of the
+    diagram's or of its negation, and its count is the number of the
+    vertex's true neighbours below the line (bruteforce
+    ``neighbours_below_line``, both sides of the sweep).  The inputs hold
+    diagrams in the negated form (e2 in the standard frame), and the
+    fallback basis, whose e1 diagram lies in the tilted frame's plane with
+    vertices 0 and 1 at one height."""
+
+    def rank(*vectors):
+        return len(reference_rref([[F(x) for x in v] for v in vectors])[1])
+
+    negated = shared = 0
+    for K, points, oracle, frame, ledger in free_cut_inputs():
+        ledger.add(oracle.query(vneg(frame.u1)))
+        cuts = plane_cuts(ledger, frame)
+        want = [[] for _ in points]
+        for dgm in ledger.diagrams[1:-1]:
+            s = dgm.direction
+            if rank(frame.u1, frame.u2, s) == 3 or rank(frame.u1, s) == 1:
+                continue
+            heights = [sum(F(a) * b for a, b in zip(s, p)) for p in points]
+            for v, h in enumerate(heights):
+                if heights.count(h) > 1:
+                    shared += 1
+                    continue
+                want[v].append(s)
+        vertex_id = {point: u for u, point in K.vertices.items()}
+        for v, (got, rays) in enumerate(zip(cuts, want)):
+            assert len(got) == len(rays)
+            for (p, q, count), s in zip(got, rays):
+                assert q > 0
+                ray = primitive_ints(split_direction(frame, p, q))
+                assert ray in (primitive_ints(s), primitive_ints(vneg(s)))
+                negated += ray != primitive_ints(s)
+                line = (K, vertex_id[points[v]], frame.u1, frame.u2, p, q)
+                below = neighbours_below_line(*line, above=False)
+                assert count == below + neighbours_below_line(*line, above=True)
+    assert negated > 0 and shared >= 2
+
+
 def test_vertices_sharing_a_height_in_a_split_diagram_take_no_cut(monkeypatch):
     """Vertex 0's first split, after b in its order a, b, w, u, asks
     (7, -3), for the slope 7/3 of w - u, so u and w share a height there, where
@@ -564,8 +611,9 @@ def read_inputs():
 
 
 def test_one_read_pass_gives_the_reference_cut_at_every_later_vertex(monkeypatch):
-    """Each vertex is handed exactly the cuts that a per-vertex read of every
-    split asked before its turn gives (bruteforce.reference_cut, a Fraction
+    """Each vertex is handed exactly its cuts from the vertex-stage diagrams
+    (``plane_cuts``), then the cuts that a per-vertex read of every split
+    asked before its turn gives (bruteforce.reference_cut, a Fraction
     lookup among the levels), in the order the splits were asked.  Read at
     every vertex, a split gives the reference cut or None, and a vertex that
     shares its height gives None; at points off the grid, above and below
@@ -575,11 +623,13 @@ def test_one_read_pass_gives_the_reference_cut_at_every_later_vertex(monkeypatch
     for points, oracle, frame, ledger in read_inputs():
         coordinates, unit = plane(points, frame)
         calls = find_edges_recording_calls(monkeypatch, ledger, oracle, frame)
+        seeded = plane_cuts(ledger, frame)
         asked = []
         for call in calls:
             at = coordinates[call["vertex"]]
             want = [reference_cut(split, *at, unit) for split in asked]
-            assert list(call["cuts"]) == [cut for cut in want if cut is not None]
+            want = seeded[call["vertex"]] + [cut for cut in want if cut is not None]
+            assert list(call["cuts"]) == want
             asked.extend(call["splits"])
         assert asked
         spread = max(abs(x) + abs(y) for x, y in coordinates) + 1
@@ -685,7 +735,7 @@ def test_a_planar_reconstruction_reads_no_level_per_split_and_later_vertex(monke
     ``AugmentedDiagram.levels_of``, one call per batch.  Exactly four calls
     locate all n vertices, one in each of the four diagrams of the count
     ledger (the vertex stage's 2d - 1 = 3 and the edge stage's in -u1); the
-    edge stage's degrees and the count check read those levels again
+    edge stage's degrees and cuts and the count check read those levels again
     instead of locating the vertex anew.  Each split is read in at most two
     calls, at its own vertex and at all later vertices, so no Python call
     runs per split and later vertex; a read per vertex made about 28,000
@@ -704,7 +754,7 @@ def test_a_planar_reconstruction_reads_no_level_per_split_and_later_vertex(monke
     oracle = Oracle(K)
     assert complexes_match(reconstruct(oracle), K)
     n, splits = len(K.vertices), oracle.log.queries("edges") - 1
-    assert splits == 287
+    assert splits == 285
     assert calls.count(n) == 4
     assert len(calls) - 4 <= 2 * splits
 
@@ -715,17 +765,33 @@ def test_a_miscounted_free_cut_ends_in_an_error(monkeypatch):
     holds a cut whose miscount meets every sweep count: vertex 5 takes 12
     for 13 as an endpoint, so 12 leaves 11's candidates early and 11 takes
     13 in turn.  Only the cuts of a vertex with no edge up, read as well,
-    catch it."""
+    catch it.  Moving the edge count of a vertex-stage diagram other than
+    the sweep's, all in the plane for d = 2, at any vertex's height ends in
+    a typed error too: from the cut a lone vertex takes from it, or from
+    the count check."""
     tried = 0
     for seed in (0, 3):
         K = generate_complex(GeneratorConfig(2, 14, 1, densities=[0.35], seed=seed))
         oracle = Oracle(K)
         points, frame, ledger = vertex_stage(oracle)
+        in_plane = ledger.diagrams[1:]
         found, calls = find_edges_recording_cuts(
             monkeypatch, points, oracle, frame, ledger
         )
+        seeded = plane_cuts(ledger, frame)
+        for dgm in in_plane:
+            edges = dgm.histogram.get(1) or [0] * len(dgm.heights)
+            for vertex in found.vertices.values():
+                height = dot(dgm.direction, vertex)
+                for delta in (1, -1):
+                    if edges[dgm.level(height)] + delta < 0:
+                        continue
+                    tampered = TamperedOracle(K, dgm.direction, 1, height, delta)
+                    with pytest.raises(ApdrecError):
+                        reconstruct(tampered)
+                    tried += 1
         for vertex, _, cuts, _ in calls:
-            for p, q, count in cuts:
+            for p, q, count in cuts[len(seeded[vertex]) :]:
                 direction = split_direction(frame, p, q)
                 height = dot(direction, found.vertices[vertex])
                 for delta in (1, -1):
@@ -780,14 +846,15 @@ def test_a_split_that_puts_a_second_vertex_at_its_own_height_raises(monkeypatch)
 
 
 def test_free_cuts_pin_the_edge_queries_of_a_sparse_planar_graph():
-    """60 vertices and 264 edges in the plane: 168 edge-stage queries, 699
-    before the split diagrams were read at later vertices."""
+    """60 vertices and 264 edges in the plane: 172 edge-stage queries, 699
+    before the split diagrams were read at later vertices and 168 before
+    the vertex-stage diagrams were read as cuts."""
     K = generate_complex(GeneratorConfig(2, 60, 1, densities=[0.15], seed=1))
     oracle = Oracle(K)
     points, frame, ledger = vertex_stage(oracle)
     found = find_edges(ledger, oracle, frame)
     assert complexes_match(cx(2, points, sorted(found)), K)
-    assert oracle.log.queries("edges") == 168
+    assert oracle.log.queries("edges") == 172
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +937,7 @@ def test_integer_radial_order_matches_the_rational_one(data):
     assert indegree - len(below) == len(neighbours & set(candidates[:mid]))
 
 
-FALLBACK_LOG_SHA256 = "8865d4099b5cb1b3d7d22443cc9436a2986f54fc5c8b172cfd8bb756ed6ab8a0"
+FALLBACK_LOG_SHA256 = "f3aac25a3a36558d4e9c4edee6f29e0bb58a2c64c260071805e35b180a6c8181"
 
 
 def test_query_log_of_the_fallback_basis_complex_is_pinned():
@@ -881,7 +948,10 @@ def test_query_log_of_the_fallback_basis_complex_is_pinned():
     hashes each direction as its ray (``ray_text``), and was re-recorded
     once when the vertex stage asked its tilts as ints: the tilt weight of
     each s_t is then measured against b1 at its integer scale, which moved
-    the rays of the three s_t tilts and no other entry."""
+    the rays of the three s_t tilts and no other entry.  It was re-recorded
+    when the edge stage read the vertex-stage diagrams in the tilted plane
+    as cuts, which took its edge queries from 5 to 3, and the higher stage
+    every ledger diagram, which left its predicate spans as they were."""
     from test_harness import fallback_basis_complex
 
     K = fallback_basis_complex()

@@ -94,6 +94,17 @@ def test_orthogonal_three_points():
         lambda: primitive_direction((0.5, 1.0)),
         lambda: primitive_direction(("1", 2)),
         lambda: scale_to_integers([(0.5, 1)]),
+        lambda: tilt((1, 2), (0.5, 1.0), (1.0, 0.0)),
+        lambda: tilt((1, 2), (1, 0), (0, "1")),
+        lambda: tilt((0.5, 2), (1, 0), (0, 1)),
+        lambda: tilt_weight([0.5, 1.25], [0.0, 1.0]),
+        lambda: tilt_weight([1, 3], [0, 1.5]),
+        lambda: tilt_weight([], [0.5]),
+        lambda: radial_order({1: (0.5, 1.0), 2: (1.0, -0.25)}),
+        lambda: radial_order({1: (1, 2), 2: (3, "1")}),
+        lambda: leftmost_crossing([0.5, 1.25], [0.0, 1.0]),
+        lambda: orthogonal_to_affine_hull([(1, "2"), (3, 4)]),
+        lambda: orthogonal_to_affine_hull([(1, None), (3, 4)]),
     ],
     ids=[
         "orthogonal_to_affine_hull",
@@ -102,11 +113,25 @@ def test_orthogonal_three_points():
         "primitive_direction-float",
         "primitive_direction-str",
         "scale_to_integers",
+        "tilt-float",
+        "tilt-str",
+        "tilt-float-weight",
+        "tilt_weight-float",
+        "tilt_weight-float-prime",
+        "tilt_weight-no-heights",
+        "radial_order-float",
+        "radial_order-str",
+        "leftmost_crossing-float",
+        "orthogonal_to_affine_hull-str",
+        "orthogonal_to_affine_hull-None",
     ],
 )
 def test_an_entry_neither_int_nor_fraction_raises_invalid_input(call):
-    """A float or string entry reaching ``scale_to_integers`` is refused
-    with InvalidInput, not read at its exact value."""
+    """A float, string or None entry is refused with InvalidInput, not read
+    at its exact value: by ``scale_to_integers`` where it clears
+    denominators, and by the guard of ``tilt``, ``tilt_weight``,
+    ``leftmost_crossing``, ``radial_order`` and ``orthogonal_to_affine_hull``
+    before any arithmetic."""
     with pytest.raises(InvalidInput):
         call()
 

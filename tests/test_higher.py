@@ -23,6 +23,7 @@ from apdrec.complexes import proper_faces
 from apdrec.geometry import scale_to_integers, vneg
 from apdrec.higher import _isolating_direction
 from apdrec.oracle import lift_point
+from apdrec.vertices import vertex_stage
 
 from bruteforce import brute_coface_count, count_rejection_replay
 from conftest import TamperedOracle, cx, ray_text
@@ -376,7 +377,7 @@ def test_reconstruct_mixed_complex_lifts_only_where_needed(monkeypatch):
     tested, calls = record_candidates(monkeypatch, K)
     assert K.simplices_of_dim(2) == [(0, 1, 2)]
     assert calls == [(2, 6)]
-    assert tested == [c for _, c in count_rejection_replay(K, (1, 0))]
+    assert tested == [c for _, c in count_rejection_replay(K, ledger_directions(K))]
     assert tested == [frozenset(K.vertices[v] for v in (0, 1, 2))]
     assert len(closure_eligible(K, 3)) == 3
 
@@ -405,6 +406,13 @@ def closure_eligible(K, size):
         for cand in combinations(sorted(K.vertices), size)
         if all(f in K.simplices for f in combinations(cand, size - 1))
     }
+
+
+def ledger_directions(K):
+    """The directions of the count ledger of a reconstruction of K, the
+    sweep direction first: the vertex stage's and the edge stage's in -u1."""
+    _, frame, ledger = vertex_stage(Oracle(K))
+    return [dgm.direction for dgm in ledger.diagrams] + [vneg(frame.u1)]
 
 
 def record_candidates(monkeypatch, K):
@@ -439,17 +447,21 @@ def record_candidates(monkeypatch, K):
 
 def test_higher_stage_tests_exactly_the_closure_eligible_candidates(monkeypatch):
     """The tested candidates, in order, are those of a replay of the closure
-    and count rules over the true complex, and all are closure-eligible."""
+    and count rules, over the true complex and every direction of the count
+    ledger, and all are closure-eligible.  The d = 3 scale complex holds
+    candidates tested past a full level, as a found triangle sits at their
+    level in every diagram."""
     from test_acceptance import _trial_configs
 
     configs = [c for c in _trial_configs() if c.max_dim >= 2][::4]
     assert {c.ambient_dim for c in configs} == {3, 4, 5}
+    configs.append(GeneratorConfig(3, 25, 2, densities=[0.5, 0.6], seed=7))
     rejected = 0
     for cfg in configs:
         K = generate_complex(cfg)
         d = cfg.ambient_dim
         tested, calls = record_candidates(monkeypatch, K)
-        replay = count_rejection_replay(K, (1,) + (0,) * (d - 1))
+        replay = count_rejection_replay(K, ledger_directions(K))
         assert tested == [c for _, c in replay]
         assert [k for k, _ in calls] == [k for k, _ in replay]
         eligible = set().union(*(closure_eligible(K, k + 1) for k in range(2, d)))
@@ -459,6 +471,34 @@ def test_higher_stage_tests_exactly_the_closure_eligible_candidates(monkeypatch)
     assert rejected > 0  # the counts do reject candidates here
 
 
+def test_no_candidate_the_counts_skip_is_a_simplex(monkeypatch):
+    """Over all 50 acceptance configs and the scale corpus, every
+    closure-eligible candidate that the higher stage leaves untested is no
+    simplex of the true complex, found by enumeration: the counts skip only
+    candidates that a test would reject."""
+    from test_acceptance import _trial_configs
+
+    configs = list(_trial_configs())
+    configs += [
+        GeneratorConfig(d, n0, 2, densities=[0.5, 0.6], seed=7)
+        for d, n0, *_ in SCALE_CORPUS
+    ]
+    skipped = 0
+    for cfg in configs:
+        K = generate_complex(cfg)
+        tested, _ = record_candidates(monkeypatch, K)
+        truth = {
+            frozenset(K.vertices[v] for v in s) for s in K.simplices if len(s) > 2
+        }
+        eligible = set().union(
+            *(closure_eligible(K, k) for k in range(3, K.ambient_dim + 2))
+        )
+        untested = eligible - set(tested)
+        assert not untested & truth
+        skipped += len(untested)
+    assert skipped > 0
+
+
 def test_lifted_pass_tests_exactly_the_closure_eligible_candidates(monkeypatch):
     K = generate_complex(
         GeneratorConfig(
@@ -466,7 +506,7 @@ def test_lifted_pass_tests_exactly_the_closure_eligible_candidates(monkeypatch):
         )
     )
     tested, calls = record_candidates(monkeypatch, K)
-    replay = count_rejection_replay(K, (1, 0))
+    replay = count_rejection_replay(K, ledger_directions(K))
     # d = 2 has no standard higher stage: every call is a lifted one
     assert calls and all(k == 2 for k, _ in calls)
     assert tested == [c for _, c in replay]
@@ -573,35 +613,39 @@ def corpus_complex(index):
     return generate_complex(_trial_configs()[index])
 
 
-# acceptance config 5 (d = 3, n0 = 5, seed 1005): the first direction of its
-# first k = 2 predicate call, and the level of the triangles it counts
-CONFIG_5_FAULT = (
-    (59268034639269, 214163686128860, -4491560960899),
-    F(-1327386182520679, 64),
+# acceptance config 17 (d = 3, n0 = 6, seed 1017): the first direction of its
+# second k = 2 predicate call, and the level of the triangles it counts
+CONFIG_17_FAULT = (
+    (-1258747618700, 13816869048273, 5045116415013),
+    F(492503300801621, 16),
 )
 
 
 @pytest.mark.parametrize("delta", [1, -1])
 def test_one_wrong_predicate_count_raises(delta):
     """A triangle count moved by one in one predicate answer flips that
-    verdict: a false triangle is found and the true one that shares its
-    lowest and its highest vertex is rejected untested by the sweep counts,
-    which the exchange keeps.  A vertex-stage diagram in which the middle
-    vertices top the two triangles sees it, and the count check raises."""
-    K = corpus_complex(5)
-    direction, height = CONFIG_5_FAULT
+    verdict: a false triangle, (0, 1, 5) in sweep ids, is found and the
+    true one that shares its lowest and its highest vertex, (0, 4, 5), is
+    rejected untested by the sweep counts, which the exchange keeps.  A
+    vertex-stage diagram in which the middle vertices top the two triangles
+    sees it, and the count check raises."""
+    K = corpus_complex(17)
+    direction, height = CONFIG_17_FAULT
     assert direction in predicate_directions(K)
     with pytest.raises(OracleInconsistency):
         reconstruct(TamperedOracle(K, direction, 2, height, delta))
 
 
-@pytest.mark.parametrize("index", [5, 20])
+@pytest.mark.parametrize("index", [5, 17, 20])
 def test_no_single_wrong_triangle_count_returns_a_wrong_complex(index):
     """The single-fault slice: every direction a predicate call asks, with
     its triangle count moved by one, up or down, at every level, ends in a
     typed error or in the exact complex.  Configs 5 (d = 3) and 20 (d = 4,
     seed 2002) each had 12 such faults that returned a wrong complex before
-    the count check."""
+    the count check.  Config 17 (d = 3) has 12 that return one when a
+    candidate that only a diagram other than the sweeps rejects goes
+    untested although a found triangle sits at its level in every diagram:
+    the false (0, 1, 5) takes the place of the true (0, 2, 5)."""
     K = corpus_complex(index)
     assert wrong_complexes(K, 2, predicate_directions(K)) == []
 
@@ -690,7 +734,7 @@ PINNED_SLICE = [2, 8, 17, 20, 27, 32, 36, 39, 45]
 # the slice plus the lifted config: the log of the rational geometry with the
 # spans of the candidates that the per-vertex counts reject taken out, and
 # the edge splits that free cuts decide taken out
-PINNED_LOG_SHA256 = "5e6e100d421596ef931b3aae16e2f1e1cfb87413237de1731f7a5e7b18f9c48e"
+PINNED_LOG_SHA256 = "e2eca11df07d4753b86b9e3590a40a0677915f36b8fd50869ef71586d1214c8f"
 
 
 def test_query_log_of_a_corpus_slice_is_pinned():
@@ -706,6 +750,9 @@ def test_query_log_of_a_corpus_slice_is_pinned():
     direction outside it as they were, and the "edges" span no longer.
     Each direction is hashed as its ray, in primitive integer form
     (``ray_text``): a diagram depends only on the ray of its direction.
+    It was re-recorded, checked as the whole corpus's pin was, when the
+    higher stage read every ledger diagram and the edge stage the
+    vertex-stage cuts.
     """
     import hashlib
 
@@ -756,9 +803,9 @@ def test_a_reconstruction_asks_only_integer_directions():
 
 # the scale corpus: (d, n0, vertex, edge and higher-stage queries), each
 # generated with seed 7, kappa 2 and densities 0.5, 0.6
-SCALE_CORPUS = [(3, 25, 5, 68, 1920), (4, 20, 7, 38, 516)]
+SCALE_CORPUS = [(3, 25, 5, 65, 1878), (4, 20, 7, 36, 498)]
 # every span and direction of the 50 acceptance configs, then the scale corpus
-CORPUS_LOG_SHA256 = "85d4b335c7bac79280b1ab15a1aca94f718eb8435374d0a16a2c2dffc2d6b59f"
+CORPUS_LOG_SHA256 = "51f1c991e484d63f1f020d824be7d727668132956c01d87efd71d4629ad1f0f8"
 
 
 def test_query_log_of_the_whole_corpus_is_pinned():
@@ -769,7 +816,11 @@ def test_query_log_of_the_whole_corpus_is_pinned():
     the face's own plane-filling solve, so the shared solve asks what the
     separate solves asked.  Each direction is hashed as its ray
     (``ray_text``), and the digest was recorded so before the vertex and
-    edge stages asked their directions as ints, which kept every ray."""
+    edge stages asked their directions as ints, which kept every ray.  It
+    was re-recorded once the higher stage read every ledger diagram and the
+    edge stage the vertex-stage cuts, after checking that every "vertices"
+    span was as before, every "edges" span began with the same -u1 query,
+    and the predicate spans were the old ones less whole spans."""
     import hashlib
 
     from test_acceptance import _trial_configs

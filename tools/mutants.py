@@ -222,6 +222,48 @@ MUTANTS = [
         "",
         ("tests/test_geometry.py",),
     ),
+    Mutant(
+        "_cofaces reads only the first and last ledger diagrams",
+        "src/apdrec/higher.py",
+        "    middle = list(zip(ledger.levels[1:-1], left[1:-1]))\n",
+        "    middle = []\n",
+        ("tests/test_higher.py",),
+    ),
+    Mutant(
+        "_cofaces skips in a middle diagram past a found simplex's levels",
+        "src/apdrec/higher.py",
+        "            if full and key not in placed:\n",
+        "            if full:\n",
+        ("tests/test_higher.py",),
+    ),
+    Mutant(
+        "a flipped in-plane cut counts the edges below, not deg - count",
+        "src/apdrec/edges.py",
+        "                count = degree[v] - edges[i] if flipped else edges[i]\n",
+        "                count = edges[i]\n",
+        ("tests/test_edges.py",),
+    ),
+    Mutant(
+        "an in-plane diagram is read at a vertex that shares its height",
+        "src/apdrec/edges.py",
+        "            if vertices[i] == 1:\n",
+        "            if True:\n",
+        ("tests/test_edges.py",),
+    ),
+    Mutant(
+        "tilt lets a float through",
+        "src/apdrec/geometry.py",
+        "        _check_rationals(weight, s, s_prime)\n",
+        "        pass\n",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "radial_order lets a float through",
+        "src/apdrec/geometry.py",
+        "        _check_rationals(*offsets.values())\n",
+        "        pass\n",
+        ("tests/test_geometry.py",),
+    ),
 ]
 
 

@@ -37,6 +37,7 @@ any query.
 
 from __future__ import annotations
 
+from operator import getitem
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .complexes import Simplex, SimplicialComplex, build_complex, facets, proper_faces
@@ -131,7 +132,7 @@ def _level_count(
         raise PreconditionViolated(
             "another vertex shares the simplex height in this direction"
         )
-    return dgm.histogram[k][level] if k in dgm.histogram else 0
+    return dgm.counts(k)[level]
 
 
 def compute_indegree(
@@ -278,56 +279,50 @@ def _cofaces(
 
     Every (k+1)-simplex is one event at the level of its highest vertex, so
     each diagram of the ``ledger`` counts the (k+1)-simplices, ``dim`` = k +
-    1, that top each of its levels; a candidate's level there is the largest
-    of its vertices' levels, and the level is full once it holds as many
-    found simplices as the diagram counts there.  Vertex ids follow the
-    sweep order, so in the sweep diagram, the ledger's first, a candidate
-    sits at the level of ``cand[-1]``, and in the -u1 diagram, its last, at
-    that of ``cand[0]``: once sigma's lowest vertex has all its simplices
-    found, every later candidate of sigma is full there, and a sweep row of
-    zeros means no candidate at all.
+    1, that top each of its levels.  A candidate's *level tuple* holds its
+    level in every diagram, in ledger order: the element-wise max of its
+    vertices' level tuples.  A level is full once it holds as many found
+    simplices as the diagram counts there.  Vertex ids follow the sweep
+    order, so the tuple's first entry, the sweep diagram's, is the level of
+    ``cand[-1]``, and its last, the -u1 diagram's, that of ``cand[0]``;
+    both are read off those vertices before any facet is looked up.  Once
+    sigma's lowest vertex has all its simplices found, every later
+    candidate of sigma is full in -u1, and a sweep row of zeros means no
+    candidate at all.
 
     A candidate full in either sweep diagram is not tested.  One full in
-    another diagram is not tested either, unless a simplex found sits at
-    its level in every diagram: were that simplex false and the candidate
-    true, the exchange would keep every count, and ``reconstruct``'s count
-    check, the guard of every untested candidate, could not see it.
+    another diagram is not tested either, unless a simplex found has its
+    level tuple: were that simplex false and the candidate true, the
+    exchange would keep every count, and the count check, the guard of
+    every untested candidate, could not see it.
     """
-    if not any(ledger.diagrams[0].histogram.get(dim) or ()):
-        return set()
     # the (k+1)-simplices each level of each diagram still misses
-    left = [
-        list(dgm.histogram.get(dim) or [0] * len(dgm.heights))
-        for dgm in ledger.diagrams
-    ]
-    top, top_left = ledger.levels[0], left[0]
-    bottom, bottom_left = ledger.levels[-1], left[-1]
-    middle = list(zip(ledger.levels[1:-1], left[1:-1]))
+    left = [dgm.counts(dim) for dgm in ledger.diagrams]
+    if not any(left[0]):
+        return set()
+    # each vertex's level in every diagram, the sweep's first and -u1's last
+    levels = list(zip(*ledger.levels))
     known = set(previous)
     found: Set[Simplex] = set()
-    # the levels of each simplex found, in every diagram
+    # the level tuples of the simplices found
     placed: Set[Tuple[int, ...]] = set()
     for sigma in previous:
-        low = bottom[sigma[0]]
+        low = levels[sigma[0]][-1]
         for vertex in range(sigma[-1] + 1, len(points)):
-            if not bottom_left[low]:
+            if not left[-1][low]:
                 break
-            if not top_left[top[vertex]]:
+            if not left[0][levels[vertex][0]]:
                 continue
             candidate = sigma + (vertex,)
             if not all(f in known for f in facets(candidate)):
                 continue
-            at = [max(map(levels.__getitem__, candidate)) for levels, _ in middle]
-            key = (top[vertex], low, *at)
-            full = not all(row[i] for i, (_, row) in zip(at, middle))
-            if full and key not in placed:
+            at = tuple(map(max, *map(levels.__getitem__, candidate)))
+            if not all(map(getitem, left, at)) and at not in placed:
                 continue
             if is_simplex(sigma, vertex, oracle, points, scale):
                 found.add(candidate)
-                placed.add(key)
-                top_left[top[vertex]] -= 1
-                bottom_left[low] -= 1
-                for i, (_, row) in zip(at, middle):
+                placed.add(at)
+                for row, i in zip(left, at):
                     row[i] -= 1
     return found
 
@@ -348,10 +343,11 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     tested at most once, so the higher stage costs at most 2(2^k - 1)
     queries per closure-eligible (k+1)-vertex candidate.
 
-    The count check: after the edge stage and after each pass, the found
-    simplices are checked against every diagram of the ledger, the vertex
-    stage's and the edge stage's in ``-frame.u1`` (``CountLedger.check``),
-    at no query.  A dimension with no candidates left is still checked.
+    The count check: the found simplices are checked against every diagram
+    of the ledger, the vertex stage's and the edge stage's in ``-frame.u1``
+    (``CountLedger.check``), at no query; ``find_edges`` ends with it for
+    the edges, and each pass here runs it on its own simplices.  A
+    dimension with no candidates left is still checked.
     The checked diagrams are those whose counts reject candidates, so a
     candidate rejected untested is guarded: a wrong simplex found in place
     of a true one goes unseen only when the exchange keeps the count of
@@ -370,7 +366,6 @@ def reconstruct(oracle: Oracle) -> SimplicialComplex:
     d = oracle.ambient_dim
     points, frame, ledger = vertex_stage(oracle)
     edges = find_edges(ledger, oracle, frame)
-    ledger.check(edges, 1)
     simplices: Set[Simplex] = {(v,) for v in range(len(points))} | edges
     previous: List[Simplex] = sorted(edges)
 

@@ -33,7 +33,6 @@ from typing import Collection, List, Optional, Sequence, Tuple
 
 from .errors import GeneralPositionViolated, InvalidInput, OracleInconsistency
 from .geometry import (
-    Direction,
     SweepFrame,
     Vector,
     basis_vector,
@@ -50,18 +49,17 @@ def find_coordinate(
     i: int,
     base: AugmentedDiagram,
     oracle: Oracle,
-    base_direction: Optional[Direction] = None,
     target: Optional[AugmentedDiagram] = None,
 ) -> Tuple[List[Fraction], List[AugmentedDiagram]]:
     """Recover coordinate i of every vertex, aligned with the base order.
 
-    ``base`` is the diagram in the base direction (e1 unless a tilted basis
-    is in play), whose vertex heights must be strictly increasing.  The
-    tilt s_t towards e_i preserves their order, so the j-th sorted birth of
-    Dgm0(s_t) belongs to the j-th vertex.  s_t is ``tilt((n, q), base,
-    e_i)`` = (q - n) * base + n * e_i, asked as it is, for (n, q) the
-    ``tilt_weight`` of the base and e_i heights, so its heights are H_t[j] =
-    (q - n) * H_b[j] + n * x_i[j] and
+    ``base`` is the diagram in the base direction, ``base.direction`` (e1
+    unless a tilted basis is in play), whose vertex heights must be strictly
+    increasing.  The tilt s_t towards e_i preserves their order, so the j-th
+    sorted birth of Dgm0(s_t) belongs to the j-th vertex.  s_t is
+    ``tilt((n, q), base, e_i)`` = (q - n) * base + n * e_i, asked as it is,
+    for (n, q) the ``tilt_weight`` of the base and e_i heights, so its
+    heights are H_t[j] = (q - n) * H_b[j] + n * x_i[j] and
 
         x_i[j] = (H_t[j] - (q - n) * H_b[j]) / n.
 
@@ -83,8 +81,6 @@ def find_coordinate(
     if not 1 <= i <= d:
         raise InvalidInput(f"coordinate index {i} out of range 1..{d}")
     e_i = basis_vector(d, i - 1)
-    if base_direction is None:
-        base_direction = basis_vector(d, 0)
     asked = []
     if target is None:
         target = oracle.query(e_i)
@@ -99,7 +95,7 @@ def find_coordinate(
     n, q = tilt_weight(
         [b * target_den for b in heights], [t * base_den for t in target_heights]
     )
-    asked.append(oracle.query(tilt((n, q), base_direction, e_i)))
+    asked.append(oracle.query(tilt((n, q), base.direction, e_i)))
     tilted, tilted_den = asked[-1].vertex_heights(), asked[-1].denominator
     if len(tilted) != len(heights):
         raise OracleInconsistency("birth counts differ between directions")
@@ -169,8 +165,7 @@ class CountLedger:
     def counts(self, k: int, i: int) -> List[int]:
         """Each vertex's k-count in diagram i: the number of k-simplices
         whose highest vertex it is in that diagram's direction."""
-        row = self.diagrams[i].histogram.get(k)
-        return [row[level] if row else 0 for level in self.levels[i]]
+        return list(map(self.diagrams[i].counts(k).__getitem__, self.levels[i]))
 
     def check(self, found: Collection[Tuple[int, ...]], k: int) -> None:
         """Raise OracleInconsistency unless every diagram counts exactly the
@@ -184,7 +179,7 @@ class CountLedger:
             row = [0] * len(dgm.heights)
             for simplex in found:
                 row[max(map(levels.__getitem__, simplex))] += 1
-            if row != (dgm.histogram.get(k) or [0] * len(row)):
+            if row != dgm.counts(k):
                 raise OracleInconsistency(
                     f"the {k}-simplices found do not meet the diagram "
                     f"in {dgm.direction}"
@@ -228,7 +223,7 @@ def vertex_stage(oracle: Oracle) -> Tuple[List[Vector], SweepFrame, CountLedger]
         if frame.u1 == basis_vector(d, i - 1):
             columns.append(base.births(0))
         else:
-            column, diagrams = find_coordinate(i, base, oracle, frame.u1, known.get(i))
+            column, diagrams = find_coordinate(i, base, oracle, known.get(i))
             columns.append(column)
             asked += diagrams
     points = [tuple(col[j] for col in columns) for j in range(len(heights))]

@@ -15,6 +15,7 @@ from apdrec import (
     orthogonal_to_affine_hull,
 )
 from apdrec.geometry import primitive_direction
+from apdrec.oracle import lift
 
 
 def cx(ambient_dim, points, maximal):
@@ -75,7 +76,9 @@ def shifted_count(dgm, k, height, delta):
 
 class TamperedOracle(Oracle):
     """An Oracle whose answer in one direction counts delta more k-simplices
-    at one height (see shifted_count); every other answer is true."""
+    at one height (see shifted_count); every other answer is true.  Its
+    lifted oracle carries the same tamper, so a direction of the lifted
+    pass, one entry longer, can be tampered too."""
 
     def __init__(self, complex_, direction, k, height, delta):
         super().__init__(complex_)
@@ -87,6 +90,13 @@ class TamperedOracle(Oracle):
         if dgm.direction == target:
             return shifted_count(dgm, k, height, delta)
         return dgm
+
+    def lifted(self):
+        """TamperedOracle of the parabolic lift, with the same tamper; it
+        shares this log."""
+        lifted = TamperedOracle(lift(self._complex), *self._tamper)
+        lifted.log = self.log
+        return lifted
 
 
 @pytest.fixture

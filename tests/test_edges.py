@@ -427,6 +427,29 @@ def test_find_edges_never_returns_edges_from_a_miscounted_sweep():
                     assert info.type is OracleInconsistency
 
 
+def test_find_edges_checks_the_edges_against_every_ledger_diagram():
+    """The stage ends with the ledger's count check.  The e3 diagram of a
+    d = 3 reconstruction lies outside the sweep plane, so the search never
+    reads it; its edge count moved by one at any vertex's height, up or
+    down, still raises OracleInconsistency from find_edges itself."""
+    tried = 0
+    for seed in range(2):
+        K = generate_complex(GeneratorConfig(3, 7, 1, densities=[0.5], seed=seed))
+        e3 = Oracle(K).query((0, 0, 1))
+        for vertex in K.vertices.values():
+            for delta in (1, -1):
+                if e3.count_at(1, vertex[2]) + delta < 0:
+                    continue
+                oracle = TamperedOracle(K, (0, 0, 1), 1, vertex[2], delta)
+                _, frame, ledger = vertex_stage(oracle)
+                assert frame == standard_frame(3)
+                assert (0, 0, 1) in [dgm.direction for dgm in ledger.diagrams]
+                with pytest.raises(OracleInconsistency, match="1-simplices"):
+                    find_edges(ledger, oracle, frame)
+                tried += 1
+    assert tried > 10
+
+
 # ---------------------------------------------------------------------------
 # free cuts
 

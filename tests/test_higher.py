@@ -636,6 +636,25 @@ def test_one_wrong_predicate_count_raises(delta):
         reconstruct(TamperedOracle(K, direction, 2, height, delta))
 
 
+@pytest.mark.parametrize("delta", [1, -1])
+def test_one_wrong_count_of_the_lifted_pass_raises(delta):
+    """The tamper reaches the lifted pass: in the CLI's lifted example,
+    whose three tetrahedra come back through ``oracle.lifted()``, the first
+    lifted answer with its tetrahedron count moved by one at its top level,
+    the level of the triangle whose indegree it reads, flips a verdict, and
+    the count check raises."""
+    K = generate_complex(
+        GeneratorConfig(3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2,
+                        lift_general_position=True)
+    )
+    oracle = Oracle(K)
+    reconstruct(oracle)
+    direction = next(s for s in oracle.log.directions if len(s) == 4)
+    height = Oracle(K).lifted().query(direction).levels[-1]
+    with pytest.raises(OracleInconsistency, match="3-simplices"):
+        reconstruct(TamperedOracle(K, direction, 3, height, delta))
+
+
 @pytest.mark.parametrize("index", [5, 17, 20])
 def test_no_single_wrong_triangle_count_returns_a_wrong_complex(index):
     """The single-fault slice: every direction a predicate call asks, with

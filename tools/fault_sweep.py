@@ -15,12 +15,18 @@ of four outcomes:
     silent   a wrong complex is returned without an error
     untyped  any other exception
 
-Answers of the lifted pass come from an oracle of the lifted complex, which
-the tampering does not reach, so directions of dimension d + 1 are left
-out.  Run from anywhere, with the config positions as arguments (none means
-all 50):
+Directions of the lifted pass, one entry longer, are tampered in the
+answers of the lifted oracle.  The acceptance corpus asks none, so the
+argument ``lifted`` sweeps the CLI's lifted example, ``L.cx`` of the
+README, whose top dimension comes back through the lifted pass:
+
+    apdrec generate --seed 2 --n0 6 --dim 3 --kappa 3 --density 0.9,0.9,0.9 --codim-zero
+
+Run from anywhere, with the config positions, or ``lifted``, as arguments
+(none means all 50):
 
     python tools/fault_sweep.py 5 20
+    python tools/fault_sweep.py lifted
 
 It prints one line per config and stage, the stage being the span that
 first asked the direction ("vertices", "edges" or "predicate"), then the
@@ -34,13 +40,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from apdrec import ApdrecError, Oracle, complexes_match, generate_complex  # noqa: E402
+from apdrec import (  # noqa: E402
+    ApdrecError,
+    GeneratorConfig,
+    Oracle,
+    complexes_match,
+    generate_complex,
+)
 from apdrec.higher import reconstruct  # noqa: E402
 
 from conftest import TamperedOracle  # noqa: E402
 from test_acceptance import _trial_configs  # noqa: E402
 
 OUTCOMES = ("typed", "exact", "silent", "untyped")
+# the CLI's lifted example: 3 tetrahedra, recovered through the lifted pass
+LIFTED = GeneratorConfig(3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2,
+                         lift_general_position=True)
 
 
 def first_stages(log):
@@ -73,9 +88,8 @@ def sweep(K):
     d = K.ambient_dim
     tally = Counter()
     for direction, stage in first_stages(oracle.log).items():
-        if len(direction) != d:
-            continue
-        for height in Oracle(K).query(direction).levels:
+        answering = Oracle(K) if len(direction) == d else Oracle(K).lifted()
+        for height in answering.query(direction).levels:
             for k in range(d + 1):
                 for delta in (1, -1):
                     tally[stage, outcome(K, direction, k, height, delta)] += 1
@@ -83,16 +97,17 @@ def sweep(K):
 
 
 def main(argv) -> int:
-    configs = _trial_configs()
-    chosen = [int(a) for a in argv] or range(len(configs))
+    configs = {str(i): config for i, config in enumerate(_trial_configs())}
+    chosen = argv or list(configs)
+    configs["lifted"] = LIFTED
     total = Counter()
     print(f"{'config':>6}  {'stage':<9}  " + "  ".join(f"{o:>7}" for o in OUTCOMES))
-    for index in chosen:
-        tally = sweep(generate_complex(configs[index]))
+    for name in chosen:
+        tally = sweep(generate_complex(configs[name]))
         for stage in ("vertices", "edges", "predicate"):
             if any(tally[stage, o] for o in OUTCOMES):
                 counts = "  ".join(f"{tally[stage, o]:>7}" for o in OUTCOMES)
-                print(f"{index:>6}  {stage:<9}  {counts}", flush=True)
+                print(f"{name:>6}  {stage:<9}  {counts}", flush=True)
         for (_, o), n in tally.items():
             total[o] += n
     print(f"{'total':>6}  {'':<9}  " + "  ".join(f"{total[o]:>7}" for o in OUTCOMES))

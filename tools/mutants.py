@@ -225,15 +225,16 @@ MUTANTS = [
     Mutant(
         "_cofaces reads only the first and last ledger diagrams",
         "src/apdrec/higher.py",
-        "    middle = list(zip(ledger.levels[1:-1], left[1:-1]))\n",
-        "    middle = []\n",
+        "            if not all(map(getitem, left, at)) and at not in placed:\n",
+        "            if not all(map(getitem, (left[0], left[-1]), (at[0], at[-1])))"
+        " and at not in placed:\n",
         ("tests/test_higher.py",),
     ),
     Mutant(
         "_cofaces skips in a middle diagram past a found simplex's levels",
         "src/apdrec/higher.py",
-        "            if full and key not in placed:\n",
-        "            if full:\n",
+        "            if not all(map(getitem, left, at)) and at not in placed:\n",
+        "            if not all(map(getitem, left, at)):\n",
         ("tests/test_higher.py",),
     ),
     Mutant(
@@ -263,6 +264,13 @@ MUTANTS = [
         "        _check_rationals(*offsets.values())\n",
         "        pass\n",
         ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "find_edges ends without the ledger's count check",
+        "src/apdrec/edges.py",
+        "    ledger.check(edges, 1)\n    return edges\n",
+        "    return edges\n",
+        ("tests/test_edges.py",),
     ),
 ]
 

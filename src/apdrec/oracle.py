@@ -8,35 +8,38 @@ filtration restricted to one dimension is (level, static index), so the
 kernel reads each simplex's level and builds no order of the whole complex.
 The edges are paired with the vertices by union-find with the elder rule.
 Then each dimension from one up to one below the top, lowest first, reduces
-the coboundary columns of its simplices in decreasing (level, static
-index), skipping every simplex already paired as a death one dimension
-down, since its column would reduce to zero.  Columns are given implicitly,
-in the spirit of Ripser (Bauer, 2021): a column starts as its simplex's
-static coboundary mask, built once per complex, and its pivot, the death of
-its simplex, is found through per-level masks built once per query from
-static vertex star masks.  Reducing coboundaries so is the reduction of the
-anti-transposed boundary matrix, which has the same pivot pairs (de Silva,
-Morozov and Vejdemo-Johansson, 2011), and the pairing of a filtration is
-unique, so union-find, cohomology and clearing leave the points as they
-are.  Cohomology is chosen for speed alone: homology reduces the boundary
-column of every essential class to zero and clearing cannot skip it, so a
-complex with many top-dimensional classes pays for those zero columns on
-every query, while cohomology builds no column of the top dimension at all.
+the coboundary columns of its simplices in decreasing (level, static index),
+an order built by one bucket pass over the dimension's levels, skipping
+every simplex already paired as a death one dimension down, since its column
+would reduce to zero.  Columns are given implicitly, in the spirit of Ripser
+(Bauer, 2021): a column starts as its simplex's static coboundary mask,
+built once per complex, with an earlier cofacet at a higher bit, and its
+pivot, the death of its simplex, is the highest bit left by per-level masks
+built once per query from static vertex star masks.  The reduced columns are
+kept in a list indexed by pivot bit, and the pairing in one partner array.
+Reducing coboundaries so is the reduction of the anti-transposed boundary
+matrix, which has the same pivot pairs (de Silva, Morozov and
+Vejdemo-Johansson, 2011), and the pairing of a filtration is unique, so
+union-find, cohomology and clearing leave the points as they are.
+Cohomology is chosen for speed alone: homology reduces the boundary column
+of every essential class to zero and clearing cannot skip it, so a complex
+with many top-dimensional classes pays for those zero columns on every
+query, while cohomology builds no column of the top dimension at all.
 
-A diagram's per-level simplex histogram is the only source of its counts:
-by the simplex-count correspondence every k-simplex is exactly one event at
-its lower-star height, so the k-simplices at each distinct height are what
+A diagram's per-level simplex histogram is the only source of its counts: by
+the simplex-count correspondence every k-simplex is exactly one event at its
+lower-star height, so the k-simplices at each distinct height are what
 ``counts``, ``count_at``, ``simplex_count``, ``births(0)`` and the Euler
 curve of ``descriptors`` read, and the histogram needs the heights alone.
 Each query builds the diagram, histogram included, in ``_emit_points``, the
-one place a diagram is made.  The diagram keeps each simplex's level and
-the BoundaryTable, and the pairing runs on them on first read of ``rows``,
+one place a diagram is made.  The diagram keeps each simplex's level and the
+BoundaryTable, and the pairing runs on them on first read of ``rows``,
 ``births(k)`` for k > 0 or ``points``; its result is kept.
-``_reduce_pairs`` returns static index pairs and counts each dimension's
-deaths per level as it finds them, so the event rows are those counts and
-the histogram less them, and the Betti curves build no point; the points
-are read off the kept pairs on first read.  The reconstruction stages read
-only the histogram, so they never pair.
+``_reduce_pairs`` returns the partner of each static index and counts each
+dimension's deaths per level as it finds them, so the event rows are those
+counts and the histogram less them, and the Betti curves build no point; the
+points are read off the kept partner array on first read.  The
+reconstruction stages read only the histogram, so they never pair.
 
 The kernel runs on integers.  A BoundaryTable, built once per complex,
 holds the coordinates scaled by their common denominator, the simplices in
@@ -116,23 +119,23 @@ class AugmentedDiagram:
     The diagram keeps the ``level`` of each simplex of its complex's
     ``BoundaryTable``, in static order, and the table; ``_reduce_pairs``
     runs on them once, on first read of rows, points or ``births(k)`` for k
-    > 0, which builds the rows and keeps the static index pairs until the
-    points are read off them; then the levels, the table and the pairs are
-    let go (kept, they cost the ``apd-stream`` benchmark, which reads the
-    points of every diagram, about 2.5% of its wall time).  ``rows[k]``
-    counts the events of dimension k at each level, and a dimension without
-    a row has no events.  The reduction counts the deaths, and by the
-    simplex-count correspondence every k-simplex is a death of dimension
-    k-1 or a birth of dimension k, so the births of ``rows[k]`` are
-    ``histogram[k]`` less the deaths of ``rows[k-1]``; the top dimension has
-    no deaths, and its row is kept only if it has a birth, so the rows run
-    up to the highest dimension of a point.  ``points`` are read off the
-    kept static index pairs, one (dim, birth level, death level) per pair
-    and per essential class, the unpaired simplices, dying one past the
-    last level, and sorted by (dim, birth, death); the Betti curves, which
-    read the rows, never build them.  The reconstruction stages read only
-    the histogram, so they never pair.  Rows and points are kept once
-    built.
+    > 0, which builds the rows and keeps the ``partner`` array (each static
+    index's pair partner, -1 when unpaired) until the points are read off
+    it; then the levels, the table and the partner array are let go (kept,
+    they cost the ``apd-stream`` benchmark, which reads the points of every
+    diagram, about 2.5% of its wall time).  ``rows[k]`` counts the events
+    of dimension k at each level, and a dimension without a row has no
+    events.  The reduction counts the deaths, and by the simplex-count
+    correspondence every k-simplex is a death of dimension k-1 or a birth
+    of dimension k, so the births of ``rows[k]`` are ``histogram[k]`` less
+    the deaths of ``rows[k-1]``; the top dimension has no deaths, and its
+    row is kept only if it has a birth, so the rows run up to the highest
+    dimension of a point.  ``points`` are read off the kept partner array,
+    one (dim, birth level, death level) per birth i, with partner[i] > i,
+    and per essential class, an unpaired simplex, dying one past the last
+    level, and sorted by (dim, birth, death); the Betti curves, which read
+    the rows, never build them.  The reconstruction stages read only the
+    histogram, so they never pair.  Rows and points are kept once built.
 
     ``levels``, the heights as Fractions, is built on first read and kept;
     ``level`` and ``levels_of`` find a height without it, and every reader
@@ -147,7 +150,7 @@ class AugmentedDiagram:
         "histogram",
         "_level",
         "_table",
-        "_pairs",
+        "_partner",
         "_rows",
         "_levels",
         "_points",
@@ -168,16 +171,16 @@ class AugmentedDiagram:
         self.histogram = histogram
         self._level = level
         self._table = table
-        self._pairs: Optional[tuple] = None
+        self._partner: Optional[List[int]] = None
         self._rows: Optional[Dict[int, EventRow]] = None
         self._levels: Optional[List[Fraction]] = None
         self._points: Optional[Tuple[DiagramPoint, ...]] = None
 
     def _pair(self) -> None:
-        """Run ``_reduce_pairs``: build the rows, and keep the pairs until
-        the points are read off them."""
+        """Run ``_reduce_pairs``: build the rows, and keep the partner
+        array until the points are read off it."""
         top = len(self.heights)
-        pairs, paired, deaths, zeros = _reduce_pairs(self._level, top, self._table)
+        partner, deaths, zeros = _reduce_pairs(self._level, top, self._table)
         rows: Dict[int, EventRow] = {}
         died = [0] * top
         for k, row in self.histogram.items():
@@ -187,7 +190,7 @@ class AugmentedDiagram:
                 rows[k] = EventRow(births, died, zeros[k])
             elif any(births):
                 rows[k] = EventRow(births, [0] * top, [0] * top)
-        self._rows, self._pairs = rows, (pairs, paired)
+        self._rows, self._partner = rows, partner
 
     @property
     def rows(self) -> Dict[int, EventRow]:
@@ -206,16 +209,16 @@ class AugmentedDiagram:
         if self._points is None:
             if self._rows is None:
                 self._pair()
-            (pairs, paired), level = self._pairs, self._level
+            partner, level = self._partner, self._level
             dims, top = self._table.dims, len(self.heights)
-            keys = [(dims[i], level[i], level[j]) for i, j in pairs]
-            keys.extend([(dims[i], level[i], top) for i, p in enumerate(paired) if not p])
+            keys = [(dims[i], level[i], level[j]) for i, j in enumerate(partner) if j > i]
+            keys.extend([(dims[i], level[i], top) for i, j in enumerate(partner) if j < 0])
             value = [*self.levels, INF]
             self._points = tuple(
                 [DiagramPoint(k, value[b], value[d]) for k, b, d in sorted(keys)]
             )
             # the rows and the points now hold all the reduction tells
-            self._pairs = self._level = self._table = None
+            self._partner = self._level = self._table = None
         return self._points
 
     def __eq__(self, other):
@@ -351,7 +354,9 @@ class BoundaryTable:
     ``coboundary[j]`` and ``stars[k][v]`` serve the pairing alone, and both
     are None until ``masks`` builds them on first call; so a table that
     never pairs never builds them.  Both are bitmasks over one dimension's
-    static range [start, end), a simplex c being bit c - start:
+    static range [start, end), a simplex c being bit end - 1 - c, so that
+    of several entries the earliest in static order is the highest bit, the
+    pivot ``_reduce_pairs`` reads with one ``bit_length``:
     ``coboundary[j]`` holds the cofacets of simplex j, and ``stars[k][v]``
     the k-simplices that have the vertex of static index v as a vertex.
     """
@@ -386,7 +391,7 @@ class BoundaryTable:
             stars = [[0] * len(vertex) for _ in self.ranges]
             for (lo, hi), star in zip(self.ranges, stars):
                 for c in range(lo, hi):
-                    bit = 1 << (c - lo)
+                    bit = 1 << (hi - 1 - c)
                     for f in self.facets[c]:
                         coboundary[f] |= bit
                     for v in self.simplices[c]:
@@ -418,39 +423,51 @@ def _heights(
     return distinct, level
 
 
+def _by_level(level: List[int], lo: int, hi: int, top: int) -> List[int]:
+    """The static indices lo..hi-1 in increasing (level, static index), by
+    one bucket pass over their levels (of ``top`` levels)."""
+    buckets: List[List[int]] = [[] for _ in range(top)]
+    for i, l in enumerate(level[lo:hi], lo):
+        buckets[l].append(i)
+    return [i for b in buckets for i in b]
+
+
 def _reduce_pairs(
     level: List[int], top: int, table: BoundaryTable
-) -> Tuple[List[Tuple[int, int]], bytearray, List[List[int]], List[List[int]]]:
+) -> Tuple[List[int], List[List[int]], List[List[int]]]:
     """Z/2 persistent cohomology with clearing of the lower-star filtration
     given by each simplex's ``level`` (of ``top`` levels), with no order.
 
     The reduction only ever compares simplices of one dimension, and the
     filtration restricted to one dimension is (level, static index), so
-    each dimension is ordered so and no filtration of the whole complex is
-    built.  The edges are paired first, by union-find over the vertices,
-    taking the edges in that order.  A component's root is its oldest
-    vertex, the least by (level, static index) (path halving keeps the
-    trees flat); an edge joining two components kills the younger root and
-    merges it into the elder, and an edge within one component is left to
-    the cohomology below.  This is the elder rule.  Dimension 0 keeps
-    union-find because pairing the vertices by the coboundary loop below
-    took 17-31 ms per direction on a 1,500-vertex star or path, against
-    about 0.6 ms, and was faster only on the dense benchmark complex, by
-    about 4%.
+    each dimension is put in that order by one bucket pass over its levels
+    (``_by_level``) and no filtration of the whole complex is built.  The
+    edges are paired first, by union-find over the vertices, taking the
+    edges in that order.  A component's root is its oldest vertex, the
+    least by (level, static index) (path halving keeps the trees flat); an
+    edge joining two components kills the younger root and merges it into
+    the elder, and an edge within one component is left to the cohomology
+    below.  This is the elder rule.  Dimension 0 keeps union-find because
+    pairing the vertices by the coboundary loop below took 17-31 ms per
+    direction on a 1,500-vertex star or path, against about 0.6 ms, and was
+    faster only on the dense benchmark complex, by about 4%.
 
     Then, for k from 1 up to one below the top dimension, the k-simplices
     not yet paired are taken in decreasing (level, static index).  A
-    column starts as the simplex's static coboundary mask.  Per query,
-    ``upto[l]`` masks the (k+1)-simplices of level at most l: a simplex's
-    level is that of its highest vertex, so this is the whole range less
-    the ``stars`` of the vertices above l, one operation per vertex and per
-    level rather than one per simplex.  A column has no entry below its
-    simplex's level, nor has any column added to it, which belongs to a
-    simplex taken before it, so its pivot, the earliest cofacet, is the
-    lowest bit of col & upto[l] for the first level l, from the simplex's
-    own, where that is nonzero; every entry of col & upto[l] is then at
-    level l, so l is the pivot's level.  Adding a column whose earliest
-    entry is that pivot leaves none below l, so the search goes on from l.
+    column starts as the simplex's static coboundary mask, in which the
+    (k+1)-simplex c of static range [start, end) is bit end - 1 - c, so an
+    earlier static index is a higher bit.  Per query, ``upto[l]`` masks the
+    (k+1)-simplices of level at most l: a simplex's level is that of its
+    highest vertex, so this is the whole range less the ``stars`` of the
+    vertices above l, one operation per vertex and per level rather than
+    one per simplex.  A column has no entry below its simplex's level, nor
+    has any column added to it, which belongs to a simplex taken before it,
+    so its pivot, the earliest cofacet, is the highest bit of col &
+    upto[l] for the first level l, from the simplex's own, where that is
+    nonzero; every entry of col & upto[l] is then at level l, so l is the
+    pivot's level.  Adding a column whose earliest entry is that pivot
+    leaves none below l, so the search goes on from l.  ``reduced[p]``
+    holds the reduced column whose pivot is bit p, 0 while there is none.
     A column is only ever added to one of its own dimension taken before
     it, so this is the left-to-right reduction of the anti-transposed
     boundary matrix, whose pivots are the boundary matrix's pairs (de
@@ -462,22 +479,22 @@ def _reduce_pairs(
     simplex that is never a pivot is essential.
 
     The pairing of a filtration is unique, so this pairs what the boundary
-    column reduction would.  Returns the (birth, death) static index pairs;
-    ``paired``, 1 at each paired static index, so the essential classes are
-    its zeros; and, for each dimension k below the top, ``deaths[k]`` and
-    ``zeros[k]``, the finite deaths and the zero-persistence pairs of
-    dimension k at each level, counted as each pair is found.
+    column reduction would.  Returns ``partner``, by static index: -1 for
+    an unpaired simplex, an essential class, and the other simplex of its
+    pair otherwise, so a birth is an i with partner[i] > i, the death of a
+    pair being of the next dimension; and, for each dimension k below the
+    top, ``deaths[k]`` and ``zeros[k]``, the finite deaths and the
+    zero-persistence pairs of dimension k at each level, counted as each
+    pair is found.
     """
     ranges = table.ranges
     facet_table = table.facets
-    by_level = level.__getitem__
-    pairs: List[Tuple[int, int]] = []
-    paired = bytearray(len(level))
+    partner = [-1] * len(level)
     deaths = [[0] * top for _ in ranges[1:]]
     zeros = [[0] * top for _ in ranges[1:]]
-    # the edges in (level, static index) order, sorted once: union-find walks
-    # them ascending, the cohomology of dimension 1 descending
-    edges = sorted(range(*ranges[1]), key=by_level) if len(ranges) > 1 else []
+    # the edges in (level, static index) order: union-find walks them
+    # ascending, the cohomology of dimension 1 descending
+    edges = _by_level(level, *ranges[1], top) if len(ranges) > 1 else []
     if edges:
         # vertices are the static indices below the edges', each its own
         # root at first
@@ -495,16 +512,15 @@ def _reduce_pairs(
             if level[a] > level[b] or level[a] == level[b] and a > b:
                 a, b = b, a
             parent[b] = a
-            pairs.append((b, e))
-            paired[b] = paired[e] = 1
+            partner[b], partner[e] = e, b
             deaths[0][level[e]] += 1
             if level[b] == level[e]:
                 zeros[0][level[e]] += 1
     if len(ranges) > 2:
         coboundary, stars = table.masks()
         for k in range(1, len(ranges) - 1):
-            lo, hi = ranges[k]
             start, end = ranges[k + 1]
+            last = end - 1
             died, zero = deaths[k], zeros[k]
             # upto[l]: the (k+1)-simplices of level at most l, those with no
             # vertex above l
@@ -514,10 +530,10 @@ def _reduce_pairs(
             mask = (1 << (end - start)) - 1
             for l in range(top - 1, -1, -1):
                 upto[l], mask = mask, mask & ~upto[l]
-            reduced_by_pivot: Dict[int, int] = {}
-            ascending = edges if k == 1 else sorted(range(lo, hi), key=by_level)
+            reduced = [0] * (end - start)
+            ascending = edges if k == 1 else _by_level(level, *ranges[k], top)
             for i in reversed(ascending):
-                if paired[i]:
+                if partner[i] >= 0:
                     continue
                 col = coboundary[i]
                 born = l = level[i]
@@ -526,19 +542,19 @@ def _reduce_pairs(
                     while not low:
                         l += 1
                         low = col & upto[l]
-                    pivot = (low & -low).bit_length() - 1
-                    other = reduced_by_pivot.get(pivot)
-                    if other is None:
-                        reduced_by_pivot[pivot] = col
-                        j = start + pivot
-                        pairs.append((i, j))
-                        paired[i] = paired[j] = 1
+                    pivot = low.bit_length() - 1
+                    other = reduced[pivot]
+                    if not other:
+                        reduced[pivot] = col
+                        j = last - pivot
+                        partner[i] = j
+                        partner[j] = i
                         died[l] += 1
                         if l == born:
                             zero[l] += 1
                         break
                     col ^= other
-    return pairs, paired, deaths, zeros
+    return partner, deaths, zeros
 
 
 def _emit_points(

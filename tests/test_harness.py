@@ -367,8 +367,9 @@ def test_reconstruction_never_builds_the_cofacet_table(monkeypatch):
     the next dimension's static range, serves the pairing alone and is
     built on its first read, so every boundary table a round trip makes,
     for a sample of the acceptance corpus, a lifted codimension-zero case
-    and a planar graph, is left without one.  Once built, bit c - start of
-    a simplex's mask is set exactly when c is one of its cofacets."""
+    and a planar graph, is left without one.  Once built, bit end - 1 - c
+    of a simplex's mask, for [start, end) that range, is set exactly when c
+    is one of its cofacets."""
     import apdrec.oracle as oracle_mod
     from test_acceptance import _trial_configs
 
@@ -405,6 +406,6 @@ def test_reconstruction_never_builds_the_cofacet_table(monkeypatch):
         assert masks[i] >> (end - start) == 0  # no bit past the next dimension
         for c in range(start, end):
             cofacet = set(s) < set(table.simplices[c])
-            assert bool(masks[i] >> (c - start) & 1) == cofacet
+            assert bool(masks[i] >> (end - 1 - c) & 1) == cofacet
             checked += cofacet
     assert checked == sum(len(s) for s in K.simplices if len(s) > 1)

@@ -272,6 +272,34 @@ MUTANTS = [
         "    return edges\n",
         ("tests/test_edges.py",),
     ),
+    Mutant(
+        "reduction: the pivot is the lowest set bit",
+        "src/apdrec/oracle.py",
+        "                    pivot = low.bit_length() - 1\n",
+        "                    pivot = (low & -low).bit_length() - 1\n",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "reduction: a death is not marked paired, so clearing misses it",
+        "src/apdrec/oracle.py",
+        "                        partner[j] = i\n",
+        "",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "reduction: ties within a level in descending static index",
+        "src/apdrec/oracle.py",
+        "    return [i for b in buckets for i in b]\n",
+        "    return [i for b in buckets for i in reversed(b)]\n",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "reduction: a zero-persistence pair counted one level up",
+        "src/apdrec/oracle.py",
+        "                        if l == born:\n",
+        "                        if l == born + 1:\n",
+        ("tests/test_oracle.py",),
+    ),
 ]
 
 

@@ -81,24 +81,22 @@ def _cmd_reconstruct(args) -> int:
         points, _, _ = vertex_stage(oracle)
         for p in points:
             print(" ".join(format_rational(x) for x in p))
-        print(f"# vertex queries: {log.queries('vertices')}")
-        return 0
-    if args.stage == "edges":
+    elif args.stage == "edges":
         _, frame, ledger = vertex_stage(oracle)
         edges = find_edges(ledger, oracle, frame)
         for a, b in sorted(edges):
             print(f"{a} {b}")
-        print(f"# vertex queries: {log.queries('vertices')}")
+    else:
+        sys.stdout.write(serialize_complex(reconstruct(oracle)))
+    print(f"# vertex queries: {log.queries('vertices')}")
+    if args.stage != "vertices":
         print(f"# edge queries: {log.queries('edges')}")
+    if args.stage != "full":
         return 0
-    recovered = reconstruct(oracle)
-    sys.stdout.write(serialize_complex(recovered))
     # the lifted pass is the only one that calls the predicate with k == d
     d = truth.ambient_dim
     calls = [c for c in log.predicate_calls if c[0] < d]
     lifted_calls = [c for c in log.predicate_calls if c[0] == d]
-    print(f"# vertex queries: {log.queries('vertices')}")
-    print(f"# edge queries: {log.queries('edges')}")
     print(f"# higher-stage queries: {sum(q for _, q in calls)}")
     if lifted_calls:
         print(f"# lifted queries: {sum(q for _, q in lifted_calls)}")

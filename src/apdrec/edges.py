@@ -31,24 +31,25 @@ neighbours run in ascending slope, so those below the line are a prefix
 too, and one merge in slope order places all of a vertex's cuts at once
 (``_place``).  A diagram in the negated direction counts the neighbours
 above the line, so it is the cut (p, q, deg - count), for deg the vertex's
-degree.  The count ledger already holds such diagrams: every vertex-stage
-diagram whose direction lies in span(u1, u2) but not on the line of u1,
-such as e2 and its tilt in the standard frame, gives a cut at every vertex
-alone at its height there, free, before the search starts
-(``plane_cuts``).
+degree.  Each diagram in the sweep plane is located once, at every vertex:
+its *reading* (p, q, counts) holds the cut count counts[u] of each vertex
+u, None where u shares its height.  The count ledger already holds such
+diagrams: every ledger diagram whose direction lies in span(u1, u2) but
+not on the line of u1, such as e2 and its tilt in the standard frame, is
+a reading, free, before the search starts (``plane_readings``).
 
 *The search.*  Consecutive prefix counts bound pieces of the candidates.  A
 piece whose count is 0 holds no endpoint and one whose count is its size
 holds only endpoints.  While some piece decides nothing, the leftmost such
 piece is split at its middle candidate: ``split_wedge`` asks the diagram in
 a direction whose line through v separates the two halves, one query, and
-that diagram read at v is one more cut.  Once v's search is done, each
-diagram its splits asked is read at all later vertices in one pass
-(``read_cuts``, one ``AugmentedDiagram.levels_of`` call), and the cuts it
-gives there, free, seed those vertices' searches, which only ever removes
-splits.  Two prefix counts at one length that differ, or a piece whose
-count is negative or above its size, raise OracleInconsistency, and so
-does a split diagram with no level at a vertex it is read at.
+reads it at every vertex, one ``AugmentedDiagram.levels_of`` call.  Its
+count at v is one more cut, and the stage keeps the reading: each later
+vertex takes its cut from it at its turn, free, which seeds that vertex's
+search and only ever removes splits.  Two prefix counts at one length that
+differ, or a piece whose count is negative or above its size, raise
+OracleInconsistency, and so does a split diagram with no level at some
+vertex.
 
 *The check.*  The stage ends with the ledger's count check
 (``CountLedger.check``): every diagram of the ledger, the vertex stage's
@@ -73,61 +74,56 @@ from .geometry import (
     separating_slope,
     vneg,
 )
-from .oracle import AugmentedDiagram, Oracle
+from .oracle import Oracle
 from .vertices import CountLedger
 
 # (p, q, count): count neighbours w of a vertex with p * x < q * y, for (x, y)
 # the offset of w from the vertex and q > 0
 Cut = Tuple[int, int, int]
-# (p, q, diagram): the diagram in the direction p * u1 - q * u2
-Split = Tuple[int, int, AugmentedDiagram]
+# (p, q, counts): a diagram in the direction p * u1 - q * u2, or in its
+# negation, read at every vertex v: counts[v] is the count of v's cut (p, q,
+# count), and None where v shares its height in the diagram
+Reading = Tuple[int, int, List[Optional[int]]]
 
 
 def split_wedge(
-    order: RadialOrder, after: int, oracle: Oracle, frame: SweepFrame
-) -> Split:
-    """The diagram of a line through the center after ``order.ordered[after]``.
+    order: RadialOrder,
+    after: int,
+    oracle: Oracle,
+    frame: SweepFrame,
+    plane: Sequence[Tuple[int, int]],
+    unit: int,
+) -> Reading:
+    """The reading of the diagram of a line through the center after
+    ``order.ordered[after]``.
 
     The direction is the frame's integer p * u1 - q * u2 for the
     ``separating_slope`` p / q, q > 0, which puts ``ordered[:after + 1]``
-    strictly below the center and the rest of ``ordered`` strictly above.  One logged
-    query; ``read_cuts`` reads it at the center, and again at every later
-    vertex once the center's search is done.
+    strictly below the center and the rest of ``ordered`` strictly above.
+    One logged query.  ``plane`` holds (a, b) for each vertex u, with u1 . u
+    = a / unit and u2 . u = b / unit, unit > 0, so u's height there is (p *
+    a - q * b) / unit, and one ``AugmentedDiagram.levels_of`` call locates
+    every vertex, with no Fraction.  A vertex off the diagram's grid raises
+    OracleInconsistency: every vertex is an event at its own height, so the
+    answer does not fit the recovered vertices.
     """
     p, q = separating_slope(order, after)
     dgm = oracle.query(separating_direction((p, q), frame))
-    return p, q, dgm
-
-
-def read_cuts(
-    split: Split, plane: Sequence[Tuple[int, int]], unit: int
-) -> List[Optional[Cut]]:
-    """The cut a split diagram gives at each vertex u of ``plane``, which
-    holds (a, b) with u1 . u = a / unit and u2 . u = b / unit, unit > 0:
-    None where u shares its height there.  A vertex off the diagram's grid
-    raises OracleInconsistency: every vertex is an event at its own height,
-    so the answer does not fit the recovered vertices.
-
-    u's height in p * u1 - q * u2 is (p * a - q * b) / unit, so one
-    ``AugmentedDiagram.levels_of`` call locates every vertex, with no
-    Fraction.
-    """
-    p, q, dgm = split
     # the rows as the diagram holds them, without the copies ``counts``
-    # makes: this runs about 2,400 times over the 40 graphs of the
-    # graph-sweep benchmark, where two copies a call cost about 0.5%
+    # makes: this runs once per split, about 1,200 times over the 40 graphs
+    # of the graph-sweep benchmark, where two copies a call cost about 0.5%
     top = len(dgm.heights)
     vertices = dgm.histogram.get(0) or [0] * top
     edges = dgm.histogram.get(1) or [0] * top
     levels = dgm.levels_of([p * a - q * b for a, b in plane], unit)
     if None in levels:
         raise OracleInconsistency("a vertex is off the grid of a split diagram")
-    return [None if vertices[i] != 1 else (p, q, edges[i]) for i in levels]
+    return p, q, [edges[i] if vertices[i] == 1 else None for i in levels]
 
 
-def plane_cuts(ledger: CountLedger, frame: SweepFrame) -> List[List[Cut]]:
-    """The cuts that the ledger's diagrams in the sweep plane, but not in
-    ±u1, give at each vertex, listed by vertex id, at no query.
+def plane_readings(ledger: CountLedger, frame: SweepFrame) -> List[Reading]:
+    """The readings of the ledger's diagrams in the sweep plane, but not in
+    ±u1, in ledger order, at no query.
 
     A direction s in span(u1, u2) is a positive multiple of p * u1 - q * u2
     or of its negation, for coprime ints p and q > 0.  At a vertex alone at
@@ -137,32 +133,29 @@ def plane_cuts(ledger: CountLedger, frame: SweepFrame) -> List[List[Cut]]:
     deg - count), for deg the vertex's degree, its edges down and up read
     off the two sweep diagrams.  No vertex but u lies on the line through u
     when u is alone at its height.  The vertices are located by the levels
-    the ledger holds, one ``levels_of`` call per diagram.  The ledger's
-    last diagram must be the one in -u1.
+    the ledger holds (``CountLedger.counts``).  The ledger's last diagram
+    must be the one in -u1.
     """
     degree = list(map(operator.add, ledger.counts(1, 0), ledger.counts(1, -1)))
     u1, u2 = frame.u1, frame.u2
     n1, n, n2 = dot(u1, u1), dot(u1, u2), dot(u2, u2)
     gram = n1 * n2 - n * n
-    cuts: List[List[Cut]] = [[] for _ in degree]
-    for dgm, levels in zip(ledger.diagrams[1:-1], ledger.levels[1:-1]):
+    readings: List[Reading] = []
+    for i, dgm in enumerate(ledger.diagrams):
         s = dgm.direction
         a, b = dot(s, u1), dot(s, u2)
         # gram * s projected onto the plane is x * u1 - y * u2, and s lies in
-        # the plane when it is its own projection
+        # the plane when it is its own projection; y = 0 on the line of u1
         x, y = n2 * a - n * b, n * a - n1 * b
         if not y or any(gram * c != x * e - y * f for c, e, f in zip(s, u1, u2)):
             continue
         p, q = primitive_direction((x, y))
-        flipped = q < 0
-        if flipped:
-            p, q = -p, -q
-        vertices, edges = dgm.counts(0), dgm.counts(1)
-        for v, i in enumerate(levels):
-            if vertices[i] == 1:
-                count = degree[v] - edges[i] if flipped else edges[i]
-                cuts[v].append((p, q, count))
-    return cuts
+        edges = ledger.counts(1, i)
+        if q < 0:
+            p, q, edges = -p, -q, list(map(operator.sub, degree, edges))
+        shared = ledger.counts(0, i)
+        readings.append((p, q, [e if m == 1 else None for m, e in zip(shared, edges)]))
+    return readings
 
 
 def find_up_edges(
@@ -172,23 +165,24 @@ def find_up_edges(
     indegree: int,
     oracle: Oracle,
     frame: SweepFrame,
-    at: Tuple[int, int, int],
+    plane: Sequence[Tuple[int, int]],
+    unit: int,
     excluded: Collection[int],
     cuts: Sequence[Cut] = (),
-) -> Tuple[List[int], List[Split]]:
+) -> Tuple[List[int], List[Reading]]:
     """Endpoints of all edges adjacent to and above the vertex, in radial
-    order, and the splits its search asked.
+    order, and the readings of the splits its search asked.
 
     ``indegree`` is their number: the edge count of the diagram in the
     negated sweep direction at the vertex's height there, since each edge
     is one event at the height of its top vertex.  ``known_below_edges``
     must hold exactly the vertex's neighbours below it, ``order`` is the
-    radial order about it, ``frame`` the one its splits are asked in, and
-    ``at`` is (a, b, unit) for the vertex as in ``read_cuts``.  The
-    ``excluded`` vertices are known not to be endpoints and are left out of
-    the candidates.  The prefix counts start from 0, ``indegree`` and the
-    ``cuts``, all placed in one merge in slope order; each split adds its
-    own cut at the vertex, read with ``read_cuts``, which lands at the
+    radial order about it, and ``frame``, ``plane`` and ``unit`` are those
+    its splits are asked in and read at (``split_wedge``), ``plane`` indexed
+    by vertex id.  The ``excluded`` vertices are known not to be endpoints
+    and are left out of the candidates.  The prefix counts start from 0,
+    ``indegree`` and the ``cuts``, all placed in one merge in slope order;
+    each split adds its reading's cut at the vertex, which lands at the
     middle of the piece it splits.
     """
     # the index in order.ordered of each candidate, in radial order
@@ -210,7 +204,7 @@ def find_up_edges(
     record(_place(cuts, ups, downs))
     ends = sorted(prefix)
     found: List[int] = []
-    splits: List[Split] = []
+    splits: List[Reading] = []
     i = 0
     while i + 1 < len(ends):
         start, end = ends[i], ends[i + 1]
@@ -221,14 +215,13 @@ def find_up_edges(
             )
         if 0 < count < end - start:
             after = candidates[(start + end) // 2 - 1]
-            split = split_wedge(order, after, oracle, frame)
-            (cut,) = read_cuts(split, [at[:2]], at[2])
-            if cut is None:
+            p, q, counts = split_wedge(order, after, oracle, frame, plane, unit)
+            if counts[vertex] is None:
                 raise OracleInconsistency(
                     f"vertex {vertex} is not alone at its height in its own split"
                 )
-            splits.append(split)
-            placed = _place([cut], ups, downs)
+            splits.append((p, q, counts))
+            placed = _place([(p, q, counts[vertex])], ups, downs)
             record(placed)
             ends.insert(i + 1, placed[0][0])
             continue
@@ -283,8 +276,8 @@ def find_edges(
     positive unit, the ledger's scale: its integer points dotted with the
     frame's two integer directions.  A vertex's radial order is taken on the
     differences of those coordinates from its own, so every offset is a
-    pair of ints, and a split's diagram is read at a vertex by
-    ``read_cuts``.  Each split asks the integer direction p * u1 - q * u2.
+    pair of ints, and a split's diagram is read at every vertex by
+    ``split_wedge``.  Each split asks the integer direction p * u1 - q * u2.
 
     The ledger's first diagram must lie in ``frame.u1``, or InvalidInput is
     raised.  Its edge count at a vertex is the number of edges from that
@@ -298,14 +291,14 @@ def find_edges(
     down, or OracleInconsistency is raised.  Every caller of the stage gets
     the check, at no query.
 
-    Free cuts: every vertex starts with the cuts of the ledger's diagrams
-    in the sweep plane (``plane_cuts``), and once a vertex's search is done,
-    each split it asked is read at all later vertices in one ``read_cuts``
-    pass, and only the cuts are kept; at a vertex's turn its cuts seed its
-    prefix counts (see ``find_up_edges``).  A vertex with no edge up is
-    searched too: its cuts must then count exactly its known edges down, a
-    check at no query that a miscounted cut elsewhere, which an exchange of
-    two edges can hide from the sweep counts, runs into.
+    Free cuts: the stage keeps one list of readings, those of the ledger's
+    diagrams in the sweep plane (``plane_readings``) and then each split's
+    as it is asked.  At a vertex's turn, every reading in which it is alone
+    at its height gives it a cut, and its cuts seed its prefix counts (see
+    ``find_up_edges``).  A vertex with no edge up is searched too: its cuts
+    must then count exactly its known edges down, a check at no query that
+    a miscounted cut elsewhere, which an exchange of two edges can hide
+    from the sweep counts, runs into.
     """
     if tuple(ledger.diagrams[0].direction) != tuple(frame.u1):
         raise InvalidInput("sweep diagram is not in the frame's first direction")
@@ -320,7 +313,7 @@ def find_edges(
     ids_by_height = sorted(range(len(plane)), key=lambda i: plane[i][0])
     edges: Set[Tuple[int, int]] = set()
     adjacency: Dict[int, List[int]] = {i: [] for i in range(len(plane))}
-    cuts = dict(enumerate(plane_cuts(ledger, frame)))
+    readings = plane_readings(ledger, frame)
     for step, vid in enumerate(ids_by_height):
         a, b = plane[vid]
         order = radial_order(
@@ -329,6 +322,7 @@ def find_edges(
         # every neighbour known so far of a vertex above vid lies below vid
         later = ids_by_height[step + 1 :]
         excluded = {u for u in later if len(adjacency[u]) == down_degree[u]}
+        cuts = [(p, q, c[vid]) for p, q, c in readings if c[vid] is not None]
         ups, splits = find_up_edges(
             vid,
             adjacency[vid],
@@ -336,19 +330,15 @@ def find_edges(
             up_degree[vid],
             oracle,
             frame,
-            (a, b, unit),
+            plane,
+            unit,
             excluded,
-            cuts.pop(vid),
+            cuts,
         )
         for u in ups:
             edges.add(tuple(sorted((vid, u))))
             adjacency[vid].append(u)
             adjacency[u].append(vid)
-        at_later = [plane[u] for u in later]
-        cuts_later = [cuts[u] for u in later]
-        for split in splits:
-            for held, cut in zip(cuts_later, read_cuts(split, at_later, unit)):
-                if cut is not None:
-                    held.append(cut)
+        readings += splits
     ledger.check(edges, 1)
     return edges

@@ -22,11 +22,16 @@ README, whose top dimension comes back through the lifted pass:
 
     apdrec generate --seed 2 --n0 6 --dim 3 --kappa 3 --density 0.9,0.9,0.9 --codim-zero
 
-Run from anywhere, with the config positions, or ``lifted``, as arguments
-(none means all 50):
+The corpus is d >= 3, where the edge stage asks few splits; the argument
+``planar`` sweeps a planar graph, 20 vertices at edge density 0.3, whose
+edge stage does most of the work.
+
+Run from anywhere, with the config positions, ``lifted`` or ``planar`` as
+arguments (none means all 50):
 
     python tools/fault_sweep.py 5 20
     python tools/fault_sweep.py lifted
+    python tools/fault_sweep.py planar
 
 It prints one line per config and stage, the stage being the span that
 first asked the direction ("vertices", "edges" or "predicate"), then the
@@ -56,6 +61,8 @@ OUTCOMES = ("typed", "exact", "silent", "untyped")
 # the CLI's lifted example: 3 tetrahedra, recovered through the lifted pass
 LIFTED = GeneratorConfig(3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2,
                          lift_general_position=True)
+# a planar graph: most of its queries are edge-stage splits
+PLANAR = GeneratorConfig(2, 20, 1, densities=[0.3], seed=0)
 
 
 def first_stages(log):
@@ -100,6 +107,7 @@ def main(argv) -> int:
     configs = {str(i): config for i, config in enumerate(_trial_configs())}
     chosen = argv or list(configs)
     configs["lifted"] = LIFTED
+    configs["planar"] = PLANAR
     total = Counter()
     print(f"{'config':>6}  {'stage':<9}  " + "  ".join(f"{o:>7}" for o in OUTCOMES))
     for name in chosen:

@@ -130,18 +130,18 @@ MUTANTS = [
         ("tests/test_complexes.py",),
     ),
     Mutant(
-        "read_cuts gives None off the grid",
+        "split_wedge's reading gives None off the grid",
         "src/apdrec/edges.py",
         "    if None in levels:\n"
         '        raise OracleInconsistency("a vertex is off the grid of a split diagram")\n'
-        "    return [None if vertices[i] != 1 else (p, q, edges[i]) for i in levels]\n",
-        "    return [\n"
-        "        None if i is None or vertices[i] != 1 else (p, q, edges[i]) for i in levels\n"
+        "    return p, q, [edges[i] if vertices[i] == 1 else None for i in levels]\n",
+        "    return p, q, [\n"
+        "        edges[i] if i is not None and vertices[i] == 1 else None for i in levels\n"
         "    ]\n",
         ("tests/test_edges.py",),
     ),
     Mutant(
-        "read_cuts reads at q * unit",
+        "split_wedge's reading locates at q * unit",
         "src/apdrec/edges.py",
         "    levels = dgm.levels_of([p * a - q * b for a, b in plane], unit)\n",
         "    levels = dgm.levels_of([p * a - q * b for a, b in plane], q * unit)\n",
@@ -240,15 +240,15 @@ MUTANTS = [
     Mutant(
         "a flipped in-plane cut counts the edges below, not deg - count",
         "src/apdrec/edges.py",
-        "                count = degree[v] - edges[i] if flipped else edges[i]\n",
-        "                count = edges[i]\n",
+        "            p, q, edges = -p, -q, list(map(operator.sub, degree, edges))\n",
+        "            p, q = -p, -q\n",
         ("tests/test_edges.py",),
     ),
     Mutant(
         "an in-plane diagram is read at a vertex that shares its height",
         "src/apdrec/edges.py",
-        "            if vertices[i] == 1:\n",
-        "            if True:\n",
+        "[e if m == 1 else None for m, e in zip(shared, edges)]",
+        "edges",
         ("tests/test_edges.py",),
     ),
     Mutant(
@@ -299,6 +299,13 @@ MUTANTS = [
         "                        if l == born:\n",
         "                        if l == born + 1:\n",
         ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "split_wedge's reading counts at a vertex that shares its height",
+        "src/apdrec/edges.py",
+        "    return p, q, [edges[i] if vertices[i] == 1 else None for i in levels]\n",
+        "    return p, q, [edges[i] for i in levels]\n",
+        ("tests/test_edges.py",),
     ),
 ]
 

@@ -38,18 +38,22 @@ diagrams: every ledger diagram whose direction lies in span(u1, u2) but
 not on the line of u1, such as e2 and its tilt in the standard frame, is
 a reading, free, before the search starts (``plane_readings``).
 
-*The search.*  Consecutive prefix counts bound pieces of the candidates.  A
-piece whose count is 0 holds no endpoint and one whose count is its size
-holds only endpoints.  While some piece decides nothing, the leftmost such
-piece is split at its middle candidate: ``split_wedge`` asks the diagram in
-a direction whose line through v separates the two halves, one query, and
-reads it at every vertex, one ``AugmentedDiagram.levels_of`` call.  Its
-count at v is one more cut, and the stage keeps the reading: each later
-vertex takes its cut from it at its turn, free, which seeds that vertex's
-search and only ever removes splits.  Two prefix counts at one length that
-differ, or a piece whose count is negative or above its size, raise
-OracleInconsistency, and so does a split diagram with no level at some
-vertex.
+*The search.*  v's radial order is one tuple: every other vertex with its
+offset, in descending slope, so clockwise (``radial_order``).  A position in
+it is the one index of the search: the candidates are the positions of the
+vertices above v, less the excluded ones, and the known neighbours, below v,
+are read off the tuple reversed.  Consecutive prefix counts bound pieces of
+the candidates.  A piece whose count is 0 holds no endpoint and one whose
+count is its size holds only endpoints.  While some piece decides nothing,
+the leftmost such piece is split after its middle candidate's position:
+``split_wedge`` asks the diagram in a direction whose line through v
+separates the two halves, one query, and reads it at every vertex, one
+``AugmentedDiagram.levels_of`` call.  Its count at v is one more cut, and the
+stage keeps the reading: each later vertex takes its cut from it at its
+turn, free, which seeds that vertex's search and only ever removes
+splits.  Two prefix counts at one length that differ, or a piece whose count
+is negative or above its size, raise OracleInconsistency, and so does a
+split diagram with no level at some vertex.
 
 *The check.*  The stage ends with the ledger's count check
 (``CountLedger.check``): every diagram of the ledger, the vertex stage's
@@ -95,17 +99,18 @@ def split_wedge(
     unit: int,
 ) -> Reading:
     """The reading of the diagram of a line through the center after
-    ``order.ordered[after]``.
+    position ``after`` of its radial order.
 
     The direction is the frame's integer p * u1 - q * u2 for the
-    ``separating_slope`` p / q, q > 0, which puts ``ordered[:after + 1]``
-    strictly below the center and the rest of ``ordered`` strictly above.
-    One logged query.  ``plane`` holds (a, b) for each vertex u, with u1 . u
-    = a / unit and u2 . u = b / unit, unit > 0, so u's height there is (p *
-    a - q * b) / unit, and one ``AugmentedDiagram.levels_of`` call locates
-    every vertex, with no Fraction.  A vertex off the diagram's grid raises
-    OracleInconsistency: every vertex is an event at its own height, so the
-    answer does not fit the recovered vertices.
+    ``separating_slope`` p / q, q > 0, which puts the vertices above the
+    center up to position ``after`` strictly below the center and the rest
+    of those above it strictly above.  One logged query.  ``plane`` holds (a,
+    b) for each vertex u, with u1 . u = a / unit and u2 . u = b / unit, unit
+    > 0, so u's height there is (p * a - q * b) / unit, and one
+    ``AugmentedDiagram.levels_of`` call locates every vertex, with no
+    Fraction.  A vertex off the diagram's grid raises OracleInconsistency:
+    every vertex is an event at its own height, so the answer does not fit
+    the recovered vertices.
     """
     p, q = separating_slope(order, after)
     dgm = oracle.query(separating_direction((p, q), frame))
@@ -174,22 +179,27 @@ def find_up_edges(
     order, and the readings of the splits its search asked.
 
     ``indegree`` is their number: the edge count of the diagram in the
-    negated sweep direction at the vertex's height there, since each edge
-    is one event at the height of its top vertex.  ``known_below_edges``
-    must hold exactly the vertex's neighbours below it, ``order`` is the
-    radial order about it, and ``frame``, ``plane`` and ``unit`` are those
-    its splits are asked in and read at (``split_wedge``), ``plane`` indexed
-    by vertex id.  The ``excluded`` vertices are known not to be endpoints
-    and are left out of the candidates.  The prefix counts start from 0,
-    ``indegree`` and the ``cuts``, all placed in one merge in slope order;
-    each split adds its reading's cut at the vertex, which lands at the
-    middle of the piece it splits.
+    negated sweep direction at the vertex's height there, since each edge is
+    one event at the height of its top vertex.  ``known_below_edges`` must
+    hold exactly the vertex's neighbours below it, by id, ``order`` is the
+    radial order about it (``radial_order``), and ``frame``, ``plane`` and
+    ``unit`` are those its splits are asked in and read at
+    (``split_wedge``), ``plane`` indexed by vertex id.  The candidates are
+    the positions in ``order`` of the vertices above the vertex (x > 0),
+    less the ``excluded`` ones, which are known not to be endpoints; the
+    known neighbours' offsets are taken from ``order`` reversed, in
+    ascending slope.  Each split is asked after a candidate's position.  The
+    prefix counts start from 0, ``indegree`` and the ``cuts``, all placed in
+    one merge in slope order; each split adds its reading's cut at the
+    vertex, which lands at the middle of the piece it splits.
     """
-    # the index in order.ordered of each candidate, in radial order
-    candidates = [i for i, (vid, _) in enumerate(order.ordered) if vid not in excluded]
-    ups = [order.ordered[i][1] for i in candidates]
-    known_offsets = {order.offsets[w] for w in known_below_edges}
-    downs = [off for off in order.by_slope if off in known_offsets]
+    # the position in the order of each candidate, in radial order
+    candidates = [
+        i for i, (vid, (x, _)) in enumerate(order) if x > 0 and vid not in excluded
+    ]
+    ups = [order[i][1] for i in candidates]
+    known = set(known_below_edges)
+    downs = [off for vid, off in reversed(order) if vid in known]
     prefix = {0: 0}
 
     def record(placed: List[Tuple[int, int]]) -> None:
@@ -226,7 +236,7 @@ def find_up_edges(
             ends.insert(i + 1, placed[0][0])
             continue
         if count:
-            found.extend([order.ordered[i][0] for i in candidates[start:end]])
+            found.extend([order[i][0] for i in candidates[start:end]])
         i += 1
     return found, splits
 

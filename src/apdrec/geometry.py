@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, combinations
@@ -349,10 +349,11 @@ def orthogonal_to_affine_hull(points: Sequence[Vector]) -> Direction:
     Single Gram-Schmidt-style elimination: row-reduce the difference vectors
     and return the canonical kernel vector of the first free column, rescaled
     to primitive integer form.  Raises DegeneratePosition if the points are
-    affinely dependent or already span the whole space.
+    affinely dependent or already span the whole space, and InvalidInput
+    for no point or points of two dimensions.
     """
-    if not points:
-        raise InvalidInput("need at least one point")
+    if len({len(p) for p in points}) != 1:
+        raise InvalidInput("need one or more points, all of one dimension")
     _check_rationals(*points)
     dim = len(points[0])
     diffs = [vsub(p, points[0]) for p in points[1:]]
@@ -485,7 +486,8 @@ def tilt(weight: Tuple[int, int], s: Direction, s_prime: Direction) -> Direction
     n) * s + n * s'`` is a positive multiple of the tilt, so it orders and
     ties heights as the tilt does; on integer directions it is all ints, and
     ``primitive_direction`` reduces it.  Every tilted direction of a
-    reconstruction is formed here.
+    reconstruction is formed here.  s and s' of two lengths raise
+    InvalidInput, as ``zip`` would drop the longer one's tail.
 
     The paper's tilt of an initial direction that keeps the vertex order,
     the direction step of find-coord.
@@ -493,9 +495,9 @@ def tilt(weight: Tuple[int, int], s: Direction, s_prime: Direction) -> Direction
     n, q = weight
     try:
         m = q - n
-        tilted = [m * a + n * b for a, b in zip(s, s_prime)]
-    except TypeError as exc:
-        raise InvalidInput(f"entries must be rationals: {exc}") from exc
+        tilted = [m * a + n * b for a, b in zip(s, s_prime, strict=True)]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"need two rational vectors of one length: {exc}") from exc
     # a float entry anywhere makes an entry of the tilt a float
     if not _all_ints(tilted):
         _check_rationals(weight, s, s_prime)
@@ -516,15 +518,16 @@ class SweepFrame:
     The default frame is (e1, e2), matching projection onto coordinates
     (1, 2); the fallback basis built when e1 heights collide swaps in the
     tilted pair (b1, b2).  Offsets (x, y) are measured by dot products with
-    the two frame vectors.  Any entry that is not an int raises InvalidInput.
+    the two frame vectors.  Any entry that is not an int, or two vectors of
+    two lengths, raises InvalidInput.
     """
 
     u1: IntVector
     u2: IntVector
 
     def __post_init__(self) -> None:
-        if not _all_ints((*self.u1, *self.u2)):
-            raise InvalidInput("a sweep frame holds two integer vectors")
+        if not _all_ints((*self.u1, *self.u2)) or len(self.u1) != len(self.u2):
+            raise InvalidInput("a sweep frame holds two integer vectors of one length")
 
 
 def standard_frame(dim: int) -> SweepFrame:
@@ -536,40 +539,28 @@ def standard_frame(dim: int) -> SweepFrame:
 Offset = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class RadialOrder:
-    """Vertices above a center, sorted clockwise in the sweep plane.
-
-    ``ordered`` holds (vertex id, offset) pairs of the vertices strictly
-    above the center in the sweep direction (positive x), sorted by strictly
-    descending slope y / x; in that open half-plane this is clockwise order.
-    ``by_slope`` holds the offsets of every other vertex, above and below, in
-    ascending order of slope.  No two slopes are equal (no three projected
-    collinear points), so the order is strict.  ``ranks[i]`` is the index in
-    ``by_slope`` of ``ordered[i]``, and ``offsets`` maps every other vertex
-    to its offset.
-    """
-
-    ordered: Tuple[Tuple[int, Offset], ...]
-    by_slope: Tuple[Offset, ...]
-    ranks: Tuple[int, ...] = field(compare=False, repr=False)
-    offsets: Dict[int, Offset] = field(compare=False, repr=False)
+# every other vertex as (vertex id, offset), in descending slope y / x
+RadialOrder = Tuple[Tuple[int, Offset], ...]
 
 
 def radial_order(offsets: Dict[int, Offset]) -> RadialOrder:
-    """Sort the vertices above a center clockwise, exactly.
+    """Every other vertex as (vertex id, offset), in descending slope y / x,
+    exactly: the clockwise radial order about the center.
 
     ``offsets`` maps each other vertex to its integer offset (x, y) from the
     center in the sweep plane: its heights in the frame's two directions
     less the center's, times one common positive factor, which keeps every
-    slope and every side.  The sort runs on integer keys: with M the largest
-    x², the key ``(y * M) // x`` is the floor of the slope times M.  Two
-    distinct slopes differ by at least 1 / |x1 x2| >= 1 / M, so their keys
-    keep their order, and equal slopes have equal keys.  Raises
-    DegeneratePosition when a vertex has the center's sweep height (x = 0,
-    which covers coincident projections) or when two vertices share a slope
-    (their offsets are parallel), found as equal neighbours once the keys
-    are sorted.
+    slope and every side.  The vertices above the center in the sweep
+    direction (x > 0) run clockwise, and so do those below it; a position in
+    the tuple is the one index the edge stage uses.  The sort runs on
+    integer keys: with M the largest x², the key ``-((y * M) // x)`` is
+    minus the floor of the slope times M.  Two distinct slopes differ by at
+    least 1 / |x1 x2| >= 1 / M, so their keys keep their order, and equal
+    slopes have equal keys.  Raises DegeneratePosition when a vertex has the
+    center's sweep height (x = 0, which covers coincident projections) or
+    when two vertices share a slope (their offsets are parallel), found as
+    equal neighbours once the keys are sorted, and InvalidInput for an
+    offset that is not a pair of rationals.
     """
     try:
         bound = max([x * x for x, _ in offsets.values()], default=1)
@@ -577,9 +568,9 @@ def radial_order(offsets: Dict[int, Offset]) -> RadialOrder:
         for vid, (x, y) in offsets.items():
             if not x:
                 raise DegeneratePosition(f"vertex {vid} has the center's sweep height")
-            entries.append(((y * bound) // x, vid, (x, y)))
-    except TypeError as exc:
-        raise InvalidInput(f"offsets must be rationals: {exc}") from exc
+            entries.append((-((y * bound) // x), vid, (x, y)))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"offsets must be pairs of rationals: {exc}") from exc
     # a float in an offset makes its key a float
     if not _all_ints([key for key, _, _ in entries]):
         _check_rationals(*offsets.values())
@@ -587,32 +578,30 @@ def radial_order(offsets: Dict[int, Offset]) -> RadialOrder:
     for (key, a, _), (next_key, b, _) in zip(entries, entries[1:]):
         if key == next_key:
             raise DegeneratePosition(f"projected offsets of {a} and {b} are parallel")
-    # descending slopes; from lists, as a short tuple(genexpr) is freed into
-    # another size's free list
-    ranks = [i for i in range(len(entries) - 1, -1, -1) if entries[i][2][0] > 0]
-    ordered = tuple([entries[i][1:] for i in ranks])
-    by_slope = tuple([off for _, _, off in entries])
-    return RadialOrder(ordered, by_slope, tuple(ranks), offsets)
+    # from a list, as a short tuple(genexpr) is freed into another size's
+    # free list
+    return tuple([entry[1:] for entry in entries])
 
 
-def separating_slope(order: RadialOrder, after_index: int) -> Tuple[int, int]:
+def separating_slope(order: RadialOrder, i: int) -> Tuple[int, int]:
     """Slope p / q, in lowest terms with q > 0, of a line through the center
-    splitting the order after ``after_index``.
+    splitting the vertices above it after position ``i`` of the order.
 
-    It is halfway between the slope at ``after_index`` and the next lower
-    slope of any vertex (that slope minus one when there is none), so the
-    line misses every vertex.  An offset (x, y) lies below it when
-    ``p * x < q * y``: ``ordered[:after_index + 1]`` does and the rest of
-    ``ordered`` does not.  With (x, y) the offset at ``after_index``, x > 0,
-    and (a, b) the next lower one, or (x, y - 2x) of slope y / x - 2 when
-    there is none, y / x + b / a halved is ``(y * a + b * x) / (2 * x *
-    a)``, and the sign of a is that of the denominator.
+    The vertex at position i must lie above the center (x > 0), or
+    InvalidInput is raised, as it is for a position out of range.  The slope
+    is halfway between that vertex's slope and the next lower one,
+    ``order[i + 1]``'s, or its own minus two when i is the last position, so
+    the line misses every vertex.  An offset (x, y) lies below it when
+    ``p * x < q * y``: of the vertices above the center, those up to
+    position i do and the rest do not.  With (x, y) the offset at i and (a,
+    b) the next lower one, or (x, y - 2x) when there is none, y / x + b / a
+    halved is ``(y * a + b * x) / (2 * x * a)``, and the sign of a is that
+    of the denominator.
     """
-    if not 0 <= after_index < len(order.ordered):
-        raise InvalidInput("after_index out of range")
-    i = order.ranks[after_index]
-    x, y = order.by_slope[i]
-    a, b = order.by_slope[i - 1] if i else (x, y - 2 * x)
+    if not 0 <= i < len(order) or order[i][1][0] < 0:
+        raise InvalidInput(f"position {i} is not a vertex above the center")
+    x, y = order[i][1]
+    a, b = order[i + 1][1] if i + 1 < len(order) else (x, y - 2 * x)
     p, q = y * a + b * x, 2 * x * a
     g = math.gcd(p, q) if a > 0 else -math.gcd(p, q)
     return p // g, q // g
@@ -624,8 +613,8 @@ def separating_direction(slope: Tuple[int, int], frame: SweepFrame) -> IntVector
 
     It gives a vertex whose offset from the center is (x, y) the height
     ``p * x - q * y`` above the center's, so for the ``separating_slope`` of
-    an order the vertices up to the split land strictly below the center and
-    the rest of ``ordered`` strictly above.
+    an order the vertices above the center up to the split's position land
+    strictly below the center and the rest of those above it strictly above.
     """
     p, q = slope
     return tuple([p * x - q * y for x, y in zip(frame.u1, frame.u2)])

@@ -165,7 +165,8 @@ def compute_indegree(
     same face query as with one solve per face: the complement's system
     fails exactly when its face's does, and the face comes first.
 
-    Raises InvalidInput for a bad vertex id in sigma before any query.
+    Raises InvalidInput for a bad vertex id in sigma, and
+    PreconditionViolated for k at most sigma's dimension, before any query.
     One logged query for sigma, first, then one per proper face, each
     checked as ``_level_count`` states.
 
@@ -235,8 +236,9 @@ def is_simplex(
     The two boundary directions are the isolating direction tilted towards
     s3 and towards -s3, from one ``_tilted`` call.
     Exactly 2 * (2^k - 1) logged queries for a k-simplex test, in one span
-    of the log labelled k.  A bad vertex id raises InvalidInput, and an
-    affinely dependent candidate DegeneratePosition, before any query.
+    of the log labelled k.  A bad vertex id raises InvalidInput, a vertex
+    already in sigma PreconditionViolated, and an affinely dependent
+    candidate DegeneratePosition, before any query.
 
     The paper's simpSwap algorithm, by Face Isolation on both sides.
     """

@@ -144,24 +144,25 @@ def reference_place(cut, ups, downs) -> Tuple[int, int]:
     return end, count - below
 
 
-def slope_sort(offsets: Dict[int, tuple]) -> Tuple[tuple, tuple]:
+def slope_sort(offsets: Dict[int, tuple]) -> tuple:
     """A radial order by Fraction slopes, for offsets {id: (x, y)} with
-    x != 0: the (id, offset) pairs with x > 0 by descending slope y / x, and
-    every offset by ascending slope."""
-    items = sorted(offsets.items(), key=lambda item: Fraction(item[1][1], item[1][0]))
-    above = tuple(item for item in reversed(items) if item[1][0] > 0)
-    return above, tuple(off for _, off in items)
+    x != 0: every (id, offset) pair by descending slope y / x."""
+
+    def slope(item):
+        x, y = item[1]
+        return Fraction(y, x)
+
+    return tuple(sorted(offsets.items(), key=slope, reverse=True))
 
 
-def reference_separating_slope(offsets: Dict[int, tuple], after: int) -> Fraction:
-    """Halfway between the slope of the (after + 1)-th offset above the
-    center in descending slope order and the next lower slope of any offset,
-    or that slope minus one when there is none: sorted as Fractions."""
+def reference_separating_slope(offsets: Dict[int, tuple], i: int) -> Fraction:
+    """Halfway between the slope of the offset at position i of the
+    descending slope order and the next lower slope of any offset, or that
+    slope minus one when there is none: sorted as Fractions."""
     slopes = sorted(Fraction(y, x) for x, y in offsets.values())
-    above, _ = slope_sort(offsets)
-    x, y = above[after][1]
-    i = slopes.index(Fraction(y, x))
-    return (slopes[i] + slopes[i - 1]) / 2 if i else slopes[i] - 1
+    x, y = slope_sort(offsets)[i][1]
+    j = slopes.index(Fraction(y, x))
+    return (slopes[j] + slopes[j - 1]) / 2 if j else slopes[j] - 1
 
 
 def count_rejection_replay(complex_, directions) -> List[Tuple[int, frozenset]]:

@@ -98,9 +98,10 @@ def global_order(K, vertex):
 
 
 def split_prefix_count(K, vertex, after, known):
-    """One split about the vertex after ``ordered[after]``, its reading's
-    count at the vertex less the ``known`` neighbours below its line, which
-    is the number of up-neighbours among the first after + 1 vertices above.
+    """One split about the vertex after position ``after`` of its radial
+    order, its reading's count at the vertex less the ``known`` neighbours
+    below its line, which is the number of up-neighbours among the vertices
+    above the vertex up to that position.
     Returns that prefix count and the oracle that answered."""
     oracle = Oracle(K)
     order = global_order(K, vertex)
@@ -108,7 +109,7 @@ def split_prefix_count(K, vertex, after, known):
     coordinates, unit = plane(ordered_points(K), frame)
     p, q, counts = split_wedge(order, after, oracle, frame, coordinates, unit)
     count = counts[vertex]
-    offsets = order.offsets
+    offsets = dict(order)
     below = [u for u in known if p * offsets[u][0] < q * offsets[u][1]]
     return count - len(below), oracle
 
@@ -246,7 +247,8 @@ UP_ARGS = (
 def watch_splits(monkeypatch, check):
     """Patch the edge stage so that check(call, after, split) runs after
     every split_wedge, with ``call`` the arguments, by name, of the
-    find_up_edges call that asked it and ``after`` the split's index."""
+    find_up_edges call that asked it and ``after`` the split's position in
+    the radial order."""
     real_up, real_split = find_up_edges, split_wedge
     calls = []
 
@@ -283,16 +285,15 @@ def test_find_edges_random_graphs_with_split_instrumentation(monkeypatch):
         def check(call, after, split):
             order = call["order"]
             adjacent = true_neighbours(K, call["vertex"])
-            ordered = [vid for vid, _ in order.ordered]
+            above = {vid for vid, (x, _) in order if x > 0}
             known = set(call["known"])
-            assert known == adjacent - set(ordered)
+            assert known == adjacent - above
             assert not adjacent & set(call["excluded"])
             p, q, counts = split
             count = counts[call["vertex"]]
-            offsets = order.offsets
-            below = {u for u, (x, y) in offsets.items() if p * x < q * y}
-            first = set(ordered[: after + 1])
-            assert below & set(ordered) == first
+            below = {u for u, (x, y) in order if p * x < q * y}
+            first = {vid for vid, _ in order[: after + 1]} & above
+            assert below & above == first
             assert count - len(known & below) == len(adjacent & first)
             checked.append(split)
 
@@ -314,15 +315,17 @@ def test_find_edges_splits_only_undecided_intervals(monkeypatch):
 
         def check(call, after, split):
             order, excluded = call["order"], call["excluded"]
-            kept = [vid for vid, _ in order.ordered if vid not in excluded]
-            offsets = order.offsets
+            kept = [vid for vid, (x, _) in order if x > 0 and vid not in excluded]
+            offsets = dict(order)
             if "ends" not in call:
                 call["ends"] = {0, len(kept)} | {
                     sum(1 for u in kept if p * offsets[u][0] < q * offsets[u][1])
                     for p, q, _ in call["cuts"]
                 }
             ends = sorted(call["ends"])
-            mid = sum(1 for vid, _ in order.ordered[: after + 1] if vid not in excluded)
+            mid = sum(
+                1 for vid, (x, _) in order[: after + 1] if x > 0 and vid not in excluded
+            )
             start = max(e for e in ends if e < mid)
             end = min(e for e in ends if e > mid)
             assert mid == (start + end) // 2
@@ -354,7 +357,7 @@ def test_find_edges_leaves_out_vertices_whose_down_edges_are_known(monkeypatch):
     splits = []
 
     def record(call, after, split):
-        candidates = {vid for vid, _ in call["order"].ordered}
+        candidates = {vid for vid, (x, _) in call["order"] if x > 0}
         splits.append((call["vertex"], candidates - set(call["excluded"])))
 
     watch_splits(monkeypatch, record)
@@ -665,8 +668,11 @@ def test_every_vertex_takes_the_reference_cut_of_each_split_asked_before_it(
                 assert [None if c is None else (p, q, c) for c in counts] == want
                 shared += want.count(None)
                 asked.append(split)
-                # the split after the last candidate below its line
-                after = sum(p * x < q * y for _, (x, y) in order.ordered) - 1
+                # the split after the last vertex above the center below its
+                # line
+                after = max(
+                    i for i, (_, (x, y)) in enumerate(order) if 0 < x and p * x < q * y
+                )
                 assert separating_slope(order, after) == (p, q)
                 for point in off_grid:
                     assert reference_cut(split, *point, unit) is None
@@ -742,9 +748,8 @@ def test_the_merge_places_each_cut_where_a_per_cut_count_does(data):
         return
     excluded = data.draw(st.sets(st.sampled_from(sorted(offsets))), label="excluded")
     known = data.draw(st.sets(st.sampled_from(sorted(offsets))), label="known")
-    ups = [off for vid, off in order.ordered if vid not in excluded]
-    known_offsets = {offsets[u] for u in known}
-    downs = [off for off in order.by_slope if off[0] < 0 and off in known_offsets]
+    ups = [off for vid, off in order if off[0] > 0 and vid not in excluded]
+    downs = [off for vid, off in reversed(order) if off[0] < 0 and vid in known]
     slope = st.tuples(st.integers(-60, 60), st.integers(1, 60))
     count = st.integers(0, 12)
     cuts = [(p, q, data.draw(count)) for p, q in data.draw(st.lists(slope, max_size=10))]
@@ -771,9 +776,9 @@ def test_the_merge_places_the_cuts_of_planar_graphs_as_per_cut_counts(monkeypatc
     for _, oracle, frame, ledger in read_inputs():
         for call in find_edges_recording_calls(monkeypatch, ledger, oracle, frame):
             order, cuts = call["order"], call["cuts"]
-            ups = [off for vid, off in order.ordered if vid not in call["excluded"]]
-            known = {order.offsets[u] for u in call["known"]}
-            downs = [off for off in order.by_slope if off in known]
+            excluded, known = call["excluded"], set(call["known"])
+            ups = [off for vid, off in order if off[0] > 0 and vid not in excluded]
+            downs = [off for vid, off in reversed(order) if vid in known]
             want = [reference_place(cut, ups, downs) for cut in cuts]
             assert sorted(edges_mod._place(cuts, ups, downs)) == sorted(want)
             placed += len(cuts)
@@ -948,10 +953,10 @@ def test_integer_radial_order_matches_the_rational_one(data):
     except DegeneratePosition:
         assert len(slopes) < len(ids) or len(set(slopes)) < len(slopes)
         return
-    above, _ = slope_sort(rational)
-    assert [vid for vid, _ in order.ordered] == [vid for vid, _ in above]
-    assert all(type(x) is int for off in order.offsets.values() for x in off)
-    for after in range(len(order.ordered)):
+    assert [vid for vid, _ in order] == [vid for vid, _ in slope_sort(rational)]
+    assert all(type(x) is int for _, off in order for x in off)
+    above = [pos for pos, (_, (x, _)) in enumerate(order) if x > 0]
+    for after in above:
         p, q = separating_slope(order, after)
         assert F(p, q) == reference_separating_slope(rational, after)
         direction = separating_direction((p, q), frame)
@@ -960,28 +965,29 @@ def test_integer_radial_order_matches_the_rational_one(data):
         assert all(type(x) is int for x in direction)
         assert p * c1 - q * c2 == height
         below = [vid for vid in ids if dot(direction, points[vid]) < height]
-        assert set(below) & {vid for vid, _ in order.ordered} == {
-            vid for vid, _ in order.ordered[: after + 1]
+        assert set(below) & {order[i][0] for i in above} == {
+            order[i][0] for i in above if i <= after
         }
 
     # vertex 0 joined to a drawn set of the others; the known neighbours are
     # those below it in the sweep, and the split is of all those above
     joined = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
     neighbours = {u for u, j in zip(ids, joined) if j}
-    candidates = tuple(vid for vid, _ in order.ordered)
+    candidates = tuple(order[i][0] for i in above)
     if len(candidates) < 2:
         return
     known = sorted(neighbours - set(candidates))
     K = cx(d, points, [(0, u) for u in sorted(neighbours)])
     mid = len(candidates) // 2
-    p, q, counts = split_wedge(order, mid - 1, Oracle(K), frame, *plane(points, frame))
-    assert (p, q) == separating_slope(order, mid - 1)
+    after = above[mid - 1]
+    p, q, counts = split_wedge(order, after, Oracle(K), frame, *plane(points, frame))
+    assert (p, q) == separating_slope(order, after)
     direction = split_direction(frame, p, q)
     height = dot(direction, points[0])
     indegree = Oracle(K).query(direction).count_at(1, height)
     assert counts[0] == indegree
     below = [u for u in known if dot(direction, points[u]) < height]
-    offsets = order.offsets
+    offsets = dict(order)
     assert below == [u for u in known if p * offsets[u][0] < q * offsets[u][1]]
     assert indegree - len(below) == len(neighbours & set(candidates[:mid]))
 

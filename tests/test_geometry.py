@@ -136,6 +136,69 @@ def test_an_entry_neither_int_nor_fraction_raises_invalid_input(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tilt((1, 2), (1, 0, 0), (0, 1)),
+        lambda: tilt((1, 2), (1, 0), (0, 1, 5)),
+        lambda: SweepFrame((1, 0, 0), (0, 1)),
+        lambda: separating_direction((1, 2), SweepFrame((1, 0, 0), (0, 1))),
+        lambda: orthogonal_to_affine_hull([(0, 0, 0), (1, 0)]),
+        lambda: radial_order({0: (1, 2, 3)}),
+    ],
+    ids=[
+        "tilt-longer-s",
+        "tilt-longer-s-prime",
+        "sweep-frame",
+        "separating_direction-in-that-frame",
+        "orthogonal_to_affine_hull",
+        "radial_order-three-entries",
+    ],
+)
+def test_vectors_of_two_lengths_raise_invalid_input(call):
+    """Vectors of two lengths where a kernel pairs their entries are refused
+    with InvalidInput: pairing them with ``zip`` drops the longer one's
+    tail, so ``tilt`` gave (1, 1), the split direction in such a frame (1,
+    -2) and the hull's normal (0, 1, 0).  An offset of three entries raised
+    an untyped ValueError."""
+    with pytest.raises(InvalidInput) as caught:
+        call()
+    assert caught.type is InvalidInput
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: separating_slope(radial_order({0: (1, 1)}), 1),
+        lambda: separating_slope(radial_order({0: (1, 1)}), -1),
+        lambda: separating_slope(radial_order({0: (1, 1), 1: (-1, 2)}), 1),
+        lambda: standard_frame(1),
+        lambda: second_perpendicular_direction(
+            [(0, 0), (1, 0), (0, 1)], [0, 0, 1], (0, 1), (2,), (0, 1)
+        ),
+        lambda: orthogonal_to_affine_hull([]),
+        lambda: dot((1, 2), (1, 2, 3)),
+    ],
+    ids=[
+        "separating_slope-past-the-end",
+        "separating_slope-negative",
+        "separating_slope-below-the-center",
+        "standard_frame-of-one-dimension",
+        "second_perpendicular_direction-w-not-in-v",
+        "orthogonal_to_affine_hull-no-point",
+        "dot-of-two-lengths",
+    ],
+)
+def test_malformed_kernel_calls_raise_invalid_input(call):
+    """The reconstruction kernels' argument checks: a split position that
+    is out of range or whose vertex lies below the center (the vertex at
+    position 1 of the last order has offset (-1, 2)), a frame in one
+    dimension, W not a subset of V, no point, and two lengths."""
+    with pytest.raises(InvalidInput) as caught:
+        call()
+    assert caught.type is InvalidInput
+
+
 def test_orthogonal_rejects_dependent_points():
     with pytest.raises(DegeneratePosition):
         orthogonal_to_affine_hull([vec(0, 0, 0), vec(1, 1, 1), vec(2, 2, 2)])
@@ -311,15 +374,13 @@ def test_tilt_order_preservation_random():
 
 
 def test_radial_order_upper_pair():
-    # the vertex below the center is left out of the order but keeps its slope
-    order = radial_order({0: (1, 1), 1: (-1, 1)})
-    assert order.ordered == ((0, (1, 1)),)
-    assert order.by_slope == ((-1, 1), (1, 1))  # slopes -1 and 1
+    # the vertex below the center is in the order too, at its slope
+    order = radial_order({1: (-1, 1), 0: (1, 1)})
+    assert order == ((0, (1, 1)), (1, (-1, 1)))  # slopes 1 and -1
 
 
 def test_radial_order_singleton():
-    order = radial_order({0: (2, 3)})
-    assert len(order.ordered) == 1
+    assert radial_order({0: (2, 3)}) == ((0, (2, 3)),)
 
 
 def test_radial_order_upper_before_boundary_right():
@@ -353,10 +414,14 @@ def test_radial_order_matches_float_angles():
     for _ in range(60):
         offsets = random_offsets(rng, rng.randint(2, 9))
         order = radial_order(offsets)
-        got = [off for _, off in order.ordered]
+        got = [off for _, off in order if off[0] > 0]
         above = [o for o in offsets.values() if o[0] > 0]
         want = sorted(above, key=lambda o: -math.atan2(o[1], o[0]))
         assert got == want
+        # and every offset in descending float slope
+        assert [off for _, off in order] == sorted(
+            offsets.values(), key=lambda o: -o[1] / o[0]
+        )
 
 
 # the slopes of each neighbouring pair differ by exactly 1 / |x1 x2|
@@ -386,10 +451,8 @@ def test_radial_order_keys_at_their_resolution_bound(offsets, scale):
     rational = [(x * scale(i), y * scale(i)) for i, (x, y) in enumerate(offsets)]
     ints, _ = scale_to_integers(rational)
     order = radial_order(dict(enumerate(ints)))
-    above, by_slope = slope_sort(dict(enumerate(ints)))
-    assert order.ordered == above
-    assert order.by_slope == by_slope
-    assert order.offsets == dict(enumerate(ints))
+    assert order == slope_sort(dict(enumerate(ints)))
+    assert dict(order) == dict(enumerate(ints))
     for x, y in ints:
         for twin in [(2 * x, 2 * y), (-x, -y)]:
             with pytest.raises(DegeneratePosition):
@@ -416,10 +479,10 @@ def test_radial_order_matches_a_fraction_slope_sort_on_wide_rationals():
                 radial_order(offsets)
             continue
         order = radial_order(offsets)
-        above, by_slope = slope_sort(rational)
-        assert [vid for vid, _ in order.ordered] == [vid for vid, _ in above]
-        assert order.by_slope == tuple(sorted(ints, key=lambda o: F(o[1], o[0])))
-        assert [F(y, x) for x, y in order.by_slope] == [y / x for x, y in by_slope]
+        reference = slope_sort(rational)
+        assert [vid for vid, _ in order] == [vid for vid, _ in reference]
+        assert [off for _, off in order] == sorted(ints, key=lambda o: -F(o[1], o[0]))
+        assert [F(y, x) for _, (x, y) in order] == [y / x for _, (x, y) in reference]
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +528,16 @@ def test_separating_direction_properties_random():
     for _ in range(80):
         offsets = random_offsets(rng, rng.randint(1, 8), high=12, below=0.4)
         order = radial_order(offsets)
-        for after in range(len(order.ordered)):
+        above = [pos for pos, (_, off) in enumerate(order) if off[0] > 0]
+        for after in above:
             p, q = separating_slope(order, after)
             assert q > 0 and math.gcd(p, q) == 1
             assert F(p, q) == reference_separating_slope(offsets, after)
             assert all(p * x != q * y for x, y in offsets.values())
             s = separating(order, after)
             assert all(dot(s, off) != 0 for off in offsets.values())
-            for pos, (_, off) in enumerate(order.ordered):
+            for pos in above:
+                off = order[pos][1]
                 assert (p * off[0] < q * off[1]) == (pos <= after)
                 assert (dot(s, off) < 0) == (pos <= after)
             # in any frame: the ints p * u1 - q * u2, q times m * u1 - u2
@@ -668,9 +733,10 @@ def test_kernels_are_exact_on_integer_input(data):
         slopes = [F(y, x) for x, y in offsets.values() if x]
         assert len(slopes) < len(offsets) or len(set(slopes)) < len(slopes)
         return
-    assert (order.ordered, order.by_slope) == slope_sort(offsets)
-    if order.ordered:
-        after = data.draw(st.integers(0, len(order.ordered) - 1), label="after")
+    assert order == slope_sort(offsets)
+    above = [pos for pos, (_, (x, _)) in enumerate(order) if x > 0]
+    if above:
+        after = data.draw(st.sampled_from(above), label="after")
         slope = separating_slope(order, after)
         assert all(type(x) is int for x in slope)
         int_frame = SweepFrame(*(tuple(int(i == j) for i in range(d)) for j in (0, 1)))

@@ -141,6 +141,43 @@ def test_bad_vertex_ids_are_invalid_input_before_any_query(call):
     assert oracle.log.count == 0
 
 
+PRECONDITIONS = [
+    pytest.param(
+        lambda o, p, s: compute_indegree((0, 1), (0, 0, 1), 1, {}, o, p, s),
+        "k must exceed",
+        0,
+        id="indegree-k-at-most-dim-sigma",
+    ),
+    pytest.param(
+        lambda o, p, s: is_simplex((0, 1), 1, o, p, s),
+        "already in the simplex",
+        0,
+        id="candidate-already-in-sigma",
+    ),
+    pytest.param(
+        lambda o, p, s: compute_indegree((0, 1), (1, 0, 0), 2, {}, o, p, s),
+        "not constant on the simplex",
+        1,
+        id="direction-not-constant-on-sigma",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message, queries", PRECONDITIONS)
+def test_broken_preconditions_raise_precondition_violated(call, message, queries):
+    """An indegree of k at most sigma's dimension and a candidate already in
+    sigma raise PreconditionViolated before any query; a direction not
+    constant on sigma is found after the one query of its level count."""
+    K = generate_complex(GeneratorConfig(3, 6, 2, densities=[0.7, 0.6], seed=7))
+    points, scale = scaled_points(K)
+    assert points[0][0] != points[1][0]
+    oracle = Oracle(K)
+    with pytest.raises(PreconditionViolated, match=message) as caught:
+        call(oracle, points, scale)
+    assert caught.type is PreconditionViolated
+    assert oracle.log.count == queries
+
+
 class OtherComplexOracle:
     """Answers every query with the diagram of another complex."""
 

@@ -307,6 +307,55 @@ MUTANTS = [
         "    return p, q, [edges[i] for i in levels]\n",
         ("tests/test_edges.py",),
     ),
+    Mutant(
+        "radial_order sorts in ascending slope",
+        "src/apdrec/geometry.py",
+        "            entries.append((-((y * bound) // x), vid, (x, y)))\n",
+        "            entries.append(((y * bound) // x, vid, (x, y)))\n",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "separating_slope reads the neighbour of the next higher slope",
+        "src/apdrec/geometry.py",
+        "    a, b = order[i + 1][1] if i + 1 < len(order) else (x, y - 2 * x)\n",
+        "    a, b = order[i - 1][1] if i else (x, y - 2 * x)\n",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "find_up_edges lists the known neighbours in descending slope",
+        "src/apdrec/edges.py",
+        "    downs = [off for vid, off in reversed(order) if vid in known]\n",
+        "    downs = [off for vid, off in order if vid in known]\n",
+        ("tests/test_edges.py",),
+    ),
+    Mutant(
+        "tilt pairs vectors of two lengths",
+        "src/apdrec/geometry.py",
+        "zip(s, s_prime, strict=True)",
+        "zip(s, s_prime)",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "_level_count: the constant-height check off",
+        "src/apdrec/higher.py",
+        "    if any(dot(direction, points[v]) != height for v in simplex[1:]):\n",
+        "    if False:\n",
+        ("tests/test_higher.py",),
+    ),
+    Mutant(
+        "compute_indegree: the k > dim sigma check off",
+        "src/apdrec/higher.py",
+        "    if k <= len(sigma) - 1:\n",
+        "    if False:\n",
+        ("tests/test_higher.py",),
+    ),
+    Mutant(
+        "is_simplex: the candidate-not-in-sigma check off",
+        "src/apdrec/higher.py",
+        "    if vertex in sigma:\n",
+        "    if False:\n",
+        ("tests/test_higher.py",),
+    ),
 ]
 
 

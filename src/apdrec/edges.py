@@ -48,12 +48,12 @@ count is its size holds only endpoints.  While some piece decides nothing,
 the leftmost such piece is split after its middle candidate's position:
 ``split_wedge`` asks the diagram in a direction whose line through v
 separates the two halves, one query, and reads it at every vertex, one
-``AugmentedDiagram.levels_of`` call.  Its count at v is one more cut, and the
+``AugmentedDiagram.locate`` call.  Its count at v is one more cut, and the
 stage keeps the reading: each later vertex takes its cut from it at its
 turn, free, which seeds that vertex's search and only ever removes
 splits.  Two prefix counts at one length that differ, or a piece whose count
 is negative or above its size, raise OracleInconsistency, and so does a
-split diagram with no level at some vertex.
+split diagram with no level at some vertex (``locate``).
 
 *The check.*  The stage ends with the ledger's count check
 (``CountLedger.check``): every diagram of the ledger, the vertex stage's
@@ -107,22 +107,14 @@ def split_wedge(
     of those above it strictly above.  One logged query.  ``plane`` holds (a,
     b) for each vertex u, with u1 . u = a / unit and u2 . u = b / unit, unit
     > 0, so u's height there is (p * a - q * b) / unit, and one
-    ``AugmentedDiagram.levels_of`` call locates every vertex, with no
-    Fraction.  A vertex off the diagram's grid raises OracleInconsistency:
-    every vertex is an event at its own height, so the answer does not fit
-    the recovered vertices.
+    ``AugmentedDiagram.locate`` call locates every vertex, with no
+    Fraction, and raises OracleInconsistency for a vertex off the diagram's
+    grid.
     """
     p, q = separating_slope(order, after)
     dgm = oracle.query(separating_direction((p, q), frame))
-    # the rows as the diagram holds them, without the copies ``counts``
-    # makes: this runs once per split, about 1,200 times over the 40 graphs
-    # of the graph-sweep benchmark, where two copies a call cost about 0.5%
-    top = len(dgm.heights)
-    vertices = dgm.histogram.get(0) or [0] * top
-    edges = dgm.histogram.get(1) or [0] * top
-    levels = dgm.levels_of([p * a - q * b for a, b in plane], unit)
-    if None in levels:
-        raise OracleInconsistency("a vertex is off the grid of a split diagram")
+    vertices, edges = dgm.counts(0), dgm.counts(1)
+    levels = dgm.locate([p * a - q * b for a, b in plane], unit)
     return p, q, [edges[i] if vertices[i] == 1 else None for i in levels]
 
 
@@ -289,11 +281,11 @@ def find_edges(
     pair of ints, and a split's diagram is read at every vertex by
     ``split_wedge``.  Each split asks the integer direction p * u1 - q * u2.
 
-    The ledger's first diagram must lie in ``frame.u1``, or InvalidInput is
-    raised.  Its edge count at a vertex is the number of edges from that
-    vertex down to lower ones.  Once that many are known, the vertex has no
-    edge to the current sweep vertex, so it is left out of the current
-    vertex's candidates.  This costs no query.
+    The ledger must hold a diagram, the first in ``frame.u1``, or
+    InvalidInput is raised.  Its edge count at a vertex is the number of
+    edges from that vertex down to lower ones.  Once that many are known,
+    the vertex has no edge to the current sweep vertex, so it is left out
+    of the current vertex's candidates.  This costs no query.
 
     The stage ends with the ledger's count check, ``ledger.check(edges,
     1)``: the edges found must meet every diagram of the ledger at every
@@ -310,8 +302,8 @@ def find_edges(
     a miscounted cut elsewhere, which an exchange of two edges can hide
     from the sweep counts, runs into.
     """
-    if tuple(ledger.diagrams[0].direction) != tuple(frame.u1):
-        raise InvalidInput("sweep diagram is not in the frame's first direction")
+    if not ledger.diagrams or tuple(ledger.diagrams[0].direction) != tuple(frame.u1):
+        raise InvalidInput("no sweep diagram in the frame's first direction")
     oracle.log.open("edges")
     ledger.add(oracle.query(vneg(frame.u1)))
     down_degree, up_degree = ledger.counts(1, 0), ledger.counts(1, -1)

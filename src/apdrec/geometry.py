@@ -89,6 +89,12 @@ def _check_rationals(*vectors: Iterable) -> None:
         raise InvalidInput("entries must be ints or Fractions")
 
 
+def _one_length(vectors: Sequence[Sequence]) -> None:
+    """Raise InvalidInput unless there are vectors, all of one length."""
+    if len(set(map(len, vectors))) != 1:
+        raise InvalidInput("need one or more vectors, all of one length")
+
+
 def as_vector(coords: Iterable) -> Vector:
     """Coerce an iterable of ints/strings/Fractions into a Vector; an int or
     a Fraction is kept as it is, a string read by ``parse_rational``, and
@@ -162,7 +168,10 @@ def parallel(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     """True iff a and b are linearly dependent: every 2x2 minor ``a_i * b_j
     - a_j * b_i`` is zero, so a zero a is parallel to everything.  The loop
     stops at the first nonzero minor, which on the independent pairs ``tilt``
-    is given is usually the first."""
+    is given is usually the first.  Vectors of two lengths raise
+    InvalidInput."""
+    if len(a) != len(b):
+        raise InvalidInput(f"cannot compare vectors of lengths {len(a)} and {len(b)}")
     n = len(a)
     for i in range(n):
         for j in range(i + 1, n):
@@ -304,7 +313,9 @@ def _solve_particular(
 
 def affinely_independent(points: Sequence[Vector]) -> bool:
     """True iff no point lies in the affine hull of the others: the
-    differences from the first point have full rank."""
+    differences from the first point have full rank.  No point, or points
+    of two lengths, raise InvalidInput."""
+    _one_length(points)
     diffs = [vsub(p, points[0]) for p in points[1:]]
     _, pivots = _rref(diffs)
     return len(pivots) == len(points) - 1
@@ -319,7 +330,9 @@ def affine_hyperplane(points: Sequence[IntVector]) -> Tuple[IntVector, int]:
     when n . x == c.  For dependent points n = 0 and c = 0: every x then
     makes a dependent set with them.  The cofactors come from one bottom-up
     pass of Laplace expansions over the difference rows, 2^d - 2 minors.
+    No point, or points of two lengths, raise InvalidInput.
     """
+    _one_length(points)
     q1 = points[0]
     d = len(q1)
     rows = [[a - b for a, b in zip(q, q1)] for q in points[1:]]
@@ -352,8 +365,7 @@ def orthogonal_to_affine_hull(points: Sequence[Vector]) -> Direction:
     affinely dependent or already span the whole space, and InvalidInput
     for no point or points of two dimensions.
     """
-    if len({len(p) for p in points}) != 1:
-        raise InvalidInput("need one or more points, all of one dimension")
+    _one_length(points)
     _check_rationals(*points)
     dim = len(points[0])
     diffs = [vsub(p, points[0]) for p in points[1:]]
@@ -389,7 +401,8 @@ def second_perpendicular_direction(
     orthogonal to both aff(W) and s, with ``s'.x - s'.w`` one positive
     constant for every w in W, x in V \\ W: the primitive form of the
     solution of a linear system with that constant 1, which also makes the
-    choice deterministic.  An empty W raises InvalidInput.
+    choice deterministic.  An empty W, and points of V and an s of two
+    lengths, raise InvalidInput.
 
     V \\ W gets -s': the rows of both systems span {s, v - v0 : v in V}, so
     ``_rref`` frees the same columns, and minus W's solution solves the
@@ -398,6 +411,7 @@ def second_perpendicular_direction(
     The paper's plane-filling lemma: the direction that isolates a face W of
     V for Face Isolation.
     """
+    _one_length([s, *map(points.__getitem__, v)])
     v_set, w_set = set(v), set(w)
     if not w_set <= v_set:
         raise InvalidInput("W must be a subset of V")
@@ -487,7 +501,8 @@ def tilt(weight: Tuple[int, int], s: Direction, s_prime: Direction) -> Direction
     ties heights as the tilt does; on integer directions it is all ints, and
     ``primitive_direction`` reduces it.  Every tilted direction of a
     reconstruction is formed here.  s and s' of two lengths raise
-    InvalidInput, as ``zip`` would drop the longer one's tail.
+    InvalidInput in ``parallel``, before the tilt, paired by ``zip`` up to
+    the shorter one's end, is returned.
 
     The paper's tilt of an initial direction that keeps the vertex order,
     the direction step of find-coord.
@@ -495,9 +510,9 @@ def tilt(weight: Tuple[int, int], s: Direction, s_prime: Direction) -> Direction
     n, q = weight
     try:
         m = q - n
-        tilted = [m * a + n * b for a, b in zip(s, s_prime, strict=True)]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"need two rational vectors of one length: {exc}") from exc
+        tilted = [m * a + n * b for a, b in zip(s, s_prime)]
+    except TypeError as exc:
+        raise InvalidInput(f"entries must be rationals: {exc}") from exc
     # a float entry anywhere makes an entry of the tilt a float
     if not _all_ints(tilted):
         _check_rationals(weight, s, s_prime)

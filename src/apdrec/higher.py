@@ -23,7 +23,7 @@ is an integer multiple of the rational one by a positive factor:
 returns q times the tilt of weight n / q, and scaled heights give the same
 weight.  ``primitive_direction`` removes the factor, so the oracle is asked
 the same directions in the same order as on the rational points, and a
-diagram is read at h / L by ``AugmentedDiagram.levels_of``.  A direction's
+diagram is read at h / L by ``AugmentedDiagram.locate``.  A direction's
 heights are computed once and handed on, to ``tilt_weight`` and to
 ``second_perpendicular_direction``, and so is each weight: the heights under
 -s' are those under s' negated, with the same spread, so both tilts of a
@@ -45,7 +45,6 @@ from .edges import find_edges
 from .errors import (
     DegeneratePosition,
     InvalidInput,
-    OracleInconsistency,
     PreconditionViolated,
 )
 from .geometry import (
@@ -118,17 +117,14 @@ def _level_count(
     One logged query.  Raises PreconditionViolated unless every vertex of
     the simplex has the same height under the direction and the queried
     diagram counts no other vertex at that height, and OracleInconsistency
-    when the height is not on the diagram's grid: every vertex is an event
-    at its own height, so such a diagram is not of the recovered complex.
+    when the height is not on the diagram's grid (``locate``).
     """
     dgm = oracle.query(direction)
     height = dot(direction, points[simplex[0]])
     if any(dot(direction, points[v]) != height for v in simplex[1:]):
         raise PreconditionViolated("direction is not constant on the simplex")
-    (level,) = dgm.levels_of([height], scale)
-    if level is None:
-        raise OracleInconsistency(f"the simplex height is off the grid in {direction}")
-    if dgm.histogram[0][level] != len(simplex):
+    (level,) = dgm.locate([height], scale)
+    if dgm.counts(0)[level] != len(simplex):
         raise PreconditionViolated(
             "another vertex shares the simplex height in this direction"
         )
@@ -298,8 +294,9 @@ def _cofaces(
     exchange would keep every count, and the count check, the guard of
     every untested candidate, could not see it.
     """
-    # the (k+1)-simplices each level of each diagram still misses
-    left = [dgm.counts(dim) for dgm in ledger.diagrams]
+    # the (k+1)-simplices each level of each diagram still misses, copied:
+    # the diagrams' own rows stay as the oracle answered them
+    left = [list(dgm.counts(dim)) for dgm in ledger.diagrams]
     if not any(left[0]):
         return set()
     # each vertex's level in every diagram, the sweep's first and -u1's last

@@ -39,7 +39,8 @@ BoundaryTable, and the pairing runs on them on first read of ``rows``,
 dimension's deaths per level as it finds them, so the event rows are those
 counts and the histogram less them, and the Betti curves build no point; the
 points are read off the kept partner array on first read.  The
-reconstruction stages read only the histogram, so they never pair.
+reconstruction stages read only the histogram, through ``counts``, so they
+never pair.
 
 The kernel runs on integers.  A BoundaryTable, built once per complex,
 holds the coordinates scaled by their common denominator, the simplices in
@@ -52,7 +53,10 @@ the integer run gives the same pairs.  The diagram keeps the distinct
 integer heights with their denominator; a height read from a diagram is
 scaled to that grid, every such read going through
 ``AugmentedDiagram.levels_of``, and the heights are divided back into
-Fractions only when levels or points are read.
+Fractions only when levels or points are read.  The reconstruction stages
+read an answer at the recovered vertices with ``AugmentedDiagram.locate``,
+the one place where a vertex off an answer's grid raises
+OracleInconsistency.
 
 The oracle answers every query from scratch and logs it once.  The log is
 the one accounting object of a reconstruction: each stage opens a labelled
@@ -71,7 +75,7 @@ from itertools import chain, repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .complexes import Simplex, SimplicialComplex, facets
-from .errors import InvalidInput
+from .errors import InvalidInput, OracleInconsistency
 from .geometry import (
     Direction,
     Vector,
@@ -139,8 +143,9 @@ class AugmentedDiagram:
 
     ``levels``, the heights as Fractions, is built on first read and kept;
     ``level`` and ``levels_of`` find a height without it, and every reader
-    of the integer grid goes through ``levels_of``.  Equality, hashing and
-    the text form use the direction and the points.
+    of the integer grid goes through ``levels_of``, the stages through
+    ``locate``, which raises where ``levels_of`` gives None.  Equality,
+    hashing and the text form use the direction and the points.
     """
 
     __slots__ = (
@@ -249,6 +254,23 @@ class AugmentedDiagram:
             n, m = height.as_integer_ratio()
         return self.levels_of([n], m)[0]
 
+    def locate(self, numerators: Sequence[Fraction], denominator: int) -> List[int]:
+        """The level of each height numerator / denominator, as ``levels_of``
+        finds it, for heights that must all be on the grid.
+
+        Every recovered vertex is one event at its own height in every
+        answer, so a height off the grid raises OracleInconsistency naming
+        the direction: the diagram cannot be of the complex whose vertices
+        were recovered.  Every stage reads an answer at its vertices here.
+        """
+        levels = self.levels_of(numerators, denominator)
+        if None in levels:
+            raise OracleInconsistency(
+                f"height {levels.index(None)} is off the grid of the diagram "
+                f"in {self.direction}"
+            )
+        return levels
+
     def levels_of(
         self, numerators: Sequence[Fraction], denominator: int
     ) -> List[Optional[int]]:
@@ -302,17 +324,17 @@ class AugmentedDiagram:
 
         By the simplex-count correspondence every k-simplex is exactly one
         event at its lower-star height, a death in dimension k-1 or a birth
-        in dimension k, so this is the histogram's row k.
+        in dimension k, so this is the histogram's row k.  The row is the
+        one the diagram holds, not a copy: a caller that changes it copies
+        it first.
         """
-        row = self.histogram.get(k)
-        return list(row) if row else [0] * len(self.heights)
+        return self.histogram.get(k) or [0] * len(self.heights)
 
     def count_at(self, k: int, height: Fraction) -> int:
         """Number of k-simplices whose lower-star height is the given value:
-        the entry of ``counts(k)`` at that level, read without the list."""
+        the entry of ``counts(k)`` at that level, 0 off the grid."""
         level = self.level(height)
-        row = self.histogram.get(k)
-        return 0 if row is None or level is None else row[level]
+        return 0 if level is None else self.counts(k)[level]
 
     def simplex_count(self, k: int) -> int:
         """Number of k-simplices: the height-free form of count_at."""
@@ -592,8 +614,9 @@ def compute_apd(complex_: SimplicialComplex, direction: Direction) -> AugmentedD
     that of the direction, every height is an integer divided by D * L.
     Multiplying all heights by the positive D * L keeps their order and
     their ties, and the pairing depends on nothing else, so the integer run
-    pairs the same simplices as a run on the rational heights.  The diagram keeps D * L, and a height is divided back by it
-    exactly when read, so the diagram is the one of the rational heights.
+    pairs the same simplices as a run on the rational heights.  The diagram
+    keeps D * L, and a height is divided back by it exactly when read, so
+    the diagram is the one of the rational heights.
     """
     return _apd(BoundaryTable(complex_), direction)
 

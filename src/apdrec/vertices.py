@@ -14,12 +14,13 @@ Every diagram asked, the sweep first, goes into the reconstruction's
 the simplex-count correspondence every k-simplex is one event at the level
 of its highest vertex, so a diagram's k-count at a vertex's level is the
 number of k-simplices that vertex tops in its direction.  The ledger
-locates each recovered vertex in each diagram once.
+locates each recovered vertex in each diagram once, with one
+``AugmentedDiagram.locate`` call, which raises OracleInconsistency for a
+vertex off the diagram's grid.
 
 The stage reads the births of the axis and tilted diagrams as their integer
 vertex heights over each diagram's denominator
-(``AugmentedDiagram.vertex_heights``), and solves on those ints; the
-ledger reads its levels through ``AugmentedDiagram.levels_of``.  Every
+(``AugmentedDiagram.vertex_heights``), and solves on those ints.  Every
 direction it asks is a tuple of ints: the axes, and the tilts s_t and b1,
 each ``geometry.tilt`` of its ``tilt_weight`` (n, q) asked as it is
 returned.  The only Fractions of a reconstruction are the recovered
@@ -130,7 +131,7 @@ class CountLedger:
     It holds the points scaled to ints once, ``scaled`` = L times each point
     for ``scale`` = L, the common denominator of their coordinates, and each
     diagram added, in order, with the level of every vertex in it, read
-    with one ``AugmentedDiagram.levels_of`` call.  A vertex off a diagram's
+    with one ``AugmentedDiagram.locate`` call.  A vertex off a diagram's
     grid raises OracleInconsistency as the diagram is added: the diagram
     cannot be of the complex whose vertices were recovered.  The stages
     read every vertex count through it, and it checks the simplices they
@@ -150,15 +151,11 @@ class CountLedger:
         A vertex's height there is ``dot(dgm.direction, p)`` over ``scale``
         for its scaled point p, so the direction is read as the diagram
         holds it, not cleared again: on an int direction the heights are
-        ints, and on a Fraction one ``levels_of`` reads the rational
+        ints, and on a Fraction one ``locate`` reads the rational
         numerators exactly.
         """
         s = dgm.direction
-        levels = dgm.levels_of([dot(s, p) for p in self.scaled], self.scale)
-        if None in levels:
-            raise OracleInconsistency(
-                f"vertex {levels.index(None)} is off the grid in {dgm.direction}"
-            )
+        levels = dgm.locate([dot(s, p) for p in self.scaled], self.scale)
         self.diagrams.append(dgm)
         self.levels.append(levels)
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -374,6 +375,16 @@ def test_find_edges_rejects_a_sweep_in_another_direction():
         find_edges(CountLedger(points, [oracle.query(frame.u2)]), oracle, frame)
 
 
+def test_find_edges_rejects_a_ledger_with_no_diagram():
+    """A ledger that holds no diagram has no sweep diagram: InvalidInput,
+    before any query, not an IndexError."""
+    K = cx(2, [(0, 0), (1, 2), (2, 1)], [(0, 1), (1, 2)])
+    oracle = Oracle(K)
+    with pytest.raises(InvalidInput, match="no sweep diagram"):
+        find_edges(CountLedger([(0, 0)], []), oracle, standard_frame(2))
+    assert oracle.log.count == 0
+
+
 class MovedVertexOracle(Oracle):
     """An Oracle that answers one direction with the diagram of the complex
     ``moved``, the same complex with one vertex moved; every other answer,
@@ -685,11 +696,12 @@ def test_every_vertex_takes_the_reference_cut_of_each_split_asked_before_it(
     assert shared >= 2
 
 
-def answer_a_split_with_a_vertex_moved(monkeypatch, split, vertex):
+def assert_a_split_answered_off_the_grid_raises(monkeypatch, split, vertex):
     """Reconstruct a seeded planar graph through an oracle that answers its
     split at index ``split`` of all its splits in the order asked with the
     diagram of the graph whose vertex at index ``vertex`` in the sweep is
-    moved by 1/997 in x."""
+    moved by 1/997 in x, and expect the OracleInconsistency that names the
+    direction of that split."""
     K = generate_complex(GeneratorConfig(2, 20, 1, [0.3], seed=0))
     oracle = Oracle(K)
     _, frame, ledger = vertex_stage(oracle)
@@ -700,7 +712,10 @@ def answer_a_split_with_a_vertex_moved(monkeypatch, split, vertex):
     x, y = vertices[moved]
     vertices[moved] = (x + F(1, 997), y)
     other = build_complex(2, vertices, K.maximal_simplices())
-    return reconstruct(MovedVertexOracle(K, other, split_direction(frame, p, q)))
+    direction = split_direction(frame, p, q)
+    message = re.escape(f"off the grid of the diagram in {direction}")
+    with pytest.raises(OracleInconsistency, match=message):
+        reconstruct(MovedVertexOracle(K, other, direction))
 
 
 def test_a_split_answered_off_the_grid_raises(monkeypatch):
@@ -709,8 +724,7 @@ def test_a_split_answered_off_the_grid_raises(monkeypatch):
     is off the answer's grid, which reading the split raises as
     OracleInconsistency; a read that dropped it as no cut returned the
     graph itself."""
-    with pytest.raises(OracleInconsistency, match="off the grid of a split"):
-        answer_a_split_with_a_vertex_moved(monkeypatch, 0, -1)
+    assert_a_split_answered_off_the_grid_raises(monkeypatch, 0, -1)
 
 
 def test_a_split_answered_off_the_grid_at_an_earlier_vertex_raises(monkeypatch):
@@ -719,8 +733,7 @@ def test_a_split_answered_off_the_grid_at_an_earlier_vertex_raises(monkeypatch):
     that vertex, whose search ended first, is off the answer's grid: a
     split located at its own vertex and the later ones alone returned the
     graph itself."""
-    with pytest.raises(OracleInconsistency, match="off the grid of a split"):
-        answer_a_split_with_a_vertex_moved(monkeypatch, -1, 0)
+    assert_a_split_answered_off_the_grid_raises(monkeypatch, -1, 0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -145,6 +145,15 @@ def test_an_entry_neither_int_nor_fraction_raises_invalid_input(call):
         lambda: separating_direction((1, 2), SweepFrame((1, 0, 0), (0, 1))),
         lambda: orthogonal_to_affine_hull([(0, 0, 0), (1, 0)]),
         lambda: radial_order({0: (1, 2, 3)}),
+        lambda: affinely_independent([(0, 0, 0), (1, 0)]),
+        lambda: parallel((1, 0), (2, 0, 5)),
+        lambda: affine_hyperplane([(0, 0, 0), (1, 0), (0, 1, 0)]),
+        lambda: second_perpendicular_direction(
+            [(0, 0, 0), (1, 0), (0, 0, 1)], [0, 0, 1], (0, 1), (0,), (0, 0, 1)
+        ),
+        lambda: second_perpendicular_direction(
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [0, 0, 1], (0, 1), (0,), (0, 1)
+        ),
     ],
     ids=[
         "tilt-longer-s",
@@ -153,14 +162,21 @@ def test_an_entry_neither_int_nor_fraction_raises_invalid_input(call):
         "separating_direction-in-that-frame",
         "orthogonal_to_affine_hull",
         "radial_order-three-entries",
+        "affinely_independent",
+        "parallel",
+        "affine_hyperplane",
+        "second_perpendicular_direction-points",
+        "second_perpendicular_direction-shorter-s",
     ],
 )
 def test_vectors_of_two_lengths_raise_invalid_input(call):
     """Vectors of two lengths where a kernel pairs their entries are refused
     with InvalidInput: pairing them with ``zip`` drops the longer one's
     tail, so ``tilt`` gave (1, 1), the split direction in such a frame (1,
-    -2) and the hull's normal (0, 1, 0).  An offset of three entries raised
-    an untyped ValueError."""
+    -2) and the hull's normal (0, 1, 0), and ``affinely_independent`` and
+    ``parallel`` answered True.  An offset of three entries raised an
+    untyped ValueError, ``affine_hyperplane`` and the plane-filling solve
+    an IndexError, and the solve with a shorter s a DegeneratePosition."""
     with pytest.raises(InvalidInput) as caught:
         call()
     assert caught.type is InvalidInput

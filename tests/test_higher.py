@@ -857,6 +857,39 @@ def test_a_reconstruction_asks_only_integer_directions():
             assert all(type(x) is int for x in direction), direction
 
 
+def test_a_round_trip_leaves_every_received_diagram_as_answered(monkeypatch):
+    """After ``reconstruct``, every diagram of the count ledger counts what
+    the oracle answered in its direction, in every dimension: the stages
+    read the rows the diagrams hold (``AugmentedDiagram.counts`` copies
+    nothing), and ``_cofaces``, the one reader that lowers counts as it
+    finds simplices, lowers copies.  On the pinned corpus slice and the
+    lifted config, whose pass at k = d reads the ledger too."""
+    import apdrec.higher as higher_mod
+    from test_acceptance import _trial_configs
+
+    real = higher_mod.find_edges
+    ledgers = []
+
+    def recording(ledger, *args):
+        ledgers.append(ledger)
+        return real(ledger, *args)
+
+    monkeypatch.setattr(higher_mod, "find_edges", recording)
+    corpus = _trial_configs()
+    lifted = GeneratorConfig(
+        3, 6, 3, densities=[0.9, 0.9, 0.9], seed=2, lift_general_position=True
+    )
+    for cfg in [corpus[i] for i in PINNED_SLICE] + [lifted]:
+        K = generate_complex(cfg)
+        assert complexes_match(reconstruct(Oracle(K)), K)
+        (ledger,) = ledgers
+        ledgers.clear()
+        for dgm in ledger.diagrams:
+            answer = compute_apd(K, dgm.direction)
+            for k in range(K.ambient_dim + 2):
+                assert dgm.counts(k) == answer.counts(k), (dgm.direction, k)
+
+
 # the scale corpus: (d, n0, vertex, edge and higher-stage queries), each
 # generated with seed 7, kappa 2 and densities 0.5, 0.6
 SCALE_CORPUS = [(3, 25, 5, 65, 1878), (4, 20, 7, 36, 498)]

@@ -103,7 +103,7 @@ MUTANTS = [
     Mutant(
         "_level_count: the lone-vertex check off",
         "src/apdrec/higher.py",
-        "    if dgm.histogram[0][level] != len(simplex):\n",
+        "    if dgm.counts(0)[level] != len(simplex):\n",
         "    if False:\n",
         ("tests/test_higher.py",),
     ),
@@ -130,21 +130,17 @@ MUTANTS = [
         ("tests/test_complexes.py",),
     ),
     Mutant(
-        "split_wedge's reading gives None off the grid",
-        "src/apdrec/edges.py",
-        "    if None in levels:\n"
-        '        raise OracleInconsistency("a vertex is off the grid of a split diagram")\n'
-        "    return p, q, [edges[i] if vertices[i] == 1 else None for i in levels]\n",
-        "    return p, q, [\n"
-        "        edges[i] if i is not None and vertices[i] == 1 else None for i in levels\n"
-        "    ]\n",
-        ("tests/test_edges.py",),
+        "AugmentedDiagram.locate gives None off the grid",
+        "src/apdrec/oracle.py",
+        "        if None in levels:\n",
+        "        if False:\n",
+        ("tests/test_vertices.py", "tests/test_edges.py", "tests/test_higher.py"),
     ),
     Mutant(
         "split_wedge's reading locates at q * unit",
         "src/apdrec/edges.py",
-        "    levels = dgm.levels_of([p * a - q * b for a, b in plane], unit)\n",
-        "    levels = dgm.levels_of([p * a - q * b for a, b in plane], q * unit)\n",
+        "    levels = dgm.locate([p * a - q * b for a, b in plane], unit)\n",
+        "    levels = dgm.locate([p * a - q * b for a, b in plane], q * unit)\n",
         ("tests/test_edges.py",),
     ),
     Mutant(
@@ -209,8 +205,8 @@ MUTANTS = [
     Mutant(
         "CountLedger.add reads at dgm.denominator",
         "src/apdrec/vertices.py",
-        "        levels = dgm.levels_of([dot(s, p) for p in self.scaled], self.scale)\n",
-        "        levels = dgm.levels_of([dot(s, p) for p in self.scaled], dgm.denominator)"
+        "        levels = dgm.locate([dot(s, p) for p in self.scaled], self.scale)\n",
+        "        levels = dgm.locate([dot(s, p) for p in self.scaled], dgm.denominator)"
         "\n",
         ("tests/test_vertices.py",),
     ),
@@ -331,8 +327,10 @@ MUTANTS = [
     Mutant(
         "tilt pairs vectors of two lengths",
         "src/apdrec/geometry.py",
-        "zip(s, s_prime, strict=True)",
-        "zip(s, s_prime)",
+        "    if len(a) != len(b):\n"
+        '        raise InvalidInput(f"cannot compare vectors of lengths {len(a)} and '
+        '{len(b)}")\n',
+        "",
         ("tests/test_geometry.py",),
     ),
     Mutant(
@@ -355,6 +353,27 @@ MUTANTS = [
         "    if vertex in sigma:\n",
         "    if False:\n",
         ("tests/test_higher.py",),
+    ),
+    Mutant(
+        "_cofaces decrements the diagrams' own rows",
+        "src/apdrec/higher.py",
+        "    left = [list(dgm.counts(dim)) for dgm in ledger.diagrams]\n",
+        "    left = [dgm.counts(dim) for dgm in ledger.diagrams]\n",
+        ("tests/test_higher.py",),
+    ),
+    Mutant(
+        "second_perpendicular_direction takes V and s of two lengths",
+        "src/apdrec/geometry.py",
+        "    _one_length([s, *map(points.__getitem__, v)])\n",
+        "",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "find_edges reads the sweep diagram of a ledger with no diagram",
+        "src/apdrec/edges.py",
+        "    if not ledger.diagrams or tuple(",
+        "    if tuple(",
+        ("tests/test_edges.py",),
     ),
 ]
 

@@ -18,7 +18,7 @@ from .errors import InvalidInput, ParseError
 from .geometry import (
     IntVector,
     Vector,
-    affine_hyperplane,
+    _hull_normal,
     affinely_independent,
     as_vector,
     format_rational,
@@ -142,16 +142,18 @@ class PositionCheck:
       with p.  For dim <= 2 the projection is the point itself, so the same
       buckets decide affine dependence.
     - For dim >= 3, each d-subset S of added points has one cached
-      hyperplane (n, c) from ``affine_hyperplane``: S with p is dependent
-      iff n . p == c, one dot product per subset.  A point's subsets are
-      built when the next candidate arrives, so the last point's never are.
-      With fewer than dim earlier points their rank decides.
+      hyperplane (n, c): n is the ``geometry._hull_normal`` of S, zero when
+      S is dependent, and c its dot product with S's first point.  S with p
+      is dependent iff n . p == c, one dot product per subset.  A point's
+      subsets are built when the next candidate arrives, so the last
+      point's never are.  With fewer than dim earlier points their rank
+      decides.
     """
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
         self.points: List[IntVector] = []
-        self._planes: List[Tuple[Simplex, IntVector, int]] = []
+        self._planes: List[Tuple[Simplex, List[int], int]] = []
         self._planned = 0  # the points whose d-subsets are in _planes
 
     def add(self, p: IntVector) -> None:
@@ -213,12 +215,14 @@ class PositionCheck:
 
     def _plan(self) -> None:
         """Cache the hyperplane of every d-subset of the added points."""
-        points = self.points
+        points, zero = self.points, [0] * self.dim
         for k in range(self._planned, len(points)):
             for rest in combinations(range(k), self.dim - 1):
                 subset = rest + (k,)
-                normal, c = affine_hyperplane([points[j] for j in subset])
-                self._planes.append((subset, normal, c))
+                q = [points[j] for j in subset]
+                # a dependent subset gets the zero normal, which matches every p
+                normal = _hull_normal(q) or zero
+                self._planes.append((subset, normal, sum(map(mul, normal, q[0]))))
         self._planned = len(points)
 
 

@@ -18,7 +18,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .complexes import SimplicialComplex
 from .geometry import Direction, dot
@@ -71,12 +71,20 @@ def betti_curve_from_apd(apd: AugmentedDiagram, k: int) -> StepCurve:
     return StepCurve(tuple(steps), tuple(decorations), 0)
 
 
-def _euler_steps(entries) -> StepCurve:
-    """The pair curve of (height, even count, odd count) entries, increasing
-    in height, each adding its counts to the sublevel set."""
+def euler_curve_from_apd(apd: AugmentedDiagram) -> StepCurve:
+    """Augmented Euler characteristic curve from the diagram alone.
+
+    The diagram's simplex histogram gives the k-simplices at each level,
+    so the counts of each parity sum those of its dimensions, and one pass
+    over the levels, increasing in height, adds them to the sublevel
+    counts.  It needs no pairing.
+    """
+    parity = [[0] * len(apd.heights), [0] * len(apd.heights)]
+    for k, row in apd.histogram.items():
+        parity[k % 2] = list(map(operator.add, parity[k % 2], row))
     even = odd = 0
     steps = []
-    for h, de, do in entries:
+    for h, de, do in zip(apd.levels, *parity):
         if de or do:
             even += de
             odd += do
@@ -84,36 +92,30 @@ def _euler_steps(entries) -> StepCurve:
     return StepCurve(tuple(steps), (), (0, 0))
 
 
-def euler_curve_from_apd(apd: AugmentedDiagram) -> StepCurve:
-    """Augmented Euler characteristic curve from the diagram alone.
-
-    The diagram's simplex histogram gives the k-simplices at each level,
-    so the counts of each parity sum those of its dimensions, and one pass
-    over the levels sums them into the sublevel counts.  It needs no
-    pairing.
-    """
-    parity = [[0] * len(apd.heights), [0] * len(apd.heights)]
-    for k, row in apd.histogram.items():
-        parity[k % 2] = list(map(operator.add, parity[k % 2], row))
-    return _euler_steps(zip(apd.levels, *parity))
-
-
 def euler_curve_direct(complex_: SimplicialComplex, direction: Direction) -> StepCurve:
-    """The same pair curve computed straight from sublevel simplex counts.
+    """The same pair curve counted straight from the complex.
 
     A simplex enters at its lower-star height, the largest height of its
-    vertices.  This is the reference the diagram's curve is checked
-    against.  Raises InvalidInput for a direction that ``_read_direction``
-    refuses: an entry that is no rational, a zero direction, or one whose
-    length is not the ambient dimension of the complex.
+    vertices; at each such height the curve's value is the number of even-
+    and of odd-dimensional simplices entered at or below it, counted by
+    bisection in the sorted entry heights of each parity.  It shares no
+    step with ``euler_curve_from_apd``, and is the reference that curve is
+    checked against.  Raises InvalidInput for a direction that
+    ``_read_direction`` refuses: an entry that is no rational, a zero
+    direction, or one whose length is not the ambient dimension of the
+    complex.
     """
     direction = _read_direction(direction, complex_.ambient_dim)
     vh = {v: dot(direction, p) for v, p in complex_.vertices.items()}
-    deltas: Dict[Fraction, List[int]] = {}
+    entries: Tuple[List[Fraction], List[Fraction]] = ([], [])
     for s in complex_.simplices:
-        cell = deltas.setdefault(max(vh[v] for v in s), [0, 0])
-        cell[(len(s) - 1) % 2] += 1
-    return _euler_steps((h, *deltas[h]) for h in sorted(deltas))
+        entries[(len(s) - 1) % 2].append(max(vh[v] for v in s))
+    even, odd = map(sorted, entries)
+    steps = [
+        (h, (bisect_right(even, h), bisect_right(odd, h)))
+        for h in sorted(set(even + odd))
+    ]
+    return StepCurve(tuple(steps), (), (0, 0))
 
 
 def ecc_value(pair: Tuple[int, int]) -> int:

@@ -17,10 +17,18 @@ Every kernel has one code path that is exact on ``int`` input and stays
 exact on ``Fraction`` input: a quotient is built as ``Fraction(p, q)``, never
 as ``p / q``, which would give a float for two ints.  ``dot`` of two integer
 vectors is an int, ``primitive_direction`` returns ints, ``_rref``
-eliminates fraction-free, and ``_solve_particular`` and ``tilt`` return
-integer multiples of their rational answers.  ``tilt`` is the one place a
-tilted direction is formed: the vertex stage asks its result as it is, and
-the higher stage reduces it with ``primitive_direction``.
+eliminates fraction-free, and ``_hull_normal``, ``_solve_particular`` and
+``tilt`` return integer multiples of their rational answers.  ``tilt`` is
+the one place a tilted direction is formed: the vertex stage asks its
+result as it is, and the higher stage reduces it with
+``primitive_direction``.
+
+``_rref`` (Bareiss elimination) is the one exact linear-algebra engine,
+reached through two routines: ``_hull_normal``, the kernel vector normal to
+the affine hull of points, which ``orthogonal_to_affine_hull``,
+``affinely_independent`` and the general-position check
+(``complexes.PositionCheck``) read, and ``_solve_particular``, the
+plane-filling solve of ``second_perpendicular_direction``.
 
 ``scale_to_integers`` is the one routine that clears denominators:
 ``primitive_direction``, ``_rref``, the oracle's coordinates and directions
@@ -51,7 +59,7 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -311,77 +319,57 @@ def _solve_particular(
 # direction constructions
 
 
+def _hull_normal(points: Sequence[Vector]) -> Optional[List[int]]:
+    """D times the kernel vector of the first free column of the difference
+    rows ``q - q1``, for D the pivot entry ``_rref`` leaves on them: an
+    integer vector n with one value of n . q for every point q, zero when
+    the points span the whole space, and None when they are affinely
+    dependent.
+
+    For d points q1..qd of R^d, x lies in their affine hull exactly when n
+    . x == n . q1.  The one kernel of every hull normal: the public
+    ``orthogonal_to_affine_hull`` and ``affinely_independent`` check their
+    input and call it, and the general-position check calls it directly.
+    """
+    q1 = points[0]
+    rows, pivots = _rref([vsub(q, q1) for q in points[1:]])
+    if len(pivots) < len(rows):
+        return None
+    normal = [0] * len(q1)
+    free = [c for c in range(len(q1)) if c not in pivots]
+    if free:
+        j = free[0]
+        normal[j] = rows[0][pivots[0]] if pivots else 1
+        for row, col in zip(rows, pivots):
+            normal[col] = -row[j]
+    return normal
+
+
 def affinely_independent(points: Sequence[Vector]) -> bool:
     """True iff no point lies in the affine hull of the others: the
     differences from the first point have full rank.  No point, or points
     of two lengths, raise InvalidInput."""
     _one_length(points)
-    diffs = [vsub(p, points[0]) for p in points[1:]]
-    _, pivots = _rref(diffs)
-    return len(pivots) == len(points) - 1
-
-
-def affine_hyperplane(points: Sequence[IntVector]) -> Tuple[IntVector, int]:
-    """(n, c) with n . x - c = det[q2 - q1, ..., qd - q1, x - q1] for the d
-    integer points q1..qd of R^d.
-
-    n is the cofactor vector of the last row (Laplace expansion on it), so
-    for affinely independent points x lies in their affine hull exactly
-    when n . x == c.  For dependent points n = 0 and c = 0: every x then
-    makes a dependent set with them.  The cofactors come from one bottom-up
-    pass of Laplace expansions over the difference rows, 2^d - 2 minors.
-    No point, or points of two lengths, raise InvalidInput.
-    """
-    _one_length(points)
-    q1 = points[0]
-    d = len(q1)
-    rows = [[a - b for a, b in zip(q, q1)] for q in points[1:]]
-    # minors[cols]: the determinant of the last len(cols) rows on those
-    # columns, expanded along the first of those rows
-    minors: Dict[Tuple[int, ...], int] = {(): 1}
-    for size, row in enumerate(reversed(rows), start=1):
-        larger = {}
-        for cols in combinations(range(d), size):
-            value, sign = 0, 1
-            for k, c in enumerate(cols):
-                value += sign * row[c] * minors[cols[:k] + cols[k + 1 :]]
-                sign = -sign
-            larger[cols] = value
-        minors = larger
-    # the last level holds the minors omitting column d-1, d-2, ..., 0
-    normal = tuple(
-        (-1) ** (d + 1 + j) * minor
-        for j, minor in enumerate(reversed(minors.values()))
-    )
-    return normal, sum(map(operator.mul, normal, q1))
+    return _hull_normal(points) is not None
 
 
 def orthogonal_to_affine_hull(points: Sequence[Vector]) -> Direction:
     """A direction with equal dot product against every input point.
 
-    Single Gram-Schmidt-style elimination: row-reduce the difference vectors
-    and return the canonical kernel vector of the first free column, rescaled
-    to primitive integer form.  Raises DegeneratePosition if the points are
-    affinely dependent or already span the whole space, and InvalidInput
-    for no point or points of two dimensions.
+    The primitive integer form of ``_hull_normal``: row-reduce the
+    difference vectors and take the kernel vector of the first free column.
+    Raises DegeneratePosition if the points are affinely dependent or
+    already span the whole space, and InvalidInput for no point or points
+    of two dimensions.
     """
     _one_length(points)
     _check_rationals(*points)
-    dim = len(points[0])
-    diffs = [vsub(p, points[0]) for p in points[1:]]
-    diffs, pivots = _rref(diffs)
-    if len(pivots) < len(diffs):
+    normal = _hull_normal(points)
+    if normal is None:
         raise DegeneratePosition("points are affinely dependent")
-    free = [c for c in range(dim) if c not in pivots]
-    if not free:
+    if not any(normal):
         raise DegeneratePosition("points affinely span the whole space")
-    # the rows are D times the rational ones, so this kernel vector is too
-    j = free[0]
-    z = [0] * dim
-    z[j] = diffs[0][pivots[0]] if pivots else 1
-    for row, col in zip(diffs, pivots):
-        z[col] = -row[j]
-    return primitive_direction(z)
+    return primitive_direction(normal)
 
 
 def second_perpendicular_direction(
@@ -401,8 +389,10 @@ def second_perpendicular_direction(
     orthogonal to both aff(W) and s, with ``s'.x - s'.w`` one positive
     constant for every w in W, x in V \\ W: the primitive form of the
     solution of a linear system with that constant 1, which also makes the
-    choice deterministic.  An empty W, and points of V and an s of two
-    lengths, raise InvalidInput.
+    choice deterministic.  An id of V that is no index of ``points``, a
+    ``heights`` list of another length than ``points``, an empty W, and
+    points of V and an s of two lengths raise InvalidInput, before any
+    solve.
 
     V \\ W gets -s': the rows of both systems span {s, v - v0 : v in V}, so
     ``_rref`` frees the same columns, and minus W's solution solves the
@@ -411,6 +401,9 @@ def second_perpendicular_direction(
     The paper's plane-filling lemma: the direction that isolates a face W of
     V for Face Isolation.
     """
+    ids = range(len(points))
+    if len(heights) != len(points) or not all(map(ids.__contains__, v)):
+        raise InvalidInput("V must hold ids of the points, and every point a height")
     _one_length([s, *map(points.__getitem__, v)])
     v_set, w_set = set(v), set(w)
     if not w_set <= v_set:
@@ -500,19 +493,23 @@ def tilt(weight: Tuple[int, int], s: Direction, s_prime: Direction) -> Direction
     n) * s + n * s'`` is a positive multiple of the tilt, so it orders and
     ties heights as the tilt does; on integer directions it is all ints, and
     ``primitive_direction`` reduces it.  Every tilted direction of a
-    reconstruction is formed here.  s and s' of two lengths raise
-    InvalidInput in ``parallel``, before the tilt, paired by ``zip`` up to
-    the shorter one's end, is returned.
+    reconstruction is formed here.  A weight that is no pair (n, q) with 0
+    < n < q, which every ``tilt_weight`` is, raises InvalidInput: n = 0
+    would return s itself and n = q s' itself.  s and s' of two lengths
+    raise InvalidInput in ``parallel``, before the tilt, paired by ``zip``
+    up to the shorter one's end, is returned.
 
     The paper's tilt of an initial direction that keeps the vertex order,
     the direction step of find-coord.
     """
-    n, q = weight
     try:
+        n, q = weight
+        if not 0 < n < q:
+            raise InvalidInput(f"a tilt weight (n, q) has 0 < n < q, not {weight}")
         m = q - n
         tilted = [m * a + n * b for a, b in zip(s, s_prime)]
-    except TypeError as exc:
-        raise InvalidInput(f"entries must be rationals: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"weight and directions must be rationals: {exc}") from exc
     # a float entry anywhere makes an entry of the tilt a float
     if not _all_ints(tilted):
         _check_rationals(weight, s, s_prime)
@@ -630,6 +627,12 @@ def separating_direction(slope: Tuple[int, int], frame: SweepFrame) -> IntVector
     ``p * x - q * y`` above the center's, so for the ``separating_slope`` of
     an order the vertices above the center up to the split's position land
     strictly below the center and the rest of those above it strictly above.
+    A slope that is no pair of ints p, q with q > 0 raises InvalidInput.
     """
-    p, q = slope
+    try:
+        p, q = slope
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"a slope is a pair (p, q): {exc}") from exc
+    if not (_all_ints((p, q)) and q > 0):
+        raise InvalidInput(f"a slope is two ints p, q with q > 0, not {slope}")
     return tuple([p * x - q * y for x, y in zip(frame.u1, frame.u2)])

@@ -107,6 +107,29 @@ def test_euler_consistency_random():
             assert direct.value_at(p) == sublevel_parity_counts(K, direction, p)
 
 
+def test_euler_reference_shares_no_step_with_the_diagram_curve(monkeypatch):
+    """``euler_curve_direct`` counts the complex itself, so a fault in the
+    diagram's Euler curve shows against it: with that curve's even and odd
+    counts swapped, the reference still gives the brute-force counts and
+    differs from the faulty curve."""
+    import apdrec.descriptors as descriptors
+
+    original = descriptors.euler_curve_from_apd
+
+    def swapped(apd):
+        steps = tuple((h, (odd, even)) for h, (even, odd) in original(apd).breakpoints)
+        return descriptors.StepCurve(steps, (), (0, 0))
+
+    monkeypatch.setattr(descriptors, "euler_curve_from_apd", swapped)
+    for seed in range(3):
+        K = generate_complex(GeneratorConfig(3, 7, 2, densities=[0.7, 0.8], seed=seed))
+        direction = (1, 2, -1)
+        direct = euler_curve_direct(K, direction)
+        assert direct != swapped(compute_apd(K, direction))
+        for p in _probe_heights(direct):
+            assert direct.value_at(p) == sublevel_parity_counts(K, direction, p)
+
+
 def test_euler_poincare_alternating_sum():
     for seed in range(3):
         K = generate_complex(GeneratorConfig(3, 7, 2, densities=[0.7, 0.8], seed=seed))

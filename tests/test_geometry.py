@@ -23,8 +23,8 @@ from apdrec import (
 from apdrec.geometry import (
     SweepFrame,
     _rref,
+    _hull_normal,
     _solve_particular,
-    affine_hyperplane,
     affinely_independent,
     as_vector,
     basis_vector,
@@ -147,7 +147,6 @@ def test_an_entry_neither_int_nor_fraction_raises_invalid_input(call):
         lambda: radial_order({0: (1, 2, 3)}),
         lambda: affinely_independent([(0, 0, 0), (1, 0)]),
         lambda: parallel((1, 0), (2, 0, 5)),
-        lambda: affine_hyperplane([(0, 0, 0), (1, 0), (0, 1, 0)]),
         lambda: second_perpendicular_direction(
             [(0, 0, 0), (1, 0), (0, 0, 1)], [0, 0, 1], (0, 1), (0,), (0, 0, 1)
         ),
@@ -164,7 +163,6 @@ def test_an_entry_neither_int_nor_fraction_raises_invalid_input(call):
         "radial_order-three-entries",
         "affinely_independent",
         "parallel",
-        "affine_hyperplane",
         "second_perpendicular_direction-points",
         "second_perpendicular_direction-shorter-s",
     ],
@@ -175,8 +173,8 @@ def test_vectors_of_two_lengths_raise_invalid_input(call):
     tail, so ``tilt`` gave (1, 1), the split direction in such a frame (1,
     -2) and the hull's normal (0, 1, 0), and ``affinely_independent`` and
     ``parallel`` answered True.  An offset of three entries raised an
-    untyped ValueError, ``affine_hyperplane`` and the plane-filling solve
-    an IndexError, and the solve with a shorter s a DegeneratePosition."""
+    untyped ValueError, the plane-filling solve an IndexError, and the
+    solve with a shorter s a DegeneratePosition."""
     with pytest.raises(InvalidInput) as caught:
         call()
     assert caught.type is InvalidInput
@@ -194,6 +192,26 @@ def test_vectors_of_two_lengths_raise_invalid_input(call):
         ),
         lambda: orthogonal_to_affine_hull([]),
         lambda: dot((1, 2), (1, 2, 3)),
+        lambda: second_perpendicular_direction(
+            [(0, 0), (1, 0)], [0, 0], (0, 5), (0,), (0, 1)
+        ),
+        lambda: second_perpendicular_direction(
+            [(0, 0), (1, 0)], [0, 0], (0, -1), (0,), (0, 1)
+        ),
+        lambda: second_perpendicular_direction(
+            [(0, 0), (1, 0)], [0], (0, 1), (0,), (0, 1)
+        ),
+        lambda: tilt((0, 1), (1, 0), (0, 1)),
+        lambda: tilt((0, 0), (1, 0), (0, 1)),
+        lambda: tilt((2, 2), (1, 0), (0, 1)),
+        lambda: tilt((3, 2), (1, 0), (0, 1)),
+        lambda: tilt((1,), (1, 0), (0, 1)),
+        lambda: tilt(("1", 2), (1, 0), (0, 1)),
+        lambda: separating_direction((1,), standard_frame(2)),
+        lambda: separating_direction((1, 0), standard_frame(2)),
+        lambda: separating_direction((1, -2), standard_frame(2)),
+        lambda: separating_direction((F(1, 2), 1), standard_frame(2)),
+        lambda: separating_direction((1, 2.0), standard_frame(2)),
     ],
     ids=[
         "separating_slope-past-the-end",
@@ -203,13 +221,32 @@ def test_vectors_of_two_lengths_raise_invalid_input(call):
         "second_perpendicular_direction-w-not-in-v",
         "orthogonal_to_affine_hull-no-point",
         "dot-of-two-lengths",
+        "second_perpendicular_direction-id-past-the-end",
+        "second_perpendicular_direction-negative-id",
+        "second_perpendicular_direction-short-heights",
+        "tilt-weight-zero",
+        "tilt-weight-zero-over-zero",
+        "tilt-weight-one",
+        "tilt-weight-above-one",
+        "tilt-weight-one-entry",
+        "tilt-weight-str",
+        "separating_direction-one-entry",
+        "separating_direction-zero-q",
+        "separating_direction-negative-q",
+        "separating_direction-fraction",
+        "separating_direction-float",
     ],
 )
 def test_malformed_kernel_calls_raise_invalid_input(call):
     """The reconstruction kernels' argument checks: a split position that
     is out of range or whose vertex lies below the center (the vertex at
     position 1 of the last order has offset (-1, 2)), a frame in one
-    dimension, W not a subset of V, no point, and two lengths."""
+    dimension, W not a subset of V, no point, and two lengths.  An id of V
+    past the last point raised an untyped IndexError, a negative one read
+    the last point, and a height list shorter than the points went
+    unchecked.  A tilt weight (n, q) outside 0 < n < q is refused, as n = 0
+    gave s itself and (0, 0) the zero direction; a slope (p, q) needs two
+    ints with q > 0.  A pair of one entry raised an untyped ValueError."""
     with pytest.raises(InvalidInput) as caught:
         call()
     assert caught.type is InvalidInput
@@ -929,19 +966,33 @@ def test_solve_particular_reports_inconsistent_systems():
     assert reference_solve_particular(equations, 2) is None
 
 
-def test_affine_hyperplane_is_the_last_row_cofactor_expansion():
-    """n . x - c equals the determinant of [q2 - q1, ..., qd - q1, x - q1]
-    from the definition, for dependent and independent q in d = 1..5."""
+def test_hull_normal_is_a_fixed_multiple_of_the_hull_determinant():
+    """For d affinely independent integer points q1..qd of R^d, d = 2..5,
+    n . x - n . q1 is one fixed nonzero multiple of det[q2 - q1, ..., qd -
+    q1, x - q1] over every sampled x, so x lies in the points' affine hull
+    exactly when n . x == n . q1; for dependent points the normal is None."""
     rng = random.Random(5)
     for trial in range(200):
-        d = 1 + trial % 5
+        d = 2 + trial % 4
         points = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
-        if trial % 4 == 0 and d >= 2:
-            points[-1] = points[0]  # a dependent set: n = 0 and c = 0
-        normal, c = affine_hyperplane(points)
-        assert all(type(x) is int for x in normal) and type(c) is int
-        x = tuple(rng.randint(-3, 3) for _ in range(d))
-        rows = [vsub(q, points[0]) for q in points[1:] + [x]]
-        assert dot(normal, x) - c == leibniz_determinant(rows)
-        if trial % 4 == 0 and d >= 2:
-            assert not any(normal) and c == 0
+        if trial % 4 == 0:
+            points[-1] = points[0]  # a repeated point
+        elif trial % 4 == 1 and d > 2:
+            # a point on the line through the first two
+            points[-1] = tuple(2 * b - a for a, b in zip(points[0], points[1]))
+        diffs = [vsub(q, points[0]) for q in points[1:]]
+        normal = _hull_normal(points)
+        if len(reference_rref([list(map(F, row)) for row in diffs])[1]) < d - 1:
+            assert normal is None
+            continue
+        assert all(type(x) is int for x in normal)
+        samples = [vsub(points[0], basis_vector(d, j)) for j in range(d)]
+        samples += [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(4)]
+        ratios = set()
+        for x in samples:
+            det = leibniz_determinant(diffs + [vsub(x, points[0])])
+            value = dot(normal, x) - dot(normal, points[0])
+            assert (value == 0) == (det == 0)
+            if det:
+                ratios.add(F(value) / det)
+        assert len(ratios) == 1 and 0 not in ratios

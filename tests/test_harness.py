@@ -144,32 +144,47 @@ def test_generator_scale_output_bytes_are_pinned():
 
 def test_generator_cost_is_one_hyperplane_per_subset(monkeypatch):
     """Planar graphs need no rank test and no hyperplane; the dense complex
-    builds at most one hyperplane per 3-subset of its 24 vertices, and rank
-    tests only while fewer than 3 vertices are accepted."""
+    builds at most one hyperplane normal per 3-subset of its 24 vertices,
+    and rank tests only while fewer than 3 vertices are accepted."""
     from math import comb
 
     import apdrec.complexes as complexes
-    import apdrec.geometry as geometry
 
-    calls = {"_rref": 0, "affine_hyperplane": 0}
+    calls = {"affinely_independent": 0, "_hull_normal": 0}
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted(name):
+        original = getattr(complexes, name)
 
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(complexes, name, wrapper)
 
-    counted(geometry, "_rref")
-    counted(complexes, "affine_hyperplane")
+    counted("affinely_independent")
+    counted("_hull_normal")
     for i in range(40):
         generate_complex(GeneratorConfig(2, 14 + i % 10, 1, densities=[0.3], seed=4000 + i))
-    assert calls == {"_rref": 0, "affine_hyperplane": 0}
+    assert calls == {"affinely_independent": 0, "_hull_normal": 0}
     generate_complex(GeneratorConfig(3, 24, 3, densities=[0.8], seed=0))
-    assert 0 < calls["affine_hyperplane"] <= comb(24, 3)
-    assert calls["_rref"] == 2  # the candidates at i = 1, 2, neither rejected
+    assert 0 < calls["_hull_normal"] <= comb(24, 3)
+    # the candidates at i = 1, 2, neither rejected
+    assert calls["affinely_independent"] == 2
+
+
+def test_lifted_generator_output_bytes_are_pinned():
+    """Lifted configs in d = 4 and 5, whose position checks build hull
+    normals of 5 and 6 points in R^5 and R^6, hashed; the digest was
+    recorded from the generator whose check built them by cofactor
+    expansion."""
+    digest = hashlib.sha256()
+    for d in (4, 5):
+        for seed in (0, 1):
+            cfg = GeneratorConfig(
+                d, 9, d, densities=[0.9] * d, seed=seed, lift_general_position=True
+            )
+            digest.update(serialize_complex(generate_complex(cfg)).encode())
+    assert digest.hexdigest() == "f80486dd813139e4b00e17d6408a7d7de6a46606fd206d64b606b279de149dc4"
 
 
 def test_verify_tetrahedron_boundary_in_r4():

@@ -80,7 +80,7 @@ MUTANTS = [
         ("tests/test_higher.py",),
     ),
     Mutant(
-        "_euler_steps swaps even and odd",
+        "euler_curve_from_apd swaps even and odd",
         "src/apdrec/descriptors.py",
         "            even += de\n            odd += do\n",
         "            even += do\n            odd += de\n",
@@ -374,6 +374,42 @@ MUTANTS = [
         "    if not ledger.diagrams or tuple(",
         "    if tuple(",
         ("tests/test_edges.py",),
+    ),
+    Mutant(
+        "PositionCheck._plan gives a dependent subset a nonzero normal",
+        "src/apdrec/complexes.py",
+        "        points, zero = self.points, [0] * self.dim\n",
+        "        points, zero = self.points, [1] * self.dim\n",
+        ("tests/test_complexes.py",),
+    ),
+    Mutant(
+        "second_perpendicular_direction: the id and height check off",
+        "src/apdrec/geometry.py",
+        "    if len(heights) != len(points) or not all(map(ids.__contains__, v)):\n",
+        "    if False:\n",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "tilt: the 0 < n < q weight check off",
+        "src/apdrec/geometry.py",
+        "        if not 0 < n < q:\n",
+        "        if False:\n",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "separating_direction: the slope check off",
+        "src/apdrec/geometry.py",
+        "    if not (_all_ints((p, q)) and q > 0):\n",
+        "    if False:\n",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
+        "euler_curve_direct reads the diagram's Euler curve",
+        "src/apdrec/descriptors.py",
+        "    direction = _read_direction(direction, complex_.ambient_dim)\n",
+        "    from .oracle import compute_apd\n\n"
+        "    return euler_curve_from_apd(compute_apd(complex_, direction))\n",
+        ("tests/test_descriptors.py",),
     ),
 ]
 
